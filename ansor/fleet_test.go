@@ -76,10 +76,16 @@ func startFleet(t *testing.T, mutate func(*fleet.Broker), target Target, capacit
 	}
 	hs := httptest.NewServer(b.Handler())
 	t.Cleanup(hs.Close)
+	startWorkers(t, hs.URL, target, capacities...)
+	return hs.URL, fleet.NewClient(hs.URL)
+}
+
+func startWorkers(t *testing.T, url string, target Target, capacities ...int) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i, capy := range capacities {
-		w := fleet.NewWorker(hs.URL, target.Machine.Name+"-w"+string(rune('a'+i)), target.Machine, capy)
+		w := fleet.NewWorker(url, target.Machine.Name+"-w"+string(rune('a'+i)), target.Machine, capy)
 		w.PollInterval = time.Millisecond
 		wg.Add(1)
 		go func() {
@@ -91,7 +97,6 @@ func startFleet(t *testing.T, mutate func(*fleet.Broker), target Target, capacit
 		cancel()
 		wg.Wait()
 	})
-	return hs.URL, fleet.NewClient(hs.URL)
 }
 
 // TestFleetTuningBitIdenticalToLocal is the subsystem's headline
@@ -155,11 +160,13 @@ func TestFleetTuningSurvivesWorkerDeath(t *testing.T) {
 	base := TuningOptions{Trials: 32, MeasuresPerRound: 16, Seed: 11}
 	local := runFleetTune(t, task, base)
 
-	url, cl := startFleet(t, func(b *fleet.Broker) { b.LeaseTTL = 60 * time.Millisecond }, task.Target, 4)
+	// The fleet starts empty: the surviving worker joins once the doomed
+	// one holds its lease, so the two never race for the first job.
+	url, cl := startFleet(t, func(b *fleet.Broker) { b.LeaseTTL = 60 * time.Millisecond }, task.Target)
 
 	// The doomed "worker": a raw client that takes exactly one lease of
-	// the first batch and never answers. Grab it before the real tuning
-	// work drains — the tuner is started first so a job exists to lease.
+	// the first batch and never answers. The tuner is started first so a
+	// job exists to lease.
 	done := make(chan fleetOutcome, 1)
 	opts := base
 	opts.FleetURL = url
@@ -178,6 +185,7 @@ func TestFleetTuningSurvivesWorkerDeath(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	startWorkers(t, url, task.Target, 4)
 
 	got := <-done
 	if !reflect.DeepEqual(got, local) {

@@ -9,8 +9,9 @@
 //
 // Scoring and offspring generation are sharded across a worker pool.
 // Determinism is independent of the worker count: every offspring attempt
-// owns a private RNG derived from (Seed, generation, attempt index), so
-// no goroutine ever reads a shared random stream (see DESIGN.md).
+// owns a private RNG (an 8-byte SplitMix64 stream, so seeding one per
+// attempt costs nothing) derived from (Seed, generation, attempt index),
+// so no goroutine ever reads a shared random stream (see DESIGN.md).
 package evo
 
 import (
@@ -100,6 +101,24 @@ func attemptSeed(seed int64, gen, attempt int) int64 {
 	return int64(z)
 }
 
+// splitMix64 is the source behind every attempt's RNG. A search makes a
+// few hundred attempts and most draw a handful of numbers, so the source
+// must be cheap to seed: this one is its 8-byte seed, where math/rand's
+// own source fills a 607-word table first.
+type splitMix64 uint64
+
+func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
+
+func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *splitMix64) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 // Run evolves the initial population for the configured generations and
 // returns the `out` highest-scoring distinct programs seen.
 func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*ir.State {
@@ -153,7 +172,8 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 			children := make([]*ir.State, wave)
 			base := attempt
 			e.pool.Map(wave, func(k int) {
-				rng := rand.New(rand.NewSource(attemptSeed(e.Cfg.Seed, gen, base+k)))
+				src := splitMix64(attemptSeed(e.Cfg.Seed, gen, base+k))
+				rng := rand.New(&src)
 				children[k] = e.offspring(dag, pop, sel, scorer, rng)
 			})
 			attempt += wave

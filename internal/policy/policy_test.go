@@ -378,6 +378,13 @@ func TestUpdateRoutesTrainOnlyFleetResults(t *testing.T) {
 	}
 }
 
+// maxIncrementalRounds bounds the two searches below. A round boosts
+// only when it leaves the best time where it was, and which round first
+// does that is up to the search trajectory — so they run their 8 rounds
+// and then on until one round has boosted, not for a count that
+// happens to contain one at today's seed.
+const maxIncrementalRounds = 24
+
 // TestIncrementalTrainingDeterministic pins the tentpole determinism
 // claim: incremental (boost) training is a pure function of the
 // measurement sequence, so two identical searches land on bit-identical
@@ -391,7 +398,7 @@ func TestIncrementalTrainingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 8; i++ {
+		for i := 0; i < maxIncrementalRounds && (i < 8 || maxTrees <= xgb.DefaultOpts().NumTrees); i++ {
 			p.SearchRound(16)
 			if n := p.model.NumTrees(); n > maxTrees {
 				maxTrees = n
@@ -427,7 +434,7 @@ func TestIncrementalRefitsOnNewBest(t *testing.T) {
 	fullFit := xgb.DefaultOpts().NumTrees
 	sawBoost, sawRefitAfterBest := false, false
 	prevBest := 1e30
-	for i := 0; i < 8; i++ {
+	for i := 0; i < maxIncrementalRounds && (i < 8 || !sawBoost); i++ {
 		p.SearchRound(16)
 		n := p.model.NumTrees()
 		if n > fullFit {

@@ -1,0 +1,364 @@
+package xgb
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// ---- Reference oracle: the per-node-sort builder the presorted kernel
+// replaced, kept verbatim (serial path) so the differential tests below
+// can demand the same trees from both. The float64() conversions pin the
+// products to unfused rounding, which is what the kernel's stored
+// per-row terms have on every architecture.
+
+func refWeightedMean(target, w []float64, idx []int) float64 {
+	var sw, swy float64
+	for _, i := range idx {
+		sw += w[i]
+		swy += float64(w[i] * target[i])
+	}
+	if sw == 0 {
+		return 0
+	}
+	return swy / sw
+}
+
+func (t *tree) refBuild(x [][]float64, target, w []float64, idx []int, depth int, o Opts, rng *rand.Rand) int {
+	self := len(t.nodes)
+	t.nodes = append(t.nodes, node{})
+	if depth >= o.MaxDepth || len(idx) < 2*o.MinSamples {
+		t.nodes[self] = node{leaf: true, value: refWeightedMean(target, w, idx)}
+		return self
+	}
+	nf := len(x[0])
+	var sw, swy, swyy float64
+	for _, i := range idx {
+		sw += w[i]
+		swy += float64(w[i] * target[i])
+		swyy += float64(float64(w[i]*target[i]) * target[i])
+	}
+	if sw == 0 {
+		t.nodes[self] = node{leaf: true, value: 0}
+		return self
+	}
+	parentSSE := swyy - swy*swy/sw
+	mask := make([]bool, nf)
+	for f := 0; f < nf; f++ {
+		mask[f] = !(o.FeatureSubsample < 1 && rng.Float64() > o.FeatureSubsample)
+	}
+	bestGain := 0.0
+	bestF, bestThr := -1, 0.0
+	order := make([]int, len(idx))
+	for f := 0; f < nf; f++ {
+		if !mask[f] {
+			continue
+		}
+		copy(order, idx)
+		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
+		var lw, lwy, lwyy float64
+		for k := 0; k < len(order)-1; k++ {
+			i := order[k]
+			lw += w[i]
+			lwy += float64(w[i] * target[i])
+			lwyy += float64(float64(w[i]*target[i]) * target[i])
+			if x[order[k]][f] == x[order[k+1]][f] {
+				continue
+			}
+			if k+1 < o.MinSamples || len(order)-k-1 < o.MinSamples {
+				continue
+			}
+			rw := sw - lw
+			if lw <= 0 || rw <= 0 {
+				continue
+			}
+			lsse := lwyy - lwy*lwy/lw
+			rwy := swy - lwy
+			rwyy := swyy - lwyy
+			rsse := rwyy - rwy*rwy/rw
+			if gain := parentSSE - lsse - rsse; gain > bestGain {
+				bestGain, bestF = gain, f
+				bestThr = (x[order[k]][f] + x[order[k+1]][f]) / 2
+			}
+		}
+	}
+	if bestF < 0 {
+		t.nodes[self] = node{leaf: true, value: refWeightedMean(target, w, idx)}
+		return self
+	}
+	var li, ri []int
+	for _, i := range idx {
+		if x[i][bestF] <= bestThr {
+			li = append(li, i)
+		} else {
+			ri = append(ri, i)
+		}
+	}
+	l := t.refBuild(x, target, w, li, depth+1, o, rng)
+	r := t.refBuild(x, target, w, ri, depth+1, o, rng)
+	t.nodes[self] = node{feature: bestF, threshold: bestThr, left: l, right: r}
+	return self
+}
+
+// refGrow is the boosting loop as Fit and Boost each used to spell it:
+// per-row targets and weights, one refBuild per round, predictions moved
+// by walking the new tree per row.
+func refGrow(o Opts, prev []*tree, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*tree {
+	var rows [][]float64
+	var rowProg []int
+	for p := first; p < len(progs); p++ {
+		for _, s := range progs[p] {
+			rows = append(rows, s)
+			rowProg = append(rowProg, p)
+		}
+	}
+	pred := make([]float64, len(rows))
+	for i, r := range rows {
+		for _, t := range prev {
+			pred[i] += o.LearningRate * t.predict(r)
+		}
+	}
+	target := make([]float64, len(rows))
+	weight := make([]float64, len(rows))
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	rng := rand.New(rand.NewSource(seed))
+	trees := append([]*tree(nil), prev...)
+	for round := 0; round < nTrees; round++ {
+		progPred := map[int]float64{}
+		for i, p := range rowProg {
+			progPred[p] += pred[i]
+		}
+		for i, p := range rowProg {
+			target[i] = (y[p] - progPred[p]) / float64(len(progs[p]))
+			weight[i] = math.Max(y[p], 0.05)
+			if progWeight != nil {
+				weight[i] *= progWeight[p]
+			}
+		}
+		t := &tree{}
+		t.refBuild(rows, target, weight, idx, 0, o, rng)
+		for i := range rows {
+			pred[i] += float64(o.LearningRate * t.predict(rows[i]))
+		}
+		trees = append(trees, t)
+	}
+	return trees
+}
+
+// ---- Data
+
+// multiStmt builds programs of 1–3 statements over nf continuous
+// features (ties have probability ~0) plus, when tied is set, columns
+// that force every special case of the kernel: two constant columns, a
+// three-valued column, a binary column, and as the last two columns
+// exact copies of column 0 and of the three-valued one.
+func multiStmt(n, nf int, tied bool, seed int64) (progs [][][]float64, y []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		var stmts [][]float64
+		var label float64
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			x := make([]float64, nf)
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			label += 0.3*x[0] + 0.2*x[3]*x[3] + 0.05*math.Sin(6*x[5])
+			if tied {
+				tri := float64(rng.Intn(3))
+				x = append(x, 7, tri, 0, float64(rng.Intn(2)), x[0], tri)
+			}
+			stmts = append(stmts, x)
+		}
+		progs = append(progs, stmts)
+		y = append(y, math.Min(label/1.5, 1))
+	}
+	return
+}
+
+// needParallel fails the test unless a fit of progs starts with a node
+// large enough to be shared out over the pool.
+func needParallel(t *testing.T, progs [][][]float64) {
+	t.Helper()
+	rows := 0
+	for _, p := range progs {
+		rows += len(p)
+	}
+	if rows < parallelMin {
+		t.Fatalf("%d rows: the root stays under parallelMin (%d) and the pool path goes untested", rows, parallelMin)
+	}
+}
+
+func halfWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+		if i%3 == 0 {
+			w[i] = 0.25
+		}
+	}
+	return w
+}
+
+func sameTrees(t *testing.T, what string, got, want []*tree) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i].nodes, want[i].nodes) {
+			t.Fatalf("%s: tree %d differs from the reference builder\n got %+v\nwant %+v", what, i, got[i].nodes, want[i].nodes)
+		}
+	}
+}
+
+// ---- (a) differential: same trees as the per-node-sort builder
+
+func TestPresortedMatchesReferenceBuilder(t *testing.T) {
+	// The first fit's root goes through the pool, everything below it
+	// and the whole boost take the serial path.
+	progs, y := multiStmt(1300, 12, false, 21)
+	old := 1200
+	needParallel(t, progs[:old])
+	for _, tc := range []struct {
+		name string
+		pw   []float64
+	}{{"unit", nil}, {"weighted", halfWeights(len(progs))}} {
+		o := DefaultOpts()
+		o.Workers = 2
+		m := NewCostModel(o)
+		var pwOld []float64
+		if tc.pw != nil {
+			pwOld = tc.pw[:old]
+		}
+		m.FitWeighted(progs[:old], y[:old], pwOld)
+		ref := refGrow(o, nil, progs[:old], y[:old], pwOld, 0, o.NumTrees, o.Seed)
+		sameTrees(t, tc.name+" fit", m.treeSnapshot(), ref)
+
+		m.BoostWeighted(progs, y, tc.pw, old)
+		seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
+		ref = refGrow(o, ref, progs, y, tc.pw, old, o.BoostTrees, seed)
+		sameTrees(t, tc.name+" boost", m.treeSnapshot(), ref)
+	}
+}
+
+// ---- (b) determinism under ties and constant columns
+
+func TestFingerprintEqualAcrossWorkersWithTies(t *testing.T) {
+	progs, y := multiStmt(1300, 6, true, 22)
+	old := 1200
+	needParallel(t, progs[:old])
+	var want uint64
+	for _, workers := range []int{1, 2, 8} {
+		o := DefaultOpts()
+		o.Workers = workers
+		m := NewCostModel(o)
+		m.Fit(progs[:old], y[:old])
+		m.Boost(progs, y, old)
+		switch fp := m.Fingerprint(); {
+		case workers == 1:
+			want = fp
+		case fp != want:
+			t.Errorf("workers=%d: fingerprint %x, workers=1 trained %x", workers, fp, want)
+		}
+	}
+}
+
+// ---- (c) tie-break: of two identical columns the lower index wins
+
+func TestDuplicateColumnSplitsOnLowerIndex(t *testing.T) {
+	// The last two columns copy earlier ones, one continuous and one
+	// with long runs of equal values: same (value, row) order, same
+	// sums, so every gain on a copy ties its original exactly.
+	progs, y := multiStmt(300, 6, true, 23)
+	firstCopy := len(progs[0][0]) - 2
+	o := DefaultOpts()
+	o.FeatureSubsample = 1 // every node sees a copy beside its original
+	m := NewCostModel(o)
+	m.Fit(progs, y)
+	splits := 0
+	for _, tr := range m.treeSnapshot() {
+		for _, n := range tr.nodes {
+			if n.leaf {
+				continue
+			}
+			splits++
+			if n.feature >= firstCopy {
+				t.Fatalf("split on column %d, a copy of a lower column", n.feature)
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no splits at all: the test data is degenerate")
+	}
+}
+
+// ---- (d) degenerate inputs end in a leaf
+
+func TestDegenerateInputsReturnLeaf(t *testing.T) {
+	one := func(m *CostModel) node {
+		t.Helper()
+		trees := m.treeSnapshot()
+		if len(trees) != m.Opts.NumTrees {
+			t.Fatalf("%d trees, want %d", len(trees), m.Opts.NumTrees)
+		}
+		if len(trees[0].nodes) != 1 || !trees[0].nodes[0].leaf {
+			t.Fatalf("first tree = %+v, want a single leaf", trees[0].nodes)
+		}
+		return trees[0].nodes[0]
+	}
+	// All targets equal: no split has positive gain.
+	progs, y := multiStmt(64, 6, true, 24)
+	for i := range y {
+		y[i] = 0.5
+		progs[i] = progs[i][:1]
+	}
+	m := NewCostModel(DefaultOpts())
+	m.Fit(progs, y)
+	if v := one(m).value; v != 0.5 {
+		t.Errorf("all-equal targets: leaf value %g, want 0.5", v)
+	}
+	// A single row.
+	m = NewCostModel(DefaultOpts())
+	m.Fit(progs[:1], y[:1])
+	if v := one(m).value; v != 0.5 {
+		t.Errorf("one row: leaf value %g, want 0.5", v)
+	}
+	// MinSamples 1 grows single-row leaves without running off a segment.
+	o := DefaultOpts()
+	o.MinSamples = 1
+	o.MaxDepth = 12
+	progs, y = multiStmt(40, 6, true, 25)
+	m = NewCostModel(o)
+	m.Fit(progs, y)
+	if !m.Trained() {
+		t.Fatal("single-row leaves: not trained")
+	}
+	// Programs without statements train nothing and clear the model.
+	m.Fit([][][]float64{{}, {}}, []float64{1, 1})
+	if m.Trained() {
+		t.Error("no statements: model should be untrained")
+	}
+}
+
+// ---- (e) alloc gate: a tree costs its own two allocations, no more
+
+func TestFitAllocsDoNotGrowPerTree(t *testing.T) {
+	progs, y := multiStmt(1200, 8, true, 26)
+	needParallel(t, progs)
+	fit := func(trees int) float64 {
+		o := DefaultOpts()
+		o.Workers = 1
+		o.NumTrees = trees
+		return testing.AllocsPerRun(3, func() { NewCostModel(o).Fit(progs, y) })
+	}
+	few, many := fit(5), fit(45)
+	// Per extra tree: the tree and its node slice.
+	if perTree := (many - few) / 40; perTree > 2 {
+		t.Errorf("%.1f allocations per extra tree (5 trees: %.0f, 45 trees: %.0f), want <= 2", perTree, few, many)
+	}
+}

@@ -10,9 +10,11 @@
 //
 // The model is safe for concurrent prediction while a training round is
 // in flight: Fit builds the new ensemble aside and swaps it in atomically,
-// and Score/ScoreStmt/Trained read a snapshot. Split finding shards the
-// per-feature scan across a worker pool with a deterministic reduction,
-// so trained models are bit-identical for any worker count.
+// and Score/ScoreStmt/Trained read a snapshot. Training sorts every
+// feature column once per call and finds splits by linear scans over the
+// presorted lists (presort.go); large nodes shard the per-feature scan
+// across a worker pool with a deterministic reduction, so trained models
+// are bit-identical for any worker count.
 package xgb
 
 import (
@@ -22,8 +24,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"repro/internal/pool"
 )
 
 // Opts configures training.
@@ -43,8 +43,9 @@ type Opts struct {
 	// (default 3*NumTrees): callers fall back to a full Fit once the
 	// ensemble would exceed it, keeping prediction cost flat.
 	MaxTrees int
-	// Workers bounds the goroutines used by the split-finding scan
-	// (0 = GOMAXPROCS). Trained models are identical for any value.
+	// Workers bounds the goroutines used by the presort and the
+	// split-finding scan (0 = GOMAXPROCS). Trained models are identical
+	// for any value.
 	Workers int
 }
 
@@ -86,143 +87,6 @@ func (t *tree) predict(x []float64) float64 {
 			i = n.right
 		}
 	}
-}
-
-// fitTree greedily builds one weighted least-squares regression tree over
-// the rows indexed by idx.
-func fitTree(x [][]float64, target, w []float64, idx []int, o Opts, rng *rand.Rand, pl *pool.Pool) *tree {
-	t := &tree{}
-	t.build(x, target, w, idx, 0, o, rng, pl)
-	return t
-}
-
-func weightedMean(target, w []float64, idx []int) float64 {
-	var sw, swy float64
-	for _, i := range idx {
-		sw += w[i]
-		swy += w[i] * target[i]
-	}
-	if sw == 0 {
-		return 0
-	}
-	return swy / sw
-}
-
-// parallelScanMin is the node size below which the per-feature split scan
-// stays serial: tiny nodes would pay more in goroutine handoff than the
-// scan costs. The threshold depends only on the data, never on the worker
-// count, so trees are identical either way.
-const parallelScanMin = 512
-
-// split is one feature's best split candidate.
-type split struct {
-	gain float64
-	thr  float64
-	ok   bool
-}
-
-func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o Opts, rng *rand.Rand, pl *pool.Pool) int {
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{})
-	if depth >= o.MaxDepth || len(idx) < 2*o.MinSamples {
-		t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
-		return self
-	}
-	nf := len(x[0])
-	// Parent weighted SSE baseline terms.
-	var sw, swy, swyy float64
-	for _, i := range idx {
-		sw += w[i]
-		swy += w[i] * target[i]
-		swyy += w[i] * target[i] * target[i]
-	}
-	if sw == 0 {
-		t.nodes[self] = node{leaf: true, value: 0}
-		return self
-	}
-	parentSSE := swyy - swy*swy/sw
-	// The subsample mask is drawn serially so the RNG stream is identical
-	// to a fully serial scan; the scan itself is embarrassingly parallel
-	// per feature.
-	mask := make([]bool, nf)
-	for f := 0; f < nf; f++ {
-		mask[f] = !(o.FeatureSubsample < 1 && rng.Float64() > o.FeatureSubsample)
-	}
-	splits := make([]split, nf)
-	scan := func(f int, order []int) {
-		if !mask[f] {
-			return
-		}
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
-		var lw, lwy, lwyy float64
-		best := split{}
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			lw += w[i]
-			lwy += w[i] * target[i]
-			lwyy += w[i] * target[i] * target[i]
-			if x[order[k]][f] == x[order[k+1]][f] {
-				continue
-			}
-			if k+1 < o.MinSamples || len(order)-k-1 < o.MinSamples {
-				continue
-			}
-			rw := sw - lw
-			if lw <= 0 || rw <= 0 {
-				continue
-			}
-			lsse := lwyy - lwy*lwy/lw
-			rwy := swy - lwy
-			rwyy := swyy - lwyy
-			rsse := rwyy - rwy*rwy/rw
-			gain := parentSSE - lsse - rsse
-			if gain > best.gain {
-				best = split{gain: gain, thr: (x[order[k]][f] + x[order[k+1]][f]) / 2, ok: true}
-			}
-		}
-		splits[f] = best
-	}
-	if len(idx) >= parallelScanMin {
-		pl.Map(nf, func(f int) {
-			if mask[f] {
-				scan(f, make([]int, len(idx)))
-			}
-		})
-	} else {
-		// Serial small-node path: one sort buffer serves every feature.
-		order := make([]int, len(idx))
-		for f := 0; f < nf; f++ {
-			scan(f, order)
-		}
-	}
-	// Deterministic reduction: strictly-greater gain in ascending feature
-	// order reproduces the serial scan's lowest-feature tie-breaking.
-	bestGain := 0.0
-	bestF, bestThr := -1, 0.0
-	for f := 0; f < nf; f++ {
-		if splits[f].ok && splits[f].gain > bestGain {
-			bestGain = splits[f].gain
-			bestF = f
-			bestThr = splits[f].thr
-		}
-	}
-	if bestF < 0 {
-		t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
-		return self
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if x[i][bestF] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	l := t.build(x, target, w, li, depth+1, o, rng, pl)
-	r := t.build(x, target, w, ri, depth+1, o, rng, pl)
-	t.nodes[self] = node{feature: bestF, threshold: bestThr, left: l, right: r}
-	return self
 }
 
 // ensemble is one immutable trained model snapshot: the tree form used
@@ -297,55 +161,7 @@ func (c *CostModel) Fit(progs [][][]float64, y []float64) {
 // natively. Weights scale gradients only — tree structure, determinism
 // and the atomic swap are unchanged.
 func (c *CostModel) FitWeighted(progs [][][]float64, y, progWeight []float64) {
-	if len(progs) == 0 {
-		c.swap(nil)
-		return
-	}
-	var rows [][]float64
-	var rowProg []int
-	nStmts := make([]float64, len(progs))
-	for p, stmts := range progs {
-		nStmts[p] = float64(len(stmts))
-		for _, s := range stmts {
-			rows = append(rows, s)
-			rowProg = append(rowProg, p)
-		}
-	}
-	if len(rows) == 0 {
-		c.swap(nil)
-		return
-	}
-	pl := pool.New(c.Opts.Workers)
-	pred := make([]float64, len(rows))
-	target := make([]float64, len(rows))
-	weight := make([]float64, len(rows))
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := rand.New(rand.NewSource(c.Opts.Seed))
-	const minWeight = 0.05
-	var trees []*tree
-	for round := 0; round < c.Opts.NumTrees; round++ {
-		progPred := make([]float64, len(progs))
-		for i, p := range rowProg {
-			progPred[p] += pred[i]
-		}
-		for i, p := range rowProg {
-			r := y[p] - progPred[p]
-			target[i] = r / nStmts[p]
-			weight[i] = math.Max(y[p], minWeight)
-			if progWeight != nil {
-				weight[i] *= progWeight[p]
-			}
-		}
-		t := fitTree(rows, target, weight, idx, c.Opts, rng, pl)
-		for i := range rows {
-			pred[i] += c.Opts.LearningRate * t.predict(rows[i])
-		}
-		trees = append(trees, t)
-	}
-	c.swap(trees)
+	c.swap(c.grow(nil, progs, y, progWeight, 0, c.Opts.NumTrees, c.Opts.Seed))
 }
 
 // Boost is BoostWeighted with unit confidence weights.
@@ -370,12 +186,8 @@ func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
 // any run issuing the same Fit/Boost call sequence over the same data
 // reproduces the exact same ensemble at any worker count.
 func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, newStart int) {
-	prevEns := c.snapshot()
-	var prev []*tree
-	if prevEns != nil {
-		prev = prevEns.trees
-	}
-	if len(prev) == 0 || newStart <= 0 {
+	prev := c.snapshot()
+	if prev == nil || newStart <= 0 {
 		c.FitWeighted(progs, y, progWeight)
 		return
 	}
@@ -386,60 +198,69 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 	if boostTrees <= 0 {
 		boostTrees = 10
 	}
-	var rows [][]float64
-	var rowProg []int // indexes into progs, only >= newStart
-	nStmts := map[int]float64{}
-	for p := newStart; p < len(progs); p++ {
-		nStmts[p] = float64(len(progs[p]))
-		for _, s := range progs[p] {
-			rows = append(rows, s)
-			rowProg = append(rowProg, p)
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	pl := pool.New(c.Opts.Workers)
-	// Seed the per-row predictions with the existing ensemble (via the
-	// flattened slab — same per-tree accumulation order as the pointer
-	// walk), then run the standard boosting recurrence over the new rows
-	// only.
-	pred := make([]float64, len(rows))
-	pl.Map(len(rows), func(i int) {
-		pred[i] = prevEns.flat.scoreStmt(rows[i])
-	})
-	target := make([]float64, len(rows))
-	weight := make([]float64, len(rows))
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
 	// Decorrelate the residual trees' feature subsample from the full
 	// fit's: the stream is a pure function of (Seed, ensemble size), so
 	// identical call sequences reproduce identical models.
-	rng := rand.New(rand.NewSource(c.Opts.Seed ^ int64(uint64(len(prev)+1)*0x9e3779b97f4a7c15)))
+	seed := c.Opts.Seed ^ int64(uint64(len(prev.trees)+1)*0x9e3779b97f4a7c15)
+	c.swap(c.grow(prev, progs, y, progWeight, newStart, boostTrees, seed))
+}
+
+// grow is the boosting recurrence behind Fit and Boost: it fits nTrees
+// residual trees to the statements of progs[first:], starting from the
+// predictions of prev (nil = the empty ensemble), and returns prev's
+// trees followed by the new ones. Without a single statement to train on
+// it returns prev's trees alone.
+func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*tree {
+	var trees []*tree
+	if prev != nil {
+		trees = prev.trees
+	}
+	var rows [][]float64
+	var rowProg []int32 // program of each row, counted from first
+	for p, stmts := range progs[first:] {
+		for _, s := range stmts {
+			rows = append(rows, s)
+			rowProg = append(rowProg, int32(p))
+		}
+	}
+	if len(rows) == 0 {
+		return trees
+	}
+	pred := make([]float64, len(rows))
+	t := newTrainer(c.Opts, rows, pred, rand.New(rand.NewSource(seed)))
+	if prev != nil {
+		// Via the flattened slab: the same per-tree accumulation order
+		// as the pointer walk.
+		t.pl.Map(len(rows), func(i int) {
+			pred[i] = prev.flat.scoreStmt(rows[i])
+		})
+	}
+	// Per program: the summed prediction of its statements, then the
+	// sum-over-statements loss's terms, shared by all of its rows.
+	progPred := make([]float64, len(progs)-first)
+	progGrad := make([]grad, len(progs)-first)
 	const minWeight = 0.05
-	boosted := append(make([]*tree, 0, len(prev)+boostTrees), prev...)
-	for round := 0; round < boostTrees; round++ {
-		progPred := map[int]float64{}
+	trees = append(make([]*tree, 0, len(trees)+nTrees), trees...)
+	for round := 0; round < nTrees; round++ {
+		clear(progPred)
 		for i, p := range rowProg {
 			progPred[p] += pred[i]
 		}
-		for i, p := range rowProg {
-			r := y[p] - progPred[p]
-			target[i] = r / nStmts[p]
-			weight[i] = math.Max(y[p], minWeight)
+		for p, stmts := range progs[first:] {
+			yp := y[first+p]
+			target := (yp - progPred[p]) / float64(len(stmts))
+			w := math.Max(yp, minWeight)
 			if progWeight != nil {
-				weight[i] *= progWeight[p]
+				w *= progWeight[first+p]
 			}
+			progGrad[p] = grad{w: w, wy: w * target, wyy: w * target * target}
 		}
-		t := fitTree(rows, target, weight, idx, c.Opts, rng, pl)
-		for i := range rows {
-			pred[i] += c.Opts.LearningRate * t.predict(rows[i])
+		for i, p := range rowProg {
+			t.grads[i] = progGrad[p]
 		}
-		boosted = append(boosted, t)
+		trees = append(trees, t.fitTree())
 	}
-	c.swap(boosted)
+	return trees
 }
 
 // NumTrees returns the current ensemble size (0 when untrained). Policy

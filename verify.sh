@@ -1,0 +1,66 @@
+#!/bin/sh
+# The gate list: everything that must pass before a change lands. CI runs
+# this script and nothing else as its gate (the benchmark steps after it
+# in ci.yml only record numbers), so green here is green there.
+set -eu
+cd "$(dirname "$0")"
+
+step() { printf '\n== %s\n' "$*"; }
+
+step gofmt
+out="$(gofmt -l .)"
+if [ -n "$out" ]; then
+	echo "files need gofmt:" >&2
+	echo "$out" >&2
+	exit 1
+fi
+
+step go vet
+go vet ./...
+
+step go build
+go build ./...
+
+step "go test (short)"
+go test -short ./...
+
+# The packages that spawn goroutines, under the race detector: the worker
+# pool and everything sharded over it (measurement, evolution, cost-model
+# training, scheduler waves), the policy whose rounds drive them, and
+# internal/obs, whose sinks and registry are shared mutable state updated
+# from the search path and scraped concurrently.
+step "race: concurrent packages (short)"
+go test -race -short ./internal/pool/ ./internal/measure/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./ansor/
+
+# The registry service is a shared mutable store serving concurrent
+# publishers and readers: its whole suite (including the
+# N-publishers/M-readers merge test) runs under the race detector,
+# together with the sharded registry underneath it (concurrent
+# publishers/readers/touchers with MaxKeys eviction enabled).
+step "race: registry service"
+go test -race ./internal/regserver/ ./internal/registry/
+
+# The warm-start subsystem coordinates goroutines through the batched
+# publisher and serves concurrent policy fetches.
+step "race: warm start"
+go test -race ./internal/warm/ ./internal/policy/ -run 'TestWarmStart|TestPrepare|TestOpen|TestRecords|TestTargetDistance|TestFitCalibration'
+
+# The measurement fleet is a concurrent broker/worker/client system (lazy
+# lease reaping under one mutex, worker goroutines, polling clients): its
+# whole suite, including the seeded chaos suite (worker death, lease
+# expiry, duplicate/late posts, slow siblings; bit-identity at every
+# seed), plus the ansor-level end-to-end bit-identity tests that drive
+# real workers (sibling-only fleets included).
+step "race: measurement fleet (incl. chaos suite)"
+go test -race -count=1 ./internal/fleet/
+go test -race -count=1 -run 'TestFleet|TestTunerCloseSurfacesFleetError' ./ansor/
+
+# The benchmark is a module of its own, so ./... above never reaches it:
+# vet it, run its unit tests, and run one short workload end to end,
+# which exits non-zero unless every output check passed.
+step "bench module"
+go vet -C bench .
+go test -C bench .
+go run -C bench repro/bench --workload tune-deep --seed 1 --seconds 3 --trace 0
+
+printf '\nverify: all gates passed\n'
