@@ -15,6 +15,7 @@
 package evo
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"sync"
@@ -366,8 +367,19 @@ func (r *roulette) pick(rng *rand.Rand) int {
 // parent's steps and replays; nil on invalid offspring.
 func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State {
 	holder := takeSteps()
-	steps := cloneStepsInto((*holder)[:0], parent.Steps)
-	ok := false
+	steps, ok := mutateSteps((*holder)[:0], parent.Steps, rng)
+	var s *ir.State
+	if ok {
+		s, _ = replayChild(dag, steps)
+	}
+	putSteps(holder, steps)
+	return s
+}
+
+// mutateSteps appends a mutated copy of the parent's step list to dst;
+// ok is false when the chosen operation found nothing to edit.
+func mutateSteps(dst, parent []ir.Step, rng *rand.Rand) (steps []ir.Step, ok bool) {
+	steps = cloneStepsInto(dst, parent)
 	switch rng.Intn(5) {
 	case 0:
 		ok = mutateTileSize(steps, rng)
@@ -380,16 +392,27 @@ func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State
 	case 4:
 		ok = mutatePragma(steps, rng)
 	}
-	if !ok {
-		putSteps(holder, steps)
-		return nil
-	}
+	return steps, ok
+}
+
+var errIncomplete = errors.New("evo: offspring has unfilled tile sizes")
+
+// replayChild verifies an offspring's step list the way §5.1 prescribes:
+// replay from the naive program, then check the result is a complete,
+// structurally valid program. The search discards the error; it exists
+// for diagnostics and tests.
+func replayChild(dag *te.DAG, steps []ir.Step) (*ir.State, error) {
 	s, err := ir.Replay(dag, steps)
-	putSteps(holder, steps)
-	if err != nil || !s.Complete() || s.Validate() != nil {
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	return s
+	if !s.Complete() {
+		return nil, errIncomplete
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // stepsScratch recycles the step-list buffers that offspring attempts
@@ -554,8 +577,16 @@ func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
 // A's step sequence is the template; steps of tags donated by B are
 // substituted positionally with B's same-type steps of that tag.
 func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand.Rand) *ir.State {
-	scoreA := scorer.NodeScores(a)
-	scoreB := scorer.NodeScores(b)
+	holder := takeSteps()
+	steps := crossoverSteps((*holder)[:0], a, b, scorer.NodeScores(a), scorer.NodeScores(b), rng)
+	child, _ := replayChild(dag, steps)
+	putSteps(holder, steps)
+	return child
+}
+
+// crossoverSteps appends the merged step list of parents a and b to dst.
+// A nil score map makes the donor of every node tag a coin flip.
+func crossoverSteps(dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]float64, rng *rand.Rand) []ir.Step {
 	donorB := map[string]bool{}
 	var tags []string
 	seen := map[string]bool{}
@@ -585,8 +616,7 @@ func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand
 		bSteps[k] = append(bSteps[k], s)
 	}
 	taken := map[key]int{}
-	holder := takeSteps()
-	steps := (*holder)[:0]
+	steps := dst
 	for _, s := range a.Steps {
 		tag := ir.BaseStage(s.StageName())
 		if donorB[tag] {
@@ -599,10 +629,5 @@ func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand
 		}
 		steps = append(steps, s.Clone())
 	}
-	child, err := ir.Replay(dag, steps)
-	putSteps(holder, steps)
-	if err != nil || !child.Complete() || child.Validate() != nil {
-		return nil
-	}
-	return child
+	return steps
 }
