@@ -8,6 +8,7 @@ package anno
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/sketch"
@@ -24,6 +25,9 @@ type Sampler struct {
 	// are fixed.
 	Fixed bool
 	rng   *rand.Rand
+	// tiles remembers, per sketch, the nodes its unfilled tiling steps
+	// split (see tilePlan).
+	tiles map[*ir.State][]*te.Node
 }
 
 // NewSampler returns a sampler seeded deterministically.
@@ -31,8 +35,17 @@ func NewSampler(t sketch.Target, seed int64) *Sampler {
 	return &Sampler{Target: t, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Divisors returns the positive divisors of n in increasing order.
+// divisors memoizes Divisors: tile sampling and tile-size mutation ask
+// for the same few hundred extents millions of times, from many
+// goroutines.
+var divisors sync.Map // int → []int
+
+// Divisors returns the positive divisors of n in increasing order. The
+// slice is shared between callers and must not be modified.
 func Divisors(n int) []int {
+	if ds, ok := divisors.Load(n); ok {
+		return ds.([]int)
+	}
 	var out []int
 	for d := 1; d*d <= n; d++ {
 		if n%d == 0 {
@@ -48,6 +61,7 @@ func Divisors(n int) []int {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
+	divisors.Store(n, out)
 	return out
 }
 
@@ -102,47 +116,73 @@ func (sp *Sampler) SamplePopulation(sketches []*ir.State, n int) []*ir.State {
 	return out
 }
 
-// fillStructure clones the sketch's steps, randomly fills unfilled tile
-// factors, and occasionally tweaks the compute location (the fused
-// consumer's split point).
-func (sp *Sampler) fillStructure(sk *ir.State) []ir.Step {
+// tilePlan returns, for every unfilled tiling step of the sketch, the
+// node whose axes it splits (nil for other steps, and for a tiling step
+// whose stage does not exist at that point of the replay). The nodes are
+// read off one replay of the sketch and kept: which node a stage computes
+// depends only on the cache-write and rfactor steps before it, which
+// sampling never touches, so every sample of the sketch sees the same.
+func (sp *Sampler) tilePlan(sk *ir.State) []*te.Node {
+	if plan, ok := sp.tiles[sk]; ok {
+		return plan
+	}
+	plan := make([]*te.Node, len(sk.Steps))
 	state := ir.NewState(sk.DAG)
-	steps := make([]ir.Step, 0, len(sk.Steps))
-	for _, st := range sk.Steps {
-		c := st.Clone()
-		switch t := c.(type) {
+	for i, st := range sk.Steps {
+		if t, ok := st.(*ir.MultiLevelTileStep); ok && t.SpaceFactors == nil {
+			if stage := state.Stage(t.Stage); stage != nil {
+				plan[i] = stage.Node
+			}
+		}
+		// A step that fails here fails in Sample's Replay too, which
+		// reports it.
+		_ = state.Apply(st)
+	}
+	if sp.tiles == nil {
+		sp.tiles = map[*ir.State][]*te.Node{}
+	}
+	sp.tiles[sk] = plan
+	return plan
+}
+
+// fillStructure returns the sketch's steps with unfilled tile factors
+// randomly filled and, occasionally, the compute location (the fused
+// consumer's split point) tweaked. Steps it does not change are the
+// sketch's own: a step is immutable once a state holds it.
+func (sp *Sampler) fillStructure(sk *ir.State) []ir.Step {
+	plan := sp.tilePlan(sk)
+	steps := make([]ir.Step, len(sk.Steps))
+	for i, st := range sk.Steps {
+		steps[i] = st
+		switch t := st.(type) {
 		case *ir.MultiLevelTileStep:
-			if t.SpaceFactors == nil {
-				// Resolve the stage's axes at this point of the replay.
-				stage := state.Stage(t.Stage)
-				if stage != nil {
-					nSp, nRe := countLevels(t.Structure)
-					t.SpaceFactors = make([][]int, len(stage.Node.SpaceAxes))
-					for i, a := range stage.Node.SpaceAxes {
-						t.SpaceFactors[i] = RandomFactors(sp.rng, a.Extent, nSp)
-					}
-					t.ReduceFactors = make([][]int, len(stage.Node.ReduceAxes))
-					for i, a := range stage.Node.ReduceAxes {
-						t.ReduceFactors[i] = RandomFactors(sp.rng, a.Extent, nRe)
-					}
+			if node := plan[i]; node != nil {
+				c := *t
+				nSp, nRe := countLevels(t.Structure)
+				c.SpaceFactors = make([][]int, len(node.SpaceAxes))
+				for k, a := range node.SpaceAxes {
+					c.SpaceFactors[k] = RandomFactors(sp.rng, a.Extent, nSp)
 				}
+				c.ReduceFactors = make([][]int, len(node.ReduceAxes))
+				for k, a := range node.ReduceAxes {
+					c.ReduceFactors[k] = RandomFactors(sp.rng, a.Extent, nRe)
+				}
+				steps[i] = &c
 			}
 		case *ir.FuseConsumerStep:
 			// Compute-location tweak: occasionally move the fusion point
 			// one tile level out or in (§4.2 "randomly change the
 			// computation location of some nodes").
 			if !sp.Fixed && sp.rng.Float64() < 0.2 {
-				if sp.rng.Intn(2) == 0 && t.OuterLevels > 1 {
-					t.OuterLevels--
+				c := *t
+				if sp.rng.Intn(2) == 0 && c.OuterLevels > 1 {
+					c.OuterLevels--
 				} else {
-					t.OuterLevels++
+					c.OuterLevels++
 				}
+				steps[i] = &c
 			}
 		}
-		steps = append(steps, c)
-		// Track replay so later steps see up-to-date stages; ignore the
-		// error here, Replay in Sample reports it properly.
-		_ = state.Apply(c)
 	}
 	return steps
 }

@@ -130,7 +130,7 @@ func dumpLowered(b *strings.Builder, low *ir.Lowered) {
 	access := func(tag string, a *ir.FlatAccess) {
 		fmt.Fprintf(b, "  %s %s", tag, a.Tensor.Name)
 		for d := range a.Tensor.Shape {
-			fmt.Fprintf(b, " %v", a.Coeff[d])
+			fmt.Fprintf(b, " %v", a.Row(d))
 		}
 		b.WriteByte('\n')
 	}
@@ -142,11 +142,11 @@ func dumpLowered(b *strings.Builder, low *ir.Lowered) {
 			if l.FusedWithPrev {
 				fused = "+"
 			}
-			fmt.Fprintf(b, " %s%s/%s:%d:%s:%s", fused, l.Owner.Name, l.Name, l.Extent, short(l.Kind), l.Ann)
+			fmt.Fprintf(b, " %s%s/%s:%d:%s:%s", fused, l.Owner.Name, l.Name(), l.Extent, short(l.Kind), l.Ann)
 		}
 		b.WriteByte('\n')
-		for _, r := range st.Reads {
-			access("read", r)
+		for i := range st.Reads {
+			access("read", &st.Reads[i])
 		}
 		access("write", st.Write)
 	}
@@ -381,4 +381,150 @@ func TestGoldenCorpus(t *testing.T) {
 		}
 	}
 	t.Fatalf("corpus length differs: got %d lines, want %d", len(gl), len(wl))
+}
+
+// miniFamilies builds every family of walkFamilies at a size the
+// iteration-space checker can enumerate.
+func miniFamilies() []workloads.Workload {
+	conv := func(name string, emit func(b *te.Builder, x *te.Tensor)) func() *te.DAG {
+		return func() *te.DAG {
+			b := te.NewBuilder(name)
+			emit(b, b.Input("X", 1, 8, 6, 6))
+			return b.MustFinish()
+		}
+	}
+	return []workloads.Workload{
+		{Key: "C1D", Build: func() *te.DAG {
+			b := te.NewBuilder("c1d")
+			b.ReLU(b.Conv1D(b.Input("X", 1, 8, 16), te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 1}))
+			return b.MustFinish()
+		}},
+		{Key: "C2D", Build: conv("c2d", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.Conv2D(x, te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 1}))
+		})},
+		{Key: "C3D", Build: func() *te.DAG {
+			b := te.NewBuilder("c3d")
+			b.ReLU(b.Conv3D(b.Input("X", 1, 4, 4, 4, 4), te.ConvOpts{OutChannels: 4, Kernel: 3, Pad: 1}))
+			return b.MustFinish()
+		}},
+		{Key: "GMM", Build: func() *te.DAG {
+			b := te.NewBuilder("gmm")
+			b.BatchMatmul(b.Input("A", 2, 8, 16), b.Input("B", 2, 16, 8), te.MatmulOpts{})
+			return b.MustFinish()
+		}},
+		{Key: "GRP", Build: conv("grp", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.Conv2D(x, te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 1, Groups: 4}))
+		})},
+		{Key: "DIL", Build: conv("dil", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.Conv2D(x, te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 2, Dilation: 2}))
+		})},
+		{Key: "DEP", Build: conv("dep", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.DepthwiseConv2D(x, te.ConvOpts{Kernel: 3, Pad: 1}))
+		})},
+		{Key: "T2D", Build: conv("t2d", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.TransposedConv2D(x, te.ConvOpts{OutChannels: 4, Kernel: 4, Stride: 2, Pad: 1}))
+		})},
+		{Key: "CAP", Build: conv("cap", func(b *te.Builder, x *te.Tensor) {
+			b.CapsuleConv2D(x, te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 1})
+		})},
+		{Key: "NRM", Build: func() *te.DAG {
+			b := te.NewBuilder("nrm")
+			b.Norm(b.Input("X", 2, 16, 16))
+			return b.MustFinish()
+		}},
+		{Key: "ConvLayer", Build: conv("convlayer", func(b *te.Builder, x *te.Tensor) {
+			b.ReLU(b.BatchNorm(b.Conv2D(x, te.ConvOpts{OutChannels: 8, Kernel: 3, Pad: 1}), 1))
+		})},
+		{Key: "TBG", Build: func() *te.DAG { return workloads.TBG(1, 2, 8, 4) }},
+	}
+}
+
+// checkLegal asserts what must hold of every program the search can
+// emit: it lowers, every access stays inside its tensor, and its step
+// list survives the wire encoding. With verify set it is also compared,
+// write for write, with the naive program.
+func checkLegal(t *testing.T, where string, dag *te.DAG, c candidate, verify bool) {
+	t.Helper()
+	s := c.state
+	low, err := ir.Lower(s)
+	if err != nil {
+		t.Errorf("%s: valid program does not lower: %v\n%s", where, err, s.Print())
+		return
+	}
+	// A predicated node (padding, zero insertion) guards its reads: the
+	// halo it sweeps beyond its input is never dereferenced.
+	guarded := map[*te.Tensor]bool{}
+	for _, n := range dag.Nodes {
+		if n.Predicated {
+			for _, r := range n.Reads {
+				guarded[r.Tensor] = true
+			}
+		}
+	}
+	for i := range low.Stmts {
+		st := &low.Stmts[i]
+		accs := append([]ir.FlatAccess{*st.Write}, st.Reads...)
+		for _, a := range accs {
+			if guarded[a.Tensor] {
+				continue
+			}
+			for d, size := range a.Tensor.Shape {
+				lo, hi := 0, 0
+				for j, coef := range a.Row(d) {
+					if sweep := coef * (st.Loops[j].Extent - 1); sweep > 0 {
+						hi += sweep
+					} else {
+						lo += sweep
+					}
+				}
+				if hi-lo >= size {
+					t.Errorf("%s: stmt %s sweeps %d indices of dim %d of %s (size %d)\n%s",
+						where, st.Stage.Name, hi-lo+1, d, a.Tensor.Name, size, s.Print())
+				}
+			}
+		}
+	}
+	enc, err := ir.EncodeSteps(s.Steps)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", where, err)
+	}
+	dec, err := ir.DecodeSteps(enc)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", where, err)
+	}
+	if again, err := ir.Replay(dag, dec); err != nil || again.Signature() != s.Signature() {
+		t.Errorf("%s: steps do not round-trip: %v", where, err)
+	}
+	if verify {
+		if err := ir.VerifyAgainstNaive(s, 1<<22); err != nil {
+			t.Errorf("%s: %v\n%s", where, err, s.Print())
+		}
+	}
+}
+
+// TestWalkLegality is ROADMAP item 5(c)'s generator: the walk of the
+// golden corpus, longer, with the legality oracle pointed at every valid
+// program it derives — mutation and crossover offspring included.
+func TestWalkLegality(t *testing.T) {
+	run := func(fams []workloads.Workload, verify bool, mutations, crossovers int) {
+		for fi, w := range fams {
+			for ti, tgt := range walkTargets() {
+				dag := w.Build()
+				valid := 0
+				for _, c := range walk(t, dag, tgt.space, int64(1000+100*fi+ti), 6, mutations, crossovers) {
+					if c.state != nil {
+						valid++
+						checkLegal(t, fmt.Sprintf("%s %s %s", w.Key, tgt.name, c.label), dag, c, verify)
+					}
+				}
+				if valid < 8 {
+					t.Errorf("%s %s: only %d valid programs walked", w.Key, tgt.name, valid)
+				}
+			}
+		}
+	}
+	// The write-count enumeration is single-threaded arithmetic that the
+	// race detector only slows thirtyfold; the plain run covers it.
+	run(miniFamilies(), !raceDetector, 24, 12)
+	run(walkFamilies(), false, 12, 6)
 }

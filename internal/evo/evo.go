@@ -376,10 +376,15 @@ func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State
 	return s
 }
 
-// mutateSteps appends a mutated copy of the parent's step list to dst;
-// ok is false when the chosen operation found nothing to edit.
+// mutateSteps appends the parent's step list to dst with one randomly
+// chosen evolution operation applied; ok is false when the operation
+// found nothing to edit. A step is immutable once a state holds it, so
+// the child shares the parent's steps and only the edited one is a copy.
 func mutateSteps(dst, parent []ir.Step, rng *rand.Rand) (steps []ir.Step, ok bool) {
-	steps = cloneStepsInto(dst, parent)
+	steps = dst
+	for _, s := range parent {
+		steps = append(steps, inherit(s))
+	}
 	switch rng.Intn(5) {
 	case 0:
 		ok = mutateTileSize(steps, rng)
@@ -398,9 +403,8 @@ func mutateSteps(dst, parent []ir.Step, rng *rand.Rand) (steps []ir.Step, ok boo
 var errIncomplete = errors.New("evo: offspring has unfilled tile sizes")
 
 // replayChild verifies an offspring's step list the way §5.1 prescribes:
-// replay from the naive program, then check the result is a complete,
-// structurally valid program. The search discards the error; it exists
-// for diagnostics and tests.
+// replay from the naive program, then check the result is complete and
+// structurally valid. The search discards the error; tests read it.
 func replayChild(dag *te.DAG, steps []ir.Step) (*ir.State, error) {
 	s, err := ir.Replay(dag, steps)
 	if err != nil {
@@ -416,8 +420,8 @@ func replayChild(dag *te.DAG, steps []ir.Step) (*ir.State, error) {
 }
 
 // stepsScratch recycles the step-list buffers that offspring attempts
-// clone parents into. Replay copies the steps into the new state's own
-// history slice, so the scratch buffer itself is never retained — most
+// assemble their genes in. Replay copies the steps into the new state's
+// own history slice, so the scratch buffer itself is never retained — most
 // attempts are discarded as invalid anyway, and without recycling every
 // attempt pays a fresh slice allocation.
 var stepsScratch = sync.Pool{New: func() any { return new([]ir.Step) }}
@@ -432,36 +436,66 @@ func putSteps(holder *[]ir.Step, steps []ir.Step) {
 	stepsScratch.Put(holder)
 }
 
-// cloneStepsInto deep-clones steps, appending to dst.
-func cloneStepsInto(dst []ir.Step, steps []ir.Step) []ir.Step {
-	for _, s := range steps {
-		dst = append(dst, s.Clone())
+// inherit returns the step an offspring takes over from a parent: the
+// parent's own, except that a tiling step with an empty (non-nil) factor
+// list — an axis tiled at a single level, as under "SSRS" — is copied,
+// as every inherited step used to be. MultiLevelTileStep.Clone turns such
+// a list into a missing one, so those offspring replay to an incomplete
+// program and are discarded: a defect recorded in ROADMAP.md that sharing
+// the step would silently repair, moving every template-space baseline.
+func inherit(s ir.Step) ir.Step {
+	if t, ok := s.(*ir.MultiLevelTileStep); ok {
+		for _, group := range [2][][]int{t.SpaceFactors, t.ReduceFactors} {
+			for _, fs := range group {
+				if fs != nil && len(fs) == 0 {
+					return t.Clone()
+				}
+			}
+		}
 	}
-	return dst
+	return s
+}
+
+// count returns how many steps have type T and pass keep (nil = all).
+func count[T ir.Step](steps []ir.Step, keep func(T) bool) int {
+	n := 0
+	for _, s := range steps {
+		if t, ok := s.(T); ok && (keep == nil || keep(t)) {
+			n++
+		}
+	}
+	return n
+}
+
+// edit replaces the k-th step of type T that passes keep with a private
+// copy and returns the copy for the caller to rewrite.
+func edit[T ir.Step](steps []ir.Step, k int, keep func(T) bool) T {
+	for i, s := range steps {
+		if t, ok := s.(T); ok && (keep == nil || keep(t)) {
+			if k == 0 {
+				c := t.Clone().(T)
+				steps[i] = c
+				return c
+			}
+			k--
+		}
+	}
+	panic("evo: edit past the last candidate step")
 }
 
 // mutateTileSize implements the paper's tile size mutation: divide one
 // tile level by a factor and multiply another level of the same axis by
 // the same factor, keeping the product equal to the loop length.
 func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
-	var tiles []*ir.MultiLevelTileStep
-	var rfs []*ir.RFactorStep
-	for _, s := range steps {
-		switch t := s.(type) {
-		case *ir.MultiLevelTileStep:
-			if t.SpaceFactors != nil {
-				tiles = append(tiles, t)
-			}
-		case *ir.RFactorStep:
-			rfs = append(rfs, t)
-		}
-	}
-	if len(tiles) == 0 && len(rfs) == 0 {
+	filled := func(t *ir.MultiLevelTileStep) bool { return t.SpaceFactors != nil }
+	tiles := count(steps, filled)
+	rfs := count[*ir.RFactorStep](steps, nil)
+	if tiles == 0 && rfs == 0 {
 		return false
 	}
-	if len(rfs) > 0 && (len(tiles) == 0 || rng.Float64() < 0.2) {
+	if rfs > 0 && (tiles == 0 || rng.Float64() < 0.2) {
 		// Mutate an rfactor split factor.
-		rf := rfs[rng.Intn(len(rfs))]
+		rf := edit[*ir.RFactorStep](steps, rng.Intn(rfs), nil)
 		if rng.Intn(2) == 0 {
 			rf.Factor *= 2
 		} else if rf.Factor%2 == 0 {
@@ -469,7 +503,7 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 		}
 		return rf.Factor >= 2
 	}
-	t := tiles[rng.Intn(len(tiles))]
+	t := edit(steps, rng.Intn(tiles), filled)
 	all := [][][]int{t.SpaceFactors, t.ReduceFactors}
 	group := all[rng.Intn(2)]
 	if len(group) == 0 {
@@ -509,16 +543,11 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 
 // mutateAnnotation rewrites one annotation step's kind.
 func mutateAnnotation(steps []ir.Step, rng *rand.Rand) bool {
-	var anns []*ir.AnnotateStep
-	for _, s := range steps {
-		if a, ok := s.(*ir.AnnotateStep); ok {
-			anns = append(anns, a)
-		}
-	}
-	if len(anns) == 0 {
+	anns := count[*ir.AnnotateStep](steps, nil)
+	if anns == 0 {
 		return false
 	}
-	a := anns[rng.Intn(len(anns))]
+	a := edit[*ir.AnnotateStep](steps, rng.Intn(anns), nil)
 	choices := []ir.Annotation{ir.AnnNone, ir.AnnVectorize, ir.AnnUnroll, ir.AnnParallel}
 	a.Ann = choices[rng.Intn(len(choices))]
 	return true
@@ -527,31 +556,26 @@ func mutateAnnotation(steps []ir.Step, rng *rand.Rand) bool {
 // mutateParallelGranularity changes how many outer loops are fused for
 // the parallel annotation (the paper's parallel granularity mutation).
 func mutateParallelGranularity(steps []ir.Step, rng *rand.Rand) bool {
-	for _, s := range steps {
-		if f, ok := s.(*ir.FuseStep); ok && f.First == 0 {
-			if rng.Intn(2) == 0 {
-				f.Count++
-			} else if f.Count > 2 {
-				f.Count--
-			}
-			return true
-		}
+	outermost := func(f *ir.FuseStep) bool { return f.First == 0 }
+	if count(steps, outermost) == 0 {
+		return false
 	}
-	return false
+	f := edit(steps, 0, outermost)
+	if rng.Intn(2) == 0 {
+		f.Count++
+	} else if f.Count > 2 {
+		f.Count--
+	}
+	return true
 }
 
 // mutateComputeLocation moves the fusion point of a fused consumer.
 func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
-	var fcs []*ir.FuseConsumerStep
-	for _, s := range steps {
-		if f, ok := s.(*ir.FuseConsumerStep); ok {
-			fcs = append(fcs, f)
-		}
-	}
-	if len(fcs) == 0 {
+	fcs := count[*ir.FuseConsumerStep](steps, nil)
+	if fcs == 0 {
 		return false
 	}
-	f := fcs[rng.Intn(len(fcs))]
+	f := edit[*ir.FuseConsumerStep](steps, rng.Intn(fcs), nil)
 	if rng.Intn(2) == 0 && f.OuterLevels > 1 {
 		f.OuterLevels--
 	} else {
@@ -563,13 +587,11 @@ func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
 // mutatePragma rewrites an auto_unroll_max_step pragma.
 func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
 	candidates := []int{0, 16, 64, 512}
-	for _, s := range steps {
-		if p, ok := s.(*ir.PragmaStep); ok {
-			p.AutoUnrollMax = candidates[rng.Intn(len(candidates))]
-			return true
-		}
+	if count[*ir.PragmaStep](steps, nil) == 0 {
+		return false
 	}
-	return false
+	edit[*ir.PragmaStep](steps, 0, nil).AutoUnrollMax = candidates[rng.Intn(len(candidates))]
+	return true
 }
 
 // crossover merges two parents at node granularity (§5.1): for every node
@@ -584,50 +606,63 @@ func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand
 	return child
 }
 
-// crossoverSteps appends the merged step list of parents a and b to dst.
-// A nil score map makes the donor of every node tag a coin flip.
+// crossoverSteps appends the merged step list of parents a and b to dst:
+// a's sequence with the steps of every node tag donated by b replaced,
+// position for position, by b's steps of that tag and kind. A nil score
+// map makes the donor of every tag a coin flip. The child shares its
+// parents' steps (see inherit): nothing here edits one.
 func crossoverSteps(dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]float64, rng *rand.Rand) []ir.Step {
-	donorB := map[string]bool{}
-	var tags []string
-	seen := map[string]bool{}
-	for _, s := range a.Steps {
-		tag := ir.BaseStage(s.StageName())
-		if !seen[tag] {
-			seen[tag] = true
-			tags = append(tags, tag)
-		}
+	// Decide the donor of each tag, in order of first appearance in a.
+	type choice struct {
+		tag   string
+		fromB bool
 	}
-	for _, tag := range tags {
-		switch {
-		case scoreA == nil || scoreB == nil:
-			donorB[tag] = rng.Intn(2) == 0
-		default:
-			donorB[tag] = scoreB[tag] > scoreA[tag]
-		}
-	}
-	// Index B's steps by (tag, type, ordinal).
-	type key struct {
-		tag  string
-		kind string
-	}
-	bSteps := map[key][]ir.Step{}
-	for _, s := range b.Steps {
-		k := key{ir.BaseStage(s.StageName()), s.Name()}
-		bSteps[k] = append(bSteps[k], s)
-	}
-	taken := map[key]int{}
-	steps := dst
-	for _, s := range a.Steps {
-		tag := ir.BaseStage(s.StageName())
-		if donorB[tag] {
-			k := key{tag, s.Name()}
-			if i := taken[k]; i < len(bSteps[k]) {
-				taken[k] = i + 1
-				steps = append(steps, bSteps[k][i].Clone())
-				continue
+	var buf [8]choice
+	tags := buf[:0]
+	fromB := func(tag string) (donor, known bool) {
+		for _, c := range tags {
+			if c.tag == tag {
+				return c.fromB, true
 			}
 		}
-		steps = append(steps, s.Clone())
+		return false, false
+	}
+	for _, s := range a.Steps {
+		tag := ir.BaseStage(s.StageName())
+		if _, known := fromB(tag); known {
+			continue
+		}
+		if scoreA == nil || scoreB == nil {
+			tags = append(tags, choice{tag, rng.Intn(2) == 0})
+		} else {
+			tags = append(tags, choice{tag, scoreB[tag] > scoreA[tag]})
+		}
+	}
+	same := func(s ir.Step, tag, kind string) bool {
+		return s.Name() == kind && ir.BaseStage(s.StageName()) == tag
+	}
+	steps := dst
+	for i, s := range a.Steps {
+		tag, kind := ir.BaseStage(s.StageName()), s.Name()
+		if donor, _ := fromB(tag); donor {
+			// The n-th step of this tag and kind in a takes b's n-th.
+			n := 0
+			for _, prev := range a.Steps[:i] {
+				if same(prev, tag, kind) {
+					n++
+				}
+			}
+			for _, t := range b.Steps {
+				if same(t, tag, kind) {
+					if n == 0 {
+						s = t
+						break
+					}
+					n--
+				}
+			}
+		}
+		steps = append(steps, inherit(s))
 	}
 	return steps
 }

@@ -117,9 +117,15 @@ func TestTileSizeMutationKeepsProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	hits := 0
 	for i := 0; i < 200; i++ {
-		steps := cloneStepsInto(nil, pop[i%len(pop)].Steps)
+		parent := pop[i%len(pop)]
+		steps := append([]ir.Step(nil), parent.Steps...)
 		if !mutateTileSize(steps, rng) {
 			continue
+		}
+		// The child shares every step but the edited one with its
+		// parent, whose own genes must not move.
+		if again, err := ir.Replay(d, parent.Steps); err != nil || again.Signature() != parent.Signature() {
+			t.Fatalf("mutation %d rewrote its parent's steps (replay: %v)", i, err)
 		}
 		s, err := ir.Replay(d, steps)
 		if err != nil {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package evo
+
+const raceDetector = false

@@ -85,8 +85,8 @@ func (c *Cache) Add(s *ir.State, low *ir.Lowered) {
 
 func fromLowered(low *ir.Lowered) Entry {
 	e := Entry{Feats: Extract(low), Stages: make([]string, len(low.Stmts))}
-	for i, st := range low.Stmts {
-		e.Stages[i] = st.Stage.Name
+	for i := range low.Stmts {
+		e.Stages[i] = low.Stmts[i].Stage.Name
 	}
 	return e
 }

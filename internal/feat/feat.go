@@ -49,15 +49,16 @@ func lg(x float64) float64 {
 	return math.Log2(x + 1)
 }
 
-// scratch holds the per-extraction working buffers (access list, ranked
-// sizes, AI-curve samples) so the extraction hot path allocates only the
-// feature rows it returns. Pooled because the sharded search extracts
-// from many goroutines. All buffers are transient within one Extract
-// call; access pointers are cleared before the scratch returns to the
-// pool so it never pins a program.
+// scratch holds the per-extraction working buffers (access list, unique
+// bytes per access, running spans, AI-curve samples) so the extraction hot
+// path allocates only the feature rows it returns. Pooled because the
+// sharded search extracts from many goroutines. All buffers are transient
+// within one Extract call; access pointers are cleared before the scratch
+// returns to the pool so it never pins a program.
 type scratch struct {
 	accs  []*ir.FlatAccess
-	sizes []float64
+	sizes []float64 // unique bytes of accs[i] with every loop iterating
+	spans []int64   // per (access, dim): 1 + the index range the loops at and below the current depth sweep
 	ai    []float64
 }
 
@@ -67,7 +68,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // order (reads, then the write) — the order every consumer iterates in.
 func (sc *scratch) accesses(st *ir.Stmt) []*ir.FlatAccess {
 	sc.accs = sc.accs[:0]
-	sc.accs = append(sc.accs, st.Reads...)
+	for i := range st.Reads {
+		sc.accs = append(sc.accs, &st.Reads[i])
+	}
 	if st.Write != nil {
 		sc.accs = append(sc.accs, st.Write)
 	}
@@ -88,9 +91,9 @@ func Extract(low *ir.Lowered) [][]float64 {
 	out := make([][]float64, len(low.Stmts))
 	slab := make([]float64, len(low.Stmts)*Dim)
 	sc := scratchPool.Get().(*scratch)
-	for i, st := range low.Stmts {
+	for i := range low.Stmts {
 		v := slab[i*Dim : (i+1)*Dim : (i+1)*Dim]
-		extractStmt(v, st, sc)
+		extractStmt(v, &low.Stmts[i], sc)
 		out[i] = v
 	}
 	sc.release()
@@ -120,7 +123,8 @@ func extractStmt(v []float64, st *ir.Stmt, sc *scratch) {
 	// The simplified GPU convention maps the fused parallel loop to
 	// blockIdx.x and the vectorized loop to threadIdx.x.
 	var blockLen, threadLen float64 = 1, 1
-	for _, l := range st.Loops {
+	for j := range st.Loops {
+		l := &st.Loops[j]
 		if l.Ann == ir.AnnParallel {
 			blockLen *= float64(l.Extent)
 		}
@@ -136,10 +140,10 @@ func extractStmt(v []float64, st *ir.Stmt, sc *scratch) {
 	p = extractAICurve(v, p, st, sc)
 
 	// ---- Buffer access features ----
-	accs := rankedAccesses(st, sc)
+	accs, uniq := rankedAccesses(st, sc)
 	for bi := 0; bi < bufCount; bi++ {
 		if bi < len(accs) {
-			extractBuffer(v[p:p+bufFeats], st, accs[bi])
+			extractBuffer(v[p:p+bufFeats], st, accs[bi], uniq[bi])
 		}
 		p += bufFeats
 	}
@@ -167,7 +171,8 @@ func extractAnnGroup(v []float64, p int, st *ir.Stmt, ann ir.Annotation) int {
 	maxLen := 0.0
 	pos := 7 // None
 	n := len(st.Loops)
-	for j, l := range st.Loops {
+	for j := range st.Loops {
+		l := &st.Loops[j]
 		if l.Ann != ann {
 			continue
 		}
@@ -202,7 +207,9 @@ func extractAnnGroup(v []float64, p int, st *ir.Stmt, ann ir.Annotation) int {
 	return p + annGroup
 }
 
-// extractAICurve samples the arithmetic-intensity curve at 10 depths.
+// extractAICurve samples the arithmetic-intensity curve at 10 depths. It
+// leaves every access's unique bytes at depth 0 in sc.sizes, in
+// sc.accesses order.
 func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 	n := len(st.Loops)
 	flopsPerIter := st.Flops.Total()
@@ -210,23 +217,55 @@ func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 		flopsPerIter = 1
 	}
 	// At depth d, work below = flops * prod(extents >= d); bytes below =
-	// footprint of all accesses at depth d. The access list is the same
-	// at every depth, so it is built once; the per-depth byte sums visit
-	// it in the same canonical order as before, keeping every float
-	// operation in place.
+	// the unique footprint of all accesses with loops < d fixed: per
+	// tensor dimension the swept span 1 + sum |coeff|*(extent-1) over
+	// loops >= d, clamped to the dimension, multiplied up. Walking d from
+	// the innermost loop outwards, each span only gains loop d's term; the
+	// terms are small integers, so the running int64 sums are, bit for
+	// bit, the float sums a from-scratch evaluation per depth would make.
 	if cap(sc.ai) < n+1 {
 		sc.ai = make([]float64, n+1)
 	}
 	ai := sc.ai[:n+1]
 	accs := sc.accesses(st)
+	sc.sizes, sc.spans = sc.sizes[:0], sc.spans[:0]
+	for _, a := range accs {
+		sc.sizes = append(sc.sizes, 0)
+		for range a.Tensor.Shape {
+			sc.spans = append(sc.spans, 1)
+		}
+	}
 	inner := 1.0
 	for d := n; d >= 0; d-- {
 		if d < n {
 			inner *= float64(st.Loops[d].Extent)
+			sweep := int64(st.Loops[d].Extent - 1)
+			k := 0
+			for _, a := range accs {
+				for dim := range a.Tensor.Shape {
+					c := a.Coeff[dim*n+d]
+					if c < 0 {
+						c = -c
+					}
+					sc.spans[k] += int64(c) * sweep
+					k++
+				}
+			}
 		}
 		bytes := 1.0
-		for _, a := range accs {
-			bytes += uniqueBytes(a, st.Loops, d)
+		k := 0
+		for i, a := range accs {
+			unique := 1.0
+			for _, shape := range a.Tensor.Shape {
+				span := float64(sc.spans[k])
+				k++
+				if s := float64(shape); span > s {
+					span = s
+				}
+				unique *= span
+			}
+			sc.sizes[i] = unique * float64(a.Tensor.ElemBytes)
+			bytes += sc.sizes[i]
 		}
 		ai[d] = flopsPerIter * inner / bytes
 	}
@@ -245,55 +284,25 @@ func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 	return p + aiCurve
 }
 
-// uniqueBytes is the element-granular unique footprint of an access with
-// loops < depth fixed.
-func uniqueBytes(a *ir.FlatAccess, loops []*ir.LLoop, depth int) float64 {
-	unique := 1.0
-	for dim := 0; dim < len(a.Tensor.Shape); dim++ {
-		span := 1.0
-		for j := depth; j < len(loops); j++ {
-			c := a.Coeff[dim][j]
-			if c < 0 {
-				c = -c
-			}
-			if c != 0 {
-				span += float64(c) * float64(loops[j].Extent-1)
-			}
-		}
-		if s := float64(a.Tensor.Shape[dim]); span > s {
-			span = s
-		}
-		unique *= span
-	}
-	return unique * float64(a.Tensor.ElemBytes)
-}
-
 // rankedAccesses orders the statement's accesses by unique bytes
 // (descending) so the 5 feature slots hold the largest buffers, as the
 // appendix specifies ("remove small buffers if a statement accesses more
-// than five buffers"). Sizes are computed once per access and swapped
-// alongside — uniqueBytes is pure, so the comparisons (and the final
-// order) match the old recompute-per-comparison sort exactly.
-func rankedAccesses(st *ir.Stmt, sc *scratch) []*ir.FlatAccess {
-	accs := sc.accesses(st)
-	if cap(sc.sizes) < len(accs) {
-		sc.sizes = make([]float64, len(accs))
-	}
-	sz := sc.sizes[:len(accs)]
-	for i, a := range accs {
-		sz[i] = uniqueBytes(a, st.Loops, 0)
-	}
+// than five buffers"). The sizes are the depth-0 values extractAICurve
+// left behind, swapped alongside.
+func rankedAccesses(st *ir.Stmt, sc *scratch) ([]*ir.FlatAccess, []float64) {
+	accs, sz := sc.accesses(st), sc.sizes
 	for i := 1; i < len(accs); i++ {
 		for j := i; j > 0 && sz[j] > sz[j-1]; j-- {
 			accs[j], accs[j-1] = accs[j-1], accs[j]
 			sz[j], sz[j-1] = sz[j-1], sz[j]
 		}
 	}
-	return accs
+	return accs, sz
 }
 
-// extractBuffer fills the 18 per-buffer features.
-func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess) {
+// extractBuffer fills the 18 per-buffer features; uniq is the access's
+// unique bytes with every loop iterating.
+func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess, uniq float64) {
 	iters := float64(st.IterCount())
 	eb := float64(a.Tensor.ElemBytes)
 	loops := st.Loops
@@ -315,7 +324,6 @@ func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess) {
 	}
 	// Bytes touched (total) and unique bytes.
 	v[3] = lg(iters * eb)
-	uniq := uniqueBytes(a, loops, 0)
 	v[4] = lg(uniq)
 	// Lines (total / unique) at 64-byte granularity.
 	v[5] = lg(iters * eb / 64)
@@ -324,8 +332,8 @@ func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess) {
 	reuseLoop := -1
 	for j := n - 1; j >= 0; j-- {
 		moved := false
-		for dim := range a.Coeff {
-			if a.Coeff[dim][j] != 0 {
+		for dim := range a.Tensor.Shape {
+			if a.Coeff[dim*n+j] != 0 {
 				moved = true
 				break
 			}

@@ -34,8 +34,8 @@ import (
 //
 // The poll-mode penalty is fixed per batch (worker poll pickup plus
 // client status-poll rounding), so it dominates exactly where tuning
-// lives: modest per-round batches submitted over and over. CI converts
-// the sweep into the BENCH_pr6.json artifact. The in-process case runs
+// lives: modest per-round batches submitted over and over. The
+// in-process case runs
 // single-threaded (Workers=1) so the comparison is transport overhead,
 // not core count.
 func BenchmarkFleetMeasure(b *testing.B) {
@@ -149,8 +149,7 @@ func reportBatch(b *testing.B, n int) {
 // and hides exactly the serialization dispatch policy is about.
 // Reported per drain: s_drain (wall clock to drain the batch) and
 // idle_worker_s (summed worker-seconds spent asking for work and
-// getting none). CI converts the sweep into the BENCH_pr8.json
-// artifact.
+// getting none).
 func BenchmarkSiblingDispatch(b *testing.B) {
 	machine := sim.IntelXeon()
 	sibling := sim.IntelXeonAVX512()

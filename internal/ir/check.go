@@ -20,14 +20,15 @@ import (
 // total iteration count exceeds limit.
 func (l *Lowered) WriteCounts(limit int64) (map[string][]int64, error) {
 	total := int64(0)
-	for _, st := range l.Stmts {
-		total += st.IterCount()
+	for i := range l.Stmts {
+		total += l.Stmts[i].IterCount()
 	}
 	if total > limit {
 		return nil, fmt.Errorf("ir: %d iterations exceed check limit %d", total, limit)
 	}
 	out := map[string][]int64{}
-	for _, st := range l.Stmts {
+	for i := range l.Stmts {
+		st := &l.Stmts[i]
 		if st.Write == nil {
 			continue
 		}
@@ -46,12 +47,10 @@ func (l *Lowered) WriteCounts(limit int64) (map[string][]int64, error) {
 		// Precompute per-loop linear strides of the write.
 		n := len(st.Loops)
 		lin := make([]int, n)
-		for j := 0; j < n; j++ {
-			v := 0
-			for d := range t.Shape {
-				v += st.Write.Coeff[d][j] * strides[d]
+		for d := range t.Shape {
+			for j, c := range st.Write.Row(d) {
+				lin[j] += c * strides[d]
 			}
-			lin[j] = v
 		}
 		// Odometer over the loop extents.
 		ix := make([]int, n)

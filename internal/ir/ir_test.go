@@ -92,8 +92,8 @@ func TestFuseAndReorder(t *testing.T) {
 	if mm.Iters[0].Extent != 512 {
 		t.Errorf("fused extent = %d, want 512", mm.Iters[0].Extent)
 	}
-	if len(mm.Iters[0].Atoms) != 2 {
-		t.Errorf("fused atoms = %d, want 2", len(mm.Iters[0].Atoms))
+	if len(mm.Atoms(0)) != 2 {
+		t.Errorf("fused atoms = %d, want 2", len(mm.Atoms(0)))
 	}
 	s.MustApply(&ReorderStep{Stage: "matmul", Perm: []int{1, 0}})
 	if mm.Iters[0].Kind != te.Reduce {
@@ -135,8 +135,8 @@ func TestMultiLevelTileSketch(t *testing.T) {
 		t.Error("sketch with nil factors should be incomplete")
 	}
 	names := make([]string, len(mm.Iters))
-	for i, it := range mm.Iters {
-		names[i] = it.Name
+	for i := range mm.Iters {
+		names[i] = mm.IterName(i)
 	}
 	want := "i.0 j.0 i.1 j.1 k.0 i.2 j.2 k.1 i.3 j.3"
 	if got := strings.Join(names, " "); got != want {
@@ -226,8 +226,8 @@ func TestLowerTileAndFuse(t *testing.T) {
 		t.Fatalf("stmts = %d, want 2", len(low.Stmts))
 	}
 	var mm, relu *Stmt
-	for _, st := range low.Stmts {
-		if st.Stage.Name == "matmul" {
+	for i := range low.Stmts {
+		if st := &low.Stmts[i]; st.Stage.Name == "matmul" {
 			mm = st
 		} else {
 			relu = st
@@ -252,22 +252,22 @@ func TestLowerTileAndFuse(t *testing.T) {
 	// stride 512... with i0 = 512/(8*16*4) = 1, level0 extent 1).
 	a := mm.Reads[0]
 	// Find loop j for relu's i.0 (first loop in path).
-	if mm.Loops[0].Name != "i0.0" {
-		t.Fatalf("first loop = %q, want i0.0", mm.Loops[0].Name)
+	if mm.Loops[0].Name() != "i0.0" {
+		t.Fatalf("first loop = %q, want i0.0", mm.Loops[0].Name())
 	}
-	if got := a.Coeff[0][0]; got != 8*16*4 {
+	if got := a.Row(0)[0]; got != 8*16*4 {
 		t.Errorf("A dim0 coeff of i.0 = %d, want %d", got, 8*16*4)
 	}
 	// A's k dim driven by matmul's own k.0 (index 4 in path) with stride 16.
-	if mm.Loops[4].Name != "k.0" {
-		t.Fatalf("loop 4 = %q, want k.0", mm.Loops[4].Name)
+	if mm.Loops[4].Name() != "k.0" {
+		t.Fatalf("loop 4 = %q, want k.0", mm.Loops[4].Name())
 	}
-	if got := a.Coeff[1][4]; got != 16 {
+	if got := a.Row(1)[4]; got != 16 {
 		t.Errorf("A dim1 coeff of k.0 = %d, want 16", got)
 	}
 	// B[k,j] is not moved by i loops.
 	bAcc := mm.Reads[1]
-	if got := bAcc.Coeff[0][0]; got != 0 {
+	if got := bAcc.Row(0)[0]; got != 0 {
 		t.Errorf("B dim0 coeff of i.0 = %d, want 0", got)
 	}
 	// Total flops of the lowered program: 2*N*M*K for matmul + relu's max.
@@ -295,8 +295,8 @@ func TestInlineLowering(t *testing.T) {
 	// conv now reads X directly with the composed halo index, and its
 	// flops include the pad predicate cost.
 	var conv *Stmt
-	for _, st := range low.Stmts {
-		if strings.HasPrefix(st.Stage.Name, "conv2d") {
+	for i := range low.Stmts {
+		if st := &low.Stmts[i]; strings.HasPrefix(st.Stage.Name, "conv2d") {
 			conv = st
 		}
 	}
@@ -393,8 +393,8 @@ func TestRFactor(t *testing.T) {
 	}
 	// rf stmt executes the full original reduction volume.
 	var rfStmt *Stmt
-	for _, st := range low.Stmts {
-		if st.Stage.Name == "norm_sumsq.rf" {
+	for i := range low.Stmts {
+		if st := &low.Stmts[i]; st.Stage.Name == "norm_sumsq.rf" {
 			rfStmt = st
 		}
 	}
@@ -419,8 +419,8 @@ func TestComputeAtBounds(t *testing.T) {
 	s.MustApply(&FuseConsumerStep{Producer: "conv2d", Consumer: "relu", OuterLevels: 2})
 	// Attach pad after conv's rw.0 (post-fusion index 2).
 	conv := s.Stage("conv2d")
-	if conv.Iters[2].Name != "rw.0" {
-		t.Fatalf("conv iter 2 = %q, want rw.0", conv.Iters[2].Name)
+	if conv.IterName(2) != "rw.0" {
+		t.Fatalf("conv iter 2 = %q, want rw.0", conv.IterName(2))
 	}
 	s.MustApply(&ComputeAtStep{Stage: "pad", Target: "conv2d", IterIdx: 2})
 	pad := s.Stage("pad")

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"sync"
 
 	"repro/internal/te"
 )
@@ -16,9 +16,12 @@ import (
 
 // LLoop is one loop of a lowered statement's enclosing path. Fused loops
 // are expanded into one LLoop per atom (the iteration space is identical).
+// Two statements share the loop at a path position exactly when their
+// LLoop values there are equal.
 type LLoop struct {
-	Owner  *Stage
-	Name   string
+	Owner *Stage
+	// Iter is the loop's index in Owner.Iters.
+	Iter   int
 	Extent int
 	Kind   te.AxisKind
 	Ann    Annotation
@@ -27,13 +30,20 @@ type LLoop struct {
 	FusedWithPrev bool
 }
 
+// Name renders the display name of the loop's Iter (see Stage.IterName).
+func (l *LLoop) Name() string { return l.Owner.IterName(l.Iter) }
+
 // FlatAccess is one buffer access of a statement with per-loop stride
-// coefficients: Coeff[d][j] is the step that one iteration of path loop j
-// takes in dimension d of the tensor.
+// coefficients, stored row-major in one slice: Row(d)[j] is the step that
+// one iteration of path loop j takes in dimension d of the tensor.
 type FlatAccess struct {
 	Tensor *te.Tensor
-	Coeff  [][]int // [tensor dim][loop index]
+	Coeff  []int // len(Tensor.Shape) rows of one entry per path loop
+	loops  int
 }
+
+// Row returns the coefficients of tensor dimension d, one per path loop.
+func (a *FlatAccess) Row(d int) []int { return a.Coeff[d*a.loops : (d+1)*a.loops] }
 
 // ElemStride returns the linearized element stride of path loop j
 // (row-major layout).
@@ -41,17 +51,19 @@ func (a *FlatAccess) ElemStride(j int) int {
 	stride := 0
 	dimStride := 1
 	for d := len(a.Tensor.Shape) - 1; d >= 0; d-- {
-		stride += a.Coeff[d][j] * dimStride
+		stride += a.Coeff[d*a.loops+j] * dimStride
 		dimStride *= a.Tensor.Shape[d]
 	}
 	return stride
 }
 
-// Stmt is one lowered innermost statement.
+// Stmt is one lowered innermost statement. Its loops, accesses and
+// coefficients are three slabs of its own; Write points at the last
+// access of the slab Reads is cut from.
 type Stmt struct {
 	Stage *Stage
-	Loops []*LLoop // outer → inner
-	Reads []*FlatAccess
+	Loops []LLoop // outer → inner
+	Reads []FlatAccess
 	Write *FlatAccess
 	Flops te.FlopCount
 	// AutoUnrollMax is the stage's pragma value.
@@ -69,23 +81,24 @@ type Stmt struct {
 // IterCount returns the total number of executions of the statement.
 func (s *Stmt) IterCount() int64 {
 	n := int64(1)
-	for _, l := range s.Loops {
-		n *= int64(l.Extent)
+	for i := range s.Loops {
+		n *= int64(s.Loops[i].Extent)
 	}
 	return n
 }
 
-// Lowered is the lowered form of a complete program.
+// Lowered is the lowered form of a complete program. It points into its
+// State (stages, and through them loop names), which is immutable by then.
 type Lowered struct {
 	State *State
-	Stmts []*Stmt
+	Stmts []Stmt
 }
 
 // TotalFlops returns the total floating point work of the lowered program.
 func (l *Lowered) TotalFlops() float64 {
 	var f float64
-	for _, s := range l.Stmts {
-		f += float64(s.IterCount()) * s.Flops.Total()
+	for i := range l.Stmts {
+		f += float64(l.Stmts[i].IterCount()) * l.Stmts[i].Flops.Total()
 	}
 	return f
 }
@@ -94,172 +107,270 @@ func (l *Lowered) TotalFlops() float64 {
 // (unfilled tile sizes) or structurally invalid ones.
 func Lower(s *State) (*Lowered, error) {
 	if !s.Complete() {
-		return nil, fmt.Errorf("ir: cannot lower incomplete state")
+		return nil, errf("ir: cannot lower incomplete state")
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("ir: %w", err)
+		return nil, errf("ir: %v", err)
 	}
-	lw := &lowerer{state: s, attached: map[string][]*Stage{}}
+	n := 0
 	for _, st := range s.Stages {
-		if st.Attached {
-			lw.attached[st.AttachTarget] = append(lw.attached[st.AttachTarget], st)
+		if !st.Inlined {
+			n++
 		}
 	}
-	out := &Lowered{State: s}
+	out := &Lowered{State: s, Stmts: make([]Stmt, 0, n)}
+	sc := getScratch()
+	defer sc.release()
 	for _, st := range s.Stages {
 		if st.Inlined || st.Attached {
 			continue
 		}
-		if err := lw.emit(st, nil, map[*Stage][][]int{}); err != nil {
+		sc.path = sc.path[:0]
+		if err := sc.emit(out, st, sc.alloc(st.numAtoms() * st.Node.NumAxes())[:0]); err != nil {
 			return nil, err
 		}
 	}
-	out.Stmts = lw.stmts
 	return out, nil
 }
 
-type lowerer struct {
-	state    *State
-	attached map[string][]*Stage
-	stmts    []*Stmt
+// scratch is the working memory of one lowering, or of one step that
+// needs a stage's effective reads: the loop path being walked, the
+// expanded reads, and an integer arena that every coefficient and
+// dependence matrix is cut from. Nothing in it outlives the call; release
+// clears what holds pointers, so a pooled scratch never pins a program.
+type scratch struct {
+	path  []LLoop
+	reads []effRead
+	ints  []int
 }
 
-// emit recursively emits the statement(s) of one stage. chains maps each
-// ancestor stage to the matrix CM[stage axis][ancestor axis] giving the
-// dependence of this stage's axis values on the ancestor's loop variables.
-func (lw *lowerer) emit(st *Stage, path []*LLoop, chains map[*Stage][][]int) error {
-	for idx, it := range st.Iters {
-		for ai, at := range it.Atoms {
-			path = append(path, &LLoop{
-				Owner:         st,
-				Name:          it.Name,
-				Extent:        at.Extent,
-				Kind:          it.Kind,
-				Ann:           it.Ann,
-				FusedWithPrev: ai > 0,
-			})
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (sc *scratch) release() {
+	clear(sc.path[:cap(sc.path)])
+	clear(sc.reads[:cap(sc.reads)])
+	sc.path, sc.reads, sc.ints = sc.path[:0], sc.reads[:0], sc.ints[:0]
+	scratchPool.Put(sc)
+}
+
+// alloc cuts n zeroed ints from the arena. When the arena is full it
+// moves to a larger block; slices cut earlier keep the old one alive.
+func (sc *scratch) alloc(n int) []int {
+	if len(sc.ints)+n > cap(sc.ints) {
+		sc.ints = make([]int, 0, 2*cap(sc.ints)+n+256)
+	}
+	at := len(sc.ints)
+	sc.ints = sc.ints[:at+n]
+	out := sc.ints[at : at+n : at+n]
+	clear(out)
+	return out
+}
+
+// effRead is one read of a stage after inlined producers are substituted:
+// per tensor dimension a row of the coefficient of each of the stage's
+// axes, then the constant term.
+type effRead struct {
+	tensor *te.Tensor
+	coef   []int // len(index) rows of width nAxes+1
+}
+
+// expand appends st's reads to sc.reads with inlined producers
+// substituted recursively, and returns the extra per-iteration flop cost
+// of the inlined computation and the fraction of statically-zero
+// multiplications introduced by inlined predicated producers. (Producers
+// precede consumers in a DAG and in every stage a step synthesizes, so the
+// recursion ends.)
+func (sc *scratch) expand(s *State, st *Stage) (te.FlopCount, float64) {
+	nA := st.Node.NumAxes()
+	var extra te.FlopCount
+	nonZero := 1.0
+	for i := range st.Node.Reads {
+		acc := &st.Node.Reads[i]
+		prod := s.ProducerStage(acc.Tensor)
+		if prod == nil || !prod.Inlined {
+			coef := sc.alloc(len(acc.Index) * (nA + 1))
+			for d, ix := range acc.Index {
+				row := coef[d*(nA+1) : (d+1)*(nA+1)]
+				for _, t := range ix.Terms {
+					row[t.Axis] += t.Coeff
+				}
+				row[nA] = ix.Const
+			}
+			sc.reads = append(sc.reads, effRead{acc.Tensor, coef})
+			continue
 		}
-		for _, child := range lw.attached[st.Name] {
-			if child.AttachIdx != idx || child.Inlined {
+		first := len(sc.reads)
+		subExtra, subZF := sc.expand(s, prod)
+		for k := first; k < len(sc.reads); k++ {
+			sc.reads[k].coef = sc.compose(sc.reads[k].coef, prod.Node.NumAxes(), acc.Index, nA)
+		}
+		pf := prod.Node.Flops
+		if prod.Node.Predicated {
+			// A code generator partitions loops so the predicate of an
+			// inlined boundary node (padding, zero-insertion) is only
+			// evaluated near the borders; charge the border fraction.
+			pf = scaleFlops(pf, 0.15)
+		}
+		extra = addFlops(extra, addFlops(subExtra, pf))
+		nonZero *= (1 - subZF) * (1 - prod.Node.ZeroFraction)
+	}
+	return extra, 1 - nonZero
+}
+
+// compose rewrites a coefficient matrix over a producer's nP axes into
+// one over the consumer's nA axes, substituting the consumer's index
+// expressions via (its read of the producer) for the producer's axes.
+func (sc *scratch) compose(inner []int, nP int, via []te.LinExpr, nA int) []int {
+	dims := len(inner) / (nP + 1)
+	out := sc.alloc(dims * (nA + 1))
+	for d := 0; d < dims; d++ {
+		from, to := inner[d*(nP+1):(d+1)*(nP+1)], out[d*(nA+1):(d+1)*(nA+1)]
+		to[nA] = from[nP]
+		for pa := 0; pa < nP && pa < len(via); pa++ {
+			c := from[pa]
+			if c == 0 {
 				continue
 			}
-			childChains, err := lw.extendChains(st, child, chains)
-			if err != nil {
-				return err
+			for _, t := range via[pa].Terms {
+				to[t.Axis] += t.Coeff * c
 			}
-			if err := lw.emit(child, path, childChains); err != nil {
-				return err
-			}
-		}
-	}
-	return lw.emitLeaf(st, path, chains)
-}
-
-// extendChains computes the chain matrices for a child attached in parent.
-func (lw *lowerer) extendChains(parent, child *Stage, chains map[*Stage][][]int) (map[*Stage][][]int, error) {
-	m0, err := lw.fullAccessMatrix(parent, child)
-	if err != nil {
-		return nil, err
-	}
-	out := map[*Stage][][]int{parent: m0}
-	for anc, cm := range chains {
-		out[anc] = matMul(m0, cm)
-	}
-	return out, nil
-}
-
-// fullAccessMatrix returns M[child axis][parent axis]: how the child's
-// axis values move when the parent's loop variables move. Only the child's
-// space axes (its output dims) are driven by the parent; reduce rows are
-// zero. The parent's reads are expanded through inlined stages so fusion
-// across an inlined chain (conv → bn(inlined) → relu) resolves correctly.
-func (lw *lowerer) fullAccessMatrix(parent, child *Stage) ([][]int, error) {
-	reads, _, _ := lw.state.effectiveReads(parent, map[string]bool{})
-	var acc *te.Access
-	for i := range reads {
-		if reads[i].Tensor == child.Node.Out {
-			acc = &reads[i]
-			break
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("ir: attach target %q does not read %q", parent.Name, child.Name)
-	}
-	nChild := len(child.Node.Axes())
-	nParent := len(parent.Node.Axes())
-	nSpace := len(child.Node.SpaceAxes)
-	m := make([][]int, nChild)
-	for i := range m {
-		m[i] = make([]int, nParent)
-	}
-	for pa := 0; pa < nSpace && pa < len(acc.Index); pa++ {
-		for ca := 0; ca < nParent; ca++ {
-			m[pa][ca] = acc.Index[pa].CoeffOf(ca)
-		}
-	}
-	return m, nil
-}
-
-func matMul(a, b [][]int) [][]int {
-	rows, inner := len(a), len(b)
-	var cols int
-	if inner > 0 {
-		cols = len(b[0])
-	}
-	out := make([][]int, rows)
-	for i := range out {
-		out[i] = make([]int, cols)
-		for k := 0; k < inner && k < len(a[i]); k++ {
-			if a[i][k] == 0 {
-				continue
-			}
-			for j := 0; j < cols; j++ {
-				out[i][j] += a[i][k] * b[k][j]
-			}
+			to[nA] += via[pa].Const * c
 		}
 	}
 	return out
 }
 
-// emitLeaf builds the Stmt for a stage, expanding inlined producers.
-func (lw *lowerer) emitLeaf(st *Stage, path []*LLoop, chains map[*Stage][][]int) error {
-	reads, extra, zf := lw.effectiveReads(st, map[string]bool{})
-	flops := addFlops(extra, st.Node.Flops)
-
-	stmt := &Stmt{
-		Stage:         st,
-		Loops:         append([]*LLoop(nil), path...),
-		Flops:         flops,
-		AutoUnrollMax: st.AutoUnrollMax,
-		ZeroFrac:      zf,
-		PackedConst:   st.PackedConst,
-	}
-	for _, acc := range reads {
-		fa, err := lw.flatten(st, acc, stmt.Loops, chains)
-		if err != nil {
-			return err
+// readOf returns st's effective read of tensor t (the first, if it reads
+// t more than once). The coefficients live in the scratch's arena.
+func (sc *scratch) readOf(s *State, st *Stage, t *te.Tensor) (effRead, bool) {
+	first := len(sc.reads)
+	sc.expand(s, st)
+	found := sc.reads[first:]
+	sc.reads = sc.reads[:first]
+	for _, r := range found {
+		if r.tensor == t {
+			return r, true
 		}
-		stmt.Reads = append(stmt.Reads, fa)
 	}
-	// Output write: identity over space axes.
-	nS := len(st.Node.SpaceAxes)
-	wIdx := make([]te.LinExpr, nS)
-	for i := range wIdx {
-		wIdx[i] = te.Var(i)
+	return effRead{}, false
+}
+
+// numAtoms returns the number of path loops the stage's nest expands to.
+func (st *Stage) numAtoms() int {
+	n := 0
+	for i := range st.Iters {
+		n += len(st.Atoms(i))
 	}
-	w, err := lw.flatten(st, te.Access{Tensor: st.Node.Out, Index: wIdx}, stmt.Loops, chains)
-	if err != nil {
-		return err
+	return n
+}
+
+// emit recursively emits the statement(s) of one stage below the current
+// path. dep holds one row per loop on the path — how far each of st's axes
+// moves per iteration of that loop — and has room for st's own loops. emit
+// leaves those on the path; the caller cuts them off.
+func (sc *scratch) emit(out *Lowered, st *Stage, dep []int) error {
+	s, nA := out.State, st.Node.NumAxes()
+	for idx := range st.Iters {
+		it := &st.Iters[idx]
+		for ai, at := range st.Atoms(idx) {
+			sc.path = append(sc.path, LLoop{Owner: st, Iter: idx, Extent: at.Extent,
+				Kind: it.Kind, Ann: it.Ann, FusedWithPrev: ai > 0})
+			dep = dep[:len(dep)+nA] // a zero row: the arena hands out cleared memory
+			dep[len(dep)-nA+at.Axis] = st.strideOf(at.Axis, at.Level)
+		}
+		for _, child := range s.Stages {
+			if !child.Attached || child.AttachTarget != st.Name || child.AttachIdx != idx || child.Inlined {
+				continue
+			}
+			childDep, err := sc.descend(s, st, child, dep)
+			if err != nil {
+				return err
+			}
+			depth := len(sc.path)
+			if err := sc.emit(out, child, childDep); err != nil {
+				return err
+			}
+			sc.path = sc.path[:depth]
+		}
 	}
-	stmt.Write = w
-	lw.stmts = append(lw.stmts, stmt)
+	sc.emitLeaf(out, st, dep)
 	return nil
 }
 
-// effectiveReads is State.EffectiveReads; kept as a method of the lowerer
-// for symmetry with the emit path.
-func (lw *lowerer) effectiveReads(st *Stage, visiting map[string]bool) ([]te.Access, te.FlopCount, float64) {
-	return lw.state.effectiveReads(st, visiting)
+// descend rewrites the dependence rows of the current path from parent's
+// axes to those of a child attached in it. Only the child's space axes
+// (its output dims) are driven by the parent; reduce columns stay zero.
+// The parent's reads are expanded through inlined stages so fusion across
+// an inlined chain (conv → bn(inlined) → relu) resolves correctly.
+func (sc *scratch) descend(s *State, parent, child *Stage, dep []int) ([]int, error) {
+	r, ok := sc.readOf(s, parent, child.Node.Out)
+	if !ok {
+		return nil, errf("ir: attach target %q does not read %q", parent.Name, child.Name)
+	}
+	nC, nP := child.Node.NumAxes(), parent.Node.NumAxes()
+	driven := min(len(child.Node.SpaceAxes), len(r.coef)/(nP+1))
+	out := sc.alloc((len(sc.path) + child.numAtoms()) * nC)[:len(sc.path)*nC]
+	for j := range sc.path {
+		for ca := 0; ca < driven; ca++ {
+			for pa, w := range dep[j*nP : (j+1)*nP] {
+				out[j*nC+ca] += r.coef[ca*(nP+1)+pa] * w
+			}
+		}
+	}
+	return out, nil
+}
+
+// emitLeaf builds the Stmt for a stage, expanding inlined producers.
+func (sc *scratch) emitLeaf(out *Lowered, st *Stage, dep []int) {
+	first := len(sc.reads)
+	extra, zf := sc.expand(out.State, st)
+	reads := sc.reads[first:]
+	sc.reads = sc.reads[:first]
+	nLoops, nA, nS := len(sc.path), st.Node.NumAxes(), len(st.Node.SpaceAxes)
+	rows := nS
+	for _, r := range reads {
+		rows += len(r.coef) / (nA + 1)
+	}
+	accs := make([]FlatAccess, len(reads)+1)
+	coef := make([]int, rows*nLoops)
+	out.Stmts = append(out.Stmts, Stmt{
+		Stage:         st,
+		Loops:         append([]LLoop(nil), sc.path...),
+		Reads:         accs[:len(reads)],
+		Write:         &accs[len(reads)],
+		Flops:         addFlops(extra, st.Node.Flops),
+		AutoUnrollMax: st.AutoUnrollMax,
+		ZeroFrac:      zf,
+		PackedConst:   st.PackedConst,
+	})
+	// Output write: identity over space axes.
+	w := sc.alloc(nS * (nA + 1))
+	for d := 0; d < nS; d++ {
+		w[d*(nA+1)+d] = 1
+	}
+	for i := range accs {
+		r := effRead{st.Node.Out, w}
+		if i < len(reads) {
+			r = reads[i]
+		}
+		n := len(r.coef) / (nA + 1) * nLoops
+		accs[i] = FlatAccess{Tensor: r.tensor, Coeff: coef[:n:n], loops: nLoops}
+		coef = coef[n:]
+		// The stride of loop j in dimension d: the dimension's coefficient
+		// of every axis times how far loop j moves that axis.
+		for j := 0; j < nLoops; j++ {
+			for a, move := range dep[j*nA : (j+1)*nA] {
+				if move == 0 {
+					continue
+				}
+				for d := 0; d*nLoops < n; d++ {
+					accs[i].Coeff[d*nLoops+j] += r.coef[d*(nA+1)+a] * move
+				}
+			}
+		}
+	}
 }
 
 func addFlops(a, b te.FlopCount) te.FlopCount {
@@ -269,87 +380,4 @@ func addFlops(a, b te.FlopCount) te.FlopCount {
 		MaxF: a.MaxF + b.MaxF, CmpF: a.CmpF + b.CmpF,
 		MathF: a.MathF + b.MathF, IntOps: a.IntOps + b.IntOps,
 	}
-}
-
-// composeAccess substitutes the producer's axes in access `inner` with the
-// consumer's index expressions `via` (the consumer's read of the producer),
-// yielding an access in the consumer's axis space.
-func composeAccess(inner te.Access, via te.Access) te.Access {
-	ix := make([]te.LinExpr, len(inner.Index))
-	for d, e := range inner.Index {
-		out := te.LinExpr{Const: e.Const}
-		for _, t := range e.Terms {
-			if t.Axis < len(via.Index) {
-				sub := via.Index[t.Axis]
-				for _, s2 := range sub.Terms {
-					out.Terms = append(out.Terms, te.Term{Axis: s2.Axis, Coeff: s2.Coeff * t.Coeff})
-				}
-				out.Const += sub.Const * t.Coeff
-			}
-		}
-		ix[d] = out
-	}
-	return te.Access{Tensor: inner.Tensor, Index: ix}
-}
-
-// flatten computes the per-loop stride coefficients of one access.
-func (lw *lowerer) flatten(st *Stage, acc te.Access, loops []*LLoop, chains map[*Stage][][]int) (*FlatAccess, error) {
-	nAxes := len(st.Node.Axes())
-	fa := &FlatAccess{Tensor: acc.Tensor, Coeff: make([][]int, len(acc.Index))}
-	for d := range acc.Index {
-		fa.Coeff[d] = make([]int, len(loops))
-	}
-	atomIdx := make([]int, len(loops)) // local axis of each loop's atom
-	// Recover each loop's atom: walk owner iters in the same expansion
-	// order used by emit.
-	lj := 0
-	// Loops appear grouped by owner along the path; map by scanning.
-	ownerPos := map[*Stage]int{}
-	for lj < len(loops) {
-		l := loops[lj]
-		// nth atom of this owner encountered so far
-		pos := ownerPos[l.Owner]
-		ax, lev := atomAt(l.Owner, pos)
-		ownerPos[l.Owner] = pos + 1
-		atomIdx[lj] = ax<<8 | lev
-		lj++
-	}
-	for j, l := range loops {
-		ax := atomIdx[j] >> 8
-		lev := atomIdx[j] & 0xff
-		stride := l.Owner.strideOf(ax, lev)
-		for d := range acc.Index {
-			var c int
-			if l.Owner == st {
-				c = acc.Index[d].CoeffOf(ax)
-			} else {
-				cm, ok := chains[l.Owner]
-				if !ok {
-					return nil, fmt.Errorf("ir: no chain from %q to %q", st.Name, l.Owner.Name)
-				}
-				for sa := 0; sa < nAxes && sa < len(cm); sa++ {
-					if co := acc.Index[d].CoeffOf(sa); co != 0 {
-						c += co * cm[sa][ax]
-					}
-				}
-			}
-			fa.Coeff[d][j] = c * stride
-		}
-	}
-	return fa, nil
-}
-
-// atomAt returns the (axis, level) of the pos-th atom of the stage's iters
-// in expansion order.
-func atomAt(st *Stage, pos int) (axis, level int) {
-	i := 0
-	for _, it := range st.Iters {
-		for _, at := range it.Atoms {
-			if i == pos {
-				return at.Axis, at.Level
-			}
-			i++
-		}
-	}
-	return 0, 0
 }

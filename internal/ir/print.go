@@ -32,12 +32,13 @@ func printStage(b *strings.Builder, s *State, st *Stage, attached map[string][]*
 	}
 	for idx, it := range st.Iters {
 		if it.Extent != 1 || it.Ann != AnnNone {
+			name := st.IterName(idx)
 			ext := fmt.Sprintf("%d", it.Extent)
 			if it.Extent == Unfilled {
-				ext = "TILE_" + strings.ToUpper(strings.ReplaceAll(it.Name, ".", ""))
+				ext = "TILE_" + strings.ToUpper(strings.ReplaceAll(name, ".", ""))
 			}
 			fmt.Fprintf(b, "%s%s %s in range(%s):\n",
-				strings.Repeat("  ", depth), it.Ann, it.Name, ext)
+				strings.Repeat("  ", depth), it.Ann, name, ext)
 			depth++
 		}
 		for _, child := range attached[st.Name] {

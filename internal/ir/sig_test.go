@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -101,4 +102,69 @@ func TestSignatureMemoizedZeroAlloc(t *testing.T) {
 		t.Errorf("memoized signature read allocates %.1f objects/op, want 0", n)
 	}
 	_ = sink
+}
+
+// TestReplayedStateSharedReadOnly is the immutability guarantee of the
+// flat layout, executable: once replayed, a state is validated, lowered,
+// printed and signed from many goroutines at once (the sharded scorer, the
+// feature cache and the measurer do exactly this) and nobody writes a
+// stage, a loop slab or a spill slab. Run under -race by the CI gates;
+// every reader must see the same program, and the validation memo must
+// not survive the next Apply.
+func TestReplayedStateSharedReadOnly(t *testing.T) {
+	steps := []Step{
+		&MultiLevelTileStep{Stage: "conv2d", Structure: "SSRSRS",
+			SpaceFactors:  [][]int{{1, 1, 1}, {2, 2, 2}, {2, 2, 2}, {1, 4, 4}},
+			ReduceFactors: [][]int{{8}, {3}, {1}}},
+		&FuseConsumerStep{Producer: "conv2d", Consumer: "relu", OuterLevels: 2},
+		&ComputeAtStep{Stage: "pad", Target: "conv2d", IterIdx: 2},
+		&FuseStep{Stage: "relu", First: 0, Count: 3},
+		&AnnotateStep{Stage: "relu", IterIdx: 0, Ann: AnnParallel},
+	}
+	s, err := Replay(convReLU(), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Lower(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSig, wantPrint := s.Signature(), s.Print()
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				low, err := Lower(s)
+				switch {
+				case err != nil:
+					errs <- err.Error()
+				case s.Validate() != nil || s.Signature() != wantSig || s.Print() != wantPrint:
+					errs <- "validate/signature/print diverged"
+				case len(low.Stmts) != len(ref.Stmts) || !slices.Equal(low.Stmts[0].Write.Coeff, ref.Stmts[0].Write.Coeff):
+					errs <- "lowering diverged"
+				default:
+					continue
+				}
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if bad, ok := <-errs; ok {
+		t.Fatal(bad)
+	}
+	// The validation memo belongs to one structure: a clone inherits it
+	// and drops it on its next Apply, like the signature.
+	c := s.Clone()
+	if !s.valid.Load() || !c.valid.Load() {
+		t.Fatal("a validated state and its clone should carry the memo")
+	}
+	c.MustApply(&ComputeRootStep{Stage: "pad"})
+	if c.valid.Load() || !s.valid.Load() {
+		t.Fatal("Apply must drop the rewritten state's memo and nobody else's")
+	}
 }

@@ -11,6 +11,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -58,24 +59,67 @@ type IterAtom struct {
 	Axis   int // index into the stage node's Axes()
 	Level  int
 	Extent int
+	name   loopName
 }
 
-// Iter is one loop of a stage's loop nest. A fused loop carries several
-// atoms; a plain loop carries exactly one.
+// loopName is an atom's display name in compact form: the axis name
+// followed by up to four dotted suffixes, one byte each, first suffix in
+// the low byte ("i" = 0, "i.2" = 3, "i.1.0" = 1<<8|2, "i.in" = 0xff).
+// Names exist for people — Print and diagnostics — and nothing keys on
+// them, so a loop carries this code instead of a string and the text is
+// only built where somebody reads it. A fifth suffix does not fit and one
+// past 253 is clamped: such names stop being unique, nothing else.
+type loopName uint32
+
+// nameInner names a fused consumer's per-axis inner loop, "i.in".
+const nameInner loopName = 0xff
+
+// with returns the name extended by the suffix ".k".
+func (n loopName) with(k int) loopName {
+	for shift := 0; shift < 32; shift += 8 {
+		if n>>shift&0xff == 0 {
+			return n | loopName(min(k, 253)+1)<<shift
+		}
+	}
+	return n
+}
+
+// appendTo renders the name of a loop over the given axis.
+func (n loopName) appendTo(b []byte, axis string) []byte {
+	b = append(b, axis...)
+	for ; n&0xff != 0; n >>= 8 {
+		if n&0xff == nameInner {
+			b = append(b, ".in"...)
+		} else {
+			b = strconv.AppendInt(append(b, '.'), int64(n&0xff)-1, 10)
+		}
+	}
+	return b
+}
+
+// Iter is one loop of a stage's loop nest, stored by value in its stage.
+// A plain loop carries its single atom inline; a fused loop keeps its
+// atoms, outer to inner, in the stage's spill slab (Stage.Atoms returns
+// either).
 type Iter struct {
-	Name   string
 	Extent int
 	Kind   te.AxisKind
 	Ann    Annotation
-	Atoms  []IterAtom // outer→inner order for fused loops
+
+	atom  [1]IterAtom
+	spill int32 // fused: offset of the atoms in Stage.fused
+	count int32 // fused: number of atoms; 0 for a plain loop
 }
 
-// clone returns a deep copy of the iter.
-func (it *Iter) clone() *Iter {
-	c := *it
-	c.Atoms = append([]IterAtom(nil), it.Atoms...)
-	return &c
+// plainIter returns an unfused, unannotated loop over one atom.
+func plainIter(extent int, kind te.AxisKind, axis, level int, name loopName) Iter {
+	return Iter{Extent: extent, Kind: kind,
+		atom: [1]IterAtom{{Axis: axis, Level: level, Extent: extent, name: name}}}
 }
+
+// untouched reports whether the loop is still a whole axis of the naive
+// nest: one atom, tile level 0.
+func (it *Iter) untouched() bool { return it.count == 0 && it.atom[0].Level == 0 }
 
 // StageKind distinguishes original nodes from stages synthesized by steps.
 type StageKind int
@@ -87,12 +131,20 @@ const (
 )
 
 // Stage is the loop nest of one computation.
+//
+// Ownership: Iters and the spill slab belong to exactly one stage of one
+// state. NewState and Clone carve every stage's Iters out of one
+// allocation with the capacity clipped to the stage's share, so a step
+// may rewrite its stage's loops in place and a step that needs more room
+// appends into fresh memory, never into a neighbour. Every fused loop
+// gets a spill region of its own; regions are never reused.
 type Stage struct {
 	Name string
 	Node *te.Node // synthesized for cache/rfactor stages
 	Kind StageKind
 
-	Iters   []*Iter
+	Iters   []Iter
+	fused   []IterAtom // atoms of the fused loops (see Iter)
 	Inlined bool
 
 	// Attached stages nest inside AttachTarget after its AttachIdx-th loop.
@@ -113,19 +165,29 @@ type Stage struct {
 	PackedConst bool
 }
 
-func (st *Stage) clone() *Stage {
-	c := *st
-	c.Iters = make([]*Iter, len(st.Iters))
-	for i, it := range st.Iters {
-		c.Iters[i] = it.clone()
+// Atoms returns the tile pieces of loop i, outer to inner: one for a
+// plain loop, several for a fused one. The slice aliases the stage's
+// storage and is read-only outside this package.
+func (st *Stage) Atoms(i int) []IterAtom {
+	it := &st.Iters[i]
+	if it.count == 0 {
+		return it.atom[:]
 	}
-	return &c
+	return st.fused[it.spill : it.spill+it.count]
 }
 
-// axisExtent returns the full extent of axis a of the stage's node.
-func (st *Stage) axisExtent(a int) int {
-	axes := st.Node.Axes()
-	return axes[a].Extent
+// IterName renders the display name of loop i: the axis name and tile
+// suffix of each atom ("co.2", "i1.in"), fused pieces joined by "@".
+func (st *Stage) IterName(i int) string {
+	var buf [48]byte
+	b := buf[:0]
+	for k, at := range st.Atoms(i) {
+		if k > 0 {
+			b = append(b, '@')
+		}
+		b = at.name.appendTo(b, st.Node.Axis(at.Axis).Name)
+	}
+	return string(b)
 }
 
 // strideOf returns the product of extents of all atoms of the given axis
@@ -133,8 +195,8 @@ func (st *Stage) axisExtent(a int) int {
 // original axis value taken by one iteration of the (axis, level) loop.
 func (st *Stage) strideOf(axis, level int) int {
 	s := 1
-	for _, it := range st.Iters {
-		for _, at := range it.Atoms {
+	for i := range st.Iters {
+		for _, at := range st.Atoms(i) {
 			if at.Axis == axis && at.Level > level {
 				s = mulExt(s, at.Extent)
 			}
@@ -147,19 +209,19 @@ func (st *Stage) strideOf(axis, level int) int {
 // Unfilled if any extent is unfilled.
 func (st *Stage) IterCount() int64 {
 	p := int64(1)
-	for _, it := range st.Iters {
-		if it.Extent == Unfilled {
+	for i := range st.Iters {
+		if st.Iters[i].Extent == Unfilled {
 			return int64(Unfilled)
 		}
-		p *= int64(it.Extent)
+		p *= int64(st.Iters[i].Extent)
 	}
 	return p
 }
 
 // Complete reports whether all loop extents are filled in.
 func (st *Stage) Complete() bool {
-	for _, it := range st.Iters {
-		if it.Extent == Unfilled {
+	for i := range st.Iters {
+		if st.Iters[i].Extent == Unfilled {
 			return false
 		}
 	}
@@ -168,20 +230,24 @@ func (st *Stage) Complete() bool {
 
 // State is a (possibly partial) program: per-stage loop nests plus the
 // rewriting history that produced them.
+//
+// A state's structure changes only through Apply. After its last Apply —
+// when Replay, the sampler or a sketch rule hands it out — it is
+// immutable: the sharded scorer, the feature cache and the measurer read
+// the same states from several goroutines, and Lower hands out pointers
+// into them. Nothing may write a stage, a loop or a spill slab from then
+// on; whoever wants a variant clones or replays.
 type State struct {
 	DAG    *te.DAG
 	Stages []*Stage
 	Steps  []Step
 
-	// sig memoizes Signature/FamilySignature. A state's structure only
-	// changes through Apply, which drops the memo; after the final
-	// replay step a state is immutable, so the search-side hot path
-	// (dedupe maps, the feature cache, best tracking) computes each
-	// program's signature exactly once instead of rebuilding the string
-	// per lookup. The pointer is atomic because sharded scoring reads
-	// signatures of shared states concurrently; racing computations
-	// store identical immutable memos, so any winner is correct.
-	sig atomic.Pointer[sigMemo]
+	// sig memoizes Signature/FamilySignature and valid a passed Validate;
+	// Apply drops both. They are atomics because shared states are read
+	// concurrently; racing computations store identical values, so any
+	// winner is correct.
+	sig   atomic.Pointer[sigMemo]
+	valid atomic.Bool
 }
 
 // sigMemo is an immutable signature pair cached on a State.
@@ -193,37 +259,64 @@ type sigMemo struct {
 // NewState returns the naive program of the DAG: one stage per node, one
 // loop per axis (space then reduce), no annotations.
 func NewState(dag *te.DAG) *State {
-	s := &State{DAG: dag}
+	nIters := 0
 	for _, n := range dag.Nodes {
-		s.Stages = append(s.Stages, naiveStage(n))
+		nIters += n.NumAxes()
+	}
+	s, stages, iters := newStateSlabs(dag, len(dag.Nodes), nIters)
+	for i, n := range dag.Nodes {
+		k := n.NumAxes()
+		stages[i] = Stage{Name: n.Name, Node: n, Iters: naiveIters(iters[:k:k], n)}
+		iters = iters[k:]
 	}
 	return s
 }
 
-func naiveStage(n *te.Node) *Stage {
-	st := &Stage{Name: n.Name, Node: n}
-	for i, a := range n.Axes() {
-		st.Iters = append(st.Iters, &Iter{
-			Name:   a.Name,
-			Extent: a.Extent,
-			Kind:   a.Kind,
-			Atoms:  []IterAtom{{Axis: i, Level: 0, Extent: a.Extent}},
-		})
+// newStateSlabs allocates a state whose stages all live in one slab, and
+// the slab their loops are carved from. The stage list leaves room for
+// the stage a cache-write or rfactor step inserts.
+func newStateSlabs(dag *te.DAG, nStages, nIters int) (*State, []Stage, []Iter) {
+	s := &State{DAG: dag, Stages: make([]*Stage, nStages, nStages+2)}
+	stages := make([]Stage, nStages)
+	for i := range stages {
+		s.Stages[i] = &stages[i]
 	}
-	return st
+	return s, stages, make([]Iter, nIters)
+}
+
+// naiveIters fills dst (one slot per axis; allocated when nil) with the
+// node's naive nest.
+func naiveIters(dst []Iter, n *te.Node) []Iter {
+	if dst == nil {
+		dst = make([]Iter, n.NumAxes())
+	}
+	for i := range dst {
+		a := n.Axis(i)
+		dst[i] = plainIter(a.Extent, a.Kind, i, 0, 0)
+	}
+	return dst
 }
 
 // Clone returns a deep copy of the state (steps are shared; they are
-// immutable after application). The signature memo carries over: a
-// clone is structurally identical until its next Apply, which drops it.
+// immutable after application). The memos carry over: a clone is
+// structurally identical until its next Apply, which drops them.
 func (s *State) Clone() *State {
-	c := &State{DAG: s.DAG}
-	c.Stages = make([]*Stage, len(s.Stages))
+	nIters := 0
+	for _, st := range s.Stages {
+		nIters += len(st.Iters)
+	}
+	c, stages, iters := newStateSlabs(s.DAG, len(s.Stages), nIters)
 	for i, st := range s.Stages {
-		c.Stages[i] = st.clone()
+		k := len(st.Iters)
+		stages[i] = *st
+		stages[i].Iters = iters[:k:k]
+		copy(stages[i].Iters, st.Iters)
+		stages[i].fused = append([]IterAtom(nil), st.fused...)
+		iters = iters[k:]
 	}
 	c.Steps = append([]Step(nil), s.Steps...)
 	c.sig.Store(s.sig.Load())
+	c.valid.Store(s.valid.Load())
 	return c
 }
 
@@ -257,58 +350,35 @@ func (s *State) ProducerStage(t *te.Tensor) *Stage {
 	return nil
 }
 
+// reads reports whether stage c reads the output of st.
+func reads(c, st *Stage) bool {
+	for i := range c.Node.Reads {
+		if c.Node.Reads[i].Tensor == st.Node.Out {
+			return true
+		}
+	}
+	return false
+}
+
 // ConsumerStages returns the stages reading the output of st.
 func (s *State) ConsumerStages(st *Stage) []*Stage {
 	var out []*Stage
 	for _, c := range s.Stages {
-		if c == st {
-			continue
-		}
-		for _, a := range c.Node.Reads {
-			if a.Tensor == st.Node.Out {
-				out = append(out, c)
-				break
-			}
+		if c != st && reads(c, st) {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// EffectiveReads returns the stage's reads with inlined producers
-// substituted recursively, plus the extra per-iteration flop cost of the
-// inlined computation and the fraction of statically-zero multiplications
-// introduced by inlined predicated producers.
-func (s *State) EffectiveReads(st *Stage) ([]te.Access, te.FlopCount, float64) {
-	return s.effectiveReads(st, map[string]bool{})
-}
-
-func (s *State) effectiveReads(st *Stage, visiting map[string]bool) ([]te.Access, te.FlopCount, float64) {
-	visiting[st.Name] = true
-	defer delete(visiting, st.Name)
-	var out []te.Access
-	var extra te.FlopCount
-	nonZero := 1.0
-	for _, acc := range st.Node.Reads {
-		prod := s.ProducerStage(acc.Tensor)
-		if prod == nil || !prod.Inlined || visiting[prod.Name] {
-			out = append(out, acc)
-			continue
+// hasConsumer reports whether any stage reads the output of st.
+func (s *State) hasConsumer(st *Stage) bool {
+	for _, c := range s.Stages {
+		if c != st && reads(c, st) {
+			return true
 		}
-		subReads, subExtra, subZF := s.effectiveReads(prod, visiting)
-		for _, sr := range subReads {
-			out = append(out, composeAccess(sr, acc))
-		}
-		pf := prod.Node.Flops
-		if prod.Node.Predicated {
-			// A code generator partitions loops so the predicate of an
-			// inlined boundary node (padding, zero-insertion) is only
-			// evaluated near the borders; charge the border fraction.
-			pf = scaleFlops(pf, 0.15)
-		}
-		extra = addFlops(extra, addFlops(subExtra, pf))
-		nonZero *= (1 - subZF) * (1 - prod.Node.ZeroFraction)
 	}
-	return out, extra, 1 - nonZero
+	return false
 }
 
 func scaleFlops(f te.FlopCount, k float64) te.FlopCount {
@@ -334,12 +404,13 @@ func (s *State) EffectiveConsumer(st *Stage) *Stage {
 	}
 }
 
-// Apply applies one step and records it in the rewriting history. Any
-// memoized signature is dropped: the step changed the structure. (Steps
-// that fail partway may also have mutated the state, so the memo is
-// dropped on the error path too.)
+// Apply applies one step and records it in the rewriting history. The
+// memos are dropped: the step changed the structure. (Steps that fail
+// partway may also have mutated the state, so they are dropped on the
+// error path too; a state whose Apply failed is only good for discarding.)
 func (s *State) Apply(step Step) error {
 	s.sig.Store(nil)
+	s.valid.Store(false)
 	if err := step.Apply(s); err != nil {
 		return err
 	}
@@ -356,12 +427,15 @@ func (s *State) MustApply(step Step) {
 
 // Replay rebuilds a state from a DAG and a step list. This is the
 // verification path used after mutation and crossover (§5.1): a step list
-// that replays without error is a valid program.
+// that replays without error is a valid program. The state gets a step
+// slice of its own but shares the step values: a step is immutable once a
+// state holds it.
 func Replay(dag *te.DAG, steps []Step) (*State, error) {
 	s := NewState(dag)
+	s.Steps = make([]Step, 0, len(steps))
 	for i, step := range steps {
 		if err := s.Apply(step); err != nil {
-			return nil, fmt.Errorf("ir: replay step %d (%s): %w", i, step.Name(), err)
+			return nil, errf("ir: replay step %d (%s): %v", i, step.Name(), err)
 		}
 	}
 	return s, nil
@@ -384,59 +458,79 @@ func (s *State) Complete() bool {
 
 // Validate checks structural invariants of the state: per-stage, the
 // product of filled tile extents of each axis equals the axis extent;
-// attach targets exist and indices are in range.
+// attach targets exist and indices are in range. A pass is remembered
+// until the next Apply, so the search, which validates every offspring
+// and then lowers the survivors, pays for it once.
 func (s *State) Validate() error {
+	if s.valid.Load() {
+		return nil
+	}
 	for _, st := range s.Stages {
 		if st.Inlined {
 			continue
 		}
-		// Each axis must be fully covered by its atoms.
-		prod := map[int]int{}
-		seen := map[[2]int]bool{}
-		for _, it := range s.iterList(st) {
-			for _, at := range it.Atoms {
-				key := [2]int{at.Axis, at.Level}
-				if seen[key] {
-					return fmt.Errorf("stage %s: duplicate atom axis=%d level=%d", st.Name, at.Axis, at.Level)
-				}
-				seen[key] = true
-				if p, ok := prod[at.Axis]; ok {
-					prod[at.Axis] = mulExt(p, at.Extent)
-				} else {
-					prod[at.Axis] = at.Extent
-				}
+		if err := s.validateStage(st); err != nil {
+			return err
+		}
+	}
+	s.valid.Store(true)
+	return nil
+}
+
+func (s *State) validateStage(st *Stage) error {
+	var abuf [48]IterAtom
+	atoms := abuf[:0]
+	for i := range st.Iters {
+		atoms = append(atoms, st.Atoms(i)...)
+	}
+	// Each axis must be fully covered by its atoms: prod[a] is the
+	// product of the extents of axis a's atoms, 0 while it has none.
+	var pbuf [16]int
+	prod := pbuf[:]
+	if n := st.Node.NumAxes(); n <= len(pbuf) {
+		prod = pbuf[:n]
+	} else {
+		prod = make([]int, n)
+	}
+	for i, at := range atoms {
+		for _, prev := range atoms[:i] {
+			if prev.Axis == at.Axis && prev.Level == at.Level {
+				return errf("stage %s: duplicate atom axis=%d level=%d", st.Name, at.Axis, at.Level)
 			}
 		}
-		for a, p := range prod {
-			want := st.axisExtent(a)
-			if st.Attached {
-				// Attached stages have consumer-bounded extents;
-				// covered extents must not exceed the axis extent.
-				if p != Unfilled && p > want {
-					return fmt.Errorf("stage %s: axis %d covers %d > extent %d", st.Name, a, p, want)
-				}
-				continue
-			}
-			if p != Unfilled && p != want {
-				return fmt.Errorf("stage %s: axis %d covers %d, want %d", st.Name, a, p, want)
-			}
+		if prod[at.Axis] == 0 {
+			prod[at.Axis] = at.Extent
+		} else {
+			prod[at.Axis] = mulExt(prod[at.Axis], at.Extent)
 		}
+	}
+	for a, p := range prod {
+		if p == 0 || p == Unfilled {
+			continue
+		}
+		want := st.Node.Axis(a).Extent
 		if st.Attached {
-			tgt := s.Stage(st.AttachTarget)
-			if tgt == nil {
-				return fmt.Errorf("stage %s: attach target %q missing", st.Name, st.AttachTarget)
+			// Attached stages have consumer-bounded extents;
+			// covered extents must not exceed the axis extent.
+			if p > want {
+				return errf("stage %s: axis %d covers %d > extent %d", st.Name, a, p, want)
 			}
-			if st.AttachIdx < 0 || st.AttachIdx >= len(tgt.Iters) {
-				return fmt.Errorf("stage %s: attach index %d out of range for %s (%d iters)",
-					st.Name, st.AttachIdx, tgt.Name, len(tgt.Iters))
-			}
+		} else if p != want {
+			return errf("stage %s: axis %d covers %d, want %d", st.Name, a, p, want)
+		}
+	}
+	if st.Attached {
+		tgt := s.Stage(st.AttachTarget)
+		if tgt == nil {
+			return errf("stage %s: attach target %q missing", st.Name, st.AttachTarget)
+		}
+		if st.AttachIdx < 0 || st.AttachIdx >= len(tgt.Iters) {
+			return errf("stage %s: attach index %d out of range for %s (%d iters)",
+				st.Name, st.AttachIdx, tgt.Name, len(tgt.Iters))
 		}
 	}
 	return nil
 }
-
-// iterList returns the stage's iters (helper to keep Validate readable).
-func (s *State) iterList(st *Stage) []*Iter { return st.Iters }
 
 // Signature returns a short stable string identifying the program
 // structure, tile sizes, annotations, and constant-layout packing; used
@@ -472,31 +566,38 @@ func (s *State) memoSig() *sigMemo {
 
 // buildSignature renders the signature string (see Signature).
 func (s *State) buildSignature() string {
-	var b strings.Builder
+	b := make([]byte, 0, 256)
 	for _, st := range s.Stages {
+		b = append(b, st.Name...)
 		if st.Inlined {
-			fmt.Fprintf(&b, "%s:inl;", st.Name)
+			b = append(b, ":inl;"...)
 			continue
 		}
-		b.WriteString(st.Name)
 		if st.PackedConst {
 			// Constant-layout packing (§4.2) changes the measured memory
 			// behaviour without changing the loop nest: omitting it
 			// conflated two programs that measure differently (ROADMAP,
 			// "coarse signature").
-			b.WriteString("!pk")
+			b = append(b, "!pk"...)
 		}
-		b.WriteString("[")
-		for _, it := range st.Iters {
-			fmt.Fprintf(&b, "%d%s,", it.Extent, annShort(it.Ann))
+		b = append(b, '[')
+		for i := range st.Iters {
+			b = strconv.AppendInt(b, int64(st.Iters[i].Extent), 10)
+			b = append(b, annShort(st.Iters[i].Ann)...)
+			b = append(b, ',')
 		}
 		if st.Attached {
-			fmt.Fprintf(&b, "]@%s/%d;", st.AttachTarget, st.AttachIdx)
+			b = append(b, "]@"...)
+			b = append(b, st.AttachTarget...)
+			b = append(b, '/')
+			b = strconv.AppendInt(b, int64(st.AttachIdx), 10)
 		} else {
-			fmt.Fprintf(&b, "]u%d;", st.AutoUnrollMax)
+			b = append(b, "]u"...)
+			b = strconv.AppendInt(b, int64(st.AutoUnrollMax), 10)
 		}
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 func annShort(a Annotation) string {

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/te"
@@ -30,6 +31,19 @@ func BaseStage(name string) string {
 	return name
 }
 
+// stepError is why a step could not be applied. Evolution throws a
+// quarter of its offspring away on one of these without looking at it, so
+// the text is rendered when somebody asks for it, not when the step
+// fails; the arguments must be values no later rewrite changes.
+type stepError struct {
+	format string
+	args   []any
+}
+
+func (e *stepError) Error() string { return fmt.Sprintf(e.format, e.args...) }
+
+func errf(format string, args ...any) error { return &stepError{format, args} }
+
 // adjustAttachments remaps the attach indices of stages attached to the
 // named target after its loop list changed.
 func adjustAttachments(s *State, target string, remap func(int) int) {
@@ -43,10 +57,11 @@ func adjustAttachments(s *State, target string, remap func(int) int) {
 // shiftLevels opens room for inserted tile levels: every atom of the given
 // axis with Level >= from is shifted by `by`.
 func shiftLevels(st *Stage, axis, from, by int) {
-	for _, it := range st.Iters {
-		for i := range it.Atoms {
-			if it.Atoms[i].Axis == axis && it.Atoms[i].Level >= from {
-				it.Atoms[i].Level += by
+	for i := range st.Iters {
+		atoms := st.Atoms(i)
+		for k := range atoms {
+			if atoms[k].Axis == axis && atoms[k].Level >= from {
+				atoms[k].Level += by
 			}
 		}
 	}
@@ -75,16 +90,16 @@ func (st *InlineStep) Clone() Step       { c := *st; return &c }
 func (st *InlineStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("inline: no stage %q", st.Stage)
+		return errf("inline: no stage %q", st.Stage)
 	}
 	if stage.Attached {
-		return fmt.Errorf("inline: stage %q is attached", st.Stage)
+		return errf("inline: stage %q is attached", st.Stage)
 	}
 	if len(stage.Node.ReduceAxes) > 0 {
-		return fmt.Errorf("inline: stage %q has reduce axes", st.Stage)
+		return errf("inline: stage %q has reduce axes", st.Stage)
 	}
-	if len(s.ConsumerStages(stage)) == 0 {
-		return fmt.Errorf("inline: stage %q has no consumers", st.Stage)
+	if !s.hasConsumer(stage) {
+		return errf("inline: stage %q has no consumers", st.Stage)
 	}
 	stage.Inlined = true
 	return nil
@@ -112,27 +127,27 @@ func (st *SplitStep) Clone() Step {
 func (st *SplitStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("split: no stage %q", st.Stage)
+		return errf("split: no stage %q", st.Stage)
 	}
 	if st.IterIdx < 0 || st.IterIdx >= len(stage.Iters) {
-		return fmt.Errorf("split: iter %d out of range in %q", st.IterIdx, st.Stage)
+		return errf("split: iter %d out of range in %q", st.IterIdx, st.Stage)
 	}
 	it := stage.Iters[st.IterIdx]
-	if len(it.Atoms) != 1 {
-		return fmt.Errorf("split: iter %q of %q is fused", it.Name, st.Stage)
+	if it.count != 0 {
+		return errf("split: iter %q of %q is fused", stage.IterName(st.IterIdx), st.Stage)
 	}
 	if len(st.Factors) == 0 {
-		return fmt.Errorf("split: no factors")
+		return errf("split: no factors")
 	}
-	atom := it.Atoms[0]
+	atom := it.atom[0]
 	p := prodFactors(st.Factors)
 	if atom.Extent != Unfilled {
 		if p == Unfilled {
-			return fmt.Errorf("split: unfilled factors on concrete iter %q", it.Name)
+			return errf("split: unfilled factors on concrete iter %q", stage.IterName(st.IterIdx))
 		}
 		if p <= 0 || atom.Extent%p != 0 {
-			return fmt.Errorf("split: factors %v do not divide extent %d of %q",
-				st.Factors, atom.Extent, it.Name)
+			return errf("split: factors %v do not divide extent %d of %q",
+				st.Factors, atom.Extent, stage.IterName(st.IterIdx))
 		}
 	}
 	parts := len(st.Factors) + 1
@@ -141,18 +156,16 @@ func (st *SplitStep) Apply(s *State) error {
 	if atom.Extent != Unfilled {
 		outer = atom.Extent / p
 	}
-	extents := append([]int{outer}, st.Factors...)
-	var repl []*Iter
-	for i, e := range extents {
-		repl = append(repl, &Iter{
-			Name:   fmt.Sprintf("%s.%d", it.Name, i),
-			Extent: e,
-			Kind:   it.Kind,
-			Atoms:  []IterAtom{{Axis: atom.Axis, Level: atom.Level + i, Extent: e}},
-		})
+	iters := make([]Iter, 0, len(stage.Iters)+parts-1)
+	iters = append(iters, stage.Iters[:st.IterIdx]...)
+	for i := 0; i < parts; i++ {
+		e := outer
+		if i > 0 {
+			e = st.Factors[i-1]
+		}
+		iters = append(iters, plainIter(e, it.Kind, atom.Axis, atom.Level+i, atom.name.with(i)))
 	}
-	stage.Iters = append(stage.Iters[:st.IterIdx],
-		append(repl, stage.Iters[st.IterIdx+1:]...)...)
+	stage.Iters = append(iters, stage.Iters[st.IterIdx+1:]...)
 	adjustAttachments(s, st.Stage, func(i int) int {
 		if i >= st.IterIdx {
 			return i + parts - 1
@@ -178,10 +191,10 @@ func (st *FuseStep) Clone() Step       { c := *st; return &c }
 func (st *FuseStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("fuse: no stage %q", st.Stage)
+		return errf("fuse: no stage %q", st.Stage)
 	}
 	if st.Count < 2 || st.First < 0 || st.First+st.Count > len(stage.Iters) {
-		return fmt.Errorf("fuse: range [%d,%d) invalid in %q (%d iters)",
+		return errf("fuse: range [%d,%d) invalid in %q (%d iters)",
 			st.First, st.First+st.Count, st.Stage, len(stage.Iters))
 	}
 	// Fusing across an attach point (other than ending exactly on it)
@@ -189,26 +202,30 @@ func (st *FuseStep) Apply(s *State) error {
 	for _, child := range s.Stages {
 		if child.Attached && child.AttachTarget == st.Stage &&
 			child.AttachIdx >= st.First && child.AttachIdx < st.First+st.Count-1 {
-			return fmt.Errorf("fuse: range [%d,%d) in %q crosses attach point of %q",
+			return errf("fuse: range [%d,%d) in %q crosses attach point of %q",
 				st.First, st.First+st.Count, st.Stage, child.Name)
 		}
 	}
-	ext := 1
-	var atoms []IterAtom
-	var names []string
+	ext, atoms := 1, 0
 	kind := stage.Iters[st.First].Kind
 	for i := st.First; i < st.First+st.Count; i++ {
-		it := stage.Iters[i]
-		if it.Kind != kind {
-			return fmt.Errorf("fuse: mixing space and reduce loops in %q", st.Stage)
+		if stage.Iters[i].Kind != kind {
+			return errf("fuse: mixing space and reduce loops in %q", st.Stage)
 		}
-		ext = mulExt(ext, it.Extent)
-		atoms = append(atoms, it.Atoms...)
-		names = append(names, it.Name)
+		ext = mulExt(ext, stage.Iters[i].Extent)
+		atoms += len(stage.Atoms(i))
 	}
-	fused := &Iter{Name: strings.Join(names, "@"), Extent: ext, Kind: kind, Atoms: atoms}
-	stage.Iters = append(stage.Iters[:st.First],
-		append([]*Iter{fused}, stage.Iters[st.First+st.Count:]...)...)
+	// The fused loop's atoms go to a new region of the spill slab (the
+	// regions of fused loops being fused again stay behind, unreferenced),
+	// and the loops after it close the gap in place.
+	spill := len(stage.fused)
+	stage.fused = slices.Grow(stage.fused, atoms)
+	for i := st.First; i < st.First+st.Count; i++ {
+		stage.fused = append(stage.fused, stage.Atoms(i)...)
+	}
+	stage.Iters[st.First] = Iter{Extent: ext, Kind: kind,
+		spill: int32(spill), count: int32(len(stage.fused) - spill)}
+	stage.Iters = append(stage.Iters[:st.First+1], stage.Iters[st.First+st.Count:]...)
 	adjustAttachments(s, st.Stage, func(i int) int {
 		switch {
 		case i >= st.First+st.Count:
@@ -241,17 +258,17 @@ func (st *ReorderStep) Clone() Step {
 func (st *ReorderStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("reorder: no stage %q", st.Stage)
+		return errf("reorder: no stage %q", st.Stage)
 	}
 	if len(st.Perm) != len(stage.Iters) {
-		return fmt.Errorf("reorder: perm size %d != %d iters in %q",
+		return errf("reorder: perm size %d != %d iters in %q",
 			len(st.Perm), len(stage.Iters), st.Stage)
 	}
 	seen := make([]bool, len(st.Perm))
-	out := make([]*Iter, len(st.Perm))
+	out := make([]Iter, len(st.Perm))
 	for i, p := range st.Perm {
 		if p < 0 || p >= len(st.Perm) || seen[p] {
-			return fmt.Errorf("reorder: bad permutation %v", st.Perm)
+			return errf("reorder: bad permutation %v", st.Perm)
 		}
 		seen[p] = true
 		out[i] = stage.Iters[p]
@@ -281,17 +298,17 @@ func (st *AnnotateStep) Clone() Step       { c := *st; return &c }
 func (st *AnnotateStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("annotate: no stage %q", st.Stage)
+		return errf("annotate: no stage %q", st.Stage)
 	}
 	if st.IterIdx < 0 || st.IterIdx >= len(stage.Iters) {
-		return fmt.Errorf("annotate: iter %d out of range in %q", st.IterIdx, st.Stage)
+		return errf("annotate: iter %d out of range in %q", st.IterIdx, st.Stage)
 	}
-	it := stage.Iters[st.IterIdx]
+	it := &stage.Iters[st.IterIdx]
 	if st.Ann == AnnVectorize && it.Kind == te.Reduce {
-		return fmt.Errorf("annotate: cannot vectorize reduce loop %q", it.Name)
+		return errf("annotate: cannot vectorize reduce loop %q", stage.IterName(st.IterIdx))
 	}
 	if st.Ann == AnnParallel && it.Kind == te.Reduce {
-		return fmt.Errorf("annotate: cannot parallelize reduce loop %q", it.Name)
+		return errf("annotate: cannot parallelize reduce loop %q", stage.IterName(st.IterIdx))
 	}
 	it.Ann = st.Ann
 	return nil
@@ -312,7 +329,7 @@ func (st *PragmaStep) Clone() Step       { c := *st; return &c }
 func (st *PragmaStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("pragma: no stage %q", st.Stage)
+		return errf("pragma: no stage %q", st.Stage)
 	}
 	stage.AutoUnrollMax = st.AutoUnrollMax
 	return nil
@@ -336,7 +353,7 @@ func (st *LayoutRewriteStep) Clone() Step       { c := *st; return &c }
 func (st *LayoutRewriteStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("layoutrewrite: no stage %q", st.Stage)
+		return errf("layoutrewrite: no stage %q", st.Stage)
 	}
 	hasConst := false
 	for _, a := range stage.Node.Reads {
@@ -345,7 +362,7 @@ func (st *LayoutRewriteStep) Apply(s *State) error {
 		}
 	}
 	if !hasConst {
-		return fmt.Errorf("layoutrewrite: stage %q reads no constant tensors", st.Stage)
+		return errf("layoutrewrite: stage %q reads no constant tensors", st.Stage)
 	}
 	stage.PackedConst = true
 	return nil
@@ -386,110 +403,104 @@ func cloneFactors(f [][]int) [][]int {
 	return out
 }
 
-// levelExtents computes the per-level extents of one axis given its full
-// extent and the inner factors (outermost derived); factors nil yields all
-// Unfilled.
-func levelExtents(extent, levels int, factors []int) ([]int, error) {
-	out := make([]int, levels)
+// outerExtent derives the outermost tile extent of one axis from its full
+// extent and the inner factors; nil factors yield Unfilled.
+func outerExtent(extent, levels int, factors []int) (int, error) {
 	if factors == nil {
-		for i := range out {
-			out[i] = Unfilled
-		}
-		return out, nil
+		return Unfilled, nil
 	}
 	if len(factors) != levels-1 {
-		return nil, fmt.Errorf("want %d factors, got %d", levels-1, len(factors))
+		return 0, errf("want %d factors, got %d", levels-1, len(factors))
 	}
 	p := prodFactors(factors)
 	if p <= 0 || extent%p != 0 {
-		return nil, fmt.Errorf("factors %v do not divide extent %d", factors, extent)
+		return 0, errf("factors %v do not divide extent %d", factors, extent)
 	}
-	out[0] = extent / p
-	copy(out[1:], factors)
-	return out, nil
+	return extent / p, nil
+}
+
+// tileExtent is the extent of one tile level of an axis given its derived
+// outermost extent and its inner factors (nil = a sketch's unfilled tile).
+func tileExtent(outer int, factors []int, level int) int {
+	if factors == nil {
+		return Unfilled
+	}
+	if level == 0 {
+		return outer
+	}
+	return factors[level-1]
 }
 
 func (st *MultiLevelTileStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("tile: no stage %q", st.Stage)
+		return errf("tile: no stage %q", st.Stage)
 	}
 	nSpace := strings.Count(st.Structure, "S")
 	nReduce := strings.Count(st.Structure, "R")
 	if nSpace == 0 || len(st.Structure) != nSpace+nReduce {
-		return fmt.Errorf("tile: bad structure %q", st.Structure)
+		return errf("tile: bad structure %q", st.Structure)
 	}
 	node := stage.Node
 	if len(node.ReduceAxes) == 0 && nReduce > 0 {
-		return fmt.Errorf("tile: structure %q needs reduce axes; %q has none", st.Structure, st.Stage)
+		return errf("tile: structure %q needs reduce axes; %q has none", st.Structure, st.Stage)
 	}
 	// A space-only structure (e.g. Halide-style "SS" tiling that never
 	// splits reductions) keeps the reduce loops whole, innermost.
 	keepReduce := nReduce == 0 && len(node.ReduceAxes) > 0
 	// The stage must still be the naive nest.
-	for _, it := range stage.Iters {
-		if len(it.Atoms) != 1 || it.Atoms[0].Level != 0 {
-			return fmt.Errorf("tile: stage %q already transformed", st.Stage)
+	for i := range stage.Iters {
+		if !stage.Iters[i].untouched() {
+			return errf("tile: stage %q already transformed", st.Stage)
 		}
 	}
 	nS, nR := len(node.SpaceAxes), len(node.ReduceAxes)
-	spaceExt := make([][]int, nS)
+	factorsOf := func(all [][]int, i int) []int {
+		if all == nil {
+			return nil
+		}
+		return all[i]
+	}
+	var buf [16]int
+	outer := buf[:0] // derived outermost extent per axis, space then reduce
 	for i, a := range node.SpaceAxes {
-		var fs []int
-		if st.SpaceFactors != nil {
-			fs = st.SpaceFactors[i]
-		}
-		e, err := levelExtents(a.Extent, nSpace, fs)
+		e, err := outerExtent(a.Extent, nSpace, factorsOf(st.SpaceFactors, i))
 		if err != nil {
-			return fmt.Errorf("tile: space axis %s: %w", a.Name, err)
+			return errf("tile: space axis %s: %v", a.Name, err)
 		}
-		spaceExt[i] = e
+		outer = append(outer, e)
 	}
-	reduceExt := make([][]int, nR)
 	for i, a := range node.ReduceAxes {
-		var fs []int
-		if st.ReduceFactors != nil {
-			fs = st.ReduceFactors[i]
-		}
-		e, err := levelExtents(a.Extent, nReduce, fs)
+		e, err := outerExtent(a.Extent, nReduce, factorsOf(st.ReduceFactors, i))
 		if err != nil {
-			return fmt.Errorf("tile: reduce axis %s: %w", a.Name, err)
+			return errf("tile: reduce axis %s: %v", a.Name, err)
 		}
-		reduceExt[i] = e
+		outer = append(outer, e)
 	}
-	var iters []*Iter
+	n := nSpace*nS + nReduce*nR
+	if keepReduce {
+		n += nR
+	}
+	iters := make([]Iter, 0, n)
 	sLevel, rLevel := 0, 0
 	for _, c := range st.Structure {
 		if c == 'S' {
-			for i, a := range node.SpaceAxes {
-				iters = append(iters, &Iter{
-					Name:   fmt.Sprintf("%s.%d", a.Name, sLevel),
-					Extent: spaceExt[i][sLevel],
-					Kind:   te.Space,
-					Atoms:  []IterAtom{{Axis: i, Level: sLevel, Extent: spaceExt[i][sLevel]}},
-				})
+			for i := 0; i < nS; i++ {
+				e := tileExtent(outer[i], factorsOf(st.SpaceFactors, i), sLevel)
+				iters = append(iters, plainIter(e, te.Space, i, sLevel, loopName(0).with(sLevel)))
 			}
 			sLevel++
 		} else {
-			for i, a := range node.ReduceAxes {
-				iters = append(iters, &Iter{
-					Name:   fmt.Sprintf("%s.%d", a.Name, rLevel),
-					Extent: reduceExt[i][rLevel],
-					Kind:   te.Reduce,
-					Atoms:  []IterAtom{{Axis: nS + i, Level: rLevel, Extent: reduceExt[i][rLevel]}},
-				})
+			for i := 0; i < nR; i++ {
+				e := tileExtent(outer[nS+i], factorsOf(st.ReduceFactors, i), rLevel)
+				iters = append(iters, plainIter(e, te.Reduce, nS+i, rLevel, loopName(0).with(rLevel)))
 			}
 			rLevel++
 		}
 	}
 	if keepReduce {
 		for i, a := range node.ReduceAxes {
-			iters = append(iters, &Iter{
-				Name:   a.Name,
-				Extent: a.Extent,
-				Kind:   te.Reduce,
-				Atoms:  []IterAtom{{Axis: nS + i, Level: 0, Extent: a.Extent}},
-			})
+			iters = append(iters, plainIter(a.Extent, te.Reduce, nS+i, 0, 0))
 		}
 	}
 	stage.Iters = iters
@@ -517,101 +528,96 @@ func (st *FuseConsumerStep) Apply(s *State) error {
 	p := s.Stage(st.Producer)
 	c := s.Stage(st.Consumer)
 	if p == nil || c == nil {
-		return fmt.Errorf("fuseconsumer: missing stage %q or %q", st.Producer, st.Consumer)
+		return errf("fuseconsumer: missing stage %q or %q", st.Producer, st.Consumer)
 	}
 	if p.TiledSpaceLevels < st.OuterLevels || st.OuterLevels < 1 {
-		return fmt.Errorf("fuseconsumer: producer %q has %d tile levels, need >= %d",
+		return errf("fuseconsumer: producer %q has %d tile levels, need >= %d",
 			st.Producer, p.TiledSpaceLevels, st.OuterLevels)
 	}
 	if c.Inlined || c.Attached {
-		return fmt.Errorf("fuseconsumer: consumer %q not schedulable", st.Consumer)
+		return errf("fuseconsumer: consumer %q not schedulable", st.Consumer)
 	}
 	nS := len(p.Node.SpaceAxes)
 	if len(c.Node.SpaceAxes) != nS || len(c.Node.ReduceAxes) != 0 {
-		return fmt.Errorf("fuseconsumer: consumer %q shape mismatch", st.Consumer)
+		return errf("fuseconsumer: consumer %q shape mismatch", st.Consumer)
 	}
 	// The consumer must read the producer's output identically (possibly
 	// through a chain of inlined elementwise stages).
-	reads, _, _ := s.effectiveReads(c, map[string]bool{})
+	sc := getScratch()
+	defer sc.release()
+	sc.expand(s, c)
+	nC := c.Node.NumAxes()
 	identity := false
-	for _, acc := range reads {
-		if acc.Tensor != p.Node.Out {
-			continue
-		}
-		ok := true
-		for d, ix := range acc.Index {
-			if len(ix.Terms) != 1 || ix.Terms[0].Axis != d || ix.Terms[0].Coeff != 1 || ix.Const != 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, r := range sc.reads {
+		if r.tensor == p.Node.Out && isIdentity(r.coef, nC) {
 			identity = true
 			break
 		}
 	}
 	if !identity {
-		return fmt.Errorf("fuseconsumer: %q does not read %q elementwise", st.Consumer, st.Producer)
+		return errf("fuseconsumer: %q does not read %q elementwise", st.Consumer, st.Producer)
 	}
 	// Consumer must still be naive.
-	for _, it := range c.Iters {
-		if len(it.Atoms) != 1 || it.Atoms[0].Level != 0 {
-			return fmt.Errorf("fuseconsumer: consumer %q already transformed", st.Consumer)
+	for i := range c.Iters {
+		if !c.Iters[i].untouched() {
+			return errf("fuseconsumer: consumer %q already transformed", st.Consumer)
 		}
 	}
 	// Gather the producer's per-axis per-level space extents.
-	levels := make([][]int, nS) // [axis][level]extent
-	for i := range levels {
-		levels[i] = make([]int, p.TiledSpaceLevels)
-	}
-	for _, it := range p.Iters {
-		for _, at := range it.Atoms {
-			if at.Axis < nS {
-				levels[at.Axis][at.Level] = at.Extent
+	nL := p.TiledSpaceLevels
+	levels := sc.alloc(nS * nL) // [axis*nL+level] extent
+	for i := range p.Iters {
+		for _, at := range p.Atoms(i) {
+			if at.Axis < nS && at.Level < nL {
+				levels[at.Axis*nL+at.Level] = at.Extent
 			}
 		}
 	}
 	// Rebuild the consumer nest: OuterLevels blocks of all axes, then one
 	// fused inner loop per axis covering the producer's remaining levels.
-	var iters []*Iter
+	iters := make([]Iter, 0, (st.OuterLevels+1)*nS)
 	for l := 0; l < st.OuterLevels; l++ {
 		for a := 0; a < nS; a++ {
-			iters = append(iters, &Iter{
-				Name:   fmt.Sprintf("%s.%d", c.Node.SpaceAxes[a].Name, l),
-				Extent: levels[a][l],
-				Kind:   te.Space,
-				Atoms:  []IterAtom{{Axis: a, Level: l, Extent: levels[a][l]}},
-			})
+			iters = append(iters, plainIter(levels[a*nL+l], te.Space, a, l, loopName(0).with(l)))
 		}
 	}
 	for a := 0; a < nS; a++ {
 		inner := 1
-		for l := st.OuterLevels; l < p.TiledSpaceLevels; l++ {
-			inner = mulExt(inner, levels[a][l])
+		for l := st.OuterLevels; l < nL; l++ {
+			inner = mulExt(inner, levels[a*nL+l])
 		}
-		iters = append(iters, &Iter{
-			Name:   fmt.Sprintf("%s.in", c.Node.SpaceAxes[a].Name),
-			Extent: inner,
-			Kind:   te.Space,
-			Atoms:  []IterAtom{{Axis: a, Level: st.OuterLevels, Extent: inner}},
-		})
+		iters = append(iters, plainIter(inner, te.Space, a, st.OuterLevels, nameInner))
 	}
 	c.Iters = iters
 	c.TiledSpaceLevels = st.OuterLevels + 1
 	// Drop the producer's outer space levels; it is attached below them.
-	var kept []*Iter
-	for _, it := range p.Iters {
-		at := it.Atoms[0]
-		if at.Axis < nS && at.Level < st.OuterLevels {
+	kept := p.Iters[:0]
+	for i := range p.Iters {
+		if at := p.Atoms(i)[0]; at.Axis < nS && at.Level < st.OuterLevels {
 			continue
 		}
-		kept = append(kept, it)
+		kept = append(kept, p.Iters[i])
 	}
 	p.Iters = kept
 	p.Attached = true
 	p.AttachTarget = c.Name
 	p.AttachIdx = st.OuterLevels*nS - 1
 	return nil
+}
+
+// isIdentity reports whether an effective read indexes dimension d with
+// exactly axis d: coefficient 1 there, 0 elsewhere, no constant.
+func isIdentity(coef []int, nAxes int) bool {
+	for i, c := range coef {
+		want := 0
+		if i%(nAxes+1) == i/(nAxes+1) {
+			want = 1
+		}
+		if c != want {
+			return false
+		}
+	}
+	return true
 }
 
 // ------------------------------------------------------------- CacheWrite
@@ -631,11 +637,11 @@ func (st *CacheWriteStep) Clone() Step       { c := *st; return &c }
 func (st *CacheWriteStep) Apply(s *State) error {
 	idx := s.StageIndex(st.Stage)
 	if idx < 0 {
-		return fmt.Errorf("cachewrite: no stage %q", st.Stage)
+		return errf("cachewrite: no stage %q", st.Stage)
 	}
 	orig := s.Stages[idx]
 	if orig.Kind != StageNormal || orig.Inlined || orig.Attached {
-		return fmt.Errorf("cachewrite: stage %q not schedulable", st.Stage)
+		return errf("cachewrite: stage %q not schedulable", st.Stage)
 	}
 	n := orig.Node
 	cacheT := &te.Tensor{
@@ -663,13 +669,11 @@ func (st *CacheWriteStep) Apply(s *State) error {
 		Reads:     []te.Access{{Tensor: cacheT, Index: copyReads}},
 		Flops:     te.FlopCount{},
 	}
-	cacheStage := naiveStage(cacheNode)
-	cacheStage.Kind = StageCache
 	orig.Node = copyNode
-	orig.Iters = naiveStage(copyNode).Iters
+	orig.Iters = naiveIters(nil, copyNode)
 	orig.TiledSpaceLevels = 0
-	s.Stages = append(s.Stages[:idx],
-		append([]*Stage{cacheStage}, s.Stages[idx:]...)...)
+	s.Stages = slices.Insert(s.Stages, idx,
+		&Stage{Name: cacheNode.Name, Node: cacheNode, Kind: StageCache, Iters: naiveIters(nil, cacheNode)})
 	return nil
 }
 
@@ -692,19 +696,19 @@ func (st *RFactorStep) Clone() Step       { c := *st; return &c }
 func (st *RFactorStep) Apply(s *State) error {
 	idx := s.StageIndex(st.Stage)
 	if idx < 0 {
-		return fmt.Errorf("rfactor: no stage %q", st.Stage)
+		return errf("rfactor: no stage %q", st.Stage)
 	}
 	orig := s.Stages[idx]
 	n := orig.Node
 	if orig.Kind != StageNormal || orig.Inlined || orig.Attached {
-		return fmt.Errorf("rfactor: stage %q not schedulable", st.Stage)
+		return errf("rfactor: stage %q not schedulable", st.Stage)
 	}
 	if st.ReduceIdx < 0 || st.ReduceIdx >= len(n.ReduceAxes) {
-		return fmt.Errorf("rfactor: reduce axis %d out of range in %q", st.ReduceIdx, st.Stage)
+		return errf("rfactor: reduce axis %d out of range in %q", st.ReduceIdx, st.Stage)
 	}
 	target := n.ReduceAxes[st.ReduceIdx]
 	if st.Factor <= 0 || target.Extent%st.Factor != 0 {
-		return fmt.Errorf("rfactor: factor %d does not divide extent %d of %q",
+		return errf("rfactor: factor %d does not divide extent %d of %q",
 			st.Factor, target.Extent, target.Name)
 	}
 	nS := len(n.SpaceAxes)
@@ -766,26 +770,17 @@ func (st *RFactorStep) Apply(s *State) error {
 	// rf stage loop order: space..., other reduces..., ro, ri — the new
 	// space axis ri is innermost so it can be vectorized (Figure 5,
 	// sampled program 4).
-	rfStage := &Stage{Name: rfNode.Name, Node: rfNode, Kind: StageRFactor}
+	rfStage := &Stage{Name: rfNode.Name, Node: rfNode, Kind: StageRFactor,
+		Iters: make([]Iter, 0, rfNode.NumAxes())}
 	for i, a := range n.SpaceAxes {
-		rfStage.Iters = append(rfStage.Iters, &Iter{
-			Name: a.Name, Extent: a.Extent, Kind: te.Space,
-			Atoms: []IterAtom{{Axis: i, Level: 0, Extent: a.Extent}},
-		})
+		rfStage.Iters = append(rfStage.Iters, plainIter(a.Extent, te.Space, i, 0, 0))
 	}
-	for i := range otherReduce {
-		g2 := nS + 2 + i
-		rfStage.Iters = append(rfStage.Iters, &Iter{
-			Name: otherReduce[i].Name, Extent: otherReduce[i].Extent, Kind: te.Reduce,
-			Atoms: []IterAtom{{Axis: g2, Level: 0, Extent: otherReduce[i].Extent}},
-		})
+	for i, a := range otherReduce {
+		rfStage.Iters = append(rfStage.Iters, plainIter(a.Extent, te.Reduce, nS+2+i, 0, 0))
 	}
 	rfStage.Iters = append(rfStage.Iters,
-		&Iter{Name: ro.Name, Extent: ro.Extent, Kind: te.Reduce,
-			Atoms: []IterAtom{{Axis: nS + 1, Level: 0, Extent: ro.Extent}}},
-		&Iter{Name: ri.Name, Extent: ri.Extent, Kind: te.Space,
-			Atoms: []IterAtom{{Axis: nS, Level: 0, Extent: ri.Extent}}},
-	)
+		plainIter(ro.Extent, te.Reduce, nS+1, 0, 0),
+		plainIter(ri.Extent, te.Space, nS, 0, 0))
 
 	// Original stage: reduce the rf tensor over ri.
 	finalIdx := make([]te.LinExpr, nS+1)
@@ -802,10 +797,9 @@ func (st *RFactorStep) Apply(s *State) error {
 		Flops:      te.FlopCount{AddF: 1},
 	}
 	orig.Node = finalNode
-	orig.Iters = naiveStage(finalNode).Iters
+	orig.Iters = naiveIters(nil, finalNode)
 	orig.TiledSpaceLevels = 0
-	s.Stages = append(s.Stages[:idx],
-		append([]*Stage{rfStage}, s.Stages[idx:]...)...)
+	s.Stages = slices.Insert(s.Stages, idx, rfStage)
 	return nil
 }
 
@@ -825,88 +819,67 @@ func (st *ComputeAtStep) Name() string      { return "ComputeAt" }
 func (st *ComputeAtStep) StageName() string { return st.Stage }
 func (st *ComputeAtStep) Clone() Step       { c := *st; return &c }
 
-// accessMatrix returns M[pa][ca]: the coefficient of consumer axis ca in
-// dim pa of the consumer's read of the producer's output (reads expanded
-// through inlined stages).
-func accessMatrix(s *State, consumer, producer *Stage) ([][]int, error) {
-	reads, _, _ := s.effectiveReads(consumer, map[string]bool{})
-	var acc *te.Access
-	for i := range reads {
-		if reads[i].Tensor == producer.Node.Out {
-			acc = &reads[i]
-			break
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("stage %q does not read %q", consumer.Name, producer.Name)
-	}
-	nCA := len(consumer.Node.Axes())
-	m := make([][]int, len(acc.Index))
-	for pa := range acc.Index {
-		m[pa] = make([]int, nCA)
-		for ca := 0; ca < nCA; ca++ {
-			m[pa][ca] = acc.Index[pa].CoeffOf(ca)
-		}
-	}
-	return m, nil
-}
-
 func (st *ComputeAtStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	tgt := s.Stage(st.Target)
 	if stage == nil || tgt == nil {
-		return fmt.Errorf("computeat: missing stage %q or %q", st.Stage, st.Target)
+		return errf("computeat: missing stage %q or %q", st.Stage, st.Target)
 	}
 	if stage.Inlined || stage.Attached || stage.TiledSpaceLevels > 0 {
-		return fmt.Errorf("computeat: stage %q not simple", st.Stage)
+		return errf("computeat: stage %q not simple", st.Stage)
 	}
 	if len(stage.Node.ReduceAxes) > 0 {
-		return fmt.Errorf("computeat: stage %q has reduce axes", st.Stage)
+		return errf("computeat: stage %q has reduce axes", st.Stage)
 	}
 	if tgt.Inlined {
-		return fmt.Errorf("computeat: target %q is inlined", st.Target)
+		return errf("computeat: target %q is inlined", st.Target)
 	}
 	if st.IterIdx < 0 || st.IterIdx >= len(tgt.Iters) {
-		return fmt.Errorf("computeat: iter %d out of range in %q", st.IterIdx, st.Target)
+		return errf("computeat: iter %d out of range in %q", st.IterIdx, st.Target)
 	}
-	m, err := accessMatrix(s, tgt, stage)
-	if err != nil {
-		return fmt.Errorf("computeat: %w", err)
+	// read.coef[pa][ca]: the coefficient of consumer axis ca in dim pa of
+	// the target's read of the stage's output (reads expanded through
+	// inlined stages).
+	sc := getScratch()
+	defer sc.release()
+	read, ok := sc.readOf(s, tgt, stage.Node.Out)
+	if !ok {
+		return errf("computeat: stage %q does not read %q", tgt.Name, stage.Name)
 	}
 	// Inner extent of each consumer axis: product of atoms in loops deeper
 	// than the attach point.
-	nCA := len(tgt.Node.Axes())
-	innerExt := make([]int, nCA)
+	nCA := tgt.Node.NumAxes()
+	innerExt := sc.alloc(nCA)
 	for i := range innerExt {
 		innerExt[i] = 1
 	}
 	for i := st.IterIdx + 1; i < len(tgt.Iters); i++ {
-		for _, at := range tgt.Iters[i].Atoms {
+		for _, at := range tgt.Atoms(i) {
 			innerExt[at.Axis] = mulExt(innerExt[at.Axis], at.Extent)
 		}
 	}
 	// Needed producer extents: 1 + sum of coeff*(innerExt-1) per axis.
-	for pa, it := range stage.Iters {
+	for pa := range stage.Iters {
 		need := 1
 		for ca := 0; ca < nCA; ca++ {
-			c := m[pa][ca]
+			c := read.coef[pa*(nCA+1)+ca]
 			if c == 0 {
 				continue
 			}
 			if innerExt[ca] == Unfilled {
-				return fmt.Errorf("computeat: target %q has unfilled tiles", st.Target)
+				return errf("computeat: target %q has unfilled tiles", st.Target)
 			}
 			if c < 0 {
 				c = -c
 			}
 			need += c * (innerExt[ca] - 1)
 		}
-		full := stage.axisExtent(it.Atoms[0].Axis)
-		if need > full {
+		at := &stage.Atoms(pa)[0]
+		if full := stage.Node.Axis(at.Axis).Extent; need > full {
 			need = full
 		}
-		it.Extent = need
-		it.Atoms[0].Extent = need
+		stage.Iters[pa].Extent = need
+		at.Extent = need
 	}
 	stage.Attached = true
 	stage.AttachTarget = st.Target
@@ -929,18 +902,18 @@ func (st *ComputeRootStep) Clone() Step       { c := *st; return &c }
 func (st *ComputeRootStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
 	if stage == nil {
-		return fmt.Errorf("computeroot: no stage %q", st.Stage)
+		return errf("computeroot: no stage %q", st.Stage)
 	}
 	if !stage.Attached {
-		return fmt.Errorf("computeroot: stage %q not attached", st.Stage)
+		return errf("computeroot: stage %q not attached", st.Stage)
 	}
 	stage.Attached = false
 	stage.AttachTarget = ""
 	stage.AttachIdx = 0
-	for _, it := range stage.Iters {
-		full := stage.axisExtent(it.Atoms[0].Axis)
-		it.Extent = full
-		it.Atoms[0].Extent = full
+	for i := range stage.Iters {
+		at := &stage.Atoms(i)[0]
+		at.Extent = stage.Node.Axis(at.Axis).Extent
+		stage.Iters[i].Extent = at.Extent
 	}
 	return nil
 }

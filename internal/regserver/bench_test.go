@@ -56,8 +56,7 @@ func benchRegistry(b *testing.B) (*registry.Registry, ansor.Task) {
 
 // BenchmarkApplyBest compares serving a best schedule from the
 // in-process registry against the registry service over loopback HTTP:
-// the latency cost of sharing the database across tuning jobs. CI
-// uploads the two numbers as the BENCH_pr3.json artifact.
+// the latency cost of sharing the database across tuning jobs.
 func BenchmarkApplyBest(b *testing.B) {
 	reg, task := benchRegistry(b)
 	target := task.Target.Machine.Name
@@ -113,8 +112,7 @@ func serveRec(i int) measure.Record {
 //     steady state of revalidating clients, served as a bodyless 304.
 //
 // Reported per variant: ns/op, requests/s, and response-body
-// bytes/request (≈0 for conditional). CI folds the grid into the
-// BENCH_pr7.json artifact.
+// bytes/request (≈0 for conditional).
 func BenchmarkServeBest(b *testing.B) {
 	const nKeys = 256
 	for _, mode := range []string{"nocache", "cold", "warm", "conditional"} {
@@ -190,8 +188,7 @@ func BenchmarkServeBest(b *testing.B) {
 // publishing to a registry server with a little per-request latency:
 // the synchronous writer pays one network round trip per record inside
 // the recorder's lock, the batched writer only a buffer append (flushes
-// happen off the lock in the background). CI folds the two numbers into
-// the BENCH_pr4.json artifact.
+// happen off the lock in the background).
 func BenchmarkRecorderPublish(b *testing.B) {
 	const delay = 500 * time.Microsecond
 	for _, mode := range []string{"sync", "batched"} {

@@ -11,8 +11,8 @@ import (
 func (m *Machine) Time(low *ir.Lowered) float64 {
 	ctx := m.analyzeResidency(low)
 	var t float64
-	for _, st := range low.Stmts {
-		t += m.stmtTime(st, ctx)
+	for i := range low.Stmts {
+		t += m.stmtTime(&low.Stmts[i], ctx)
 	}
 	return t
 }
@@ -29,12 +29,13 @@ type progCtx struct {
 func (m *Machine) analyzeResidency(low *ir.Lowered) *progCtx {
 	ctx := &progCtx{srcLevel: map[string]int{}}
 	producer := map[string]*ir.Stmt{}
-	for _, st := range low.Stmts {
-		if st.Write != nil {
+	for i := range low.Stmts {
+		if st := &low.Stmts[i]; st.Write != nil {
 			producer[st.Write.Tensor.Name] = st
 		}
 	}
-	for _, st := range low.Stmts {
+	for i := range low.Stmts {
+		st := &low.Stmts[i]
 		for _, r := range st.Reads {
 			p, ok := producer[r.Tensor.Name]
 			if !ok {
@@ -137,7 +138,8 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 			}
 		}
 		if m.GPU {
-			for _, a := range st.Reads {
+			for i := range st.Reads {
+				a := &st.Reads[i]
 				if st.PackedConst && a.Tensor.Const {
 					continue
 				}
@@ -195,7 +197,8 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 	// stride is zero along an unrolled loop is loaded once and reused
 	// from registers across that loop (classic register tiling).
 	loadsPerIter := 0.0
-	for _, a := range st.Reads {
+	for i := range st.Reads {
+		a := &st.Reads[i]
 		reuse := 1.0
 		for j := 0; j < n; j++ {
 			if unrolled[j] && a.ElemStride(j) == 0 {
@@ -255,7 +258,7 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 // when loops < depth are fixed and loops >= depth iterate. forceDense
 // treats the access as unit-stride in the last dimension (used for
 // layout-rewritten constant tensors, §4.2).
-func accessFootprint(a *ir.FlatAccess, loops []*ir.LLoop, depth, lineBytes int, forceDense bool) float64 {
+func accessFootprint(a *ir.FlatAccess, loops []ir.LLoop, depth, lineBytes int, forceDense bool) float64 {
 	n := len(loops)
 	dims := len(a.Tensor.Shape)
 	unique := 1.0
@@ -263,8 +266,9 @@ func accessFootprint(a *ir.FlatAccess, loops []*ir.LLoop, depth, lineBytes int, 
 	lastDense := false
 	for dim := 0; dim < dims; dim++ {
 		span := 1.0
+		row := a.Row(dim)
 		for j := depth; j < n; j++ {
-			c := a.Coeff[dim][j]
+			c := row[j]
 			if c < 0 {
 				c = -c
 			}
@@ -277,8 +281,7 @@ func accessFootprint(a *ir.FlatAccess, loops []*ir.LLoop, depth, lineBytes int, 
 		if dim == dims-1 {
 			lastSpan = span
 			for j := depth; j < n; j++ {
-				c := a.Coeff[dim][j]
-				if c == 1 || c == -1 {
+				if c := row[j]; c == 1 || c == -1 {
 					lastDense = true
 					break
 				}
@@ -309,7 +312,9 @@ func (m *Machine) memoryTime(st *ir.Stmt, speedup float64, ctx *progCtx) float64
 	loops := st.Loops
 	n := len(loops)
 	accs := make([]*ir.FlatAccess, 0, len(st.Reads)+1)
-	accs = append(accs, st.Reads...)
+	for i := range st.Reads {
+		accs = append(accs, &st.Reads[i])
+	}
 	if st.Write != nil {
 		accs = append(accs, st.Write)
 	}

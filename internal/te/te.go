@@ -191,6 +191,19 @@ type Node struct {
 	AnnotationHint string
 }
 
+// NumAxes returns the number of iteration axes, space and reduce.
+func (n *Node) NumAxes() int { return len(n.SpaceAxes) + len(n.ReduceAxes) }
+
+// Axis returns iteration axis i in Axes() order without building the
+// slice: the program path asks for one axis at a time, millions of times
+// per search.
+func (n *Node) Axis(i int) Axis {
+	if i < len(n.SpaceAxes) {
+		return n.SpaceAxes[i]
+	}
+	return n.ReduceAxes[i-len(n.SpaceAxes)]
+}
+
 // Axes returns all iteration axes, space axes first. The returned slice
 // indexes match the Axis field of Term.
 func (n *Node) Axes() []Axis {

@@ -229,8 +229,7 @@ func FuzzDecodeDAG(f *testing.F) {
 }
 
 // BenchmarkDAGCodec compares the two wire codecs on an encode+decode
-// round trip and reports payload bytes; CI converts this into the
-// BENCH_pr6.json codec rows.
+// round trip and reports payload bytes.
 func BenchmarkDAGCodec(b *testing.B) {
 	bb := NewBuilder("bench")
 	x := bb.Input("X", 1, 64, 56, 56)

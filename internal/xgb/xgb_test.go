@@ -294,8 +294,7 @@ func TestBoostFallsBackToFullFit(t *testing.T) {
 
 // BenchmarkFitVsBoost times one round of model updating at a realistic
 // accumulated-data size: a full refit over all rows vs boosting the
-// previous ensemble with the newest batch only. CI turns this into the
-// BENCH_pr6.json training rows.
+// previous ensemble with the newest batch only.
 func BenchmarkFitVsBoost(b *testing.B) {
 	progs, y := synth(1024, 13)
 	newStart := len(progs) - 64 // one measurement batch of new rows

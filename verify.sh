@@ -28,9 +28,12 @@ go test -short ./...
 # pool and everything sharded over it (measurement, evolution, cost-model
 # training, scheduler waves), the policy whose rounds drive them, and
 # internal/obs, whose sinks and registry are shared mutable state updated
-# from the search path and scraped concurrently.
+# from the search path and scraped concurrently. With them the program
+# path those goroutines share read-only — replayed states, their lowered
+# forms, the feature cache, the sampler's divisor memo — and its pooled
+# scratch.
 step "race: concurrent packages (short)"
-go test -race -short ./internal/pool/ ./internal/measure/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./ansor/
+go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./internal/feat/ ./internal/anno/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./ansor/
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite (including the

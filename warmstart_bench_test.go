@@ -28,7 +28,7 @@ func warmBenchDAG(b *testing.B) *ansor.DAG {
 
 // BenchmarkWarmStartConvergence measures how many policy-local trials a
 // warm-started job needs to reach the cold run's final best — the
-// fleet-warm-start payoff, tracked across PRs as BENCH_pr4.json. Four
+// fleet-warm-start payoff. Four
 // variants: cold (baseline, reports its full budget), warm from a local
 // log file, warm from a registry server (task-filtered query), and warm
 // across targets (avx512 job fed only avx2 history). Runs are
