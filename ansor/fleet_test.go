@@ -86,7 +86,6 @@ func startWorkers(t *testing.T, url string, target Target, capacities ...int) {
 	var wg sync.WaitGroup
 	for i, capy := range capacities {
 		w := fleet.NewWorker(url, target.Machine.Name+"-w"+string(rune('a'+i)), target.Machine, capy)
-		w.PollInterval = time.Millisecond
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -24,6 +24,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/measure"
 	"repro/internal/regserver"
+	"repro/internal/te"
 )
 
 // syncBuffer lets the server goroutine write stdout while the test
@@ -267,9 +268,15 @@ func TestFleetVerb(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	db := te.NewBuilder("mm")
+	db.Matmul(db.Input("A", 8, 8), 8, true)
+	dag, err := te.EncodeDAGBinary(db.MustFinish())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ack, err := cl.Submit(fleet.JobSpec{
 		Target: "cpu", Task: "t",
-		DAG:      json.RawMessage(`{"synthetic":true}`),
+		DAGBin:   dag,
 		Programs: []json.RawMessage{json.RawMessage(`["a"]`), json.RawMessage(`["b"]`)},
 	})
 	if err != nil || ack.Total != 2 {

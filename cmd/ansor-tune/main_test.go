@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/measure"
@@ -351,7 +350,6 @@ func TestFleetCLIRoundTrip(t *testing.T) {
 	machine := sim.IntelXeon() // -target intel
 	for i, capy := range []int{2, 4} {
 		w := fleet.NewWorker(hs.URL, fmt.Sprintf("cli-w%d", i), machine, capy)
-		w.PollInterval = time.Millisecond
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

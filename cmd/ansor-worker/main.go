@@ -1,8 +1,8 @@
 // Command ansor-worker is one measurement device of the distributed
 // fleet: it hosts an analytic machine model (the stand-in for one
-// physical board of the paper's measurement farm), polls the broker for
-// leased slices of measurement batches, times each program, and posts
-// the results back. Run as many workers as you have "boards" — the
+// physical board of the paper's measurement farm), long-polls the broker
+// for leased slices of measurement batches, times each program, and
+// posts the results back. Run as many workers as you have "boards" — the
 // broker shards batches across every worker registered for the job's
 // target, requeues slices when a worker dies mid-batch, and tuning
 // output stays bit-identical to a local run regardless (see DESIGN.md,
@@ -50,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -111,8 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		capacity    = fs.Int("capacity", 4, "programs per lease: how much of a batch this worker takes in one bite")
 		seed        = fs.Int64("seed", 1, "worker identity seed: distinguishes workers of the same target in the broker's failure accounting (give every worker of a fleet a distinct seed); measurement itself is seed-free")
 		id          = fs.String("id", "", "explicit worker id (default <target>-w<seed>)")
-		poll        = fs.Duration("poll", 25*time.Millisecond, "pacing delay between lease polls when long-polling is off or unsupported by the broker")
-		leaseWait   = fs.Duration("lease-wait", 10*time.Second, "broker-side long-poll per lease request: an idle worker blocks at the broker and starts measuring the instant work arrives (negative = classic interval polling)")
 		maxDist     = fs.Int("max-dispatch-distance", 1, "largest target distance this worker volunteers for when its native queue is idle: 0 = exact target only, 1 = same core family with a different vector ISA (e.g. avx2 <-> avx512); the broker caps it with its own -max-dispatch-distance")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
 		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, sibling grants, program errors, quarantine state), /metrics/prom or /metrics?format=prometheus (Prometheus text exposition), and /healthz; off when empty")
@@ -137,8 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-max-dispatch-distance must be >= 0, got %d", *maxDist)
 	}
 	w := fleet.NewWorker(*broker, wid, m, *capacity)
-	w.PollInterval = *poll
-	w.LeaseWait = *leaseWait
 	w.MaxDistance = *maxDist
 	if *events != "" {
 		sink, err := obs.OpenSink(*events)

@@ -52,7 +52,6 @@ func TestWorkerCLIServesJobs(t *testing.T) {
 		defer wg.Done()
 		done <- run(ctx, []string{
 			"-broker", hs.URL, "-target", "intel", "-capacity", "2", "-seed", "9",
-			"-poll", "1ms",
 		}, &out, &errb)
 	}()
 
@@ -65,7 +64,7 @@ func TestWorkerCLIServesJobs(t *testing.T) {
 	state := ir.NewState(dag)
 	want := measure.New(sim.IntelXeon(), 0, 1).Measure([]*ir.State{state})[0].NoiselessSeconds
 
-	encDAG, err := te.EncodeDAG(dag)
+	encDAG, err := te.EncodeDAGBinary(dag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestWorkerCLIServesJobs(t *testing.T) {
 	cl := fleet.NewClient(hs.URL)
 	ack, err := cl.Submit(fleet.JobSpec{
 		Target: "intel-20c-avx2", Task: "mm",
-		DAG: encDAG, Programs: []json.RawMessage{encSteps},
+		DAGBin: encDAG, Programs: []json.RawMessage{encSteps},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,27 +17,11 @@ import (
 )
 
 // BenchmarkFleetMeasure compares one measurement batch in-process
-// against a loopback fleet under three transport modes, at the default
-// per-round batch size (16, exp.Config.PerRound) and the full-config
-// size (64):
-//
-//   - mode=poll: the pre-long-poll wire discipline — JSON DAGs, the
-//     whole batch as one job, the worker waking every 25ms to ask for
-//     work and the client sleeping 10ms between status polls (the old
-//     shipped defaults, preserved here as the baseline).
-//   - mode=longpoll: leases and job-status calls block at the broker
-//     and return the instant work or results exist; still JSON and
-//     whole-batch.
-//   - mode=pipelined: the current defaults — long-polling plus binary
-//     DAG negotiation and chunked pipelined submission (chunk N+1
-//     ships while N is in flight).
-//
-// The poll-mode penalty is fixed per batch (worker poll pickup plus
-// client status-poll rounding), so it dominates exactly where tuning
-// lives: modest per-round batches submitted over and over. The
-// in-process case runs
-// single-threaded (Workers=1) so the comparison is transport overhead,
-// not core count.
+// against a loopback fleet of two workers, at the default per-round
+// batch size (16, exp.Config.PerRound: one chunk job) and the
+// full-config size (64: four chunk jobs, pipelined two deep). The
+// in-process case runs single-threaded (Workers=1) so the comparison is
+// transport overhead, not core count.
 func BenchmarkFleetMeasure(b *testing.B) {
 	machine := sim.IntelXeon()
 	bb := te.NewBuilder("mm")
@@ -51,40 +35,6 @@ func BenchmarkFleetMeasure(b *testing.B) {
 	}
 	all := anno.NewSampler(sketch.CPUTarget(), 7).SamplePopulation(sks, 64)
 
-	modes := []struct {
-		name   string
-		worker func(*Worker)
-		client func(*RemoteMeasurer)
-	}{
-		{
-			name: "mode=poll",
-			worker: func(w *Worker) {
-				w.LeaseWait = -1 // classic interval polling at the old default pace
-				w.PollInterval = 25 * time.Millisecond
-			},
-			client: func(rm *RemoteMeasurer) {
-				rm.JobWait = -1
-				rm.PollInterval = 10 * time.Millisecond
-				rm.ChunkPrograms = -1 // whole batch as one job
-				rm.Pipeline = 1
-				rm.Codec = te.WireJSON
-			},
-		},
-		{
-			name:   "mode=longpoll",
-			worker: func(w *Worker) {},
-			client: func(rm *RemoteMeasurer) {
-				rm.ChunkPrograms = -1
-				rm.Pipeline = 1
-				rm.Codec = te.WireJSON
-			},
-		},
-		{
-			name:   "mode=pipelined",
-			worker: func(w *Worker) {}, // current defaults: binary + chunked + pipelined
-			client: func(rm *RemoteMeasurer) {},
-		},
-	}
 	const workers = 2
 	for _, batch := range []int{16, 64} {
 		states := all[:batch]
@@ -96,38 +46,33 @@ func BenchmarkFleetMeasure(b *testing.B) {
 			}
 			reportBatch(b, len(states))
 		})
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("fleet-%s/batch=%d", mode.name, batch), func(b *testing.B) {
-				broker := NewBroker()
-				hs := httptest.NewServer(broker.Handler())
-				defer hs.Close()
-				ctx, cancel := context.WithCancel(context.Background())
-				var wg sync.WaitGroup
-				for i := 0; i < workers; i++ {
-					w := NewWorker(hs.URL, fmt.Sprintf("bench-w%d", i), machine, 16)
-					mode.worker(w)
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						_ = w.Run(ctx)
-					}()
+		b.Run(fmt.Sprintf("fleet/batch=%d", batch), func(b *testing.B) {
+			broker := NewBroker()
+			hs := httptest.NewServer(broker.Handler())
+			defer hs.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				w := NewWorker(hs.URL, fmt.Sprintf("bench-w%d", i), machine, 16)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = w.Run(ctx)
+				}()
+			}
+			defer wg.Wait()
+			defer cancel()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rm := NewRemoteMeasurer(hs.URL, machine.Name, 0.02, 3)
+				rm.Timeout = time.Minute
+				rm.MeasureTask("mm", states)
+				if err := rm.Err(); err != nil {
+					b.Fatal(err)
 				}
-				defer wg.Wait()
-				defer cancel()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rm := NewRemoteMeasurer(hs.URL, machine.Name, 0.02, 3)
-					rm.Timeout = time.Minute
-					mode.client(rm)
-					res := rm.MeasureTask("mm", states)
-					if err := rm.Err(); err != nil {
-						b.Fatal(err)
-					}
-					_ = res
-				}
-				reportBatch(b, len(states))
-			})
-		}
+			}
+			reportBatch(b, len(states))
+		})
 	}
 }
 

@@ -132,12 +132,9 @@ type job struct {
 	// events; submitted stamps arrival for the lease-wait histogram.
 	trace     string
 	submitted time.Time
-	// Exactly one of dag (JSON) / dagBin (binary codec) is set at
-	// submission; dagJSON caches the binary→JSON transcode the first
-	// time a legacy JSON-only worker leases this job.
-	dag      json.RawMessage
+	// dagBin is the submitted binary DAG, validated at the door and
+	// handed to workers verbatim.
 	dagBin   []byte
-	dagJSON  json.RawMessage
 	programs []json.RawMessage
 
 	results   []UnitResult
@@ -331,13 +328,7 @@ func (b *Broker) handleHealth(w http.ResponseWriter, r *http.Request) {
 	b.mu.Lock()
 	jobs, workers := len(b.jobs), len(b.workers)
 	b.mu.Unlock()
-	// formats advertises the DAG codecs this broker accepts; submitters
-	// only send binary after seeing it here (old brokers omit the key,
-	// so new clients degrade to JSON automatically).
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"ok": true, "jobs": jobs, "workers": workers,
-		"formats": []string{te.WireJSON, te.WireBinary},
-	})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "jobs": jobs, "workers": workers})
 }
 
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -360,40 +351,25 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "job carries no programs")
 		return
 	}
-	hasJSON := len(spec.DAG) > 0 && string(spec.DAG) != "null"
-	hasBin := len(spec.DAGBin) > 0
-	if !hasJSON && !hasBin {
-		writeError(w, http.StatusBadRequest, "job carries no dag")
+	if len(spec.DAGBin) == 0 {
+		writeError(w, http.StatusBadRequest, "job carries no dag_bin (the binary wire DAG)")
 		return
 	}
-	if hasJSON && hasBin {
-		writeError(w, http.StatusBadRequest, "job carries both dag and dag_bin; send exactly one")
+	// Reject undecodable DAGs at the door, once per job: a poisoned job
+	// would otherwise fail identically on every worker that leased it.
+	if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
+		writeError(w, http.StatusBadRequest, "bad binary dag: %v", err)
 		return
-	}
-	if hasBin {
-		// Reject undecodable binary DAGs at the door: validating here
-		// (once per job) is what lets the lazy JSON transcode for legacy
-		// workers be infallible later.
-		if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
-			writeError(w, http.StatusBadRequest, "bad binary dag: %v", err)
-			return
-		}
 	}
 	b.mu.Lock()
 	b.nextJob++
 	b.count("jobs_submitted").Inc()
-	if hasBin {
-		b.count("jobs_binary_dag").Inc()
-	} else {
-		b.count("jobs_json_dag").Inc()
-	}
 	j := &job{
 		id:        fmt.Sprintf("job-%d", b.nextJob),
 		target:    spec.Target,
 		task:      spec.Task,
 		trace:     spec.Trace,
 		submitted: b.now(),
-		dag:       spec.DAG,
 		dagBin:    spec.DAGBin,
 		programs:  spec.Programs,
 		results:   make([]UnitResult, len(spec.Programs)),
@@ -417,7 +393,7 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // dropped connection costs a retry, never the measurements. A GET with
 // ?wait_ms=N long-polls: the broker holds the request open until the
 // job completes or the wait expires, so the submitter makes one round
-// trip per batch instead of a sleep loop. The submitter acknowledges
+// trip per job. The submitter acknowledges
 // with DELETE once it holds the results; jobs whose submitter died
 // unacknowledged are evicted oldest-first past MaxDoneJobs. Both verbs
 // carry job results or destroy job state, so both sit behind the
@@ -576,17 +552,8 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 // queued falls through to sibling distances, nearest first, up to
 // min(req.MaxDistance, b.MaxDispatchDistance) — so an idle avx512
 // board drains an avx2 backlog, but never at the cost of its own
-// queue, and CPU ↔ GPU never dispatches. The DAG is served in the
-// richest format the worker accepts; binary-submitted jobs are
-// transcoded to JSON (once, cached) for legacy workers that sent no
-// Accept list. Callers hold b.mu.
+// queue, and CPU ↔ GPU never dispatches. Callers hold b.mu.
 func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
-	acceptBin := false
-	for _, f := range req.Accept {
-		if f == te.WireBinary {
-			acceptBin = true
-		}
-	}
 	maxDist := req.MaxDistance
 	if maxDist > b.MaxDispatchDistance {
 		maxDist = b.MaxDispatchDistance
@@ -638,30 +605,7 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		Target: j.target, Worker: req.Worker, Count: len(indices), Detail: detail})
 	grant := LeaseGrant{
 		Lease: l.id, Job: j.id, Task: j.task, Trace: j.trace, Target: j.target,
-		Indices: indices,
-	}
-	switch {
-	case len(j.dagBin) == 0:
-		grant.DAG = j.dag
-	case acceptBin:
-		grant.DAGBin = j.dagBin
-	default:
-		if j.dagJSON == nil {
-			b.count("dag_transcodes").Inc()
-			// Cannot fail: handleSubmit decoded this exact payload.
-			d, err := te.DecodeDAGBinary(j.dagBin)
-			if err == nil {
-				j.dagJSON, _ = te.EncodeDAG(d)
-			}
-		}
-		if j.dagJSON == nil {
-			// Unreachable guard: serve the binary anyway rather than
-			// hand out an empty DAG; the worker reports decode errors
-			// per program and the job still terminates.
-			grant.DAGBin = j.dagBin
-		} else {
-			grant.DAG = j.dagJSON
-		}
+		DAGBin: j.dagBin, Indices: indices,
 	}
 	for _, idx := range indices {
 		grant.Programs = append(grant.Programs, j.programs[idx])
@@ -746,14 +690,23 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	// A worker releases only the lease it holds. Results are accepted
+	// from anyone (first result wins), but a post naming another
+	// worker's lease id must leave that lease live: its unmeasured
+	// indices are covered by nothing but its expiry.
 	l := j.leases[post.Lease]
-	delete(j.leases, post.Lease)
+	if l != nil && l.worker != post.Worker {
+		l = nil
+	}
+	if l != nil {
+		delete(j.leases, l.id)
+	}
 	if ws := b.workers[post.Worker]; ws != nil {
 		ws.completed += int64(accepted)
 		// Fold the lease's observed throughput into the worker's rate
-		// EWMA (lease sizing under LeaseTarget). Only a live lease has a
-		// grant time to measure from; a zero or negative elapsed (fake
-		// clocks, sub-resolution batches) contributes nothing.
+		// EWMA (lease sizing under LeaseTarget). Only a lease the poster
+		// holds has a grant time to measure from; a zero or negative
+		// elapsed (fake clocks, sub-resolution batches) contributes nothing.
 		if l != nil && accepted > 0 {
 			if elapsed := b.now().Sub(l.granted).Seconds(); elapsed > 0 {
 				rate := float64(accepted) / elapsed
@@ -861,9 +814,6 @@ func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BytesIn:           snap.Counters["bytes_in"],
 		BytesOut:          snap.Counters["bytes_out"],
 		LeaseWakeups:      snap.Counters["lease_wakeups"],
-		JobsBinaryDAG:     snap.Counters["jobs_binary_dag"],
-		JobsJSONDAG:       snap.Counters["jobs_json_dag"],
-		DAGTranscodes:     snap.Counters["dag_transcodes"],
 		SiblingLeases:     snap.Counters["sibling_leases"],
 		SiblingPrograms:   snap.Counters["sibling_programs"],
 	}

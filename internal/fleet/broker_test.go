@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/te"
 )
 
 // fakeClock is a manually advanced time source for the broker's lease
@@ -38,10 +42,26 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// synthetic job parts: the broker is content-agnostic (it never decodes
-// DAGs or steps), so protocol tests use opaque placeholders.
+// synthDAG is a real wire DAG: the broker decodes every submission at
+// the door.
+var synthDAG = func() []byte {
+	b := te.NewBuilder("synth")
+	b.Matmul(b.Input("A", 8, 8), 8, true)
+	enc, err := te.EncodeDAGBinary(b.MustFinish())
+	if err != nil {
+		panic(err)
+	}
+	return enc
+}()
+
+// jsonDAG is a computation in JSON form, which is not a wire the broker
+// reads: only dag_bin is.
+const jsonDAG = `{"name":"synth","tensors":[{"name":"A","shape":[8,8],"elem_bytes":4}],"inputs":["A"],"nodes":[]}`
+
+// synthJob builds a protocol-test job: the broker never decodes step
+// lists, so the programs are opaque placeholders.
 func synthJob(target string, n int) JobSpec {
-	spec := JobSpec{Target: target, Task: "t", DAG: json.RawMessage(`{"synthetic":true}`)}
+	spec := JobSpec{Target: target, Task: "t", DAGBin: synthDAG}
 	for i := 0; i < n; i++ {
 		spec.Programs = append(spec.Programs, json.RawMessage(fmt.Sprintf(`["p%d"]`, i)))
 	}
@@ -107,6 +127,9 @@ func TestBrokerJobLifecycle(t *testing.T) {
 	}
 	if string(grant.Programs[1]) != `["p1"]` {
 		t.Fatalf("lease program payload mismatch: %s", grant.Programs[1])
+	}
+	if !bytes.Equal(grant.DAGBin, synthDAG) {
+		t.Fatal("the grant must carry the submitted dag_bin byte for byte")
 	}
 	post := ResultPost{Worker: "w1", Job: grant.Job, Lease: grant.Lease,
 		Results: []WorkerResult{{Index: 0, Noiseless: 1}, {Index: 1, Noiseless: 2}}}
@@ -294,6 +317,102 @@ func TestBrokerDuplicateResultsDropped(t *testing.T) {
 	}
 }
 
+// checkLeaseTable asserts the broker's lease-table invariant on every
+// held job: each program index is in exactly one of queued / leased /
+// done. Leased means held by a live lease and not yet done — a done
+// index lingers in the lease of a worker that lost the race for it until
+// that lease is released or reaped, which requeues undone indices only.
+func checkLeaseTable(t *testing.T, b *Broker, step string) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, j := range b.jobs {
+		in := make([]int, len(j.programs))
+		for idx, r := range j.results {
+			if r.Done {
+				in[idx]++
+			}
+		}
+		for _, idx := range j.queue {
+			in[idx]++
+		}
+		for _, l := range j.leases {
+			for _, idx := range l.indices {
+				if !j.results[idx].Done {
+					in[idx]++
+				}
+			}
+		}
+		for idx, n := range in {
+			if n != 1 {
+				t.Fatalf("after %s: %s program %d is in %d of queued/leased/done, want exactly 1", step, j.id, idx, n)
+			}
+		}
+	}
+}
+
+// TestBrokerForeignLeasePostKeepsLease: a worker releases only the lease
+// it holds. A post naming another worker's lease id has its results
+// accepted (first result wins) but must leave that lease live — were it
+// released, the holder dying would strand its indices outside queue,
+// lease table and results, and no expiry would ever requeue them.
+func TestBrokerForeignLeasePostKeepsLease(t *testing.T) {
+	clk := newFakeClock()
+	b, cl := testBroker(t, func(b *Broker) {
+		b.LeaseTTL = 30 * time.Second
+		b.now = clk.Now
+	})
+	ack, err := cl.Submit(synthJob("cpu", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLeaseTable(t, b, "submit")
+	a, err := cl.Lease(LeaseRequest{Worker: "a", Target: "cpu", Capacity: 2})
+	if err != nil || a == nil || len(a.Indices) != 2 {
+		t.Fatalf("a's lease: %+v err=%v", a, err)
+	}
+	checkLeaseTable(t, b, "a's lease")
+	own, err := cl.Lease(LeaseRequest{Worker: "b", Target: "cpu", Capacity: 1})
+	if err != nil || own == nil || len(own.Indices) != 1 {
+		t.Fatalf("b's lease: %+v err=%v", own, err)
+	}
+	checkLeaseTable(t, b, "b's lease")
+
+	// b returns its own program under a's lease id.
+	clk.Advance(time.Second)
+	ra, err := cl.PostResults(ResultPost{Worker: "b", Job: a.Job, Lease: a.Lease,
+		Results: []WorkerResult{{Index: own.Indices[0], Noiseless: 1}}})
+	if err != nil || ra.Accepted != 1 {
+		t.Fatalf("foreign-lease post: %+v err=%v, want the result accepted", ra, err)
+	}
+	checkLeaseTable(t, b, "foreign-lease post")
+	b.mu.Lock()
+	holder := b.jobs[ack.ID].leases[a.Lease]
+	b.mu.Unlock()
+	if holder == nil || holder.worker != "a" {
+		t.Fatalf("a's lease after b's post = %+v, want it still held by a", holder)
+	}
+	m, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range m.Workers {
+		if ws.ID == "b" && (ws.Completed != 1 || ws.RateEWMA != 0) {
+			t.Errorf("b after the foreign-lease post: %+v, want 1 completed and no rate credit from a's grant time", ws)
+		}
+	}
+
+	// a dies; its slice comes back through expiry and the job finishes.
+	clk.Advance(2 * b.LeaseTTL)
+	if n := drain(t, cl, "c", "cpu", 4); n != 2 {
+		t.Fatalf("replacement worker measured %d, want a's 2 requeued programs", n)
+	}
+	checkLeaseTable(t, b, "requeue and drain")
+	if st, err := cl.Job(ack.ID); err != nil || !st.Done {
+		t.Fatalf("job: %+v err=%v", st, err)
+	}
+}
+
 func TestBrokerAuth(t *testing.T) {
 	b := NewBroker()
 	b.AuthToken = "s3cret"
@@ -332,16 +451,22 @@ func TestBrokerAuth(t *testing.T) {
 }
 
 func TestBrokerRejectsMalformedJobs(t *testing.T) {
-	_, cl := testBroker(t, nil)
-	for name, spec := range map[string]JobSpec{
-		"no target":   {DAG: json.RawMessage(`{}`), Programs: []json.RawMessage{json.RawMessage(`[]`)}},
-		"no programs": {Target: "cpu", DAG: json.RawMessage(`{}`)},
-		"no dag":      {Target: "cpu", Programs: []json.RawMessage{json.RawMessage(`[]`)}},
+	b, cl := testBroker(t, nil)
+	programs := []json.RawMessage{json.RawMessage(`[]`)}
+	for name, spec := range map[string]interface{}{
+		"no target":   JobSpec{DAGBin: synthDAG, Programs: programs},
+		"no programs": JobSpec{Target: "cpu", DAGBin: synthDAG},
+		"no dag":      JobSpec{Target: "cpu", Programs: programs},
+		// A JSON DAG under the "dag" key is not a wire this broker reads.
+		"json dag only": map[string]interface{}{"target": "cpu", "programs": programs,
+			"dag": json.RawMessage(jsonDAG)},
 	} {
-		if _, err := cl.Submit(spec); err == nil {
-			t.Errorf("submit with %s should fail", name)
+		code, err := cl.do(http.MethodPost, "/v1/jobs", spec, nil)
+		if code != http.StatusBadRequest || err == nil {
+			t.Errorf("submit with %s: status %d err=%v, want 400", name, code, err)
 		}
 	}
+	assertNoJobs(t, b)
 	// Out-of-range result indices must not crash or corrupt a job.
 	if _, err := cl.Submit(synthJob("cpu", 1)); err != nil {
 		t.Fatal(err)
@@ -350,9 +475,24 @@ func TestBrokerRejectsMalformedJobs(t *testing.T) {
 	if err != nil || grant == nil {
 		t.Fatal("lease failed")
 	}
+	before := snapJob(b, grant.Job)
 	if _, err := cl.PostResults(ResultPost{Worker: "w", Job: grant.Job, Lease: grant.Lease,
-		Results: []WorkerResult{{Index: 7, Noiseless: 1}}}); err == nil {
-		t.Error("out-of-range result index should be rejected")
+		Results: []WorkerResult{{Index: 0, Noiseless: 1}, {Index: 7, Noiseless: 1}}}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range result index: err=%v, want the out-of-range refusal", err)
+	}
+	if after := snapJob(b, grant.Job); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused post was half-applied:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// assertNoJobs: refused submissions leave nothing behind.
+func assertNoJobs(t *testing.T, b *Broker) {
+	t.Helper()
+	b.mu.Lock()
+	held, submitted := len(b.jobs), b.count("jobs_submitted").Value()
+	b.mu.Unlock()
+	if held != 0 || submitted != 0 {
+		t.Errorf("refused submissions left %d jobs held, %d counted", held, submitted)
 	}
 }
 

@@ -35,11 +35,7 @@ func chaosResults(g *LeaseGrant) []WorkerResult {
 	if !ok {
 		return nil
 	}
-	payload := []byte(g.DAG)
-	if len(g.DAGBin) > 0 {
-		payload = g.DAGBin
-	}
-	dag, err := te.DecodeDAGAuto(payload)
+	dag, err := te.DecodeDAGBinary(g.DAGBin)
 	if err != nil {
 		return nil
 	}
@@ -207,11 +203,7 @@ func startForeignClockWorker(t *testing.T, url string, host *sim.Machine) {
 				}
 				continue
 			}
-			payload := []byte(g.DAG)
-			if len(g.DAGBin) > 0 {
-				payload = g.DAGBin
-			}
-			dag, err := te.DecodeDAGAuto(payload)
+			dag, err := te.DecodeDAGBinary(g.DAGBin)
 			if err != nil {
 				continue
 			}

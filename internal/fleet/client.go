@@ -109,19 +109,6 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Formats reports the DAG wire codecs the broker accepts, from its
-// /healthz. Brokers predating content negotiation omit the field; the
-// empty answer means JSON only.
-func (c *Client) Formats() ([]string, error) {
-	var h struct {
-		Formats []string `json:"formats"`
-	}
-	if _, err := c.do(http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return h.Formats, nil
-}
-
 // Submit enqueues one measurement batch.
 func (c *Client) Submit(spec JobSpec) (JobAck, error) {
 	var ack JobAck
@@ -139,10 +126,7 @@ func (c *Client) Job(id string) (JobStatus, error) {
 }
 
 // JobWait is Job with a broker-side long-poll: the broker holds the
-// request open up to wait until the job is done, so one round trip
-// replaces a sleep loop. Old brokers ignore the parameter and answer
-// immediately — callers guard against fast not-done answers before
-// looping.
+// request open up to wait (capped broker-side) until the job is done.
 func (c *Client) JobWait(id string, wait time.Duration) (JobStatus, error) {
 	if wait <= 0 {
 		return c.Job(id)
@@ -216,32 +200,14 @@ type RemoteMeasurer struct {
 	// measurement.
 	Cache    *measure.MeasuredSet
 	Recorder *measure.Recorder
-	// PollInterval is the delay between job polls when long-polling is
-	// off or the broker ignores it (default 10ms).
-	PollInterval time.Duration
-	// JobWait is the broker-side long-poll per job status request
-	// (default 10s; negative disables long-polling and falls back to the
-	// PollInterval sleep loop). With long-polling a batch costs one
-	// blocked round trip instead of hundreds of sleep-poll cycles.
-	JobWait time.Duration
 	// Timeout bounds one batch end to end (default 15m): a fleet with
 	// no live compatible worker fails the batch instead of hanging the
 	// search forever.
 	Timeout time.Duration
-	// Codec pins the DAG wire codec: te.WireBinary, te.WireJSON, or
-	// empty to negotiate (binary iff the broker's /healthz advertises
-	// it; the answer is cached for the measurer's lifetime).
-	Codec string
 	// Pipeline bounds how many chunk jobs of one batch are in flight at
 	// once (default 2): chunk N+1 is encoded and shipped while chunk N
 	// is still measuring, so workers never sit idle between chunks.
 	Pipeline int
-	// ChunkPrograms is how many programs one chunk job carries (default
-	// 16; negative ships the whole batch as a single job, the pre-
-	// pipelining behavior). Chunks fill disjoint result indices, so
-	// chunking is invisible in the output — the determinism contract
-	// does not care how a batch was sliced into jobs.
-	ChunkPrograms int
 	// Calibration, when set, scales foreign-clock sibling results (a
 	// worker that could not emulate this target's machine model and
 	// reported its own clock, UnitResult.Clock) onto the native clock.
@@ -270,9 +236,6 @@ type RemoteMeasurer struct {
 	// bytes a deterministic run produces.
 	traceSeq atomic.Int64
 
-	negOnce sync.Once
-	binOK   bool
-
 	mu  sync.Mutex
 	err error // first broker failure, latched for Err/Close
 }
@@ -283,12 +246,11 @@ type RemoteMeasurer struct {
 // where the machine model runs.
 func NewRemoteMeasurer(brokerURL, target string, noiseStd float64, seed int64) *RemoteMeasurer {
 	return &RemoteMeasurer{
-		cl:           NewClient(brokerURL),
-		target:       target,
-		noiseStd:     noiseStd,
-		seed:         seed,
-		PollInterval: 10 * time.Millisecond,
-		Timeout:      15 * time.Minute,
+		cl:       NewClient(brokerURL),
+		target:   target,
+		noiseStd: noiseStd,
+		seed:     seed,
+		Timeout:  15 * time.Minute,
 	}
 }
 
@@ -342,8 +304,7 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 	// Fresh programs (not cached, locally valid) go to the fleet,
 	// grouped per distinct DAG (policy batches share their task's DAG,
 	// so one group per call in practice), each group pipelined as chunk
-	// jobs. The DAG ships in the negotiated codec.
-	useBin := rm.useBinary()
+	// jobs.
 	byDAG := map[string][]int{}
 	var dagOrder []string
 	dagEnc := map[string][]byte{}
@@ -356,13 +317,7 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 			dagOrder = append(dagOrder, fp)
 			// A nil entry marks a DAG that failed to encode: the whole
 			// group errors without re-encoding per program.
-			var d []byte
-			if useBin {
-				d, _ = te.EncodeDAGBinary(states[i].DAG)
-			} else {
-				d, _ = te.EncodeDAG(states[i].DAG)
-			}
-			dagEnc[fp] = d
+			dagEnc[fp], _ = te.EncodeDAGBinary(states[i].DAG)
 		}
 		if dagEnc[fp] == nil {
 			out[i].Err = fmt.Errorf("fleet: dag %s failed to encode", fp)
@@ -378,7 +333,7 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 		if len(byDAG[fp]) == 0 {
 			continue // the group's DAG failed to encode; errors already set
 		}
-		rm.measureRemote(task, trace, dagEnc[fp], useBin, byDAG[fp], enc, states, out)
+		rm.measureRemote(task, trace, dagEnc[fp], byDAG[fp], enc, states, out)
 	}
 	var fresh int64
 	for i := range out {
@@ -443,29 +398,24 @@ func (rm *RemoteMeasurer) noisy(noiseless float64, sig string) float64 {
 	return noiseless * measure.NoiseFactor(rm.seed, rm.noiseStd, sig)
 }
 
-// useBinary decides the DAG wire codec once per measurer: an explicit
-// Codec wins; otherwise the broker's advertised formats decide
-// (negotiation failure means JSON — it always works).
-func (rm *RemoteMeasurer) useBinary() bool {
-	switch rm.Codec {
-	case te.WireJSON:
-		return false
-	case te.WireBinary:
-		return true
-	}
-	rm.negOnce.Do(func() {
-		formats, err := rm.cl.Formats()
-		if err != nil {
-			return
-		}
-		for _, f := range formats {
-			if f == te.WireBinary {
-				rm.binOK = true
-			}
-		}
-	})
-	return rm.binOK
-}
+// Wire discipline constants: one value each, none of them an option.
+const (
+	// chunkPrograms is how many programs one chunk job carries (the
+	// default per-round batch). Chunks fill disjoint result indices, so
+	// chunking is invisible in the output — the determinism contract
+	// does not care how a batch was sliced into jobs.
+	chunkPrograms = 16
+	// longPollWait is how long one lease or job-status request asks the
+	// broker to hold it open (inside the broker's maxWait cap and the
+	// client's HTTP timeout).
+	longPollWait = 10 * time.Second
+	// idlePause separates two requests after an empty answer (no lease,
+	// job not done) and is the base of the transport-error backoff, so
+	// no answer a broker can give turns a loop into a busy-wait.
+	idlePause = 10 * time.Millisecond
+	// maxBackoff caps the doubling transport-error backoff.
+	maxBackoff = 2 * time.Second
+)
 
 // measureRemote ships one DAG group to the fleet as pipelined chunk
 // jobs and fills the group's results. Chunk N+1 is encoded and
@@ -473,22 +423,15 @@ func (rm *RemoteMeasurer) useBinary() bool {
 // workers drain a steady queue instead of waiting for whole-batch
 // round trips. A broker failure fails that chunk's indices (the search
 // skips errored results) and latches for Err.
-func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, binary bool, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
-	chunk := rm.ChunkPrograms
-	if chunk == 0 {
-		chunk = 16
-	}
-	if chunk < 0 || chunk > len(indices) {
-		chunk = len(indices)
-	}
+func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
 	inflight := rm.Pipeline
 	if inflight <= 0 {
 		inflight = 2
 	}
 	sem := make(chan struct{}, inflight)
 	var wg sync.WaitGroup
-	for start := 0; start < len(indices); start += chunk {
-		end := start + chunk
+	for start := 0; start < len(indices); start += chunkPrograms {
+		end := start + chunkPrograms
 		if end > len(indices) {
 			end = len(indices)
 		}
@@ -500,7 +443,7 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, binary b
 		go func(part []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rm.runChunk(task, trace, dag, binary, part, enc, states, out)
+			rm.runChunk(task, trace, dag, part, enc, states, out)
 		}(part)
 	}
 	wg.Wait()
@@ -509,13 +452,8 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, binary b
 // runChunk submits one chunk job and fills its indices' results.
 // Distinct chunks write disjoint out[i] slots, so no synchronization
 // on out is needed.
-func (rm *RemoteMeasurer) runChunk(task, trace string, dag []byte, binary bool, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
-	spec := JobSpec{Target: rm.target, Task: task, Trace: trace}
-	if binary {
-		spec.DAGBin = dag
-	} else {
-		spec.DAG = dag
-	}
+func (rm *RemoteMeasurer) runChunk(task, trace string, dag []byte, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
+	spec := JobSpec{Target: rm.target, Task: task, Trace: trace, DAGBin: dag}
 	for _, i := range indices {
 		spec.Programs = append(spec.Programs, enc[i])
 	}
@@ -567,12 +505,11 @@ func (rm *RemoteMeasurer) runChunk(task, trace string, dag []byte, binary bool, 
 	}
 }
 
-// runJob submits a job and waits for completion: a long-poll GET per
-// round trip by default, a PollInterval sleep loop when JobWait is
-// negative or the broker ignores long-polls. Transport errors while
-// waiting are retried with capped exponential backoff (a broker
-// restart mid-batch costs a retry, not the batch); the submit itself
-// and HTTP-level refusals fail immediately.
+// runJob submits a job and waits for completion, one long-poll GET per
+// round trip. Transport errors while waiting are retried with capped
+// exponential backoff (a broker restart mid-batch costs a retry, not
+// the batch); the submit itself and HTTP-level refusals fail
+// immediately.
 func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 	queuedAt := rm.Obs.Now()
 	ack, err := rm.cl.Submit(spec)
@@ -581,26 +518,13 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 	}
 	rm.Obs.Emit(obs.Event{Type: obs.EvBatchQueued, Task: spec.Task, Trace: spec.Trace,
 		Job: ack.ID, Target: spec.Target, Count: len(spec.Programs)})
-	interval := rm.PollInterval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	wait := rm.JobWait
-	if wait == 0 {
-		wait = 10 * time.Second
-	}
-	if wait < 0 {
-		wait = 0
-	}
-	const maxBackoff = 2 * time.Second
-	backoff := interval
+	backoff := idlePause
 	deadline := time.Now().Add(rm.Timeout)
 	for {
-		t0 := time.Now()
 		// Never hold a long poll past the batch deadline: a fleet with no
 		// compatible worker must fail at Timeout, not at Timeout rounded
 		// up to the next wait.
-		w := wait
+		w := longPollWait
 		if rm.Timeout > 0 {
 			if rem := time.Until(deadline); rem < w {
 				w = rem
@@ -617,7 +541,7 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 			}
 			return nil, err
 		}
-		backoff = interval
+		backoff = idlePause
 		if st.Done {
 			if len(st.Results) != len(spec.Programs) {
 				return nil, fmt.Errorf("job %s returned %d results for %d programs", ack.ID, len(st.Results), len(spec.Programs))
@@ -634,12 +558,7 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 			return nil, fmt.Errorf("job %s timed out after %s (%d/%d measured; is a worker for target %q registered and alive?)",
 				ack.ID, rm.Timeout, st.Completed, st.Total, rm.target)
 		}
-		// Pace the loop when long-polling is off — or when an old broker
-		// ignored the wait and answered instantly (a fast not-done answer
-		// to a long poll), which must not become a busy-wait.
-		if wait <= 0 || time.Since(t0) < 5*time.Millisecond {
-			time.Sleep(interval)
-		}
+		time.Sleep(idlePause)
 	}
 }
 

@@ -21,8 +21,8 @@
 //     worker's observed programs/sec EWMA, so fast boards drain more of
 //     the queue per round trip.
 //
-//   - Worker (cmd/ansor-worker) — hosts a sim.Machine, polls the broker
-//     for leases, replays + lowers + times each leased program, and
+//   - Worker (cmd/ansor-worker) — hosts a sim.Machine, long-polls the
+//     broker for leases, replays + lowers + times each leased program, and
 //     posts NOISELESS times back. Workers are stateless and
 //     interchangeable: nothing a worker computes depends on worker
 //     identity.
@@ -46,11 +46,7 @@ package fleet
 
 import "encoding/json"
 
-// JobSpec is one submitted measurement batch (POST /v1/jobs). The DAG
-// travels in exactly one of two codecs: DAG (JSON, te.EncodeDAG) or
-// DAGBin (the compact binary codec, te.EncodeDAGBinary). Submitters
-// pick the binary form only when the broker's /healthz advertises it,
-// so a new client degrades cleanly against an old broker.
+// JobSpec is one submitted measurement batch (POST /v1/jobs).
 type JobSpec struct {
 	// Target names the machine model programs must be timed on; only
 	// workers registered with exactly this target are leased the job.
@@ -62,14 +58,11 @@ type JobSpec struct {
 	// only, like Task): the broker echoes it on every lease grant and
 	// event for the job, so a JSONL event stream reconstructs each
 	// batch's queued→leased→measured→reported timeline. Deterministic —
-	// a counter scoped to the submitting measurer, never a clock. Old
-	// brokers ignore the field (unknown JSON keys); old clients omit it.
+	// a counter scoped to the submitting measurer, never a clock.
 	Trace string `json:"trace,omitempty"`
-	// DAG is the computation, wire-encoded by te.EncodeDAG (JSON).
-	DAG json.RawMessage `json:"dag,omitempty"`
 	// DAGBin is the computation in the binary wire format
-	// (te.EncodeDAGBinary); set instead of DAG by binary-capable
-	// submitters.
+	// (te.EncodeDAGBinary). The broker decodes it at the door and
+	// refuses a job whose dag_bin is missing or does not decode.
 	DAGBin []byte `json:"dag_bin,omitempty"`
 	// Programs holds one ir.EncodeSteps step list per program.
 	Programs []json.RawMessage `json:"programs"`
@@ -92,24 +85,14 @@ type LeaseRequest struct {
 	Target string `json:"target"`
 	// Capacity bounds how many programs one lease may carry.
 	Capacity int `json:"capacity"`
-	// Accept lists the DAG wire formats this worker decodes (te.WireJSON,
-	// te.WireBinary). Empty means a legacy JSON-only worker: the broker
-	// transcodes binary-submitted jobs to JSON for it. Old brokers ignore
-	// the field entirely (unknown JSON keys), which is also correct —
-	// they only ever hold JSON DAGs.
-	Accept []string `json:"accept,omitempty"`
 	// WaitMS asks the broker to hold this request open up to WaitMS
 	// milliseconds when no work is available (long-poll), answering the
-	// instant a compatible job arrives. 0 preserves the old
-	// immediate-204 behavior; old brokers ignore the field and answer
-	// immediately, so workers guard against fast empty answers before
-	// re-polling.
+	// instant a compatible job arrives. 0 answers 204 at once.
 	WaitMS int64 `json:"wait_ms,omitempty"`
-	// MaxDistance is the largest warm.TargetDistance job this worker
+	// MaxDistance is the largest measure.TargetDistance job this worker
 	// will take when its native queue is empty (near-sibling dispatch):
-	// 0 = exact match only (the legacy behavior and the zero value old
-	// workers imply by omitting the field), 1 = same core family with a
-	// different vector ISA (avx2 ↔ avx512), 2 = same hardware class.
+	// 0 = exact match only, 1 = same core family with a different
+	// vector ISA (avx2 ↔ avx512), 2 = same hardware class.
 	// The broker also enforces its own -max-dispatch-distance cap; the
 	// effective bound is the smaller of the two. CPU ↔ GPU (distance 3)
 	// is never dispatched.
@@ -125,13 +108,10 @@ type LeaseGrant struct {
 	Job   string `json:"job"`
 	Task  string `json:"task,omitempty"`
 	// Trace echoes the submitter's JobSpec.Trace so worker-side events
-	// join the same per-batch timeline. Empty from old brokers.
+	// join the same per-batch timeline.
 	Trace  string `json:"trace,omitempty"`
 	Target string `json:"target"`
-	// Exactly one of DAG (JSON) and DAGBin (binary codec) is set,
-	// according to the worker's Accept list; te.DecodeDAGAuto handles
-	// either.
-	DAG      json.RawMessage   `json:"dag,omitempty"`
+	// DAGBin is the job's submitted dag_bin, byte for byte.
 	DAGBin   []byte            `json:"dag_bin,omitempty"`
 	Indices  []int             `json:"indices"`
 	Programs []json.RawMessage `json:"programs"`
@@ -244,14 +224,8 @@ type Metrics struct {
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"`
 	// LeaseWakeups counts lease long-polls that blocked and were then
-	// answered with work (each one is a poll-loop round trip the old
-	// protocol would have burned).
+	// answered with work.
 	LeaseWakeups int64 `json:"lease_wakeups"`
-	// Jobs by submitted DAG codec, and how many binary jobs had to be
-	// transcoded to JSON for a legacy worker.
-	JobsBinaryDAG int64 `json:"jobs_binary_dag"`
-	JobsJSONDAG   int64 `json:"jobs_json_dag"`
-	DAGTranscodes int64 `json:"dag_transcodes"`
 	// SiblingLeases / SiblingPrograms count near-sibling dispatch: leases
 	// granted to a worker whose target differs from the job's (and the
 	// programs they carried). Zero on a fleet where every target has its

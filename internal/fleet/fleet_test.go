@@ -43,7 +43,6 @@ func startWorkers(t *testing.T, brokerURL string, machine *sim.Machine, capaciti
 	var wg sync.WaitGroup
 	for i, capy := range capacities {
 		w := NewWorker(brokerURL, machine.Name+"-w"+string(rune('a'+i)), machine, capy)
-		w.PollInterval = time.Millisecond
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -70,7 +69,6 @@ func startBroker(t *testing.T, mutate func(*Broker)) string {
 func remote(t *testing.T, url string, machine *sim.Machine, noise float64, seed int64) *RemoteMeasurer {
 	t.Helper()
 	rm := NewRemoteMeasurer(url, machine.Name, noise, seed)
-	rm.PollInterval = time.Millisecond
 	rm.Timeout = 30 * time.Second
 	return rm
 }
@@ -269,7 +267,6 @@ func TestWorkerRunExitsOnQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWorker(url, "w-sick", machine, 1)
-	w.PollInterval = time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "quarantined") {
@@ -282,11 +279,11 @@ func TestWorkerRunExitsOnQuarantine(t *testing.T) {
 func TestWorkerMeasurementMatchesMeasurer(t *testing.T) {
 	machine := sim.IntelXeonAVX512()
 	states := sampleStates(t, 6)
-	encDAG, err := te.EncodeDAG(states[0].DAG)
+	encDAG, err := te.EncodeDAGBinary(states[0].DAG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dag, err := te.DecodeDAG(encDAG)
+	dag, err := te.DecodeDAGBinary(encDAG)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -40,7 +39,6 @@ func TestWorkerMetricsEndpoints(t *testing.T) {
 	machine := sim.IntelXeon()
 	url := startBroker(t, nil)
 	w := NewWorker(url, "obs-w1", machine, 4)
-	w.PollInterval = time.Millisecond
 	sink := &obs.MemorySink{}
 	w.Obs.Events = sink
 	ctx, cancel := context.WithCancel(context.Background())
@@ -161,7 +159,6 @@ func TestBrokerMetricsEndpoints(t *testing.T) {
 		"programs_queued", "programs_leased", "programs_completed",
 		"lease_expiries", "duplicate_results", "workers", "quarantined",
 		"uptime_seconds", "bytes_in", "bytes_out", "lease_wakeups",
-		"jobs_binary_dag", "jobs_json_dag", "dag_transcodes",
 		"sibling_leases", "sibling_programs",
 	} {
 		if _, ok := payload[key]; !ok {

@@ -13,7 +13,7 @@ import (
 )
 
 // Worker is one measurement device of the fleet: it hosts a machine
-// model, polls the broker for leases, replays + lowers + times every
+// model, long-polls the broker for leases, replays + lowers + times every
 // leased program, and posts the noiseless times back. Workers are
 // stateless — a worker can crash, restart, or be replaced at any time
 // and the broker's lease expiry puts its in-flight slice back in the
@@ -27,19 +27,6 @@ type Worker struct {
 	Machine *sim.Machine
 	// Capacity bounds how many programs one lease may carry.
 	Capacity int
-	// PollInterval is the idle delay between lease polls when
-	// long-polling is off or the broker ignores it (default 25ms).
-	PollInterval time.Duration
-	// LeaseWait is the broker-side long-poll per lease request (default
-	// 10s; negative disables long-polling and restores the fixed
-	// PollInterval sleep loop). With long-polling an idle worker blocks
-	// at the broker and starts measuring the instant work arrives,
-	// instead of discovering it up to a poll interval late.
-	LeaseWait time.Duration
-	// Accept lists the DAG wire formats this worker advertises (default
-	// both te.WireBinary and te.WireJSON). Tests pin it to JSON only to
-	// exercise the broker's legacy transcoding path.
-	Accept []string
 	// MaxDistance is the largest measure.TargetDistance job this worker
 	// volunteers for when its native target has no queued work
 	// (near-sibling dispatch): 0 = exact match only, 1 (NewWorker's
@@ -70,14 +57,13 @@ func NewWorker(brokerURL, id string, m *sim.Machine, capacity int) *Worker {
 		capacity = 1
 	}
 	return &Worker{
-		ID:           id,
-		Machine:      m,
-		Capacity:     capacity,
-		PollInterval: 25 * time.Millisecond,
-		MaxDistance:  1,
-		Obs:          obs.New(nil, obs.NewRegistry()),
-		cl:           NewClient(brokerURL),
-		started:      time.Now(),
+		ID:          id,
+		Machine:     m,
+		Capacity:    capacity,
+		MaxDistance: 1,
+		Obs:         obs.New(nil, obs.NewRegistry()),
+		cl:          NewClient(brokerURL),
+		started:     time.Now(),
 	}
 }
 
@@ -94,22 +80,12 @@ func (w *Worker) count(name string) *obs.Counter {
 // Ping checks the broker is reachable.
 func (w *Worker) Ping() error { return w.cl.Ping() }
 
-// RunOnce performs one lease cycle: poll, measure, post. It reports
-// whether any work was done; (false, nil) means the broker had nothing
-// for this worker's target. The lease request advertises the worker's
-// accepted DAG formats and long-poll wait; grants may carry the DAG in
-// either codec.
-func (w *Worker) RunOnce() (bool, error) {
-	return w.runOnce(context.Background())
-}
-
+// runOnce performs one lease cycle: long-poll for a lease, measure,
+// post. It reports whether any work was done; (false, nil) means the
+// broker had nothing for this worker within the wait.
 func (w *Worker) runOnce(ctx context.Context) (bool, error) {
-	req := LeaseRequest{Worker: w.ID, Target: w.Machine.Name, Capacity: w.Capacity,
-		Accept: w.accept(), MaxDistance: w.MaxDistance}
-	if wait := w.leaseWait(); wait > 0 {
-		req.WaitMS = wait.Milliseconds()
-	}
-	grant, err := w.cl.LeaseContext(ctx, req)
+	grant, err := w.cl.LeaseContext(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
+		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), MaxDistance: w.MaxDistance})
 	if err != nil {
 		return false, err
 	}
@@ -140,11 +116,7 @@ func (w *Worker) runOnce(ctx context.Context) (bool, error) {
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerLease, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(grant.Indices)})
 	post := ResultPost{Worker: w.ID, Job: grant.Job, Lease: grant.Lease}
-	payload := []byte(grant.DAG)
-	if len(grant.DAGBin) > 0 {
-		payload = grant.DAGBin
-	}
-	dag, err := te.DecodeDAGAuto(payload)
+	dag, err := te.DecodeDAGBinary(grant.DAGBin)
 	if err != nil {
 		// A bad DAG fails every program of the slice as a program error:
 		// it would fail identically on every other worker, so requeueing
@@ -200,42 +172,17 @@ func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []b
 	return WorkerResult{Index: index, Noiseless: m.Time(low)}
 }
 
-// accept returns the advertised DAG formats (default: both codecs).
-func (w *Worker) accept() []string {
-	if w.Accept != nil {
-		return w.Accept
-	}
-	return []string{te.WireBinary, te.WireJSON}
-}
-
-// leaseWait resolves the effective long-poll duration (0 = disabled).
-func (w *Worker) leaseWait() time.Duration {
-	if w.LeaseWait < 0 {
-		return 0
-	}
-	if w.LeaseWait == 0 {
-		return 10 * time.Second
-	}
-	return w.LeaseWait
-}
-
-// Run polls the broker until ctx is cancelled. Transport errors are
-// retried with capped exponential backoff (a broker restart must not
-// kill the fleet, and a dead broker must not be hammered); quarantine
-// is terminal — the broker has decided this worker is sick, so it
-// exits with ErrQuarantined for the operator to notice. With
-// long-polling (the default) an idle worker blocks broker-side and
-// re-leases immediately; the PollInterval pause only paces workers
-// talking to brokers that ignore long-polls.
+// Run leases from the broker until ctx is cancelled. Transport errors
+// are retried with capped exponential backoff (a broker restart must
+// not kill the fleet, and a dead broker must not be hammered);
+// quarantine is terminal — the broker has decided this worker is sick,
+// so it exits with ErrQuarantined for the operator to notice. An idle
+// worker blocks broker-side in the lease long-poll and starts measuring
+// the instant work arrives; an empty answer pauses idlePause before the
+// next request.
 func (w *Worker) Run(ctx context.Context) error {
-	interval := w.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	const maxBackoff = 2 * time.Second
-	backoff := interval
+	backoff := idlePause
 	for {
-		t0 := time.Now()
 		worked, err := w.runOnce(ctx)
 		if errors.Is(err, ErrQuarantined) {
 			if w.Obs != nil && w.Obs.Metrics != nil {
@@ -246,25 +193,17 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if err == nil {
-			backoff = interval
-			if worked {
-				// More work may be queued; lease again immediately.
-				continue
-			}
-			// Idle. A long-polled lease already blocked broker-side, so
-			// loop straight into the next one — unless the answer came
-			// back suspiciously fast (an old broker ignoring WaitMS),
-			// which must not become a busy-wait.
-			if w.leaseWait() > 0 && time.Since(t0) >= 5*time.Millisecond {
-				continue
-			}
-		}
-		pause := interval
+		pause := idlePause
 		if err != nil {
 			pause = backoff
 			if backoff *= 2; backoff > maxBackoff {
 				backoff = maxBackoff
+			}
+		} else {
+			backoff = idlePause
+			if worked {
+				// More work may be queued; lease again immediately.
+				continue
 			}
 		}
 		select {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,9 +16,6 @@ func goldenSeeds(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.log"))
 	if err != nil {
 		f.Fatal(err)
-	}
-	if js, err := filepath.Glob(filepath.Join("testdata", "*.json")); err == nil {
-		paths = append(paths, js...)
 	}
 	if len(paths) == 0 {
 		f.Fatal("no testdata golden logs found")
@@ -32,7 +30,7 @@ func goldenSeeds(f *testing.F) {
 }
 
 // FuzzLogLoad hammers the log parser with arbitrary bytes: malformed,
-// truncated, and legacy inputs must never panic, must report the same
+// truncated, and single-object inputs must never panic, must report the same
 // (record count, error) on every load of the same bytes, and whatever
 // loads cleanly must survive a save/load round trip unchanged.
 func FuzzLogLoad(f *testing.F) {
@@ -44,6 +42,7 @@ func FuzzLogLoad(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"records":[{"task":"a","steps":[]}],"steps":[]}`))
+	f.Add([]byte(`{"records":[{"task":"mm","steps":[],"seconds":0.5}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l1, err1 := Load(bytes.NewReader(data))
 		l2, err2 := Load(bytes.NewReader(data))
@@ -82,9 +81,8 @@ func FuzzLogLoad(f *testing.F) {
 }
 
 // TestGoldenLogFormat pins the on-disk log format: the committed golden
-// files must keep loading with the same contents, and the line-oriented
-// file must re-save byte-identically (append-compatibility across
-// versions).
+// file must keep loading with the same contents and re-save
+// byte-identically (append-compatibility across versions).
 func TestGoldenLogFormat(t *testing.T) {
 	lines, err := LoadFile(filepath.Join("testdata", "golden_lines.log"))
 	if err != nil {
@@ -111,25 +109,12 @@ func TestGoldenLogFormat(t *testing.T) {
 		t.Error("re-saving the golden line-oriented log changed its bytes; the log format drifted")
 	}
 
-	legacy, err := LoadFile(filepath.Join("testdata", "golden_legacy.json"))
-	if err != nil {
-		t.Fatalf("golden legacy log no longer loads: %v", err)
-	}
-	if len(legacy.Records) != 2 {
-		t.Fatalf("golden_legacy.json: want 2 records, got %d", len(legacy.Records))
-	}
-	for i, rec := range legacy.Records {
-		if rec.Target != "" || rec.DAG != "" || rec.Noiseless != 0 {
-			t.Errorf("legacy record %d should lack target/dag/noiseless: %+v", i, rec)
-		}
-		if rec.Task == "" || rec.Seconds <= 0 || len(rec.Steps) == 0 {
-			t.Errorf("legacy record %d lost fields: %+v", i, rec)
-		}
-	}
-	// Legacy records and line records of the same tuning run agree.
-	if legacy.Records[0].Sig != lines.Records[0].Sig ||
-		legacy.Records[0].Seconds != lines.Records[0].Seconds {
-		t.Error("legacy and line-oriented golden logs diverged")
+	// The same records wrapped in one {"records": [...]} object are not
+	// a log: a log is one record per JSON value.
+	object := append([]byte(`{"records":[`), bytes.ReplaceAll(bytes.TrimSpace(raw), []byte("\n"), []byte(","))...)
+	object = append(object, "]}"...)
+	if l, err := Load(bytes.NewReader(object)); err == nil || !strings.Contains(err.Error(), "not a record") {
+		t.Errorf("single-object log loaded as %+v, err=%v; want the not-a-record refusal", l, err)
 	}
 
 	_, err = LoadFile(filepath.Join("testdata", "truncated.log"))

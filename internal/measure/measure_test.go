@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -166,19 +167,17 @@ func TestLogLineOrientedAndLegacyLoad(t *testing.T) {
 		t.Fatalf("loaded %d records, want 4", len(loaded.Records))
 	}
 
-	// Legacy single-object format still loads.
-	legacy := []byte(`{"records":[{"task":"mm","steps":[],"seconds":0.5}]}`)
-	l2, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l2.Records) != 1 || l2.Records[0].Seconds != 0.5 || l2.Records[0].Target != "" {
-		t.Fatalf("legacy load wrong: %+v", l2.Records)
-	}
-
-	// Garbage errors out.
-	if _, err := Load(bytes.NewReader([]byte(`{"neither":1}`))); err == nil {
-		t.Error("non-record JSON should fail to load")
+	// Anything that is not a record is refused, the single-object
+	// {"records": [...]} form included — also after good records, and
+	// without handing back a partial log.
+	for _, bad := range []string{
+		`{"records":[{"task":"mm","steps":[],"seconds":0.5}]}`,
+		`{"neither":1}`,
+		`{"task":"mm","steps":[],"seconds":0.5}` + "\n" + `{"records":[]}`,
+	} {
+		if l, err := Load(strings.NewReader(bad)); err == nil || l != nil || !strings.Contains(err.Error(), "not a record") {
+			t.Errorf("Load(%s) = %+v, %v; want the not-a-record refusal", bad, l, err)
+		}
 	}
 }
 

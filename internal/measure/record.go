@@ -26,8 +26,8 @@ type Record struct {
 	// or a network task name).
 	Task string `json:"task"`
 	// Target names the machine model the time was measured on
-	// (sim.Machine.Name); empty in logs written before targets were
-	// recorded.
+	// (sim.Machine.Name). NewRecord always stamps it; a record without
+	// one is filed under the empty name, a target like any other.
 	Target string `json:"target,omitempty"`
 	// Sig is the program's structural signature (ir.State.Signature),
 	// recorded for inspection and search-level dedupe. The measured-set
@@ -36,14 +36,14 @@ type Record struct {
 	// DAG fingerprints the computation the steps rewrite
 	// (DAGFingerprint): one task name can cover several shapes (e.g. the
 	// batch variants of a workload), and a cache serve is only valid for
-	// the exact computation that was measured. Empty in legacy logs.
+	// the exact computation that was measured.
 	DAG   string          `json:"dag,omitempty"`
 	Steps json.RawMessage `json:"steps"`
 	// Seconds is the measured time including the deterministic
 	// per-program noise.
 	Seconds float64 `json:"seconds"`
-	// Noiseless is the machine model's exact time. Zero in legacy logs;
-	// derivable from Seconds only up to float rounding, so it is stored.
+	// Noiseless is the machine model's exact time: derivable from
+	// Seconds only up to float rounding, so it is stored.
 	Noiseless float64 `json:"noiseless,omitempty"`
 	// MeasuredOn names the machine that physically timed the program
 	// when near-sibling fleet dispatch ran it somewhere other than
@@ -97,7 +97,7 @@ func DAGFingerprint(d *te.DAG) string {
 
 // Log is an append-only collection of records.
 type Log struct {
-	Records []Record `json:"records"`
+	Records []Record
 }
 
 // Add appends a successful measurement to the log.
@@ -132,8 +132,7 @@ func (l *Log) AddAll(task, target string, rs []Result) (int, error) {
 }
 
 // Save writes the log line-oriented: one JSON record per line, so long
-// runs can append records without rewriting the file. Load accepts both
-// this format and the old single-object {"records": [...]} format.
+// runs can append records without rewriting the file.
 func (l *Log) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, rec := range l.Records {
@@ -157,36 +156,20 @@ func (l *Log) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load parses a log written by Save: a stream of JSON values, each
-// either one record (the line-oriented format) or a whole legacy
-// {"records": [...]} object.
+// Load parses a log written by Save: a stream of JSON values, each one
+// record. Any other value — a record carries its steps — is refused.
 func Load(r io.Reader) (*Log, error) {
 	dec := json.NewDecoder(r)
 	l := &Log{}
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+		var rec Record
+		if err := dec.Decode(&rec); err == io.EOF {
 			return l, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("measure: load log: %w", err)
 		}
-		var probe struct {
-			Records []Record        `json:"records"`
-			Steps   json.RawMessage `json:"steps"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("measure: load log: %w", err)
-		}
-		if probe.Records != nil {
-			l.Records = append(l.Records, probe.Records...)
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("measure: load log: %w", err)
-		}
 		if rec.Steps == nil {
-			return nil, fmt.Errorf("measure: load log: entry is neither a record nor a record list")
+			return nil, fmt.Errorf("measure: load log: entry is not a record")
 		}
 		l.Records = append(l.Records, rec)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzRegistryLoadFile hammers registry loading with arbitrary file
-// contents: malformed, truncated, and legacy inputs must never panic,
+// contents: malformed, truncated, and single-object inputs must never panic,
 // must report the same (key count, error) on every load, and a clean
 // load must be a fixed point of save-then-load (compaction is
 // idempotent).
@@ -85,10 +85,21 @@ func TestGoldenRegistryFormat(t *testing.T) {
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("golden registry keys drifted:\n got %v\nwant %v", keys, want)
 	}
-	// The legacy (target-less) entry serves as a fallback for any
-	// target.
-	if _, ok := r.Best("OldOp", "some-new-machine", "ffff"); !ok {
-		t.Error("legacy entry should serve any target as a fallback")
+	// A key is exactly (workload, target, dag): the target-less entry is
+	// served under ("", "") and for no other target, and no entry is
+	// served for another shape of its workload.
+	if rec, ok := r.Best("OldOp", "", ""); !ok || rec.Sig != "legacy;" {
+		t.Errorf("target-less entry under its exact key: %+v ok=%v", rec, ok)
+	}
+	for _, miss := range []Key{
+		{"OldOp", "some-new-machine", "ffff"},
+		{"OldOp", "intel-20c-avx2", ""},
+		{"GMM.s1", "intel-20c-avx2", "ffff"},
+		{"GMM.s1", "", ""},
+	} {
+		if rec, ok := r.Best(miss.Workload, miss.Target, miss.DAG); ok {
+			t.Errorf("Best(%v) served %+v, want a miss", miss, rec)
+		}
 	}
 
 	raw, err := os.ReadFile(path)

@@ -38,9 +38,9 @@ const DefaultShards = 16
 type Key struct {
 	// Workload is the task name the schedule was tuned for.
 	Workload string
-	// Target is the machine model name it was measured on. Legacy
-	// records carry neither target nor DAG fingerprint and are stored
-	// under ("", ""), acting as a fallback for any target/shape.
+	// Target is the machine model name it was measured on. A record
+	// without target or DAG fingerprint is stored under ("", "") and
+	// served for exactly that key, like any other.
 	Target string
 	// DAG is the computation fingerprint (measure.DAGFingerprint).
 	DAG string
@@ -294,16 +294,12 @@ func (r *Registry) lookupStamp(k Key, stamp bool) (*entry, bool) {
 }
 
 // Best returns the fastest record for the workload's exact computation
-// (DAG fingerprint) on the target, falling back to a legacy entry
-// (recorded before targets/fingerprints existed) if no exact match
-// exists. A record of a different shape of the same task name is never
-// returned: its schedule and time do not transfer. Serving through Best
-// marks the entry recently-queried for MaxKeys eviction.
+// (DAG fingerprint) on the target. A record of a different shape or
+// target of the same task name is never returned: its schedule and time
+// do not transfer. Serving through Best marks the entry recently-queried
+// for MaxKeys eviction.
 func (r *Registry) Best(workload, target, dag string) (measure.Record, bool) {
-	if e, ok := r.lookupStamp(Key{workload, target, dag}, true); ok {
-		return e.rec, true
-	}
-	e, ok := r.lookupStamp(Key{workload, "", ""}, true)
+	e, ok := r.lookupStamp(Key{workload, target, dag}, true)
 	if !ok {
 		return measure.Record{}, false
 	}
@@ -316,10 +312,7 @@ func (r *Registry) Best(workload, target, dag string) (measure.Record, bool) {
 // entirely — without the touch, the hottest keys would look idle to
 // MaxKeys eviction.
 func (r *Registry) Touch(workload, target, dag string) {
-	if _, ok := r.lookupStamp(Key{workload, target, dag}, true); ok {
-		return
-	}
-	r.lookupStamp(Key{workload, "", ""}, true)
+	r.lookupStamp(Key{workload, target, dag}, true)
 }
 
 // BestFor is Best keyed by the computation itself.

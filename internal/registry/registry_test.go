@@ -81,25 +81,6 @@ func TestRegistryApplyBestReplays(t *testing.T) {
 	}
 }
 
-func TestRegistryLegacyTargetFallback(t *testing.T) {
-	r := New()
-	r.Add(measure.Record{Task: "mm", Seconds: 0.5, Steps: []byte("[]")})
-	if _, ok := r.Best("mm", "some-machine", "somedag"); !ok {
-		t.Error("legacy record (no target, no fingerprint) should serve any target/shape")
-	}
-	r.Add(measure.Record{Task: "mm", Target: "some-machine", DAG: "somedag", Seconds: 0.7, Steps: []byte("[]")})
-	best, _ := r.Best("mm", "some-machine", "somedag")
-	if best.Target != "some-machine" {
-		t.Error("exact match must win over legacy fallback")
-	}
-	// A record of a different shape under the same name is not served
-	// (falls back to the legacy entry here, which has no shape claim).
-	other, _ := r.Best("mm", "some-machine", "otherdag")
-	if other.DAG == "somedag" {
-		t.Error("a different shape's record must never be served")
-	}
-}
-
 func TestRegistrySaveLoadMerge(t *testing.T) {
 	dag := mmDAG(t)
 	l := measuredLog(t, dag)

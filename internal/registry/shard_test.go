@@ -22,7 +22,7 @@ func srec(task, target, dag string, seconds float64) measure.Record {
 
 // fill populates a registry with a deterministic spread of keys designed
 // to land on many different shards: several workloads × targets × dags,
-// including legacy entries, with improving re-offers mixed in.
+// including target-less entries, with improving re-offers mixed in.
 func fill(r *Registry) {
 	for w := 0; w < 5; w++ {
 		for tgt := 0; tgt < 3; tgt++ {
@@ -35,7 +35,7 @@ func fill(r *Registry) {
 				r.Add(srec(task, target, dag, float64(50)))  // ignored
 			}
 		}
-		r.Add(srec(fmt.Sprintf("task%d", w), "", "", 0.5)) // legacy fallback
+		r.Add(srec(fmt.Sprintf("task%d", w), "", "", 0.5)) // target-less: key (task, "", "")
 	}
 }
 
@@ -64,7 +64,7 @@ func TestShardedBitIdentity(t *testing.T) {
 				t.Fatalf("shards=%d: entry %v diverged:\nwant %+v\n got %+v", n, k, a, b)
 			}
 		}
-		// Best including the legacy fallback path.
+		// Best: a hit, the target-less key, and a miss.
 		for w := 0; w < 5; w++ {
 			task := fmt.Sprintf("task%d", w)
 			a, aok := ref.Best(task, "target1", "dag0")
@@ -72,10 +72,15 @@ func TestShardedBitIdentity(t *testing.T) {
 			if aok != bok || a.Seconds != b.Seconds {
 				t.Fatalf("shards=%d: Best(%s) diverged", n, task)
 			}
-			a, aok = ref.Best(task, "no-such-target", "no-such-dag") // legacy fallback
-			b, bok = r.Best(task, "no-such-target", "no-such-dag")
-			if aok != bok || a.Seconds != b.Seconds || a.Target != b.Target {
-				t.Fatalf("shards=%d: legacy Best(%s) diverged", n, task)
+			a, aok = ref.Best(task, "", "")
+			b, bok = r.Best(task, "", "")
+			if !aok || !bok || a.Seconds != b.Seconds || a.Target != b.Target {
+				t.Fatalf("shards=%d: target-less Best(%s) diverged", n, task)
+			}
+			_, aok = ref.Best(task, "no-such-target", "no-such-dag")
+			_, bok = r.Best(task, "no-such-target", "no-such-dag")
+			if aok || bok {
+				t.Fatalf("shards=%d: Best(%s) served a key that was never stored", n, task)
 			}
 		}
 		// Query with filters and limits.

@@ -28,7 +28,7 @@ const (
 // flushEvery, or as soon as flushN records accumulate, retrying once
 // per batch on transient failures. This is what keeps measure.Recorder's
 // hot path off the network: the recorder calls Write while holding its
-// own mutex, so a synchronous writer (Client.RecordWriter) serializes
+// own mutex, so a writer that posted synchronously would serialize
 // every recorded measurement — including the local log append — on a
 // network round trip, rate-limiting the whole tuning fleet to server
 // RTT. The first unrecovered flush error latches: subsequent Writes

@@ -186,38 +186,29 @@ func BenchmarkServeBest(b *testing.B) {
 
 // BenchmarkRecorderPublish measures the recorder hot path while
 // publishing to a registry server with a little per-request latency:
-// the synchronous writer pays one network round trip per record inside
-// the recorder's lock, the batched writer only a buffer append (flushes
-// happen off the lock in the background).
+// the batched writer costs a record only a buffer append (flushes
+// happen off the recorder's lock in the background).
 func BenchmarkRecorderPublish(b *testing.B) {
 	const delay = 500 * time.Microsecond
-	for _, mode := range []string{"sync", "batched"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			srv := regserver.New(nil)
-			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				time.Sleep(delay) // a distant or busy server
-				srv.Handler().ServeHTTP(w, r)
-			}))
-			defer hs.Close()
-			cl := regserver.NewClient(hs.URL)
-			rec := measure.NewRecorder(io.Discard) // stand-in for the log file
-			if mode == "sync" {
-				rec.Tee(cl.RecordWriter())
-			} else {
-				rec.Tee(cl.BatchWriter(64, 50*time.Millisecond))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _ = rec.Record(measure.Record{
-					Task: "op", Target: "cpu", DAG: "d",
-					Steps:   json.RawMessage(fmt.Sprintf(`[{"i":%d}]`, i)),
-					Seconds: 1 + float64(i), Noiseless: 1 + float64(i),
-				})
-			}
-			b.StopTimer()
-			if err := rec.Close(); err != nil {
-				b.Fatal(err)
-			}
+	srv := regserver.New(nil)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay) // a distant or busy server
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	cl := regserver.NewClient(hs.URL)
+	rec := measure.NewRecorder(io.Discard) // stand-in for the log file
+	rec.Tee(cl.BatchWriter(64, 50*time.Millisecond))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = rec.Record(measure.Record{
+			Task: "op", Target: "cpu", DAG: "d",
+			Steps:   json.RawMessage(fmt.Sprintf(`[{"i":%d}]`, i)),
+			Seconds: 1 + float64(i), Noiseless: 1 + float64(i),
 		})
+	}
+	b.StopTimer()
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

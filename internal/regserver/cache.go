@@ -39,10 +39,8 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// cacheKey identifies one /v1/best answer: the exact query triple. The
-// legacy-fallback answer for (w, t, d) is cached under (w, t, d), not
-// under the legacy key that produced it — invalidation handles both
-// (see invalidateWorkload).
+// cacheKey identifies one /v1/best answer: the exact query triple,
+// which is exactly the registry key that produced it.
 type cacheKey struct{ workload, target, dag string }
 
 // respCache is the bounded LRU of pre-marshaled /v1/best response
@@ -131,21 +129,6 @@ func (c *respCache) invalidate(k cacheKey) {
 	if el, ok := c.entries[k]; ok {
 		c.ll.Remove(el)
 		delete(c.entries, k)
-	}
-}
-
-// invalidateWorkload drops every entry for a workload, whatever target
-// and dag: a legacy entry (Target=="", DAG=="") improving or being
-// evicted changes the fallback answer of every query triple under that
-// workload. Linear over the cache; legacy-key churn is rare.
-func (c *respCache) invalidateWorkload(workload string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, el := range c.entries {
-		if k.workload == workload {
-			c.ll.Remove(el)
-			delete(c.entries, k)
-		}
 	}
 }
 

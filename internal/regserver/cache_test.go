@@ -91,6 +91,32 @@ func TestBestETagLifecycle(t *testing.T) {
 	if m.BestNotModified < 3 || m.BestMisses < 2 || m.BestHits < 1 {
 		t.Errorf("lifecycle counters off: %+v", m)
 	}
+
+	// A key is exactly (workload, target, dag). A target-less record of
+	// the same workload is served under ("", "") and is a 404 for any
+	// other target; improving it changes its own validator and leaves
+	// op/cpu/d's cached answer in place.
+	if _, err := cl.Add(rec("op", "", "", 2.0)); err != nil {
+		t.Fatal(err)
+	}
+	code, _, bareTag := getBest(t, base, "op", "", "", "")
+	if code != http.StatusOK {
+		t.Fatalf("target-less record under its exact key: code=%d", code)
+	}
+	if code, body, _ := getBest(t, base, "op", "gpu", "d9", ""); code != http.StatusNotFound {
+		t.Fatalf("another target of the workload: code=%d body=%s, want 404", code, body)
+	}
+	if _, err := cl.Add(rec("op", "", "", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if code, body, tag := getBest(t, base, "op", "", "", bareTag); code != http.StatusOK || tag == bareTag || !strings.Contains(body, `"seconds":0.5`) {
+		t.Fatalf("improved target-less record: code=%d tag=%q body=%s", code, tag, body)
+	}
+	hits := srv.metrics().BestHits
+	if code, _, _ := getBest(t, base, "op", "cpu", "d", newTag); code != http.StatusNotModified || srv.metrics().BestHits != hits+1 {
+		t.Fatalf("improving another key of the workload must leave this one cached: code=%d hits %d -> %d",
+			code, hits, srv.metrics().BestHits)
+	}
 }
 
 // TestBestCacheServesExactBytes: the cached body equals a fresh marshal
@@ -121,44 +147,6 @@ func TestBestCacheServesExactBytes(t *testing.T) {
 	}
 }
 
-// TestBestCacheLegacyInvalidation: a cached exact-triple answer that
-// came from the legacy fallback is invalidated when the legacy entry
-// improves — the workload-wide invalidation rule.
-func TestBestCacheLegacyInvalidation(t *testing.T) {
-	_, cl := newTestServer(t)
-	base := cl.base
-	if _, err := cl.Add(rec("op", "", "", 2.0)); err != nil { // legacy entry
-		t.Fatal(err)
-	}
-	// Served (and cached) under the exact triple via fallback.
-	code, _, etag := getBest(t, base, "op", "gpu", "d9", "")
-	if code != http.StatusOK {
-		t.Fatalf("fallback GET: %d", code)
-	}
-	// Improve the legacy entry: every cached answer under "op" is stale.
-	if _, err := cl.Add(rec("op", "", "", 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	code, body, newTag := getBest(t, base, "op", "gpu", "d9", etag)
-	if code != http.StatusOK || newTag == etag {
-		t.Fatalf("legacy improvement must invalidate the fallback answer: code=%d", code)
-	}
-	if !strings.Contains(body, `"seconds":1`) {
-		t.Fatalf("stale fallback served after legacy improvement: %s", body)
-	}
-	// An unrelated workload's cache entry survives.
-	if _, err := cl.Add(rec("other", "cpu", "d", 5.0)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, otherTag := getBest(t, base, "other", "cpu", "d", "")
-	if _, err := cl.Add(rec("op", "", "", 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := getBest(t, base, "other", "cpu", "d", otherTag); code != http.StatusNotModified {
-		t.Fatal("invalidation must be scoped to the changed workload")
-	}
-}
-
 // TestBestParamsParity: the hand-rolled /v1/best query parser agrees
 // with the generic url.Values parser on every input — escapes and
 // oddities included (those take the fallback).
@@ -171,7 +159,7 @@ func TestBestParamsParity(t *testing.T) {
 		"workload=a&workload=b",                    // duplicate: first wins
 		"workload=w%2Fx&target=t&dag=d",            // escaped: fallback
 		"workload=a+b&target=t&dag=d",              // plus-as-space: fallback
-		"workload=w;target=t",                      // legacy separator: fallback
+		"workload=w;target=t",                      // semicolon: fallback
 		"other=1&workload=w&workloadx=no&dag=d",    // prefix key must not match
 		"target=t&dag=d",                           // no workload at all
 		"workload",                                 // no '=' at all

@@ -312,9 +312,9 @@ func (c *Client) Merge(r *registry.Registry) (int, error) {
 	return c.AddLog(r.Log())
 }
 
-// Best returns the server's fastest record for (workload, target, dag),
-// with the same legacy fallback as registry.Best. ok is false when the
-// server has no entry; err reports transport or server failures.
+// Best returns the server's fastest record for exactly (workload,
+// target, dag). ok is false when the server has no entry; err reports
+// transport or server failures.
 //
 // Repeat queries for the same key are conditional GETs: the client
 // remembers the last ETag and body per key, and an unchanged answer
@@ -535,21 +535,4 @@ func (c *Client) Snapshot() (*registry.Registry, error) {
 	r := registry.New()
 	r.AddLog(l)
 	return r, nil
-}
-
-// RecordWriter returns an io.Writer that publishes everything written
-// to it as a record batch: wiring it as a measure.Recorder sink (see
-// Recorder.Tee) streams every fresh measurement of a tuning run to the
-// server with the recorder's own append-durable semantics. Each Write
-// must carry whole JSON lines, which is exactly how the recorder
-// writes.
-func (c *Client) RecordWriter() io.Writer { return &recordWriter{c: c} }
-
-type recordWriter struct{ c *Client }
-
-func (w *recordWriter) Write(p []byte) (int, error) {
-	if _, err := w.c.post(p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
 }

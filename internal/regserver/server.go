@@ -183,19 +183,11 @@ func (s *Server) SetBestCache(n int) {
 }
 
 // invalidateBest is the registry's change hook: drop the cached answer
-// for the mutated key — and, when the key is a legacy fallback entry,
-// every cached answer of its workload, since any (target, dag) query
-// may have been served from the fallback.
+// for the mutated key.
 func (s *Server) invalidateBest(k registry.Key) {
-	c := s.bestCache
-	if c == nil {
-		return
+	if c := s.bestCache; c != nil {
+		c.invalidate(cacheKey{k.Workload, k.Target, k.DAG})
 	}
-	if k.Target == "" && k.DAG == "" {
-		c.invalidateWorkload(k.Workload)
-		return
-	}
-	c.invalidate(cacheKey{k.Workload, k.Target, k.DAG})
 }
 
 // quotaBucket is one publisher's fixed-window record counter.
@@ -480,9 +472,8 @@ type AddResult struct {
 }
 
 // handleRecords is the record collection: POST ingests a batch of
-// tuning records — the body is a tuning log in either format
-// measure.Load accepts (line-oriented records or a legacy
-// {"records": [...]} object), so `ansor-tune -log` files, registry
+// tuning records — the body is a tuning log as measure.Load reads it
+// (one record per JSON value), so `ansor-tune -log` files, registry
 // snapshots, and single streamed records all upload unmodified. GET
 // with ?workload=&target=&limit= streams the matching best records as a
 // line-oriented log: the task-filtered query a fresh job warm-starts
@@ -570,8 +561,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleBest serves the fastest record for (workload, target, dag) with
-// the same legacy fallback as registry.Best. The caller replays the
+// handleBest serves the fastest record stored under exactly
+// (workload, target, dag), as registry.Best does. The caller replays the
 // steps on its own DAG (the server never needs the computation itself).
 //
 // This is the user-facing hot path, and it is built to be almost free
@@ -634,10 +625,11 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 // bestParams extracts the /v1/best query triple without building the
 // generic url.Values map — the per-request map allocation and escape
 // scan are measurable at cache-hit speeds. Queries containing escapes
-// ('%'), space encoding ('+'), or legacy separators (';') take the
-// generic parser instead, so the fast path never changes semantics; the
-// client always percent-encodes, and the common workload/target/dag
-// alphabets need no encoding at all.
+// ('%'), space encoding ('+'), or semicolons (which url.Values treats
+// specially) take the generic parser instead, so the fast path never
+// changes semantics on outside input; the client always
+// percent-encodes, and the common workload/target/dag alphabets need no
+// encoding at all.
 func bestParams(r *http.Request) (workload, target, dag string) {
 	raw := r.URL.RawQuery
 	if strings.ContainsAny(raw, "%+;") {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/measure"
 	"repro/internal/registry"
@@ -60,7 +62,7 @@ func TestRegServerEndpoints(t *testing.T) {
 		t.Fatalf("empty-task add: ok=%v err=%v", ok, err)
 	}
 
-	// Best: exact, miss, legacy fallback.
+	// Best: exact, miss, and a target-less record under its exact key only.
 	best, ok, err := cl.Best("gmm", "cpu", "d1")
 	if err != nil || !ok || best.Seconds != 1.0 {
 		t.Fatalf("best: %+v ok=%v err=%v", best, ok, err)
@@ -71,8 +73,11 @@ func TestRegServerEndpoints(t *testing.T) {
 	if _, err := cl.Add(rec("legacy-op", "", "", 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok, err := cl.Best("legacy-op", "any-target", "anydag"); err != nil || !ok || r.Seconds != 0.5 {
-		t.Fatalf("legacy fallback: %+v ok=%v err=%v", r, ok, err)
+	if r, ok, err := cl.Best("legacy-op", "", ""); err != nil || !ok || r.Seconds != 0.5 {
+		t.Fatalf("target-less record: %+v ok=%v err=%v", r, ok, err)
+	}
+	if r, ok, err := cl.Best("legacy-op", "any-target", "anydag"); err != nil || ok {
+		t.Fatalf("target-less record served for another key: %+v ok=%v err=%v", r, ok, err)
 	}
 
 	// Keys match the in-process registry exactly.
@@ -107,26 +112,32 @@ func TestRegServerEndpoints(t *testing.T) {
 }
 
 func TestRegServerHTTPErrors(t *testing.T) {
-	_, cl := newTestServer(t)
+	srv, cl := newTestServer(t)
 	base := cl.base
+	good := `{"task":"op","target":"cpu","dag":"d","steps":[],"seconds":1}` + "\n"
 
 	for _, c := range []struct {
 		method, path string
 		body         string
 		wantCode     int
+		wantBody     string // substring of the response, when set
 	}{
-		{"GET", "/v1/merge", "", http.StatusMethodNotAllowed}, // merge is POST-only; the query lives on /v1/records
-		{"POST", "/v1/best", "", http.StatusMethodNotAllowed},
-		{"POST", "/v1/keys", "", http.StatusMethodNotAllowed},
-		{"POST", "/v1/snapshot", "", http.StatusMethodNotAllowed},
-		{"GET", "/v1/metrics", "", http.StatusNotFound}, // metrics is unversioned, like healthz
-		{"POST", "/metrics", "", http.StatusMethodNotAllowed},
-		{"GET", "/v1/best", "", http.StatusBadRequest},             // missing workload
-		{"GET", "/v1/records?limit=-3", "", http.StatusBadRequest}, // bad limit
-		{"GET", "/v1/records?limit=x", "", http.StatusBadRequest},
-		{"POST", "/v1/records", "{not json", http.StatusBadRequest},
-		{"POST", "/v1/records", `{"bogus":1}`, http.StatusBadRequest},
-		{"GET", "/nope", "", http.StatusNotFound},
+		{"GET", "/v1/merge", "", http.StatusMethodNotAllowed, ""}, // merge is POST-only; the query lives on /v1/records
+		{"POST", "/v1/best", "", http.StatusMethodNotAllowed, ""},
+		{"POST", "/v1/keys", "", http.StatusMethodNotAllowed, ""},
+		{"POST", "/v1/snapshot", "", http.StatusMethodNotAllowed, ""},
+		{"GET", "/v1/metrics", "", http.StatusNotFound, ""}, // metrics is unversioned, like healthz
+		{"POST", "/metrics", "", http.StatusMethodNotAllowed, ""},
+		{"GET", "/v1/best", "", http.StatusBadRequest, ""},             // missing workload
+		{"GET", "/v1/records?limit=-3", "", http.StatusBadRequest, ""}, // bad limit
+		{"GET", "/v1/records?limit=x", "", http.StatusBadRequest, ""},
+		{"POST", "/v1/records", "{not json", http.StatusBadRequest, ""},
+		{"POST", "/v1/records", `{"bogus":1}`, http.StatusBadRequest, "not a record"},
+		// One record per JSON value: the single-object form is refused,
+		// also behind a good record.
+		{"POST", "/v1/records", `{"records":[` + strings.TrimSpace(good) + `]}`, http.StatusBadRequest, "not a record"},
+		{"POST", "/v1/merge", good + `{"records":[]}`, http.StatusBadRequest, "not a record"},
+		{"GET", "/nope", "", http.StatusNotFound, ""},
 	} {
 		req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
 		if err != nil {
@@ -136,46 +147,16 @@ func TestRegServerHTTPErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != c.wantCode {
-			t.Errorf("%s %s: got %d, want %d", c.method, c.path, resp.StatusCode, c.wantCode)
+		if resp.StatusCode != c.wantCode || !strings.Contains(string(body), c.wantBody) {
+			t.Errorf("%s %s: got %d %s, want %d %q", c.method, c.path, resp.StatusCode, body, c.wantCode, c.wantBody)
 		}
 	}
-}
-
-// TestRegServerRecordWriter proves the Recorder→server publishing path:
-// a recorder teed to the client streams every fresh record into the
-// server's registry.
-func TestRegServerRecordWriter(t *testing.T) {
-	srv, cl := newTestServer(t)
-	var file bytes.Buffer
-	r := measure.NewRecorder(&file)
-	r.Tee(cl.RecordWriter())
-	for i := 0; i < 5; i++ {
-		if _, err := r.Record(rec("op", "cpu", "d", float64(5-i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if best, ok := srv.Registry().Best("op", "cpu", "d"); !ok || best.Seconds != 1 {
-		t.Fatalf("server missed published records: %+v ok=%v", best, ok)
-	}
-	// The local log sink saw the same stream.
-	l, err := measure.Load(bytes.NewReader(file.Bytes()))
-	if err != nil || len(l.Records) != 5 {
-		t.Fatalf("file sink: %d records, err=%v", len(l.Records), err)
-	}
-	// A dead server surfaces through Err without stopping recording.
-	dead := NewClient("http://127.0.0.1:1")
-	r2 := measure.NewRecorder(nil)
-	r2.Tee(dead.RecordWriter())
-	if _, err := r2.Record(rec("op", "cpu", "d", 1)); err == nil {
-		t.Skip("port 1 unexpectedly reachable")
-	}
-	if r2.Err() == nil {
-		t.Fatal("publish failure should surface via Err")
-	}
-	if got := r2.Log(); len(got.Records) != 1 {
-		t.Fatal("publish failure must not drop the in-memory record")
+	// A refused body is refused whole: the good record ahead of the bad
+	// value was not applied.
+	if n := srv.Registry().Len(); n != 0 {
+		t.Errorf("refused uploads left %d keys behind", n)
 	}
 }
 
@@ -289,12 +270,16 @@ func TestRegServerConcurrentPublishers(t *testing.T) {
 		pubWG.Add(1)
 		go func(p int) {
 			defer pubWG.Done()
-			w := measure.NewRecorder(cl.RecordWriter())
+			w := measure.NewRecorder(nil)
+			w.Tee(cl.BatchWriter(4, time.Millisecond))
 			for i := 0; i < perPublisher; i++ {
 				if _, err := w.Record(record(p, i)); err != nil {
 					errs <- err
 					return
 				}
+			}
+			if err := w.Close(); err != nil { // flushes the tail
+				errs <- err
 			}
 		}(p)
 	}

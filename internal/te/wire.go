@@ -1,16 +1,20 @@
 package te
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// Binary DAG wire format (v1). The JSON codec in json.go is the
-// readable, debuggable interchange form; this is the hot-path form the
-// measurement fleet ships on every job submission and lease grant. The
-// layout goals are the classic ones: no reflection, no field names on
-// the wire, every string written once.
+// Binary DAG wire format (v1): the one form in which the measurement
+// fleet ships a computation, on every job submission and lease grant
+// (DAG.String() is the readable debug view). The in-memory form
+// identifies tensors by pointer — a node's Reads alias its producers'
+// Out tensors — so the wire emits every tensor once and references it
+// by index, and the decoder rebuilds the aliasing. The layout goals are
+// the classic ones: no reflection, no field names on the wire, every
+// string written once.
 //
 //	header   : magic "TED" + one version byte (0x01)
 //	strings  : length-prefixed section — uvarint count, then each string
@@ -50,30 +54,11 @@ var wireMagic = []byte{'T', 'E', 'D'}
 // WireVersion is the current binary format version byte.
 const WireVersion = 1
 
-// Wire format names used in fleet content negotiation.
-const (
-	// WireJSON names the JSON codec of EncodeDAG/DecodeDAG.
-	WireJSON = "json"
-	// WireBinary names the v1 binary codec of EncodeDAGBinary.
-	WireBinary = "bin1"
-)
-
-// IsBinaryDAG reports whether data starts with the binary wire magic
-// (any version). JSON DAGs never match: they start with '{'.
-func IsBinaryDAG(data []byte) bool {
-	return len(data) >= len(wireMagic)+1 &&
-		data[0] == wireMagic[0] && data[1] == wireMagic[1] && data[2] == wireMagic[2]
-}
-
-// DecodeDAGAuto decodes a wire DAG in either format, sniffing the
-// binary magic. The fleet worker uses it so one code path serves
-// brokers of any vintage.
-func DecodeDAGAuto(data []byte) (*DAG, error) {
-	if IsBinaryDAG(data) {
-		return DecodeDAGBinary(data)
-	}
-	return DecodeDAG(data)
-}
+// DecodeDAGAuto forwards to DecodeDAGBinary, the only codec. It is kept
+// because bench/fleet.go (frozen while this change is measured against
+// it) still calls it; the next benchmark PR switches that call and
+// deletes this (ROADMAP item 2).
+func DecodeDAGAuto(data []byte) (*DAG, error) { return DecodeDAGBinary(data) }
 
 // node flag bits.
 const (
@@ -133,11 +118,10 @@ func (in *interner) ref(s string) uint64 {
 	return id
 }
 
-// EncodeDAGBinary serializes a DAG to the v1 binary wire format. The
-// aliasing rules match EncodeDAG: tensors are emitted once in
-// first-appearance order and referenced by index, and encoding fails if
-// two distinct tensors share a name (the wire could not tell them
-// apart).
+// EncodeDAGBinary serializes a DAG to the v1 binary wire format:
+// tensors are emitted once in first-appearance order (inputs, then node
+// outputs) and referenced by index, and encoding fails if two distinct
+// tensors share a name (the wire could not tell them apart).
 func EncodeDAGBinary(d *DAG) ([]byte, error) {
 	byName := map[string]*Tensor{}
 	index := map[*Tensor]uint64{}
@@ -388,11 +372,12 @@ func (r *wireReader) section(what string) (*wireReader, error) {
 
 // DecodeDAGBinary parses a DAG serialized by EncodeDAGBinary,
 // rebuilding tensor aliasing from the interned indices, and validates
-// the result exactly as the JSON decoder does.
+// the result — a malformed or tampered wire DAG fails here rather than
+// deep inside lowering on a remote worker.
 func DecodeDAGBinary(data []byte) (*DAG, error) {
 	r := &wireReader{data: data}
 	magic, err := r.take(len(wireMagic) + 1)
-	if err != nil || !IsBinaryDAG(data) {
+	if err != nil || !bytes.HasPrefix(magic, wireMagic) {
 		return nil, fmt.Errorf("te: decode binary dag: missing wire magic")
 	}
 	if magic[3] != WireVersion {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -37,7 +38,7 @@ func TestEncodeDecodeDAGBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !IsBinaryDAG(data) {
+		if !bytes.HasPrefix(data, append(wireMagic, WireVersion)) {
 			t.Fatalf("%s: encoded bytes lack the wire magic", name)
 		}
 		got, err := DecodeDAGBinary(data)
@@ -63,42 +64,39 @@ func TestEncodeDecodeDAGBinaryRoundTrip(t *testing.T) {
 		if !bytes.Equal(again, data) {
 			t.Errorf("%s: encode(decode(encode)) is not a fixed point", name)
 		}
-		// Both codecs must describe the same computation.
-		jdata, err := EncodeDAG(d)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		jd, err := DecodeDAG(jdata)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if jd.String() != got.String() {
-			t.Errorf("%s: JSON and binary decode to different computations", name)
-		}
-		if len(data) >= len(jdata) {
-			t.Errorf("%s: binary (%d bytes) should be smaller than JSON (%d bytes)", name, len(data), len(jdata))
-		}
 	}
 }
 
+func TestEncodeDAGRejectsDuplicateTensorNames(t *testing.T) {
+	d := goldenDAGs()["mm"]
+	// Force two distinct tensors to share a name.
+	d.Nodes[0].Out.Name = d.Inputs[0].Name
+	if _, err := EncodeDAGBinary(d); err == nil {
+		t.Error("EncodeDAGBinary should refuse two distinct tensors with one name")
+	}
+}
+
+// jsonDAG is a computation in the JSON form this tree once shipped: the
+// binary codec is the only wire, so every decoder must refuse it.
+const jsonDAG = `{"name":"wire-mm","tensors":[{"name":"A","shape":[32,32],"elem_bytes":4}],"inputs":["A"],"nodes":[]}`
+
+// TestDecodeDAGAutoSniffsBothFormats: DecodeDAGAuto decodes the binary
+// wire and refuses a JSON DAG with the missing-magic error.
 func TestDecodeDAGAutoSniffsBothFormats(t *testing.T) {
 	d := goldenDAGs()["mm"]
 	bin, err := EncodeDAGBinary(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := EncodeDAG(d)
+	got, err := DecodeDAGAuto(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"binary": bin, "json": js} {
-		got, err := DecodeDAGAuto(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.String() != d.String() {
-			t.Errorf("%s: auto-decode changed the computation", name)
-		}
+	if got.String() != d.String() {
+		t.Error("auto-decode changed the computation")
+	}
+	if got, err := DecodeDAGAuto([]byte(jsonDAG)); err == nil || !strings.Contains(err.Error(), "wire magic") {
+		t.Errorf("DecodeDAGAuto(JSON) = %v, %v; want the missing-magic error", got, err)
 	}
 }
 
@@ -206,21 +204,24 @@ func FuzzDecodeDAGBinary(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDAG is the JSON twin: the fleet still negotiates down to
-// JSON for old workers, so the JSON decoder faces wire input too.
+// FuzzDecodeDAG aims DecodeDAGAuto at what is not the binary wire —
+// JSON DAGs above all, which workers once accepted: it must answer
+// exactly as DecodeDAGBinary does, and anything opening with '{' is an
+// error, never a panic or a DAG.
 func FuzzDecodeDAG(f *testing.F) {
-	for _, d := range goldenDAGs() {
-		data, err := EncodeDAG(d)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	f.Add([]byte(jsonDAG))
 	f.Add([]byte(`{"name":"x","tensors":[],"inputs":[],"nodes":[]}`))
+	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := DecodeDAG(data)
+		d, err := DecodeDAGAuto(data)
+		if _, berr := DecodeDAGBinary(data); (err == nil) != (berr == nil) {
+			t.Fatalf("DecodeDAGAuto err=%v but DecodeDAGBinary err=%v", err, berr)
+		}
 		if err != nil {
 			return
+		}
+		if len(data) > 0 && data[0] == '{' {
+			t.Fatalf("a JSON-looking payload decoded: %q", data)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("decoded DAG fails validation: %v", err)
@@ -228,8 +229,8 @@ func FuzzDecodeDAG(f *testing.F) {
 	})
 }
 
-// BenchmarkDAGCodec compares the two wire codecs on an encode+decode
-// round trip and reports payload bytes.
+// BenchmarkDAGCodec times an encode+decode round trip of the wire codec
+// and reports payload bytes.
 func BenchmarkDAGCodec(b *testing.B) {
 	bb := NewBuilder("bench")
 	x := bb.Input("X", 1, 64, 56, 56)
@@ -237,22 +238,6 @@ func BenchmarkDAGCodec(b *testing.B) {
 	bb.ReLU(bb.BiasAdd(c, 1))
 	d := bb.MustFinish()
 
-	b.Run("codec=json", func(b *testing.B) {
-		data, err := EncodeDAG(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(data)), "wire_bytes")
-		for i := 0; i < b.N; i++ {
-			enc, err := EncodeDAG(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeDAG(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("codec=binary", func(b *testing.B) {
 		data, err := EncodeDAGBinary(d)
 		if err != nil {

@@ -39,7 +39,7 @@ func pick(i uint16) string { return distancePool[int(i)%len(distancePool)] }
 func TestTargetDistanceProperties(t *testing.T) {
 	prop := func(ai, bi uint16) bool {
 		a, b := pick(ai), pick(bi)
-		d, rd := TargetDistance(a, b), TargetDistance(b, a)
+		d, rd := measure.TargetDistance(a, b), measure.TargetDistance(b, a)
 		if d != rd {
 			t.Logf("asymmetric: d(%q,%q)=%d d(%q,%q)=%d", a, b, d, b, a, rd)
 			return false
@@ -68,14 +68,14 @@ func TestTargetDistanceProperties(t *testing.T) {
 // lower weight than farther ones, and the class boundary transfers
 // nothing.
 func TestTargetDistanceWeightMonotone(t *testing.T) {
-	weights := []float64{1, weightSibling, weightSameClass, 0}
+	weights := []float64{1, measure.WeightSibling, measure.WeightSameClass, 0}
 	for d := 1; d < len(weights); d++ {
 		if weights[d] >= weights[d-1] {
 			t.Fatalf("weight(distance %d) = %v >= weight(distance %d) = %v", d, weights[d], d-1, weights[d-1])
 		}
 	}
-	if uncalibratedFactor <= 0 || uncalibratedFactor >= 1 {
-		t.Fatalf("uncalibrated factor %v must strictly discount", uncalibratedFactor)
+	if measure.UncalibratedFactor <= 0 || measure.UncalibratedFactor >= 1 {
+		t.Fatalf("uncalibrated factor %v must strictly discount", measure.UncalibratedFactor)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestFitCalibrationRecoversKnownScale(t *testing.T) {
 		refs = append(refs,
 			wrec("lonely", sib, "dz", 99, 1000),
 			wrec("other", "nvidia-v100", "dg", 1e-6, 1001))
-		cal := FitCalibration(refs, native)
+		cal := measure.FitCalibration(refs, native)
 		s, ok := cal.Scale(sib)
 		if !ok {
 			t.Fatalf("seed %d: no scale fit from %d exact pairs", seed, npairs)
@@ -112,7 +112,7 @@ func TestFitCalibrationRecoversKnownScale(t *testing.T) {
 		// Permutation invariance, bit-exact.
 		shuffled := append([]measure.Record(nil), refs...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		s2, _ := FitCalibration(shuffled, native).Scale(sib)
+		s2, _ := measure.FitCalibration(shuffled, native).Scale(sib)
 		if s2 != s {
 			t.Fatalf("seed %d: fit depends on record order: %v vs %v", seed, s, s2)
 		}
@@ -133,14 +133,14 @@ func TestFitCalibrationExcludesSiblingMeasuredRecords(t *testing.T) {
 	poisonNative := wrec("c", native, "d3", 0.001, 5)
 	poisonNative.MeasuredOn = sib
 	refs = append(refs, poison, poisonNative)
-	s, ok := FitCalibration(refs, native).Scale(sib)
+	s, ok := measure.FitCalibration(refs, native).Scale(sib)
 	if !ok || math.Abs(s-0.5) > 1e-12 {
 		t.Fatalf("scale = %v (ok=%v), want exactly 0.5 with the poisoned pair excluded", s, ok)
 	}
 }
 
 // TestUncalibratedDiscountAppliedExactlyOnce: a sibling record with no
-// overlap to calibrate from is discounted by uncalibratedFactor exactly
+// overlap to calibrate from is discounted by measure.UncalibratedFactor exactly
 // once — never zero times (full sibling weight would overtrust a foreign
 // clock) and never twice — and a calibrated sibling is not discounted at
 // all beyond its distance weight.
@@ -153,7 +153,7 @@ func TestUncalibratedDiscountAppliedExactlyOnce(t *testing.T) {
 		if len(uncal) != 1 {
 			t.Fatalf("seed %d: prepared %d records, want 1", seed, len(uncal))
 		}
-		if want := weightSibling * uncalibratedFactor; uncal[0].Weight != want {
+		if want := measure.WeightSibling * measure.UncalibratedFactor; uncal[0].Weight != want {
 			t.Fatalf("seed %d: uncalibrated sibling weight = %v, want exactly %v", seed, uncal[0].Weight, want)
 		}
 		if uncal[0].Record.Seconds != sec {
@@ -175,8 +175,8 @@ func TestUncalibratedDiscountAppliedExactlyOnce(t *testing.T) {
 		if sibRec == nil {
 			t.Fatalf("seed %d: calibrated sibling record missing", seed)
 		}
-		if sibW != weightSibling {
-			t.Fatalf("seed %d: calibrated sibling weight = %v, want exactly %v", seed, sibW, weightSibling)
+		if sibW != measure.WeightSibling {
+			t.Fatalf("seed %d: calibrated sibling weight = %v, want exactly %v", seed, sibW, measure.WeightSibling)
 		}
 		if math.Abs(sibRec.Seconds-sec/2) > 1e-15 {
 			t.Fatalf("seed %d: calibrated seconds = %v, want %v", seed, sibRec.Seconds, sec/2)
@@ -190,12 +190,12 @@ func TestUncalibratedDiscountAppliedExactlyOnce(t *testing.T) {
 // a contradicting pooled one.
 func TestPreparePooledCalibrationPrecedence(t *testing.T) {
 	const target, sib = "intel-20c-avx512", "intel-20c-avx2"
-	pooled := &Calibration{Target: target, Scales: map[string]float64{sib: 0.25}}
+	pooled := &measure.Calibration{Target: target, Scales: map[string]float64{sib: 0.25}}
 
 	// No local overlap: the pooled scale applies at full sibling weight.
 	out := PrepareCalibrated([]measure.Record{wrec("t", sib, "d1", 2.0, 0)}, "t", target, "src", pooled)
-	if len(out) != 1 || out[0].Weight != weightSibling {
-		t.Fatalf("pooled fallback: %+v, want weight %v", out, weightSibling)
+	if len(out) != 1 || out[0].Weight != measure.WeightSibling {
+		t.Fatalf("pooled fallback: %+v, want weight %v", out, measure.WeightSibling)
 	}
 	if out[0].Record.Seconds != 0.5 {
 		t.Fatalf("pooled fallback seconds = %v, want 2.0 x 0.25", out[0].Record.Seconds)
@@ -214,9 +214,9 @@ func TestPreparePooledCalibrationPrecedence(t *testing.T) {
 
 	// A pooled calibration for a DIFFERENT native target is ignored
 	// outright (Merge refuses mismatched targets).
-	wrong := &Calibration{Target: "arm-cortex-a53", Scales: map[string]float64{sib: 0.001}}
+	wrong := &measure.Calibration{Target: "arm-cortex-a53", Scales: map[string]float64{sib: 0.001}}
 	out = PrepareCalibrated([]measure.Record{wrec("t", sib, "d1", 2.0, 0)}, "t", target, "src", wrong)
-	if want := weightSibling * uncalibratedFactor; len(out) != 1 || out[0].Weight != want || out[0].Record.Seconds != 2.0 {
+	if want := measure.WeightSibling * measure.UncalibratedFactor; len(out) != 1 || out[0].Weight != want || out[0].Record.Seconds != 2.0 {
 		t.Fatalf("mismatched pooled target must be ignored: %+v", out)
 	}
 }

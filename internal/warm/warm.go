@@ -141,14 +141,11 @@ type serverSource struct {
 func (s *serverSource) Name() string { return s.url }
 
 func (s *serverSource) Fetch(workload string) (*measure.Log, error) {
-	l, err := s.cl.Records(workload, "", s.limit)
+	l, err := s.cl.Records(workload, "", s.limit) // the server applies the limit
 	if err != nil {
 		return nil, fmt.Errorf("warm: %w", err)
 	}
-	// The server already bounds the query (one best record per key makes
-	// overshoot unlikely anyway); Subsample is a no-op then, and a real
-	// bound when talking to an older server that ignores limit.
-	return Subsample(l, s.limit), nil
+	return l, nil
 }
 
 // Subsample bounds a record log to at most limit records while keeping
@@ -206,45 +203,11 @@ func (m multiSource) Fetch(workload string) (*measure.Log, error) {
 	return out, nil
 }
 
-// Target-distance weight schedule, aliased from measure (the shared
-// home of cross-target transfer math — the fleet broker and registry
-// server use the same primitives): full weight natively, halved for a
-// sibling vector ISA of the same core, quartered across vendors within
-// a hardware class. An uncalibrated transfer (no overlapping pairs to
-// fit a time scale from) is halved once more — its times are raw
-// foreign-clock readings.
-const (
-	weightSibling      = measure.WeightSibling
-	weightSameClass    = measure.WeightSameClass
-	uncalibratedFactor = measure.UncalibratedFactor
-)
-
-// TargetDistance classifies how transferable tuning records are between
-// two machine-model names: 0 same target, 1 same core family with a
-// different vector ISA, 2 same hardware class, 3 different class
-// (CPU ↔ GPU — never transfers). It is measure.TargetDistance, kept
-// here for the warm-start callers that grew up with it.
-func TargetDistance(a, b string) int {
-	return measure.TargetDistance(a, b)
-}
-
-// Calibration holds per-sibling-target linear time scales into the
-// native target's clock (measure.Calibration).
-type Calibration = measure.Calibration
-
-// FitCalibration fits per-target-pair time scales from overlapping
-// (workload, dag) pairs; see measure.FitCalibration.
-func FitCalibration(refs []measure.Record, target string) *Calibration {
-	return measure.FitCalibration(refs, target)
-}
-
 // Records fetches and prepares one task's warm-start records: the
-// fetch → filter → weight pipeline. Same-target records (and legacy
-// records without a target) come first at weight 1, pool-eligible —
-// byte-compatible with the original file-only warm start. Sibling
-// records follow, calibrated onto the native clock, discounted by
-// target distance, and TrainOnly. Both partitions are canonically
-// sorted, so any source ordering (file append order, server key order)
+// fetch → filter → weight pipeline. Same-target records come first at
+// weight 1, pool-eligible. Sibling records follow, calibrated onto the
+// native clock, discounted by target distance, and TrainOnly. Both
+// partitions are canonically sorted, so any source ordering (file append order, server key order)
 // prepares identically — warm-from-file and warm-from-server over the
 // same records stay bit-identical downstream.
 func Records(src Source, workload, target string) ([]policy.WarmRecord, error) {
@@ -255,7 +218,7 @@ func Records(src Source, workload, target string) ([]policy.WarmRecord, error) {
 // scales the task's own overlap pairs cannot fit (no native history
 // yet) fall back to pooled, fit across every workload the fleet has
 // measured (regserver's /v1/calibration). nil pooled is plain Records.
-func RecordsCalibrated(src Source, workload, target string, pooled *Calibration) ([]policy.WarmRecord, error) {
+func RecordsCalibrated(src Source, workload, target string, pooled *measure.Calibration) ([]policy.WarmRecord, error) {
 	l, err := src.Fetch(workload)
 	if err != nil {
 		return nil, err
@@ -271,26 +234,26 @@ func Prepare(recs []measure.Record, workload, target, source string) []policy.Wa
 
 // PrepareCalibrated is Prepare with a pooled-calibration fallback for
 // sibling scales the local records cannot fit (see RecordsCalibrated).
-func PrepareCalibrated(recs []measure.Record, workload, target, source string, pooled *Calibration) []policy.WarmRecord {
+// Weights follow measure's target-distance schedule (WeightSibling,
+// WeightSameClass, UncalibratedFactor).
+func PrepareCalibrated(recs []measure.Record, workload, target, source string, pooled *measure.Calibration) []policy.WarmRecord {
 	var native, sibling []measure.Record
 	for _, rec := range recs {
 		if rec.Task != workload || rec.Seconds <= 0 {
 			continue
 		}
-		// Legacy records carry no target; treat them as native, like the
-		// original warm start and the registry's legacy fallback do.
-		if rec.Target == "" || rec.Target == target {
+		if rec.Target == target {
 			native = append(native, rec)
 			continue
 		}
-		if TargetDistance(target, rec.Target) >= 3 {
+		if measure.TargetDistance(target, rec.Target) >= 3 {
 			continue
 		}
 		sibling = append(sibling, rec)
 	}
 	sortCanonical(native)
 	sortCanonical(sibling)
-	cal := FitCalibration(recs, target)
+	cal := measure.FitCalibration(recs, target)
 	cal.Merge(pooled) // locally-fit scales win; pooled fills the gaps
 
 	out := make([]policy.WarmRecord, 0, len(native)+len(sibling))
@@ -298,9 +261,9 @@ func PrepareCalibrated(recs []measure.Record, workload, target, source string, p
 		out = append(out, policy.WarmRecord{Record: rec, Weight: 1, Source: source})
 	}
 	for _, rec := range sibling {
-		w := weightSibling
-		if TargetDistance(target, rec.Target) == 2 {
-			w = weightSameClass
+		w := measure.WeightSibling
+		if measure.TargetDistance(target, rec.Target) == 2 {
+			w = measure.WeightSameClass
 		}
 		if scale, ok := cal.Scale(rec.Target); ok {
 			rec.Seconds *= scale
@@ -308,7 +271,7 @@ func PrepareCalibrated(recs []measure.Record, workload, target, source string, p
 				rec.Noiseless *= scale
 			}
 		} else {
-			w *= uncalibratedFactor
+			w *= measure.UncalibratedFactor
 		}
 		out = append(out, policy.WarmRecord{Record: rec, Weight: w, TrainOnly: true, Source: source})
 	}

@@ -30,8 +30,8 @@ func TestTargetDistance(t *testing.T) {
 		{"nvidia-v100", "nvidia-v100", 0},
 	}
 	for _, c := range cases {
-		if got := TargetDistance(c.a, c.b); got != c.want {
-			t.Errorf("TargetDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := measure.TargetDistance(c.a, c.b); got != c.want {
+			t.Errorf("measure.TargetDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -56,7 +56,7 @@ func TestFitCalibration(t *testing.T) {
 		wrec("c", "intel-20c-avx2", "d3", 9.0, 4), // no native partner
 		wrec("d", "arm-cortex-a53", "d4", 5.0, 5), // no overlap at all
 	}
-	cal := FitCalibration(refs, "intel-20c-avx512")
+	cal := measure.FitCalibration(refs, "intel-20c-avx512")
 	s, ok := cal.Scale("intel-20c-avx2")
 	if !ok {
 		t.Fatal("avx2 should calibrate from 2 overlapping pairs")
@@ -73,7 +73,7 @@ func TestPrepareWeightsAndPartitions(t *testing.T) {
 	target := "intel-20c-avx512"
 	recs := []measure.Record{
 		wrec("t", target, "d1", 1.0, 0),               // native
-		wrec("t", "", "d1", 1.5, 1),                   // legacy: native
+		wrec("t", "", "d1", 1.5, 1),                   // no target: a foreign clock like any other, never native
 		wrec("t", "intel-20c-avx2", "d1", 2.0, 2),     // sibling, calibrated via the d1 overlap
 		wrec("t", "arm-cortex-a53", "d9", 8.0, 3),     // same class, no overlap: floor weight
 		wrec("t", "nvidia-v100", "d1", 0.1, 4),        // different class: dropped
@@ -85,35 +85,36 @@ func TestPrepareWeightsAndPartitions(t *testing.T) {
 		t.Fatalf("prepared %d records, want 4", len(out))
 	}
 	// Native partition first, full weight, pool-eligible.
-	for _, wr := range out[:2] {
-		if wr.Weight != 1 || wr.TrainOnly {
-			t.Errorf("native record got weight %g trainOnly=%v", wr.Weight, wr.TrainOnly)
-		}
+	if wr := out[0]; wr.Target != target || wr.Weight != 1 || wr.TrainOnly {
+		t.Errorf("native record %q got weight %g trainOnly=%v", wr.Target, wr.Weight, wr.TrainOnly)
+	}
+	for _, wr := range out {
 		if wr.Source != "src" {
 			t.Errorf("record lost source tag: %q", wr.Source)
 		}
 	}
 	// Siblings: train-only, discounted, times calibrated by the d1
 	// overlap (avx2 scale = 1.0/2.0 = 0.5).
-	for _, wr := range out[2:] {
-		if !wr.TrainOnly {
-			t.Errorf("sibling record %q must be train-only", wr.Target)
-		}
-	}
 	byTarget := map[string]policy.WarmRecord{}
-	for _, wr := range out[2:] {
+	for _, wr := range out[1:] {
+		if !wr.TrainOnly || wr.Weight >= 1 {
+			t.Errorf("record of target %q must be train-only and discounted, got weight %g trainOnly=%v", wr.Target, wr.Weight, wr.TrainOnly)
+		}
 		byTarget[wr.Target] = wr
 	}
+	if _, ok := byTarget[""]; !ok {
+		t.Error("target-less record missing from the transfer partition")
+	}
 	avx2, ok := byTarget["intel-20c-avx2"]
-	if !ok || avx2.Weight != weightSibling {
+	if !ok || avx2.Weight != measure.WeightSibling {
 		t.Errorf("sibling avx2: %+v", avx2)
 	}
 	if avx2.Seconds != 1.0 { // 2.0 * 0.5
 		t.Errorf("sibling seconds not calibrated: %g, want 1", avx2.Seconds)
 	}
 	arm, ok := byTarget["arm-cortex-a53"]
-	if !ok || arm.Weight != weightSameClass*uncalibratedFactor {
-		t.Errorf("uncalibrated arm: weight %g, want %g", arm.Weight, weightSameClass*uncalibratedFactor)
+	if !ok || arm.Weight != measure.WeightSameClass*measure.UncalibratedFactor {
+		t.Errorf("uncalibrated arm: weight %g, want %g", arm.Weight, measure.WeightSameClass*measure.UncalibratedFactor)
 	}
 	if arm.Seconds != 8.0 {
 		t.Errorf("uncalibrated times must pass through, got %g", arm.Seconds)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The gate list: everything that must pass before a change lands. CI runs
-# this script and nothing else as its gate (the benchmark steps after it
-# in ci.yml only record numbers), so green here is green there.
+# this script as its correctness gate, so green here is green there; on a
+# pull request it then runs ./ab.sh against the base commit, which fails
+# on a benchmark regression.
 set -eu
 cd "$(dirname "$0")"
 
@@ -67,3 +68,8 @@ go test -C bench .
 go run -C bench repro/bench --workload tune-deep --seed 1 --seconds 3 --trace 0
 
 printf '\nverify: all gates passed\n'
+
+# The number ROADMAP tracks for the design-quality leg, printed so every
+# CHANGES.md entry quotes the same count. Not a gate.
+printf 'non-test Go lines outside bench/: %s\n' \
+	"$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
