@@ -1,39 +1,38 @@
 #!/bin/sh
 # A/B the repository benchmark: <parent-ref> against this working tree,
 # the way every performance claim here is judged (ROADMAP item 7). The
-# parent is checked out into a git worktree under a temp dir, each side's
+# parent's files are unpacked (git archive) under a temp dir, each side's
 # bench binary is built once, and every workload runs `pairs` alternating
 # parent/change pairs — who goes first flips every pair, so drift on a
 # shared machine lands on both sides — before --compare judges the two
 # files, which stay behind as .bench_build/ab.parent.jsonl and
 # .bench_build/ab.change.jsonl. Exits with --compare's status: 1 on any
 # "worse" row or a risen share of failed ops. CI runs this on pull
-# requests.
+# requests. Workloads named after the pair count are the only ones run:
+# a claim's ten pairs on one workload need not cost forty runs.
 #
-#	./ab.sh <parent-ref> [pairs]     # pairs defaults to 5; ~1.5 min a pair
+#	./ab.sh <parent-ref> [pairs] [workload...]   # pairs defaults to 5; ~45 s a pair and workload
 set -eu
 cd "$(dirname "$0")"
 
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-	echo "usage: ./ab.sh <parent-ref> [pairs]" >&2
+if [ $# -lt 1 ]; then
+	echo "usage: ./ab.sh <parent-ref> [pairs] [workload...]" >&2
 	exit 2
 fi
 ref=$1
 pairs=${2:-5}
+shift
+[ $# -eq 0 ] || shift
+[ $# -gt 0 ] || set -- tune-net tune-deep fleet-batch serve-mix
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
-cleanup() {
-	git worktree remove --force "$tmp/parent" 2>/dev/null || true
-	rm -rf "$tmp"
-	git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 out=$PWD/.bench_build
-mkdir -p "$out"
+mkdir -p "$out" "$tmp/parent"
 rm -f "$out/ab.parent.jsonl" "$out/ab.change.jsonl" # --out appends
 
-git worktree add --quiet --detach "$tmp/parent" "$ref"
+git archive "$ref" | tar -x -C "$tmp/parent"
 go build -C "$tmp/parent/bench" -o "$tmp/bench.parent" repro/bench
 go build -C bench -o "$tmp/bench.change" repro/bench
 
@@ -53,7 +52,7 @@ run() {
 	fi
 }
 
-for w in tune-net tune-deep fleet-batch serve-mix; do
+for w in "$@"; do
 	k=1
 	while [ "$k" -le "$pairs" ]; do
 		if [ $((k % 2)) -eq 1 ]; then

@@ -275,7 +275,7 @@ func TestFleetVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack, err := cl.Submit(fleet.JobSpec{
-		Target: "cpu", Task: "t",
+		ID: "verb-1", Target: "cpu", Task: "t",
 		DAGBin:   dag,
 		Programs: []json.RawMessage{json.RawMessage(`["a"]`), json.RawMessage(`["b"]`)},
 	})
@@ -290,8 +290,8 @@ func TestFleetVerb(t *testing.T) {
 		Results: []fleet.WorkerResult{{Index: 0, Noiseless: 1}, {Index: 1, Noiseless: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Job(ack.ID)
-	if err != nil || !st.Done {
+	st, err := cl.Submit(fleet.JobSpec{ID: ack.ID})
+	if err != nil || !st.Done || len(st.Results) != 2 {
 		t.Fatalf("poll: %+v err=%v", st, err)
 	}
 	if err := shutdown(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/ir"
@@ -73,29 +72,19 @@ func TestWorkerCLIServesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := fleet.NewClient(hs.URL)
-	ack, err := cl.Submit(fleet.JobSpec{
-		Target: "intel-20c-avx2", Task: "mm",
+	st, err := cl.Submit(fleet.JobSpec{
+		ID: "cli-1", Target: "intel-20c-avx2", Task: "mm",
 		DAGBin: encDAG, Programs: []json.RawMessage{encSteps},
+		WaitMS: 10000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := cl.Job(ack.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Done {
-			if st.Results[0].Err != "" || st.Results[0].Noiseless != want {
-				t.Fatalf("worker result %+v, want noiseless %v", st.Results[0], want)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker never completed the job")
-		}
-		time.Sleep(time.Millisecond)
+	if !st.Done {
+		t.Fatal("worker never completed the job")
+	}
+	if st.Results[0].Err != "" || st.Results[0].Noiseless != want {
+		t.Fatalf("worker result %+v, want noiseless %v", st.Results[0], want)
 	}
 
 	cancel()

@@ -36,7 +36,10 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // a quarter above what the flat loop-nest layout costs (7, 8, 25 and
 // 9 800); the layout it replaced (a pointer, an atom slice and a formatted
 // name per loop, maps in Validate and Lower) cost 10 to 20 times as much,
-// so a change that brings per-loop allocations back fails here.
+// so a change that brings per-loop allocations back fails here. The step
+// codec is on the same path — every measured program is encoded for its
+// record, every fleet-measured one decoded on a worker: the hand-written
+// pair costs 1 and 26 where the reflection pair cost 11 and 110.
 func TestProgramPathAllocationCeilings(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
@@ -48,6 +51,10 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	if len(pop) != 64 {
 		t.Fatalf("sampled %d of 64 programs", len(pop))
 	}
+	encoded := make([][]byte, len(pop))
+	for k, s := range pop {
+		encoded[k], _ = ir.EncodeSteps(s.Steps)
+	}
 	i := 0
 	next := func() *ir.State { i++; return pop[i%len(pop)] }
 	for _, c := range []struct {
@@ -58,6 +65,8 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	}{
 		{"ir.Replay", 200, 9, func() { _, _ = ir.Replay(dag, next().Steps) }},
 		{"ir.Lower", 200, 10, func() { _, _ = ir.Lower(next()) }},
+		{"ir.EncodeSteps", 200, 1, func() { _, _ = ir.EncodeSteps(next().Steps) }},
+		{"ir.DecodeSteps", 200, 32, func() { _, _ = ir.DecodeSteps(encoded[i%len(pop)]); i++ }},
 		{"anno.Sample", 200, 32, func() { _, _ = sampler.Sample(sketches[0]) }},
 		{"evo.Search.Run", 5, 12300, func() {
 			search := NewSearch(Config{PopulationSize: 96, Generations: 4, CrossoverProb: 0.15,

@@ -2,12 +2,14 @@ package evo
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -527,4 +529,74 @@ func TestWalkLegality(t *testing.T) {
 	// race detector only slows thirtyfold; the plain run covers it.
 	run(miniFamilies(), !raceDetector, 24, 12)
 	run(walkFamilies(), false, 12, 6)
+}
+
+// refEncodeSteps is the reflection encoder ir.EncodeSteps replaced: the
+// bytes every record log, registry store and resume-cache key was written
+// in, which the hand-written encoder must keep writing.
+func refEncodeSteps(t *testing.T, steps []ir.Step) []byte {
+	t.Helper()
+	type envelope struct {
+		Kind string          `json:"kind"`
+		Data json.RawMessage `json:"data"`
+	}
+	envs := make([]envelope, len(steps))
+	for i, s := range steps {
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = envelope{s.Name(), data}
+	}
+	out, err := json.Marshal(envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStepEncodingMatchesOracle holds ir.EncodeSteps to the oracle's
+// bytes, and ir.DecodeSteps to an exact round trip, on every step list of
+// the golden corpus: the hand-built cases, the sketches (unfilled tiles:
+// nil factor lists) and the seeded walk of every operator family on both
+// target classes, valid programs and invalid ones alike.
+func TestStepEncodingMatchesOracle(t *testing.T) {
+	n := 0
+	check := func(where string, steps []ir.Step) {
+		t.Helper()
+		n++
+		got, err := ir.EncodeSteps(steps)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if want := refEncodeSteps(t, steps); !bytes.Equal(got, want) {
+			t.Fatalf("%s encodes differently:\n got %s\nwant %s", where, got, want)
+		}
+		dec, err := ir.DecodeSteps(got)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if len(dec) != len(steps) || (len(steps) > 0 && !reflect.DeepEqual(dec, steps)) {
+			t.Fatalf("%s does not round-trip: %s", where, got)
+		}
+	}
+	for _, c := range handBuilt() {
+		check("hand-built "+c.name, c.steps)
+	}
+	for fi, w := range walkFamilies() {
+		for ti, tgt := range walkTargets() {
+			dag := w.Build()
+			sketches, err := sketch.NewGenerator(tgt.space).Generate(dag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sk := range sketches {
+				check(fmt.Sprintf("%s %s sketch %d", w.Key, tgt.name, i), sk.Steps)
+			}
+			for _, c := range walk(t, dag, tgt.space, int64(100*fi+ti+1), 4, 8, 3) {
+				check(fmt.Sprintf("%s %s %s", w.Key, tgt.name, c.label), c.steps)
+			}
+		}
+	}
+	t.Logf("%d step lists", n)
 }

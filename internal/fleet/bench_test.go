@@ -18,10 +18,10 @@ import (
 
 // BenchmarkFleetMeasure compares one measurement batch in-process
 // against a loopback fleet of two workers, at the default per-round
-// batch size (16, exp.Config.PerRound: one chunk job) and the
-// full-config size (64: four chunk jobs, pipelined two deep). The
-// in-process case runs single-threaded (Workers=1) so the comparison is
-// transport overhead, not core count.
+// batch size (16, exp.Config.PerRound: one lease) and the full-config
+// size (64: four leases of one job) through one long-lived measurer,
+// as a tuning run has. The in-process case runs single-threaded
+// (Workers=1) so the comparison is transport overhead, not core count.
 func BenchmarkFleetMeasure(b *testing.B) {
 	machine := sim.IntelXeon()
 	bb := te.NewBuilder("mm")
@@ -62,10 +62,11 @@ func BenchmarkFleetMeasure(b *testing.B) {
 			}
 			defer wg.Wait()
 			defer cancel()
+			rm := NewRemoteMeasurer(hs.URL, machine.Name, 0.02, 3)
+			rm.Timeout = time.Minute
+			rm.MeasureTask("mm", states) // dials, and finds the workers waiting
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rm := NewRemoteMeasurer(hs.URL, machine.Name, 0.02, 3)
-				rm.Timeout = time.Minute
 				rm.MeasureTask("mm", states)
 				if err := rm.Err(); err != nil {
 					b.Fatal(err)
@@ -156,7 +157,6 @@ func BenchmarkSiblingDispatch(b *testing.B) {
 				}
 				rm := NewRemoteMeasurer(hs.URL, machine.Name, 0.02, 3)
 				rm.Timeout = time.Minute
-				rm.Pipeline = 4 // keep the queue deep enough to feed four boards
 				rm.MeasureTask("mm", states)
 				if err := rm.Err(); err != nil {
 					b.Fatal(err)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,11 +18,12 @@ import (
 	"repro/internal/te"
 )
 
-// maxBody bounds one request body (a job submission or result post).
+// maxBody bounds one request body (a job submission or result post) and,
+// on the client, one response body.
 const maxBody = 64 << 20
 
-// maxWait caps how long the broker holds a long-poll open (lease or job
-// poll); clients with a default 30s HTTP timeout stay safely inside it.
+// maxWait caps how long the broker holds a long-poll open (lease or
+// submission); clients with a default 30s HTTP timeout stay safely inside it.
 const maxWait = 25 * time.Second
 
 // waitSlice is the longest a blocked long-poll sleeps between checks:
@@ -51,16 +52,14 @@ type Broker struct {
 	// before it is quarantined and refused further leases (default 3).
 	MaxFailures int
 	// AuthToken, when non-empty, requires `Authorization: Bearer
-	// <token>` on every endpoint that mutates or reads job state (job
-	// submission/poll/delete, leases, results) — the same check the
-	// registry server applies to publishes. Only /healthz and /metrics
-	// stay open.
+	// <token>` on every endpoint that mutates or reads job state
+	// (submissions, leases, results) — the same check the registry server
+	// applies to publishes. Only /healthz and /metrics stay open.
 	AuthToken string
-	// MaxDoneJobs bounds how many completed-but-unacknowledged jobs are
-	// retained (default 256). Completed jobs live until the submitter
-	// acknowledges them with DELETE /v1/jobs/{id}; the cap evicts the
-	// oldest if a submitter dies without acknowledging, so a long-lived
-	// broker cannot leak memory.
+	// MaxDoneJobs bounds how many completed jobs are retained (default
+	// 256). A completed job lives until a submission under its id is
+	// answered with the results; the cap evicts the oldest if a submitter
+	// dies before asking, so a long-lived broker cannot leak memory.
 	MaxDoneJobs int
 	// MaxDispatchDistance caps near-sibling dispatch broker-wide: a
 	// worker with an empty native queue may be leased a job whose target
@@ -88,6 +87,8 @@ type Broker struct {
 	// augment it before the handler serves traffic. Never nil.
 	Obs *obs.Observer
 
+	// bodyLimit is the request body bound, maxBody; tests lower it.
+	bodyLimit int64
 	// now is the broker's clock for lease deadlines, expiry reaping and
 	// the throughput EWMA; tests inject a fake to drive expiry without
 	// sleeping (long-poll request holds and uptime stay wall-clock).
@@ -98,12 +99,11 @@ type Broker struct {
 	jobOrder []string // submission order; leases scan oldest-first
 	done     []string // completion order; MaxDoneJobs evicts oldest
 	workers  map[string]*workerState
-	nextJob  int64
 	nextID   int64 // lease ids
 
 	// notify is the long-poll broadcast: any state change that could
 	// unblock a waiter (job submitted, results landed, slices requeued)
-	// closes and replaces it, waking every blocked lease and job poll.
+	// closes and replaces it, waking every blocked lease and submission.
 	notify chan struct{}
 
 	started time.Time
@@ -178,6 +178,7 @@ func NewBroker() *Broker {
 		MaxFailures:         3,
 		MaxDoneJobs:         256,
 		MaxDispatchDistance: 1,
+		bodyLimit:           maxBody,
 		jobs:                map[string]*job{},
 		workers:             map[string]*workerState{},
 		notify:              make(chan struct{}),
@@ -221,6 +222,9 @@ type countingWriter struct {
 	n int64
 }
 
+// Unwrap lets http.ResponseController reach the server's writer.
+func (c *countingWriter) Unwrap() http.ResponseWriter { return c.ResponseWriter }
+
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.ResponseWriter.Write(p)
 	c.n += int64(n)
@@ -250,7 +254,6 @@ func (b *Broker) routes() {
 	b.mux = http.NewServeMux()
 	b.mux.HandleFunc("/healthz", b.handleHealth)
 	b.mux.HandleFunc("/v1/jobs", b.handleSubmit)
-	b.mux.HandleFunc("/v1/jobs/", b.handleJob)
 	b.mux.HandleFunc("/v1/lease", b.handleLease)
 	b.mux.HandleFunc("/v1/results", b.handleResults)
 	b.mux.HandleFunc("/metrics", b.handleMetrics)
@@ -267,13 +270,76 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// readAll reads r to its end into a buffer sized by the announced
+// content length, when there is a believable one.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if size > 0 && size <= maxBody {
+		buf.Grow(int(size) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// readBody reads one bounded request body whole.
+func (b *Broker) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := readAll(http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+	}
+	return body, err == nil
+}
+
 // decodeBody parses one bounded JSON request body.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v); err != nil {
+func (b *Broker) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	body, ok := b.readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
 		writeError(w, http.StatusBadRequest, "parse body: %v", err)
 		return false
 	}
 	return true
+}
+
+// splitLines cuts an NDJSON body into its JSON header line and the
+// program lines after it, each a piece of body: nobody parses a program
+// between the submitter that encoded it and the worker that replays it.
+// Every line must end in a newline and none be empty, so a truncated
+// body is refused here; the caller holds the count the header announces
+// against the lines, which catches a program with a newline inside.
+func splitLines(body []byte) (header []byte, programs []json.RawMessage, err error) {
+	header, rest, ok := bytes.Cut(body, []byte{'\n'})
+	if !ok {
+		return nil, nil, fmt.Errorf("no header line")
+	}
+	programs = make([]json.RawMessage, 0, bytes.Count(rest, []byte{'\n'}))
+	for len(rest) > 0 {
+		line, after, ok := bytes.Cut(rest, []byte{'\n'})
+		if !ok || len(line) == 0 {
+			return nil, nil, fmt.Errorf("program line %d is empty or cut short", len(programs))
+		}
+		programs, rest = append(programs, line), after
+	}
+	return header, programs, nil
+}
+
+// joinLines builds an NDJSON body: the header as JSON, then the lines.
+func joinLines(header interface{}, programs []json.RawMessage) ([]byte, error) {
+	h, err := json.Marshal(header)
+	if err != nil {
+		return nil, err
+	}
+	size := len(h) + 1 + len(programs)
+	for _, p := range programs {
+		size += len(p)
+	}
+	body := append(make([]byte, 0, size), h...)
+	for _, p := range programs {
+		body = append(append(body, '\n'), p...)
+	}
+	return append(body, '\n'), nil
 }
 
 // authorized applies the broker's bearer check (shared with the
@@ -331,6 +397,17 @@ func (b *Broker) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "jobs": jobs, "workers": workers})
 }
 
+// handleSubmit is the submitter's one request: enqueue the batch under
+// the id the submitter chose, unless the broker already holds that id,
+// then hold the request open up to wait_ms until the job is done. The
+// answer that carries the results is also the acknowledgement: the job
+// is forgotten as it is written. So the request is idempotent while the
+// job lives (a retry attaches, it never enqueues the batch again), a
+// header without programs re-attaches after an expired wait, and an id
+// the broker no longer knows (answered, evicted past MaxDoneJobs, lost
+// in a restart) is 404, to which the submitter sends the programs again
+// — re-measuring is wasteful but, measurement being deterministic,
+// harmless.
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST a job to %s", r.URL.Path)
@@ -339,108 +416,84 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
+	body, ok := b.readBody(w, r)
+	if !ok {
+		return
+	}
 	var spec JobSpec
-	if !decodeBody(w, r, &spec) {
-		return
+	header, programs, err := splitLines(body)
+	if err == nil {
+		err = json.Unmarshal(header, &spec)
 	}
-	if spec.Target == "" {
-		writeError(w, http.StatusBadRequest, "job needs a target")
-		return
-	}
-	if len(spec.Programs) == 0 {
+	switch {
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "parse body: %v", err)
+	case spec.ID == "":
+		writeError(w, http.StatusBadRequest, "job needs an id")
+	case spec.Count != len(programs):
+		writeError(w, http.StatusBadRequest, "header counts %d programs, body has %d lines", spec.Count, len(programs))
+	case spec.Count == 0 && spec.Target == "":
+		b.awaitJob(w, r, &spec, nil)
+	case spec.Count == 0:
 		writeError(w, http.StatusBadRequest, "job carries no programs")
-		return
-	}
-	if len(spec.DAGBin) == 0 {
+	case spec.Target == "":
+		writeError(w, http.StatusBadRequest, "job needs a target")
+	case len(spec.DAGBin) == 0:
 		writeError(w, http.StatusBadRequest, "job carries no dag_bin (the binary wire DAG)")
-		return
+	default:
+		// Reject undecodable DAGs at the door, once per job: a poisoned job
+		// would otherwise fail identically on every worker that leased it.
+		if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
+			writeError(w, http.StatusBadRequest, "bad binary dag: %v", err)
+			return
+		}
+		b.awaitJob(w, r, &spec, programs)
 	}
-	// Reject undecodable DAGs at the door, once per job: a poisoned job
-	// would otherwise fail identically on every worker that leased it.
-	if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
-		writeError(w, http.StatusBadRequest, "bad binary dag: %v", err)
-		return
-	}
-	b.mu.Lock()
-	b.nextJob++
-	b.count("jobs_submitted").Inc()
-	j := &job{
-		id:        fmt.Sprintf("job-%d", b.nextJob),
-		target:    spec.Target,
-		task:      spec.Task,
-		trace:     spec.Trace,
-		submitted: b.now(),
-		dagBin:    spec.DAGBin,
-		programs:  spec.Programs,
-		results:   make([]UnitResult, len(spec.Programs)),
-		leases:    map[int64]*lease{},
-	}
-	j.queue = make([]int, len(spec.Programs))
-	for i := range j.queue {
-		j.queue[i] = i
-	}
-	b.jobs[j.id] = j
-	b.jobOrder = append(b.jobOrder, j.id)
-	// New work: wake blocked lease long-polls.
-	b.wakeLocked()
-	b.mu.Unlock()
-	writeJSON(w, http.StatusOK, JobAck{ID: j.id, Total: len(spec.Programs)})
 }
 
-// handleJob answers a submitter's poll (GET) or acknowledgement
-// (DELETE). Results appear on every poll once the job is done —
-// delivery is idempotent, so a poll response lost to a timeout or a
-// dropped connection costs a retry, never the measurements. A GET with
-// ?wait_ms=N long-polls: the broker holds the request open until the
-// job completes or the wait expires, so the submitter makes one round
-// trip per job. The submitter acknowledges
-// with DELETE once it holds the results; jobs whose submitter died
-// unacknowledged are evicted oldest-first past MaxDoneJobs. Both verbs
-// carry job results or destroy job state, so both sit behind the
-// bearer check.
-func (b *Broker) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE %s", r.URL.Path)
-		return
-	}
-	if !b.authorized(w, r) {
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "bad job id %q", id)
-		return
-	}
-	waitMS, _ := strconv.ParseInt(r.URL.Query().Get("wait_ms"), 10, 64)
-	deadline := time.Now().Add(clampWait(waitMS))
-	for {
+// awaitJob enqueues spec's programs unless its id is already held (nil
+// programs only attach), then answers with the job's status: at once
+// when it is done or no wait was asked for, else when it completes or
+// the wait runs out. A held answer sends its status line first: that is
+// the submitter's receipt, by which it tells a broker that lost the job
+// from one that never had it.
+func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec, programs []json.RawMessage) {
+	deadline := time.Now().Add(clampWait(spec.WaitMS))
+	w.Header().Set("Content-Type", "application/json")
+	var st JobStatus
+	for first := true; ; first = false {
 		b.mu.Lock()
 		b.reapLocked(b.now())
-		j, ok := b.jobs[id]
-		if !ok {
-			b.mu.Unlock()
-			writeError(w, http.StatusNotFound, "unknown job %q (acknowledged and evicted jobs are forgotten)", id)
-			return
+		j, ok := b.jobs[spec.ID]
+		if !ok && first && programs != nil {
+			j, ok = b.enqueueLocked(spec, programs), true
 		}
-		if r.Method == http.MethodDelete {
-			b.dropJobLocked(id)
-			b.mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
-			return
-		}
-		st := JobStatus{
-			ID: j.id, Target: j.target, Task: j.task,
-			Total: len(j.programs), Completed: j.completed, Done: j.done(),
-		}
-		if st.Done {
-			st.Results = j.results
+		if ok {
+			st = JobStatus{
+				ID: j.id, Target: j.target, Task: j.task,
+				Total: len(j.programs), Completed: j.completed, Done: j.done(),
+			}
+			if st.Done {
+				st.Results = j.results
+				b.dropJobLocked(j.id)
+			}
 		}
 		ch := b.notify
 		b.mu.Unlock()
-		remaining := time.Until(deadline)
-		if st.Done || remaining <= 0 {
-			writeJSON(w, http.StatusOK, st)
+		if !ok && first {
+			writeError(w, http.StatusNotFound, "unknown job %q (answered and evicted jobs are forgotten)", spec.ID)
 			return
+		}
+		remaining := time.Until(deadline)
+		if !ok || st.Done || remaining <= 0 {
+			// Evicted while it waited, a job is answered as last seen; the
+			// submitter's next attach is told it is unknown.
+			_ = json.NewEncoder(w).Encode(st)
+			return
+		}
+		if first {
+			w.WriteHeader(http.StatusOK)
+			_ = http.NewResponseController(w).Flush()
 		}
 		// Wait for a state change, but never longer than a slice: the
 		// waiter itself must keep reaping expired leases (no background
@@ -454,10 +507,36 @@ func (b *Broker) handleJob(w http.ResponseWriter, r *http.Request) {
 		case <-ch:
 		case <-time.After(slice):
 		case <-r.Context().Done():
-			writeJSON(w, http.StatusOK, st)
+			// The submitter is gone; the job stays for its retry.
 			return
 		}
 	}
+}
+
+// enqueueLocked creates spec's job with every program queued. Callers
+// hold b.mu.
+func (b *Broker) enqueueLocked(spec *JobSpec, programs []json.RawMessage) *job {
+	b.count("jobs_submitted").Inc()
+	j := &job{
+		id:        spec.ID,
+		target:    spec.Target,
+		task:      spec.Task,
+		trace:     spec.Trace,
+		submitted: b.now(),
+		dagBin:    spec.DAGBin,
+		programs:  programs,
+		results:   make([]UnitResult, len(programs)),
+		queue:     make([]int, len(programs)),
+		leases:    map[int64]*lease{},
+	}
+	for i := range j.queue {
+		j.queue[i] = i
+	}
+	b.jobs[j.id] = j
+	b.jobOrder = append(b.jobOrder, j.id)
+	// New work: wake blocked lease long-polls.
+	b.wakeLocked()
+	return j
 }
 
 // dropJobLocked removes a job from every index. Callers hold b.mu.
@@ -486,7 +565,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if !decodeBody(w, r, &req) {
+	if !b.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Worker == "" || req.Target == "" {
@@ -495,6 +574,18 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Capacity < 1 {
 		req.Capacity = 1
+	}
+	if req.Done != nil {
+		// The previous lease's results come first and on their own terms:
+		// refused, the request ends here, having changed and granted nothing.
+		req.Done.Worker = req.Worker
+		b.mu.Lock()
+		_, err := b.applyResultsLocked(*req.Done)
+		b.mu.Unlock()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	deadline := time.Now().Add(clampWait(req.WaitMS))
 	waited := false
@@ -519,7 +610,16 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 				b.count("lease_wakeups").Inc()
 			}
 			b.mu.Unlock()
-			writeJSON(w, http.StatusOK, grant)
+			// The programs are pieces of the submission's body, which no
+			// request ever writes to again: safe to send outside the lock.
+			body, err := joinLines(grant, grant.Programs)
+			if err != nil {
+				writeError(w, http.StatusInternalServerError, "encode grant: %v", err)
+				return
+			}
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			_, _ = w.Write(body)
 			return
 		}
 		ch := b.notify
@@ -530,7 +630,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Long-poll: block until a submit/requeue broadcast or the next
-		// reaping slice, whichever comes first (see handleJob).
+		// reaping slice, whichever comes first (see awaitJob).
 		slice := waitSlice
 		if slice > remaining {
 			slice = remaining
@@ -605,10 +705,10 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		Target: j.target, Worker: req.Worker, Count: len(indices), Detail: detail})
 	grant := LeaseGrant{
 		Lease: l.id, Job: j.id, Task: j.task, Trace: j.trace, Target: j.target,
-		DAGBin: j.dagBin, Indices: indices,
+		DAGBin: j.dagBin, Indices: indices, Programs: make([]json.RawMessage, len(indices)),
 	}
-	for _, idx := range indices {
-		grant.Programs = append(grant.Programs, j.programs[idx])
+	for k, idx := range indices {
+		grant.Programs[k] = j.programs[idx]
 	}
 	return grant, true
 }
@@ -634,6 +734,9 @@ func (b *Broker) leaseSizeLocked(req LeaseRequest) int {
 	return n
 }
 
+// handleResults is the results-only entry into applyResultsLocked, for
+// a worker with a lease to return and no wish for another (shutting
+// down); a working worker returns its lease with its next lease request.
 func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST results to %s", r.URL.Path)
@@ -643,31 +746,38 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var post ResultPost
-	if !decodeBody(w, r, &post) {
+	if !b.decodeBody(w, r, &post) {
 		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	wasDone := false
-	j, ok := b.jobs[post.Job]
-	if ok {
-		wasDone = j.done()
+	ack, err := b.applyResultsLocked(post)
+	b.mu.Unlock()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
+	writeJSON(w, http.StatusOK, ack)
+}
+
+// applyResultsLocked records one lease's results and releases the lease
+// if the poster holds it. It either applies the whole post or, with an
+// error, none of it. Callers hold b.mu.
+func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
+	j, ok := b.jobs[post.Job]
 	if !ok {
 		// The job finished (possibly via a requeued slice) and was
 		// fetched; a straggler's late results are meaningless but not an
 		// error — deterministic measurement means they matched anyway.
-		writeJSON(w, http.StatusOK, ResultAck{})
-		return
+		return ResultAck{}, nil
 	}
+	wasDone := j.done()
 	// Validate every index before mutating anything: a malformed post
 	// must be rejected whole, never half-applied (results accepted, the
 	// lease still live) — the fuzz suite pins this invariant.
 	for _, wr := range post.Results {
 		if wr.Index < 0 || wr.Index >= len(j.results) {
-			writeError(w, http.StatusBadRequest, "result index %d out of range (job %s has %d programs)",
+			return ResultAck{}, fmt.Errorf("result index %d out of range (job %s has %d programs)",
 				wr.Index, j.id, len(j.programs))
-			return
 		}
 	}
 	accepted := 0
@@ -698,8 +808,17 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	if l != nil && l.worker != post.Worker {
 		l = nil
 	}
+	requeued := false
 	if l != nil {
 		delete(j.leases, l.id)
+		// What the holder returns unmeasured goes back in the queue: with
+		// the lease gone, nothing else would ever hand it out again.
+		for _, idx := range l.indices {
+			if !j.results[idx].Done {
+				j.queue = append(j.queue, idx)
+				requeued = true
+			}
+		}
 	}
 	if ws := b.workers[post.Worker]; ws != nil {
 		ws.completed += int64(accepted)
@@ -725,7 +844,10 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			ev.DurMS = b.now().Sub(l.granted).Seconds() * 1000
 		}
 		b.Obs.Emit(ev)
-		// Progress (possibly completion): wake blocked job long-polls.
+	}
+	if accepted > 0 || requeued {
+		// Progress (possibly completion) wakes blocked submissions, work
+		// handed back wakes blocked leases.
 		b.wakeLocked()
 	}
 	// Count and enqueue the completion only on the transition: a
@@ -743,7 +865,7 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 			b.dropJobLocked(b.done[0])
 		}
 	}
-	writeJSON(w, http.StatusOK, ResultAck{Accepted: accepted})
+	return ResultAck{Accepted: accepted}, nil
 }
 
 func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,15 +60,22 @@ var synthDAG = func() []byte {
 // reads: only dag_bin is.
 const jsonDAG = `{"name":"synth","tensors":[{"name":"A","shape":[8,8],"elem_bytes":4}],"inputs":["A"],"nodes":[]}`
 
+// synthSeq numbers the test jobs: a submitter chooses its own job ids.
+var synthSeq atomic.Int64
+
 // synthJob builds a protocol-test job: the broker never decodes step
 // lists, so the programs are opaque placeholders.
 func synthJob(target string, n int) JobSpec {
-	spec := JobSpec{Target: target, Task: "t", DAGBin: synthDAG}
+	spec := JobSpec{ID: fmt.Sprintf("synth-%d", synthSeq.Add(1)), Target: target, Task: "t", DAGBin: synthDAG}
 	for i := 0; i < n; i++ {
 		spec.Programs = append(spec.Programs, json.RawMessage(fmt.Sprintf(`["p%d"]`, i)))
 	}
 	return spec
 }
+
+// poll asks for a job's status without waiting: a submission of its id
+// alone. The answer that says done is the one that forgets the job.
+func poll(cl *Client, id string) (JobStatus, error) { return cl.Submit(JobSpec{ID: id}) }
 
 func testBroker(t *testing.T, mutate func(*Broker)) (*Broker, *Client) {
 	t.Helper()
@@ -113,7 +122,7 @@ func TestBrokerJobLifecycle(t *testing.T) {
 		t.Fatalf("ack = %+v", ack)
 	}
 
-	st, err := cl.Job(ack.ID)
+	st, err := poll(cl, ack.ID)
 	if err != nil || st.Done || st.Completed != 0 {
 		t.Fatalf("fresh job status: %+v err=%v", st, err)
 	}
@@ -140,7 +149,7 @@ func TestBrokerJobLifecycle(t *testing.T) {
 		t.Fatalf("drain measured %d, want the remaining 3", n)
 	}
 
-	st, err = cl.Job(ack.ID)
+	st, err = poll(cl, ack.ID)
 	if err != nil || !st.Done || st.Completed != 5 {
 		t.Fatalf("final status: %+v err=%v", st, err)
 	}
@@ -149,19 +158,42 @@ func TestBrokerJobLifecycle(t *testing.T) {
 			t.Fatalf("result %d misplaced: %+v", i, r)
 		}
 	}
-	// Delivery is idempotent: a poll response lost in transit costs a
-	// retry, not the measurements.
-	st2, err := cl.Job(ack.ID)
-	if err != nil || !st2.Done || len(st2.Results) != 5 {
-		t.Fatalf("re-poll of a done job must still carry results: %+v err=%v", st2, err)
+	// The answer that carried the results was the acknowledgement.
+	if _, err := poll(cl, ack.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("poll after the results were delivered: err=%v, want ErrUnknownJob", err)
 	}
-	// The submitter's acknowledgement releases the job.
-	if err := cl.Ack(ack.ID); err != nil {
-		t.Fatalf("ack: %v", err)
+}
+
+// TestBrokerSubmitIdempotent: a retried submission attaches to the job
+// the first one made; the batch is never enqueued twice.
+func TestBrokerSubmitIdempotent(t *testing.T) {
+	b, cl := testBroker(t, nil)
+	spec := synthJob("cpu", 4)
+	for i := 0; i < 3; i++ {
+		if st, err := cl.Submit(spec); err != nil || st.Total != 4 || st.Done {
+			t.Fatalf("submission %d: %+v err=%v", i, st, err)
+		}
 	}
-	if _, err := cl.Job(ack.ID); err == nil {
-		t.Fatal("fetch after acknowledgement should 404")
+	m, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.Jobs != 1 || m.JobsSubmitted != 1 || m.ProgramsQueued != 4 {
+		t.Fatalf("after three submissions of one id: %d jobs held, %d submitted, %d programs queued; want 1, 1, 4",
+			m.Jobs, m.JobsSubmitted, m.ProgramsQueued)
+	}
+	checkLeaseTable(t, b, "resubmission")
+	// A retry that lands while a slice is leased must not requeue it.
+	if g, err := cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 3}); err != nil || g == nil {
+		t.Fatalf("lease: %+v err=%v", g, err)
+	}
+	if _, err := cl.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := cl.Metrics(); m.ProgramsQueued != 1 || m.ProgramsLeased != 3 {
+		t.Fatalf("resubmission under a live lease: %d queued / %d leased, want 1 / 3", m.ProgramsQueued, m.ProgramsLeased)
+	}
+	checkLeaseTable(t, b, "resubmission under a live lease")
 }
 
 // TestBrokerDoneJobEviction bounds the completed-but-unacknowledged
@@ -183,10 +215,10 @@ func TestBrokerDoneJobEviction(t *testing.T) {
 	if n := drain(t, cl, "w", "cpu", 1); n != 1 {
 		t.Fatal("drain job 2")
 	}
-	if _, err := cl.Job(ack1.ID); err == nil {
+	if _, err := poll(cl, ack1.ID); err == nil {
 		t.Error("oldest unacknowledged done job should have been evicted")
 	}
-	if st, err := cl.Job(ack2.ID); err != nil || !st.Done {
+	if st, err := poll(cl, ack2.ID); err != nil || !st.Done {
 		t.Errorf("newest done job must survive eviction: %+v err=%v", st, err)
 	}
 }
@@ -225,7 +257,7 @@ func TestBrokerLeaseExpiryRequeues(t *testing.T) {
 	if n := drain(t, cl, "alive", "cpu", 4); n != 3 {
 		t.Fatalf("replacement worker measured %d, want all 3", n)
 	}
-	st, err := cl.Job(ack.ID)
+	st, err := poll(cl, ack.ID)
 	if err != nil || !st.Done {
 		t.Fatalf("job should complete after requeue: %+v err=%v", st, err)
 	}
@@ -312,25 +344,58 @@ func TestBrokerDuplicateResultsDropped(t *testing.T) {
 	if m.JobsCompleted != 1 {
 		t.Errorf("jobs completed = %d, want 1 (a straggler's duplicate post must not double-count)", m.JobsCompleted)
 	}
-	if st, err := cl.Job(ack.ID); err != nil || !st.Done {
+	if st, err := poll(cl, ack.ID); err != nil || !st.Done {
+		t.Fatalf("job: %+v err=%v", st, err)
+	}
+}
+
+// TestBrokerPartialPostRequeuesRest: a worker that returns its lease
+// with only some of its programs measured hands the rest back to the
+// queue — released with the lease, they would be in no queue, under no
+// lease and not done, and nothing would ever hand them out again.
+func TestBrokerPartialPostRequeuesRest(t *testing.T) {
+	b, cl := testBroker(t, nil)
+	ack, err := cl.Submit(synthJob("cpu", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 3})
+	if err != nil || g == nil || len(g.Indices) != 3 {
+		t.Fatalf("lease: %+v err=%v", g, err)
+	}
+	if ra, err := cl.PostResults(ResultPost{Worker: "w", Job: g.Job, Lease: g.Lease,
+		Results: []WorkerResult{{Index: 1, Noiseless: 2}}}); err != nil || ra.Accepted != 1 {
+		t.Fatalf("partial post: %+v err=%v", ra, err)
+	}
+	checkLeaseTable(t, b, "partial post")
+	if n := drain(t, cl, "w2", "cpu", 4); n != 2 {
+		t.Fatalf("second worker measured %d, want the 2 programs handed back", n)
+	}
+	if st, err := poll(cl, ack.ID); err != nil || !st.Done {
 		t.Fatalf("job: %+v err=%v", st, err)
 	}
 }
 
 // checkLeaseTable asserts the broker's lease-table invariant on every
-// held job: each program index is in exactly one of queued / leased /
-// done. Leased means held by a live lease and not yet done — a done
-// index lingers in the lease of a worker that lost the race for it until
-// that lease is released or reaped, which requeues undone indices only.
+// held job, after any request of the protocol — a submission or its
+// retry, a lease, a results post, and the lease request that is both:
+// each program index is in exactly one of queued / leased / done, and
+// the job's completion count is the number done. Leased means held by a
+// live lease and not yet done — a done index lingers in the lease of a
+// worker that lost the race for it until that lease is released or
+// reaped, which requeues undone indices only. Safe to call from any
+// goroutine.
 func checkLeaseTable(t *testing.T, b *Broker, step string) {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, j := range b.jobs {
 		in := make([]int, len(j.programs))
+		done := 0
 		for idx, r := range j.results {
 			if r.Done {
 				in[idx]++
+				done++
 			}
 		}
 		for _, idx := range j.queue {
@@ -345,8 +410,12 @@ func checkLeaseTable(t *testing.T, b *Broker, step string) {
 		}
 		for idx, n := range in {
 			if n != 1 {
-				t.Fatalf("after %s: %s program %d is in %d of queued/leased/done, want exactly 1", step, j.id, idx, n)
+				t.Errorf("after %s: %s program %d is in %d of queued/leased/done, want exactly 1", step, j.id, idx, n)
+				return
 			}
+		}
+		if done != j.completed {
+			t.Errorf("after %s: %s counts %d completed, %d are done", step, j.id, j.completed, done)
 		}
 	}
 }
@@ -402,13 +471,27 @@ func TestBrokerForeignLeasePostKeepsLease(t *testing.T) {
 		}
 	}
 
+	// The same through the lease request that carries results: b names
+	// a's lease again (a duplicate result, dropped) and asks for more.
+	if g, err := cl.Lease(LeaseRequest{Worker: "b", Target: "cpu", Capacity: 1,
+		Done: &ResultPost{Job: a.Job, Lease: a.Lease, Results: []WorkerResult{{Index: own.Indices[0], Noiseless: 1}}}}); err != nil || g != nil {
+		t.Fatalf("b's combined request: %+v err=%v, want no work left to grant", g, err)
+	}
+	checkLeaseTable(t, b, "foreign-lease combined request")
+	b.mu.Lock()
+	holder = b.jobs[ack.ID].leases[a.Lease]
+	b.mu.Unlock()
+	if holder == nil || holder.worker != "a" {
+		t.Fatalf("a's lease after b's combined request = %+v, want it still held by a", holder)
+	}
+
 	// a dies; its slice comes back through expiry and the job finishes.
 	clk.Advance(2 * b.LeaseTTL)
 	if n := drain(t, cl, "c", "cpu", 4); n != 2 {
 		t.Fatalf("replacement worker measured %d, want a's 2 requeued programs", n)
 	}
 	checkLeaseTable(t, b, "requeue and drain")
-	if st, err := cl.Job(ack.ID); err != nil || !st.Done {
+	if st, err := poll(cl, ack.ID); err != nil || !st.Done {
 		t.Fatalf("job: %+v err=%v", st, err)
 	}
 }
@@ -430,9 +513,9 @@ func TestBrokerAuth(t *testing.T) {
 	if err := open.Ping(); err != nil {
 		t.Fatalf("healthz should not need a token: %v", err)
 	}
-	// ...but job polls carry results and job deletes destroy them, so
-	// both sit behind the token.
-	if _, err := open.Job("job-1"); err == nil || !strings.Contains(err.Error(), "bearer") {
+	// ...but a job's status carries its results and answering it forgets
+	// the job, so even a bare id sits behind the token.
+	if _, err := poll(open, "job-1"); err == nil || !strings.Contains(err.Error(), "bearer") {
 		t.Fatalf("tokenless job poll should be refused, got %v", err)
 	}
 
@@ -445,30 +528,38 @@ func TestBrokerAuth(t *testing.T) {
 	if n := drain(t, authed, "w", "cpu", 1); n != 1 {
 		t.Fatalf("authed drain measured %d, want 1", n)
 	}
-	if st, err := authed.Job(ack.ID); err != nil || !st.Done {
+	if st, err := poll(authed, ack.ID); err != nil || !st.Done {
 		t.Fatalf("authed poll: %+v err=%v", st, err)
 	}
 }
 
+// postJob sends a hand-made submission body.
+func postJob(cl *Client, body string) (int, error) {
+	code, _, err := cl.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", []byte(body))
+	return code, err
+}
+
 func TestBrokerRejectsMalformedJobs(t *testing.T) {
 	b, cl := testBroker(t, nil)
-	programs := []json.RawMessage{json.RawMessage(`[]`)}
-	for name, spec := range map[string]interface{}{
-		"no target":   JobSpec{DAGBin: synthDAG, Programs: programs},
-		"no programs": JobSpec{Target: "cpu", DAGBin: synthDAG},
-		"no dag":      JobSpec{Target: "cpu", Programs: programs},
+	dag, _ := json.Marshal(synthDAG)
+	for name, body := range map[string]string{
+		"no id":       fmt.Sprintf(`{"target":"cpu","dag_bin":%s,"count":1}`+"\n[]\n", dag),
+		"no target":   fmt.Sprintf(`{"id":"j","dag_bin":%s,"count":1}`+"\n[]\n", dag),
+		"no programs": fmt.Sprintf(`{"id":"j","target":"cpu","dag_bin":%s}`+"\n", dag),
+		"no dag":      `{"id":"j","target":"cpu","count":1}` + "\n[]\n",
 		// A JSON DAG under the "dag" key is not a wire this broker reads.
-		"json dag only": map[string]interface{}{"target": "cpu", "programs": programs,
-			"dag": json.RawMessage(jsonDAG)},
+		"json dag only": `{"id":"j","target":"cpu","count":1,"dag":` + jsonDAG + "}\n[]\n",
+		// The old single-JSON-value submission is not one either.
+		"programs in the header": fmt.Sprintf(`{"id":"j","target":"cpu","dag_bin":%s,"programs":[[]]}`+"\n", dag),
 	} {
-		code, err := cl.do(http.MethodPost, "/v1/jobs", spec, nil)
-		if code != http.StatusBadRequest || err == nil {
+		if code, err := postJob(cl, body); code != http.StatusBadRequest || err == nil {
 			t.Errorf("submit with %s: status %d err=%v, want 400", name, code, err)
 		}
 	}
 	assertNoJobs(t, b)
-	// Out-of-range result indices must not crash or corrupt a job.
-	if _, err := cl.Submit(synthJob("cpu", 1)); err != nil {
+	// Out-of-range result indices must not crash or corrupt a job, alone
+	// or on a lease request, which must then grant nothing either.
+	if _, err := cl.Submit(synthJob("cpu", 2)); err != nil {
 		t.Fatal(err)
 	}
 	grant, err := cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 1})
@@ -476,13 +567,24 @@ func TestBrokerRejectsMalformedJobs(t *testing.T) {
 		t.Fatal("lease failed")
 	}
 	before := snapJob(b, grant.Job)
-	if _, err := cl.PostResults(ResultPost{Worker: "w", Job: grant.Job, Lease: grant.Lease,
-		Results: []WorkerResult{{Index: 0, Noiseless: 1}, {Index: 7, Noiseless: 1}}}); err == nil || !strings.Contains(err.Error(), "out of range") {
+	bad := ResultPost{Worker: "w", Job: grant.Job, Lease: grant.Lease,
+		Results: []WorkerResult{{Index: 0, Noiseless: 1}, {Index: 7, Noiseless: 1}}}
+	if _, err := cl.PostResults(bad); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range result index: err=%v, want the out-of-range refusal", err)
+	}
+	if g, err := cl.Lease(LeaseRequest{Worker: "w2", Target: "cpu", Capacity: 1, Done: &bad}); g != nil || err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("lease request carrying the bad post: grant %+v err=%v, want the out-of-range refusal and no grant", g, err)
 	}
 	if after := snapJob(b, grant.Job); !reflect.DeepEqual(before, after) {
 		t.Errorf("refused post was half-applied:\nbefore %+v\nafter  %+v", before, after)
 	}
+	b.mu.Lock()
+	_, registered := b.workers["w2"]
+	b.mu.Unlock()
+	if registered {
+		t.Error("a refused lease request registered its worker")
+	}
+	checkLeaseTable(t, b, "refused posts")
 }
 
 // assertNoJobs: refused submissions leave nothing behind.

@@ -19,7 +19,9 @@ import (
 // dispatch enabled, and every run must produce output bit-identical to
 // an in-process measurement — the package's determinism contract says
 // lease slicing, assignment, faults and dispatch distance are invisible
-// in results. The suite runs under CI's fleet -race gate.
+// in results. After every request an agent makes, the broker's
+// lease-table invariant (checkLeaseTable) must hold. The suite runs
+// under CI's fleet -race gate.
 
 // chaosTTL is the chaos brokers' lease TTL: short enough that a test
 // recovers abandoned slices quickly, long enough that healthy posts
@@ -56,10 +58,11 @@ func chaosResults(g *LeaseGrant) []WorkerResult {
 // {die, straggle, duplicate, behave} per lease. Dying abandons the
 // slice (lease expiry + requeue); straggling holds it past the TTL and
 // posts anyway (late/duplicate-result path); duplicating posts the same
-// results twice; behaving is an ordinary worker. All posted results are
-// honestly measured, so whichever post lands first is correct — the
-// determinism contract under fire.
-func startChaosAgent(t *testing.T, url string, host *sim.Machine, seed int64) {
+// results twice, the second time aboard its next lease request; behaving
+// is an ordinary worker, whose results ride on its next lease request.
+// All posted results are honestly measured, so whichever post lands
+// first is correct — the determinism contract under fire.
+func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, seed int64) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -69,8 +72,11 @@ func startChaosAgent(t *testing.T, url string, host *sim.Machine, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		cl := NewClient(url)
 		id := fmt.Sprintf("chaos-%s-%d", host.Name, seed)
+		var done *ResultPost // what the next lease request returns
 		for ctx.Err() == nil {
-			g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 2, MaxDistance: 1})
+			g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 2, MaxDistance: 1, Done: done})
+			checkLeaseTable(t, b, id+" lease")
+			done = nil
 			if err != nil || g == nil {
 				select {
 				case <-ctx.Done():
@@ -96,9 +102,12 @@ func startChaosAgent(t *testing.T, url string, host *sim.Machine, seed int64) {
 				}
 			}
 			post := ResultPost{Worker: id, Job: g.Job, Lease: g.Lease, Results: results}
-			_, _ = cl.PostResults(post)
-			if fault == 2 {
-				_, _ = cl.PostResults(post) // duplicate: must be dropped
+			if fault != 3 {
+				_, _ = cl.PostResults(post)
+				checkLeaseTable(t, b, id+" post")
+			}
+			if fault != 1 {
+				done = &post // fault 2: a duplicate, which must be dropped
 			}
 		}
 	}()
@@ -119,18 +128,20 @@ func TestFleetChaosBitIdentical(t *testing.T) {
 
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			url := startBroker(t, func(b *Broker) {
+			b, bcl := testBroker(t, func(b *Broker) {
 				b.LeaseTTL = chaosTTL
 				b.MaxFailures = 0 // chaos agents die constantly; never quarantine
 			})
+			url := bcl.base
 			startWorkers(t, url, sim.IntelXeon(), 2)          // native
 			startWorkers(t, url, sim.IntelXeonAVX512(), 1, 3) // siblings (MaxDistance 1 default)
-			startChaosAgent(t, url, sim.IntelXeon(), seed)    // native-side faults
-			startChaosAgent(t, url, sim.IntelXeonAVX512(), seed+100)
-			startChaosAgent(t, url, sim.IntelXeonAVX512(), seed+200)
+			startChaosAgent(t, b, url, sim.IntelXeon(), seed) // native-side faults
+			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+100)
+			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+200)
 
 			rm := remote(t, url, machine, 0.02, 11)
 			res := rm.MeasureTask("mm", states)
+			checkLeaseTable(t, b, "the batch")
 			assertBitIdentical(t, "chaos", local, res)
 			for i, r := range res {
 				if r.TrainOnly || r.TrainWeight != 0 {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,6 +34,15 @@ var ErrQuarantined = errors.New("fleet: worker is quarantined")
 // unknown job) fail immediately.
 var ErrTransport = errors.New("fleet: transport error")
 
+// ErrUnknownJob is returned by Submit when asked to attach to a job the
+// broker does not hold: already answered, evicted, or lost in a restart.
+// The submitter sends the programs again.
+var ErrUnknownJob = errors.New("fleet: unknown job")
+
+// errCutShort marks the transport error of a response that began — the
+// broker had the request — and broke off before its end.
+var errCutShort = errors.New("response cut short")
+
 // Client talks to a measurement broker. Like the registry client, a
 // bearer token may be embedded in the broker URL's userinfo
 // ("http://:TOKEN@host") for brokers started with -auth-token.
@@ -41,112 +52,115 @@ type Client struct {
 	hc    *http.Client
 }
 
-// NewClient returns a client for the broker at base.
+// NewClient returns a client for the broker at base. It owns its
+// connections: a client talks to one host, so every connection it has
+// opened may idle for the next request, however many goroutines share it
+// (http.DefaultTransport keeps two per host, for every client in the
+// process together).
 func NewClient(base string) *Client {
 	base, token := regserver.SplitTokenURL(base)
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = tr.MaxIdleConns
 	return &Client{
 		base:  strings.TrimRight(base, "/"),
 		token: token,
-		hc:    &http.Client{Timeout: 30 * time.Second},
+		hc:    &http.Client{Timeout: 30 * time.Second, Transport: tr},
 	}
 }
 
-func (c *Client) do(method, path string, in, out interface{}) (int, error) {
-	return c.doCtx(context.Background(), method, path, in, out)
-}
-
-func (c *Client) doCtx(ctx context.Context, method, path string, in, out interface{}) (int, error) {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: encode %s: %w", path, err)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+// do sends one request and returns the whole response body of a 200
+// (nil for a 204); any other status is an error carrying the broker's
+// reason. The body is read to its end before it is closed, so the
+// connection serves the next request.
+func (c *Client) do(ctx context.Context, method, path, contentType string, in []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(in))
 	if err != nil {
-		return 0, fmt.Errorf("fleet: %s %s: %w", method, path, err)
+		return 0, nil, fmt.Errorf("fleet: %s %s: %w", method, path, err)
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %s %s: %v", ErrTransport, method, c.base+path, err)
+		return 0, nil, fmt.Errorf("%w: %s %s: %v", ErrTransport, method, c.base+path, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return resp.StatusCode, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
+	defer regserver.DrainClose(resp.Body)
+	switch resp.StatusCode {
+	case http.StatusNoContent:
+		return resp.StatusCode, nil, nil
+	case http.StatusOK:
+		out, err := readAll(io.LimitReader(resp.Body, maxBody), resp.ContentLength)
+		if err != nil {
+			return resp.StatusCode, nil, fmt.Errorf("%w: %s %s: %w: %v", ErrTransport, method, c.base+path, errCutShort, err)
 		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("fleet: %s", e.Error)
-		}
-		return resp.StatusCode, fmt.Errorf("fleet: broker returned %s for %s", resp.Status, path)
+		return resp.StatusCode, out, nil
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("fleet: decode %s: %w", path, err)
+	var e struct {
+		Error string `json:"error"`
+	}
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		return resp.StatusCode, nil, fmt.Errorf("fleet: %s", e.Error)
+	}
+	return resp.StatusCode, nil, fmt.Errorf("fleet: broker returned %s for %s", resp.Status, path)
+}
+
+// doJSON is do with a JSON request body (none when in is nil) and a JSON
+// response decoded into out.
+func (c *Client) doJSON(method, path string, in, out interface{}) (int, error) {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return 0, fmt.Errorf("fleet: encode %s: %w", path, err)
 		}
 	}
-	return resp.StatusCode, nil
+	code, raw, err := c.do(context.Background(), method, path, "application/json", body)
+	if err == nil && out != nil && code == http.StatusOK {
+		if err = json.Unmarshal(raw, out); err != nil {
+			err = fmt.Errorf("fleet: decode %s: %w", path, err)
+		}
+	}
+	return code, err
 }
 
 // Ping checks the broker is reachable and speaks the fleet API.
 func (c *Client) Ping() error {
-	_, err := c.do(http.MethodGet, "/healthz", nil, nil)
-	if err != nil {
+	if _, err := c.doJSON(http.MethodGet, "/healthz", nil, nil); err != nil {
 		return fmt.Errorf("fleet: ping %s: %w", c.base, err)
 	}
 	return nil
 }
 
-// Submit enqueues one measurement batch.
-func (c *Client) Submit(spec JobSpec) (JobAck, error) {
-	var ack JobAck
-	_, err := c.do(http.MethodPost, "/v1/jobs", spec, &ack)
-	return ack, err
-}
-
-// Job polls a submitted job; once Done, every poll carries the results
-// until the submitter acknowledges with Ack — a poll response lost in
-// transit costs a retry, never the measurements.
-func (c *Client) Job(id string) (JobStatus, error) {
-	var st JobStatus
-	_, err := c.do(http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// JobWait is Job with a broker-side long-poll: the broker holds the
-// request open up to wait (capped broker-side) until the job is done.
-func (c *Client) JobWait(id string, wait time.Duration) (JobStatus, error) {
-	if wait <= 0 {
-		return c.Job(id)
+// Submit sends one measurement batch under spec.ID and waits up to
+// spec.WaitMS for its results; a spec without programs attaches to a job
+// submitted earlier. Once the returned status is Done the broker has
+// forgotten the job; ErrUnknownJob says it has forgotten an id it was
+// asked to attach to.
+func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
+	spec.Count = len(spec.Programs)
+	body, err := joinLines(spec, spec.Programs)
+	if err != nil {
+		return JobStatus{}, fmt.Errorf("fleet: encode job: %w", err)
 	}
+	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body)
 	var st JobStatus
-	_, err := c.do(http.MethodGet,
-		fmt.Sprintf("/v1/jobs/%s?wait_ms=%d", id, wait.Milliseconds()), nil, &st)
+	if code == http.StatusNotFound {
+		err = fmt.Errorf("%w: %v", ErrUnknownJob, err)
+	} else if err == nil {
+		if err = json.Unmarshal(raw, &st); err != nil {
+			err = fmt.Errorf("fleet: decode job status: %w", err)
+		}
+	}
 	return st, err
 }
 
-// Ack acknowledges a completed job, releasing it broker-side. Safe to
-// skip (the broker evicts unacknowledged done jobs past its retention
-// cap), so callers treat failures as best-effort.
-func (c *Client) Ack(id string) error {
-	_, err := c.do(http.MethodDelete, "/v1/jobs/"+id, nil, nil)
-	return err
-}
-
-// Lease asks the broker for work; nil without error when none is
-// available, ErrQuarantined when the broker refuses this worker.
+// Lease asks the broker for work, returning req.Done's results on the
+// way; nil without error when none is available, ErrQuarantined when
+// the broker refuses this worker.
 func (c *Client) Lease(req LeaseRequest) (*LeaseGrant, error) {
 	return c.LeaseContext(context.Background(), req)
 }
@@ -155,31 +169,50 @@ func (c *Client) Lease(req LeaseRequest) (*LeaseGrant, error) {
 // shutting-down worker must be able to abort a request the broker is
 // deliberately holding open.
 func (c *Client) LeaseContext(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	var grant LeaseGrant
-	code, err := c.doCtx(ctx, http.MethodPost, "/v1/lease", req, &grant)
-	if code == http.StatusNoContent {
-		return nil, nil
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: encode lease request: %w", err)
 	}
+	code, raw, err := c.do(ctx, http.MethodPost, "/v1/lease", "application/json", body)
 	if code == http.StatusForbidden {
 		return nil, fmt.Errorf("%w: %v", ErrQuarantined, err)
 	}
-	if err != nil {
+	if err != nil || code == http.StatusNoContent {
 		return nil, err
 	}
+	return decodeGrant(raw)
+}
+
+// decodeGrant parses a lease grant: its header line, then one program
+// per index.
+func decodeGrant(body []byte) (*LeaseGrant, error) {
+	var grant LeaseGrant
+	header, programs, err := splitLines(body)
+	if err == nil {
+		err = json.Unmarshal(header, &grant)
+	}
+	if err == nil && len(programs) != len(grant.Indices) {
+		err = fmt.Errorf("%d programs for %d indices", len(programs), len(grant.Indices))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fleet: decode lease grant: %w", err)
+	}
+	grant.Programs = programs
 	return &grant, nil
 }
 
-// PostResults returns a lease's measurements to the broker.
+// PostResults returns a lease's measurements to the broker without
+// asking for another lease.
 func (c *Client) PostResults(post ResultPost) (ResultAck, error) {
 	var ack ResultAck
-	_, err := c.do(http.MethodPost, "/v1/results", post, &ack)
+	_, err := c.doJSON(http.MethodPost, "/v1/results", post, &ack)
 	return ack, err
 }
 
 // Metrics fetches the broker's health counters.
 func (c *Client) Metrics() (Metrics, error) {
 	var m Metrics
-	_, err := c.do(http.MethodGet, "/metrics", nil, &m)
+	_, err := c.doJSON(http.MethodGet, "/metrics", nil, &m)
 	return m, err
 }
 
@@ -204,10 +237,6 @@ type RemoteMeasurer struct {
 	// no live compatible worker fails the batch instead of hanging the
 	// search forever.
 	Timeout time.Duration
-	// Pipeline bounds how many chunk jobs of one batch are in flight at
-	// once (default 2): chunk N+1 is encoded and shipped while chunk N
-	// is still measuring, so workers never sit idle between chunks.
-	Pipeline int
 	// Calibration, when set, scales foreign-clock sibling results (a
 	// worker that could not emulate this target's machine model and
 	// reported its own clock, UnitResult.Clock) onto the native clock.
@@ -220,15 +249,19 @@ type RemoteMeasurer struct {
 	Calibration *measure.Calibration
 
 	// Obs, when set, emits batch_queued/batch_reported events for every
-	// chunk job (joined to the broker's batch_leased/batch_measured via
-	// the trace ID) and feeds the measure-batch histogram. Observability
-	// only: a nil or non-nil Obs yields bit-identical tuning output.
+	// job (joined to the broker's batch_leased/batch_measured via the job
+	// and trace IDs). Observability only: a nil or non-nil Obs yields
+	// bit-identical tuning output.
 	Obs *obs.Observer
 
 	cl       *Client
 	target   string
 	noiseStd float64
 	seed     int64
+	// jobPrefix and jobSeq make this measurer's job ids: the prefix is
+	// random, so no two submitters of a broker ever choose the same id.
+	jobPrefix string
+	jobSeq    atomic.Int64
 
 	trials atomic.Int64
 	// traceSeq numbers this measurer's batches for JobSpec.Trace — a
@@ -245,12 +278,15 @@ type RemoteMeasurer struct {
 // model as measure.New — the fleet never changes measured times, only
 // where the machine model runs.
 func NewRemoteMeasurer(brokerURL, target string, noiseStd float64, seed int64) *RemoteMeasurer {
+	var nonce [8]byte
+	_, _ = rand.Read(nonce[:]) // crypto/rand does not fail on a supported platform
 	return &RemoteMeasurer{
-		cl:       NewClient(brokerURL),
-		target:   target,
-		noiseStd: noiseStd,
-		seed:     seed,
-		Timeout:  15 * time.Minute,
+		cl:        NewClient(brokerURL),
+		target:    target,
+		noiseStd:  noiseStd,
+		seed:      seed,
+		jobPrefix: hex.EncodeToString(nonce[:]),
+		Timeout:   15 * time.Minute,
 	}
 }
 
@@ -294,17 +330,15 @@ func (rm *RemoteMeasurer) Measure(states []*ir.State) []measure.Result {
 // states[i], exactly as the in-process measurer guarantees.
 func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure.Result {
 	out := make([]measure.Result, len(states))
-	enc := make([][]byte, len(states))
 	// Local stage: lower (validity + features), consult the resume
 	// cache, and encode steps for submission — all pure per-program
 	// work, shard it like the local measurer does.
 	pool.New(rm.Workers).Map(len(states), func(i int) {
-		out[i], enc[i] = rm.localStage(task, states[i])
+		out[i] = rm.localStage(task, states[i])
 	})
-	// Fresh programs (not cached, locally valid) go to the fleet,
-	// grouped per distinct DAG (policy batches share their task's DAG,
-	// so one group per call in practice), each group pipelined as chunk
-	// jobs.
+	// Fresh programs (not cached, locally valid) go to the fleet, one
+	// job per distinct DAG (policy batches share their task's DAG, so one
+	// job per call in practice).
 	byDAG := map[string][]int{}
 	var dagOrder []string
 	dagEnc := map[string][]byte{}
@@ -325,15 +359,15 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 		}
 		byDAG[fp] = append(byDAG[fp], i)
 	}
-	// One trace ID per measured batch: every chunk job of this call
-	// carries it, so the event stream reassembles the batch's
+	// One trace ID per measured batch: every job of this call carries
+	// it, so the event stream reassembles the batch's
 	// queued→leased→measured→reported timeline across processes.
 	trace := fmt.Sprintf("%s@%s#%d", task, rm.target, rm.traceSeq.Add(1))
 	for _, fp := range dagOrder {
 		if len(byDAG[fp]) == 0 {
 			continue // the group's DAG failed to encode; errors already set
 		}
-		rm.measureRemote(task, trace, dagEnc[fp], byDAG[fp], enc, states, out)
+		rm.measureRemote(task, trace, dagEnc[fp], byDAG[fp], states, out)
 	}
 	var fresh int64
 	for i := range out {
@@ -364,16 +398,17 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 }
 
 // localStage lowers one program and serves it from the cache when
-// possible; otherwise it returns the half-filled result (State +
-// Lowered) and the program's canonical step encoding.
-func (rm *RemoteMeasurer) localStage(task string, s *ir.State) (measure.Result, []byte) {
+// possible; otherwise it returns the half-filled result: State, Lowered
+// and the program's canonical step encoding, which is the cache key, the
+// program's line in the job and, later, its record's steps.
+func (rm *RemoteMeasurer) localStage(task string, s *ir.State) measure.Result {
 	low, err := ir.Lower(s)
 	if err != nil {
-		return measure.Result{State: s, Err: err}, nil
+		return measure.Result{State: s, Err: err}
 	}
 	e, err := ir.EncodeSteps(s.Steps)
 	if err != nil {
-		return measure.Result{State: s, Err: fmt.Errorf("fleet: encode steps: %w", err)}, nil
+		return measure.Result{State: s, Err: fmt.Errorf("fleet: encode steps: %w", err)}
 	}
 	if rm.Cache != nil {
 		if rec, ok := rm.Cache.Lookup(rm.target, task, measure.DAGFingerprint(s.DAG), e); ok {
@@ -382,10 +417,11 @@ func (rm *RemoteMeasurer) localStage(task string, s *ir.State) (measure.Result, 
 				Seconds:          rm.noisy(rec.Noiseless, s.Signature()),
 				NoiselessSeconds: rec.Noiseless,
 				Cached:           true,
-			}, e
+				EncSteps:         e,
+			}
 		}
 	}
-	return measure.Result{State: s, Lowered: low}, e
+	return measure.Result{State: s, Lowered: low, EncSteps: e}
 }
 
 // noisy applies the deterministic (seed, signature) noise to a
@@ -400,14 +436,9 @@ func (rm *RemoteMeasurer) noisy(noiseless float64, sig string) float64 {
 
 // Wire discipline constants: one value each, none of them an option.
 const (
-	// chunkPrograms is how many programs one chunk job carries (the
-	// default per-round batch). Chunks fill disjoint result indices, so
-	// chunking is invisible in the output — the determinism contract
-	// does not care how a batch was sliced into jobs.
-	chunkPrograms = 16
-	// longPollWait is how long one lease or job-status request asks the
-	// broker to hold it open (inside the broker's maxWait cap and the
-	// client's HTTP timeout).
+	// longPollWait is how long one lease or submission asks the broker to
+	// hold it open (inside the broker's maxWait cap and the client's HTTP
+	// timeout).
 	longPollWait = 10 * time.Second
 	// idlePause separates two requests after an empty answer (no lease,
 	// job not done) and is the base of the transport-error backoff, so
@@ -417,45 +448,16 @@ const (
 	maxBackoff = 2 * time.Second
 )
 
-// measureRemote ships one DAG group to the fleet as pipelined chunk
-// jobs and fills the group's results. Chunk N+1 is encoded and
-// submitted while chunk N is measuring (bounded by Pipeline), so
-// workers drain a steady queue instead of waiting for whole-batch
-// round trips. A broker failure fails that chunk's indices (the search
-// skips errored results) and latches for Err.
-func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
-	inflight := rm.Pipeline
-	if inflight <= 0 {
-		inflight = 2
-	}
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	for start := 0; start < len(indices); start += chunkPrograms {
-		end := start + chunkPrograms
-		if end > len(indices) {
-			end = len(indices)
-		}
-		part := indices[start:end]
-		// Acquire before spawning: submission order stays the batch
-		// order, and at most `inflight` chunks are ever in flight.
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(part []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rm.runChunk(task, trace, dag, part, enc, states, out)
-		}(part)
-	}
-	wg.Wait()
-}
-
-// runChunk submits one chunk job and fills its indices' results.
-// Distinct chunks write disjoint out[i] slots, so no synchronization
-// on out is needed.
-func (rm *RemoteMeasurer) runChunk(task, trace string, dag []byte, indices []int, enc [][]byte, states []*ir.State, out []measure.Result) {
-	spec := JobSpec{Target: rm.target, Task: task, Trace: trace, DAGBin: dag}
-	for _, i := range indices {
-		spec.Programs = append(spec.Programs, enc[i])
+// measureRemote ships one DAG group to the fleet as one job — the
+// broker slices it into leases the size its workers ask for — and fills
+// the group's results. A broker failure fails the group's indices (the
+// search skips errored results) and latches for Err.
+func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, states []*ir.State, out []measure.Result) {
+	spec := JobSpec{ID: fmt.Sprintf("%s-%d", rm.jobPrefix, rm.jobSeq.Add(1)),
+		Target: rm.target, Task: task, Trace: trace, DAGBin: dag,
+		Programs: make([]json.RawMessage, len(indices))}
+	for k, i := range indices {
+		spec.Programs[k] = out[i].EncSteps
 	}
 	results, err := rm.runJob(spec)
 	if err != nil {
@@ -505,23 +507,27 @@ func (rm *RemoteMeasurer) runChunk(task, trace string, dag []byte, indices []int
 	}
 }
 
-// runJob submits a job and waits for completion, one long-poll GET per
-// round trip. Transport errors while waiting are retried with capped
-// exponential backoff (a broker restart mid-batch costs a retry, not
-// the batch); the submit itself and HTTP-level refusals fail
+// runJob submits a job and waits for its results, one held-open request
+// per round trip. A submission that gets no answer at all fails fast (a
+// broker that is not there must not stall the search). The broker sends
+// the status line of its answer as soon as it holds the job, so from
+// then on the submitter knows the job reached a broker, and transport
+// errors — that answer breaking off included — are retried with capped
+// exponential backoff, an expired wait re-attaches by id without sending
+// the programs again, and a broker that no longer knows the id (it
+// restarted) is sent them again under the same id: a broker restart
+// mid-batch costs a retry, not the batch. Other HTTP-level refusals fail
 // immediately.
 func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 	queuedAt := rm.Obs.Now()
-	ack, err := rm.cl.Submit(spec)
-	if err != nil {
-		return nil, err
-	}
 	rm.Obs.Emit(obs.Event{Type: obs.EvBatchQueued, Task: spec.Task, Trace: spec.Trace,
-		Job: ack.ID, Target: spec.Target, Count: len(spec.Programs)})
+		Job: spec.ID, Target: spec.Target, Count: len(spec.Programs)})
+	attach := JobSpec{ID: spec.ID}
+	send, reached := &spec, false
 	backoff := idlePause
 	deadline := time.Now().Add(rm.Timeout)
 	for {
-		// Never hold a long poll past the batch deadline: a fleet with no
+		// Never hold a request past the batch deadline: a fleet with no
 		// compatible worker must fail at Timeout, not at Timeout rounded
 		// up to the next wait.
 		w := longPollWait
@@ -530,33 +536,34 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 				w = rem
 			}
 		}
-		st, err := rm.cl.JobWait(ack.ID, w)
-		if err != nil {
-			if errors.Is(err, ErrTransport) && (rm.Timeout <= 0 || time.Now().Before(deadline)) {
-				time.Sleep(backoff)
-				if backoff *= 2; backoff > maxBackoff {
-					backoff = maxBackoff
-				}
-				continue
-			}
+		send.WaitMS = max(w.Milliseconds(), 1)
+		st, err := rm.cl.Submit(*send)
+		inTime := rm.Timeout <= 0 || time.Now().Before(deadline)
+		switch {
+		case errors.Is(err, ErrUnknownJob):
+			send = &spec
+			continue
+		case errors.Is(err, ErrTransport) && inTime && (reached || errors.Is(err, errCutShort)):
+			reached = true
+			time.Sleep(backoff)
+			backoff = min(2*backoff, maxBackoff)
+			continue
+		case err != nil:
 			return nil, err
 		}
-		backoff = idlePause
+		send, reached, backoff = &attach, true, idlePause
 		if st.Done {
 			if len(st.Results) != len(spec.Programs) {
-				return nil, fmt.Errorf("job %s returned %d results for %d programs", ack.ID, len(st.Results), len(spec.Programs))
+				return nil, fmt.Errorf("job %s returned %d results for %d programs", spec.ID, len(st.Results), len(spec.Programs))
 			}
-			// Best-effort release; the broker's retention cap covers a
-			// lost acknowledgement.
-			_ = rm.cl.Ack(ack.ID)
 			rm.Obs.Emit(obs.Event{Type: obs.EvBatchReported, Task: spec.Task, Trace: spec.Trace,
-				Job: ack.ID, Target: spec.Target, Count: len(st.Results),
+				Job: spec.ID, Target: spec.Target, Count: len(st.Results),
 				DurMS: rm.Obs.SinceSeconds(queuedAt) * 1000})
 			return st.Results, nil
 		}
-		if rm.Timeout > 0 && time.Now().After(deadline) {
+		if !inTime {
 			return nil, fmt.Errorf("job %s timed out after %s (%d/%d measured; is a worker for target %q registered and alive?)",
-				ack.ID, rm.Timeout, st.Completed, st.Total, rm.target)
+				spec.ID, rm.Timeout, st.Completed, st.Total, rm.target)
 		}
 		time.Sleep(idlePause)
 	}

@@ -46,11 +46,17 @@ package fleet
 
 import "encoding/json"
 
-// JobSpec is one submitted measurement batch (POST /v1/jobs).
+// JobSpec is one submitted measurement batch (POST /v1/jobs). On the
+// wire it is the JSON header line of an application/x-ndjson body,
+// followed by one line per program.
 type JobSpec struct {
+	// ID is chosen by the submitter and makes the request idempotent:
+	// submitting an ID the broker holds attaches to that job instead of
+	// enqueueing the batch again.
+	ID string `json:"id"`
 	// Target names the machine model programs must be timed on; only
 	// workers registered with exactly this target are leased the job.
-	Target string `json:"target"`
+	Target string `json:"target,omitempty"`
 	// Task attributes the batch for observability; the broker never
 	// keys on it.
 	Task string `json:"task,omitempty"`
@@ -64,14 +70,18 @@ type JobSpec struct {
 	// (te.EncodeDAGBinary). The broker decodes it at the door and
 	// refuses a job whose dag_bin is missing or does not decode.
 	DAGBin []byte `json:"dag_bin,omitempty"`
-	// Programs holds one ir.EncodeSteps step list per program.
-	Programs []json.RawMessage `json:"programs"`
-}
-
-// JobAck answers a job submission.
-type JobAck struct {
-	ID    string `json:"id"`
-	Total int    `json:"total"`
+	// Count is how many program lines follow the header (the client sets
+	// it from Programs). A header alone, count 0, re-attaches to a job
+	// submitted earlier without sending its programs again.
+	Count int `json:"count,omitempty"`
+	// WaitMS asks the broker to hold the request open up to WaitMS
+	// milliseconds until the job is done; 0 answers with its status at
+	// once.
+	WaitMS int64 `json:"wait_ms,omitempty"`
+	// Programs holds one ir.EncodeSteps step list per program: the body's
+	// lines after the header, which the broker indexes by newline and
+	// hands to workers byte for byte without parsing them.
+	Programs []json.RawMessage `json:"-"`
 }
 
 // LeaseRequest is a worker asking for work (POST /v1/lease). The first
@@ -89,6 +99,11 @@ type LeaseRequest struct {
 	// milliseconds when no work is available (long-poll), answering the
 	// instant a compatible job arrives. 0 answers 204 at once.
 	WaitMS int64 `json:"wait_ms,omitempty"`
+	// Done returns the worker's previous lease with the request for the
+	// next one. The broker applies it before anything else, exactly as a
+	// POST /v1/results of the same post would be; a post it refuses
+	// refuses the whole request, which then changes and grants nothing.
+	Done *ResultPost `json:"done,omitempty"`
 	// MaxDistance is the largest measure.TargetDistance job this worker
 	// will take when its native queue is empty (near-sibling dispatch):
 	// 0 = exact match only, 1 = same core family with a different
@@ -99,7 +114,9 @@ type LeaseRequest struct {
 	MaxDistance int `json:"max_distance,omitempty"`
 }
 
-// LeaseGrant hands a worker a slice of one job's batch. A grant expires
+// LeaseGrant hands a worker a slice of one job's batch: like a
+// submission, a JSON header line followed by one line per program
+// (application/x-ndjson), the lines the submitter sent. A grant expires
 // after the broker's lease TTL: results posted later are still accepted
 // for any program not yet completed elsewhere, but the slice is
 // requeued and the worker's failure counter bumped.
@@ -114,7 +131,7 @@ type LeaseGrant struct {
 	// DAGBin is the job's submitted dag_bin, byte for byte.
 	DAGBin   []byte            `json:"dag_bin,omitempty"`
 	Indices  []int             `json:"indices"`
-	Programs []json.RawMessage `json:"programs"`
+	Programs []json.RawMessage `json:"-"`
 }
 
 // WorkerResult is one measured program of a lease. Workers report the
@@ -140,9 +157,10 @@ type WorkerResult struct {
 	Clock string `json:"clock,omitempty"`
 }
 
-// ResultPost returns a lease's results (POST /v1/results).
+// ResultPost returns a lease's results: on its own (POST /v1/results) or
+// as LeaseRequest.Done, where the request's worker is the poster.
 type ResultPost struct {
-	Worker  string         `json:"worker"`
+	Worker  string         `json:"worker,omitempty"`
 	Job     string         `json:"job"`
 	Lease   int64          `json:"lease"`
 	Results []WorkerResult `json:"results"`
@@ -167,10 +185,10 @@ type UnitResult struct {
 	Clock      string  `json:"clock,omitempty"`
 }
 
-// JobStatus answers a job poll (GET /v1/jobs/{id}). Results are indexed
-// by submission order and included on every poll once the job is done;
-// the submitter acknowledges receipt with DELETE /v1/jobs/{id}, and the
-// broker evicts unacknowledged done jobs past its retention cap.
+// JobStatus answers a submission. Results are indexed by submission
+// order and present once the job is done; that answer is also the
+// acknowledgement, after which the broker has forgotten the job. Done
+// jobs nobody asks for are evicted past the broker's retention cap.
 type JobStatus struct {
 	ID        string       `json:"id"`
 	Target    string       `json:"target"`
@@ -198,7 +216,7 @@ type WorkerStatus struct {
 
 // Metrics is the broker's /metrics payload.
 type Metrics struct {
-	// Jobs currently held (queued, running, or done-but-unfetched).
+	// Jobs currently held (queued, running, or done and not yet answered).
 	Jobs int `json:"jobs"`
 	// JobsSubmitted / JobsCompleted over the broker's lifetime.
 	JobsSubmitted int64 `json:"jobs_submitted"`

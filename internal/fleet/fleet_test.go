@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,6 +233,19 @@ func TestRemoteMeasurerRecordsFreshMeasurements(t *testing.T) {
 			t.Fatalf("bad record %+v", r)
 		}
 	}
+	// The record keeps the encoding the local stage made for the job, not
+	// a second one of the same program.
+	shared := 0
+	for _, r := range res {
+		for _, g := range got {
+			if len(r.EncSteps) > 0 && &r.EncSteps[0] == &g.Steps[0] {
+				shared++
+			}
+		}
+	}
+	if shared != len(got) {
+		t.Errorf("%d of %d records share their steps with the measured result, want all: the rest were encoded twice", shared, len(got))
+	}
 }
 
 func TestRemoteMeasurerBrokerDownLatches(t *testing.T) {
@@ -301,5 +317,117 @@ func TestWorkerMeasurementMatchesMeasurer(t *testing.T) {
 		if got != want {
 			t.Fatalf("state %d: worker time %v != measurer time %v", i, got, want)
 		}
+	}
+}
+
+// TestFleetBatchRequestBudget pins what a batch costs on the wire once
+// the fleet is warm: a 64-program batch through two capacity-16 workers
+// is one held-open submission and four lease requests, each returning
+// the lease before it — at most 6 requests — on connections that were
+// opened once and are kept alive, none new in 50 batches.
+func TestFleetBatchRequestBudget(t *testing.T) {
+	machine := sim.IntelXeon()
+	states := sampleStates(t, 64)
+	if len(states) != 64 {
+		t.Fatalf("sampled %d of 64 programs", len(states))
+	}
+	local := measure.New(machine, 0.02, 3).MeasureTask("mm", states)
+
+	var requests, dials atomic.Int64
+	inner := NewBroker().Handler()
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		inner.ServeHTTP(w, r)
+	}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	startWorkers(t, hs.URL, machine, 16, 16)
+	rm := remote(t, hs.URL, machine, 0.02, 3)
+	for i := 0; i < 3; i++ { // warm-up: every client dials, both workers end up waiting
+		assertBitIdentical(t, "warm-up", local, rm.MeasureTask("mm", states))
+	}
+
+	const batches = 50
+	r0, d0 := requests.Load(), dials.Load()
+	for i := 0; i < batches; i++ {
+		res := rm.MeasureTask("mm", states)
+		if i == batches-1 {
+			assertBitIdentical(t, "budgeted", local, res)
+		}
+	}
+	if err := rm.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(requests.Load()-r0) / batches; per > 6 {
+		t.Errorf("%.2f requests per batch, want <= 6", per)
+	}
+	if n := dials.Load() - d0; n != 0 {
+		t.Errorf("%d new connections over %d batches, want every request on a kept-alive one", n, batches)
+	}
+}
+
+// TestRemoteMeasurerSurvivesBrokerRestart: the broker loses everything
+// mid-batch. The measurer's held submission breaks, its re-attach finds
+// the id unknown, and it sends the batch again under the same id; the
+// results are those of an undisturbed run.
+func TestRemoteMeasurerSurvivesBrokerRestart(t *testing.T) {
+	machine := sim.IntelXeon()
+	states := sampleStates(t, 12)
+	local := measure.New(machine, 0.02, 5).MeasureTask("mm", states)
+
+	first, second := NewBroker(), NewBroker()
+	var current atomic.Pointer[Broker]
+	current.Store(first)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+
+	rm := remote(t, hs.URL, machine, 0.02, 5)
+	done := make(chan []measure.Result, 1)
+	go func() { done <- rm.MeasureTask("mm", states) }()
+	// No worker yet: the job sits in the first broker, its submitter waiting.
+	held := func(b *Broker) (id string) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for id = range b.jobs {
+		}
+		return id
+	}
+	var id string
+	for deadline := time.Now().Add(5 * time.Second); id == ""; id = held(first) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never reached the broker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The restart: a broker with no memory takes over and every open
+	// connection drops.
+	current.Store(second)
+	hs.CloseClientConnections()
+	startWorkers(t, hs.URL, machine, 4)
+
+	assertBitIdentical(t, "restarted", local, <-done)
+	if err := rm.Err(); err != nil {
+		t.Fatalf("latched error after a broker restart: %v", err)
+	}
+	m, err := NewClient(hs.URL).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.JobsSubmitted != 1 || m.JobsCompleted != 1 || m.Jobs != 0 {
+		t.Errorf("second broker: %d submitted, %d completed, %d held; want the one batch, resubmitted once, answered and forgotten",
+			m.JobsSubmitted, m.JobsCompleted, m.Jobs)
+	}
+	second.mu.Lock()
+	_, sameID := second.jobs[id]
+	second.mu.Unlock()
+	if got := held(first); got != id || sameID {
+		t.Errorf("first broker holds %q, want the abandoned %q; second still holds it: %v", got, id, sameID)
 	}
 }

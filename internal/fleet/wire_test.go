@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func binJob(t *testing.T, target string, states []*ir.State) JobSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{Target: target, Task: "t", DAGBin: dag}
+	spec := JobSpec{ID: fmt.Sprintf("bin-%d", synthSeq.Add(1)), Target: target, Task: "t", DAGBin: dag}
 	for _, s := range states {
 		e, err := ir.EncodeSteps(s.Steps)
 		if err != nil {
@@ -93,27 +94,26 @@ func TestLeaseLongPollWakesOnSubmit(t *testing.T) {
 	}
 }
 
-// TestJobLongPollReturnsOnCompletion: a long-polled job status blocks
-// until the last result lands, then returns the full results.
+// TestJobLongPollReturnsOnCompletion: a submission that asks to wait is
+// held until the last result lands, then answered with the full results
+// — one request per job, and the answer is the acknowledgement.
 func TestJobLongPollReturnsOnCompletion(t *testing.T) {
-	_, cl := testBroker(t, nil)
-	ack, err := cl.Submit(synthJob("cpu", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, cl := testBroker(t, nil)
+	spec := synthJob("cpu", 2)
+	spec.WaitMS = 5000
 	type polled struct {
 		st  JobStatus
 		err error
 	}
 	got := make(chan polled, 1)
 	go func() {
-		st, err := cl.JobWait(ack.ID, 5*time.Second)
+		st, err := cl.Submit(spec)
 		got <- polled{st, err}
 	}()
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case p := <-got:
-		t.Fatalf("job poll answered before completion: %+v err=%v", p.st, p.err)
+		t.Fatalf("submission answered before completion: %+v err=%v", p.st, p.err)
 	default:
 	}
 	if n := drain(t, cl, "w", "cpu", 2); n != 2 {
@@ -122,10 +122,29 @@ func TestJobLongPollReturnsOnCompletion(t *testing.T) {
 	select {
 	case p := <-got:
 		if p.err != nil || !p.st.Done || len(p.st.Results) != 2 {
-			t.Fatalf("woken job poll: %+v err=%v", p.st, p.err)
+			t.Fatalf("woken submission: %+v err=%v", p.st, p.err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("job long-poll not woken by completion")
+		t.Fatal("held submission not woken by completion")
+	}
+	b.mu.Lock()
+	held := len(b.jobs)
+	b.mu.Unlock()
+	if held != 0 {
+		t.Errorf("%d jobs held after the results were delivered, want the job forgotten", held)
+	}
+	// A wait that runs out answers with the status so far, and the
+	// submitter attaches again with the id alone.
+	spec = synthJob("cpu", 1)
+	spec.WaitMS = 20
+	if st, err := cl.Submit(spec); err != nil || st.Done || st.Total != 1 {
+		t.Fatalf("expired wait: %+v err=%v", st, err)
+	}
+	if n := drain(t, cl, "w", "cpu", 1); n != 1 {
+		t.Fatalf("drain measured %d", n)
+	}
+	if st, err := cl.Submit(JobSpec{ID: spec.ID, WaitMS: 5000}); err != nil || !st.Done || len(st.Results) != 1 {
+		t.Fatalf("re-attached submission: %+v err=%v", st, err)
 	}
 }
 

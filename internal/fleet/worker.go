@@ -80,17 +80,16 @@ func (w *Worker) count(name string) *obs.Counter {
 // Ping checks the broker is reachable.
 func (w *Worker) Ping() error { return w.cl.Ping() }
 
-// runOnce performs one lease cycle: long-poll for a lease, measure,
-// post. It reports whether any work was done; (false, nil) means the
-// broker had nothing for this worker within the wait.
-func (w *Worker) runOnce(ctx context.Context) (bool, error) {
+// runOnce performs one lease cycle: long-poll for a lease, returning the
+// previous lease's results (done, nil when there are none) on the way,
+// and measure what was granted. It returns the results to send with the
+// next request; (nil, nil) means the broker had nothing for this worker
+// within the wait.
+func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, error) {
 	grant, err := w.cl.LeaseContext(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
-		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), MaxDistance: w.MaxDistance})
-	if err != nil {
-		return false, err
-	}
-	if grant == nil {
-		return false, nil
+		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), MaxDistance: w.MaxDistance, Done: done})
+	if err != nil || grant == nil {
+		return nil, err
 	}
 	// Near-sibling dispatch: a grant for another target is timed on that
 	// target's own analytic model when it resolves — machine models are
@@ -115,7 +114,7 @@ func (w *Worker) runOnce(ctx context.Context) (bool, error) {
 	}
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerLease, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(grant.Indices)})
-	post := ResultPost{Worker: w.ID, Job: grant.Job, Lease: grant.Lease}
+	post := &ResultPost{Job: grant.Job, Lease: grant.Lease, Results: make([]WorkerResult, 0, len(grant.Indices))}
 	dag, err := te.DecodeDAGBinary(grant.DAGBin)
 	if err != nil {
 		// A bad DAG fails every program of the slice as a program error:
@@ -143,12 +142,11 @@ func (w *Worker) runOnce(ctx context.Context) (bool, error) {
 	}
 	w.count("programs_measured").Add(int64(measured))
 	w.count("program_errors").Add(int64(failed))
-	if _, err := w.cl.PostResults(post); err != nil {
-		return true, err
-	}
+	// Stamped when the slice is measured: the results travel with the next
+	// lease request, which may then wait a long time for work.
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerResult, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(post.Results)})
-	return true, nil
+	return post, nil
 }
 
 // measureOne replays, lowers and times one program on m (the hosted
@@ -172,18 +170,22 @@ func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []b
 	return WorkerResult{Index: index, Noiseless: m.Time(low)}
 }
 
-// Run leases from the broker until ctx is cancelled. Transport errors
-// are retried with capped exponential backoff (a broker restart must
-// not kill the fleet, and a dead broker must not be hammered);
-// quarantine is terminal — the broker has decided this worker is sick,
-// so it exits with ErrQuarantined for the operator to notice. An idle
-// worker blocks broker-side in the lease long-poll and starts measuring
-// the instant work arrives; an empty answer pauses idlePause before the
-// next request.
+// Run leases from the broker until ctx is cancelled. Each lease request
+// carries the results of the lease before it, so a busy worker makes one
+// request per lease. Transport errors are retried with capped
+// exponential backoff, results in hand (a broker restart must not kill
+// the fleet, and a dead broker must not be hammered); results the broker
+// refuses are dropped, their lease left to expire; quarantine is
+// terminal — the broker has decided this worker is sick, so it exits
+// with ErrQuarantined for the operator to notice. An idle worker blocks
+// broker-side in the lease long-poll and starts measuring the instant
+// work arrives; an empty answer pauses idlePause before the next
+// request. Results measured as ctx is cancelled are posted on their own.
 func (w *Worker) Run(ctx context.Context) error {
 	backoff := idlePause
+	var done *ResultPost
 	for {
-		worked, err := w.runOnce(ctx)
+		next, err := w.runOnce(ctx, done)
 		if errors.Is(err, ErrQuarantined) {
 			if w.Obs != nil && w.Obs.Metrics != nil {
 				w.Obs.Metrics.Gauge("quarantined").Set(1)
@@ -191,17 +193,24 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		if ctx.Err() != nil {
+			if next != nil {
+				// Measured as the worker was told to stop: no next request to
+				// ride on. Best effort; unposted, the lease expires and requeues.
+				next.Worker = w.ID
+				_, _ = w.cl.PostResults(*next)
+			}
 			return nil
 		}
 		pause := idlePause
 		if err != nil {
-			pause = backoff
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
+			if !errors.Is(err, ErrTransport) {
+				done = nil // refused, and would be again
 			}
+			pause = backoff
+			backoff = min(2*backoff, maxBackoff)
 		} else {
-			backoff = idlePause
-			if worked {
+			done, backoff = next, idlePause
+			if next != nil {
 				// More work may be queued; lease again immediately.
 				continue
 			}

@@ -44,9 +44,10 @@ type Result struct {
 	// carry the warm-start discount schedule.
 	TrainWeight float64
 
-	// encSteps carries the canonical step encoding computed during the
-	// cache lookup so NewRecord does not re-encode it.
-	encSteps []byte
+	// EncSteps carries the canonical step encoding when the measurer
+	// already made it (for the cache lookup, for the fleet), so NewRecord
+	// does not encode the program a second time.
+	EncSteps []byte
 }
 
 // GFLOPS returns the measured throughput.
@@ -197,7 +198,7 @@ func (ms *Measurer) measureOne(task string, s *ir.State) Result {
 					noisy = rec.Noiseless * ms.noiseFactor(s.Signature())
 				}
 				return Result{State: s, Lowered: low, Seconds: noisy,
-					NoiselessSeconds: rec.Noiseless, Cached: true, encSteps: enc}
+					NoiselessSeconds: rec.Noiseless, Cached: true, EncSteps: enc}
 			}
 			encSteps = enc
 		}
@@ -207,7 +208,7 @@ func (ms *Measurer) measureOne(task string, s *ir.State) Result {
 	if ms.NoiseStd > 0 {
 		noisy = t * ms.noiseFactor(s.Signature())
 	}
-	return Result{State: s, Lowered: low, Seconds: noisy, NoiselessSeconds: t, encSteps: encSteps}
+	return Result{State: s, Lowered: low, Seconds: noisy, NoiselessSeconds: t, EncSteps: encSteps}
 }
 
 // noiseFactor returns a deterministic lognormal-ish factor per program.

@@ -57,7 +57,7 @@ func NewRecord(task, target string, r Result) (Record, error) {
 	if r.Err != nil || r.Seconds <= 0 {
 		return Record{}, fmt.Errorf("measure: cannot record failed measurement")
 	}
-	steps := r.encSteps // already encoded by the cache lookup, if any
+	steps := r.EncSteps
 	if steps == nil {
 		var err error
 		if steps, err = ir.EncodeSteps(r.State.Steps); err != nil {

@@ -230,9 +230,20 @@ func AttachRecorder(rec *measure.Recorder, url string, seedLogs ...string) (*mea
 	return rec, nil
 }
 
+// DrainClose reads what is left of a response body (up to a bound: a
+// longer one costs the connection, not the caller's time) and closes it.
+// net/http puts a connection back in its idle pool only once the body
+// was read to its end, which a JSON decoder stops short of and an unread
+// error payload never reaches. Every close of this client and of the
+// fleet's goes through here.
+func DrainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+	body.Close()
+}
+
 // errorOf decodes the server's {"error": ...} payload.
 func errorOf(resp *http.Response) error {
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	var e struct {
 		Error string `json:"error"`
 	}
@@ -249,7 +260,7 @@ func (c *Client) Ping() error {
 	if err != nil {
 		return fmt.Errorf("regserver: ping %s: %w", c.base, err)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("regserver: ping %s: %s", c.base, resp.Status)
 	}
@@ -271,7 +282,7 @@ func (c *Client) post(body []byte) (AddResult, error) {
 	if resp.StatusCode != http.StatusOK {
 		return AddResult{}, errorOf(resp)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	var res AddResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		return AddResult{}, fmt.Errorf("regserver: publish to %s: %w", c.base, err)
@@ -341,14 +352,14 @@ func (c *Client) Best(workload, target, dag string) (measure.Record, bool, error
 	var body []byte
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		resp.Body.Close()
+		DrainClose(resp.Body)
 		body = cached.body // If-None-Match is only sent when cached
 	case http.StatusNotFound:
-		resp.Body.Close()
+		DrainClose(resp.Body)
 		return measure.Record{}, false, nil
 	case http.StatusOK:
 		body, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
+		DrainClose(resp.Body)
 		if err != nil {
 			return measure.Record{}, false, fmt.Errorf("regserver: best from %s: %w", c.base, err)
 		}
@@ -386,11 +397,11 @@ func (c *Client) getLog(u string) (*measure.Log, error) {
 	var body []byte
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		resp.Body.Close()
+		DrainClose(resp.Body)
 		body = cached.body
 	case http.StatusOK:
 		body, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
+		DrainClose(resp.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +481,7 @@ func (c *Client) Calibration(target string) (*measure.Calibration, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, errorOf(resp)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	var cal measure.Calibration
 	if err := json.NewDecoder(resp.Body).Decode(&cal); err != nil {
 		return nil, fmt.Errorf("regserver: calibration from %s: %w", c.base, err)
@@ -487,7 +498,7 @@ func (c *Client) Metrics() (Metrics, error) {
 	if resp.StatusCode != http.StatusOK {
 		return Metrics{}, errorOf(resp)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	var m Metrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		return Metrics{}, fmt.Errorf("regserver: metrics from %s: %w", c.base, err)
@@ -505,7 +516,7 @@ func (c *Client) Keys() ([]registry.Key, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, errorOf(resp)
 	}
-	defer resp.Body.Close()
+	defer DrainClose(resp.Body)
 	var keys []registry.Key
 	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
 		return nil, fmt.Errorf("regserver: keys from %s: %w", c.base, err)

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,5 +326,44 @@ func assertSameRegistry(t *testing.T, want, got *registry.Registry) {
 			!bytes.Equal(a.Steps, b.Steps) || a.Sig != b.Sig {
 			t.Fatalf("entry %v diverged:\nwant %+v\n got %+v", k, a, b)
 		}
+	}
+}
+
+// TestClientKeepsItsConnection: answers whose body the client has no use
+// for — a registry miss's JSON error, a health check, a refused publish,
+// an accepted one's trailing newline — must not cost the keep-alive
+// connection; the body is drained before it is closed. One connection
+// serves the whole conversation.
+func TestClientKeepsItsConnection(t *testing.T) {
+	var dials atomic.Int64
+	srv := New(nil)
+	srv.AuthToken = "s3cret"
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+	// A transport of its own: the test counts this client's connections.
+	cl := NewClient(hs.URL)
+	cl.hc.Transport = &http.Transport{}
+	for i := 0; i < 20; i++ {
+		if _, ok, err := cl.Best("nosuch", "cpu", "dag"); ok || err != nil {
+			t.Fatalf("miss %d: ok=%v err=%v", i, ok, err)
+		}
+		if err := cl.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Add(rec("t", "cpu", "dag", float64(100-i))); err == nil {
+			t.Fatal("tokenless publish should be refused")
+		}
+		if _, err := cl.WithToken("s3cret").Add(rec("t", "cpu", "dag", float64(100-i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("%d connections opened for one sequential client, want 1", n)
 	}
 }

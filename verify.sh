@@ -60,12 +60,14 @@ go test -race -count=1 ./internal/fleet/
 go test -race -count=1 -run 'TestFleet|TestTunerCloseSurfacesFleetError' ./ansor/
 
 # The benchmark is a module of its own, so ./... above never reaches it:
-# vet it, run its unit tests, and run one short workload end to end,
-# which exits non-zero unless every output check passed.
+# vet it, run its unit tests, and run two short workloads end to end —
+# the search with its record log, and the fleet's wire — each of which
+# exits non-zero unless every output check passed.
 step "bench module"
 go vet -C bench .
 go test -C bench .
 go run -C bench repro/bench --workload tune-deep --seed 1 --seconds 3 --trace 0
+go run -C bench repro/bench --workload fleet-batch --seed 1 --seconds 3 --trace 0
 
 printf '\nverify: all gates passed\n'
 
