@@ -7,7 +7,9 @@
 # shared machine lands on both sides — before --compare judges the two
 # files, which stay behind as .bench_build/ab.parent.jsonl and
 # .bench_build/ab.change.jsonl. Exits with --compare's status: 1 on any
-# "worse" row or a risen share of failed ops. CI runs this on pull
+# "worse" row or a risen share of failed ops. A run whose output checks
+# fail is still a run: its log is shown, the pairs go on, --compare counts
+# its failed ops, and the exit status is 1. CI runs this on pull
 # requests. Workloads named after the pair count are the only ones run:
 # a claim's ten pairs on one workload need not cost forty runs.
 #
@@ -48,10 +50,11 @@ run() {
 	if ! (cd "$dir" && "$tmp/bench.$1" --workload "$2" --seed "$3" --seconds 20 --trace 0 \
 		--out "$out/ab.$1.jsonl") >"$tmp/run.log" 2>&1; then
 		cat "$tmp/run.log" >&2
-		exit 1
+		status=1
 	fi
 }
 
+status=0
 for w in "$@"; do
 	k=1
 	while [ "$k" -le "$pairs" ]; do
@@ -66,6 +69,5 @@ for w in "$@"; do
 	done
 done
 
-status=0
 (cd bench && "$tmp/bench.change" --compare "$out/ab.parent.jsonl" "$out/ab.change.jsonl") || status=$?
 exit "$status"

@@ -729,6 +729,9 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 		units = len(tuners)
 	}
 	s.Run(units)
+	for _, p := range pols {
+		p.Abandon() // a task prepared on a guess the scheduler never confirmed
+	}
 	if verifyAgainst != nil {
 		if err := s.VerifyReplay(verifyAgainst); err != nil {
 			return NetworkResult{}, fmt.Errorf("ansor: resume %s: replay diverged from checkpoint (options, workload, or log drift): %w",
@@ -853,5 +856,6 @@ func (t *netTuner) BestLatency() float64 {
 	return t.p.BestTime
 }
 func (t *netTuner) AllocateUnit()         { t.p.SearchRound(t.perRound) }
+func (t *netTuner) Prepare()              { t.p.Propose(t.perRound) }
 func (t *netTuner) TaskFlops() float64    { return t.flops }
 func (t *netTuner) SimilarityTag() string { return t.tag }

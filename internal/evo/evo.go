@@ -63,7 +63,9 @@ type Scorer interface {
 	// Score returns a fitness per state.
 	Score(states []*ir.State) []float64
 	// NodeScores returns per-node-tag scores of one state (may be nil if
-	// unavailable; crossover then picks donors at random).
+	// unavailable; crossover then picks donors at random). The map is
+	// read-only: an implementation may hand the same one to every caller
+	// that asks about the same program.
 	NodeScores(s *ir.State) map[string]float64
 }
 

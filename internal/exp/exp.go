@@ -437,6 +437,7 @@ type policyTuner struct {
 func (t *policyTuner) Name() string          { return t.p.Task.Name }
 func (t *policyTuner) BestLatency() float64  { return bestOrInf(t.p) }
 func (t *policyTuner) AllocateUnit()         { t.p.SearchRound(t.perRound) }
+func (t *policyTuner) Prepare()              { t.p.Propose(t.perRound) }
 func (t *policyTuner) TaskFlops() float64    { return t.flops }
 func (t *policyTuner) SimilarityTag() string { return t.tag }
 

@@ -150,6 +150,9 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 		}
 		res.Curve = append(res.Curve, NetCurvePoint{Trials: policyTrials(), Latencies: lats})
 	}
+	for _, t := range tuners {
+		t.(*policyTuner).p.Abandon() // a task prepared on a guess the scheduler never confirmed
+	}
 	if len(res.Curve) > 0 {
 		res.Latencies = res.Curve[len(res.Curve)-1].Latencies
 	} else {

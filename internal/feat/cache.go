@@ -59,9 +59,10 @@ func (c *Cache) Program(s *ir.State) (Entry, bool) {
 		return e, e.Feats != nil
 	}
 	c.misses.Add(1)
-	low, err := ir.Lower(s)
-	if err == nil {
+	// The lowering is read once, here: borrow it (ir.LowerBorrowed).
+	if low, err := ir.LowerBorrowed(s); err == nil {
 		e = fromLowered(low)
+		low.Release()
 	}
 	c.put(sig, e)
 	return e, e.Feats != nil

@@ -134,3 +134,51 @@ func TestCacheConcurrentLookups(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCacheServesSignatureTwin characterises, with ir's
+// TestSignatureOmitsAttachedStagePragma, a known defect: two programs
+// that differ only in the unroll pragma of a fused (attached) stage share
+// a signature but not their features, so the cache hands the second one
+// the features of whichever was looked up first. First-insertion order is
+// therefore an input to the search (DESIGN.md, "The determinism
+// contract"); when the signature is repaired, this test flips.
+func TestCacheServesSignatureTwin(t *testing.T) {
+	dag := matmulReLU(64, 64, 64)
+	twin := func(unroll int) *ir.State {
+		s, err := ir.Replay(dag, []ir.Step{
+			&ir.MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS",
+				SpaceFactors: [][]int{{2, 4, 4}, {2, 4, 4}}, ReduceFactors: [][]int{{8}}},
+			&ir.FuseConsumerStep{Producer: "matmul", Consumer: "relu", OuterLevels: 2},
+			&ir.PragmaStep{Stage: "matmul", AutoUnrollMax: unroll},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	direct := func(s *ir.State) [][]float64 {
+		low, err := ir.Lower(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Extract(low)
+	}
+	a, b := twin(0), twin(512)
+	if a.Signature() != b.Signature() {
+		t.Fatal("the signature now tells the twins apart — the defect is repaired, rewrite this test and its references")
+	}
+	if reflect.DeepEqual(direct(a), direct(b)) {
+		t.Fatal("the twins extract to equal features: the test no longer builds the case")
+	}
+	for _, order := range [][2]*ir.State{{a, b}, {b, a}} {
+		c := NewCache(0)
+		first, _ := c.Program(order[0])
+		second, _ := c.Program(order[1])
+		if !reflect.DeepEqual(first.Feats, direct(order[0])) {
+			t.Error("the first twin looked up did not get its own features")
+		}
+		if !reflect.DeepEqual(second.Feats, first.Feats) {
+			t.Error("the second twin did not get the first one's features: the cache no longer keys by signature alone")
+		}
+	}
+}

@@ -92,6 +92,9 @@ func (s *Stmt) IterCount() int64 {
 type Lowered struct {
 	State *State
 	Stmts []Stmt
+	// arena is the scratch a borrowed lowering's slabs are cut from and
+	// go back to (see LowerBorrowed); nil for one Lower returned.
+	arena *scratch
 }
 
 // TotalFlops returns the total floating point work of the lowered program.
@@ -106,6 +109,41 @@ func (l *Lowered) TotalFlops() float64 {
 // Lower lowers a complete state. It returns an error for incomplete states
 // (unfilled tile sizes) or structurally invalid ones.
 func Lower(s *State) (*Lowered, error) {
+	sc := getScratch()
+	defer sc.release()
+	return sc.lower(&Lowered{State: s})
+}
+
+// LowerBorrowed is Lower into recycled memory, for a caller that reads
+// the lowering once and keeps nothing that points into it (the feature
+// cache's miss path lowers, extracts and drops). The Lowered, its
+// statements and their slabs are cut from the pooled scratch instead of
+// allocated to size, until Release, called exactly once, hands it back.
+// Lower itself keeps its exact-size slabs: what it returns lives on in
+// measurement results, and a slab cut from a grown arena would pin the
+// whole arena behind it.
+func LowerBorrowed(s *State) (*Lowered, error) {
+	sc := getScratch()
+	sc.low.State, sc.low.arena = s, sc
+	low, err := sc.lower(&sc.low)
+	if err != nil {
+		sc.release()
+	}
+	return low, err
+}
+
+// Release hands a borrowed lowering's memory back; the Lowered and
+// everything reached through it are dead afterwards. It does nothing to
+// a Lowered that Lower returned.
+func (l *Lowered) Release() {
+	if l.arena != nil {
+		l.arena.release()
+	}
+}
+
+// lower fills out with the statements of every root stage of its state.
+func (sc *scratch) lower(out *Lowered) (*Lowered, error) {
+	s := out.State
 	if !s.Complete() {
 		return nil, errf("ir: cannot lower incomplete state")
 	}
@@ -118,9 +156,9 @@ func Lower(s *State) (*Lowered, error) {
 			n++
 		}
 	}
-	out := &Lowered{State: s, Stmts: make([]Stmt, 0, n)}
-	sc := getScratch()
-	defer sc.release()
+	if cap(out.Stmts) < n {
+		out.Stmts = make([]Stmt, 0, n)
+	}
 	for _, st := range s.Stages {
 		if st.Inlined || st.Attached {
 			continue
@@ -136,12 +174,18 @@ func Lower(s *State) (*Lowered, error) {
 // scratch is the working memory of one lowering, or of one step that
 // needs a stage's effective reads: the loop path being walked, the
 // expanded reads, and an integer arena that every coefficient and
-// dependence matrix is cut from. Nothing in it outlives the call; release
-// clears what holds pointers, so a pooled scratch never pins a program.
+// dependence matrix is cut from. Nothing in it outlives the call, except
+// under LowerBorrowed, whose result is low, its slabs cut from loops, accs
+// and ints, until Release. release clears what holds pointers, so a
+// pooled scratch never pins a program.
 type scratch struct {
 	path  []LLoop
 	reads []effRead
 	ints  []int
+
+	low   Lowered
+	loops []LLoop
+	accs  []FlatAccess
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -151,8 +195,25 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func (sc *scratch) release() {
 	clear(sc.path[:cap(sc.path)])
 	clear(sc.reads[:cap(sc.reads)])
+	clear(sc.low.Stmts)
+	clear(sc.loops)
+	clear(sc.accs)
+	sc.low = Lowered{Stmts: sc.low.Stmts[:0]}
 	sc.path, sc.reads, sc.ints = sc.path[:0], sc.reads[:0], sc.ints[:0]
+	sc.loops, sc.accs = sc.loops[:0], sc.accs[:0]
 	scratchPool.Put(sc)
+}
+
+// cut takes n zeroed elements off a borrowed lowering's arena. A full
+// arena moves to a larger block, as alloc's does; what is cut is cleared
+// by release, so the unused part of an arena is always zero.
+func cut[T any](arena *[]T, n int) []T {
+	a := *arena
+	if len(a)+n > cap(a) {
+		a = make([]T, 0, 2*cap(a)+n)
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
 }
 
 // alloc cuts n zeroed ints from the arena. When the arena is full it
@@ -333,11 +394,20 @@ func (sc *scratch) emitLeaf(out *Lowered, st *Stage, dep []int) {
 	for _, r := range reads {
 		rows += len(r.coef) / (nA + 1)
 	}
-	accs := make([]FlatAccess, len(reads)+1)
-	coef := make([]int, rows*nLoops)
+	var (
+		accs  []FlatAccess
+		coef  []int
+		loops []LLoop
+	)
+	if out.arena != nil {
+		accs, coef, loops = cut(&sc.accs, len(reads)+1), sc.alloc(rows*nLoops), cut(&sc.loops, nLoops)
+		copy(loops, sc.path)
+	} else {
+		accs, coef, loops = make([]FlatAccess, len(reads)+1), make([]int, rows*nLoops), append([]LLoop(nil), sc.path...)
+	}
 	out.Stmts = append(out.Stmts, Stmt{
 		Stage:         st,
-		Loops:         append([]LLoop(nil), sc.path...),
+		Loops:         loops,
 		Reads:         accs[:len(reads)],
 		Write:         &accs[len(reads)],
 		Flops:         addFlops(extra, st.Node.Flops),

@@ -43,23 +43,24 @@ type Event struct {
 // Event types. One emitter per type: the tuner side (policy, sched,
 // ansor), the fleet client, the broker, or the worker.
 const (
-	EvTaskStart     = "task_start"       // tuner: a task's tuning begins
-	EvTaskEnd       = "task_end"         // tuner: a task's tuning ends
-	EvRoundStart    = "round_start"      // policy: one SearchRound begins
-	EvRoundEnd      = "round_end"        // policy: one SearchRound ends
-	EvPhase         = "phase"            // policy: one pprof-labeled phase finished
-	EvWaveScheduled = "wave_scheduled"   // sched: gradient scheduler dispatches a wave
-	EvModelTrained  = "model_trained"    // policy: cost model refit/boosted
-	EvBestImproved  = "best_improved"    // policy: a new task-best program
-	EvWarmStart     = "warm_start"       // ansor: warm-start absorption summary
-	EvBatchQueued   = "batch_queued"     // fleet client: batch accepted by broker
-	EvBatchLeased   = "batch_leased"     // broker: programs leased to a worker
-	EvBatchMeasured = "batch_measured"   // broker: worker results accepted
-	EvBatchReported = "batch_reported"   // fleet client: batch results returned to search
-	EvFleetRequeue  = "fleet_requeue"    // broker: expired lease requeued
-	EvQuarantine    = "fleet_quarantine" // broker: worker quarantined
-	EvWorkerLease   = "worker_lease"     // worker: lease granted (worker's view)
-	EvWorkerResult  = "worker_result"    // worker: results posted (worker's view)
+	EvTaskStart         = "task_start"         // tuner: a task's tuning begins
+	EvTaskEnd           = "task_end"           // tuner: a task's tuning ends
+	EvRoundStart        = "round_start"        // policy: a round's proposal begins
+	EvRoundEnd          = "round_end"          // policy: a round's commit ends (or its proposal went unused)
+	EvPhase             = "phase"              // policy: one pprof-labeled phase finished
+	EvWaveScheduled     = "wave_scheduled"     // sched: gradient scheduler dispatches a wave
+	EvProposalsPrepared = "proposals_prepared" // sched: proposals computed ahead of the picks that will commit them
+	EvModelTrained      = "model_trained"      // policy: cost model refit/boosted
+	EvBestImproved      = "best_improved"      // policy: a new task-best program
+	EvWarmStart         = "warm_start"         // ansor: warm-start absorption summary
+	EvBatchQueued       = "batch_queued"       // fleet client: batch accepted by broker
+	EvBatchLeased       = "batch_leased"       // broker: programs leased to a worker
+	EvBatchMeasured     = "batch_measured"     // broker: worker results accepted
+	EvBatchReported     = "batch_reported"     // fleet client: batch results returned to search
+	EvFleetRequeue      = "fleet_requeue"      // broker: expired lease requeued
+	EvQuarantine        = "fleet_quarantine"   // broker: worker quarantined
+	EvWorkerLease       = "worker_lease"       // worker: lease granted (worker's view)
+	EvWorkerResult      = "worker_result"      // worker: results posted (worker's view)
 )
 
 // Encode serializes the event as one JSONL line (no trailing newline).

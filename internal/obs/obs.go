@@ -84,6 +84,15 @@ func (o *Observer) Observe(name string, seconds float64) {
 	o.Metrics.Histogram(name, nil).Observe(seconds)
 }
 
+// Count adds one to the named counter of the observer's registry,
+// creating it on first use.
+func (o *Observer) Count(name string) {
+	if o == nil || o.Metrics == nil {
+		return
+	}
+	o.Metrics.Counter(name).Inc()
+}
+
 // FakeClock returns a deterministic clock for tests: the first call
 // yields start, and every call advances it by step. Safe for
 // concurrent use.

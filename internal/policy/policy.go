@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/anno"
 	"repro/internal/evo"
@@ -113,9 +114,12 @@ type Policy struct {
 	// narration, never inputs (the obs package contract).
 	Obs *obs.Observer
 
-	// round is the 1-based index of the SearchRound in flight, carried
-	// into phase and training events. Observability only.
+	// round is the 1-based index of the round last proposed, carried into
+	// phase and training events. Observability only.
 	round int
+
+	// pending is the proposal waiting for its commit (see Propose).
+	pending *proposal
 
 	sketches []*ir.State
 	sampler  *anno.Sampler
@@ -132,9 +136,12 @@ type Policy struct {
 	// Incremental-training state: the program count at the last model
 	// fit and the normalization minimum it used. A changed minimum is a
 	// fingerprint-drift checkpoint — every label rescales, so the next
-	// fit must be a full refit rather than a residual boost.
+	// fit must be a full refit rather than a residual boost. stale marks
+	// a model that has not seen the latest commit or warm start: the fit
+	// runs where a score is next needed (see fit).
 	fittedProgs int
 	lastFitMin  float64
+	stale       bool
 
 	// Accumulated training data. progWeights carries each program's
 	// training weight: 1 for native measurements, a transfer discount for
@@ -218,14 +225,80 @@ func New(task Task, opts Options, ms measure.Interface, extraRules ...sketch.Rul
 // Sketches exposes the generated sketches (read-only).
 func (p *Policy) Sketches() []*ir.State { return p.sketches }
 
+// proposal is the pure half of a round: the batch Propose picked, held
+// until the commit that measures it.
+type proposal struct {
+	// n is the batch size asked for; the commit must ask for the same.
+	n int
+	// batch is what to measure: empty when nothing is left in the space.
+	batch []*ir.State
+	// start is round_start's clock reading (narration only).
+	start time.Time
+}
+
 // SearchRound performs one tuning round: sample, evolve, pick a batch of
-// numMeasure programs, measure them, and retrain the cost model. It
-// returns the measurement results (§5's iterative fine-tuning).
+// numMeasure programs, measure them, and absorb the results. It returns
+// the measurement results (§5's iterative fine-tuning). A round is a
+// proposal (Propose, which SearchRound calls unless one is pending) and
+// its commit.
 func (p *Policy) SearchRound(numMeasure int) []measure.Result {
+	p.Propose(numMeasure)
+	prop := p.pending
+	p.pending = nil
+	p.Obs.Count("proposals_committed")
+	if len(prop.batch) == 0 {
+		p.Obs.Emit(obs.Event{Type: obs.EvRoundEnd, Task: p.Task.Name, Round: p.round,
+			Trials: p.Trials, Detail: "space exhausted"})
+		return nil
+	}
+	// Task-attributed measurement: records land in the tuning log under
+	// this task's name, and a resume cache serves exactly the records
+	// this task wrote. Cache hits cost no measurer trial but still count
+	// against the policy-local budget, so a resumed search replays the
+	// original trial accounting bit for bit.
+	var results []measure.Result
+	p.phase("measure", func() {
+		results = p.Measurer.MeasureTask(p.Task.Name, prop.batch)
+	})
+	p.Trials += len(prop.batch)
+	p.update(results)
+	secs := p.Obs.SinceSeconds(prop.start)
+	p.Obs.Observe("round_seconds", secs)
+	p.Obs.Emit(obs.Event{Type: obs.EvRoundEnd, Task: p.Task.Name, Round: p.round,
+		Count: len(prop.batch), Trials: p.Trials, DurMS: secs * 1000})
+	return results
+}
+
+// Propose does the part of the next round that needs no measurement: it
+// brings the cost model up to date, samples, evolves and picks the batch
+// of numMeasure programs, and leaves it pending for SearchRound to
+// measure. It is a no-op while a proposal is pending.
+//
+// A proposal may be computed any time before its commit — a scheduler
+// prepares tasks it has not decided to run yet — because Propose reads
+// and advances only state that nothing but this policy's own commit (and
+// WarmStart) writes: its two RNGs, feature cache, cost model, best pool
+// and measured set. It spends no trial, writes no record and moves
+// nothing that BestTime, Trials or History report, so the batch is the
+// same whenever it is computed and invisible until its commit. The
+// caller's side (DESIGN.md, determinism rule 6): one call at a time on
+// one policy, and a commit that asks for the batch size proposed —
+// anything else panics rather than silently recomputing.
+func (p *Policy) Propose(numMeasure int) {
+	if p.pending != nil {
+		if p.pending.n != numMeasure {
+			panic(fmt.Sprintf("policy: task %s has a proposal of %d programs pending, asked for %d",
+				p.Task.Name, p.pending.n, numMeasure))
+		}
+		return
+	}
 	p.round = len(p.History) + 1
-	roundStart := p.Obs.Now()
+	prop := &proposal{n: numMeasure, start: p.Obs.Now()}
+	p.pending = prop
+	p.Obs.Count("proposals_prepared")
 	p.Obs.Emit(obs.Event{Type: obs.EvRoundStart, Task: p.Task.Name, Round: p.round,
 		Trials: p.Trials})
+	p.fit()
 	var init []*ir.State
 	p.phase("sketch", func() {
 		init = p.sampler.SamplePopulation(p.sketches, p.Opts.SampleInitSize)
@@ -237,11 +310,9 @@ func (p *Policy) SearchRound(numMeasure int) []measure.Result {
 		init = append(init, s)
 	}
 	if len(init) == 0 {
-		p.Obs.Emit(obs.Event{Type: obs.EvRoundEnd, Task: p.Task.Name, Round: p.round,
-			Trials: p.Trials, Detail: "space exhausted"})
-		return nil
+		return
 	}
-	// One scorer serves the whole round so programs featurized during
+	// One scorer serves the whole proposal so programs featurized during
 	// evolution are not re-lowered for batch selection.
 	sc := p.scorer()
 	candidates := init
@@ -258,24 +329,20 @@ func (p *Policy) SearchRound(numMeasure int) []measure.Result {
 			candidates = search.Run(p.Task.DAG, init, sc, 4*numMeasure)
 		})
 	}
-	var batch []*ir.State
-	p.phase("score", func() { batch = p.pickBatch(sc, candidates, numMeasure) })
-	// Task-attributed measurement: records land in the tuning log under
-	// this task's name, and a resume cache serves exactly the records
-	// this task wrote. Cache hits cost no measurer trial but still count
-	// against the policy-local budget, so a resumed search replays the
-	// original trial accounting bit for bit.
-	var results []measure.Result
-	p.phase("measure", func() {
-		results = p.Measurer.MeasureTask(p.Task.Name, batch)
-	})
-	p.Trials += len(batch)
-	p.update(results)
-	secs := p.Obs.SinceSeconds(roundStart)
-	p.Obs.Observe("round_seconds", secs)
+	p.phase("score", func() { prop.batch = p.pickBatch(sc, candidates, numMeasure) })
+}
+
+// Abandon closes a proposal that will never be committed because the run
+// is over (a scheduler prepared the task and then never picked it), so
+// the narration leaves no round open. Nothing the search reports moves.
+func (p *Policy) Abandon() {
+	if p.pending == nil {
+		return
+	}
+	p.Obs.Count("proposals_unused")
 	p.Obs.Emit(obs.Event{Type: obs.EvRoundEnd, Task: p.Task.Name, Round: p.round,
-		Count: len(batch), Trials: p.Trials, DurMS: secs * 1000})
-	return results
+		Trials: p.Trials, DurMS: p.Obs.SinceSeconds(p.pending.start) * 1000, Detail: "unused"})
+	p.pending = nil
 }
 
 // PhaseNames lists the pprof-labeled search phases in execution order.
@@ -368,8 +435,8 @@ func (p *Policy) pickBatch(sc evo.Scorer, candidates []*ir.State, n int) []*ir.S
 	return batch
 }
 
-// update records measurements, maintains the best-k pool, and retrains
-// the cost model on all data with per-DAG throughput normalization.
+// update records measurements, maintains the best-k pool, and marks the
+// cost model stale.
 func (p *Policy) update(results []measure.Result) {
 	for _, r := range results {
 		if r.Err != nil || r.Seconds <= 0 {
@@ -393,14 +460,14 @@ func (p *Policy) update(results []measure.Result) {
 		p.absorbWeighted(r.State, e.Feats, r.Seconds, w, r.TrainOnly)
 	}
 	p.rebuildBestPool()
-	p.retrain()
+	p.stale = true
 	p.History = append(p.History, HistoryPoint{Trials: p.Trials, BestTime: p.BestTime})
 }
 
 // absorbWeighted folds one measured program into the accumulated
-// training data and best tracking (pool rebuild and retraining are the
-// caller's job), with a training weight and an optional train-only
-// restriction. A train-only program feeds the cost model but never
+// training data and best tracking (pool rebuild and marking the model
+// stale are the caller's job), with a training weight and an optional
+// train-only restriction. A train-only program feeds the cost model but never
 // enters the best-k pool, the best time, or the measured set —
 // transferred cross-target records (and live sibling-measured fleet
 // results) must inform the model without claiming a measured best on
@@ -443,8 +510,14 @@ func (p *Policy) rebuildBestPool() {
 	p.bestStates, p.bestTimes = states, times
 }
 
-// retrain updates the cost model on the accumulated data: labels are
-// throughputs normalized to [0,1] per DAG (§5.2). Training is
+// fit brings the cost model up to date with the accumulated data, if a
+// commit or the warm start has added any since the last fit: labels are
+// throughputs normalized to [0,1] per DAG (§5.2). It runs where a score
+// is first needed — at the head of the next proposal, or when somebody
+// asks for the fingerprint — so the fit after a task's last round, which
+// nobody would read, never runs. A proposal separates every two arrivals
+// of data, so each fit that does run sees the data, and makes the
+// decision, it would have seen run eagerly. Training is
 // incremental by default: when the normalization minimum is unchanged
 // since the last fit (so every existing label is still valid), the
 // previous ensemble is boosted with residual trees over only the new
@@ -454,7 +527,11 @@ func (p *Policy) rebuildBestPool() {
 // depends only on the measurement sequence, never on timing, so resumed
 // and fleet-measured searches replay the identical call sequence and
 // land on bit-identical models.
-func (p *Policy) retrain() {
+func (p *Policy) fit() {
+	if !p.stale {
+		return
+	}
+	p.stale = false
 	if len(p.progTimes) == 0 || p.Opts.DisableFineTuning {
 		return
 	}
@@ -508,9 +585,9 @@ type WarmRecord struct {
 }
 
 // WarmStart replays previously recorded programs of this policy's task
-// into the accumulated training data and best-k pool, then trains the
-// cost model once — so the very first SearchRound evolves under a model
-// fitted to history instead of sampling blind (§5.2 trains "from all
+// into the accumulated training data and best-k pool and marks the cost
+// model stale — so the very first proposal fits it to history and evolves
+// under that model instead of sampling blind (§5.2 trains "from all
 // accumulated measurements"; the TVM-style transfer-from-logs path).
 // Records of other tasks or targets are skipped, as are records that no
 // longer replay on this DAG. Warm-started programs enter measuredSigs,
@@ -537,6 +614,9 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 // untouched. Returns how many records were absorbed and the first
 // replay/lowering error encountered.
 func (p *Policy) WarmStartWeighted(recs []WarmRecord) (int, error) {
+	if p.pending != nil {
+		panic(fmt.Sprintf("policy: task %s warm-started with a proposal pending", p.Task.Name))
+	}
 	var n int
 	var first error
 	seen := map[string]bool{}
@@ -576,15 +656,19 @@ func (p *Policy) WarmStartWeighted(recs []WarmRecord) (int, error) {
 	}
 	if n > 0 {
 		p.rebuildBestPool()
-		p.retrain()
+		p.stale = true
 	}
 	return n, first
 }
 
-// ModelFingerprint hashes the trained cost-model ensemble; equal
-// fingerprints mean bit-identical models (see xgb.Fingerprint). Used by
-// the persistence layer's determinism checks.
-func (p *Policy) ModelFingerprint() uint64 { return p.model.Fingerprint() }
+// ModelFingerprint hashes the cost-model ensemble trained on everything
+// absorbed so far, fitting it first if it is stale; equal fingerprints
+// mean bit-identical models (see xgb.Fingerprint). Used by the
+// persistence layer's determinism checks.
+func (p *Policy) ModelFingerprint() uint64 {
+	p.fit()
+	return p.model.Fingerprint()
+}
 
 // scoreAll shards scoring over the policy's worker pool with order-stable
 // results.
@@ -601,21 +685,23 @@ func (p *Policy) scorer() evo.Scorer {
 // modelScorer serves concurrent Score/NodeScores calls from the sharded
 // evolution. Each artifact has exactly one memoization layer: the
 // signature lives on the state (ir memoizes it), features live in the
-// policy's cross-round cache, and the ensemble score lives here, keyed
-// by signature for the scorer's lifetime. A scorer serves one search
-// round and the cost model is frozen until that round's retrain, so a
-// program's score is a pure function of its signature — elites and
-// re-derived twins, which evolution re-scores every generation, pay the
-// ensemble walk once per round. (An earlier per-round pointer→entry
-// memo that duplicated the feature cache is gone.)
+// policy's cross-round cache, and the ensemble's scores — of a program
+// and of its nodes — live here, keyed by signature for the scorer's
+// lifetime. A scorer serves one proposal and the cost model is frozen
+// from the fit at its head until the next one, so both are pure
+// functions of the signature — elites and re-derived twins, which
+// evolution re-scores every generation, and the parents crossover asks
+// about on every attempt pay the ensemble walk once per round.
 type modelScorer struct {
 	model *xgb.CostModel
 	feats *feat.Cache
-	// scores maps signature → float64 score. sync.Map because the
-	// sharded scoring workers are read-heavy on exactly the keys other
-	// workers insert; values are pure, so a racing double-compute
-	// stores the identical float.
+	// scores maps signature → float64 score, nodes signature → the
+	// NodeScores map (nil for a program that does not lower). sync.Map
+	// because the sharded workers are read-heavy on exactly the keys
+	// other workers insert; values are pure, so a racing double-compute
+	// stores an equal value.
 	scores sync.Map
+	nodes  sync.Map
 }
 
 func (m *modelScorer) Score(states []*ir.State) []float64 {
@@ -645,15 +731,18 @@ func (m *modelScorer) ScoreInto(dst []float64, states []*ir.State) {
 }
 
 func (m *modelScorer) NodeScores(s *ir.State) map[string]float64 {
-	e, ok := m.feats.Program(s)
-	if !ok || !m.model.Trained() {
-		return nil
+	sig := s.Signature()
+	if v, hit := m.nodes.Load(sig); hit {
+		return v.(map[string]float64)
 	}
-	out := map[string]float64{}
-	for i, stage := range e.Stages {
-		tag := ir.BaseStage(stage)
-		out[tag] += m.model.ScoreStmt(e.Feats[i])
+	var out map[string]float64
+	if e, ok := m.feats.Program(s); ok && m.model.Trained() {
+		out = make(map[string]float64, len(e.Stages))
+		for i, stage := range e.Stages {
+			out[ir.BaseStage(stage)] += m.model.ScoreStmt(e.Feats[i])
+		}
 	}
+	m.nodes.Store(sig, out)
 	return out
 }
 

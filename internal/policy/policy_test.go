@@ -400,6 +400,7 @@ func TestIncrementalTrainingDeterministic(t *testing.T) {
 		}
 		for i := 0; i < maxIncrementalRounds && (i < 8 || maxTrees <= xgb.DefaultOpts().NumTrees); i++ {
 			p.SearchRound(16)
+			p.fit() // the round's fit, which would otherwise wait for the next proposal
 			if n := p.model.NumTrees(); n > maxTrees {
 				maxTrees = n
 			}
@@ -436,6 +437,7 @@ func TestIncrementalRefitsOnNewBest(t *testing.T) {
 	prevBest := 1e30
 	for i := 0; i < maxIncrementalRounds && (i < 8 || !sawBoost); i++ {
 		p.SearchRound(16)
+		p.fit() // the round's fit, which would otherwise wait for the next proposal
 		n := p.model.NumTrees()
 		if n > fullFit {
 			sawBoost = true

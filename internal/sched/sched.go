@@ -7,6 +7,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -15,9 +16,11 @@ import (
 
 // Tuner is one tuning task as the scheduler sees it.
 //
-// Distinct Tuners must tolerate concurrent AllocateUnit calls: the
-// scheduler runs independent rounds (warm-up and round-robin waves) in
-// parallel. A single Tuner is never allocated twice within one wave.
+// Distinct Tuners must tolerate concurrent calls: the scheduler runs
+// independent rounds (warm-up and round-robin waves) and prepares
+// several tasks in parallel. On a single Tuner it never makes two calls
+// at once, never allocates it twice within one wave, and calls Prepare
+// at most once between two AllocateUnits.
 type Tuner interface {
 	// Name identifies the task.
 	Name() string
@@ -28,6 +31,13 @@ type Tuner interface {
 	// program generation and measurement (§6: "we define such an
 	// iteration as one unit of time resources").
 	AllocateUnit()
+	// Prepare does, ahead of time, whatever part of the next AllocateUnit
+	// is a pure function of state that only this task's own AllocateUnit
+	// changes (a search round's proposal: everything but the measurement)
+	// and leaves it for that call to use. The scheduler relies on the work
+	// being the same whenever it is done, on BestLatency not moving before
+	// AllocateUnit, and on an unused preparation costing nothing but time.
+	Prepare()
 	// TaskFlops returns C_i, the floating point operations of the task.
 	TaskFlops() float64
 	// SimilarityTag groups structurally similar tasks (N(i) in the
@@ -186,12 +196,14 @@ type Options struct {
 	// RoundRobin disables the gradient scheduling ("No task scheduler"
 	// ablation, Fig. 10): equal time to all tasks.
 	RoundRobin bool
-	// Workers bounds how many independent task rounds run concurrently
-	// (0 = GOMAXPROCS). Only rounds whose picks are predetermined — the
-	// warm-up pass and round-robin cycles — parallelize; gradient-descent
-	// picks depend on every previous result and stay sequential, per the
-	// allocation order of §6. Allocation order, histories and cost curves
-	// are bit-identical for any value.
+	// Workers bounds how many tasks work concurrently (0 = GOMAXPROCS).
+	// Rounds whose picks are predetermined — the warm-up pass and
+	// round-robin cycles — run as parallel waves. Gradient-descent picks
+	// depend on every previous result and are decided one at a time, per
+	// the allocation order of §6, but when the picked task has no
+	// proposal ready, up to Workers-1 likely later picks are prepared
+	// beside it (see Tuner.Prepare). Allocation order, histories and cost
+	// curves are bit-identical for any value.
 	Workers int
 }
 
@@ -207,9 +219,9 @@ type Scheduler struct {
 	Opts      Options
 
 	// Obs narrates allocation when set: one wave_scheduled event per
-	// dispatched wave, naming the tasks it carries. Nil is off; either
-	// way allocation decisions are identical (events are narration,
-	// never inputs).
+	// dispatched wave and one proposals_prepared event per prepare wave,
+	// naming the tasks they carry. Nil is off; either way allocation
+	// decisions are identical (events are narration, never inputs).
 	Obs *obs.Observer
 
 	rng  *rand.Rand
@@ -218,6 +230,10 @@ type Scheduler struct {
 	history [][]float64
 	// sinceImprove[i] counts allocations without improvement.
 	sinceImprove []int
+	// guessed[i] marks a task prepared as a guess at a later pick and not
+	// picked since; nGuessed counts them (see prepare).
+	guessed  []bool
+	nGuessed int
 	// Units counts total allocated units.
 	Units int
 	// warmed tracks round-robin warm-up progress across Run calls.
@@ -240,6 +256,7 @@ func New(tasks []Tuner, obj Objective, opts Options) *Scheduler {
 		pool:         pool.New(opts.Workers),
 		history:      make([][]float64, len(tasks)),
 		sinceImprove: make([]int, len(tasks)),
+		guessed:      make([]bool, len(tasks)),
 	}
 }
 
@@ -264,14 +281,7 @@ func (s *Scheduler) latencies() []float64 {
 // which keeps histories and the cost curve bit-identical to serial
 // allocation for any worker count.
 func (s *Scheduler) runWave(wave []int) {
-	if s.Obs != nil && s.Obs.Events != nil {
-		names := make([]string, len(wave))
-		for k, i := range wave {
-			names[k] = s.Tasks[i].Name()
-		}
-		s.Obs.Emit(obs.Event{Type: obs.EvWaveScheduled, Count: len(wave),
-			Detail: strings.Join(names, ",")})
-	}
+	s.narrate(obs.EvWaveScheduled, wave)
 	prev := make([]float64, len(wave))
 	for k, i := range wave {
 		prev[k] = s.Tasks[i].BestLatency()
@@ -297,10 +307,22 @@ func (s *Scheduler) runWave(wave []int) {
 	}
 }
 
+// narrate emits one event of the given type naming the tasks of a wave.
+func (s *Scheduler) narrate(typ string, wave []int) {
+	if s.Obs == nil || s.Obs.Events == nil {
+		return
+	}
+	names := make([]string, len(wave))
+	for k, i := range wave {
+		names[k] = s.Tasks[i].Name()
+	}
+	s.Obs.Emit(obs.Event{Type: typ, Count: len(wave), Detail: strings.Join(names, ",")})
+}
+
 // nextWave returns the next allocation picks whose choices do not depend
 // on each other's results: the remaining warm-up tasks, one round-robin
-// cycle, or a single gradient-descent pick. The wave never depends on the
-// worker count, only on scheduler state.
+// cycle, or a single gradient-descent pick (prepared, see prepare). The
+// wave never depends on the worker count, only on scheduler state.
 func (s *Scheduler) nextWave(budget int) []int {
 	var wave []int
 	if s.warmed < len(s.Tasks) {
@@ -321,7 +343,43 @@ func (s *Scheduler) nextWave(budget int) []int {
 		}
 		return wave
 	}
-	return []int{s.pick()}
+	i := s.pick()
+	s.prepare(i, budget)
+	return []int{i}
+}
+
+// prepare has the picked task prepared before its unit is allocated, in a
+// wave that also carries guesses at later picks: up to Workers-1 tasks not
+// yet guessed, by descending |∂f/∂t_i|. Decisions stay where they were —
+// pick has drawn and chosen, and the next pick reads this one's committed
+// result; only work no decision can change runs ahead (Tuner.Prepare). A
+// wrong guess costs time, nothing else: the task stays prepared until it
+// is picked. So a task with no gradient is never guessed, and no guess is
+// added beyond the units left to allocate it in.
+func (s *Scheduler) prepare(picked, unitsLeft int) {
+	if s.guessed[picked] {
+		s.guessed[picked] = false
+		s.nGuessed--
+		return
+	}
+	wave := []int{picked}
+	if room := min(s.pool.Workers(), unitsLeft-s.nGuessed) - 1; room > 0 {
+		grads := s.gradients()
+		for i, v := range grads {
+			if i != picked && !s.guessed[i] && v > 0 {
+				wave = append(wave, i)
+			}
+		}
+		ahead := wave[1:]
+		sort.SliceStable(ahead, func(a, b int) bool { return grads[ahead[a]] > grads[ahead[b]] })
+		wave = wave[:1+min(room, len(ahead))]
+		for _, i := range wave[1:] {
+			s.guessed[i] = true
+		}
+		s.nGuessed += len(wave) - 1
+	}
+	s.narrate(obs.EvProposalsPrepared, wave)
+	s.pool.Map(len(wave), func(k int) { s.Tasks[wave[k]].Prepare() })
 }
 
 // Step runs exactly one wave (bounded by the remaining budget) and
@@ -359,16 +417,24 @@ func (s *Scheduler) pick() int {
 	if s.rng.Float64() < s.Opts.EpsGreedy {
 		return s.rng.Intn(n)
 	}
-	g := s.latencies()
-	df := s.Objective.PartialG(g)
 	best, bestScore := 0, math.Inf(-1)
-	for i := 0; i < n; i++ {
-		grad := df[i] * s.gradientT(i, g)
-		if v := math.Abs(grad); v > bestScore {
+	for i, v := range s.gradients() {
+		if v > bestScore {
 			best, bestScore = i, v
 		}
 	}
 	return best
+}
+
+// gradients returns |∂f/∂t_i| = |∂f/∂g_i · ∂g_i/∂t_i| for every task.
+func (s *Scheduler) gradients() []float64 {
+	g := s.latencies()
+	df := s.Objective.PartialG(g)
+	out := make([]float64, len(df))
+	for i := range out {
+		out[i] = math.Abs(df[i] * s.gradientT(i, g))
+	}
+	return out
 }
 
 // gradientT approximates ∂g_i/∂t_i per Appendix A.

@@ -25,6 +25,7 @@ func (f *fakeTuner) BestLatency() float64 {
 	return f.base*math.Pow(f.decay, float64(f.t)) + f.floor
 }
 func (f *fakeTuner) AllocateUnit()         { f.t++ }
+func (f *fakeTuner) Prepare()              {}
 func (f *fakeTuner) TaskFlops() float64    { return f.flops }
 func (f *fakeTuner) SimilarityTag() string { return f.tag }
 

@@ -36,6 +36,16 @@ go test -short ./...
 step "race: concurrent packages (short)"
 go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./internal/feat/ ./internal/anno/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./ansor/
 
+# The run-ahead contract (DESIGN.md "The determinism contract", rule 6):
+# a proposal is the same whenever it is computed, and the scheduler's
+# prepare waves change no decision. Ten times each, because what these
+# tests exclude — two calls at once on one task, a result that depends on
+# which goroutine finished first — shows up only under some interleavings.
+step "race: proposals ahead of picks (x10)"
+go test -race -count=10 -run 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|TestProposalContractViolationsPanic' ./internal/policy/
+go test -race -count=10 -run 'TestPrepareAheadChangesNoDecision|TestConvergedTaskIsNeverGuessed' ./internal/sched/
+go test -race -count=10 -run 'TestTuneNetworkRecordLogsEqualAcrossWorkers' ./ansor/
+
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite (including the
 # N-publishers/M-readers merge test) runs under the race detector,
