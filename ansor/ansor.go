@@ -19,19 +19,17 @@ package ansor
 import (
 	"fmt"
 	"math"
-	"os"
 
-	"repro/internal/fleet"
 	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/regserver"
 	"repro/internal/sched"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/te"
-	"repro/internal/warm"
 	"repro/internal/workloads"
 )
 
@@ -261,168 +259,35 @@ type Tuner struct {
 	opts     TuningOptions
 	pol      *policy.Policy
 	measurer measure.Interface
-	recorder *measure.Recorder
-	logFile  *os.File
-	obsv     *obs.Observer
-	// ownedSink is the event sink the tuner opened from EventsTo (nil
-	// when events are off or the caller supplied the Observer); Close
-	// drains and closes it.
-	ownedSink obs.Sink
+	sess     *session.Session
 }
 
-// buildObserver resolves the options' observability plumbing: the
-// caller's Observer verbatim, a fresh observer over an EventsTo sink
-// (returned for the caller to close), or nil for observability off.
-func buildObserver(opts TuningOptions) (*obs.Observer, obs.Sink, error) {
-	if opts.Observer != nil {
-		return opts.Observer, nil, nil
+// spec maps the options' plumbing fields onto the run assembly's.
+func (o TuningOptions) spec() session.Spec {
+	return session.Spec{
+		RecordTo: o.RecordTo, ResumeFrom: o.ResumeFrom,
+		RegistryURL: o.RegistryURL, PooledCalibration: o.PooledCalibration, FleetURL: o.FleetURL,
+		WarmStartFrom: o.WarmStartFrom, WarmStartLimit: o.WarmStartLimit,
+		EventsTo: o.EventsTo, Observer: o.Observer,
 	}
-	if opts.EventsTo == "" {
-		return nil, nil, nil
-	}
-	sink, err := obs.OpenSink(opts.EventsTo)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ansor: events to %s: %w", opts.EventsTo, err)
-	}
-	return obs.New(sink, obs.NewRegistry()), sink, nil
-}
-
-// newMeasurer builds the run's measurement surface: the in-process
-// machine-model measurer, or — when FleetURL is set — a RemoteMeasurer
-// shipping batches to the measurement broker. Either is wired to the
-// options' record/resume files and, when RegistryURL is set, tees every
-// fresh record to the registry server. The returned recorder and log
-// sink (both possibly nil) are owned by the caller, which must close
-// them.
-func newMeasurer(target Target, opts TuningOptions, cal *measure.Calibration, obsv *obs.Observer) (measure.Interface, *measure.Recorder, *os.File, error) {
-	rec, cache, f, err := measure.OpenPersistence(opts.RecordTo, opts.ResumeFrom)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("ansor: %w", err)
-	}
-	if opts.RegistryURL != "" {
-		// Seed the server with the records already on disk: a resumed
-		// run replays them from cache without re-recording, so the tee
-		// alone would leave a fresh server missing the replayed prefix.
-		rec, err = regserver.AttachRecorder(rec, opts.RegistryURL, opts.ResumeFrom, opts.RecordTo)
-		if err != nil {
-			if f != nil {
-				f.Close()
-			}
-			return nil, nil, nil, fmt.Errorf("ansor: registry %s: %w", opts.RegistryURL, err)
-		}
-	}
-	if opts.FleetURL != "" {
-		rm := fleet.NewRemoteMeasurer(opts.FleetURL, target.Machine.Name, opts.NoiseStd, opts.Seed)
-		rm.Workers = opts.Workers
-		rm.Recorder = rec
-		rm.Cache = cache
-		rm.Calibration = cal
-		rm.Obs = obsv
-		if err := rm.Ping(); err != nil {
-			if rec != nil {
-				rec.Close()
-			}
-			if f != nil {
-				f.Close()
-			}
-			return nil, nil, nil, fmt.Errorf("ansor: fleet %s: %w", opts.FleetURL, err)
-		}
-		return rm, rec, f, nil
-	}
-	ms := measure.New(target.Machine, opts.NoiseStd, opts.Seed)
-	ms.Workers = opts.Workers
-	ms.Recorder = rec
-	ms.Cache = cache
-	return ms, rec, f, nil
-}
-
-// measurerErr surfaces a fleet measurer's latched broker error; nil for
-// the in-process measurer, which has no out-of-band failure mode.
-func measurerErr(ms measure.Interface) error {
-	if e, ok := ms.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
-
-// pooledCalibration fetches the registry server's fleet-pooled
-// cross-target calibration for the run's target when PooledCalibration
-// asks for it; nil (no pooled scales) when the option is off or no
-// registry server is configured. A fetch failure is an error, not a
-// silent cold start — the caller explicitly asked for pooling.
-func pooledCalibration(target Target, opts TuningOptions) (*measure.Calibration, error) {
-	if !opts.PooledCalibration || opts.RegistryURL == "" {
-		return nil, nil
-	}
-	cal, err := regserver.NewClient(opts.RegistryURL).Calibration(target.Machine.Name)
-	if err != nil {
-		return nil, fmt.Errorf("ansor: pooled calibration: %w", err)
-	}
-	return cal, nil
-}
-
-// openWarmSource resolves the options' WarmStartFrom spec (file path,
-// server URL, literal "registry", or a comma-separated mix) into a warm
-// source; nil without error when no warm start was requested.
-func openWarmSource(opts TuningOptions) (warm.Source, error) {
-	if opts.WarmStartFrom == "" {
-		return nil, nil
-	}
-	src, err := warm.Open(opts.WarmStartFrom, opts.RegistryURL, opts.WarmStartLimit)
-	if err != nil {
-		return nil, fmt.Errorf("ansor: warm start from %s: %w", opts.WarmStartFrom, err)
-	}
-	return src, nil
-}
-
-// warmStartPolicy fetches, prepares and absorbs one task's warm-start
-// records. Replay failures are errors: a warm-start source from a
-// drifted workload definition should fail loudly, like ApplyHistoryBest
-// does, instead of silently starting cold.
-func warmStartPolicy(pol *policy.Policy, src warm.Source, taskName, targetName string, pooled *measure.Calibration, obsv *obs.Observer) error {
-	recs, err := warm.RecordsCalibrated(src, taskName, targetName, pooled)
-	if err != nil {
-		return fmt.Errorf("ansor: warm start task %s: %w", taskName, err)
-	}
-	n, err := pol.WarmStartWeighted(recs)
-	if err != nil {
-		return fmt.Errorf("ansor: warm start task %s: %w", taskName, err)
-	}
-	native, transfer := warm.Stats(recs)
-	obsv.Emit(obs.Event{Type: obs.EvWarmStart, Task: taskName, Target: targetName, Count: n,
-		Detail: fmt.Sprintf("native=%d transfer=%d source=%s", native, transfer, src.Name())})
-	return nil
 }
 
 // NewTuner builds a tuner; it constructs the task's search space (sketch
 // generation) eagerly and fails if the DAG is invalid.
-func NewTuner(task Task, opts TuningOptions) (*Tuner, error) {
+func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 	opts.defaults()
-	obsv, ownedSink, err := buildObserver(opts)
+	sess, err := session.Open(opts.spec())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ansor: %w", err)
 	}
-	cal, err := pooledCalibration(task.Target, opts)
+	defer func() {
+		if err != nil {
+			sess.Close()
+		}
+	}()
+	ms, err := sess.Measurer(task.Target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
 	if err != nil {
-		return nil, err
-	}
-	ms, rec, f, err := newMeasurer(task.Target, opts, cal, obsv)
-	if err != nil {
-		if ownedSink != nil {
-			ownedSink.Close()
-		}
-		return nil, err
-	}
-	cleanup := func() {
-		if rec != nil {
-			rec.Close()
-		}
-		if f != nil {
-			f.Close()
-		}
-		if ownedSink != nil {
-			ownedSink.Close()
-		}
+		return nil, fmt.Errorf("ansor: %w", err)
 	}
 	popts := policy.DefaultOptions()
 	popts.Seed = opts.Seed
@@ -431,54 +296,21 @@ func NewTuner(task Task, opts TuningOptions) (*Tuner, error) {
 		Name: task.Name, DAG: task.DAG, Target: task.Target.Space, Weight: task.Weight,
 	}, popts, ms, opts.CustomRules...)
 	if err != nil {
-		cleanup()
 		return nil, fmt.Errorf("ansor: %w", err)
 	}
-	pol.Obs = obsv
-	warmSrc, err := openWarmSource(opts)
-	if err != nil {
-		cleanup()
-		return nil, err
+	pol.Obs = sess.Observer()
+	if err := sess.WarmStart(pol, task.Target.Machine.Name); err != nil {
+		return nil, fmt.Errorf("ansor: %w", err)
 	}
-	if warmSrc != nil {
-		if err := warmStartPolicy(pol, warmSrc, task.Name, task.Target.Machine.Name, cal, obsv); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	return &Tuner{task: task, opts: opts, pol: pol, measurer: ms, recorder: rec, logFile: f,
-		obsv: obsv, ownedSink: ownedSink}, nil
+	return &Tuner{task: task, opts: opts, pol: pol, measurer: ms, sess: sess}, nil
 }
 
 // Close flushes and closes the tuning log (if RecordTo was set), flushes
-// any batched registry publishing, and reports the first write/publish
-// error the recorder hit — or, on a fleet-measured run, the first
-// broker failure the remote measurer latched. Safe to call on a tuner
-// that never recorded.
-func (t *Tuner) Close() error {
-	var err error
-	if t.recorder != nil {
-		err = t.recorder.Close()
-	}
-	if ferr := measurerErr(t.measurer); err == nil {
-		err = ferr
-	}
-	if t.logFile != nil {
-		if cerr := t.logFile.Close(); err == nil {
-			err = cerr
-		}
-		t.logFile = nil
-	}
-	if t.ownedSink != nil {
-		// Drain the event stream; a sink write failure surfaces here like
-		// a tuning-log one (the search itself never waited on it).
-		if serr := t.ownedSink.Close(); err == nil {
-			err = serr
-		}
-		t.ownedSink = nil
-	}
-	return err
-}
+// any batched registry publishing, drains an EventsTo stream, and reports
+// the first write/publish error any of them hit — or, on a fleet-measured
+// run, the first broker failure the remote measurer latched. Safe to call
+// on a tuner that never recorded, and more than once.
+func (t *Tuner) Close() error { return t.sess.Close() }
 
 // Sketches returns the generated sketches of the task's search space
 // (incomplete programs with TILE placeholders, §4.1).
@@ -491,10 +323,10 @@ func (t *Tuner) Tune() (Program, error) {
 	if t.opts.ApplyHistoryBest != "" {
 		return t.ApplyBest()
 	}
-	t.obsv.Emit(obs.Event{Type: obs.EvTaskStart, Task: t.task.Name,
+	t.pol.Obs.Emit(obs.Event{Type: obs.EvTaskStart, Task: t.task.Name,
 		Target: t.task.Target.Machine.Name, Trials: t.opts.Trials})
 	t.pol.Tune(t.opts.Trials, t.opts.MeasuresPerRound)
-	t.obsv.Emit(obs.Event{Type: obs.EvTaskEnd, Task: t.task.Name,
+	t.pol.Obs.Emit(obs.Event{Type: obs.EvTaskEnd, Task: t.task.Name,
 		Target: t.task.Target.Machine.Name, Seconds: t.pol.BestTime, Trials: t.pol.Trials})
 	return t.Best()
 }
@@ -638,43 +470,20 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	if opts.ApplyHistoryBest != "" {
 		return applyNetworkBest(net, target, opts.ApplyHistoryBest)
 	}
-	obsv, ownedSink, err := buildObserver(opts)
+	sess, err := session.Open(opts.spec())
 	if err != nil {
-		return NetworkResult{}, err
+		return NetworkResult{}, fmt.Errorf("ansor: %w", err)
 	}
-	cal, err := pooledCalibration(target, opts)
+	defer sess.Close() // for the error returns; the run's own Close is below
+	obsv := sess.Observer()
+	ms, err := sess.Measurer(target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
 	if err != nil {
-		if ownedSink != nil {
-			ownedSink.Close()
-		}
-		return NetworkResult{}, err
-	}
-	ms, recorder, logFile, err := newMeasurer(target, opts, cal, obsv)
-	if err != nil {
-		if ownedSink != nil {
-			ownedSink.Close()
-		}
-		return NetworkResult{}, err
-	}
-	defer func() {
-		if recorder != nil {
-			recorder.Close()
-		}
-		if logFile != nil {
-			logFile.Close()
-		}
-		if ownedSink != nil {
-			ownedSink.Close()
-		}
-	}()
-	warmSrc, err := openWarmSource(opts)
-	if err != nil {
-		return NetworkResult{}, err
+		return NetworkResult{}, fmt.Errorf("ansor: %w", err)
 	}
 	var tuners []sched.Tuner
 	var dnn sched.DNN
 	dnn.Name = net.Name
-	pols := make([]*policy.Policy, 0, len(net.Tasks))
+	pols := make([]*policy.Scheduled, 0, len(net.Tasks))
 	for i, task := range net.Tasks {
 		popts := policy.DefaultOptions()
 		popts.Seed = opts.Seed + int64(i)*31
@@ -687,23 +496,17 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 			return NetworkResult{}, fmt.Errorf("ansor: task %s: %w", task.Name, err)
 		}
 		p.Obs = obsv
-		if warmSrc != nil {
-			if err := warmStartPolicy(p, warmSrc, task.Name, target.Machine.Name, cal, obsv); err != nil {
-				return NetworkResult{}, err
-			}
+		if err := sess.WarmStart(p, target.Machine.Name); err != nil {
+			return NetworkResult{}, fmt.Errorf("ansor: %w", err)
 		}
 		obsv.Emit(obs.Event{Type: obs.EvTaskStart, Task: task.Name,
 			Target: target.Machine.Name, Trials: opts.Trials})
-		pols = append(pols, p)
-		tuners = append(tuners, &netTuner{
-			p: p, perRound: opts.MeasuresPerRound, tag: task.Tag, flops: dag.TotalFlops(),
-		})
+		pols = append(pols, p.Scheduled(opts.MeasuresPerRound, task.Tag))
+		tuners = append(tuners, pols[i])
 		dnn.Tasks = append(dnn.Tasks, i)
 		dnn.Weights = append(dnn.Weights, float64(task.Weight))
 	}
-	sopts := sched.DefaultOptions()
-	sopts.Workers = opts.Workers
-	s := sched.New(tuners, sched.F1{DNNs: []sched.DNN{dnn}}, sopts)
+	s := sched.New(tuners, sched.F1{DNNs: []sched.DNN{dnn}}, schedOptions(opts))
 	s.Obs = obsv
 	// A resumed run re-executes from round one with cached measurements;
 	// the checkpoint written by the interrupted run lets us VERIFY the
@@ -744,8 +547,8 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 		}
 	}
 	res := NetworkResult{TaskLatencies: map[string]float64{}, Trials: ms.Trials()}
-	g := make([]float64, len(tuners))
-	for i, t := range tuners {
+	g := make([]float64, len(pols))
+	for i, t := range pols {
 		g[i] = t.BestLatency()
 		res.TaskLatencies[net.Tasks[i].Name] = g[i]
 		obsv.Emit(obs.Event{Type: obs.EvTaskEnd, Task: net.Tasks[i].Name,
@@ -755,33 +558,10 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	if math.IsInf(res.Latency, 1) {
 		return res, fmt.Errorf("ansor: some tasks were never measured; increase Trials")
 	}
-	if recorder != nil {
-		// Close (not just Err) flushes any batched registry publishing;
-		// it is idempotent, so the deferred close for early-error paths
-		// stays harmless.
-		if err := recorder.Close(); err != nil {
-			return res, fmt.Errorf("ansor: tuning log: %w", err)
-		}
-	}
-	if err := measurerErr(ms); err != nil {
-		// A fleet-measured run with a broker failure mid-run is a
-		// divergent run: some batches came back errored and the search
-		// went on without them. Fail it like a torn tuning log.
-		return res, fmt.Errorf("ansor: fleet: %w", err)
-	}
-	if logFile != nil {
-		f := logFile
-		logFile = nil
-		if err := f.Close(); err != nil {
-			return res, fmt.Errorf("ansor: tuning log: %w", err)
-		}
-	}
-	if ownedSink != nil {
-		s := ownedSink
-		ownedSink = nil
-		if err := s.Close(); err != nil {
-			return res, fmt.Errorf("ansor: events: %w", err)
-		}
+	// A run that lost records, batches or events went on without them: a
+	// divergent run, failed like a torn tuning log.
+	if err := sess.Close(); err != nil {
+		return res, fmt.Errorf("ansor: %w", err)
 	}
 	return res, nil
 }
@@ -841,21 +621,13 @@ func applyNetworkBest(net Network, target Target, path string) (NetworkResult, e
 	return res, nil
 }
 
-type netTuner struct {
-	p        *policy.Policy
-	perRound int
-	tag      string
-	flops    float64
+// schedOptions builds the task scheduler's options for a network run.
+// Seed is not carried over: the scheduler's ε-greedy stream is seed 1
+// for every TuningOptions.Seed (pinned by TestSchedulerSeedIsNotWired,
+// to be repaired with ROADMAP item 2, since wiring it moves every
+// network trajectory).
+func schedOptions(opts TuningOptions) sched.Options {
+	sopts := sched.DefaultOptions()
+	sopts.Workers = opts.Workers
+	return sopts
 }
-
-func (t *netTuner) Name() string { return t.p.Task.Name }
-func (t *netTuner) BestLatency() float64 {
-	if t.p.BestState == nil {
-		return math.Inf(1)
-	}
-	return t.p.BestTime
-}
-func (t *netTuner) AllocateUnit()         { t.p.SearchRound(t.perRound) }
-func (t *netTuner) Prepare()              { t.p.Propose(t.perRound) }
-func (t *netTuner) TaskFlops() float64    { return t.flops }
-func (t *netTuner) SimilarityTag() string { return t.tag }

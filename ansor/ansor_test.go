@@ -84,6 +84,20 @@ func TestTuneNetworkSmall(t *testing.T) {
 	}
 }
 
+// TestSchedulerSeedIsNotWired characterises a defect, it does not bless
+// it: TuneNetwork never carries TuningOptions.Seed into the task
+// scheduler, so the scheduler's ε-greedy stream is seed 1 whatever the
+// user's seed (exp.TuneNetworks does set it). Wiring it moves every
+// network trajectory with Seed != 1, so the repair waits for the window
+// that moves them anyway (ROADMAP item 2); this test flips with it.
+func TestSchedulerSeedIsNotWired(t *testing.T) {
+	opts := TuningOptions{Seed: 7, Workers: 3}
+	opts.defaults()
+	if got := schedOptions(opts); got.Seed != 1 || got.Workers != 3 {
+		t.Errorf("scheduler options for user seed 7: Seed %d Workers %d, pinned at Seed 1 Workers 3", got.Seed, got.Workers)
+	}
+}
+
 func TestTargets(t *testing.T) {
 	for _, tgt := range []Target{TargetIntelCPU(false), TargetIntelCPU(true), TargetARMCPU(), TargetNVIDIAGPU()} {
 		if tgt.Machine == nil || tgt.Name == "" {

@@ -21,10 +21,9 @@ import (
 	"os"
 
 	"repro/internal/exp"
-	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/regserver"
+	"repro/internal/session"
 )
 
 func main() {
@@ -99,74 +98,13 @@ func main() {
 	if *resume != "" && *logTo == "" {
 		*logTo = *resume
 	}
-	recorder, cache, logFile, err := measure.OpenPersistence(*logTo, *resume)
+	cfg.Session, err = session.Open(session.Spec{
+		RecordTo: *logTo, ResumeFrom: *resume, RegistryURL: *regURL, FleetURL: *fleetURL,
+		WarmStartFrom: *warmStart, WarmStartLimit: *wsLimit, EventsTo: *events,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
 		os.Exit(1)
-	}
-	cfg.Recorder = recorder
-	cfg.Cache = cache
-	cfg.RegistryURL = *regURL
-	if err := cfg.ConnectRegistry(*logTo, *resume); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: registry %s: %v\n", *regURL, err)
-		os.Exit(1)
-	}
-	cfg.WarmStart = *warmStart
-	cfg.WarmStartLimit = *wsLimit
-	if err := cfg.ConnectWarmStart(); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: warm start %s: %v\n", *warmStart, err)
-		os.Exit(1)
-	}
-	cfg.FleetURL = *fleetURL
-	if err := cfg.ConnectFleet(); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: fleet %s: %v\n", *fleetURL, err)
-		os.Exit(1)
-	}
-	var eventSink obs.Sink
-	if *events != "" {
-		eventSink, err = obs.OpenSink(*events)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ansor-bench: -events %s: %v\n", *events, err)
-			os.Exit(1)
-		}
-		cfg.Obs = obs.New(eventSink, obs.NewRegistry())
-	}
-	// closeLog flushes the tuning log (and any registry publishing) and
-	// reports whether it is intact; a log with dropped records must fail
-	// the process, or scripts would resume from a silently truncated
-	// file.
-	closeLog := func() bool {
-		ok := true
-		if cfg.Recorder != nil {
-			// Close flushes batched registry publishing before reporting
-			// the first error either sink latched.
-			if err := cfg.Recorder.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ansor-bench: tuning log: %v\n", err)
-				ok = false
-			}
-		}
-		if logFile != nil {
-			if err := logFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ansor-bench: tuning log: %v\n", err)
-				ok = false
-			}
-			logFile = nil
-		}
-		// A broker failure mid-run means some batches came back errored
-		// and the figures ran on partial measurements — fail the process
-		// like a torn log, never print divergent figures as a success.
-		if err := cfg.FleetErr(); err != nil {
-			fmt.Fprintf(os.Stderr, "ansor-bench: fleet: %v\n", err)
-			ok = false
-		}
-		if eventSink != nil {
-			if err := eventSink.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ansor-bench: events: %v\n", err)
-				ok = false
-			}
-			eventSink = nil
-		}
-		return ok
 	}
 
 	run := func(name string) {
@@ -203,12 +141,20 @@ func main() {
 			exp.Fig10(cfg, *batch, 2)
 		default:
 			fmt.Fprintf(os.Stderr, "ansor-bench: unknown experiment %q\n", name)
-			closeLog()
+			cfg.Session.Close()
 			os.Exit(2)
 		}
 	}
 	run(*which)
-	ok := closeLog()
+	// A log with dropped records, a fleet that failed batches mid-run or a
+	// torn event stream must fail the process: scripts would resume from a
+	// silently truncated file, or read figures run on partial measurements
+	// as a success.
+	ok := true
+	if err := cfg.Session.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
+		ok = false
+	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
 		ok = false

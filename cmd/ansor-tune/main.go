@@ -191,9 +191,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		}
 		fmt.Fprintf(stdout, "best: %.6g s, %.1f GFLOP/s (%d fresh trials)\n\n%s",
 			best.Seconds, best.GFLOPS, tuner.Trials(), best.Print())
-		if err := tuner.Close(); err != nil {
-			return fmt.Errorf("tuning log: %w", err)
-		}
+		return tuner.Close()
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -workload, -network, or -list")

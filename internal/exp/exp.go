@@ -11,21 +11,14 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/baselines"
-	"repro/internal/fleet"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/regserver"
-	"repro/internal/sched"
+	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/te"
-	"repro/internal/warm"
-	"repro/internal/workloads"
 )
 
 // Config scales an experiment.
@@ -44,171 +37,37 @@ type Config struct {
 	Workers int
 	// Out receives the printed rows (nil = discard).
 	Out io.Writer
-	// Recorder, when non-nil, receives every fresh successful
-	// measurement of the experiment's searches as a durable record
-	// (shared across all machines a figure touches).
-	Recorder *measure.Recorder
-	// Cache, when non-nil, serves previously recorded measurements so a
-	// re-run of a figure replays its logged work instead of re-measuring
-	// (the resume path; see DESIGN.md, "Persistence layer").
-	Cache *measure.MeasuredSet
-	// RegistryURL names a shared ansor-registry server; ConnectRegistry
-	// wires it into the Recorder so every fresh measurement of the
-	// experiments also publishes there. Publishing is passive: figures
-	// are bit-identical with or without it.
-	RegistryURL string
-	// WarmStart names warm-start sources for the Ansor policies the
-	// experiments build — the same file|URL|"registry" forms as
-	// ansor.TuningOptions.WarmStartFrom (resolve with ConnectWarmStart).
-	// Only Ansor warm-starts: the baselines must stay the published cold
-	// baselines, or the comparison is meaningless. Warm starting
-	// deliberately changes results — unlike Resume, which replays the
-	// cold trajectory.
-	WarmStart string
-	// WarmStartLimit caps the records each warm-start source
-	// contributes per task (0 = unbounded); see
-	// ansor.TuningOptions.WarmStartLimit.
-	WarmStartLimit int
-	// FleetURL runs every search framework's measurements on the
-	// distributed fleet behind this broker URL instead of in-process
-	// (ConnectFleet pings it eagerly). Figures are bit-identical with or
-	// without it — the fleet changes where the machine model runs, never
-	// what it returns.
-	FleetURL string
-	// Obs narrates every Ansor search the experiments run (round and
-	// phase events, latency histograms, fleet batch timelines) into one
-	// shared observer. Nil is off; figures are bit-identical either way
-	// (events are narration, never inputs).
-	Obs *obs.Observer
-
-	// warmSrc is the resolved WarmStart source, shared by every figure
-	// run off this config.
-	warmSrc warm.Source
-	// fleetMs tracks every RemoteMeasurer built off this config (the
-	// pointer is shared across the by-value copies the figure runners
-	// take), so FleetErr can surface a mid-run broker failure — a
-	// fleet-measured figure with silently skipped batches is exactly the
-	// divergent run ansor.TuneNetwork refuses to return.
-	fleetMs *fleetMeasurers
+	// Session is the assembled run the figures' searches measure, record,
+	// warm-start and narrate through (nil = in-process measurement and
+	// nothing else). It is shared by every figure run off this config,
+	// and whoever opened it closes it. Only Ansor warm-starts from it:
+	// the baselines must stay the published cold baselines, or the
+	// comparison is meaningless.
+	Session *session.Session
 }
 
-type fleetMeasurers struct {
-	mu sync.Mutex
-	ms []*fleet.RemoteMeasurer
-}
-
-// ConnectFleet pings the FleetURL broker eagerly so a bad URL fails
-// before any tuning work, and arms FleetErr tracking. No-op without
-// one.
-func (c *Config) ConnectFleet() error {
-	if c.FleetURL == "" {
-		return nil
-	}
-	if err := fleet.NewClient(c.FleetURL).Ping(); err != nil {
-		return err
-	}
-	c.fleetMs = &fleetMeasurers{}
-	return nil
-}
-
-// FleetErr returns the first broker failure any of the config's remote
-// measurers latched; callers check it after their figures, the way they
-// check Recorder.Close. Always nil for local measurement.
-func (c Config) FleetErr() error {
-	if c.fleetMs == nil {
-		return nil
-	}
-	c.fleetMs.mu.Lock()
-	defer c.fleetMs.mu.Unlock()
-	for _, rm := range c.fleetMs.ms {
-		if err := rm.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ConnectWarmStart resolves the WarmStart spec eagerly (a bad path or
-// unreachable server fails here, before any tuning). No-op without one.
-func (c *Config) ConnectWarmStart() error {
-	if c.WarmStart == "" {
-		return nil
-	}
-	src, err := warm.Open(c.WarmStart, c.RegistryURL, c.WarmStartLimit)
-	if err != nil {
-		return err
-	}
-	c.warmSrc = src
-	return nil
-}
-
-// warmStart seeds an Ansor policy from the config's warm source; no-op
-// without one. Fetch/replay failures are fatal like they are in the
-// ansor API: silently starting cold would misattribute results.
-func (c Config) warmStart(p *policy.Policy, machine string) error {
-	if c.warmSrc == nil {
-		return nil
-	}
-	recs, err := warm.Records(c.warmSrc, p.Task.Name, machine)
-	if err != nil {
-		return err
-	}
-	_, err = p.WarmStartWeighted(recs)
-	return err
-}
-
-// ConnectRegistry attaches the config's RegistryURL to its Recorder
-// (creating an in-memory recorder when none is set), so every fresh
-// measurement of the experiments publishes to the shared registry
-// server. seedLogs name existing log files (e.g. the -log/-resume
-// files) to upload first, so a resumed experiment's server still holds
-// the replayed records. No-op without a RegistryURL.
-func (c *Config) ConnectRegistry(seedLogs ...string) error {
-	if c.RegistryURL == "" {
-		return nil
-	}
-	rec, err := regserver.AttachRecorder(c.Recorder, c.RegistryURL, seedLogs...)
-	if err != nil {
-		return err
-	}
-	c.Recorder = rec
-	return nil
-}
-
-// measurer builds a measurer wired to the config's worker setting and
-// persistence sinks: in-process, or remote when FleetURL is set.
+// measurer builds a measurer for the machine through the config's run.
 func (c Config) measurer(m *sim.Machine, seed int64) measure.Interface {
-	if c.FleetURL != "" {
-		rm := fleet.NewRemoteMeasurer(c.FleetURL, m.Name, c.Noise, seed)
-		rm.Workers = c.Workers
-		rm.Recorder = c.Recorder
-		rm.Cache = c.Cache
-		rm.Obs = c.Obs
-		if c.fleetMs != nil {
-			c.fleetMs.mu.Lock()
-			c.fleetMs.ms = append(c.fleetMs.ms, rm)
-			c.fleetMs.mu.Unlock()
-		}
-		return rm
+	ms, err := c.Session.Measurer(m, c.Noise, seed, c.Workers)
+	if err != nil {
+		panic(fmt.Sprintf("exp: measurer for %s: %v", m.Name, err))
 	}
-	ms := measure.New(m, c.Noise, seed)
-	ms.Workers = c.Workers
-	ms.Recorder = c.Recorder
-	ms.Cache = c.Cache
 	return ms
+}
+
+// warmStart seeds an Ansor policy from the run's warm-start source, if
+// it has one. A broken source is infrastructure failure and must not be
+// recorded as an Ansor result (+Inf means "framework unsupported here"),
+// so it panics.
+func (c Config) warmStart(p *policy.Policy, machine string) {
+	if err := c.Session.WarmStart(p, machine); err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
 }
 
 // DefaultConfig is the reduced-scale configuration used by the benches.
 func DefaultConfig() Config {
 	return Config{Trials: 64, PerRound: 16, Seed: 1, Noise: 0.02}
-}
-
-// PaperConfig is the paper-scale configuration (1,000 trials per case).
-func PaperConfig() Config {
-	c := DefaultConfig()
-	c.Trials = 1000
-	c.PerRound = 64
-	return c
 }
 
 func (c Config) printf(format string, args ...interface{}) {
@@ -312,13 +171,8 @@ func searchFramework(fw Framework, name string, d *te.DAG, plat Platform, cfg Co
 		if err != nil {
 			return math.Inf(1)
 		}
-		p.Obs = cfg.Obs
-		if err := cfg.warmStart(p, plat.Machine.Name); err != nil {
-			// Inf means "framework unsupported here"; a broken warm-start
-			// source is infrastructure failure and must not be recorded
-			// as an Ansor result (same convention as TuneNetworks).
-			panic(fmt.Sprintf("exp: warm start %s: %v", name, err))
-		}
+		p.Obs = cfg.Session.Observer()
+		cfg.warmStart(p, plat.Machine.Name)
 		return p.Tune(cfg.Trials, cfg.PerRound)
 	case FwPyTorch:
 		return baselines.VendorTime(plat.VendorMachine, baselines.PyTorch, d)
@@ -406,51 +260,4 @@ func wins(rows []NormalizedRow, fw Framework, tol float64) int {
 		}
 	}
 	return n
-}
-
-// netTaskPolicies builds one policy per network task.
-func netTaskPolicies(net workloads.Network, plat Platform, cfg Config,
-	mk func(policy.Task, measure.Interface, int64) (*policy.Policy, error),
-	ms measure.Interface) ([]*policy.Policy, error) {
-	var out []*policy.Policy
-	for i, task := range net.Tasks {
-		p, err := mk(policy.Task{
-			Name: task.Name, DAG: task.Build(), Target: plat.Target, Weight: task.Weight,
-		}, ms, cfg.Seed+int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("task %s: %w", task.Name, err)
-		}
-		p.Obs = cfg.Obs
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// policyTuner adapts a policy to the task scheduler.
-type policyTuner struct {
-	p        *policy.Policy
-	perRound int
-	tag      string
-	flops    float64
-}
-
-func (t *policyTuner) Name() string          { return t.p.Task.Name }
-func (t *policyTuner) BestLatency() float64  { return bestOrInf(t.p) }
-func (t *policyTuner) AllocateUnit()         { t.p.SearchRound(t.perRound) }
-func (t *policyTuner) Prepare()              { t.p.Propose(t.perRound) }
-func (t *policyTuner) TaskFlops() float64    { return t.flops }
-func (t *policyTuner) SimilarityTag() string { return t.tag }
-
-func bestOrInf(p *policy.Policy) float64 {
-	if p.BestState == nil {
-		return math.Inf(1)
-	}
-	return p.BestTime
-}
-
-var _ sched.Tuner = (*policyTuner)(nil)
-
-// sortedFrameworks returns fws in a stable display order.
-func sortedCases(rows []NormalizedRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Case < rows[j].Case })
 }

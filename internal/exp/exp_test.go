@@ -2,10 +2,11 @@ package exp
 
 import (
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/measure"
 	"repro/internal/regserver"
+	"repro/internal/session"
 	"repro/internal/workloads"
 )
 
@@ -140,12 +141,15 @@ func TestNetCurveResumeXAxis(t *testing.T) {
 	nets := []workloads.Network{workloads.DCGAN(1)}
 	plat := IntelPlatform(true)
 
+	log := filepath.Join(t.TempDir(), "tune.json")
 	cfg := tinyConfig()
 	cfg.Trials = 8
 	cfg.PerRound = 4
-	rec := measure.NewRecorder(nil)
-	cfg.Recorder = rec
+	cfg.Session = openSession(t, session.Spec{RecordTo: log})
 	fresh := TuneNetworks(nets, plat, cfg, VariantAnsor, cfg.Trials)
+	if err := cfg.Session.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if fresh.Trials == 0 || fresh.PolicyTrials != fresh.Trials {
 		t.Fatalf("fresh run: fresh=%d policy-local=%d; a cold run spends its whole budget fresh",
 			fresh.Trials, fresh.PolicyTrials)
@@ -154,9 +158,7 @@ func TestNetCurveResumeXAxis(t *testing.T) {
 	resumedCfg := tinyConfig()
 	resumedCfg.Trials = 8
 	resumedCfg.PerRound = 4
-	cache := measure.NewMeasuredSet()
-	cache.AddLog(rec.Log())
-	resumedCfg.Cache = cache
+	resumedCfg.Session = openSession(t, session.Spec{ResumeFrom: log})
 	resumed := TuneNetworks(nets, plat, resumedCfg, VariantAnsor, resumedCfg.Trials)
 
 	if resumed.Trials != 0 {
@@ -185,9 +187,23 @@ func TestNetCurveResumeXAxis(t *testing.T) {
 	}
 }
 
-// TestConnectRegistry wires a config to a registry server and checks
-// that an experiment's fresh measurements land there — and that the
-// figures themselves are unchanged by publishing (it is passive).
+// openSession opens a run for a test and closes it with the test (a
+// second Close after the test's own is harmless).
+func openSession(t *testing.T, spec session.Spec) *session.Session {
+	t.Helper()
+	s, err := session.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestConnectRegistry runs an experiment through a session connected to
+// a registry server — with no log file, so the session makes the
+// recorder the tee hangs off — and checks that its fresh measurements
+// land there, and that the figures themselves are unchanged by
+// publishing (it is passive).
 func TestConnectRegistry(t *testing.T) {
 	srv := regserver.New(nil)
 	hs := httptest.NewServer(srv.Handler())
@@ -196,19 +212,13 @@ func TestConnectRegistry(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Trials = 4
 	cfg.PerRound = 4
-	cfg.RegistryURL = hs.URL
-	if err := cfg.ConnectRegistry(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Recorder == nil {
-		t.Fatal("ConnectRegistry should create a recorder when none is set")
-	}
+	cfg.Session = openSession(t, session.Spec{RegistryURL: hs.URL})
 	nets := []workloads.Network{workloads.DCGAN(1)}
 	published := TuneNetworks(nets, IntelPlatform(true), cfg, VariantAnsor, cfg.Trials)
-	// Publishing batches in the background; closing the recorder flushes
-	// the tail (the CLI does this in its closeLog step).
-	if err := cfg.Recorder.Close(); err != nil {
-		t.Fatalf("recorder close: %v", err)
+	// Publishing batches in the background; closing the run flushes the
+	// tail.
+	if err := cfg.Session.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	if srv.Registry().Len() == 0 {
 		t.Fatal("experiment measurements never reached the registry server")
@@ -233,10 +243,8 @@ func TestConnectRegistry(t *testing.T) {
 		}
 	}
 
-	bad := tinyConfig()
-	bad.RegistryURL = "http://127.0.0.1:1"
-	if err := bad.ConnectRegistry(); err == nil {
-		t.Error("unreachable registry should fail ConnectRegistry")
+	if _, err := session.Open(session.Spec{RegistryURL: "http://127.0.0.1:1"}); err == nil {
+		t.Error("an unreachable registry should fail the run's assembly")
 	}
 }
 

@@ -98,7 +98,7 @@ func Fig7(cfg Config, runs int) Fig7Result {
 				if err != nil {
 					panic(err)
 				}
-				p.Obs = cfg.Obs
+				p.Obs = cfg.Session.Observer()
 				for p.Trials < cfg.Trials {
 					p.SearchRound(min(cfg.PerRound, cfg.Trials-p.Trials))
 					record(p.Trials, p.BestTime)

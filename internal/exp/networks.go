@@ -68,43 +68,34 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 
 	// Deduplicate tasks across networks by name (§6: "a subgraph can
 	// also appear multiple times in a DNN or across different DNNs").
-	type slot struct {
-		tuner *policyTuner
-		index int
-	}
-	taskIndex := map[string]slot{}
+	taskIndex := map[string]int{}
+	var pols []*policy.Scheduled
 	var tuners []sched.Tuner
 	var dnns []sched.DNN
 	for _, net := range nets {
 		d := sched.DNN{Name: net.Name}
-		for i, task := range net.Tasks {
-			s, ok := taskIndex[task.Name]
+		for _, task := range net.Tasks {
+			index, ok := taskIndex[task.Name]
 			if !ok {
-				dag := task.Build()
 				p, err := mk(policy.Task{
-					Name: task.Name, DAG: dag, Target: plat.Target, Weight: task.Weight,
+					Name: task.Name, DAG: task.Build(), Target: plat.Target, Weight: task.Weight,
 				}, ms, cfg.Seed+int64(len(tuners))*31)
 				if err != nil {
 					panic(err)
 				}
-				p.Obs = cfg.Obs
+				p.Obs = cfg.Session.Observer()
 				// Only the full-space Ansor variants warm-start; the
 				// restricted ablation variants stay cold baselines.
 				if variant == VariantAnsor || variant == VariantNoTaskScheduler {
-					if err := cfg.warmStart(p, plat.Machine.Name); err != nil {
-						panic(err)
-					}
+					cfg.warmStart(p, plat.Machine.Name)
 				}
-				s = slot{
-					tuner: &policyTuner{p: p, perRound: cfg.PerRound, tag: task.Tag, flops: dag.TotalFlops()},
-					index: len(tuners),
-				}
-				taskIndex[task.Name] = s
-				tuners = append(tuners, s.tuner)
+				index = len(tuners)
+				taskIndex[task.Name] = index
+				pols = append(pols, p.Scheduled(cfg.PerRound, task.Tag))
+				tuners = append(tuners, pols[index])
 			}
-			d.Tasks = append(d.Tasks, s.index)
+			d.Tasks = append(d.Tasks, index)
 			d.Weights = append(d.Weights, float64(task.Weight))
-			_ = i
 		}
 		dnns = append(dnns, d)
 	}
@@ -116,6 +107,7 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 
 	var obj sched.Objective = sched.F1{DNNs: dnns}
 	s := sched.New(tuners, obj, opts)
+	s.Obs = cfg.Session.Observer()
 
 	totalUnits := trialsPerTask * len(tuners) / cfg.PerRound
 	if totalUnits < len(tuners) {
@@ -130,8 +122,8 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	// x-axis of the tuning curve.
 	policyTrials := func() int {
 		n := 0
-		for _, t := range tuners {
-			n += t.(*policyTuner).p.Trials
+		for _, p := range pols {
+			n += p.Trials
 		}
 		return n
 	}
@@ -150,8 +142,8 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 		}
 		res.Curve = append(res.Curve, NetCurvePoint{Trials: policyTrials(), Latencies: lats})
 	}
-	for _, t := range tuners {
-		t.(*policyTuner).p.Abandon() // a task prepared on a guess the scheduler never confirmed
+	for _, p := range pols {
+		p.Abandon() // a task prepared on a guess the scheduler never confirmed
 	}
 	if len(res.Curve) > 0 {
 		res.Latencies = res.Curve[len(res.Curve)-1].Latencies

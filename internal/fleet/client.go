@@ -290,10 +290,6 @@ func NewRemoteMeasurer(brokerURL, target string, noiseStd float64, seed int64) *
 	}
 }
 
-// Ping checks the broker is reachable (callers fail fast on a
-// misspelled -fleet-url, before any tuning work).
-func (rm *RemoteMeasurer) Ping() error { return rm.cl.Ping() }
-
 // TargetName names the machine model fleet workers time programs on.
 func (rm *RemoteMeasurer) TargetName() string { return rm.target }
 
@@ -306,7 +302,7 @@ func (rm *RemoteMeasurer) WorkerCount() int { return rm.Workers }
 // Err returns the first broker failure this measurer latched. Batches
 // that hit one carry per-program errors too (the search skips them);
 // the latch is what surfaces the failure at run teardown —
-// ansor.Tuner.Close reports it exactly like a tuning-log write error.
+// session.Close reports it exactly like a tuning-log write error.
 func (rm *RemoteMeasurer) Err() error {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()

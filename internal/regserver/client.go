@@ -184,8 +184,8 @@ func LoadRegistry(src string) (*registry.Registry, error) {
 // without stopping the run or the recorder's primary log sink. The sink
 // is a BatchWriter, so recording never blocks on the network: batches
 // flush in the background and the tail flushes when the run closes the
-// recorder (callers must use Recorder.Close, not just Err). Both the
-// ansor tuner and the experiment harness attach through here.
+// recorder (callers must use Recorder.Close, not just Err). Every run
+// attaches through here, from internal/session.
 //
 // seedLogs name existing tuning-log files (empty paths and missing
 // files are skipped) whose records are uploaded before publishing

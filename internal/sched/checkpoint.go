@@ -136,48 +136,6 @@ func stringToInf(raw *jsonCheckpoint) (*Checkpoint, error) {
 	return c, nil
 }
 
-// Restore loads a checkpoint into a freshly constructed scheduler (same
-// tasks, objective, options and seed as the checkpointed one) whose
-// Tuners have already been brought back to their checkpointed state
-// (e.g. by replaying the tuning log through their policies). The rng is
-// fast-forwarded by replaying the recorded ε-greedy decision sequence,
-// so subsequent picks continue exactly where the original run would
-// have gone.
-func (s *Scheduler) Restore(c *Checkpoint) error {
-	if s.Units != 0 || s.picks != 0 {
-		return fmt.Errorf("sched: restore into a used scheduler (%d units allocated)", s.Units)
-	}
-	if len(c.History) != len(s.Tasks) {
-		return fmt.Errorf("sched: checkpoint has %d tasks, scheduler has %d", len(c.History), len(s.Tasks))
-	}
-	if len(c.SinceImprove) != len(s.Tasks) {
-		return fmt.Errorf("sched: checkpoint sinceImprove has %d tasks, scheduler has %d", len(c.SinceImprove), len(s.Tasks))
-	}
-	if c.Warmed > len(s.Tasks) || c.Units < c.Warmed {
-		return fmt.Errorf("sched: corrupt checkpoint (units=%d warmed=%d)", c.Units, c.Warmed)
-	}
-	s.Units = c.Units
-	s.warmed = c.Warmed
-	s.history = make([][]float64, len(c.History))
-	for i, h := range c.History {
-		s.history[i] = append([]float64(nil), h...)
-	}
-	s.sinceImprove = append([]int(nil), c.SinceImprove...)
-	s.CostCurve = append([]float64(nil), c.CostCurve...)
-	// Replay the rng draws pick-for-pick: each gradient pick consumes
-	// one Float64 and, iff it fell below ε, one Intn over the task
-	// count. This reproduces the exact source consumption of the
-	// original run without persisting rng internals.
-	n := len(s.Tasks)
-	for i := 0; i < c.Picks; i++ {
-		if s.rng.Float64() < s.Opts.EpsGreedy {
-			s.rng.Intn(n)
-		}
-	}
-	s.picks = c.Picks
-	return nil
-}
-
 // VerifyReplay checks that a scheduler which re-ran from scratch (the
 // replay-resume path: cached measurements, same seed and options) passed
 // exactly through the checkpointed state — same allocation histories,

@@ -239,8 +239,7 @@ type Scheduler struct {
 	// warmed tracks round-robin warm-up progress across Run calls.
 	warmed int
 	// picks counts gradient-descent pick() decisions, i.e. how many
-	// ε-greedy draws the rng has made; Restore fast-forwards a fresh rng
-	// by replaying exactly this sequence (see Checkpoint).
+	// ε-greedy draws the rng has made (recorded in Checkpoint).
 	picks int
 	// CostCurve records the objective after every allocation.
 	CostCurve []float64

@@ -232,71 +232,6 @@ func TestCostCurveMonotoneForF1(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreContinuesBitIdentically kills a tuning job at 12
-// units, serializes the scheduler's gradient state, restores it into a
-// fresh scheduler whose tuners were brought back to their checkpointed
-// state (here: fake tuners fast-forwarded; in the real pipeline: policy
-// replay from the tuning log), and checks the continuation matches an
-// uninterrupted run allocation for allocation.
-func TestCheckpointRestoreContinuesBitIdentically(t *testing.T) {
-	const kill, total = 12, 30
-	opts := DefaultOptions() // EpsGreedy > 0: exercises the rng fast-forward
-
-	// Uninterrupted reference run.
-	tunersA, dnnsA, _ := twoDNNSetup()
-	a := New(tunersA, F1{dnnsA}, opts)
-	a.Run(total)
-
-	// Killed run: checkpoint at kill units, JSON round trip.
-	tunersB, dnnsB, fakesB := twoDNNSetup()
-	b := New(tunersB, F1{dnnsB}, opts)
-	b.Run(kill)
-	blob, err := b.Checkpoint().Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume: fresh scheduler + tuners restored to checkpointed state.
-	tunersC, dnnsC, fakesC := twoDNNSetup()
-	for i := range fakesC {
-		fakesC[i].t = fakesB[i].t
-	}
-	c := New(tunersC, F1{dnnsC}, opts)
-	if err := c.Restore(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(total)
-
-	if c.Units != a.Units {
-		t.Fatalf("resumed units = %d, uninterrupted = %d", c.Units, a.Units)
-	}
-	for i := range a.history {
-		if len(a.history[i]) != len(c.history[i]) {
-			t.Fatalf("task %d: resumed history length %d, want %d", i, len(c.history[i]), len(a.history[i]))
-		}
-		for j := range a.history[i] {
-			if a.history[i][j] != c.history[i][j] {
-				t.Errorf("task %d allocation %d: resumed %g, uninterrupted %g", i, j, c.history[i][j], a.history[i][j])
-			}
-		}
-	}
-	if len(a.CostCurve) != len(c.CostCurve) {
-		t.Fatalf("cost curve length %d vs %d", len(c.CostCurve), len(a.CostCurve))
-	}
-	for j := range a.CostCurve {
-		if a.CostCurve[j] != c.CostCurve[j] {
-			t.Errorf("cost curve point %d: resumed %g, uninterrupted %g", j, c.CostCurve[j], a.CostCurve[j])
-		}
-	}
-	if a.picks != c.picks {
-		t.Errorf("resumed made %d picks, uninterrupted %d", c.picks, a.picks)
-	}
-}
-
 func TestCheckpointVerifyReplay(t *testing.T) {
 	opts := DefaultOptions()
 	tunersA, dnnsA, _ := twoDNNSetup()
@@ -330,35 +265,31 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 	}
 }
 
-func TestRestoreRejectsMismatch(t *testing.T) {
-	tuners, dnns, _ := twoDNNSetup()
-	s := New(tuners, F1{dnns}, DefaultOptions())
-	s.Run(5)
-	ckpt := s.Checkpoint()
-
-	// Used scheduler.
-	if err := s.Restore(ckpt); err == nil {
-		t.Error("restore into a used scheduler must fail")
-	}
-	// Task-count mismatch.
-	few := New(tuners[:2], F1{dnns}, DefaultOptions())
-	if err := few.Restore(ckpt); err == nil {
-		t.Error("restore with mismatched task count must fail")
-	}
-	// Warm-up state serializes: +Inf latencies survive the JSON round
-	// trip (a killed job mid-warm-up has unmeasured tasks).
-	tuners2, dnns2, _ := twoDNNSetup()
-	s2 := New(tuners2, F1{dnns2}, DefaultOptions())
-	s2.Run(1)
-	blob, err := s2.Checkpoint().Marshal()
-	if err != nil {
-		t.Fatalf("checkpoint with +Inf latencies must marshal: %v", err)
-	}
-	back, err := UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.CostCurve) != 1 || !math.IsInf(back.CostCurve[0], 1) {
-		t.Errorf("infinite cost curve point did not round-trip: %+v", back.CostCurve)
+// TestCheckpointSurvivesJSON pins the file format's two edges: a
+// checkpoint cut mid-run comes back field for field, and one cut
+// mid-warm-up — unmeasured tasks, so +Inf latencies, which encoding/json
+// rejects — round-trips its infinities.
+func TestCheckpointSurvivesJSON(t *testing.T) {
+	for _, units := range []int{1, 12} {
+		tuners, dnns, _ := twoDNNSetup()
+		s := New(tuners, F1{dnns}, DefaultOptions())
+		s.Run(units)
+		blob, err := s.Checkpoint().Marshal()
+		if err != nil {
+			t.Fatalf("%d units: marshal: %v", units, err)
+		}
+		back, err := UnmarshalCheckpoint(blob)
+		if err != nil {
+			t.Fatalf("%d units: %v", units, err)
+		}
+		if err := s.VerifyReplay(back); err != nil {
+			t.Errorf("%d units: the scheduler fails its own checkpoint: %v", units, err)
+		}
+		if again, _ := back.Marshal(); string(again) != string(blob) {
+			t.Errorf("%d units: checkpoint changed across JSON:\n got %s\nwant %s", units, again, blob)
+		}
+		if units == 1 && !math.IsInf(back.CostCurve[0], 1) {
+			t.Errorf("a warm-up checkpoint should hold an infinite cost: %+v", back.CostCurve)
+		}
 	}
 }

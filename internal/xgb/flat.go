@@ -1,80 +1,51 @@
 package xgb
 
-// flatEnsemble is the packed predictor built once per training round at
-// ensemble-swap time: every tree is re-laid out in preorder into one
-// contiguous node slab, with trees addressed by their root offset.
-// Each slab node is 16 bytes (threshold+feature+right-child), the left
-// child is implicitly the next node, and a leaf stores its value in the
-// threshold slot — so a split visits exactly one cache line and the
-// taken-left fast path walks linearly through memory, instead of
-// chasing per-tree node-slice pointers across the heap.
-//
-// The walk is arithmetically identical to the pointer path: one tree is
-// evaluated at a time, in ensemble order, with the same `<=` comparison
-// per split and the same `s += lr * leaf` accumulation per tree — so
-// scores are bit-for-bit equal to the []*tree path (pinned by the
-// equivalence property test in flat_test.go) and Fingerprint, which
-// hashes the tree representation, is unchanged by the layout.
-type flatEnsemble struct {
-	nodes []flatNode
+// ensemble is one immutable trained model: every tree laid out in
+// preorder in one contiguous node slab, trees addressed by their root
+// offset. The trainer emits this layout directly (build appends a node,
+// then its left subtree, then its right one), so the slab that training
+// fills is the slab prediction walks. A node is 16 bytes
+// (threshold+feature+right-child), the left child is implicitly the
+// next node, and a leaf stores its value in the threshold slot — so a
+// split visits exactly one cache line and the taken-left fast path walks
+// linearly through memory.
+type ensemble struct {
+	nodes []node
 	// roots[t] is the slab index of tree t's root.
 	roots []int32
 	lr    float64
 }
 
-// flatNode is one slab node. For a split, threshold/feature describe
-// the test and right is the absolute slab index of the right child (the
-// left child is the next node, preorder). For a leaf (feature ==
-// flatLeaf), threshold holds the leaf value.
-type flatNode struct {
+// node is one slab node. For a split, threshold/feature describe the
+// test and right is the absolute slab index of the right child (the
+// left child is the next node, preorder). For a leaf (feature == leafMark),
+// threshold holds the leaf value.
+type node struct {
 	threshold float64
 	feature   int32
 	right     int32
 }
 
-// flatLeaf marks a leaf node in the slab.
-const flatLeaf = int32(-1)
+// leafMark is the feature of a leaf node.
+const leafMark = int32(-1)
 
-// flatten packs an ensemble into slab form. It runs once per Fit/Boost
-// swap, off the prediction path.
-func flatten(trees []*tree, lr float64) *flatEnsemble {
-	n := 0
-	for _, t := range trees {
-		n += len(t.nodes)
+// tree returns tree ti's root index and its nodes, one preorder run of
+// the slab.
+func (e *ensemble) tree(ti int) (int32, []node) {
+	root, end := e.roots[ti], int32(len(e.nodes))
+	if ti+1 < len(e.roots) {
+		end = e.roots[ti+1]
 	}
-	f := &flatEnsemble{
-		nodes: make([]flatNode, 0, n),
-		roots: make([]int32, 0, len(trees)),
-		lr:    lr,
-	}
-	for _, t := range trees {
-		f.roots = append(f.roots, int32(len(f.nodes)))
-		f.emit(t, 0)
-	}
-	return f
-}
-
-// emit appends the subtree rooted at t.nodes[ni] in preorder.
-func (f *flatEnsemble) emit(t *tree, ni int) {
-	nd := &t.nodes[ni]
-	if nd.leaf {
-		f.nodes = append(f.nodes, flatNode{threshold: nd.value, feature: flatLeaf})
-		return
-	}
-	at := len(f.nodes)
-	f.nodes = append(f.nodes, flatNode{threshold: nd.threshold, feature: int32(nd.feature)})
-	f.emit(t, nd.left) // lands at at+1
-	f.nodes[at].right = int32(len(f.nodes))
-	f.emit(t, nd.right)
+	return root, e.nodes[root:end]
 }
 
 // predictTree walks one tree of the slab for input x.
-func (f *flatEnsemble) predictTree(ti int, x []float64) float64 {
-	i := f.roots[ti]
-	nodes := f.nodes
+func (e *ensemble) predictTree(ti int, x []float64) float64 {
+	i := e.roots[ti]
+	nodes := e.nodes
 	for {
 		nd := nodes[i]
-		if nd.feature == flatLeaf {
+		if nd.feature == leafMark {
 			return nd.threshold
 		}
 		if x[nd.feature] <= nd.threshold {
@@ -90,15 +61,14 @@ func (f *flatEnsemble) predictTree(ti int, x []float64) float64 {
 // accumulator the caller threads through every statement. Accumulating
 // into per-statement subtotals instead would re-associate the float
 // sum and change low bits — the bit-identity contract forbids that.
-func (f *flatEnsemble) addStmt(s float64, x []float64) float64 {
-	for ti := range f.roots {
-		s += f.lr * f.predictTree(ti, x)
+func (e *ensemble) addStmt(s float64, x []float64) float64 {
+	for ti := range e.roots {
+		s += e.lr * e.predictTree(ti, x)
 	}
 	return s
 }
 
-// scoreStmt is the single-statement score (a fresh accumulator, as the
-// pointer path's ScoreStmt always used).
-func (f *flatEnsemble) scoreStmt(x []float64) float64 {
-	return f.addStmt(0, x)
+// scoreStmt is the single-statement score (a fresh accumulator).
+func (e *ensemble) scoreStmt(x []float64) float64 {
+	return e.addStmt(0, x)
 }

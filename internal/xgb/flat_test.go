@@ -1,112 +1,16 @@
 package xgb
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// randomTree builds a random pointer tree over nf features with the
-// given depth budget. Leaf values draw from vals, which deliberately
-// includes NaN and ±Inf: the slab layout must round-trip every float
-// bit pattern a degenerate training run could produce.
-func randomTree(rng *rand.Rand, nf, depth int, vals []float64) *tree {
-	t := &tree{}
-	var build func(d int) int
-	build = func(d int) int {
-		self := len(t.nodes)
-		t.nodes = append(t.nodes, node{})
-		if d >= depth || rng.Float64() < 0.3 {
-			t.nodes[self] = node{leaf: true, value: vals[rng.Intn(len(vals))]}
-			return self
-		}
-		feat := rng.Intn(nf)
-		thr := rng.NormFloat64() * 10
-		l := build(d + 1)
-		r := build(d + 1)
-		t.nodes[self] = node{feature: feat, threshold: thr, left: l, right: r}
-		return self
-	}
-	build(0)
-	return t
-}
-
-// TestFlatMatchesTreesProperty proves the tentpole equivalence: a
-// randomized ensemble scores every randomized input bit-for-bit the
-// same through the flattened slab and the pointer-tree walk — including
-// NaN and ±Inf leaf values and multi-statement programs, at the exact
-// `s += lr * predict` accumulation order.
-func TestFlatMatchesTreesProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	leafVals := []float64{-1.5, 0, 2.25, 1e-308, math.Inf(1), math.Inf(-1), math.NaN()}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nf := 1 + r.Intn(20)
-		nTrees := 1 + r.Intn(12)
-		trees := make([]*tree, nTrees)
-		for i := range trees {
-			trees[i] = randomTree(rng, nf, 1+r.Intn(5), leafVals)
-		}
-		lr := 0.05 + r.Float64()
-		m := NewCostModel(Opts{LearningRate: lr})
-		m.swap(trees)
-		for trial := 0; trial < 8; trial++ {
-			nStmt := 1 + r.Intn(4)
-			stmts := make([][]float64, nStmt)
-			for s := range stmts {
-				v := make([]float64, nf)
-				for i := range v {
-					v[i] = r.NormFloat64() * 10
-				}
-				stmts[s] = v
-			}
-			flat := m.Score(stmts)
-			ref := m.scoreTrees(stmts)
-			if math.Float64bits(flat) != math.Float64bits(ref) {
-				t.Logf("seed %d: flat %v (%#x) != tree %v (%#x)",
-					seed, flat, math.Float64bits(flat), ref, math.Float64bits(ref))
-				return false
-			}
-			// Per-statement path (crossover's donor selection).
-			fs := m.ScoreStmt(stmts[0])
-			var rs float64
-			for _, tr := range trees {
-				rs += lr * tr.predict(stmts[0])
-			}
-			if math.Float64bits(fs) != math.Float64bits(rs) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFlatMatchesTrainedModel runs the same equivalence on a really
-// trained ensemble (Fit then Boost), where thresholds and leaves come
-// from the split scan rather than a synthetic generator.
-func TestFlatMatchesTrainedModel(t *testing.T) {
-	progs, y := syntheticTraining(42, 60, 3, 16)
-	o := DefaultOpts()
-	o.NumTrees = 12
-	m := NewCostModel(o)
-	m.Fit(progs, y)
-	m.Boost(progs, y, 40)
-	for _, p := range progs {
-		if math.Float64bits(m.Score(p)) != math.Float64bits(m.scoreTrees(p)) {
-			t.Fatalf("trained model: flat and tree scores diverge")
-		}
-	}
-}
-
 // TestFingerprintStableAcrossLayout pins the trained-model fingerprints
-// to their pre-flattening values: the slab is a prediction-side layout
-// only, so models trained through the new code must hash exactly as
-// they did with []*tree prediction (the resume/fleet determinism suites
-// compare these fingerprints across runs and versions).
+// to the values they had when training built one node slice per tree:
+// the slab is a layout only, and Fingerprint hashes tree-relative child
+// indices, so a model hashes exactly as it did then (the resume/fleet
+// determinism suites compare these fingerprints across runs and
+// versions).
 func TestFingerprintStableAcrossLayout(t *testing.T) {
 	progs, y := syntheticTraining(42, 60, 3, 16)
 	o := DefaultOpts()
@@ -123,7 +27,7 @@ func TestFingerprintStableAcrossLayout(t *testing.T) {
 }
 
 // syntheticTraining builds the deterministic training set shared by the
-// fingerprint pin and the trained-model equivalence test.
+// fingerprint pin and the allocation gate.
 func syntheticTraining(seed int64, nProg, nStmt, dim int) ([][][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	progs := make([][][]float64, nProg)
@@ -161,32 +65,4 @@ func TestScoreZeroAlloc(t *testing.T) {
 		t.Errorf("flattened score path allocates %.1f objects/op, want 0", n)
 	}
 	_ = sink
-}
-
-// BenchmarkPredictFlatVsTree is the old-vs-new comparison of the PR 9
-// batched score path at the ensemble level: the same trained model
-// scoring the same programs through the pointer-tree walk (the pre-slab
-// hot path) and the flattened slab.
-func BenchmarkPredictFlatVsTree(b *testing.B) {
-	progs, y := syntheticTraining(7, 256, 4, 32)
-	o := DefaultOpts()
-	o.NumTrees = 30
-	m := NewCostModel(o)
-	m.Fit(progs, y)
-	run := func(b *testing.B, score func([][]float64) float64) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			for _, p := range progs {
-				sink += score(p)
-			}
-		}
-		b.StopTimer()
-		_ = sink
-		nsPerProg := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(progs))
-		b.ReportMetric(nsPerProg, "ns/program")
-		b.ReportMetric(float64(b.N*len(progs))/b.Elapsed().Seconds(), "programs/s")
-	}
-	b.Run("tree", func(b *testing.B) { run(b, m.scoreTrees) })
-	b.Run("flat", func(b *testing.B) { run(b, m.Score) })
 }

@@ -62,7 +62,7 @@ type trainer struct {
 	left  []uint8   // left[row] = 1 when the split in flight sends row left
 	mask  []bool    // per column: sampled at the node in flight
 	best  []split   // per column: best candidate at the node in flight
-	nodes []node    // the tree in flight
+	nodes []node    // the ensemble's slab; every tree is appended to it
 
 	// The node in flight, for scanColumn and partitionList: they are
 	// bound once as func values so a pool.Map per node allocates nothing.
@@ -141,16 +141,18 @@ func newTrainer(o Opts, rows [][]float64, pred []float64, rng *rand.Rand) *train
 }
 
 // fitTree greedily builds one weighted least-squares regression tree
-// over all rows against t.grads, and adds LearningRate × the leaf each
-// row landed in to t.pred.
-func (t *trainer) fitTree() *tree {
-	t.nodes = t.nodes[:0]
-	t.build(t.sorted, 0, t.n, 0)
-	return &tree{nodes: slices.Clone(t.nodes)}
+// over all rows against t.grads, appends it to the slab and returns its
+// root's index there, and adds LearningRate × the leaf each row landed
+// in to t.pred.
+func (t *trainer) fitTree() int32 {
+	return t.build(t.sorted, 0, t.n, 0)
 }
 
-func (t *trainer) build(src []int32, lo, hi, depth int) int {
-	self := len(t.nodes)
+// build appends the subtree over segment [lo,hi) in preorder — itself,
+// its left subtree (so the left child is always self+1), its right one —
+// and returns its own slab index.
+func (t *trainer) build(src []int32, lo, hi, depth int) int32 {
+	self := int32(len(t.nodes))
 	t.nodes = append(t.nodes, node{})
 	rows := src[len(t.vals)*t.n:][lo:hi] // the node's rows, ascending
 	var sw, swy, swyy float64
@@ -206,9 +208,9 @@ func (t *trainer) build(src []int32, lo, hi, depth int) int {
 		t.partitionList(len(t.vals))
 	}
 	dst := t.dst
-	l := t.build(dst, lo, lo+nl, depth+1)
+	t.build(dst, lo, lo+nl, depth+1)
 	r := t.build(dst, lo+nl, hi, depth+1)
-	t.nodes[self] = node{feature: t.feat[bc], threshold: thr, left: l, right: r}
+	t.nodes[self] = node{threshold: thr, feature: int32(t.feat[bc]), right: r}
 	return self
 }
 
@@ -224,12 +226,12 @@ func (t *trainer) each(n, k int, fn func(int)) {
 }
 
 // leaf closes node self as a leaf over rows and moves their predictions.
-func (t *trainer) leaf(self int, rows []int32, sw, swy float64) int {
+func (t *trainer) leaf(self int32, rows []int32, sw, swy float64) int32 {
 	v := 0.0
 	if sw != 0 {
 		v = swy / sw
 	}
-	t.nodes[self] = node{leaf: true, value: v}
+	t.nodes[self] = node{threshold: v, feature: leafMark}
 	step := t.o.LearningRate * v
 	for _, i := range rows {
 		t.pred[i] += step

@@ -10,9 +10,60 @@ import (
 
 // ---- Reference oracle: the per-node-sort builder the presorted kernel
 // replaced, kept verbatim (serial path) so the differential tests below
-// can demand the same trees from both. The float64() conversions pin the
+// can demand the same trees from both — with the representation it built
+// then, one node slice per tree with explicit child indices, which
+// refTrees reads back out of the slab. The float64() conversions pin the
 // products to unfused rounding, which is what the kernel's stored
 // per-row terms have on every architecture.
+
+type refNode struct {
+	feature   int
+	threshold float64
+	left      int
+	right     int
+	value     float64
+	leaf      bool
+}
+
+type refTree struct{ nodes []refNode }
+
+func (t *refTree) predict(x []float64) float64 {
+	i := 0
+	for {
+		n := &t.nodes[i]
+		if n.leaf {
+			return n.value
+		}
+		if x[n.feature] <= n.threshold {
+			i = n.left
+		} else {
+			i = n.right
+		}
+	}
+}
+
+// refTrees converts the model's slab to the reference representation:
+// tree-relative child indices, the left one spelled out.
+func refTrees(m *CostModel) []*refTree {
+	e := m.snapshot()
+	if e == nil {
+		return nil
+	}
+	var out []*refTree
+	for ti := range e.roots {
+		root, nodes := e.tree(ti)
+		t := &refTree{}
+		for i, n := range nodes {
+			if n.feature == leafMark {
+				t.nodes = append(t.nodes, refNode{leaf: true, value: n.threshold})
+				continue
+			}
+			t.nodes = append(t.nodes, refNode{feature: int(n.feature), threshold: n.threshold, left: i + 1, right: int(n.right - root)})
+		}
+		out = append(out, t)
+	}
+	return out
+}
 
 func refWeightedMean(target, w []float64, idx []int) float64 {
 	var sw, swy float64
@@ -26,11 +77,11 @@ func refWeightedMean(target, w []float64, idx []int) float64 {
 	return swy / sw
 }
 
-func (t *tree) refBuild(x [][]float64, target, w []float64, idx []int, depth int, o Opts, rng *rand.Rand) int {
+func (t *refTree) refBuild(x [][]float64, target, w []float64, idx []int, depth int, o Opts, rng *rand.Rand) int {
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{})
+	t.nodes = append(t.nodes, refNode{})
 	if depth >= o.MaxDepth || len(idx) < 2*o.MinSamples {
-		t.nodes[self] = node{leaf: true, value: refWeightedMean(target, w, idx)}
+		t.nodes[self] = refNode{leaf: true, value: refWeightedMean(target, w, idx)}
 		return self
 	}
 	nf := len(x[0])
@@ -41,7 +92,7 @@ func (t *tree) refBuild(x [][]float64, target, w []float64, idx []int, depth int
 		swyy += float64(float64(w[i]*target[i]) * target[i])
 	}
 	if sw == 0 {
-		t.nodes[self] = node{leaf: true, value: 0}
+		t.nodes[self] = refNode{leaf: true, value: 0}
 		return self
 	}
 	parentSSE := swyy - swy*swy/sw
@@ -85,7 +136,7 @@ func (t *tree) refBuild(x [][]float64, target, w []float64, idx []int, depth int
 		}
 	}
 	if bestF < 0 {
-		t.nodes[self] = node{leaf: true, value: refWeightedMean(target, w, idx)}
+		t.nodes[self] = refNode{leaf: true, value: refWeightedMean(target, w, idx)}
 		return self
 	}
 	var li, ri []int
@@ -98,14 +149,14 @@ func (t *tree) refBuild(x [][]float64, target, w []float64, idx []int, depth int
 	}
 	l := t.refBuild(x, target, w, li, depth+1, o, rng)
 	r := t.refBuild(x, target, w, ri, depth+1, o, rng)
-	t.nodes[self] = node{feature: bestF, threshold: bestThr, left: l, right: r}
+	t.nodes[self] = refNode{feature: bestF, threshold: bestThr, left: l, right: r}
 	return self
 }
 
 // refGrow is the boosting loop as Fit and Boost each used to spell it:
 // per-row targets and weights, one refBuild per round, predictions moved
 // by walking the new tree per row.
-func refGrow(o Opts, prev []*tree, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*tree {
+func refGrow(o Opts, prev []*refTree, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*refTree {
 	var rows [][]float64
 	var rowProg []int
 	for p := first; p < len(progs); p++ {
@@ -127,7 +178,7 @@ func refGrow(o Opts, prev []*tree, progs [][][]float64, y, progWeight []float64,
 		idx[i] = i
 	}
 	rng := rand.New(rand.NewSource(seed))
-	trees := append([]*tree(nil), prev...)
+	trees := append([]*refTree(nil), prev...)
 	for round := 0; round < nTrees; round++ {
 		progPred := map[int]float64{}
 		for i, p := range rowProg {
@@ -140,7 +191,7 @@ func refGrow(o Opts, prev []*tree, progs [][][]float64, y, progWeight []float64,
 				weight[i] *= progWeight[p]
 			}
 		}
-		t := &tree{}
+		t := &refTree{}
 		t.refBuild(rows, target, weight, idx, 0, o, rng)
 		for i := range rows {
 			pred[i] += float64(o.LearningRate * t.predict(rows[i]))
@@ -204,7 +255,7 @@ func halfWeights(n int) []float64 {
 	return w
 }
 
-func sameTrees(t *testing.T, what string, got, want []*tree) {
+func sameTrees(t *testing.T, what string, got, want []*refTree) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
@@ -237,12 +288,12 @@ func TestPresortedMatchesReferenceBuilder(t *testing.T) {
 		}
 		m.FitWeighted(progs[:old], y[:old], pwOld)
 		ref := refGrow(o, nil, progs[:old], y[:old], pwOld, 0, o.NumTrees, o.Seed)
-		sameTrees(t, tc.name+" fit", m.treeSnapshot(), ref)
+		sameTrees(t, tc.name+" fit", refTrees(m), ref)
 
 		m.BoostWeighted(progs, y, tc.pw, old)
 		seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
 		ref = refGrow(o, ref, progs, y, tc.pw, old, o.BoostTrees, seed)
-		sameTrees(t, tc.name+" boost", m.treeSnapshot(), ref)
+		sameTrees(t, tc.name+" boost", refTrees(m), ref)
 	}
 }
 
@@ -281,7 +332,7 @@ func TestDuplicateColumnSplitsOnLowerIndex(t *testing.T) {
 	m := NewCostModel(o)
 	m.Fit(progs, y)
 	splits := 0
-	for _, tr := range m.treeSnapshot() {
+	for _, tr := range refTrees(m) {
 		for _, n := range tr.nodes {
 			if n.leaf {
 				continue
@@ -300,9 +351,9 @@ func TestDuplicateColumnSplitsOnLowerIndex(t *testing.T) {
 // ---- (d) degenerate inputs end in a leaf
 
 func TestDegenerateInputsReturnLeaf(t *testing.T) {
-	one := func(m *CostModel) node {
+	one := func(m *CostModel) refNode {
 		t.Helper()
-		trees := m.treeSnapshot()
+		trees := refTrees(m)
 		if len(trees) != m.Opts.NumTrees {
 			t.Fatalf("%d trees, want %d", len(trees), m.Opts.NumTrees)
 		}

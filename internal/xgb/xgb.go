@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -63,41 +64,6 @@ func DefaultOpts() Opts {
 	}
 }
 
-type node struct {
-	feature   int
-	threshold float64
-	left      int
-	right     int
-	value     float64
-	leaf      bool
-}
-
-type tree struct{ nodes []node }
-
-func (t *tree) predict(x []float64) float64 {
-	i := 0
-	for {
-		n := &t.nodes[i]
-		if n.leaf {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
-// ensemble is one immutable trained model snapshot: the tree form used
-// for training continuation and fingerprinting, plus the flattened
-// structure-of-arrays form the prediction hot path walks. Both are built
-// aside and swapped in together, so readers always see a matched pair.
-type ensemble struct {
-	trees []*tree
-	flat  *flatEnsemble
-}
-
 // CostModel is the per-statement GBDT ensemble with the sum-over-
 // statements program score. Prediction is safe for concurrent use, and
 // may overlap a Fit call: readers see either the previous or the new
@@ -120,25 +86,15 @@ func (c *CostModel) snapshot() *ensemble {
 	return c.ens
 }
 
-// swap atomically installs a new ensemble, flattening it once for the
-// prediction path (nil trees clears the model).
-func (c *CostModel) swap(trees []*tree) {
-	var e *ensemble
-	if len(trees) > 0 {
-		e = &ensemble{trees: trees, flat: flatten(trees, c.Opts.LearningRate)}
+// swap atomically installs a new ensemble (one without trees clears the
+// model).
+func (c *CostModel) swap(e *ensemble) {
+	if e != nil && len(e.roots) == 0 {
+		e = nil
 	}
 	c.mu.Lock()
 	c.ens = e
 	c.mu.Unlock()
-}
-
-// treeSnapshot returns the tree form of the current ensemble (nil when
-// untrained); Boost continues training from it.
-func (c *CostModel) treeSnapshot() []*tree {
-	if e := c.snapshot(); e != nil {
-		return e.trees
-	}
-	return nil
 }
 
 // Trained reports whether Fit has been called with data.
@@ -201,20 +157,17 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 	// Decorrelate the residual trees' feature subsample from the full
 	// fit's: the stream is a pure function of (Seed, ensemble size), so
 	// identical call sequences reproduce identical models.
-	seed := c.Opts.Seed ^ int64(uint64(len(prev.trees)+1)*0x9e3779b97f4a7c15)
+	seed := c.Opts.Seed ^ int64(uint64(len(prev.roots)+1)*0x9e3779b97f4a7c15)
 	c.swap(c.grow(prev, progs, y, progWeight, newStart, boostTrees, seed))
 }
 
 // grow is the boosting recurrence behind Fit and Boost: it fits nTrees
 // residual trees to the statements of progs[first:], starting from the
-// predictions of prev (nil = the empty ensemble), and returns prev's
-// trees followed by the new ones. Without a single statement to train on
-// it returns prev's trees alone.
-func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*tree {
-	var trees []*tree
-	if prev != nil {
-		trees = prev.trees
-	}
+// predictions of prev (nil = the empty ensemble), and returns a new
+// ensemble of prev's trees followed by the new ones — the trainer appends
+// every tree to a copy of prev's slab in the layout prediction walks.
+// Without a single statement to train on it returns prev itself.
+func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) *ensemble {
 	var rows [][]float64
 	var rowProg []int32 // program of each row, counted from first
 	for p, stmts := range progs[first:] {
@@ -224,23 +177,24 @@ func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []fl
 		}
 	}
 	if len(rows) == 0 {
-		return trees
+		return prev
 	}
 	pred := make([]float64, len(rows))
 	t := newTrainer(c.Opts, rows, pred, rand.New(rand.NewSource(seed)))
+	e := &ensemble{lr: c.Opts.LearningRate}
 	if prev != nil {
-		// Via the flattened slab: the same per-tree accumulation order
-		// as the pointer walk.
+		// Readers may be walking prev: the new trees go behind a copy.
+		t.nodes, e.roots = slices.Clone(prev.nodes), prev.roots
 		t.pl.Map(len(rows), func(i int) {
-			pred[i] = prev.flat.scoreStmt(rows[i])
+			pred[i] = prev.scoreStmt(rows[i])
 		})
 	}
+	e.roots = append(make([]int32, 0, len(e.roots)+nTrees), e.roots...)
 	// Per program: the summed prediction of its statements, then the
 	// sum-over-statements loss's terms, shared by all of its rows.
 	progPred := make([]float64, len(progs)-first)
 	progGrad := make([]grad, len(progs)-first)
 	const minWeight = 0.05
-	trees = append(make([]*tree, 0, len(trees)+nTrees), trees...)
 	for round := 0; round < nTrees; round++ {
 		clear(progPred)
 		for i, p := range rowProg {
@@ -258,20 +212,24 @@ func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []fl
 		for i, p := range rowProg {
 			t.grads[i] = progGrad[p]
 		}
-		trees = append(trees, t.fitTree())
+		e.roots = append(e.roots, t.fitTree())
 	}
-	return trees
+	e.nodes = t.nodes
+	return e
 }
 
 // NumTrees returns the current ensemble size (0 when untrained). Policy
 // uses it to bound Boost growth against Opts.MaxTrees.
-func (c *CostModel) NumTrees() int { return len(c.treeSnapshot()) }
+func (c *CostModel) NumTrees() int {
+	if e := c.snapshot(); e != nil {
+		return len(e.roots)
+	}
+	return 0
+}
 
 // Score returns the model's predicted fitness (higher = faster) for a
-// program given its per-statement features. It walks the flattened slab
-// ensemble; per statement the accumulation order over trees is identical
-// to the pointer-tree path, so scores are bit-for-bit equal (see
-// flat.go).
+// program given its per-statement features: one running sum over the
+// statements, each adding its trees' leaves in ensemble order.
 func (c *CostModel) Score(stmts [][]float64) float64 {
 	e := c.snapshot()
 	if e == nil {
@@ -279,20 +237,7 @@ func (c *CostModel) Score(stmts [][]float64) float64 {
 	}
 	var s float64
 	for _, st := range stmts {
-		s = e.flat.addStmt(s, st)
-	}
-	return s
-}
-
-// scoreTrees is the reference pointer-tree score path, kept for the
-// flat-vs-tree equivalence property test and the old-vs-new benchmark.
-func (c *CostModel) scoreTrees(stmts [][]float64) float64 {
-	trees := c.treeSnapshot()
-	var s float64
-	for _, st := range stmts {
-		for _, t := range trees {
-			s += c.Opts.LearningRate * t.predict(st)
-		}
+		s = e.addStmt(s, st)
 	}
 	return s
 }
@@ -302,7 +247,9 @@ func (c *CostModel) scoreTrees(stmts [][]float64) float64 {
 // models score every input identically iff their fingerprints match, so
 // the persistence layer's determinism checks can assert that a resumed
 // search retrained to the exact model of an uninterrupted run. The
-// untrained model hashes to a fixed value.
+// untrained model hashes to a fixed value. Child indices are hashed
+// relative to their tree's root, so a tree hashes the same wherever it
+// lies in the slab.
 func (c *CostModel) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -310,20 +257,24 @@ func (c *CostModel) Fingerprint() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		_, _ = h.Write(buf[:])
 	}
-	trees := c.treeSnapshot()
-	w64(uint64(len(trees)))
-	for _, t := range trees {
-		w64(uint64(len(t.nodes)))
-		for _, n := range t.nodes {
-			if n.leaf {
+	var e ensemble // the untrained model: no trees
+	if trained := c.snapshot(); trained != nil {
+		e = *trained
+	}
+	w64(uint64(len(e.roots)))
+	for ti := range e.roots {
+		root, nodes := e.tree(ti)
+		w64(uint64(len(nodes)))
+		for i, n := range nodes {
+			if n.feature == leafMark {
 				w64(^uint64(0))
-				w64(math.Float64bits(n.value))
+				w64(math.Float64bits(n.threshold))
 				continue
 			}
 			w64(uint64(n.feature))
 			w64(math.Float64bits(n.threshold))
-			w64(uint64(n.left))
-			w64(uint64(n.right))
+			w64(uint64(i + 1))
+			w64(uint64(n.right - root))
 		}
 	}
 	return h.Sum64()
@@ -336,7 +287,7 @@ func (c *CostModel) ScoreStmt(stmt []float64) float64 {
 	if e == nil {
 		return 0
 	}
-	return e.flat.scoreStmt(stmt)
+	return e.scoreStmt(stmt)
 }
 
 // ---- Ranking metrics (Figure 3) ----

@@ -27,14 +27,15 @@ go test -short ./...
 
 # The packages that spawn goroutines, under the race detector: the worker
 # pool and everything sharded over it (measurement, evolution, cost-model
-# training, scheduler waves), the policy whose rounds drive them, and
+# training, scheduler waves), the policy whose rounds drive them,
 # internal/obs, whose sinks and registry are shared mutable state updated
-# from the search path and scraped concurrently. With them the program
+# from the search path and scraped concurrently, and internal/session,
+# whose teardown stops the publisher and sink goroutines. With them the program
 # path those goroutines share read-only — replayed states, their lowered
 # forms, the feature cache, the sampler's divisor memo — and its pooled
 # scratch.
 step "race: concurrent packages (short)"
-go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./internal/feat/ ./internal/anno/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./ansor/
+go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./internal/feat/ ./internal/anno/ ./internal/evo/ ./internal/xgb/ ./internal/policy/ ./internal/sched/ ./internal/obs/ ./internal/session/ ./ansor/
 
 # The run-ahead contract (DESIGN.md "The determinism contract", rule 6):
 # a proposal is the same whenever it is computed, and the scheduler's
@@ -81,7 +82,16 @@ go run -C bench repro/bench --workload fleet-batch --seed 1 --seconds 3 --trace 
 
 printf '\nverify: all gates passed\n'
 
-# The number ROADMAP tracks for the design-quality leg, printed so every
-# CHANGES.md entry quotes the same count. Not a gate.
-printf 'non-test Go lines outside bench/: %s\n' \
-	"$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+# The number ROADMAP tracks for the design-quality leg, for HEAD (unpacked
+# with git archive, as ab.sh unpacks a parent) beside the working tree, so
+# a CHANGES.md entry quotes the gate's count and a simplicity change its
+# difference. Not a gate.
+count() {
+	(cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+}
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/verify.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
+git archive HEAD | tar -x -C "$tmp"
+head=$(count "$tmp")
+tree=$(count .)
+printf 'non-test Go lines outside bench/: %s (HEAD %s, %+d)\n' "$tree" "$head" "$((tree - head))"
