@@ -26,7 +26,9 @@ type Sampler struct {
 	Fixed bool
 	rng   *rand.Rand
 	// tiles remembers, per sketch, the nodes its unfilled tiling steps
-	// split (see tilePlan).
+	// split (see tilePlan). It is the tree's one map keyed by a state's
+	// address, and safe as one: sketches are heap states, never an
+	// arena's, whose addresses come round again.
 	tiles map[*ir.State][]*te.Node
 }
 
@@ -81,19 +83,24 @@ func RandomFactors(rng *rand.Rand, extent, parts int) []int {
 // Sample draws one complete random program from a sketch. The result's
 // step list fully determines it (replayable); an error means this draw
 // produced an invalid program and the caller should redraw.
-func (sp *Sampler) Sample(sk *ir.State) (*ir.State, error) {
-	steps := sp.fillStructure(sk)
-	s, err := ir.Replay(sk.DAG, steps)
+func (sp *Sampler) Sample(sk *ir.State) (*ir.State, error) { return sp.SampleIn(nil, sk) }
+
+// SampleIn is Sample into the arena's memory (nil: the heap's); an invalid
+// draw gives back everything it took.
+func (sp *Sampler) SampleIn(a *ir.Arena, sk *ir.State) (*ir.State, error) {
+	m := a.Mark()
+	s, err := a.Replay(sk.DAG, sp.fillStructure(a, sk))
+	if err == nil {
+		err = sp.annotate(s)
+	}
+	if err == nil && !s.Complete() {
+		err = fmt.Errorf("anno: sampled program still incomplete")
+	}
+	if err == nil {
+		err = s.Validate()
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := sp.annotate(s); err != nil {
-		return nil, err
-	}
-	if !s.Complete() {
-		return nil, fmt.Errorf("anno: sampled program still incomplete")
-	}
-	if err := s.Validate(); err != nil {
+		a.Rewind(m)
 		return nil, err
 	}
 	return s, nil
@@ -102,12 +109,17 @@ func (sp *Sampler) Sample(sk *ir.State) (*ir.State, error) {
 // SamplePopulation draws n valid programs, spreading draws across
 // sketches (§4.2: "randomly pick one sketch").
 func (sp *Sampler) SamplePopulation(sketches []*ir.State, n int) []*ir.State {
+	return sp.SamplePopulationIn(nil, sketches, n)
+}
+
+// SamplePopulationIn is SamplePopulation into the arena's memory.
+func (sp *Sampler) SamplePopulationIn(a *ir.Arena, sketches []*ir.State, n int) []*ir.State {
 	var out []*ir.State
 	attempts := 0
 	for len(out) < n && attempts < 20*n {
 		attempts++
 		sk := sketches[sp.rng.Intn(len(sketches))]
-		s, err := sp.Sample(sk)
+		s, err := sp.SampleIn(a, sk)
 		if err != nil {
 			continue
 		}
@@ -149,9 +161,9 @@ func (sp *Sampler) tilePlan(sk *ir.State) []*te.Node {
 // randomly filled and, occasionally, the compute location (the fused
 // consumer's split point) tweaked. Steps it does not change are the
 // sketch's own: a step is immutable once a state holds it.
-func (sp *Sampler) fillStructure(sk *ir.State) []ir.Step {
+func (sp *Sampler) fillStructure(a *ir.Arena, sk *ir.State) []ir.Step {
 	plan := sp.tilePlan(sk)
-	steps := make([]ir.Step, len(sk.Steps))
+	steps := a.Steps(len(sk.Steps))
 	for i, st := range sk.Steps {
 		steps[i] = st
 		switch t := st.(type) {

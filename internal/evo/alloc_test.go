@@ -1,6 +1,7 @@
 package evo
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/anno"
@@ -45,6 +46,13 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // is on the same path — every measured program is encoded for its record,
 // every fleet-measured one decoded on a worker: the hand-written pair
 // costs 1 and 26 where the reflection pair cost 11 and 110.
+//
+// A search run replays its children into borrowed arenas: it cost 8 000
+// objects and 3.0 MiB while every replay was the heap's, and costs 4 500
+// and 1.05 MiB now (ceilings a tenth above), most of it the feature rows
+// of programs nobody had seen; a replay into an arena that has its chunks
+// allocates nothing, and reading the signature then costs the memo and
+// its string.
 func TestProgramPathAllocationCeilings(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
@@ -62,6 +70,23 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	}
 	i := 0
 	next := func() *ir.State { i++; return pop[i%len(pop)] }
+	arena := ir.BorrowArena()
+	defer arena.Release()
+	inArena := func(sign bool) func() {
+		return func() {
+			m := arena.Mark()
+			if s, _ := arena.Replay(dag, next().Steps); sign {
+				_ = s.Signature()
+			}
+			arena.Rewind(m)
+		}
+	}
+	evoRun := func() {
+		search := NewSearch(Config{PopulationSize: 96, Generations: 4, CrossoverProb: 0.15,
+			EliteCount: 12, Seed: int64(i), Workers: 1})
+		search.Run(dag, pop[:50], featScorer{feat.NewCache(0)}, 32)
+		i++
+	}
 	for _, c := range []struct {
 		name    string
 		runs    int
@@ -69,27 +94,105 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 		fn      func()
 	}{
 		{"ir.Replay", 200, 9, func() { _, _ = ir.Replay(dag, next().Steps) }},
+		{"arena replay, steady state", 200, 0, inArena(false)},
+		{"arena replay and signature", 200, 4, inArena(true)},
 		{"ir.Lower", 200, 10, func() { _, _ = ir.Lower(next()) }},
 		{"feat.Cache.Program miss", 200, 12, func() { feat.NewCache(0).Program(next()) }},
 		{"ir.EncodeSteps", 200, 1, func() { _, _ = ir.EncodeSteps(next().Steps) }},
 		{"ir.DecodeSteps", 200, 32, func() { _, _ = ir.DecodeSteps(encoded[i%len(pop)]); i++ }},
 		{"anno.Sample", 200, 32, func() { _, _ = sampler.Sample(sketches[0]) }},
-		{"evo.Search.Run", 5, 10000, func() {
-			search := NewSearch(Config{PopulationSize: 96, Generations: 4, CrossoverProb: 0.15,
-				EliteCount: 12, Seed: int64(i), Workers: 1})
-			search.Run(dag, pop[:50], featScorer{feat.NewCache(0)}, 32)
-			i++
-		}},
+		{"evo.Search.Run", 5, 4950, evoRun},
 	} {
 		got := testing.AllocsPerRun(c.runs, c.fn)
 		t.Logf("%s: %.0f allocations", c.name, got)
 		if raceDetector {
 			// Under the race detector sync.Pool drops a quarter of what it
 			// is handed, so pooled scratch is rebuilt that often.
-			c.ceiling *= 1.5
+			c.ceiling = c.ceiling*1.5 + 1
 		}
 		if got > c.ceiling {
 			t.Errorf("%s allocates %.0f objects per call, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+	// The bytes of a run, beside its objects. The arena it borrows has
+	// its chunks by now: the rows above ran on the free list's.
+	const runs, ceilingKiB = 5, 1170
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		evoRun()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("evo.Search.Run: %.0f KiB", got)
+	if got > ceilingKiB && !raceDetector {
+		t.Errorf("evo.Search.Run allocates %.0f KiB per call, ceiling %d", got, ceilingKiB)
+	}
+}
+
+// TestRunReturnsHeapStates is the exit invariant of the search's borrow:
+// whatever Run hands out is on the heap — children of its own arenas and
+// programs the caller passed in from one alike — and reads the same after
+// every arena involved has been released and reused.
+func TestRunReturnsHeapStates(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, workers := range []int{1, 2, 8} {
+		mine := ir.BorrowArena()
+		init := anno.NewSampler(sketch.CPUTarget(), 3).SamplePopulationIn(mine, sketches, 24)
+		search := NewSearch(Config{PopulationSize: 32, Generations: 2, CrossoverProb: 0.15,
+			EliteCount: 4, Seed: 5, Workers: workers})
+		// More than the run derives: every program seen comes out, the
+		// caller's included.
+		out := search.Run(dag, init, featScorer{feat.NewCache(0)}, 1000)
+		fromInit := 0
+		for _, s := range out {
+			// A released arena is zeroed: a state of one has lost its DAG.
+			if s.InArena() || s.DAG == nil {
+				t.Fatalf("Workers %d: Run returned a program of an arena", workers)
+			}
+			for _, in := range init {
+				if in.Signature() == s.Signature() {
+					fromInit++
+					break
+				}
+			}
+		}
+		if fromInit == 0 {
+			t.Fatalf("Workers %d: none of the %d programs returned is one passed in", workers, len(out))
+		}
+		mine.Release()
+		// Other programs into the same chunks, then read what came out.
+		again := ir.BorrowArena()
+		anno.NewSampler(sketch.CPUTarget(), 4).SamplePopulationIn(again, sketches, 24)
+		var got []string
+		for _, s := range out {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ir.Lower(s); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ir.Replay(dag, s.Steps)
+			if err != nil || fresh.Print() != s.Print() {
+				t.Fatalf("Workers %d: returned program no longer reads as its replay (%v)", workers, err)
+			}
+			got = append(got, s.Signature())
+		}
+		again.Release()
+		if want == nil {
+			want = got
+		} else if len(got) != len(want) {
+			t.Fatalf("Workers %d returned %d programs, Workers 1 %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Workers %d diverged at program %d", workers, i)
+			}
 		}
 	}
 }

@@ -72,9 +72,10 @@ type candidate struct {
 
 // walk derives programs of one DAG the way the search does: sketches,
 // random annotation, then mutations and node crossovers of what has been
-// found valid so far. Everything is a function of seed; invalid programs
-// are yielded too.
-func walk(t *testing.T, dag *te.DAG, tgt sketch.Target, seed int64, samples, mutations, crossovers int) []candidate {
+// found valid so far — in the arena's memory (nil: the heap's), as the
+// search's are. Everything is a function of seed; invalid programs are
+// yielded too, and must have given back what they took.
+func walk(t *testing.T, a *ir.Arena, dag *te.DAG, tgt sketch.Target, seed int64, samples, mutations, crossovers int) []candidate {
 	t.Helper()
 	sketches, err := sketch.NewGenerator(tgt).Generate(dag)
 	if err != nil {
@@ -84,14 +85,21 @@ func walk(t *testing.T, dag *te.DAG, tgt sketch.Target, seed int64, samples, mut
 	sampler := anno.NewSampler(tgt, seed)
 	var out []candidate
 	var pop []*ir.State
+	before := a.Mark()
 	add := func(label string, steps []ir.Step, s *ir.State, err error) {
 		out = append(out, candidate{label, steps, s, err})
 		if s != nil {
 			pop = append(pop, s)
+			if s.InArena() != (a != nil) {
+				t.Fatalf("%s %s: program in an arena: %v, walking in one: %v", dag.Name, label, s.InArena(), a != nil)
+			}
+		} else if a.Mark() != before {
+			t.Fatalf("%s %s: rejected program left the arena at %v, was at %v", dag.Name, label, a.Mark(), before)
 		}
+		before = a.Mark()
 	}
 	for i := 0; i < samples; i++ {
-		s, err := sampler.Sample(sketches[rng.Intn(len(sketches))])
+		s, err := sampler.SampleIn(a, sketches[rng.Intn(len(sketches))])
 		var steps []ir.Step
 		if s != nil {
 			steps = s.Steps
@@ -108,13 +116,13 @@ func walk(t *testing.T, dag *te.DAG, tgt sketch.Target, seed int64, samples, mut
 			add(label, nil, nil, fmt.Errorf("nothing to mutate"))
 			continue
 		}
-		s, err := replayChild(dag, steps)
+		s, err := replayChild(a, dag, steps)
 		add(label, steps, s, err)
 	}
 	for i := 0; i < crossovers; i++ {
-		a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
-		steps := crossoverSteps(nil, a, b, nil, nil, rng)
-		s, err := replayChild(dag, steps)
+		x, y := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
+		steps := crossoverSteps(nil, x, y, nil, nil, rng)
+		s, err := replayChild(a, dag, steps)
 		add(fmt.Sprintf("crossover %d", i), steps, s, err)
 	}
 	return out
@@ -315,7 +323,16 @@ func handBuilt() []struct {
 	}
 }
 
-func renderCorpus(t *testing.T) []byte {
+// corpusMode is where the walked programs of a rendering live.
+type corpusMode int
+
+const (
+	onHeap   corpusMode = iota // replayed onto the heap, as the corpus was recorded
+	inArena                    // replayed into a borrowed arena and rendered there
+	detached                   // replayed into an arena, cloned, rendered after its release
+)
+
+func renderCorpus(t *testing.T, mode corpusMode) []byte {
 	var b strings.Builder
 	for _, c := range handBuilt() {
 		fmt.Fprintf(&b, "== hand-built %s\n", c.name)
@@ -345,9 +362,27 @@ func renderCorpus(t *testing.T) []byte {
 			for i, sk := range sketches {
 				fmt.Fprintf(&b, "== %s %s sketch %d\nsig: %s\n%s", w.Key, tgt.name, i, sk.Signature(), sk.Print())
 			}
-			for _, c := range walk(t, dag, tgt.space, int64(100*fi+ti+1), 4, 8, 3) {
+			// Every walk borrows afresh: its programs go into the chunks
+			// the walk before it left.
+			var a *ir.Arena
+			if mode != onHeap {
+				a = ir.BorrowArena()
+			}
+			cands := walk(t, a, dag, tgt.space, int64(100*fi+ti+1), 4, 8, 3)
+			if mode == detached {
+				for i := range cands {
+					if cands[i].state != nil {
+						cands[i].state = cands[i].state.Clone()
+					}
+				}
+				a.Release()
+			}
+			for _, c := range cands {
 				fmt.Fprintf(&b, "== %s %s %s\n", w.Key, tgt.name, c.label)
 				dumpCandidate(&b, c, tgt.machine)
+			}
+			if mode == inArena {
+				a.Release()
 			}
 		}
 	}
@@ -356,11 +391,13 @@ func renderCorpus(t *testing.T) []byte {
 
 // TestGoldenCorpus replays the recorded walk and compares every byte:
 // signatures, printed nests, loops, stride coefficients, feature bits,
-// simulated time bits and error text.
+// simulated time bits and error text. It replays it three times — onto the
+// heap, into borrowed arenas, and into arenas that are released before
+// their programs' heap clones are read — and every rendering must be the
+// recorded one: where a program lives changes nothing a reader can see.
 func TestGoldenCorpus(t *testing.T) {
-	got := renderCorpus(t)
 	if *updateCorpus {
-		if err := os.WriteFile(corpusPath, got, 0o644); err != nil {
+		if err := os.WriteFile(corpusPath, renderCorpus(t, onHeap), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -369,6 +406,13 @@ func TestGoldenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update-corpus to create it)", err)
 	}
+	for _, mode := range []corpusMode{onHeap, inArena, detached} {
+		compareCorpus(t, mode, renderCorpus(t, mode), want)
+	}
+}
+
+func compareCorpus(t *testing.T, mode corpusMode, got, want []byte) {
+	t.Helper()
 	if bytes.Equal(got, want) {
 		return
 	}
@@ -379,10 +423,10 @@ func TestGoldenCorpus(t *testing.T) {
 			section = wl[i]
 		}
 		if gl[i] != wl[i] {
-			t.Fatalf("corpus diverges at line %d (%s)\n got: %s\nwant: %s", i+1, section, gl[i], wl[i])
+			t.Fatalf("mode %d: corpus diverges at line %d (%s)\n got: %s\nwant: %s", mode, i+1, section, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("corpus length differs: got %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("mode %d: corpus length differs: got %d lines, want %d", mode, len(gl), len(wl))
 }
 
 // miniFamilies builds every family of walkFamilies at a size the
@@ -445,9 +489,21 @@ func miniFamilies() []workloads.Workload {
 // emit: it lowers, every access stays inside its tensor, and its step
 // list survives the wire encoding. With verify set it is also compared,
 // write for write, with the naive program.
-func checkLegal(t *testing.T, where string, dag *te.DAG, c candidate, verify bool) {
+func checkLegal(t *testing.T, where string, dag *te.DAG, m *sim.Machine, c candidate, verify bool) {
 	t.Helper()
 	s := c.state
+	if s.InArena() {
+		// Where a program lives is invisible: its heap replay and its heap
+		// clone read as it does, down to feature and simulated-time bits.
+		var here, heap, clone strings.Builder
+		dumpCandidate(&here, c, m)
+		again, err := ir.Replay(dag, s.Steps)
+		dumpCandidate(&heap, candidate{state: again, err: err}, m)
+		dumpCandidate(&clone, candidate{state: s.Clone()}, m)
+		if here.String() != heap.String() || here.String() != clone.String() {
+			t.Errorf("%s: arena replay, heap replay and clone differ:\n%s\n%s\n%s", where, &here, &heap, &clone)
+		}
+	}
 	low, err := ir.Lower(s)
 	if err != nil {
 		t.Errorf("%s: valid program does not lower: %v\n%s", where, err, s.Print())
@@ -506,19 +562,22 @@ func checkLegal(t *testing.T, where string, dag *te.DAG, c candidate, verify boo
 
 // TestWalkLegality is ROADMAP item 5(c)'s generator: the walk of the
 // golden corpus, longer, with the legality oracle pointed at every valid
-// program it derives — mutation and crossover offspring included.
+// program it derives — mutation and crossover offspring included. The
+// programs live where the search's do, in a borrowed arena, one per walk.
 func TestWalkLegality(t *testing.T) {
 	run := func(fams []workloads.Workload, verify bool, mutations, crossovers int) {
 		for fi, w := range fams {
 			for ti, tgt := range walkTargets() {
 				dag := w.Build()
 				valid := 0
-				for _, c := range walk(t, dag, tgt.space, int64(1000+100*fi+ti), 6, mutations, crossovers) {
+				a := ir.BorrowArena()
+				for _, c := range walk(t, a, dag, tgt.space, int64(1000+100*fi+ti), 6, mutations, crossovers) {
 					if c.state != nil {
 						valid++
-						checkLegal(t, fmt.Sprintf("%s %s %s", w.Key, tgt.name, c.label), dag, c, verify)
+						checkLegal(t, fmt.Sprintf("%s %s %s", w.Key, tgt.name, c.label), dag, tgt.machine, c, verify)
 					}
 				}
+				a.Release()
 				if valid < 8 {
 					t.Errorf("%s %s: only %d valid programs walked", w.Key, tgt.name, valid)
 				}
@@ -593,7 +652,7 @@ func TestStepEncodingMatchesOracle(t *testing.T) {
 			for i, sk := range sketches {
 				check(fmt.Sprintf("%s %s sketch %d", w.Key, tgt.name, i), sk.Steps)
 			}
-			for _, c := range walk(t, dag, tgt.space, int64(100*fi+ti+1), 4, 8, 3) {
+			for _, c := range walk(t, nil, dag, tgt.space, int64(100*fi+ti+1), 4, 8, 3) {
 				check(fmt.Sprintf("%s %s %s", w.Key, tgt.name, c.label), c.steps)
 			}
 		}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/anno"
 	"repro/internal/ir"
@@ -123,11 +122,23 @@ func (s *splitMix64) Uint64() uint64 {
 }
 
 // Run evolves the initial population for the configured generations and
-// returns the `out` highest-scoring distinct programs seen.
+// returns the `out` highest-scoring distinct programs seen, all of them on
+// the heap: every child is replayed into a borrowed arena, and what Run
+// hands out of one (or of the caller's, through init) is a clone.
 func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*ir.State {
 	if len(init) == 0 {
 		return nil
 	}
+	// The arenas this Run has borrowed and no attempt is in: an attempt
+	// takes one for as long as it runs, so each is one goroutine's at a
+	// time, and the children live in them until Run returns.
+	arenas := make(chan *ir.Arena, e.pool.Workers())
+	defer func() {
+		close(arenas)
+		for a := range arenas {
+			a.Release()
+		}
+	}()
 	pop := append([]*ir.State(nil), init...)
 	type scored struct {
 		s     *ir.State
@@ -177,7 +188,14 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 			e.pool.Map(wave, func(k int) {
 				src := splitMix64(attemptSeed(e.Cfg.Seed, gen, base+k))
 				rng := rand.New(&src)
-				children[k] = e.offspring(dag, pop, sel, scorer, rng)
+				var a *ir.Arena
+				select {
+				case a = <-arenas:
+				default:
+					a = ir.BorrowArena()
+				}
+				children[k] = e.offspring(a, dag, pop, sel, scorer, rng)
+				arenas <- a
 			})
 			attempt += wave
 			for _, c := range children {
@@ -231,18 +249,34 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 	}
 	res := make([]*ir.State, out)
 	for i := 0; i < out; i++ {
-		res[i] = all[i].s
+		if res[i] = all[i].s; res[i].InArena() {
+			res[i] = res[i].Clone()
+		}
 	}
 	return res
 }
 
-// offspring produces one child (or nil) from its private RNG.
-func (e *Search) offspring(dag *te.DAG, pop []*ir.State, sel *roulette, scorer Scorer, rng *rand.Rand) *ir.State {
+// offspring produces one child (or nil) from its private RNG, in the
+// arena: the genes are assembled in a step buffer the arena owns, and an
+// attempt that yields no child gives back all it took.
+func (e *Search) offspring(a *ir.Arena, dag *te.DAG, pop []*ir.State, sel *roulette, scorer Scorer, rng *rand.Rand) *ir.State {
+	m := a.Mark()
+	var steps []ir.Step
+	ok := true
 	if rng.Float64() < e.Cfg.CrossoverProb && len(pop) >= 2 {
-		a, b := pop[sel.pick(rng)], pop[sel.pick(rng)]
-		return e.crossover(dag, a, b, scorer, rng)
+		x, y := pop[sel.pick(rng)], pop[sel.pick(rng)]
+		steps = crossoverSteps(a.Steps(len(x.Steps))[:0], x, y, scorer.NodeScores(x), scorer.NodeScores(y), rng)
+	} else {
+		parent := pop[sel.pick(rng)]
+		steps, ok = mutateSteps(a.Steps(len(parent.Steps))[:0], parent.Steps, rng)
 	}
-	return e.mutate(dag, pop[sel.pick(rng)], rng)
+	if ok {
+		if child, err := replayChild(a, dag, steps); err == nil {
+			return child
+		}
+	}
+	a.Rewind(m)
+	return nil
 }
 
 // scoreChunk is the fixed shard size of ScoreAll. It depends only on the
@@ -365,19 +399,6 @@ func (r *roulette) pick(rng *rand.Rand) int {
 	return sort.SearchFloat64s(r.cum, x)
 }
 
-// mutate applies one randomly chosen evolution operation to a copy of the
-// parent's steps and replays; nil on invalid offspring.
-func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State {
-	holder := takeSteps()
-	steps, ok := mutateSteps((*holder)[:0], parent.Steps, rng)
-	var s *ir.State
-	if ok {
-		s, _ = replayChild(dag, steps)
-	}
-	putSteps(holder, steps)
-	return s
-}
-
 // mutateSteps appends the parent's step list to dst with one randomly
 // chosen evolution operation applied; ok is false when the operation
 // found nothing to edit. A step is immutable once a state holds it, so
@@ -406,36 +427,22 @@ var errIncomplete = errors.New("evo: offspring has unfilled tile sizes")
 
 // replayChild verifies an offspring's step list the way §5.1 prescribes:
 // replay from the naive program, then check the result is complete and
-// structurally valid. The search discards the error; tests read it.
-func replayChild(dag *te.DAG, steps []ir.Step) (*ir.State, error) {
-	s, err := ir.Replay(dag, steps)
+// structurally valid — in the arena, to which a rejected program gives its
+// memory back. The search discards the error; tests read it.
+func replayChild(a *ir.Arena, dag *te.DAG, steps []ir.Step) (*ir.State, error) {
+	m := a.Mark()
+	s, err := a.Replay(dag, steps)
+	if err == nil && !s.Complete() {
+		err = errIncomplete
+	}
+	if err == nil {
+		err = s.Validate()
+	}
 	if err != nil {
-		return nil, err
-	}
-	if !s.Complete() {
-		return nil, errIncomplete
-	}
-	if err := s.Validate(); err != nil {
+		a.Rewind(m)
 		return nil, err
 	}
 	return s, nil
-}
-
-// stepsScratch recycles the step-list buffers that offspring attempts
-// assemble their genes in. Replay copies the steps into the new state's
-// own history slice, so the scratch buffer itself is never retained — most
-// attempts are discarded as invalid anyway, and without recycling every
-// attempt pays a fresh slice allocation.
-var stepsScratch = sync.Pool{New: func() any { return new([]ir.Step) }}
-
-func takeSteps() *[]ir.Step { return stepsScratch.Get().(*[]ir.Step) }
-
-// putSteps clears the scratch entries (so recycled buffers don't pin
-// discarded step objects) and returns the buffer to the pool.
-func putSteps(holder *[]ir.Step, steps []ir.Step) {
-	clear(steps)
-	*holder = steps[:0]
-	stepsScratch.Put(holder)
 }
 
 // inherit returns the step an offspring takes over from a parent: the
@@ -596,21 +603,11 @@ func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
 	return true
 }
 
-// crossover merges two parents at node granularity (§5.1): for every node
-// tag, the steps of the parent whose node scores higher are kept. Parent
-// A's step sequence is the template; steps of tags donated by B are
-// substituted positionally with B's same-type steps of that tag.
-func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand.Rand) *ir.State {
-	holder := takeSteps()
-	steps := crossoverSteps((*holder)[:0], a, b, scorer.NodeScores(a), scorer.NodeScores(b), rng)
-	child, _ := replayChild(dag, steps)
-	putSteps(holder, steps)
-	return child
-}
-
-// crossoverSteps appends the merged step list of parents a and b to dst:
-// a's sequence with the steps of every node tag donated by b replaced,
-// position for position, by b's steps of that tag and kind. A nil score
+// crossoverSteps merges two parents at node granularity (§5.1): for every
+// node tag, the steps of the parent whose node scores higher are kept. It
+// appends the merged step list of parents a and b to dst: a's sequence
+// with the steps of every node tag donated by b replaced, position for
+// position, by b's same-type steps of that tag. A nil score
 // map makes the donor of every tag a coin flip. The child shares its
 // parents' steps (see inherit): nothing here edits one.
 func crossoverSteps(dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]float64, rng *rand.Rand) []ir.Step {

@@ -148,12 +148,12 @@ func TestTileSizeMutationKeepsProduct(t *testing.T) {
 func TestCrossoverMergesParents(t *testing.T) {
 	d := matmulReLU(512, 512, 512)
 	pop := initPop(t, d, 8, 7)
-	e := NewSearch(Config{Seed: 8, PopulationSize: 8, Generations: 1, EliteCount: 1})
-	m := sim.IntelXeon()
+	sc := oracleScorer{sim.IntelXeon()}
 	rng := rand.New(rand.NewSource(8))
 	ok := 0
 	for i := 0; i+1 < len(pop); i++ {
-		if c := e.crossover(d, pop[i], pop[i+1], oracleScorer{m}, rng); c != nil {
+		steps := crossoverSteps(nil, pop[i], pop[i+1], sc.NodeScores(pop[i]), sc.NodeScores(pop[i+1]), rng)
+		if c, _ := replayChild(nil, d, steps); c != nil {
 			ok++
 		}
 	}

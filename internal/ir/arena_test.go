@@ -1,0 +1,286 @@
+package ir
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+)
+
+// arenaPrograms is a handful of step lists over one DAG: tiled and fused, with
+// fuses (spill growth), a split and a reorder (the carving steps), and the
+// stage-inserting steps that stay on the heap.
+func arenaPrograms() [][]Step {
+	tile := &MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS",
+		SpaceFactors: [][]int{{4, 2, 2}, {2, 4, 2}}, ReduceFactors: [][]int{{8}}}
+	return [][]Step{
+		{tile, &FuseConsumerStep{Producer: "matmul", Consumer: "relu", OuterLevels: 2},
+			&FuseStep{Stage: "relu", First: 0, Count: 4}, &FuseStep{Stage: "relu", First: 1, Count: 2},
+			&AnnotateStep{Stage: "relu", IterIdx: 0, Ann: AnnParallel}, &PragmaStep{Stage: "matmul", AutoUnrollMax: 64}},
+		{&SplitStep{Stage: "matmul", IterIdx: 0, Factors: []int{8, 2}}, &SplitStep{Stage: "matmul", IterIdx: 3, Factors: []int{2}},
+			&FuseStep{Stage: "matmul", First: 0, Count: 2}, &ReorderStep{Stage: "matmul", Perm: []int{0, 2, 1, 4, 3}}},
+		{&CacheWriteStep{Stage: "matmul"}, &MultiLevelTileStep{Stage: "matmul.cache", Structure: "SSRSRS",
+			SpaceFactors: [][]int{{4, 2, 2}, {2, 4, 2}}, ReduceFactors: [][]int{{8}}},
+			&FuseConsumerStep{Producer: "matmul.cache", Consumer: "matmul", OuterLevels: 1}},
+		{tile, &LayoutRewriteStep{Stage: "matmul"}, &AnnotateStep{Stage: "matmul", IterIdx: 9, Ann: AnnVectorize}},
+	}
+}
+
+// render is everything a reader can see of a state: signatures, the
+// printed nest, and every loop and stride coefficient of its lowering.
+func render(t *testing.T, s *State) string {
+	t.Helper()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	low, err := Lower(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := s.Signature() + "\n" + s.FamilySignature() + "\n" + s.Print()
+	for i := range low.Stmts {
+		st := &low.Stmts[i]
+		out += st.Stage.Name
+		for _, l := range st.Loops {
+			out += fmt.Sprintf(" %s/%s:%d", l.Owner.Name, l.Name(), l.Extent)
+		}
+		for _, a := range append([]FlatAccess{*st.Write}, st.Reads...) {
+			out += fmt.Sprintf(" %s%v", a.Tensor.Name, a.Coeff)
+		}
+		out += "\n"
+	}
+	return out
+}
+
+// TestArenaReplayEqualsHeap: a program replayed into an arena, the heap
+// clone of that, and the heap replay read the same; and again after the
+// arena went through the free list and other programs used its chunks.
+func TestArenaReplayEqualsHeap(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		if poisoned {
+			PoisonArenas(t)
+		}
+		dag := matmulReLU(64, 64, 64)
+		progs := arenaPrograms()
+		var want []string
+		for _, steps := range progs {
+			s, err := Replay(dag, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.InArena() {
+				t.Fatal("heap replay is in an arena")
+			}
+			want = append(want, render(t, s))
+		}
+		for round := 0; round < 3; round++ {
+			a := BorrowArena()
+			var clones []*State
+			for k := range progs {
+				i := (k + round) % len(progs) // another program first into the same chunks
+				s, err := a.Replay(dag, progs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !s.InArena() {
+					t.Fatal("arena replay is on the heap")
+				}
+				if got := render(t, s); got != want[i] {
+					t.Fatalf("round %d program %d: arena replay reads\n%s\nheap replay\n%s", round, i, got, want[i])
+				}
+				c := s.Clone()
+				if c.InArena() {
+					t.Fatal("clone of an arena state is in the arena")
+				}
+				clones = append(clones, c)
+				if err := CheckArenas(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Release()
+			if err := CheckFreeArenas(); err != nil {
+				t.Fatal(err)
+			}
+			// The clones outlive the arena.
+			for k, c := range clones {
+				if got := render(t, c); got != want[(k+round)%len(progs)] {
+					t.Fatalf("round %d: clone %d changed with its arena's release", round, k)
+				}
+			}
+		}
+		if n := ArenasLent(); n != 0 {
+			t.Fatalf("%d arenas still lent", n)
+		}
+	}
+}
+
+// TestArenaFailedReplayRewinds: a replay that fails leaves every bump
+// offset where it was, and its error — rendered lazily — reads the same
+// after the rewind and after the arena's release as it does on the heap.
+func TestArenaFailedReplayRewinds(t *testing.T) {
+	PoisonArenas(t)
+	dag := matmulReLU(64, 64, 64)
+	good := arenaPrograms()[0]
+	bad := [][]Step{
+		append(append([]Step(nil), good...), &SplitStep{Stage: "relu", IterIdx: 0, Factors: []int{2}}), // fused iter, named
+		append(append([]Step(nil), good[:2]...), &FuseStep{Stage: "relu", First: 1, Count: 5}),         // crosses attach point
+		{good[0], &SplitStep{Stage: "matmul", IterIdx: 0, Factors: []int{3}}},                          // factors, extent, name
+		{good[0], good[0]}, // already transformed
+		{&MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS", SpaceFactors: [][]int{{4, 2}, {2, 4, 2}}}}, // nested error
+		{good[0], &FuseConsumerStep{Producer: "matmul", Consumer: "relu", OuterLevels: 9}},
+	}
+	a := BorrowArena()
+	if _, err := a.Replay(dag, good); err != nil {
+		t.Fatal(err)
+	}
+	var errs []error
+	var want []string
+	for i, steps := range bad {
+		_, herr := Replay(dag, steps)
+		if herr == nil {
+			t.Fatalf("bad program %d replays", i)
+		}
+		before := a.Mark()
+		s, err := a.Replay(dag, steps)
+		if s != nil || err == nil {
+			t.Fatalf("bad program %d replays into the arena", i)
+		}
+		if a.Mark() != before {
+			t.Fatalf("bad program %d moved the arena: %v, was %v", i, a.Mark(), before)
+		}
+		if err := CheckArenas(a); err != nil {
+			t.Fatal(err)
+		}
+		if err.Error() != herr.Error() {
+			t.Fatalf("arena replay fails with %q, heap replay with %q", err, herr)
+		}
+		errs, want = append(errs, err), append(want, herr.Error())
+	}
+	a.Release()
+	b := BorrowArena() // the same chunks, in other hands
+	if _, err := b.Replay(dag, arenaPrograms()[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err.Error() != want[i] {
+			t.Errorf("error %d reads %q after its arena's release, %q before", i, err, want[i])
+		}
+	}
+	b.Release()
+}
+
+// TestArenaRangesAreClipped: a carved range ends at its length, so the
+// append that outgrows it moves to the heap and leaves the neighbour alone;
+// a request larger than a chunk is the heap's from the start.
+func TestArenaRangesAreClipped(t *testing.T) {
+	PoisonArenas(t)
+	a := BorrowArena()
+	defer a.Release()
+	x, y := a.Steps(3), a.Steps(2)
+	if cap(x) != 3 || &x[0] == &y[0] {
+		t.Fatalf("carved 3 steps with capacity %d, or twice", cap(x))
+	}
+	step := &InlineStep{Stage: "s"}
+	grown := append(x, step)
+	if y[0] != nil || &grown[0] == &x[0] {
+		t.Fatal("append past a carved range wrote into the arena")
+	}
+	big := a.Steps(ArenaChunkBytes) // far more than one chunk holds
+	before := a.Mark()
+	big[len(big)-1] = step
+	if a.Mark() != before || a.steps.cur != 0 {
+		t.Fatal("oversize request moved the arena")
+	}
+	// Chunks fill and follow one another; what was carved stays put.
+	first := &x[0]
+	for i := 0; i < 3*ArenaChunkBytes/int(unsafe.Sizeof(Step(nil)))/7; i++ {
+		r := a.Steps(7)
+		r[0], r[6] = step, step
+	}
+	if a.steps.cur < 2 || first != &x[0] || x[0] != nil {
+		t.Fatalf("slab at chunk %d after three chunks' worth", a.steps.cur)
+	}
+	if err := CheckArenas(a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArenaFreeListIsBounded: Release twice panics; the free list keeps at
+// most ArenasKept arenas and none that outgrew ArenaChunks.
+func TestArenaFreeListIsBounded(t *testing.T) {
+	PoisonArenas(t)
+	var as []*Arena
+	for i := 0; i < ArenasKept+3; i++ {
+		a := BorrowArena()
+		a.Steps(1)
+		as = append(as, a)
+	}
+	if n := ArenasLent(); n != len(as) {
+		t.Fatalf("%d arenas lent, borrowed %d", n, len(as))
+	}
+	huge := as[0]
+	for huge.Mark()[5].cur <= ArenaChunks {
+		huge.Steps(ArenaChunkBytes / int(unsafe.Sizeof(Step(nil))))
+	}
+	for _, a := range as {
+		a.Release()
+		if err := CheckFreeArenas(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freeArenas.Lock()
+	n := len(freeArenas.list)
+	for _, a := range freeArenas.list {
+		if a == huge {
+			t.Error("an arena past the chunk bound went back to the free list")
+		}
+	}
+	freeArenas.Unlock()
+	if n != ArenasKept {
+		t.Errorf("free list holds %d arenas, want its bound %d", n, ArenasKept)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Release did not panic")
+			}
+		}()
+		as[1].Release()
+	}()
+	// A borrowed arena comes off the list, the last one released first.
+	if b := BorrowArena(); b != as[ArenasKept] {
+		t.Errorf("borrowed %p, want the arena released last into the list %p", b, as[ArenasKept])
+	} else {
+		b.Release()
+	}
+}
+
+// TestPoisonMakesUseAfterReleaseLoud pins the hook itself: a state read
+// after its arena's release does not read as the program it was.
+func TestPoisonMakesUseAfterReleaseLoud(t *testing.T) {
+	books := PoisonArenas(t)
+	dag := matmulReLU(64, 64, 64)
+	a := BorrowArena()
+	s, err := a.Replay(dag, arenaPrograms()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := s.Stages[0]
+	a.Release()
+	if stage.Name != freedName || stage.Node != nil {
+		t.Errorf("released stage reads name %q node %v", stage.Name, stage.Node)
+	}
+	if books.Carved.Load() == 0 || books.Freed.Load() == 0 || books.Released.Load() != 1 {
+		t.Errorf("hook saw %d carves, %d give-backs, %d releases", books.Carved.Load(), books.Freed.Load(), books.Released.Load())
+	}
+	// And a write to freed memory is caught when the range goes out again.
+	stage.Node = dag.Nodes[0]
+	b := BorrowArena()
+	defer func() {
+		if recover() == nil {
+			t.Error("a range written to after its release was handed out unnoticed")
+		}
+		stage.Node = nil
+		b.Release()
+	}()
+	_, _ = b.Replay(dag, arenaPrograms()[0])
+}

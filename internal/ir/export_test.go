@@ -1,0 +1,195 @@
+package ir
+
+import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+)
+
+// The lifetime tests' side of an arena (DESIGN.md "Program memory"): the
+// hook that makes a use after Release loud, and the check of the arenas'
+// books, in the style of the fleet's checkLeaseTable. None of it is
+// compiled into a production binary.
+
+const (
+	freedName   = "<freed>"
+	freedExtent = -7
+)
+
+// scribble overwrites a range an arena took back, in place of the zeros
+// it left there: a reader of a dead state meets stages without a node,
+// with a name and loop extents that nothing else has.
+func scribble(r any) {
+	switch r := r.(type) {
+	case []Stage:
+		for i := range r {
+			r[i].Name, r[i].AttachTarget = freedName, freedName
+		}
+	case []Iter:
+		for i := range r {
+			r[i].Extent, r[i].atom[0].Extent = freedExtent, freedExtent
+		}
+	}
+}
+
+// isFree reports whether every element of r is as a give-back left it:
+// zero, or scribbled over.
+func isFree(r any) bool {
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.Len(); i++ {
+		switch e := v.Index(i).Addr().Interface().(type) {
+		case *Stage:
+			if (e.Name != freedName && e.Name != "") || e.Node != nil || e.Iters != nil || e.fused != nil {
+				return false
+			}
+		case *Iter:
+			if (e.Extent != freedExtent && e.Extent != 0) || e.count != 0 || e.atom[0].Axis != 0 {
+				return false
+			}
+		default:
+			if !v.Index(i).IsZero() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ArenaBooks counts what the hook saw.
+type ArenaBooks struct {
+	Carved, Freed, Released atomic.Int64
+}
+
+// PoisonArenas switches the lifetime tests' mode on until the test ends:
+// whatever an arena takes back — a rewind's range, a Release's everything
+// — is scribbled over instead of left zero, and the books are checked at
+// every step: a range handed out must be free (no range is handed out
+// twice, nothing writes to freed memory), and an arena going back to the
+// free list must be free from end to end (nothing outstanding). A
+// violation panics where it happens. The free list is emptied on the way
+// in and out, so no arena crosses between the modes.
+func PoisonArenas(t testing.TB) *ArenaBooks {
+	books := new(ArenaBooks)
+	drain := func(hook func(byte, any)) {
+		freeArenas.Lock()
+		defer freeArenas.Unlock()
+		if freeArenas.lent != 0 {
+			t.Fatalf("%d arenas lent while switching the arena hook", freeArenas.lent)
+		}
+		freeArenas.list, arenaHook = nil, hook
+	}
+	drain(func(op byte, r any) {
+		switch op {
+		case 'c':
+			books.Carved.Add(1)
+			if !isFree(r) {
+				panic(fmt.Sprintf("ir: arena handed out a %T that was not free", r))
+			}
+			// A carved range is zero, poisoned or not.
+			v := reflect.ValueOf(r)
+			for i := 0; i < v.Len(); i++ {
+				v.Index(i).SetZero()
+			}
+		case 'f':
+			books.Freed.Add(1)
+			scribble(r)
+		case 'r':
+			books.Released.Add(1)
+			if err := r.(*Arena).check(true); err != nil {
+				panic("ir: arena released: " + err.Error())
+			}
+		}
+	})
+	t.Cleanup(func() { drain(nil) })
+	return books
+}
+
+// check asserts an arena's invariant: every bump point lies inside its
+// slab, and everything beyond it is free — with empty set, the whole
+// arena is.
+func (a *Arena) check(empty bool) error {
+	var err error
+	slabCheck(&a.states, empty, &err)
+	slabCheck(&a.ptrs, empty, &err)
+	slabCheck(&a.stages, empty, &err)
+	slabCheck(&a.iters, empty, &err)
+	slabCheck(&a.atoms, empty, &err)
+	slabCheck(&a.steps, empty, &err)
+	return err
+}
+
+func slabCheck[T any](sl *slab[T], empty bool, err *error) {
+	switch {
+	case *err != nil:
+	case empty && sl.slabPos != slabPos{}:
+		*err = fmt.Errorf("%T at chunk %d offset %d, want empty", sl, sl.cur, sl.off)
+	case sl.cur < 0 || sl.off < 0 || sl.cur > len(sl.chunks) || (sl.cur == len(sl.chunks) && sl.off != 0):
+		*err = fmt.Errorf("%T at chunk %d offset %d of %d chunks", sl, sl.cur, sl.off, len(sl.chunks))
+	}
+	for c := sl.cur; c < len(sl.chunks) && *err == nil; c++ {
+		free := sl.chunks[c]
+		if c == sl.cur {
+			if sl.off > len(free) {
+				*err = fmt.Errorf("%T offset %d beyond its chunk of %d", sl, sl.off, len(free))
+				return
+			}
+			free = free[sl.off:]
+		}
+		if !isFree(free) {
+			*err = fmt.Errorf("%T chunk %d is not free beyond the bump point", sl, c)
+		}
+	}
+}
+
+// CheckArenas asserts the invariant of an arena a test holds.
+func CheckArenas(as ...*Arena) error {
+	for _, a := range as {
+		if !a.lent {
+			return fmt.Errorf("arena %p is held but not lent", a)
+		}
+		if err := a.check(false); err != nil {
+			return err
+		}
+	}
+	return CheckFreeArenas()
+}
+
+// CheckFreeArenas asserts the free list's invariant: at most arenasKept
+// arenas, each once, none lent, all empty and free, none too large.
+func CheckFreeArenas() error {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	if len(freeArenas.list) > arenasKept {
+		return fmt.Errorf("free list holds %d arenas, bound %d", len(freeArenas.list), arenasKept)
+	}
+	seen := map[*Arena]bool{}
+	for _, a := range freeArenas.list {
+		if seen[a] || a.lent {
+			return fmt.Errorf("arena %p is on the free list twice, or lent", a)
+		}
+		seen[a] = true
+		if err := a.check(true); err != nil {
+			return err
+		}
+		if n := len(a.states.chunks) + len(a.ptrs.chunks) + len(a.stages.chunks) + len(a.iters.chunks) +
+			len(a.atoms.chunks) + len(a.steps.chunks); n > arenaChunks {
+			return fmt.Errorf("free arena keeps %d chunks, bound %d", n, arenaChunks)
+		}
+	}
+	return nil
+}
+
+// ArenasLent returns how many arenas are borrowed and not released.
+func ArenasLent() int {
+	freeArenas.Lock()
+	defer freeArenas.Unlock()
+	return freeArenas.lent
+}
+
+// ArenaChunkBytes and ArenasKept expose the bounds.
+const (
+	ArenaChunkBytes = chunkBytes
+	ArenaChunks     = arenaChunks
+	ArenasKept      = arenasKept
+)

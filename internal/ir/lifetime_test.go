@@ -1,0 +1,296 @@
+package ir_test
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"repro/ansor"
+	"repro/internal/anno"
+	"repro/internal/baselines"
+	"repro/internal/evo"
+	"repro/internal/feat"
+	"repro/internal/ir"
+	"repro/internal/measure"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/sketch"
+	"repro/internal/workloads"
+)
+
+// The lifetime tests of borrowed program memory (DESIGN.md "Program
+// memory"). They live here, outside the packages they drive, because the
+// hook that makes a use after Release loud is this package's
+// (export_test.go): under ir.PoisonArenas every range an arena takes
+// back is scribbled over, every range it hands out is checked to be free,
+// and every arena going back to the free list is checked from end to end.
+// A search that keeps, scores, measures or records a program of a released
+// arena then returns other bits than the unpoisoned run, or dies.
+
+// twice runs fn unpoisoned and poisoned and returns both transcripts; after
+// each run nothing is lent and the free list is in order.
+func twice(t *testing.T, fn func(t *testing.T) string) (plain, poisoned string) {
+	t.Helper()
+	settled := func(when string) {
+		t.Helper()
+		if n := ir.ArenasLent(); n != 0 {
+			t.Fatalf("%s: %d arenas borrowed and never released", when, n)
+		}
+		if err := ir.CheckFreeArenas(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	plain = fn(t)
+	settled("unpoisoned run")
+	t.Run("poisoned", func(t *testing.T) {
+		books := ir.PoisonArenas(t)
+		poisoned = fn(t)
+		settled("poisoned run")
+		if books.Carved.Load() == 0 || books.Freed.Load() == 0 || books.Released.Load() == 0 {
+			t.Errorf("hook saw %d carves, %d give-backs, %d releases: the run borrowed nothing",
+				books.Carved.Load(), books.Freed.Load(), books.Released.Load())
+		}
+	})
+	return plain, poisoned
+}
+
+func sameTranscripts(t *testing.T, what, plain, poisoned string) {
+	t.Helper()
+	if plain == "" {
+		t.Fatalf("%s: empty transcript", what)
+	}
+	if plain != poisoned {
+		t.Errorf("%s: poisoning freed program memory changed the outcome\nunpoisoned:\n%s\npoisoned:\n%s", what, plain, poisoned)
+	}
+}
+
+// TestPoisonedTuneNetwork: the first tasks of resnet-50 through the task
+// scheduler, with proposals prepared ahead at Workers 2 and 8 — latencies
+// and record logs bit-equal to the unpoisoned run's, at every worker count.
+func TestPoisonedTuneNetwork(t *testing.T) {
+	net, err := ansor.BuiltinNetwork("resnet-50", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Tasks = net.Tasks[:4]
+	var first string
+	for _, workers := range []int{1, 2, 8} {
+		plain, poisoned := twice(t, func(t *testing.T) string {
+			path := filepath.Join(t.TempDir(), "log.jsonl")
+			res, err := ansor.TuneNetwork(net, ansor.TargetIntelCPU(false), ansor.TuningOptions{
+				Trials: 16, MeasuresPerRound: 8, Seed: 11, Workers: workers, RecordTo: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := fmt.Sprintf("latency %016x trials %d\n", math.Float64bits(res.Latency), res.Trials)
+			for _, task := range net.Tasks {
+				out += fmt.Sprintf("%s %016x\n", task.Name, math.Float64bits(res.TaskLatencies[task.Name]))
+			}
+			return out + perTaskLog(t, path)
+		})
+		sameTranscripts(t, fmt.Sprintf("TuneNetwork at Workers %d", workers), plain, poisoned)
+		if first == "" {
+			first = plain
+		} else if plain != first {
+			t.Errorf("Workers %d tuned to another outcome than Workers 1", workers)
+		}
+	}
+}
+
+// perTaskLog renders a record log task by task: across worker counts the
+// tasks' records interleave differently, each task's own are the same.
+func perTaskLog(t *testing.T, path string) string {
+	t.Helper()
+	l, err := measure.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTask := map[string]string{}
+	var order []string
+	for _, rec := range l.Records {
+		if _, seen := perTask[rec.Task]; !seen {
+			order = append(order, rec.Task)
+		}
+		perTask[rec.Task] += fmt.Sprintf(" %016x %s\n", math.Float64bits(rec.Seconds), rec.Steps)
+	}
+	sort.Strings(order)
+	out := ""
+	for _, task := range order {
+		out += task + "\n" + perTask[task]
+	}
+	return out
+}
+
+// TestPoisonedTunerWarmStartAndLog: one tuner cold, a second warm-started
+// from the first's record log and recording its own — best time, program,
+// trials, model fingerprint and the bytes of both logs.
+func TestPoisonedTunerWarmStartAndLog(t *testing.T) {
+	task := ansor.NewTask("conv", workloads.ResNet50(1).Tasks[2].Build(), ansor.TargetIntelCPU(false))
+	plain, poisoned := twice(t, func(t *testing.T) string {
+		dir, out, from := t.TempDir(), "", ""
+		for i := 0; i < 2; i++ {
+			to := filepath.Join(dir, fmt.Sprintf("rec%d.jsonl", i))
+			tuner, err := ansor.NewTuner(task, ansor.TuningOptions{Trials: 32, MeasuresPerRound: 16, Workers: 2,
+				Seed: int64(7 + i), WarmStartFrom: from, RecordTo: to})
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, err := tuner.Tune()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best.State.InArena() || best.State.DAG == nil {
+				t.Fatal("the best program lives in an arena")
+			}
+			if _, err := ir.Lower(best.State); err != nil {
+				t.Fatal(err)
+			}
+			fp := tuner.ModelFingerprint()
+			if err := tuner.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log, err := os.ReadFile(to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprintf("%016x %s trials %d model %016x\n%s", math.Float64bits(best.Seconds),
+				best.State.Signature(), tuner.Trials(), fp, log)
+			from = to
+		}
+		return out
+	})
+	sameTranscripts(t, "NewTuner with warm start and record log", plain, poisoned)
+}
+
+// TestPoisonedBaselineSearch: the AutoTVM baseline, whose single-level
+// tiles make every offspring replay to an incomplete program — so every
+// attempt of its evolution takes the give-back path of a rejected child —
+// and the no-fine-tuning one, whose batches come straight from the
+// sampler's arena.
+func TestPoisonedBaselineSearch(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	for name, build := range map[string]func(policy.Task, measure.Interface, int64) (*policy.Policy, error){
+		"AutoTVM": baselines.NewAutoTVM, "NoFineTuning": baselines.NewNoFineTuning,
+	} {
+		plain, poisoned := twice(t, func(t *testing.T) string {
+			var log bytes.Buffer
+			ms := measure.New(sim.IntelXeon(), 0.02, 2)
+			ms.Recorder = measure.NewRecorder(&log)
+			p, err := build(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, ms, 13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := p.Tune(32, 16)
+			return fmt.Sprintf("%016x %s model %016x history %v\n%s", math.Float64bits(best),
+				p.BestState.Signature(), p.ModelFingerprint(), p.History, log.Bytes())
+		})
+		sameTranscripts(t, name, plain, poisoned)
+	}
+}
+
+// TestPoisonedProposalHeldAcrossRounds is Propose's exit invariant where
+// it can be made loud: a proposal is made, other policies run whole
+// rounds through the arenas it gave back, and only then is it committed.
+func TestPoisonedProposalHeldAcrossRounds(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	rig := func(seed int64, log *bytes.Buffer) *policy.Policy {
+		ms := measure.New(sim.IntelXeon(), 0.02, 2)
+		if log != nil {
+			ms.Recorder = measure.NewRecorder(log)
+		}
+		opts := policy.DefaultOptions()
+		opts.Seed, opts.Workers = seed, 2
+		p, err := policy.New(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, poisoned := twice(t, func(t *testing.T) string {
+		var log bytes.Buffer
+		held, neighbour := rig(5, &log), rig(6, nil)
+		out := ""
+		for round := 0; round < 3; round++ {
+			held.Propose(8)
+			neighbour.SearchRound(8)
+			neighbour.SearchRound(8)
+			for _, r := range held.SearchRound(8) {
+				if r.State.InArena() || r.State.DAG == nil {
+					t.Fatalf("round %d measured a program of an arena", round)
+				}
+				if err := r.State.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				out += fmt.Sprintf("%016x %s\n", math.Float64bits(r.Seconds), r.State.Signature())
+			}
+		}
+		return out + fmt.Sprintf("model %016x\n%s", held.ModelFingerprint(), log.Bytes())
+	})
+	sameTranscripts(t, "proposal held across a neighbour's rounds", plain, poisoned)
+}
+
+// poisonedScorer scores through the real program path with a stand-in for
+// the ensemble (evo's tests have the same).
+type poisonedScorer struct{ feats *feat.Cache }
+
+func (f poisonedScorer) Score(states []*ir.State) []float64 {
+	out := make([]float64, len(states))
+	for i, s := range states {
+		if e, ok := f.feats.Program(s); ok {
+			for _, row := range e.Feats {
+				out[i] += row[0] - row[len(row)-2]
+			}
+		}
+	}
+	return out
+}
+
+func (poisonedScorer) NodeScores(*ir.State) map[string]float64 { return nil }
+
+// TestPoisonedSearchRun is Search.Run's exit invariant made loud: the
+// population comes from the caller's arena, the children go into the
+// run's own, every one of them is released and reused before the result
+// is read, and the result reads as at any other worker count.
+func TestPoisonedSearchRun(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for _, workers := range []int{1, 2, 8} {
+		plain, poisoned := twice(t, func(t *testing.T) string {
+			mine := ir.BorrowArena()
+			init := anno.NewSampler(sketch.CPUTarget(), 3).SamplePopulationIn(mine, sketches, 32)
+			search := evo.NewSearch(evo.Config{PopulationSize: 48, Generations: 3, CrossoverProb: 0.15,
+				EliteCount: 6, Seed: 9, Workers: workers})
+			res := search.Run(dag, init, poisonedScorer{feat.NewCache(0)}, 1000)
+			mine.Release()
+			again := ir.BorrowArena()
+			anno.NewSampler(sketch.CPUTarget(), 4).SamplePopulationIn(again, sketches, 32)
+			defer again.Release()
+			out := ""
+			for _, s := range res {
+				if s.InArena() || s.DAG == nil {
+					t.Fatal("Run returned a program of an arena")
+				}
+				low, err := ir.Lower(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out += fmt.Sprintf("%s %016x\n%s", s.Signature(), math.Float64bits(sim.IntelXeon().Time(low)), s.Print())
+			}
+			return out
+		})
+		sameTranscripts(t, fmt.Sprintf("Search.Run at Workers %d", workers), plain, poisoned)
+		if first == "" {
+			first = plain
+		} else if plain != first {
+			t.Errorf("Workers %d evolved another result than Workers 1", workers)
+		}
+	}
+}

@@ -133,11 +133,13 @@ const (
 // Stage is the loop nest of one computation.
 //
 // Ownership: Iters and the spill slab belong to exactly one stage of one
-// state. NewState and Clone carve every stage's Iters out of one
-// allocation with the capacity clipped to the stage's share, so a step
-// may rewrite its stage's loops in place and a step that needs more room
-// appends into fresh memory, never into a neighbour. Every fused loop
-// gets a spill region of its own; regions are never reused.
+// state, and their memory is the heap's or the one arena's the state was
+// replayed into (State.InArena). NewState and Clone carve every stage's
+// Iters out of one allocation with the capacity clipped to the stage's
+// share, so a step may rewrite its stage's loops in place and a step that
+// needs more room carves or appends fresh memory, never a neighbour's.
+// Every fused loop gets a spill region of its own; regions are never
+// reused.
 type Stage struct {
 	Name string
 	Node *te.Node // synthesized for cache/rfactor stages
@@ -237,10 +239,17 @@ func (st *Stage) Complete() bool {
 // the same states from several goroutines, and Lower hands out pointers
 // into them. Nothing may write a stage, a loop or a spill slab from then
 // on; whoever wants a variant clones or replays.
+//
+// Ownership: a state, its stage list, stages, loops, spill slabs and step
+// slice live on the heap or in exactly one arena, and an arena state is
+// valid until that arena's Release; Clone always returns a heap state.
+// Nothing keyed by a state's address may see an arena state: addresses
+// are reused.
 type State struct {
 	DAG    *te.DAG
 	Stages []*Stage
 	Steps  []Step
+	arena  *Arena // nil: the heap
 
 	// sig memoizes Signature/FamilySignature and valid a passed Validate;
 	// Apply drops both. They are atomics because shared states are read
@@ -258,12 +267,14 @@ type sigMemo struct {
 
 // NewState returns the naive program of the DAG: one stage per node, one
 // loop per axis (space then reduce), no annotations.
-func NewState(dag *te.DAG) *State {
+func NewState(dag *te.DAG) *State { return newState(nil, dag) }
+
+func newState(a *Arena, dag *te.DAG) *State {
 	nIters := 0
 	for _, n := range dag.Nodes {
 		nIters += n.NumAxes()
 	}
-	s, stages, iters := newStateSlabs(dag, len(dag.Nodes), nIters)
+	s, stages, iters := newStateSlabs(a, dag, len(dag.Nodes), nIters)
 	for i, n := range dag.Nodes {
 		k := n.NumAxes()
 		stages[i] = Stage{Name: n.Name, Node: n, Iters: naiveIters(iters[:k:k], n)}
@@ -272,17 +283,27 @@ func NewState(dag *te.DAG) *State {
 	return s
 }
 
-// newStateSlabs allocates a state whose stages all live in one slab, and
-// the slab their loops are carved from. The stage list leaves room for
-// the stage a cache-write or rfactor step inserts.
-func newStateSlabs(dag *te.DAG, nStages, nIters int) (*State, []Stage, []Iter) {
-	s := &State{DAG: dag, Stages: make([]*Stage, nStages, nStages+2)}
-	stages := make([]Stage, nStages)
+// newStateSlabs allocates, in the arena, a state whose stages all live in
+// one slab, and the slab their loops are carved from. The stage list
+// leaves room for the stage a cache-write or rfactor step inserts.
+func newStateSlabs(a *Arena, dag *te.DAG, nStages, nIters int) (*State, []Stage, []Iter) {
+	var s *State
+	var stages []Stage
+	if a == nil {
+		s, stages = &State{Stages: make([]*Stage, nStages+2)}, make([]Stage, nStages)
+	} else {
+		s, stages = &a.states.carve(1)[0], a.stages.carve(nStages)
+		s.Stages = a.ptrs.carve(nStages + 2)
+	}
+	s.DAG, s.arena, s.Stages = dag, a, s.Stages[:nStages]
 	for i := range stages {
 		s.Stages[i] = &stages[i]
 	}
-	return s, stages, make([]Iter, nIters)
+	return s, stages, newIters(a, nIters)
 }
+
+// InArena reports whether the state lives in borrowed memory.
+func (s *State) InArena() bool { return s.arena != nil }
 
 // naiveIters fills dst (one slot per axis; allocated when nil) with the
 // node's naive nest.
@@ -297,15 +318,15 @@ func naiveIters(dst []Iter, n *te.Node) []Iter {
 	return dst
 }
 
-// Clone returns a deep copy of the state (steps are shared; they are
-// immutable after application). The memos carry over: a clone is
+// Clone returns a deep copy of the state on the heap (steps are shared;
+// they are immutable after application). The memos carry over: a clone is
 // structurally identical until its next Apply, which drops them.
 func (s *State) Clone() *State {
 	nIters := 0
 	for _, st := range s.Stages {
 		nIters += len(st.Iters)
 	}
-	c, stages, iters := newStateSlabs(s.DAG, len(s.Stages), nIters)
+	c, stages, iters := newStateSlabs(nil, s.DAG, len(s.Stages), nIters)
 	for i, st := range s.Stages {
 		k := len(st.Iters)
 		stages[i] = *st
@@ -425,20 +446,9 @@ func (s *State) MustApply(step Step) {
 	}
 }
 
-// Replay rebuilds a state from a DAG and a step list. This is the
-// verification path used after mutation and crossover (§5.1): a step list
-// that replays without error is a valid program. The state gets a step
-// slice of its own but shares the step values: a step is immutable once a
-// state holds it.
+// Replay is (*Arena).Replay onto the heap.
 func Replay(dag *te.DAG, steps []Step) (*State, error) {
-	s := NewState(dag)
-	s.Steps = make([]Step, 0, len(steps))
-	for i, step := range steps {
-		if err := s.Apply(step); err != nil {
-			return nil, errf("ir: replay step %d (%s): %v", i, step.Name(), err)
-		}
-	}
-	return s, nil
+	return (*Arena)(nil).Replay(dag, steps)
 }
 
 // Complete reports whether every stage of the state is complete (no

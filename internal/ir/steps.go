@@ -156,7 +156,7 @@ func (st *SplitStep) Apply(s *State) error {
 	if atom.Extent != Unfilled {
 		outer = atom.Extent / p
 	}
-	iters := make([]Iter, 0, len(stage.Iters)+parts-1)
+	iters := newIters(s.arena, len(stage.Iters)+parts-1)[:0]
 	iters = append(iters, stage.Iters[:st.IterIdx]...)
 	for i := 0; i < parts; i++ {
 		e := outer
@@ -219,6 +219,9 @@ func (st *FuseStep) Apply(s *State) error {
 	// regions of fused loops being fused again stay behind, unreferenced),
 	// and the loops after it close the gap in place.
 	spill := len(stage.fused)
+	if s.arena != nil && spill+atoms > cap(stage.fused) {
+		stage.fused = append(s.arena.atoms.carve(spill + atoms)[:0], stage.fused...)
+	}
 	stage.fused = slices.Grow(stage.fused, atoms)
 	for i := st.First; i < st.First+st.Count; i++ {
 		stage.fused = append(stage.fused, stage.Atoms(i)...)
@@ -265,7 +268,7 @@ func (st *ReorderStep) Apply(s *State) error {
 			len(st.Perm), len(stage.Iters), st.Stage)
 	}
 	seen := make([]bool, len(st.Perm))
-	out := make([]Iter, len(st.Perm))
+	out := newIters(s.arena, len(st.Perm))
 	for i, p := range st.Perm {
 		if p < 0 || p >= len(st.Perm) || seen[p] {
 			return errf("reorder: bad permutation %v", st.Perm)
@@ -481,7 +484,7 @@ func (st *MultiLevelTileStep) Apply(s *State) error {
 	if keepReduce {
 		n += nR
 	}
-	iters := make([]Iter, 0, n)
+	iters := newIters(s.arena, n)[:0]
 	sLevel, rLevel := 0, 0
 	for _, c := range st.Structure {
 		if c == 'S' {
@@ -575,7 +578,7 @@ func (st *FuseConsumerStep) Apply(s *State) error {
 	}
 	// Rebuild the consumer nest: OuterLevels blocks of all axes, then one
 	// fused inner loop per axis covering the producer's remaining levels.
-	iters := make([]Iter, 0, (st.OuterLevels+1)*nS)
+	iters := newIters(s.arena, (st.OuterLevels+1)*nS)[:0]
 	for l := 0; l < st.OuterLevels; l++ {
 		for a := 0; a < nS; a++ {
 			iters = append(iters, plainIter(levels[a*nL+l], te.Space, a, l, loopName(0).with(l)))

@@ -299,9 +299,20 @@ func (p *Policy) Propose(numMeasure int) {
 	p.Obs.Emit(obs.Event{Type: obs.EvRoundStart, Task: p.Task.Name, Round: p.round,
 		Trials: p.Trials})
 	p.fit()
+	// What is sampled lives in a borrowed arena until the proposal is
+	// made: only the batch, detached here, outlives it.
+	arena := ir.BorrowArena()
+	defer func() {
+		for i, s := range prop.batch {
+			if s.InArena() {
+				prop.batch[i] = s.Clone()
+			}
+		}
+		arena.Release()
+	}()
 	var init []*ir.State
 	p.phase("sketch", func() {
-		init = p.sampler.SamplePopulation(p.sketches, p.Opts.SampleInitSize)
+		init = p.sampler.SamplePopulationIn(arena, p.sketches, p.Opts.SampleInitSize)
 	})
 	for i, s := range p.bestStates {
 		if i >= p.Opts.KeepBest {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/anno"
 	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/obs"
@@ -172,5 +173,53 @@ func TestProposalContractViolationsPanic(t *testing.T) {
 	mustPanic("WarmStart on a pending proposal", func() { _, _ = r.p.WarmStart(nil) })
 	if got := len(r.p.SearchRound(8)); got != 8 {
 		t.Errorf("the pending proposal committed %d programs after the refused calls, want 8", got)
+	}
+}
+
+// TestProposeLeavesBatchOnHeap is the exit invariant of the proposal's
+// borrow (DESIGN.md "Program memory"): when Propose returns, nothing the
+// policy holds — the pending batch above all, the best pool, the best
+// state — lives in an arena, whether the batch came straight from the
+// sampler (the first round, the no-fine-tuning policy) or out of the
+// evolution. The batch then survives other proposals reusing the chunks
+// it was sampled into: it measures to what SearchRound alone measured.
+func TestProposeLeavesBatchOnHeap(t *testing.T) {
+	const rounds, n = 4, 8
+	for _, noFineTuning := range []bool{false, true} {
+		plain, held, neighbour := newProposeRig(t, nil), newProposeRig(t, nil), newProposeRig(t, nil)
+		for _, r := range []*proposeRig{plain, held} {
+			r.p.Opts.DisableFineTuning = noFineTuning
+		}
+		// Other programs than held's, or reused memory would read the same.
+		neighbour.p.sampler = anno.NewSampler(sketch.CPUTarget(), 99)
+		for i := 0; i < rounds; i++ {
+			want := resultKeys(plain.p.SearchRound(n))
+			held.p.Propose(n)
+			if len(held.p.pending.batch) != n {
+				t.Fatalf("round %d proposed %d programs", i, len(held.p.pending.batch))
+			}
+			held.p.ModelFingerprint() // fits, as a scheduler's checkpoint may between propose and commit
+			onHeap := func(what string, states ...*ir.State) {
+				for _, s := range states {
+					// A released arena is zeroed: a state of one has lost
+					// its DAG, and with it the mark of where it lived.
+					if s != nil && (s.InArena() || s.DAG == nil) {
+						t.Fatalf("round %d (fine-tuning off: %v): %s holds a program of an arena",
+							i, noFineTuning, what)
+					}
+				}
+			}
+			onHeap("pending batch", held.p.pending.batch...)
+			onHeap("best pool", held.p.bestStates...)
+			onHeap("best state", held.p.BestState)
+			// The arena the batch was sampled into goes through other hands.
+			neighbour.p.SearchRound(n)
+			if got := resultKeys(held.p.SearchRound(n)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d (fine-tuning off: %v): a batch held across a neighbour's round measured other programs", i, noFineTuning)
+			}
+		}
+		if !bytes.Equal(plain.log.Bytes(), held.log.Bytes()) {
+			t.Errorf("fine-tuning off: %v: record logs differ", noFineTuning)
+		}
 	}
 }

@@ -47,6 +47,17 @@ go test -race -count=10 -run 'TestProposeAheadEqualsSearchRound|TestUncommittedP
 go test -race -count=10 -run 'TestPrepareAheadChangesNoDecision|TestConvergedTaskIsNeverGuessed' ./internal/sched/
 go test -race -count=10 -run 'TestTuneNetworkRecordLogsEqualAcrossWorkers' ./ansor/
 
+# Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
+# with freed arena memory poisoned and the arenas' books checked at every
+# carve and release, and the two exit invariants — Search.Run returns and
+# Propose leaves no program of an arena. Ten times, because an arena handed
+# to two goroutines, or read after its release, shows only when another
+# borrower has reused it in between.
+step "race: borrowed program memory (x10)"
+go test -race -count=10 -run 'TestPoisoned|TestArena' ./internal/ir/
+go test -race -count=10 -run 'TestRunReturnsHeapStates' ./internal/evo/
+go test -race -count=10 -run 'TestProposeLeavesBatchOnHeap' ./internal/policy/
+
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite (including the
 # N-publishers/M-readers merge test) runs under the race detector,
