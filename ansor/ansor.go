@@ -179,13 +179,12 @@ type TuningOptions struct {
 	FleetURL string
 	// PooledCalibration pulls the registry server's fleet-pooled
 	// cross-target time calibration (/v1/calibration) at startup and
-	// applies it wherever sibling-target times need scaling: warm starts
-	// whose task has no local overlap with the sibling target, and
-	// foreign-clock fleet results under near-sibling dispatch. Locally
-	// fit scales always win; the pool only fills the gaps. Requires
-	// RegistryURL (ignored without it). Pooling refines training-data
-	// weighting only — best-k pools and measured bests are never touched
-	// (DESIGN.md, "Heterogeneous fleet").
+	// applies it to warm starts whose task has no local overlap with a
+	// sibling target to fit a time scale from. Locally fit scales always
+	// win; the pool only fills the gaps. Requires RegistryURL (ignored
+	// without it). Pooling refines training-data weighting only — best-k
+	// pools and measured bests are never touched (DESIGN.md, "Fleet warm
+	// start").
 	PooledCalibration bool
 	// WarmStartLimit caps how many records each warm-start source
 	// contributes per task (0 = unbounded). Server sources query with
@@ -258,7 +257,7 @@ type Tuner struct {
 	task     Task
 	opts     TuningOptions
 	pol      *policy.Policy
-	measurer measure.Interface
+	measurer *measure.Measurer
 	sess     *session.Session
 }
 
@@ -285,10 +284,7 @@ func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 			sess.Close()
 		}
 	}()
-	ms, err := sess.Measurer(task.Target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("ansor: %w", err)
-	}
+	ms := sess.Measurer(task.Target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
 	popts := policy.DefaultOptions()
 	popts.Seed = opts.Seed
 	popts.Workers = opts.Workers
@@ -476,10 +472,7 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	}
 	defer sess.Close() // for the error returns; the run's own Close is below
 	obsv := sess.Observer()
-	ms, err := sess.Measurer(target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
-	if err != nil {
-		return NetworkResult{}, fmt.Errorf("ansor: %w", err)
-	}
+	ms := sess.Measurer(target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
 	var tuners []sched.Tuner
 	var dnn sched.DNN
 	dnn.Name = net.Name

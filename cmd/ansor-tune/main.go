@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		wsLimit    = fs.Int("warm-start-limit", 0, "cap the records each warm-start source contributes per task, subsampled training-representatively (top-k fastest + slow tail); 0 = unbounded")
 		regURL     = fs.String("registry-url", "", "publish every fresh measurement to this ansor-registry server (e.g. http://127.0.0.1:8421) so concurrent tuning jobs accumulate one shared registry")
 		fleetURL   = fs.String("fleet-url", "", "measure on a distributed worker fleet via this broker (ansor-registry fleet) instead of in-process; output is bit-identical to a local run at any worker count")
-		pooledCal  = fs.Bool("pooled-calibration", false, "pull the -registry-url server's fleet-pooled cross-target time calibration at startup; fills calibration gaps for warm starts and foreign-clock fleet results where this run has no local overlap (training-data weighting only; measured bests are untouched)")
+		pooledCal  = fs.Bool("pooled-calibration", false, "pull the -registry-url server's fleet-pooled cross-target time calibration at startup; fills calibration gaps for warm starts from sibling targets where this run has no local overlap (training-data weighting only; measured bests are untouched)")
 		events     = fs.String("events", "", "stream the structured tuning narration as JSONL to this file path or the literal 'stderr': task/round/phase boundaries, scheduler waves, model training, best improvements, warm-start summaries, and per-batch fleet timelines joined by trace IDs; non-blocking and drop-on-full, so tuning output is bit-identical with or without it")
 		list       = fs.Bool("list", false, "list available workloads and exit")
 	)

@@ -21,15 +21,14 @@
 // (records belong to the submitting run); a worker is a pure
 // program-timing service.
 //
-// With near-sibling dispatch (-max-dispatch-distance, default 1) an
-// idle worker also volunteers for jobs of a compatible sibling target —
-// e.g. an avx512 worker drains an avx2 queue. The sibling job is timed
-// on the job target's own analytic model whenever this build knows it,
-// so the reported time is bit-identical to a native measurement and only
-// tagged measured_on for provenance; unknown targets are timed on the
-// hosted model instead and tagged with the clock's name, which makes the
-// submitting run calibrate the time and keep it training-only (see
-// DESIGN.md, "Heterogeneous fleet").
+// Under the broker's near-sibling dispatch (its -max-dispatch-distance,
+// default 1) an idle worker is also leased jobs of a compatible sibling
+// target — e.g. an avx512 worker drains an avx2 queue. The sibling job
+// is timed on the job target's own analytic model, so the reported time
+// is bit-identical to a native measurement and only tagged measured_on
+// for provenance; a target this build has no model for is never offered
+// to a sibling, and a grant naming one fails its programs (see
+// DESIGN.md, "Measurement fleet").
 //
 // The worker's own side of the fleet is observable: -metrics-addr
 // serves /metrics (JSON: leases taken, programs measured, sibling
@@ -110,7 +109,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		capacity    = fs.Int("capacity", 4, "programs per lease: how much of a batch this worker takes in one bite")
 		seed        = fs.Int64("seed", 1, "worker identity seed: distinguishes workers of the same target in the broker's failure accounting (give every worker of a fleet a distinct seed); measurement itself is seed-free")
 		id          = fs.String("id", "", "explicit worker id (default <target>-w<seed>)")
-		maxDist     = fs.Int("max-dispatch-distance", 1, "largest target distance this worker volunteers for when its native queue is idle: 0 = exact target only, 1 = same core family with a different vector ISA (e.g. avx2 <-> avx512); the broker caps it with its own -max-dispatch-distance")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
 		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, sibling grants, program errors, quarantine state), /metrics/prom or /metrics?format=prometheus (Prometheus text exposition), and /healthz; off when empty")
 		events      = fs.String("events", "", "stream structured JSONL lifecycle events (worker_lease, worker_result) to this file path or the literal \"stderr\"; non-blocking and drop-on-full, off when empty")
@@ -130,11 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if wid == "" {
 		wid = fmt.Sprintf("%s-w%d", m.Name, *seed)
 	}
-	if *maxDist < 0 {
-		return fmt.Errorf("-max-dispatch-distance must be >= 0, got %d", *maxDist)
-	}
 	w := fleet.NewWorker(*broker, wid, m, *capacity)
-	w.MaxDistance = *maxDist
 	if *events != "" {
 		sink, err := obs.OpenSink(*events)
 		if err != nil {

@@ -157,7 +157,7 @@ func TestAnsorBeatsRestrictedBaselines(t *testing.T) {
 	if testing.Short() {
 		trials = 96
 	}
-	run := func(mk func(policy.Task, measure.Interface, int64) (*policy.Policy, error), seed int64) float64 {
+	run := func(mk func(policy.Task, *measure.Measurer, int64) (*policy.Policy, error), seed int64) float64 {
 		ms := measure.New(sim.IntelXeon(), 0.02, seed)
 		p, err := mk(task, ms, seed)
 		if err != nil {

@@ -29,7 +29,7 @@ type Beam struct {
 	// collide.
 	Task string
 
-	Measurer measure.Interface
+	Measurer *measure.Measurer
 	model    *xgb.CostModel
 	rng      *rand.Rand
 
@@ -49,7 +49,7 @@ type Beam struct {
 }
 
 // NewBeam returns a beam searcher over the DAG.
-func NewBeam(dag *te.DAG, width int, ms measure.Interface, seed int64) *Beam {
+func NewBeam(dag *te.DAG, width int, ms *measure.Measurer, seed int64) *Beam {
 	return &Beam{
 		DAG:      dag,
 		Width:    width,

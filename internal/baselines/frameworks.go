@@ -10,7 +10,7 @@ import (
 // ("SSRS" instead of Ansor's "SSRSRS"), no cache stages, no rfactor, a
 // fixed annotation policy — but a cost-model-guided search within that
 // space, like AutoTVM's simulated annealing + XGBoost.
-func NewAutoTVM(task policy.Task, ms measure.Interface, seed int64) (*policy.Policy, error) {
+func NewAutoTVM(task policy.Task, ms *measure.Measurer, seed int64) (*policy.Policy, error) {
 	opts := policy.DefaultOptions()
 	opts.Seed = seed
 	opts.Structure = "SSRS"
@@ -25,7 +25,7 @@ func NewAutoTVM(task policy.Task, ms measure.Interface, seed int64) (*policy.Pol
 // target single operators), no change of padding's computation location
 // (no inlining of predicated producers is approximated by disabling
 // fusion entirely), and a fixed unrolling policy.
-func NewFlexTensor(task policy.Task, ms measure.Interface, seed int64) (*policy.Policy, error) {
+func NewFlexTensor(task policy.Task, ms *measure.Measurer, seed int64) (*policy.Policy, error) {
 	opts := policy.DefaultOptions()
 	opts.Seed = seed
 	opts.Structure = "SSRS"
@@ -40,7 +40,7 @@ func NewFlexTensor(task policy.Task, ms measure.Interface, seed int64) (*policy.
 // NewLimitedSpace returns the "Limited space" ablation of §7.1/§7.3:
 // Ansor's full tuner (random sampling + evolutionary fine-tuning with the
 // learned cost model) confined to the template-like space.
-func NewLimitedSpace(task policy.Task, ms measure.Interface, seed int64) (*policy.Policy, error) {
+func NewLimitedSpace(task policy.Task, ms *measure.Measurer, seed int64) (*policy.Policy, error) {
 	opts := policy.DefaultOptions()
 	opts.Seed = seed
 	opts.Structure = "SSRS"
@@ -51,7 +51,7 @@ func NewLimitedSpace(task policy.Task, ms measure.Interface, seed int64) (*polic
 
 // NewNoFineTuning returns the "No fine-tuning" ablation: Ansor's full
 // search space sampled randomly, no evolutionary search, no cost model.
-func NewNoFineTuning(task policy.Task, ms measure.Interface, seed int64) (*policy.Policy, error) {
+func NewNoFineTuning(task policy.Task, ms *measure.Measurer, seed int64) (*policy.Policy, error) {
 	opts := policy.DefaultOptions()
 	opts.Seed = seed
 	opts.DisableFineTuning = true
@@ -59,7 +59,7 @@ func NewNoFineTuning(task policy.Task, ms measure.Interface, seed int64) (*polic
 }
 
 // NewAnsor returns the full system.
-func NewAnsor(task policy.Task, ms measure.Interface, seed int64) (*policy.Policy, error) {
+func NewAnsor(task policy.Task, ms *measure.Measurer, seed int64) (*policy.Policy, error) {
 	opts := policy.DefaultOptions()
 	opts.Seed = seed
 	return policy.New(task, opts, ms)

@@ -47,12 +47,8 @@ type Config struct {
 }
 
 // measurer builds a measurer for the machine through the config's run.
-func (c Config) measurer(m *sim.Machine, seed int64) measure.Interface {
-	ms, err := c.Session.Measurer(m, c.Noise, seed, c.Workers)
-	if err != nil {
-		panic(fmt.Sprintf("exp: measurer for %s: %v", m.Name, err))
-	}
-	return ms
+func (c Config) measurer(m *sim.Machine, seed int64) *measure.Measurer {
+	return c.Session.Measurer(m, c.Noise, seed, c.Workers)
 }
 
 // warmStart seeds an Ansor policy from the run's warm-start source, if

@@ -53,7 +53,7 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	variant NetVariant, trialsPerTask int) NetTuneResult {
 	ms := cfg.measurer(plat.Machine, cfg.Seed)
 
-	mk := func(task policy.Task, m measure.Interface, seed int64) (*policy.Policy, error) {
+	mk := func(task policy.Task, m *measure.Measurer, seed int64) (*policy.Policy, error) {
 		switch variant {
 		case VariantNoFineTuning:
 			return baselines.NewNoFineTuning(task, m, seed)

@@ -132,7 +132,7 @@ func BenchmarkSiblingDispatch(b *testing.B) {
 						cl := NewClient(hs.URL)
 						id := fmt.Sprintf("bench-%s-%d", host.Name, wi)
 						for ctx.Err() == nil {
-							g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 4, MaxDistance: mode.dist})
+							g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 4})
 							if err != nil || g == nil {
 								idleTicks.Add(1)
 								select {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/regserver"
+	"repro/internal/sim"
 	"repro/internal/te"
 )
 
@@ -61,22 +61,13 @@ type Broker struct {
 	// answered with the results; the cap evicts the oldest if a submitter
 	// dies before asking, so a long-lived broker cannot leak memory.
 	MaxDoneJobs int
-	// MaxDispatchDistance caps near-sibling dispatch broker-wide: a
+	// MaxDispatchDistance is the fleet's near-sibling dispatch policy: a
 	// worker with an empty native queue may be leased a job whose target
-	// is within this measure.TargetDistance of the worker's (default 1:
-	// same core family, different vector ISA — avx2 ↔ avx512). The
-	// effective bound per lease is min(this, the worker's advertised
-	// MaxDistance), so either side can opt out; 0 restores exact-match
-	// sharding, and CPU ↔ GPU (distance 3) is never dispatched
-	// regardless.
+	// sim.ByName resolves and is within this measure.TargetDistance of
+	// the worker's (default 1: same core family, different vector ISA —
+	// avx2 ↔ avx512). 0 restores exact-match sharding, and CPU ↔ GPU
+	// (distance 3) is never dispatched regardless.
 	MaxDispatchDistance int
-	// LeaseTarget, when > 0, sizes leases by worker throughput instead
-	// of fixed capacity: a worker with an observed rate EWMA gets
-	// ceil(rate × LeaseTarget) programs per lease (clamped to [1, 4×
-	// its requested capacity]), so every lease aims to take roughly
-	// LeaseTarget of wall-clock and fast boards drain more of the queue.
-	// 0 (the default) grants exactly the requested capacity.
-	LeaseTarget time.Duration
 
 	// Obs carries the broker's counters and lease-wait histogram
 	// (Obs.Metrics — the JSON /metrics payload and the Prometheus
@@ -89,9 +80,9 @@ type Broker struct {
 
 	// bodyLimit is the request body bound, maxBody; tests lower it.
 	bodyLimit int64
-	// now is the broker's clock for lease deadlines, expiry reaping and
-	// the throughput EWMA; tests inject a fake to drive expiry without
-	// sleeping (long-poll request holds and uptime stay wall-clock).
+	// now is the broker's clock for lease deadlines and expiry reaping;
+	// tests inject a fake to drive expiry without sleeping (long-poll
+	// request holds and uptime stay wall-clock).
 	now func() time.Time
 
 	mu       sync.Mutex
@@ -109,20 +100,6 @@ type Broker struct {
 	started time.Time
 	mux     *http.ServeMux
 }
-
-// count resolves one of the broker's named counters from its observer's
-// registry. Lookups happen per request, not per program, so the map hit
-// is noise next to the HTTP handling around it — and it keeps the
-// counters live through a test swapping b.Obs for a shared observer.
-func (b *Broker) count(name string) *obs.Counter {
-	if b.Obs == nil || b.Obs.Metrics == nil {
-		return discardCounter
-	}
-	return b.Obs.Metrics.Counter(name)
-}
-
-// discardCounter absorbs bumps when a caller nilled the observer out.
-var discardCounter = &obs.Counter{}
 
 type job struct {
 	id     string
@@ -150,7 +127,7 @@ type lease struct {
 	worker   string
 	indices  []int
 	deadline time.Time
-	granted  time.Time // when handed out, for the throughput EWMA
+	granted  time.Time // when handed out, for batch_measured's duration
 }
 
 type workerState struct {
@@ -160,15 +137,7 @@ type workerState struct {
 	completed   int64
 	failures    int
 	quarantined bool
-	// ewma is the observed throughput in programs/second, updated on
-	// every completed lease (see ewmaAlpha); 0 until the first one.
-	ewma float64
 }
-
-// ewmaAlpha is the throughput EWMA's smoothing factor: each completed
-// lease contributes 30% of the new estimate, so a worker's rate adapts
-// within a few leases without one outlier batch whipsawing lease sizes.
-const ewmaAlpha = 0.3
 
 // NewBroker returns a broker with default lease TTL, quarantine
 // threshold, and sibling dispatch up to distance 1 (avx2 ↔ avx512).
@@ -199,8 +168,8 @@ func (b *Broker) Handler() http.Handler {
 		r.Body = cr
 		cw := &countingWriter{ResponseWriter: w}
 		b.mux.ServeHTTP(cw, r)
-		b.count("bytes_in").Add(cr.n)
-		b.count("bytes_out").Add(cw.n)
+		b.Obs.Add("bytes_in", cr.n)
+		b.Obs.Add("bytes_out", cw.n)
 	})
 }
 
@@ -363,7 +332,7 @@ func (b *Broker) reapLocked(now time.Time) {
 				continue
 			}
 			delete(j.leases, id)
-			b.count("lease_expiries").Inc()
+			b.Obs.Count("lease_expiries")
 			back := 0
 			for _, idx := range l.indices {
 				if !j.results[idx].Done {
@@ -516,7 +485,7 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 // enqueueLocked creates spec's job with every program queued. Callers
 // hold b.mu.
 func (b *Broker) enqueueLocked(spec *JobSpec, programs []json.RawMessage) *job {
-	b.count("jobs_submitted").Inc()
+	b.Obs.Count("jobs_submitted")
 	j := &job{
 		id:        spec.ID,
 		target:    spec.Target,
@@ -607,7 +576,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		if grant, ok := b.tryLeaseLocked(req); ok {
 			if waited {
-				b.count("lease_wakeups").Inc()
+				b.Obs.Count("lease_wakeups")
 			}
 			b.mu.Unlock()
 			// The programs are pieces of the submission's body, which no
@@ -647,20 +616,17 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // tryLeaseLocked hands req a slice of the oldest compatible job, if
-// any. Native work always wins: the job list is scanned at distance 0
-// (exact target match) first, and only a worker with nothing native
-// queued falls through to sibling distances, nearest first, up to
-// min(req.MaxDistance, b.MaxDispatchDistance) — so an idle avx512
-// board drains an avx2 backlog, but never at the cost of its own
-// queue, and CPU ↔ GPU never dispatches. Callers hold b.mu.
+// any, as large as the worker's capacity. Native work always wins: the
+// job list is scanned at distance 0 (exact target match) first, and only
+// a worker with nothing native queued falls through to sibling
+// distances, nearest first, up to b.MaxDispatchDistance — so an idle
+// avx512 board drains an avx2 backlog, but never at the cost of its own
+// queue, and CPU ↔ GPU never dispatches. A sibling times the job on the
+// model sim.ByName resolves for its target, so a job for a machine the
+// build does not know is offered to exact-match workers only. Callers
+// hold b.mu.
 func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
-	maxDist := req.MaxDistance
-	if maxDist > b.MaxDispatchDistance {
-		maxDist = b.MaxDispatchDistance
-	}
-	if maxDist > 2 {
-		maxDist = 2 // distance 3 is CPU ↔ GPU: never dispatched
-	}
+	maxDist := min(b.MaxDispatchDistance, 2) // distance 3 is CPU ↔ GPU: never dispatched
 	var j *job
 	dist := 0
 	for d := 0; d <= maxDist && j == nil; d++ {
@@ -669,6 +635,11 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 			if len(cand.queue) == 0 || measure.TargetDistance(cand.target, req.Target) != d {
 				continue
 			}
+			if d > 0 {
+				if _, known := sim.ByName(cand.target); !known {
+					continue
+				}
+			}
 			j, dist = cand, d
 			break
 		}
@@ -676,10 +647,7 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 	if j == nil {
 		return LeaseGrant{}, false
 	}
-	n := b.leaseSizeLocked(req)
-	if n > len(j.queue) {
-		n = len(j.queue)
-	}
+	n := min(req.Capacity, len(j.queue))
 	indices := append([]int(nil), j.queue[:n]...)
 	j.queue = j.queue[n:]
 	b.nextID++
@@ -694,8 +662,8 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 	j.leases[l.id] = l
 	detail := ""
 	if dist > 0 {
-		b.count("sibling_leases").Inc()
-		b.count("sibling_programs").Add(int64(len(indices)))
+		b.Obs.Count("sibling_leases")
+		b.Obs.Add("sibling_programs", int64(len(indices)))
 		detail = fmt.Sprintf("sibling dist=%d from=%s", dist, req.Target)
 	}
 	// Lease wait is submit→grant: how long the batch's work sat queued
@@ -711,27 +679,6 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		grant.Programs[k] = j.programs[idx]
 	}
 	return grant, true
-}
-
-// leaseSizeLocked resolves how many programs one lease may carry: the
-// worker's requested capacity, or — with a LeaseTarget and an observed
-// rate — enough programs to keep the worker busy for about LeaseTarget,
-// clamped to [1, 4 × capacity] so a cold estimate can neither starve a
-// worker nor let one board monopolize the queue. Callers hold b.mu.
-func (b *Broker) leaseSizeLocked(req LeaseRequest) int {
-	n := req.Capacity
-	ws := b.workers[req.Worker]
-	if b.LeaseTarget > 0 && ws != nil && ws.ewma > 0 {
-		want := int(math.Ceil(ws.ewma * b.LeaseTarget.Seconds()))
-		if max := 4 * req.Capacity; want > max {
-			want = max
-		}
-		if want < 1 {
-			want = 1
-		}
-		n = want
-	}
-	return n
 }
 
 // handleResults is the results-only entry into applyResultsLocked, for
@@ -783,11 +730,10 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 	accepted := 0
 	for _, wr := range post.Results {
 		if j.results[wr.Index].Done {
-			b.count("duplicate_results").Inc()
+			b.Obs.Count("duplicate_results")
 			continue
 		}
-		j.results[wr.Index] = UnitResult{Done: true, Noiseless: wr.Noiseless, Err: wr.Err,
-			MeasuredOn: wr.MeasuredOn, Clock: wr.Clock}
+		j.results[wr.Index] = UnitResult{Done: true, Noiseless: wr.Noiseless, Err: wr.Err, MeasuredOn: wr.MeasuredOn}
 		j.completed++
 		accepted++
 		// The index may have been requeued after this worker's lease
@@ -822,20 +768,6 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 	}
 	if ws := b.workers[post.Worker]; ws != nil {
 		ws.completed += int64(accepted)
-		// Fold the lease's observed throughput into the worker's rate
-		// EWMA (lease sizing under LeaseTarget). Only a lease the poster
-		// holds has a grant time to measure from; a zero or negative
-		// elapsed (fake clocks, sub-resolution batches) contributes nothing.
-		if l != nil && accepted > 0 {
-			if elapsed := b.now().Sub(l.granted).Seconds(); elapsed > 0 {
-				rate := float64(accepted) / elapsed
-				if ws.ewma <= 0 {
-					ws.ewma = rate
-				} else {
-					ws.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*ws.ewma
-				}
-			}
-		}
 	}
 	if accepted > 0 {
 		ev := obs.Event{Type: obs.EvBatchMeasured, Job: j.id, Trace: j.trace, Task: j.task,
@@ -855,7 +787,7 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 	// double-count it (jobs_completed <= jobs_submitted is a dashboard
 	// invariant).
 	if !wasDone && j.done() {
-		b.count("jobs_completed").Inc()
+		b.Obs.Count("jobs_completed")
 		b.done = append(b.done, j.id)
 		max := b.MaxDoneJobs
 		if max <= 0 {
@@ -894,7 +826,6 @@ func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		workers = append(workers, WorkerStatus{
 			ID: ws.id, Target: ws.target, Capacity: ws.capacity,
 			Completed: ws.completed, Failures: ws.failures, Quarantined: ws.quarantined,
-			RateEWMA: ws.ewma,
 		})
 		if ws.quarantined {
 			quarantined++

@@ -21,8 +21,8 @@ import (
 // fakeClock is a manually advanced time source for the broker's lease
 // clock: expiry tests advance it instead of sleeping, so they assert
 // exact reaping behavior with zero wall-clock waits and zero flake
-// surface. Only lease deadlines, reaping, and the throughput EWMA read
-// this clock; long-poll request holds stay on wall time (see Broker.now).
+// surface. Only lease deadlines and reaping read this clock; long-poll
+// request holds stay on wall time (see Broker.now).
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -466,8 +466,8 @@ func TestBrokerForeignLeasePostKeepsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ws := range m.Workers {
-		if ws.ID == "b" && (ws.Completed != 1 || ws.RateEWMA != 0) {
-			t.Errorf("b after the foreign-lease post: %+v, want 1 completed and no rate credit from a's grant time", ws)
+		if ws.ID == "b" && ws.Completed != 1 {
+			t.Errorf("b after the foreign-lease post: %+v, want 1 completed", ws)
 		}
 	}
 
@@ -591,7 +591,7 @@ func TestBrokerRejectsMalformedJobs(t *testing.T) {
 func assertNoJobs(t *testing.T, b *Broker) {
 	t.Helper()
 	b.mu.Lock()
-	held, submitted := len(b.jobs), b.count("jobs_submitted").Value()
+	held, submitted := len(b.jobs), b.Obs.Metrics.Counter("jobs_submitted").Value()
 	b.mu.Unlock()
 	if held != 0 || submitted != 0 {
 		t.Errorf("refused submissions left %d jobs held, %d counted", held, submitted)
@@ -599,7 +599,7 @@ func assertNoJobs(t *testing.T, b *Broker) {
 }
 
 // TestBrokerSiblingDispatch: an idle sibling worker (avx512 vs an avx2
-// job, distance 1) drains the queue when both sides opted in; the grant
+// job, distance 1) drains the queue under the broker's default; the grant
 // names the job's target so the worker can pick the right model, and the
 // sibling counters record the transfer.
 func TestBrokerSiblingDispatch(t *testing.T) {
@@ -607,7 +607,7 @@ func TestBrokerSiblingDispatch(t *testing.T) {
 	if _, err := cl.Submit(synthJob("intel-20c-avx2", 2)); err != nil {
 		t.Fatal(err)
 	}
-	grant, err := cl.Lease(LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 4, MaxDistance: 1})
+	grant, err := cl.Lease(LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 4})
 	if err != nil || grant == nil {
 		t.Fatalf("sibling lease: %+v err=%v", grant, err)
 	}
@@ -642,7 +642,7 @@ func TestBrokerSiblingDispatchNativeFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, err := cl.Lease(LeaseRequest{Worker: "w", Target: "intel-20c-avx512", Capacity: 4, MaxDistance: 1})
+	grant, err := cl.Lease(LeaseRequest{Worker: "w", Target: "intel-20c-avx512", Capacity: 4})
 	if err != nil || grant == nil {
 		t.Fatalf("lease: %+v err=%v", grant, err)
 	}
@@ -651,100 +651,64 @@ func TestBrokerSiblingDispatchNativeFirst(t *testing.T) {
 	}
 }
 
-// TestBrokerSiblingDispatchOptOut: either side saying 0 restores exact-
+// TestBrokerSiblingDispatchOptOut: the broker saying 0 restores exact-
 // match sharding, and CPU <-> GPU (distance 3) never dispatches no
-// matter how permissive both sides are.
+// matter how permissive the broker is.
 func TestBrokerSiblingDispatchOptOut(t *testing.T) {
-	for name, mutate := range map[string]func(*Broker){
-		"worker opts out": nil,
-		"broker opts out": func(b *Broker) { b.MaxDispatchDistance = 0 },
-	} {
-		_, cl := testBroker(t, mutate)
-		if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil {
-			t.Fatal(err)
-		}
-		req := LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 1, MaxDistance: 1}
-		if mutate == nil {
-			req.MaxDistance = 0
-		}
-		if grant, err := cl.Lease(req); err != nil || grant != nil {
-			t.Errorf("%s: lease = %+v err=%v, want none", name, grant, err)
-		}
-	}
-	// Distance 3 is uncrossable even with absurd bounds on both sides.
-	_, cl := testBroker(t, func(b *Broker) { b.MaxDispatchDistance = 99 })
+	_, cl := testBroker(t, func(b *Broker) { b.MaxDispatchDistance = 0 })
 	if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if grant, err := cl.Lease(LeaseRequest{Worker: "gpu", Target: "nvidia-v100", Capacity: 1, MaxDistance: 99}); err != nil || grant != nil {
+	if grant, err := cl.Lease(LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 1}); err != nil || grant != nil {
+		t.Errorf("broker opts out: lease = %+v err=%v, want none", grant, err)
+	}
+	// Distance 3 is uncrossable even with an absurd bound.
+	_, cl = testBroker(t, func(b *Broker) { b.MaxDispatchDistance = 99 })
+	if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if grant, err := cl.Lease(LeaseRequest{Worker: "gpu", Target: "nvidia-v100", Capacity: 1}); err != nil || grant != nil {
 		t.Errorf("CPU<->GPU lease = %+v err=%v, want never", grant, err)
 	}
 }
 
-// TestBrokerEWMALeaseSizing: with a LeaseTarget the broker sizes leases
-// from the worker's observed programs/sec EWMA — a worker that proved it
-// does 2 programs/sec gets ceil(2 x target) next time — clamped to 4x
-// the requested capacity so one board cannot monopolize the queue.
-func TestBrokerEWMALeaseSizing(t *testing.T) {
-	clk := newFakeClock()
-	b, cl := testBroker(t, func(b *Broker) {
-		b.LeaseTarget = 3 * time.Second
-		b.now = clk.Now
-	})
-	if _, err := cl.Submit(synthJob("cpu", 40)); err != nil {
-		t.Fatal(err)
-	}
-	// Cold worker: no EWMA yet, the lease carries exactly its capacity.
-	grant, err := cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 2})
-	if err != nil || grant == nil || len(grant.Indices) != 2 {
-		t.Fatalf("cold lease: %+v err=%v", grant, err)
-	}
-	// The worker finishes 2 programs in 1s: rate 2/s, EWMA seeds to 2.
-	clk.Advance(time.Second)
-	post := ResultPost{Worker: "w", Job: grant.Job, Lease: grant.Lease,
-		Results: []WorkerResult{{Index: 0, Noiseless: 1}, {Index: 1, Noiseless: 1}}}
-	if _, err := cl.PostResults(post); err != nil {
-		t.Fatal(err)
-	}
-	// Warm worker: 2/s x 3s target = 6 programs.
-	grant, err = cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 2})
-	if err != nil || grant == nil {
-		t.Fatal("warm lease failed")
-	}
-	if len(grant.Indices) != 6 {
-		t.Fatalf("warm lease size = %d, want ceil(2/s x 3s) = 6", len(grant.Indices))
-	}
-	// The clamp: a rate implying more than 4x capacity is capped.
-	clk.Advance(100 * time.Millisecond) // 6 programs in 0.1s -> rate 60/s
-	post = ResultPost{Worker: "w", Job: grant.Job, Lease: grant.Lease}
-	for _, idx := range grant.Indices {
-		post.Results = append(post.Results, WorkerResult{Index: idx, Noiseless: 1})
-	}
-	if _, err := cl.PostResults(post); err != nil {
-		t.Fatal(err)
-	}
-	grant, err = cl.Lease(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 2})
-	if err != nil || grant == nil {
-		t.Fatal("clamped lease failed")
-	}
-	if len(grant.Indices) != 8 {
-		t.Fatalf("clamped lease size = %d, want 4 x capacity = 8", len(grant.Indices))
-	}
-	// The observed rate is visible on the dashboard.
-	m, err := cl.Metrics()
+// TestBrokerUnknownTargetIsExactMatchOnly: a sibling times a job on the
+// model sim.ByName resolves for the job's target, so a job for a machine
+// this build does not know is never offered at distance 1 — however long
+// it waits — and goes to the worker registered under its exact name. A
+// request from an older peer that still says max_distance, or a result
+// that says clock, is read as any other: the field is ignored.
+func TestBrokerUnknownTargetIsExactMatchOnly(t *testing.T) {
+	b, cl := testBroker(t, nil)
+	const custom = "intel-20c-lab7" // family intel-20c: distance 1 from both built-in Xeons
+	ack, err := cl.Submit(synthJob(custom, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Workers) != 1 || m.Workers[0].RateEWMA <= 0 {
-		t.Errorf("worker rate EWMA missing from metrics: %+v", m.Workers)
+	checkLeaseTable(t, b, "submit")
+	for _, sib := range []string{"intel-20c-avx2", "intel-20c-avx512"} {
+		if grant, err := cl.Lease(LeaseRequest{Worker: "sib-" + sib, Target: sib, Capacity: 4}); err != nil || grant != nil {
+			t.Fatalf("%s was leased a job for unresolvable %s: %+v err=%v", sib, custom, grant, err)
+		}
+		checkLeaseTable(t, b, sib+" lease")
 	}
-	// With LeaseTarget off (the default), sizing is plain capacity even
-	// for a worker with history.
-	b.mu.Lock()
-	b.LeaseTarget = 0
-	n := b.leaseSizeLocked(LeaseRequest{Worker: "w", Capacity: 2})
-	b.mu.Unlock()
-	if n != 2 {
-		t.Errorf("LeaseTarget=0 lease size = %d, want the requested capacity 2", n)
+	code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json",
+		[]byte(`{"worker":"old","target":"`+custom+`","capacity":4,"max_distance":0}`))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("exact-match lease: %d %v", code, err)
+	}
+	checkLeaseTable(t, b, "exact-match lease")
+	grant, err := decodeGrant(raw)
+	if err != nil || grant.Job != ack.ID || grant.Target != custom || len(grant.Indices) != 2 {
+		t.Fatalf("exact-match grant = %+v err=%v, want both programs of %s", grant, err, ack.ID)
+	}
+	_, _, err = cl.do(context.Background(), http.MethodPost, "/v1/results", "application/json",
+		[]byte(fmt.Sprintf(`{"worker":"old","job":%q,"lease":%d,"results":[{"index":0,"noiseless":1,"clock":"x"},{"index":1,"noiseless":2}]}`, ack.ID, grant.Lease)))
+	checkLeaseTable(t, b, "results")
+	if st, perr := poll(cl, ack.ID); err != nil || perr != nil || !st.Done || st.Results[0].Noiseless != 1 {
+		t.Errorf("results with an older peer's clock tag: %+v post err=%v poll err=%v, want them accepted as the target's times", st, err, perr)
+	}
+	if m, err := cl.Metrics(); err != nil || m.SiblingLeases != 0 {
+		t.Errorf("sibling leases = %d err=%v, want 0", m.SiblingLeases, err)
 	}
 }

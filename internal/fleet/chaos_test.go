@@ -74,7 +74,7 @@ func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, see
 		id := fmt.Sprintf("chaos-%s-%d", host.Name, seed)
 		var done *ResultPost // what the next lease request returns
 		for ctx.Err() == nil {
-			g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 2, MaxDistance: 1, Done: done})
+			g, err := cl.Lease(LeaseRequest{Worker: id, Target: host.Name, Capacity: 2, Done: done})
 			checkLeaseTable(t, b, id+" lease")
 			done = nil
 			if err != nil || g == nil {
@@ -120,7 +120,7 @@ func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, see
 // TestFleetChaosBitIdentical: a mixed avx2/avx512 fleet with sibling
 // dispatch on, three chaos agents rolling faults from a fixed seed, and
 // a short lease TTL. At every seed the measured batch is bit-identical
-// to the in-process measurer and nothing leaks a training-only flag.
+// to the in-process measurer.
 func TestFleetChaosBitIdentical(t *testing.T) {
 	machine := sim.IntelXeon()
 	states := sampleStates(t, 32)
@@ -134,7 +134,7 @@ func TestFleetChaosBitIdentical(t *testing.T) {
 			})
 			url := bcl.base
 			startWorkers(t, url, sim.IntelXeon(), 2)          // native
-			startWorkers(t, url, sim.IntelXeonAVX512(), 1, 3) // siblings (MaxDistance 1 default)
+			startWorkers(t, url, sim.IntelXeonAVX512(), 1, 3) // siblings (the broker's distance 1 default)
 			startChaosAgent(t, b, url, sim.IntelXeon(), seed) // native-side faults
 			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+100)
 			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+200)
@@ -143,11 +143,6 @@ func TestFleetChaosBitIdentical(t *testing.T) {
 			res := rm.MeasureTask("mm", states)
 			checkLeaseTable(t, b, "the batch")
 			assertBitIdentical(t, "chaos", local, res)
-			for i, r := range res {
-				if r.TrainOnly || r.TrainWeight != 0 {
-					t.Fatalf("result %d leaked training-only flags (%v/%v): sim-resolved sibling measurement is full-fidelity", i, r.TrainOnly, r.TrainWeight)
-				}
-			}
 			if err := rm.Err(); err != nil {
 				t.Fatalf("latched fleet error under chaos: %v", err)
 			}
@@ -174,9 +169,6 @@ func TestSiblingOnlyFleetBitIdentical(t *testing.T) {
 		if r.Err != nil {
 			continue
 		}
-		if r.TrainOnly {
-			t.Fatalf("result %d training-only: sibling emulation must be full-fidelity", i)
-		}
 		if r.MeasuredOn != sibling.Name {
 			t.Fatalf("result %d measured_on = %q, want provenance %q", i, r.MeasuredOn, sibling.Name)
 		}
@@ -188,108 +180,5 @@ func TestSiblingOnlyFleetBitIdentical(t *testing.T) {
 	}
 	if m.SiblingLeases == 0 || m.SiblingPrograms == 0 {
 		t.Errorf("sibling counters = %d/%d, want > 0", m.SiblingLeases, m.SiblingPrograms)
-	}
-}
-
-// startForeignClockWorker runs a raw-protocol sibling worker whose build
-// "does not know" the job's target: it measures on its own hosted model
-// and tags both measured_on and clock, forcing the client's calibration
-// path. (Real workers only do this for machine models missing from
-// their binary; the test fakes that condition to pin the client.)
-func startForeignClockWorker(t *testing.T, url string, host *sim.Machine) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl := NewClient(url)
-		for ctx.Err() == nil {
-			g, err := cl.Lease(LeaseRequest{Worker: "foreign-" + host.Name, Target: host.Name, Capacity: 4, MaxDistance: 1})
-			if err != nil || g == nil {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(time.Millisecond):
-				}
-				continue
-			}
-			dag, err := te.DecodeDAGBinary(g.DAGBin)
-			if err != nil {
-				continue
-			}
-			post := ResultPost{Worker: "foreign-" + host.Name, Job: g.Job, Lease: g.Lease}
-			for k, idx := range g.Indices {
-				sec, err := NoiselessTime(host, dag, g.Programs[k]) // own model, own clock
-				wr := WorkerResult{Index: idx, Noiseless: sec, MeasuredOn: host.Name, Clock: host.Name}
-				if err != nil {
-					wr = WorkerResult{Index: idx, Err: err.Error()}
-				}
-				post.Results = append(post.Results, wr)
-			}
-			_, _ = cl.PostResults(post)
-		}
-	}()
-	t.Cleanup(func() {
-		cancel()
-		wg.Wait()
-	})
-}
-
-// TestForeignClockResultsCalibratedTrainingOnly pins the client's
-// handling of foreign-clock sibling times: uncalibrated they keep the
-// raw sibling seconds at the doubly-discounted training weight; with a
-// calibration (the pooled /v1/calibration answer) the seconds are
-// scaled and only the sibling discount remains. Either way the result
-// is training-only, skips the noise model, and is never recorded.
-func TestForeignClockResultsCalibratedTrainingOnly(t *testing.T) {
-	machine := sim.IntelXeon()
-	sibling := sim.IntelXeonAVX512()
-	states := sampleStates(t, 6)
-	// What the sibling's own clock reads for these programs.
-	sibTimes := measure.New(sibling, 0, 1).MeasureTask("mm", states)
-
-	run := func(cal *measure.Calibration) []measure.Result {
-		url := startBroker(t, nil)
-		startForeignClockWorker(t, url, sibling)
-		rm := remote(t, url, machine, 0.02, 17)
-		rm.Calibration = cal
-		rec := measure.NewRecorder(nil)
-		rm.Recorder = rec
-		res := rm.MeasureTask("mm", states)
-		if n := len(rec.Log().Records); n != 0 {
-			t.Fatalf("%d foreign-clock results were recorded; they must never enter the log", n)
-		}
-		return res
-	}
-
-	uncal := run(nil)
-	wantW := measure.WeightSibling * measure.UncalibratedFactor
-	for i, r := range uncal {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-		if !r.TrainOnly || r.TrainWeight != wantW {
-			t.Fatalf("result %d: TrainOnly=%v weight=%v, want true/%v", i, r.TrainOnly, r.TrainWeight, wantW)
-		}
-		if r.Seconds != sibTimes[i].NoiselessSeconds || r.NoiselessSeconds != sibTimes[i].NoiselessSeconds {
-			t.Fatalf("result %d: uncalibrated seconds %v, want the raw sibling clock %v", i, r.Seconds, sibTimes[i].NoiselessSeconds)
-		}
-		if r.MeasuredOn != sibling.Name {
-			t.Fatalf("result %d: measured_on = %q", i, r.MeasuredOn)
-		}
-	}
-
-	scaled := run(&measure.Calibration{Target: machine.Name, Scales: map[string]float64{sibling.Name: 0.75}})
-	for i, r := range scaled {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-		if !r.TrainOnly || r.TrainWeight != measure.WeightSibling {
-			t.Fatalf("result %d: calibrated weight = %v, want the plain sibling weight %v (discount applied exactly once)", i, r.TrainWeight, measure.WeightSibling)
-		}
-		if want := sibTimes[i].NoiselessSeconds * 0.75; r.Seconds != want {
-			t.Fatalf("result %d: calibrated seconds %v, want %v", i, r.Seconds, want)
-		}
 	}
 }

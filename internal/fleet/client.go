@@ -15,11 +15,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/regserver"
+	"repro/internal/sim"
 	"repro/internal/te"
 )
 
@@ -216,54 +215,31 @@ func (c *Client) Metrics() (Metrics, error) {
 	return m, err
 }
 
-// RemoteMeasurer implements measure.Interface over a measurement
-// broker: batches are submitted as fleet jobs, timed on remote workers,
-// and reassembled in submission order. Lowering (needed for features
-// and validity anyway), resume-cache serving, record emission, trial
-// accounting and noise all stay client-side, which is what makes a
-// fleet-measured run bit-identical to a local one at any worker count
-// or lease assignment (see the package comment).
+// RemoteMeasurer is a measure.Measurer whose Backend is a measurement
+// broker: the fresh programs of a batch are submitted as fleet jobs,
+// timed on remote workers and filled in by submission index. Everything
+// else — lowering, the resume cache, noise, trial counting, records — is
+// the embedded measurer's, which is what makes a fleet-measured run
+// bit-identical to a local one at any worker count or lease assignment
+// (see the package comment). Its Machine carries only the target's name:
+// with a Backend set the measurer times nothing on it.
 type RemoteMeasurer struct {
-	// Workers bounds the goroutines lowering and cache-checking one
-	// batch locally (0 = GOMAXPROCS), mirroring measure.Measurer.
-	Workers int
-	// Cache and Recorder behave exactly as on measure.Measurer: the
-	// cache serves already-recorded programs without any fleet round
-	// trip, and the recorder receives every fresh successful
-	// measurement.
-	Cache    *measure.MeasuredSet
-	Recorder *measure.Recorder
+	*measure.Measurer
 	// Timeout bounds one batch end to end (default 15m): a fleet with
 	// no live compatible worker fails the batch instead of hanging the
 	// search forever.
 	Timeout time.Duration
-	// Calibration, when set, scales foreign-clock sibling results (a
-	// worker that could not emulate this target's machine model and
-	// reported its own clock, UnitResult.Clock) onto the native clock.
-	// Typically the fleet-pooled calibration from the registry server's
-	// /v1/calibration. Calibrated or not, foreign-clock times are marked
-	// TrainOnly with the cross-target warm-start discount — they inform
-	// the cost model but never the best-k pool, the tuning history, or
-	// the record log, so the bit-identity contract covers sibling
-	// dispatch too.
-	Calibration *measure.Calibration
-
 	// Obs, when set, emits batch_queued/batch_reported events for every
 	// job (joined to the broker's batch_leased/batch_measured via the job
 	// and trace IDs). Observability only: a nil or non-nil Obs yields
 	// bit-identical tuning output.
 	Obs *obs.Observer
 
-	cl       *Client
-	target   string
-	noiseStd float64
-	seed     int64
+	cl *Client
 	// jobPrefix and jobSeq make this measurer's job ids: the prefix is
 	// random, so no two submitters of a broker ever choose the same id.
 	jobPrefix string
 	jobSeq    atomic.Int64
-
-	trials atomic.Int64
 	// traceSeq numbers this measurer's batches for JobSpec.Trace — a
 	// counter, not a clock, so enabling events never perturbs the wire
 	// bytes a deterministic run produces.
@@ -280,24 +256,15 @@ type RemoteMeasurer struct {
 func NewRemoteMeasurer(brokerURL, target string, noiseStd float64, seed int64) *RemoteMeasurer {
 	var nonce [8]byte
 	_, _ = rand.Read(nonce[:]) // crypto/rand does not fail on a supported platform
-	return &RemoteMeasurer{
+	rm := &RemoteMeasurer{
+		Measurer:  measure.New(&sim.Machine{Name: target}, noiseStd, seed),
 		cl:        NewClient(brokerURL),
-		target:    target,
-		noiseStd:  noiseStd,
-		seed:      seed,
 		jobPrefix: hex.EncodeToString(nonce[:]),
 		Timeout:   15 * time.Minute,
 	}
+	rm.Backend = rm.timeOnFleet
+	return rm
 }
-
-// TargetName names the machine model fleet workers time programs on.
-func (rm *RemoteMeasurer) TargetName() string { return rm.target }
-
-// Trials returns the fresh (non-cache-served) measurements so far.
-func (rm *RemoteMeasurer) Trials() int { return int(rm.trials.Load()) }
-
-// WorkerCount exposes the local parallelism bound (see policy.New).
-func (rm *RemoteMeasurer) WorkerCount() int { return rm.Workers }
 
 // Err returns the first broker failure this measurer latched. Batches
 // that hit one carry per-program errors too (the search skips them);
@@ -317,37 +284,21 @@ func (rm *RemoteMeasurer) latch(err error) {
 	}
 }
 
-// Measure implements measure.Interface.
-func (rm *RemoteMeasurer) Measure(states []*ir.State) []measure.Result {
-	return rm.MeasureTask("", states)
-}
-
-// MeasureTask implements measure.Interface: out[i] corresponds to
-// states[i], exactly as the in-process measurer guarantees.
-func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure.Result {
-	out := make([]measure.Result, len(states))
-	// Local stage: lower (validity + features), consult the resume
-	// cache, and encode steps for submission — all pure per-program
-	// work, shard it like the local measurer does.
-	pool.New(rm.Workers).Map(len(states), func(i int) {
-		out[i] = rm.localStage(task, states[i])
-	})
-	// Fresh programs (not cached, locally valid) go to the fleet, one
-	// job per distinct DAG (policy batches share their task's DAG, so one
-	// job per call in practice).
+// timeOnFleet is the measurer's Backend: it sends the batch's fresh
+// programs to the fleet, one job per distinct DAG (policy batches share
+// their task's DAG, so one job per call in practice).
+func (rm *RemoteMeasurer) timeOnFleet(task string, out []measure.Result, fresh []int) {
 	byDAG := map[string][]int{}
 	var dagOrder []string
 	dagEnc := map[string][]byte{}
-	for i := range out {
-		if out[i].Cached || out[i].Err != nil {
-			continue
-		}
-		fp := measure.DAGFingerprint(states[i].DAG)
+	for _, i := range fresh {
+		dag := out[i].State.DAG
+		fp := measure.DAGFingerprint(dag)
 		if _, seen := dagEnc[fp]; !seen {
 			dagOrder = append(dagOrder, fp)
 			// A nil entry marks a DAG that failed to encode: the whole
 			// group errors without re-encoding per program.
-			dagEnc[fp], _ = te.EncodeDAGBinary(states[i].DAG)
+			dagEnc[fp], _ = te.EncodeDAGBinary(dag)
 		}
 		if dagEnc[fp] == nil {
 			out[i].Err = fmt.Errorf("fleet: dag %s failed to encode", fp)
@@ -358,76 +309,13 @@ func (rm *RemoteMeasurer) MeasureTask(task string, states []*ir.State) []measure
 	// One trace ID per measured batch: every job of this call carries
 	// it, so the event stream reassembles the batch's
 	// queued→leased→measured→reported timeline across processes.
-	trace := fmt.Sprintf("%s@%s#%d", task, rm.target, rm.traceSeq.Add(1))
+	trace := fmt.Sprintf("%s@%s#%d", task, rm.Machine.Name, rm.traceSeq.Add(1))
 	for _, fp := range dagOrder {
 		if len(byDAG[fp]) == 0 {
 			continue // the group's DAG failed to encode; errors already set
 		}
-		rm.measureRemote(task, trace, dagEnc[fp], byDAG[fp], states, out)
+		rm.measureRemote(task, trace, dagEnc[fp], byDAG[fp], out)
 	}
-	var fresh int64
-	for i := range out {
-		if !out[i].Cached {
-			fresh++
-		}
-	}
-	rm.trials.Add(fresh)
-	if rm.Recorder != nil {
-		for _, r := range out {
-			if r.Cached || r.Err != nil || r.Seconds <= 0 {
-				continue
-			}
-			// Foreign-clock (train-only) results never enter the record
-			// log: a calibrated estimate filed as a measured native time
-			// would poison the resume cache and the registry.
-			if r.TrainOnly {
-				continue
-			}
-			rec, err := measure.NewRecord(task, rm.target, r)
-			if err != nil {
-				continue
-			}
-			_, _ = rm.Recorder.Record(rec)
-		}
-	}
-	return out
-}
-
-// localStage lowers one program and serves it from the cache when
-// possible; otherwise it returns the half-filled result: State, Lowered
-// and the program's canonical step encoding, which is the cache key, the
-// program's line in the job and, later, its record's steps.
-func (rm *RemoteMeasurer) localStage(task string, s *ir.State) measure.Result {
-	low, err := ir.Lower(s)
-	if err != nil {
-		return measure.Result{State: s, Err: err}
-	}
-	e, err := ir.EncodeSteps(s.Steps)
-	if err != nil {
-		return measure.Result{State: s, Err: fmt.Errorf("fleet: encode steps: %w", err)}
-	}
-	if rm.Cache != nil {
-		if rec, ok := rm.Cache.Lookup(rm.target, task, measure.DAGFingerprint(s.DAG), e); ok {
-			return measure.Result{
-				State: s, Lowered: low,
-				Seconds:          rm.noisy(rec.Noiseless, s.Signature()),
-				NoiselessSeconds: rec.Noiseless,
-				Cached:           true,
-				EncSteps:         e,
-			}
-		}
-	}
-	return measure.Result{State: s, Lowered: low, EncSteps: e}
-}
-
-// noisy applies the deterministic (seed, signature) noise to a
-// noiseless time — identically for cache-served and fleet-measured
-// results.
-func (rm *RemoteMeasurer) noisy(noiseless float64, sig string) float64 {
-	if rm.noiseStd <= 0 {
-		return noiseless
-	}
-	return noiseless * measure.NoiseFactor(rm.seed, rm.noiseStd, sig)
 }
 
 // Wire discipline constants: one value each, none of them an option.
@@ -448,9 +336,9 @@ const (
 // broker slices it into leases the size its workers ask for — and fills
 // the group's results. A broker failure fails the group's indices (the
 // search skips errored results) and latches for Err.
-func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, states []*ir.State, out []measure.Result) {
+func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, out []measure.Result) {
 	spec := JobSpec{ID: fmt.Sprintf("%s-%d", rm.jobPrefix, rm.jobSeq.Add(1)),
-		Target: rm.target, Task: task, Trace: trace, DAGBin: dag,
+		Target: rm.Machine.Name, Task: task, Trace: trace, DAGBin: dag,
 		Programs: make([]json.RawMessage, len(indices))}
 	for k, i := range indices {
 		spec.Programs[k] = out[i].EncSteps
@@ -465,41 +353,14 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices 
 		return
 	}
 	for k, i := range indices {
-		ur := results[k]
-		if ur.Err != "" {
+		switch ur := results[k]; {
+		case ur.Err != "":
 			out[i].Err = fmt.Errorf("fleet: worker: %s", ur.Err)
-			continue
-		}
-		if ur.Noiseless <= 0 {
+		case ur.Noiseless <= 0:
 			out[i].Err = fmt.Errorf("fleet: worker returned non-positive time %g", ur.Noiseless)
-			continue
+		default:
+			out[i].NoiselessSeconds, out[i].MeasuredOn = ur.Noiseless, ur.MeasuredOn
 		}
-		out[i].MeasuredOn = ur.MeasuredOn
-		if ur.Clock != "" && ur.Clock != rm.target {
-			// Foreign-clock sibling measurement: the worker could not
-			// emulate this target's model and timed the program on its
-			// own. Calibrate onto the native clock when a scale exists,
-			// discount like a cross-target warm-start record otherwise,
-			// and mark it training-only either way — a time from another
-			// machine's clock must never claim a measured best here.
-			w := measure.WeightSibling
-			if measure.TargetDistance(rm.target, ur.Clock) >= 2 {
-				w = measure.WeightSameClass
-			}
-			sec := ur.Noiseless
-			if scale, ok := rm.Calibration.Scale(ur.Clock); ok {
-				sec *= scale
-			} else {
-				w *= measure.UncalibratedFactor
-			}
-			out[i].NoiselessSeconds = sec
-			out[i].Seconds = sec
-			out[i].TrainOnly = true
-			out[i].TrainWeight = w
-			continue
-		}
-		out[i].NoiselessSeconds = ur.Noiseless
-		out[i].Seconds = rm.noisy(ur.Noiseless, states[i].Signature())
 	}
 }
 
@@ -559,10 +420,8 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 		}
 		if !inTime {
 			return nil, fmt.Errorf("job %s timed out after %s (%d/%d measured; is a worker for target %q registered and alive?)",
-				spec.ID, rm.Timeout, st.Completed, st.Total, rm.target)
+				spec.ID, rm.Timeout, st.Completed, st.Total, spec.Target)
 		}
 		time.Sleep(idlePause)
 	}
 }
-
-var _ measure.Interface = (*RemoteMeasurer)(nil)

@@ -11,30 +11,28 @@
 //   - Broker — an HTTP service (hosted by `ansor-registry fleet`)
 //     holding submitted jobs. A job is one measurement batch: a target
 //     name, a wire-encoded computation DAG, and one encoded step list
-//     per program. The broker leases batch slices to compatible workers
-//     — exact target-name match first, then (near-sibling dispatch) to
-//     idle workers within measure.TargetDistance of the job's target,
-//     bounded by both sides' max-dispatch-distance — requeues slices
-//     whose lease expired (straggler/crash recovery), quarantines
+//     per program. The broker leases batch slices, each the size the
+//     worker asked for, to compatible workers — exact target-name match
+//     first, then (near-sibling dispatch) to idle workers within its
+//     MaxDispatchDistance of a job target sim.ByName resolves — requeues
+//     slices whose lease expired (straggler/crash recovery), quarantines
 //     workers that keep failing, and reassembles results by submission
-//     index. With a LeaseTarget set it sizes each lease from the
-//     worker's observed programs/sec EWMA, so fast boards drain more of
-//     the queue per round trip.
+//     index.
 //
 //   - Worker (cmd/ansor-worker) — hosts a sim.Machine, long-polls the
-//     broker for leases, replays + lowers + times each leased program, and
-//     posts NOISELESS times back. Workers are stateless and
-//     interchangeable: nothing a worker computes depends on worker
-//     identity.
+//     broker for leases, replays + lowers + times each leased program on
+//     the job target's machine model, and posts NOISELESS times back.
+//     Workers are stateless and interchangeable: nothing a worker
+//     computes depends on worker identity.
 //
-//   - RemoteMeasurer — implements measure.Interface over the broker. It
-//     lowers programs locally (features and validity stay client-side),
-//     serves resume-cache hits locally, submits the rest as one job, and
-//     reapplies the deterministic (seed, signature)-keyed noise to the
-//     returned noiseless times — exactly how a cache-served result is
-//     reconstructed, so fleet-measured tuning runs are bit-identical to
-//     local runs at any worker count or assignment (DESIGN.md,
-//     "Measurement fleet").
+//   - RemoteMeasurer — a measure.Measurer whose Backend is the broker.
+//     The measurer lowers programs (features and validity stay
+//     client-side), serves resume-cache hits and applies the
+//     deterministic (seed, signature)-keyed noise exactly as it does in
+//     process; only the noiseless time of a fresh program comes from the
+//     fleet, so fleet-measured tuning runs are bit-identical to local
+//     runs at any worker count or assignment (DESIGN.md, "Measurement
+//     fleet").
 //
 // Determinism contract: the broker never orders results — it indexes
 // them; workers never roll noise — they report the pure machine-model
@@ -54,8 +52,9 @@ type JobSpec struct {
 	// submitting an ID the broker holds attaches to that job instead of
 	// enqueueing the batch again.
 	ID string `json:"id"`
-	// Target names the machine model programs must be timed on; only
-	// workers registered with exactly this target are leased the job.
+	// Target names the machine model programs must be timed on. Workers
+	// hosting it are leased the job first; when sim.ByName resolves it, so
+	// are idle near siblings, which time the programs on this model too.
 	Target string `json:"target,omitempty"`
 	// Task attributes the batch for observability; the broker never
 	// keys on it.
@@ -104,14 +103,6 @@ type LeaseRequest struct {
 	// POST /v1/results of the same post would be; a post it refuses
 	// refuses the whole request, which then changes and grants nothing.
 	Done *ResultPost `json:"done,omitempty"`
-	// MaxDistance is the largest measure.TargetDistance job this worker
-	// will take when its native queue is empty (near-sibling dispatch):
-	// 0 = exact match only, 1 = same core family with a different
-	// vector ISA (avx2 ↔ avx512), 2 = same hardware class.
-	// The broker also enforces its own -max-dispatch-distance cap; the
-	// effective bound is the smaller of the two. CPU ↔ GPU (distance 3)
-	// is never dispatched.
-	MaxDistance int `json:"max_distance,omitempty"`
 }
 
 // LeaseGrant hands a worker a slice of one job's batch: like a
@@ -146,15 +137,9 @@ type WorkerResult struct {
 	Err string `json:"err,omitempty"`
 	// MeasuredOn names the machine model the reporting worker hosts when
 	// it differs from the job's target (near-sibling dispatch); empty for
-	// the common exact-match case. Provenance only: when the worker could
-	// emulate the job target's analytic model the time is still the
-	// target's own.
+	// the common exact-match case. Provenance only: the time is the job
+	// target's own, whichever box computed it.
 	MeasuredOn string `json:"measured_on,omitempty"`
-	// Clock, when non-empty, says Noiseless was timed on this machine's
-	// clock instead of the job target's (the worker could not resolve the
-	// target's model): the client must calibrate the time onto the native
-	// clock and may use it for cost-model training only.
-	Clock string `json:"clock,omitempty"`
 }
 
 // ResultPost returns a lease's results: on its own (POST /v1/results) or
@@ -174,15 +159,14 @@ type ResultAck struct {
 	Accepted int `json:"accepted"`
 }
 
-// UnitResult is one program's outcome in a job status. MeasuredOn and
-// Clock carry the worker's sibling-dispatch tags through unchanged (see
+// UnitResult is one program's outcome in a job status. MeasuredOn
+// carries the worker's sibling-dispatch tag through unchanged (see
 // WorkerResult).
 type UnitResult struct {
 	Done       bool    `json:"done"`
 	Noiseless  float64 `json:"noiseless,omitempty"`
 	Err        string  `json:"err,omitempty"`
 	MeasuredOn string  `json:"measured_on,omitempty"`
-	Clock      string  `json:"clock,omitempty"`
 }
 
 // JobStatus answers a submission. Results are indexed by submission
@@ -207,11 +191,6 @@ type WorkerStatus struct {
 	Completed   int64  `json:"completed"`
 	Failures    int    `json:"failures"`
 	Quarantined bool   `json:"quarantined"`
-	// RateEWMA is the broker's throughput estimate for this worker in
-	// programs/second (an exponentially weighted moving average over its
-	// completed leases); 0 until the first lease completes. With a
-	// LeaseTarget set, lease sizes are RateEWMA × LeaseTarget.
-	RateEWMA float64 `json:"rate_ewma,omitempty"`
 }
 
 // Metrics is the broker's /metrics payload.

@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -98,6 +102,39 @@ func assertBitIdentical(t *testing.T, tag string, local, fleet []measure.Result)
 	}
 }
 
+// startPoisoningWorker runs a raw-protocol worker until test cleanup that
+// measures honestly, except that it reports an error for the program whose
+// step bytes are poison.
+func startPoisoningWorker(t *testing.T, url string, poison []byte) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cl := NewClient(url)
+		var done *ResultPost
+		for ctx.Err() == nil {
+			g, err := cl.LeaseContext(ctx, LeaseRequest{Worker: "poisoner", Target: sim.IntelXeon().Name,
+				Capacity: 3, WaitMS: 50, Done: done})
+			done = nil
+			if err != nil || g == nil {
+				continue
+			}
+			done = &ResultPost{Job: g.Job, Lease: g.Lease, Results: chaosResults(g)}
+			for k := range done.Results {
+				if bytes.Equal(g.Programs[k], poison) {
+					done.Results[k] = WorkerResult{Index: g.Indices[k], Err: "poisoned"}
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+}
+
 func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 	machine := sim.IntelXeon()
 	states := sampleStates(t, 24)
@@ -132,6 +169,78 @@ func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 	res := rmBad.MeasureTask("mm", states[:2])
 	if res[0].Err == nil || rmBad.Err() == nil {
 		t.Error("batch against an incompatible-only fleet should fail and latch")
+	}
+	// One batch of everything the front half tells apart — a program that
+	// fails to lower, one served from the resume cache, fresh ones, the
+	// same program twice, one a worker reports an error for — under a
+	// recorder, through both backends: the seam filled in process and a
+	// loopback fleet, whose worker fails the same program. What comes back,
+	// the trial count and the bytes of the record log are equal, and the
+	// noise and the records are what the measurer alone makes of a
+	// noiseless time.
+	bad := ir.NewState(states[0].DAG)
+	bad.MustApply(&ir.MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS"})
+	served, poisoned := states[0], states[7]
+	batch := append([]*ir.State{bad, served}, states[1:8]...)
+	batch = append(batch, states[1])
+	var history measure.Log
+	if _, err := history.AddAll("mm", machine.Name, local[:1]); err != nil {
+		t.Fatal(err)
+	}
+	poison, err := ir.EncodeSteps(poisoned.Steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urlMixed := startBroker(t, nil)
+	startPoisoningWorker(t, urlMixed, poison)
+	type outcome struct {
+		res    []measure.Result
+		trials int
+		log    string
+	}
+	run := func(ms *measure.Measurer, workers int) outcome {
+		var log bytes.Buffer
+		ms.Workers, ms.Recorder, ms.Cache = workers, measure.NewRecorder(&log), measure.NewMeasuredSet()
+		ms.Cache.AddLog(&history)
+		res := ms.MeasureTask("mm", batch)
+		return outcome{res, ms.Trials(), log.String()}
+	}
+	for _, workers := range []int{1, 8} {
+		inProcess := measure.New(machine, 0.02, 3)
+		inProcess.Backend = func(_ string, out []measure.Result, fresh []int) {
+			for _, i := range fresh {
+				if out[i].State == poisoned {
+					out[i].Err = errors.New("poisoned")
+					continue
+				}
+				out[i].NoiselessSeconds = machine.Time(out[i].Lowered)
+			}
+		}
+		want := run(inProcess, workers)
+		rm := remote(t, urlMixed, machine, 0.02, 3)
+		got := run(rm.Measurer, workers)
+		assertBitIdentical(t, "mixed", want.res, got.res)
+		if got.trials != want.trials || want.trials != len(batch)-1 {
+			t.Errorf("workers=%d: trials = %d on the fleet, %d in process, want %d (all but the cache-served)", workers, got.trials, want.trials, len(batch)-1)
+		}
+		if got.log != want.log || strings.Count(want.log, "\n") != 6 {
+			t.Errorf("workers=%d: record logs differ, or hold other than the 6 fresh successes:\nfleet:\n%s\nin process:\n%s", workers, got.log, want.log)
+		}
+		for i, r := range got.res {
+			w := want.res[i]
+			if r.Cached != w.Cached || r.Cached != (r.State == served) || !bytes.Equal(r.EncSteps, w.EncSteps) {
+				t.Errorf("workers=%d result %d: cached %v/%v, steps %q/%q", workers, i, r.Cached, w.Cached, r.EncSteps, w.EncSteps)
+			}
+			if (r.Err != nil) != (r.State == bad || r.State == poisoned) {
+				t.Errorf("workers=%d result %d: err = %v", workers, i, r.Err)
+			}
+			if r.Err == nil && r.Seconds != r.NoiselessSeconds*measure.NoiseFactor(3, 0.02, r.State.Signature()) {
+				t.Errorf("workers=%d result %d: %v s is not the (seed, signature) noise over %v s", workers, i, r.Seconds, r.NoiselessSeconds)
+			}
+		}
+		if err := rm.Err(); err != nil {
+			t.Errorf("workers=%d: a worker's program error latched as a broker failure: %v", workers, err)
+		}
 	}
 }
 
@@ -287,6 +396,46 @@ func TestWorkerRunExitsOnQuarantine(t *testing.T) {
 	defer cancel()
 	if err := w.Run(ctx); err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("Run = %v, want quarantine exit", err)
+	}
+}
+
+// TestWorkerFailsGrantForUnknownTarget: a worker handed a grant whose
+// target this build has no model for (no broker of this tree sends one:
+// the worker here is re-registered under the job's name on the way in)
+// fails the slice's programs, as it fails a bad DAG, and never times
+// them on its own machine. Program errors return the lease, so nothing
+// expires and nothing counts toward quarantine.
+func TestWorkerFailsGrantForUnknownTarget(t *testing.T) {
+	const custom = "lab-board-9"
+	b := NewBroker()
+	b.MaxFailures = 1
+	inner := b.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req LeaseRequest
+		if r.URL.Path == "/v1/lease" && json.NewDecoder(r.Body).Decode(&req) == nil {
+			req.Target = custom
+			body, _ := json.Marshal(req)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	startWorkers(t, hs.URL, sim.IntelXeon(), 2)
+	cl := NewClient(hs.URL)
+	spec := binJob(t, custom, sampleStates(t, 3))
+	spec.WaitMS = 5000
+	st, err := cl.Submit(spec)
+	if err != nil || !st.Done {
+		t.Fatalf("job for %s: %+v err=%v, want it answered", custom, st, err)
+	}
+	for i, ur := range st.Results {
+		if !strings.Contains(ur.Err, custom) || ur.Noiseless != 0 {
+			t.Errorf("result %d = %+v, want an error naming %s and no time", i, ur, custom)
+		}
+	}
+	m, err := cl.Metrics()
+	if err != nil || m.LeaseExpiries != 0 || m.Quarantined != 0 || len(m.Workers) != 1 || m.Workers[0].Failures != 0 {
+		t.Errorf("metrics %+v err=%v, want one worker with no failure charged", m, err)
 	}
 }
 

@@ -207,7 +207,7 @@ func FuzzJobDecode(f *testing.F) {
 				t.Fatalf("accepted %q with %d programs: bytes outside the counted lines", data, st.Total)
 			}
 		case http.StatusBadRequest, http.StatusNotFound:
-			if len(b.jobs) != 0 || b.count("jobs_submitted").Value() != 0 {
+			if len(b.jobs) != 0 || b.Obs.Metrics.Counter("jobs_submitted").Value() != 0 {
 				t.Fatalf("refused %q (%d) left %d jobs behind", data, rec.Code, len(b.jobs))
 			}
 		default:

@@ -14,10 +14,13 @@ import (
 
 // Worker is one measurement device of the fleet: it hosts a machine
 // model, long-polls the broker for leases, replays + lowers + times every
-// leased program, and posts the noiseless times back. Workers are
-// stateless — a worker can crash, restart, or be replaced at any time
-// and the broker's lease expiry puts its in-flight slice back in the
-// queue; nothing a worker computes depends on which worker it is.
+// leased program on the job target's model — the hosted one, or under
+// near-sibling dispatch the one sim.ByName resolves, whose time is the
+// target's exact time, just computed on another box — and posts the
+// noiseless times back. Workers are stateless — a worker can crash,
+// restart, or be replaced at any time and the broker's lease expiry puts
+// its in-flight slice back in the queue; nothing a worker computes
+// depends on which worker it is.
 type Worker struct {
 	// ID uniquely identifies the worker to the broker (quarantine and
 	// failure accounting key on it).
@@ -27,16 +30,6 @@ type Worker struct {
 	Machine *sim.Machine
 	// Capacity bounds how many programs one lease may carry.
 	Capacity int
-	// MaxDistance is the largest measure.TargetDistance job this worker
-	// volunteers for when its native target has no queued work
-	// (near-sibling dispatch): 0 = exact match only, 1 (NewWorker's
-	// default) = same core family with a different vector ISA. The
-	// broker caps it with its own -max-dispatch-distance. A sibling job
-	// is timed on the job target's own analytic model when sim.ByName
-	// resolves it — the result is the target's exact time, just computed
-	// on another box — and on this worker's machine otherwise, tagged
-	// with Clock so the client calibrates it and keeps it training-only.
-	MaxDistance int
 	// Obs carries the worker's metrics registry (leases, programs
 	// measured, sibling grants, program errors, quarantine state —
 	// served by MetricsHandler) and, when an event sink is attached,
@@ -44,7 +37,7 @@ type Worker struct {
 	// worker_result events joined to the submitter's timeline by the
 	// trace ID echoed on lease grants. NewWorker installs an events-off
 	// observer over a fresh registry; a zero Worker runs fine with it
-	// nil (all bumps are discarded).
+	// nil.
 	Obs *obs.Observer
 
 	cl      *Client
@@ -57,24 +50,13 @@ func NewWorker(brokerURL, id string, m *sim.Machine, capacity int) *Worker {
 		capacity = 1
 	}
 	return &Worker{
-		ID:          id,
-		Machine:     m,
-		Capacity:    capacity,
-		MaxDistance: 1,
-		Obs:         obs.New(nil, obs.NewRegistry()),
-		cl:          NewClient(brokerURL),
-		started:     time.Now(),
+		ID:       id,
+		Machine:  m,
+		Capacity: capacity,
+		Obs:      obs.New(nil, obs.NewRegistry()),
+		cl:       NewClient(brokerURL),
+		started:  time.Now(),
 	}
-}
-
-// count resolves one of the worker's named counters from its observer's
-// registry (per lease cycle, not per program — the map hit is noise
-// next to the HTTP round trip). Nil-safe for zero Workers.
-func (w *Worker) count(name string) *obs.Counter {
-	if w.Obs == nil || w.Obs.Metrics == nil {
-		return discardCounter
-	}
-	return w.Obs.Metrics.Counter(name)
 }
 
 // Ping checks the broker is reachable.
@@ -87,40 +69,35 @@ func (w *Worker) Ping() error { return w.cl.Ping() }
 // within the wait.
 func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, error) {
 	grant, err := w.cl.LeaseContext(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
-		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), MaxDistance: w.MaxDistance, Done: done})
+		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), Done: done})
 	if err != nil || grant == nil {
 		return nil, err
 	}
 	// Near-sibling dispatch: a grant for another target is timed on that
-	// target's own analytic model when it resolves — machine models are
-	// portable code, so the time is bit-identical to what the target's
-	// native worker would report, tagged measured_on for provenance.
-	// An unresolvable target (a machine this build does not know) is
-	// timed on the hosted model instead and tagged with Clock: the
-	// client must calibrate such times and keep them training-only.
-	m := w.Machine
-	measuredOn, clock := "", ""
+	// target's own analytic model — machine models are portable code, so
+	// the time is bit-identical to what the target's native worker would
+	// report, tagged measured_on for provenance.
+	m, measuredOn := w.Machine, ""
 	if grant.Target != "" && grant.Target != w.Machine.Name {
+		m, _ = sim.ByName(grant.Target)
 		measuredOn = w.Machine.Name
-		if sib, ok := sim.ByName(grant.Target); ok {
-			m = sib
-		} else {
-			clock = w.Machine.Name
-		}
 	}
-	w.count("leases_taken").Inc()
+	w.Obs.Count("leases_taken")
 	if measuredOn != "" {
-		w.count("sibling_grants").Inc()
+		w.Obs.Count("sibling_grants")
 	}
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerLease, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(grant.Indices)})
 	post := &ResultPost{Job: grant.Job, Lease: grant.Lease, Results: make([]WorkerResult, 0, len(grant.Indices))}
 	dag, err := te.DecodeDAGBinary(grant.DAGBin)
+	if err == nil && m == nil {
+		err = fmt.Errorf("no machine model named %q in this build (worker hosts %s)", grant.Target, measuredOn)
+	}
 	if err != nil {
-		// A bad DAG fails every program of the slice as a program error:
-		// it would fail identically on every other worker, so requeueing
-		// (by abandoning the lease) would only burn the fleet's patience
-		// quota on a poisoned job.
+		// A bad DAG, or a target this build cannot resolve, fails every
+		// program of the slice as a program error: it would fail identically
+		// on every other worker, so requeueing (by abandoning the lease)
+		// would only burn the fleet's patience quota on a poisoned job.
 		for _, idx := range grant.Indices {
 			post.Results = append(post.Results, WorkerResult{Index: idx, Err: err.Error()})
 		}
@@ -128,7 +105,6 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 		for k, idx := range grant.Indices {
 			wr := w.measureOne(m, dag, idx, grant.Programs[k])
 			wr.MeasuredOn = measuredOn
-			wr.Clock = clock
 			post.Results = append(post.Results, wr)
 		}
 	}
@@ -140,8 +116,8 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 			failed++
 		}
 	}
-	w.count("programs_measured").Add(int64(measured))
-	w.count("program_errors").Add(int64(failed))
+	w.Obs.Add("programs_measured", int64(measured))
+	w.Obs.Add("program_errors", int64(failed))
 	// Stamped when the slice is measured: the results travel with the next
 	// lease request, which may then wait a long time for work.
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerResult, Task: grant.Task, Target: grant.Target,

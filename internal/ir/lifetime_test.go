@@ -173,7 +173,7 @@ func TestPoisonedTunerWarmStartAndLog(t *testing.T) {
 // sampler's arena.
 func TestPoisonedBaselineSearch(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
-	for name, build := range map[string]func(policy.Task, measure.Interface, int64) (*policy.Policy, error){
+	for name, build := range map[string]func(policy.Task, *measure.Measurer, int64) (*policy.Policy, error){
 		"AutoTVM": baselines.NewAutoTVM, "NoFineTuning": baselines.NewNoFineTuning,
 	} {
 		plain, poisoned := twice(t, func(t *testing.T) string {

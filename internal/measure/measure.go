@@ -5,6 +5,7 @@
 package measure
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sync/atomic"
@@ -34,16 +35,6 @@ type Result struct {
 	// when it differs from the requested target (near-sibling fleet
 	// dispatch); empty means the target itself measured it.
 	MeasuredOn string
-	// TrainOnly marks a time that lives on a foreign clock even after
-	// calibration: it may train the cost model but must never enter the
-	// best-k pool or claim a measured best (the cross-target warm-start
-	// rule, applied to live fleet results).
-	TrainOnly bool
-	// TrainWeight scales the result's contribution to cost-model
-	// training; 0 means the default weight 1. Sibling-measured results
-	// carry the warm-start discount schedule.
-	TrainWeight float64
-
 	// EncSteps carries the canonical step encoding when the measurer
 	// already made it (for the cache lookup, for the fleet), so NewRecord
 	// does not encode the program a second time.
@@ -56,33 +47,6 @@ func (r Result) GFLOPS() float64 {
 		return 0
 	}
 	return r.Lowered.TotalFlops() / r.Seconds / 1e9
-}
-
-// Interface is the batch-measurement surface the search layers depend
-// on: policy, the baseline searchers, the experiment harnesses and the
-// public ansor API all measure through it. Two implementations exist:
-// *Measurer, which hosts the analytic machine model in-process, and
-// fleet.RemoteMeasurer, which ships batches to a measurement broker and
-// reassembles worker results in submission order. Implementations must
-// be safe for concurrent use, keep out[i] corresponding to states[i],
-// and return bit-identical results for the same (seed, program) — the
-// determinism contract of DESIGN.md extends across the interface.
-type Interface interface {
-	// Measure lowers and times the given programs; out[i] always
-	// corresponds to states[i]. Measurements are attributed to the empty
-	// task.
-	Measure(states []*ir.State) []Result
-	// MeasureTask is Measure with task attribution: cache lookups and
-	// emitted records are scoped to (target, task).
-	MeasureTask(task string, states []*ir.State) []Result
-	// Trials returns the total fresh measurements performed so far
-	// (results served from a resume cache are free and not counted).
-	Trials() int
-	// TargetName names the machine the measurements are (or claim to
-	// be) taken on — sim.Machine.Name for the in-process measurer, the
-	// job's target for a remote one. Records and warm-start filtering
-	// key on it.
-	TargetName() string
 }
 
 // Measurer measures batches of programs on one machine. A Measurer may be
@@ -114,6 +78,17 @@ type Measurer struct {
 	// the task passed to MeasureTask.
 	Recorder *Recorder
 
+	// Backend, when non-nil, times the batch's fresh programs in place of
+	// Machine.Time in process (a measurement fleet sets it). It is handed
+	// the batch and the indices that lowered, were not served from Cache
+	// and carry their EncSteps, and sets on each of exactly those either
+	// NoiselessSeconds — positive, the exact time of the model named
+	// Machine.Name — with MeasuredOn when another box computed it, or Err.
+	// Noise, trial counting and records stay with the measurer, so where a
+	// program was timed never shows in a result. Safe for concurrent use,
+	// like MeasureTask.
+	Backend func(task string, out []Result, fresh []int)
+
 	// trials counts fresh measurements performed (cache hits excluded),
 	// the unit of search budget in all of §7's experiments; read it
 	// through Trials.
@@ -130,15 +105,6 @@ func New(m *sim.Machine, noiseStd float64, seed int64) *Measurer {
 // MeasuredSet are free and not counted.
 func (ms *Measurer) Trials() int { return int(ms.trials.Load()) }
 
-// TargetName returns the hosted machine model's name.
-func (ms *Measurer) TargetName() string { return ms.Machine.Name }
-
-// WorkerCount exposes the configured lowering/timing parallelism so
-// policies built on this measurer can inherit it (see policy.New).
-func (ms *Measurer) WorkerCount() int { return ms.Workers }
-
-var _ Interface = (*Measurer)(nil)
-
 // Measure lowers and times the given programs across Workers goroutines.
 // out[i] always corresponds to states[i]. Measurements are attributed to
 // the empty task; searches that persist records use MeasureTask.
@@ -153,76 +119,85 @@ func (ms *Measurer) Measure(states []*ir.State) []Result {
 func (ms *Measurer) MeasureTask(task string, states []*ir.State) []Result {
 	out := make([]Result, len(states))
 	pool.New(ms.Workers).Map(len(states), func(i int) {
-		out[i] = ms.measureOne(task, states[i])
+		out[i] = ms.prepare(task, states[i])
 	})
-	var fresh int64
-	for i := range out {
-		if !out[i].Cached {
-			fresh++
+	if ms.Backend != nil {
+		fresh := make([]int, 0, len(out))
+		for i := range out {
+			if !out[i].Cached && out[i].Err == nil {
+				fresh = append(fresh, i)
+			}
 		}
+		ms.Backend(task, out, fresh)
 	}
-	ms.trials.Add(fresh)
-	if ms.Recorder != nil {
-		for _, r := range out {
-			if r.Cached || r.Err != nil || r.Seconds <= 0 {
-				continue
-			}
-			rec, err := NewRecord(task, ms.Machine.Name, r)
-			if err != nil {
-				continue
-			}
+	var trials int64
+	for i := range out {
+		r := &out[i]
+		if !r.Cached {
+			trials++
+		}
+		if r.Err != nil {
+			continue
+		}
+		// Cache-served, timed in process or timed by the backend, the noisy
+		// time is the same function of the noiseless one: a served result is
+		// bitwise what a fresh measurement returns, even from a log recorded
+		// under another noise seed.
+		r.Seconds = r.NoiselessSeconds
+		if ms.NoiseStd > 0 {
+			r.Seconds *= NoiseFactor(ms.Seed, ms.NoiseStd, r.State.Signature())
+		}
+		if ms.Recorder == nil || r.Cached || r.Seconds <= 0 {
+			continue
+		}
+		if rec, err := NewRecord(task, ms.Machine.Name, *r); err == nil {
 			_, _ = ms.Recorder.Record(rec)
 		}
 	}
+	ms.trials.Add(trials)
 	return out
 }
 
-func (ms *Measurer) measureOne(task string, s *ir.State) Result {
+// prepare is the per-program front half: lower, look the program up in
+// the cache, and — without a Backend — time it on the machine model. The
+// steps are encoded only when the cache or the backend needs the bytes.
+func (ms *Measurer) prepare(task string, s *ir.State) Result {
 	low, err := ir.Lower(s)
 	if err != nil {
 		return Result{State: s, Err: err}
 	}
-	var encSteps []byte
-	if ms.Cache != nil {
+	r := Result{State: s, Lowered: low}
+	if ms.Cache != nil || ms.Backend != nil {
 		// The exact cache key is the program's canonical step encoding:
 		// the structural Signature is too coarse (it exists for search
 		// dedupe) to guarantee the served time belongs to this program.
-		if enc, eerr := ir.EncodeSteps(s.Steps); eerr == nil {
-			if rec, ok := ms.Cache.Lookup(ms.Machine.Name, task, DAGFingerprint(s.DAG), enc); ok {
-				// Serve the recorded noiseless time and re-apply THIS
-				// measurer's deterministic noise: the result is bitwise
-				// what a fresh measurement would return, even when the
-				// log was recorded under a different noise seed.
-				noisy := rec.Noiseless
-				if ms.NoiseStd > 0 {
-					noisy = rec.Noiseless * ms.noiseFactor(s.Signature())
+		enc, err := ir.EncodeSteps(s.Steps)
+		switch {
+		case err == nil:
+			r.EncSteps = enc
+			if ms.Cache != nil {
+				if rec, ok := ms.Cache.Lookup(ms.Machine.Name, task, DAGFingerprint(s.DAG), enc); ok {
+					r.NoiselessSeconds, r.Cached = rec.Noiseless, true
+					return r
 				}
-				return Result{State: s, Lowered: low, Seconds: noisy,
-					NoiselessSeconds: rec.Noiseless, Cached: true, EncSteps: enc}
 			}
-			encSteps = enc
+		case ms.Backend != nil:
+			// A backend is sent the bytes; in process a step list the codec
+			// refuses only misses the cache.
+			return Result{State: s, Err: fmt.Errorf("measure: encode steps: %w", err)}
 		}
 	}
-	t := ms.Machine.Time(low)
-	noisy := t
-	if ms.NoiseStd > 0 {
-		noisy = t * ms.noiseFactor(s.Signature())
+	if ms.Backend == nil {
+		r.NoiselessSeconds = ms.Machine.Time(low)
 	}
-	return Result{State: s, Lowered: low, Seconds: noisy, NoiselessSeconds: t, EncSteps: encSteps}
-}
-
-// noiseFactor returns a deterministic lognormal-ish factor per program.
-func (ms *Measurer) noiseFactor(sig string) float64 {
-	return NoiseFactor(ms.Seed, ms.NoiseStd, sig)
+	return r
 }
 
 // NoiseFactor is the deterministic measurement-noise model: a
 // lognormal-ish factor that is a pure function of (seed, program
-// signature), emulating repeatable per-program measurement bias. It is
-// exported so every measurement path — in-process, cache-served, or a
-// remote fleet reassembling worker results — derives bitwise the same
-// noisy time from the same noiseless time (DESIGN.md's determinism
-// contract; noise is keyed by the tuning seed, never by who measured).
+// signature), emulating repeatable per-program measurement bias. Noise
+// is keyed by the tuning seed, never by who measured (DESIGN.md's
+// determinism contract).
 func NoiseFactor(seed int64, noiseStd float64, sig string) float64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(sig))

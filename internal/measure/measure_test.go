@@ -76,6 +76,69 @@ func TestDifferentSeedsDifferentNoise(t *testing.T) {
 	}
 }
 
+// foreignStep is a Step type from outside ir: it applies (to nothing),
+// and ir.EncodeSteps refuses it.
+type foreignStep struct{}
+
+func (foreignStep) Name() string          { return "foreign" }
+func (foreignStep) StageName() string     { return "matmul" }
+func (foreignStep) Apply(*ir.State) error { return nil }
+func (f foreignStep) Clone() ir.Step      { return f }
+
+// TestStepsEncodedOnlyForWhoNeedsThem: the front half encodes a step list
+// only when the cache or the backend wants the bytes, and a list the
+// codec refuses costs exactly what needed them — nothing in process, the
+// cache lookup under a cache, the program itself under a backend, which
+// is never handed it.
+func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
+	plain, odd := matmulState(t), matmulState(t)
+	odd.MustApply(foreignStep{})
+	batch := []*ir.State{plain, odd}
+	want := sim.IntelXeon().Time(mustLower(t, plain))
+
+	bare := New(sim.IntelXeon(), 0, 1)
+	cached := New(sim.IntelXeon(), 0, 1)
+	cached.Cache = NewMeasuredSet()
+	for name, ms := range map[string]*Measurer{"bare": bare, "cached": cached} {
+		for i, r := range ms.Measure(batch) {
+			if r.Err != nil || r.Cached || r.NoiselessSeconds <= 0 {
+				t.Errorf("%s measurer, program %d: %+v, want it measured in process", name, i, r)
+			}
+			if wantBytes := ms.Cache != nil && i == 0; (r.EncSteps != nil) != wantBytes {
+				t.Errorf("%s measurer, program %d: steps %q, want bytes = %v", name, i, r.EncSteps, wantBytes)
+			}
+		}
+	}
+
+	var handed []int
+	backed := New(sim.IntelXeon(), 0.02, 1)
+	backed.Backend = func(_ string, out []Result, fresh []int) {
+		handed = fresh
+		for _, i := range fresh {
+			out[i].NoiselessSeconds = want
+		}
+	}
+	res := backed.Measure(batch)
+	if len(handed) != 1 || handed[0] != 0 || res[0].Err != nil || res[0].NoiselessSeconds != want || len(res[0].EncSteps) == 0 {
+		t.Errorf("backend was handed %v and program 0 came back %+v, want it alone, with its bytes", handed, res[0])
+	}
+	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "encode steps") || res[1].State != odd || res[1].Seconds != 0 {
+		t.Errorf("program 1 under a backend = %+v, want its encode error and no time", res[1])
+	}
+	if backed.Trials() != 2 {
+		t.Errorf("trials = %d, want 2: an errored program is still not cache-served", backed.Trials())
+	}
+}
+
+func mustLower(t *testing.T, s *ir.State) *ir.Lowered {
+	t.Helper()
+	low, err := ir.Lower(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return low
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	b := te.NewBuilder("mm")
 	a := b.Input("A", 64, 64)

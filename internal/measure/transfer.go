@@ -1,9 +1,11 @@
 // Cross-target transfer primitives: target distance classification and
 // per-target-pair time calibration. They live in measure (not warm)
-// because every layer that moves measurements between machine clocks
-// needs them — warm start discounts sibling history with them, the
-// fleet broker uses distance to decide near-sibling dispatch, and the
-// registry server fits pooled calibrations over its whole record log.
+// because more than warm start needs them: warm start calibrates and
+// discounts sibling history with them, the registry server fits pooled
+// calibrations over its whole record log, and the fleet broker uses
+// distance alone to decide near-sibling dispatch (a sibling times a
+// program on the job target's own model, so no fleet time is ever
+// calibrated).
 package measure
 
 import (
@@ -124,12 +126,6 @@ func FitCalibration(refs []Record, target string) *Calibration {
 	sibBest := map[string]map[pairKey]float64{}
 	for _, rec := range refs {
 		if rec.Seconds <= 0 || rec.Task == "" {
-			continue
-		}
-		// A record measured on a sibling's clock (measured_on set to a
-		// different target than it is filed under) is not a clean sample
-		// of either target; keep it out of the fit.
-		if rec.MeasuredOn != "" && rec.MeasuredOn != rec.Target {
 			continue
 		}
 		k := pairKey{rec.Task, rec.DAG}

@@ -84,14 +84,17 @@ func (o *Observer) Observe(name string, seconds float64) {
 	o.Metrics.Histogram(name, nil).Observe(seconds)
 }
 
-// Count adds one to the named counter of the observer's registry,
-// creating it on first use.
-func (o *Observer) Count(name string) {
+// Add adds n to the named counter of the observer's registry, creating
+// it on first use.
+func (o *Observer) Add(name string, n int64) {
 	if o == nil || o.Metrics == nil {
 		return
 	}
-	o.Metrics.Counter(name).Inc()
+	o.Metrics.Counter(name).Add(n)
 }
+
+// Count adds one to the named counter.
+func (o *Observer) Count(name string) { o.Add(name, 1) }
 
 // FakeClock returns a deterministic clock for tests: the first call
 // yields start, and every call advances it by step. Safe for

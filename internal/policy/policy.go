@@ -102,10 +102,10 @@ type Policy struct {
 	Task Task
 	Opts Options
 
-	// Measurer is the measurement surface the policy spends its budget
-	// through: the in-process machine-model measurer, or a fleet
-	// RemoteMeasurer — search results are bit-identical either way.
-	Measurer measure.Interface
+	// Measurer is what the policy spends its budget through; whether it
+	// times programs in process or on a fleet, search results are
+	// bit-identical.
+	Measurer *measure.Measurer
 
 	// Obs narrates the search when set: round and phase events, model
 	// training and best-improved events, and the round/phase latency
@@ -178,7 +178,7 @@ type HistoryPoint struct {
 
 // New builds a policy for the task: it generates the task's sketches once
 // (the search space construction of §4.1).
-func New(task Task, opts Options, ms measure.Interface, extraRules ...sketch.Rule) (*Policy, error) {
+func New(task Task, opts Options, ms *measure.Measurer, extraRules ...sketch.Rule) (*Policy, error) {
 	target := task.Target
 	if opts.Structure != "" {
 		target.Structure = opts.Structure
@@ -201,9 +201,7 @@ func New(task Task, opts Options, ms measure.Interface, extraRules ...sketch.Rul
 	sampler := anno.NewSampler(target, opts.Seed)
 	sampler.Fixed = opts.FixedAnnotation
 	if opts.Workers == 0 && ms != nil {
-		if wc, ok := ms.(interface{ WorkerCount() int }); ok {
-			opts.Workers = wc.WorkerCount()
-		}
+		opts.Workers = ms.Workers
 	}
 	mopts := xgb.DefaultOpts()
 	mopts.Workers = opts.Workers
@@ -460,15 +458,7 @@ func (p *Policy) update(results []measure.Result) {
 		if !ok {
 			continue
 		}
-		// Sibling-measured fleet results (near-sibling dispatch) arrive
-		// calibrated but on a foreign clock: they train the model at the
-		// cross-target discount and never enter the best pool, exactly
-		// like transferred warm-start records.
-		w := r.TrainWeight
-		if w <= 0 {
-			w = 1
-		}
-		p.absorbWeighted(r.State, e.Feats, r.Seconds, w, r.TrainOnly)
+		p.absorbWeighted(r.State, e.Feats, r.Seconds, 1, false)
 	}
 	p.rebuildBestPool()
 	p.stale = true
@@ -480,10 +470,9 @@ func (p *Policy) update(results []measure.Result) {
 // stale are the caller's job), with a training weight and an optional
 // train-only restriction. A train-only program feeds the cost model but never
 // enters the best-k pool, the best time, or the measured set —
-// transferred cross-target records (and live sibling-measured fleet
-// results) must inform the model without claiming a measured best on
-// this target, and must stay measurable if the search picks them
-// natively.
+// transferred cross-target warm-start records must inform the model
+// without claiming a measured best on this target, and must stay
+// measurable if the search picks them natively.
 func (p *Policy) absorbWeighted(s *ir.State, feats [][]float64, seconds, weight float64, trainOnly bool) {
 	p.progFeats = append(p.progFeats, feats)
 	p.progTimes = append(p.progTimes, seconds)
@@ -608,7 +597,7 @@ type WarmRecord struct {
 func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 	ws := make([]WarmRecord, 0, len(recs))
 	for _, rec := range recs {
-		if rec.Target != "" && p.Measurer != nil && rec.Target != p.Measurer.TargetName() {
+		if rec.Target != "" && p.Measurer != nil && rec.Target != p.Measurer.Machine.Name {
 			continue
 		}
 		ws = append(ws, WarmRecord{Record: rec, Weight: 1})

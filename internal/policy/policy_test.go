@@ -317,67 +317,6 @@ func TestWarmStartWeightedTrainOnlyAndWeights(t *testing.T) {
 	}
 }
 
-// TestUpdateRoutesTrainOnlyFleetResults: live fleet results carrying
-// TrainOnly/TrainWeight (foreign-clock sibling measurements) follow the
-// warm-start rule inside update() itself — they train the model at
-// their weight but never claim a best, never enter the best-k pool,
-// and never mark the program as measured.
-func TestUpdateRoutesTrainOnlyFleetResults(t *testing.T) {
-	task := Task{Name: "mm", DAG: matmulReLU(256, 256, 256), Target: sketch.CPUTarget()}
-	ms := measure.New(sim.IntelXeon(), 0.02, 1)
-	p, err := New(task, DefaultOptions(), ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := p.sampler.SamplePopulation(p.sketches, 12)
-	if len(states) == 0 {
-		t.Fatal("sampled no states")
-	}
-	res := ms.MeasureTask(task.Name, states)
-	asFleet := make([]measure.Result, len(res))
-	copy(asFleet, res)
-	for i := range asFleet {
-		asFleet[i].TrainOnly = true
-		asFleet[i].TrainWeight = measure.WeightSibling
-	}
-	untrained := xgb.NewCostModel(xgb.DefaultOpts()).Fingerprint()
-
-	p.update(asFleet)
-	if p.ModelFingerprint() == untrained {
-		t.Error("train-only fleet results must still train the cost model")
-	}
-	if p.BestState != nil || p.BestTime != 1e30 {
-		t.Errorf("train-only fleet results claimed a best: %v / %g", p.BestState, p.BestTime)
-	}
-	if len(p.bestStates) != 0 {
-		t.Errorf("%d train-only results entered the best-k pool", len(p.bestStates))
-	}
-	if len(p.measuredSigs) != 0 {
-		t.Errorf("%d train-only results marked programs as measured", len(p.measuredSigs))
-	}
-	for i, w := range p.progWeights {
-		if w != measure.WeightSibling {
-			t.Fatalf("training weight %d = %v, want the sibling discount %v", i, w, measure.WeightSibling)
-		}
-	}
-
-	// The same programs measured natively afterwards behave normally:
-	// they claim the best, fill the pool, and train at weight 1.
-	before := len(p.progWeights)
-	p.update(res)
-	if p.BestState == nil || p.BestTime >= 1e30 {
-		t.Fatal("native results after train-only absorption claimed no best")
-	}
-	if len(p.bestStates) == 0 || len(p.measuredSigs) == 0 {
-		t.Error("native results missing from best pool / measured set")
-	}
-	for i, w := range p.progWeights[before:] {
-		if w != 1 {
-			t.Fatalf("native training weight %d = %v, want the default 1", i, w)
-		}
-	}
-}
-
 // maxIncrementalRounds bounds the two searches below. A round boosts
 // only when it leaves the best time where it was, and which round first
 // does that is up to the search trajectory — so they run their 8 rounds

@@ -471,8 +471,8 @@ func (c *Client) Records(workload, target string, limit int) (*measure.Log, erro
 // calibration for one native target: per-sibling-target scales fit over
 // the overlap pairs of every workload the registry holds (see
 // /v1/calibration). Callers hand the result to warm.RecordsCalibrated
-// and fleet.RemoteMeasurer.Calibration so tasks with no native history
-// still calibrate sibling-measured times.
+// so tasks with no native history still calibrate a sibling target's
+// times.
 func (c *Client) Calibration(target string) (*measure.Calibration, error) {
 	resp, err := c.get(c.base + "/v1/calibration?" + url.Values{"target": {target}}.Encode())
 	if err != nil {

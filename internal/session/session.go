@@ -128,33 +128,26 @@ func (s *Session) calibration(target string) (*measure.Calibration, error) {
 	return cal, nil
 }
 
-// Measurer returns a measurement surface for the machine wired to the
-// run's recorder, resume cache and observer: the in-process machine
-// model, or, with a FleetURL, a remote measurer shipping batches to the
-// broker (which scales foreign-clock results by the pooled calibration
-// when the spec asks for one). Close reports the first broker failure
-// any remote measurer latched.
-func (s *Session) Measurer(m *sim.Machine, noise float64, seed int64, workers int) (measure.Interface, error) {
+// Measurer returns the run's measurer for the machine, wired to its
+// recorder and resume cache: it times programs on the machine model in
+// process or, with a FleetURL, through the broker. Close reports the
+// first broker failure any fleet measurer latched.
+func (s *Session) Measurer(m *sim.Machine, noise float64, seed int64, workers int) *measure.Measurer {
 	if s == nil {
 		s = &Session{}
 	}
-	cal, err := s.calibration(m.Name)
-	if err != nil {
-		return nil, err
-	}
+	var ms *measure.Measurer
 	if s.spec.FleetURL == "" {
-		ms := measure.New(m, noise, seed)
-		ms.Workers = workers
-		ms.Recorder, ms.Cache = s.rec, s.cache
-		return ms, nil
+		ms = measure.New(m, noise, seed)
+	} else {
+		rm := fleet.NewRemoteMeasurer(s.spec.FleetURL, m.Name, noise, seed)
+		rm.Obs = s.obsv
+		s.remotes = append(s.remotes, rm)
+		ms = rm.Measurer
 	}
-	rm := fleet.NewRemoteMeasurer(s.spec.FleetURL, m.Name, noise, seed)
-	rm.Workers = workers
-	rm.Recorder, rm.Cache = s.rec, s.cache
-	rm.Calibration = cal
-	rm.Obs = s.obsv
-	s.remotes = append(s.remotes, rm)
-	return rm, nil
+	ms.Workers = workers
+	ms.Recorder, ms.Cache = s.rec, s.cache
+	return ms
 }
 
 // WarmStart seeds the policy from the run's warm-start source — fetch,

@@ -208,12 +208,8 @@ func TestOpenFailsAllOrNothing(t *testing.T) {
 // process, narrates nowhere, warm-starts from nothing and closes clean.
 func TestNilSessionIsTheZeroRun(t *testing.T) {
 	var s *Session
-	ms, err := s.Measurer(sim.IntelXeon(), 0.02, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, ok := ms.(*measure.Measurer)
-	if !ok || local.Workers != 2 || local.Recorder != nil || local.Cache != nil {
+	ms := s.Measurer(sim.IntelXeon(), 0.02, 1, 2)
+	if ms.Backend != nil || ms.Workers != 2 || ms.Recorder != nil || ms.Cache != nil {
 		t.Errorf("Measurer = %#v, want a bare in-process measurer with 2 workers", ms)
 	}
 	if s.Observer() != nil {

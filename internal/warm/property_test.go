@@ -119,23 +119,23 @@ func TestFitCalibrationRecoversKnownScale(t *testing.T) {
 	}
 }
 
-// TestFitCalibrationExcludesSiblingMeasuredRecords: a record filed under
-// a target but measured on another clock (measured_on provenance) is not
-// a clean sample of either target and must not skew the fit.
-func TestFitCalibrationExcludesSiblingMeasuredRecords(t *testing.T) {
+// TestFitCalibrationCountsSiblingMeasuredRecords: a record with
+// measured_on provenance holds the exact time of the target it is filed
+// under, computed on another box (near-sibling fleet dispatch), so it is
+// as clean a sample as any other and counts toward the pair total.
+func TestFitCalibrationCountsSiblingMeasuredRecords(t *testing.T) {
 	const native, sib = "intel-20c-avx512", "intel-20c-avx2"
 	refs := []measure.Record{
 		wrec("a", sib, "d1", 2.0, 0), wrec("a", native, "d1", 1.0, 1),
 		wrec("b", sib, "d2", 4.0, 2), wrec("b", native, "d2", 2.0, 3),
 	}
-	poison := wrec("c", sib, "d3", 1000, 4)
-	poison.MeasuredOn = native // foreign clock: must be ignored
-	poisonNative := wrec("c", native, "d3", 0.001, 5)
-	poisonNative.MeasuredOn = sib
-	refs = append(refs, poison, poisonNative)
-	s, ok := measure.FitCalibration(refs, native).Scale(sib)
-	if !ok || math.Abs(s-0.5) > 1e-12 {
-		t.Fatalf("scale = %v (ok=%v), want exactly 0.5 with the poisoned pair excluded", s, ok)
+	onNative := wrec("c", sib, "d3", 6.0, 4)
+	onNative.MeasuredOn = native
+	onSib := wrec("c", native, "d3", 3.0, 5)
+	onSib.MeasuredOn = sib
+	cal := measure.FitCalibration(append(refs, onNative, onSib), native)
+	if s, ok := cal.Scale(sib); !ok || math.Abs(s-0.5) > 1e-12 || cal.Pairs[sib] != 3 {
+		t.Fatalf("scale = %v (ok=%v) from %d pairs, want 0.5 from all 3", s, ok, cal.Pairs[sib])
 	}
 }
 

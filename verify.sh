@@ -93,12 +93,17 @@ go run -C bench repro/bench --workload fleet-batch --seed 1 --seconds 3 --trace 
 
 printf '\nverify: all gates passed\n'
 
-# The number ROADMAP tracks for the design-quality leg, for HEAD (unpacked
+# The numbers ROADMAP tracks for the design-quality leg — non-test Go
+# lines, and the CLI flags declared under cmd/ (the simplicity guide asks
+# a change to count what can be set before and after) — for HEAD (unpacked
 # with git archive, as ab.sh unpacks a parent) beside the working tree, so
-# a CHANGES.md entry quotes the gate's count and a simplicity change its
-# difference. Not a gate.
+# a CHANGES.md entry quotes the gate's counts and a simplicity change
+# their difference. Not a gate.
 count() {
 	(cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+}
+flags() {
+	(cd "$1" && cat cmd/*/*.go | grep -cE 'fs\.(String|Int|Int64|Bool|Float64|Duration)\(')
 }
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/verify.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -106,3 +111,6 @@ git archive HEAD | tar -x -C "$tmp"
 head=$(count "$tmp")
 tree=$(count .)
 printf 'non-test Go lines outside bench/: %s (HEAD %s, %+d)\n' "$tree" "$head" "$((tree - head))"
+head=$(flags "$tmp")
+tree=$(flags .)
+printf 'CLI flags declared under cmd/: %s (HEAD %s, %+d)\n' "$tree" "$head" "$((tree - head))"
