@@ -129,7 +129,9 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 // machine model, or a sibling job target's model under near-sibling
 // dispatch). The returned time is the model's exact (noiseless) time:
 // noise is derived by the submitting client from its tuning seed, never
-// rolled on a worker (the package determinism contract).
+// rolled on a worker (the package determinism contract). The lowering is
+// borrowed: it is read only inside Time, and nothing that points into it
+// outlives Release.
 func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []byte) WorkerResult {
 	steps, err := ir.DecodeSteps(encSteps)
 	if err != nil {
@@ -139,11 +141,13 @@ func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []b
 	if err != nil {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("replay: %v", err)}
 	}
-	low, err := ir.Lower(s)
+	low, err := ir.LowerBorrowed(s)
 	if err != nil {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("lower: %v", err)}
 	}
-	return WorkerResult{Index: index, Noiseless: m.Time(low)}
+	sec := m.Time(low)
+	low.Release()
+	return WorkerResult{Index: index, Noiseless: sec}
 }
 
 // Run leases from the broker until ctx is cancelled. Each lease request
@@ -197,16 +201,4 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-time.After(pause):
 		}
 	}
-}
-
-// NoiselessTime is the worker-side measurement as a plain function:
-// replay steps on a DAG and time the lowered program on a machine.
-// Exposed for tests asserting worker/measurer equivalence directly.
-func NoiselessTime(m *sim.Machine, dag *te.DAG, encSteps []byte) (float64, error) {
-	w := Worker{Machine: m}
-	r := w.measureOne(m, dag, 0, encSteps)
-	if r.Err != "" {
-		return 0, errors.New(r.Err)
-	}
-	return r.Noiseless, nil
 }

@@ -238,12 +238,13 @@ func (d *stepDecoder) null() bool {
 	return true
 }
 
-// step reads one {"kind":...,"data":{...}} envelope, in either order:
-// the data object is stepped over where it stands and read once the
-// whole envelope, and so the kind, is known.
+// step reads one {"kind":...,"data":{...}} envelope, in either order.
+// After the kind — where EncodeSteps writes it — the data object is read
+// in place; before it, the object is stepped over where it stands and
+// read once the whole envelope, and so the kind, is known.
 func (d *stepDecoder) step() Step {
 	var s Step
-	data, seen := 0, 0
+	data, seen := -1, 0
 	d.expect('{')
 	for first := true; d.next(first, '}'); first = false {
 		key := d.raw()
@@ -255,6 +256,10 @@ func (d *stepDecoder) step() Step {
 			if s = stepKinds[string(kind)]; s == nil {
 				d.fail("unknown step kind %q", kind)
 			}
+		case string(key) == "data" && seen&2 == 0 && s != nil:
+			seen |= 2
+			s = s.Clone()
+			d.fields(s)
 		case string(key) == "data" && seen&2 == 0:
 			seen |= 2
 			d.ws()
@@ -270,11 +275,13 @@ func (d *stepDecoder) step() Step {
 	if d.err != nil {
 		return nil
 	}
-	s = s.Clone()
-	end := d.i
-	d.i = data
-	d.fields(s)
-	d.i = end
+	if data >= 0 {
+		s = s.Clone()
+		end := d.i
+		d.i = data
+		d.fields(s)
+		d.i = end
+	}
 	return s
 }
 

@@ -7,40 +7,80 @@ import (
 )
 
 // Time returns the modelled execution time of a complete lowered program,
-// in seconds. It is pure and deterministic.
+// in seconds. It is pure and deterministic, and allocates nothing for a
+// program whose statements fit its stack buffers.
 func (m *Machine) Time(low *ir.Lowered) float64 {
-	ctx := m.analyzeResidency(low)
+	// One call's working memory. A statement or program past these
+	// buffers takes its slice from the heap: no rank or loop count is
+	// capped.
+	var floats [512]float64
+	var levels [16]int
+	ctx := progCtx{stmts: low.Stmts, level: carve(levels[:], len(low.Stmts)), floats: floats[:]}
+	m.analyzeResidency(&ctx)
 	var t float64
 	for i := range low.Stmts {
-		t += m.stmtTime(&low.Stmts[i], ctx)
+		st := &low.Stmts[i]
+		par, speedup := m.parallelism(st)
+		t += m.stmtTime(st, par, speedup, m.memoryTime(st, speedup, &ctx))
 	}
 	return t
 }
 
-// progCtx records, per intermediate tensor, the index of the cache level
-// where its producer leaves the data for its consumers (len(Caches) means
-// DRAM). This is what makes operator fusion and cache-write stages pay
-// off: an intermediate consumed within the loop region that produced it
-// never round-trips to memory.
-type progCtx struct {
-	srcLevel map[string]int
+// carve returns buf[:n], or a fresh slice when n is past buf.
+func carve[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
-func (m *Machine) analyzeResidency(low *ir.Lowered) *progCtx {
-	ctx := &progCtx{srcLevel: map[string]int{}}
-	producer := map[string]*ir.Stmt{}
-	for i := range low.Stmts {
-		if st := &low.Stmts[i]; st.Write != nil {
-			producer[st.Write.Tensor.Name] = st
+// progCtx is one Time call's view of the program. level records, per
+// statement, the index of the cache level where the tensor it writes is
+// left for its consumers (len(Caches) means DRAM, -1 that no statement
+// reads it). This is what makes operator fusion and cache-write stages pay
+// off: an intermediate consumed within the loop region that produced it
+// never round-trips to memory. floats is the call's scratch, reused by
+// every statement.
+type progCtx struct {
+	stmts  []ir.Stmt
+	level  []int
+	floats []float64
+}
+
+// producer returns the index of the last statement that writes the tensor
+// named name, or -1.
+func (c *progCtx) producer(name string) int {
+	for i := len(c.stmts) - 1; i >= 0; i-- {
+		if w := c.stmts[i].Write; w != nil && w.Tensor.Name == name {
+			return i
 		}
 	}
-	for i := range low.Stmts {
-		st := &low.Stmts[i]
-		for _, r := range st.Reads {
-			p, ok := producer[r.Tensor.Name]
-			if !ok {
+	return -1
+}
+
+// srcLevel returns where the tensor named name already lives: the level
+// its producer leaves it at, or dram.
+func (c *progCtx) srcLevel(name string, dram int) int {
+	if p := c.producer(name); p >= 0 && c.level[p] >= 0 {
+		return c.level[p]
+	}
+	return dram
+}
+
+// analyzeResidency fills ctx.level from each producer write's footprint
+// below the loop prefix it shares with each of its consumers.
+func (m *Machine) analyzeResidency(ctx *progCtx) {
+	for i := range ctx.level {
+		ctx.level[i] = -1
+	}
+	for i := range ctx.stmts {
+		st := &ctx.stmts[i]
+		for r := range st.Reads {
+			pi := ctx.producer(st.Reads[r].Tensor.Name)
+			if pi < 0 {
 				continue
 			}
+			p := &ctx.stmts[pi]
 			// Common loop-path prefix between producer and consumer:
 			// the intermediate is regenerated per iteration of the
 			// shared prefix, so its live footprint is the producer's
@@ -50,43 +90,47 @@ func (m *Machine) analyzeResidency(low *ir.Lowered) *progCtx {
 				p.Loops[shared] == st.Loops[shared] {
 				shared++
 			}
-			bytes := m.accessLineBytes(p, p.Write, shared)
+			foot := carve(ctx.floats, len(p.Loops)+1)
+			footprints(p.Write, p.Loops, m.lineBytes(), p.PackedConst && p.Write.Tensor.Const, foot)
 			lvl := len(m.Caches)
 			for ci, c := range m.Caches {
-				if bytes <= float64(c.SizeBytes) {
+				if foot[shared] <= float64(c.SizeBytes) {
 					lvl = ci
 					break
 				}
 			}
-			if old, ok := ctx.srcLevel[r.Tensor.Name]; !ok || lvl > old {
-				ctx.srcLevel[r.Tensor.Name] = lvl
-			}
+			ctx.level[pi] = max(ctx.level[pi], lvl)
 		}
 	}
-	return ctx
 }
 
-// accessLineBytes returns the line-granular footprint of one access of a
-// statement when path loops < depth are fixed.
-func (m *Machine) accessLineBytes(st *ir.Stmt, a *ir.FlatAccess, depth int) float64 {
-	lb := 64
+// lineBytes is the granularity footprints are counted in.
+func (m *Machine) lineBytes() int {
 	if len(m.Caches) > 0 {
-		lb = m.Caches[0].LineBytes
+		return m.Caches[0].LineBytes
 	}
-	return accessFootprint(a, st.Loops, depth, lb, st.PackedConst && a.Tensor.Const)
+	return 64
 }
 
-// Throughput returns the modelled throughput in GFLOP/s of the program.
-func (m *Machine) Throughput(low *ir.Lowered) float64 {
-	t := m.Time(low)
-	if t <= 0 {
-		return 0
+// parallelism returns the product of a statement's parallel extents and
+// the speedup they buy on the machine's cores.
+func (m *Machine) parallelism(st *ir.Stmt) (par, speedup float64) {
+	par, speedup = 1, 1
+	for _, l := range st.Loops {
+		if l.Ann == ir.AnnParallel {
+			par *= float64(l.Extent)
+		}
 	}
-	return low.TotalFlops() / t / 1e9
+	if par > 1 {
+		chunks := math.Ceil(par / float64(m.Cores))
+		speedup = par / chunks
+	}
+	return par, speedup
 }
 
-// stmtTime models one innermost statement with its loop path.
-func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
+// stmtTime models one innermost statement with its loop path, given its
+// parallelism and the bandwidth-bound time memoryTime gives it.
+func (m *Machine) stmtTime(st *ir.Stmt, par, speedup, memTime float64) float64 {
 	loops := st.Loops
 	n := len(loops)
 	iters := 1.0
@@ -94,19 +138,6 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 		iters *= float64(l.Extent)
 	}
 	freqHz := m.FreqGHz * 1e9
-
-	// ---- Parallelism ----
-	par := 1.0
-	for _, l := range loops {
-		if l.Ann == ir.AnnParallel {
-			par *= float64(l.Extent)
-		}
-	}
-	speedup := 1.0
-	if par > 1 {
-		chunks := math.Ceil(par / float64(m.Cores))
-		speedup = par / chunks
-	}
 
 	// ---- Vectorization ----
 	vec := 1.0
@@ -156,7 +187,8 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 	// Explicitly unrolled loops, plus innermost loops implicitly unrolled
 	// by the auto_unroll_max_step pragma. A vectorized loop contributes
 	// extent/lanes vector instructions to the unrolled body.
-	unrolled := make([]bool, n)
+	var unrolledBuf [32]bool
+	unrolled := carve(unrolledBuf[:], n)
 	body := 1.0
 	for j := n - 1; j >= 0; j-- {
 		l := loops[j]
@@ -239,9 +271,6 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 		overheadCycles += tr * m.LoopOverheadCycles
 	}
 
-	// ---- Memory hierarchy ----
-	memTime := m.memoryTime(st, speedup, ctx)
-
 	serial := (computeCycles + overheadCycles) / freqHz
 	t := maxf(serial/speedup, memTime)
 	if par > 1 {
@@ -254,56 +283,70 @@ func (m *Machine) stmtTime(st *ir.Stmt, ctx *progCtx) float64 {
 	return t
 }
 
-// accessFootprint returns the line-granular byte footprint of one access
-// when loops < depth are fixed and loops >= depth iterate. forceDense
-// treats the access as unit-stride in the last dimension (used for
-// layout-rewritten constant tensors, §4.2).
-func accessFootprint(a *ir.FlatAccess, loops []ir.LLoop, depth, lineBytes int, forceDense bool) float64 {
+// footprints is the sweep: out[d], for every depth d ∈ [0, len(loops)],
+// is the line-granular byte footprint of one access when path loops < d
+// are fixed and loops >= d iterate. forceDense treats the access as
+// unit-stride in the last dimension (used for layout-rewritten constant
+// tensors, §4.2).
+//
+// Per tensor dimension the swept span is 1 + Σ |coeff|·(extent−1) over
+// loops >= d, clamped to the dimension, and the footprint multiplies the
+// clamped spans up in dimension order. Walking d from the innermost loop
+// outwards, each span only gains loop d's term and the last dimension's
+// density only loop d's |coeff| = 1 test, so one pass costs O(dims·n)
+// where evaluating every depth from scratch cost O(dims·n²). The terms
+// are small integers and every partial sum stays below 2⁵³, so the
+// running int64 sums are, bit for bit, the float sums a per-depth
+// evaluation makes in any order — the argument feat.extractAICurve makes
+// for its curve, pinned by the oracle test.
+func footprints(a *ir.FlatAccess, loops []ir.LLoop, lineBytes int, forceDense bool, out []float64) {
 	n := len(loops)
-	dims := len(a.Tensor.Shape)
-	unique := 1.0
-	lastSpan := 1.0
+	shape := a.Tensor.Shape
+	var spanBuf [8]int64
+	spans := carve(spanBuf[:], len(shape))
+	for dim := range spans {
+		spans[dim] = 1
+	}
+	eb := float64(a.Tensor.ElemBytes)
+	lb := float64(lineBytes)
 	lastDense := false
-	for dim := 0; dim < dims; dim++ {
-		span := 1.0
-		row := a.Row(dim)
-		for j := depth; j < n; j++ {
-			c := row[j]
-			if c < 0 {
-				c = -c
-			}
-			if c != 0 {
-				span += float64(c) * float64(loops[j].Extent-1)
-			}
-		}
-		span = minf(span, float64(a.Tensor.Shape[dim]))
-		unique *= span
-		if dim == dims-1 {
-			lastSpan = span
-			for j := depth; j < n; j++ {
-				if c := row[j]; c == 1 || c == -1 {
+	for d := n; d >= 0; d-- {
+		if d < n {
+			sweep := int64(loops[d].Extent - 1)
+			for dim := range spans {
+				c := a.Coeff[dim*n+d]
+				if c < 0 {
+					c = -c
+				}
+				spans[dim] += int64(c) * sweep
+				if dim == len(spans)-1 && c == 1 {
 					lastDense = true
-					break
 				}
 			}
 		}
+		unique, lastSpan := 1.0, 1.0
+		for dim, span := range spans {
+			// Both positive and finite: a plain comparison is math.Min.
+			lastSpan = float64(span)
+			if s := float64(shape[dim]); lastSpan > s {
+				lastSpan = s
+			}
+			unique *= lastSpan
+		}
+		var lines float64
+		switch {
+		case forceDense:
+			// Layout-rewritten constants are laid out exactly in
+			// traversal order: the whole region is contiguous.
+			lines = math.Ceil(unique * eb / lb)
+		case lastDense:
+			rows := unique / maxf(lastSpan, 1)
+			lines = rows * math.Ceil(lastSpan*eb/lb)
+		default:
+			lines = unique
+		}
+		out[d] = lines * lb
 	}
-	eb := float64(a.Tensor.ElemBytes)
-	var lines float64
-	if forceDense {
-		// Layout-rewritten constants are laid out exactly in traversal
-		// order: the whole region is contiguous.
-		total := unique * eb
-		lines = math.Ceil(total / float64(lineBytes))
-		return lines * float64(lineBytes)
-	}
-	if lastDense {
-		rows := unique / maxf(lastSpan, 1)
-		lines = rows * math.Ceil(lastSpan*eb/float64(lineBytes))
-	} else {
-		lines = unique
-	}
-	return lines * float64(lineBytes)
 }
 
 // memoryTime performs working-set analysis over the cache hierarchy and
@@ -311,65 +354,60 @@ func accessFootprint(a *ir.FlatAccess, loops []ir.LLoop, depth, lineBytes int, f
 func (m *Machine) memoryTime(st *ir.Stmt, speedup float64, ctx *progCtx) float64 {
 	loops := st.Loops
 	n := len(loops)
-	accs := make([]*ir.FlatAccess, 0, len(st.Reads)+1)
-	for i := range st.Reads {
-		accs = append(accs, &st.Reads[i])
-	}
+	// The accesses, reads then the write.
+	nAcc := len(st.Reads)
 	if st.Write != nil {
-		accs = append(accs, st.Write)
+		nAcc++
 	}
-	lb := 64
-	if len(m.Caches) > 0 {
-		lb = m.Caches[0].LineBytes
+	access := func(ai int) *ir.FlatAccess {
+		if ai < len(st.Reads) {
+			return &st.Reads[ai]
+		}
+		return st.Write
 	}
-	// srcLevel per access: where the data already lives (len(Caches) =
-	// DRAM). Intermediates resident in a cache skip deeper traffic.
+	// src[ai]: where the data already lives (len(Caches) = DRAM).
+	// Intermediates resident in a cache skip deeper traffic.
 	nLevels := len(m.Caches)
-	src := make([]int, len(accs))
-	for ai, a := range accs {
-		src[ai] = nLevels
-		if ctx != nil {
-			if lvl, ok := ctx.srcLevel[a.Tensor.Name]; ok {
-				src[ai] = lvl
-			}
+	var srcBuf [8]int
+	src := carve(srcBuf[:], nAcc)
+	for ai := range src {
+		src[ai] = ctx.srcLevel(access(ai).Tensor.Name, nLevels)
+	}
+	// foot[d]: resident bytes when loops < d are fixed; trips[d]: the
+	// iterations of loops < d; lineB[ai*w+d]: line-granular bytes of one
+	// sweep of the region.
+	w := n + 1
+	buf := carve(ctx.floats, (nAcc+2)*w)
+	foot, trips, lineB := buf[:w], buf[w:2*w], buf[2*w:]
+	clear(foot)
+	lb := m.lineBytes()
+	for ai := range nAcc {
+		a := access(ai)
+		row := lineB[ai*w : (ai+1)*w]
+		footprints(a, loops, lb, st.PackedConst && a.Tensor.Const, row)
+		for d, b := range row {
+			foot[d] += b
 		}
 	}
-	// foot[d]: resident bytes when loops < d are fixed;
-	// lineB[ai][d]: line-granular bytes of one sweep of the region.
-	foot := make([]float64, n+1)
-	lineB := make([][]float64, len(accs))
-	for ai, a := range accs {
-		lineB[ai] = make([]float64, n+1)
-		dense := st.PackedConst && a.Tensor.Const
-		for d := 0; d <= n; d++ {
-			lineB[ai][d] = accessFootprint(a, loops, d, lb, dense)
-			foot[d] += lineB[ai][d]
-		}
-	}
-	trips := make([]float64, n+1)
 	trips[0] = 1
 	for j := 0; j < n; j++ {
 		trips[j+1] = trips[j] * float64(loops[j].Extent)
-	}
-	fitDepth := func(size float64) int {
-		for d := 0; d <= n; d++ {
-			if foot[d] <= size {
-				return d
-			}
-		}
-		return n
 	}
 	freqHz := m.FreqGHz * 1e9
 	var worst float64
 	var dramTraffic float64
 	for ci, c := range m.Caches {
-		d := fitDepth(float64(c.SizeBytes))
+		// The outermost depth whose working set fits the level.
+		d := 0
+		for d < n && foot[d] > float64(c.SizeBytes) {
+			d++
+		}
 		traffic := 0.0
-		for ai := range accs {
+		for ai := range nAcc {
 			if ci >= src[ai] {
 				continue // data already resident at src[ai]
 			}
-			traffic += lineB[ai][d] * trips[d]
+			traffic += lineB[ai*w+d] * trips[d]
 		}
 		bw := c.FillBW * freqHz
 		scale := speedup
@@ -378,9 +416,9 @@ func (m *Machine) memoryTime(st *ir.Stmt, speedup float64, ctx *progCtx) float64
 		}
 		worst = maxf(worst, traffic/(bw*scale))
 		if ci == len(m.Caches)-1 {
-			for ai := range accs {
+			for ai := range nAcc {
 				if src[ai] >= nLevels {
-					dramTraffic += lineB[ai][d] * trips[d]
+					dramTraffic += lineB[ai*w+d] * trips[d]
 				}
 			}
 		}

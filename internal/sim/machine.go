@@ -56,8 +56,6 @@ type Machine struct {
 
 	// MemBWGBs is total DRAM bandwidth in GB/s (shared by all cores).
 	MemBWGBs float64
-	// MemLatencyNs is the DRAM access latency.
-	MemLatencyNs float64
 
 	// ParallelSpawnNs is the overhead of launching one parallel region
 	// (thread-pool wakeup, or kernel launch on a GPU).
@@ -96,7 +94,6 @@ func IntelXeon() *Machine {
 			{Name: "L3", SizeBytes: 36 << 20, LineBytes: 64, FillBW: 16, Shared: true},
 		},
 		MemBWGBs:           100,
-		MemLatencyNs:       90,
 		ParallelSpawnNs:    1500,
 		LoopOverheadCycles: 2,
 		UnrollBudget:       512,
@@ -126,7 +123,6 @@ func ARMCortexA53() *Machine {
 			{Name: "L2", SizeBytes: 512 << 10, LineBytes: 64, FillBW: 8, Shared: true},
 		},
 		MemBWGBs:           4,
-		MemLatencyNs:       150,
 		ParallelSpawnNs:    8000,
 		LoopOverheadCycles: 3,
 		UnrollBudget:       256,
@@ -149,7 +145,6 @@ func NVIDIAV100() *Machine {
 			{Name: "L2", SizeBytes: 6 << 20, LineBytes: 128, FillBW: 64, Shared: true},
 		},
 		MemBWGBs:           900,
-		MemLatencyNs:       400,
 		ParallelSpawnNs:    5000,
 		LoopOverheadCycles: 1,
 		UnrollBudget:       256,

@@ -55,6 +55,15 @@ func goodSchedule(t *testing.T) *ir.Lowered {
 	return low
 }
 
+// Throughput returns the modelled throughput in GFLOP/s of the program.
+func (m *Machine) Throughput(low *ir.Lowered) float64 {
+	t := m.Time(low)
+	if t <= 0 {
+		return 0
+	}
+	return low.TotalFlops() / t / 1e9
+}
+
 func TestGoodScheduleBeatsNaive(t *testing.T) {
 	m := IntelXeon()
 	naive := m.Time(lowerNaive(t, matmulReLU(512, 512, 512)))
@@ -288,9 +297,10 @@ func TestIntermediateResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := m.analyzeResidency(low)
-	lvl, ok := ctx.srcLevel["matmul_out"]
-	if !ok {
+	ctx := progCtx{stmts: low.Stmts, level: make([]int, len(low.Stmts))}
+	m.analyzeResidency(&ctx)
+	lvl := ctx.srcLevel("matmul_out", -1)
+	if lvl < 0 {
 		t.Fatal("intermediate matmul_out missing from residency analysis")
 	}
 	if lvl >= len(m.Caches) {

@@ -25,6 +25,13 @@ go build ./...
 step "go test (short)"
 go test -short ./...
 
+# The step decoder has two paths — a step's data object read in place
+# after its kind, where EncodeSteps writes it, and skipped then rescanned
+# for any other key order — and both must agree with the reflection
+# oracle in internal/ir/json_test.go, so every run fuzzes them a little.
+step "fuzz: step decoder (10 s)"
+go test -run '^$' -fuzz FuzzDecodeSteps -fuzztime 10s ./internal/ir/
+
 # The packages that spawn goroutines, under the race detector: the worker
 # pool and everything sharded over it (measurement, evolution, cost-model
 # training, scheduler waves), the policy whose rounds drive them,
