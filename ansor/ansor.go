@@ -137,13 +137,12 @@ type TuningOptions struct {
 	// tuning-log/registry file path, an http(s) registry-server URL
 	// (which pulls only the task-filtered slice of fleet history via the
 	// server's query endpoint), or the literal "registry" for the
-	// RegistryURL server. Records measured on this target replay at full
-	// weight; records from a sibling target (e.g. avx2 ↔ avx512) enter
-	// only the model's training data, time-calibrated and discounted —
-	// never the best-k pool, so measured bests stay honest (see
-	// internal/warm). Unlike ResumeFrom this deliberately changes the
-	// trajectory (a better model from round one) and costs no trials for
-	// the replayed programs.
+	// RegistryURL server. Only records measured on this task's target are
+	// absorbed — a time is only ever used on the target that measured it —
+	// and they train the model and seed the best-k pool exactly as this
+	// run's own measurements would (see internal/warm). Unlike ResumeFrom
+	// this deliberately changes the trajectory (a better model from round
+	// one) and costs no trials for the replayed programs.
 	WarmStartFrom string
 	// ApplyHistoryBest skips searching entirely: the best recorded
 	// schedule for (workload, target) in this log/registry file — or,
@@ -177,21 +176,12 @@ type TuningOptions struct {
 	// broker started with -auth-token may be embedded as
 	// "http://:TOKEN@host:port".
 	FleetURL string
-	// PooledCalibration pulls the registry server's fleet-pooled
-	// cross-target time calibration (/v1/calibration) at startup and
-	// applies it to warm starts whose task has no local overlap with a
-	// sibling target to fit a time scale from. Locally fit scales always
-	// win; the pool only fills the gaps. Requires RegistryURL (ignored
-	// without it). Pooling refines training-data weighting only — best-k
-	// pools and measured bests are never touched (DESIGN.md, "Fleet warm
-	// start").
-	PooledCalibration bool
-	// WarmStartLimit caps how many records each warm-start source
-	// contributes per task (0 = unbounded). Server sources query with
-	// the registry's limit parameter; file sources subsample their task
-	// slice with the training-representative top-k + slow-tail sampler
-	// of measure.Log.Compact — deterministic either way, so a limited
-	// warm start is reproducible.
+	// WarmStartLimit caps how many of this target's records each
+	// warm-start source contributes per task (0 = unbounded). Server
+	// sources query with the registry's limit parameter; file sources
+	// subsample their task slice with the training-representative top-k +
+	// slow-tail sampler of measure.Log.Compact — deterministic either way,
+	// so a limited warm start is reproducible.
 	WarmStartLimit int
 	// EventsTo streams the structured tuning narration as JSONL to this
 	// destination: a file path (appended, created if missing) or the
@@ -265,7 +255,7 @@ type Tuner struct {
 func (o TuningOptions) spec() session.Spec {
 	return session.Spec{
 		RecordTo: o.RecordTo, ResumeFrom: o.ResumeFrom,
-		RegistryURL: o.RegistryURL, PooledCalibration: o.PooledCalibration, FleetURL: o.FleetURL,
+		RegistryURL: o.RegistryURL, FleetURL: o.FleetURL,
 		WarmStartFrom: o.WarmStartFrom, WarmStartLimit: o.WarmStartLimit,
 		EventsTo: o.EventsTo, Observer: o.Observer,
 	}

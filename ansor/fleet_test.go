@@ -125,32 +125,6 @@ func TestFleetTuningBitIdenticalToLocal(t *testing.T) {
 	}
 }
 
-// TestFleetSiblingDispatchBitIdenticalToLocal: the fleet hosts NO
-// worker for the task's avx512 target — only avx2 near-siblings — yet
-// near-sibling dispatch drains every batch and the outcome is
-// bit-identical to local. Sibling grants are timed on the job target's
-// own machine model, so dispatch distance is invisible in results; the
-// broker metrics prove every lease crossed targets.
-func TestFleetSiblingDispatchBitIdenticalToLocal(t *testing.T) {
-	task := fleetTask(t)
-	base := TuningOptions{Trials: 32, MeasuresPerRound: 16, Seed: 5}
-	local := runFleetTune(t, task, base)
-
-	url, cl := startFleet(t, nil, TargetIntelCPU(false), 2, 3)
-	opts := base
-	opts.FleetURL = url
-	if got := runFleetTune(t, task, opts); !reflect.DeepEqual(got, local) {
-		t.Errorf("sibling-only fleet diverged from local:\nlocal  %+v\nfleet  %+v", local, got)
-	}
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SiblingLeases == 0 || m.SiblingPrograms == 0 {
-		t.Errorf("sibling counters = %d/%d, want > 0: every lease crossed targets", m.SiblingLeases, m.SiblingPrograms)
-	}
-}
-
 // TestFleetTuningSurvivesWorkerDeath kills a worker mid-batch: its
 // leases expire, requeue onto the surviving worker, and the tuning
 // outcome still matches the local run bit for bit.

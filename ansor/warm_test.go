@@ -3,9 +3,11 @@ package ansor
 import (
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/regserver"
 )
 
@@ -15,12 +17,12 @@ type warmOutcome struct {
 	outcome tuneOutcome
 }
 
-func runWarmTune(t *testing.T, target Target, seed int64, trials, workers int, warmFrom string) warmOutcome {
+// runWarmTune tunes the persistence tests' task on target under opts, 16
+// programs a round.
+func runWarmTune(t *testing.T, target Target, opts TuningOptions) warmOutcome {
 	t.Helper()
-	tuner, err := NewTuner(NewTask("mm", persistDAG(t), target), TuningOptions{
-		Trials: trials, MeasuresPerRound: 16, Seed: seed, Workers: workers,
-		WarmStartFrom: warmFrom,
-	})
+	opts.MeasuresPerRound = 16
+	tuner, err := NewTuner(NewTask("mm", persistDAG(t), target), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,85 +49,11 @@ func runWarmTune(t *testing.T, target Target, seed int64, trials, workers int, w
 	return out
 }
 
-// TestWarmFileVsServerBitIdentical is the tentpole determinism proof:
-// warm-starting from a file and from a registry server holding the very
-// same records yields bit-identical tuning runs — equal model
-// fingerprints before round one, equal history curves, equal bests —
-// at any worker count.
-func TestWarmFileVsServerBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	seedLog := filepath.Join(dir, "seed.json")
-	target := TargetIntelCPU(true)
-	runPersistTune(t, 32, 0, seedLog, "")
-
-	// One server accumulates the log; its best set, saved to a file, is
-	// the same record set the server's query serves.
-	srv := regserver.New(nil)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	l, err := measure.LoadFile(seedLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := regserver.NewClient(hs.URL)
-	if _, err := cl.AddLog(l); err != nil {
-		t.Fatal(err)
-	}
-	snapFile := filepath.Join(dir, "snapshot.json")
-	reg, err := regserver.LoadRegistry(hs.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SaveFile(snapFile); err != nil {
-		t.Fatal(err)
-	}
-
-	fromFile := runWarmTune(t, target, 11, 32, 0, snapFile)
-	if fromFile.preFP == 0 {
-		t.Log("note: pre-tune fingerprint is the untrained hash only if warm start absorbed nothing")
-	}
-	for _, workers := range []int{0, 1, 8} {
-		fromServer := runWarmTune(t, target, 11, 32, workers, hs.URL)
-		if fromServer.preFP != fromFile.preFP {
-			t.Errorf("workers=%d: warm-started models diverged before round 1: %x vs %x",
-				workers, fromServer.preFP, fromFile.preFP)
-		}
-		if fromServer.outcome.sig != fromFile.outcome.sig ||
-			fromServer.outcome.seconds != fromFile.outcome.seconds ||
-			fromServer.outcome.modelFP != fromFile.outcome.modelFP {
-			t.Errorf("workers=%d: warm-from-server run diverged from warm-from-file", workers)
-		}
-		if len(fromServer.outcome.history) != len(fromFile.outcome.history) {
-			t.Fatalf("workers=%d: history lengths diverged: %d vs %d",
-				workers, len(fromServer.outcome.history), len(fromFile.outcome.history))
-		}
-		for i := range fromServer.outcome.history {
-			if fromServer.outcome.history[i] != fromFile.outcome.history[i] {
-				t.Errorf("workers=%d: history[%d] diverged", workers, i)
-			}
-		}
-	}
-
-	// The warm start absorbed real history: the model is trained before
-	// the first round (a cold tuner's pre-tune fingerprint differs).
-	cold := runWarmTune(t, target, 11, 32, 0, "")
-	if cold.preFP == fromFile.preFP {
-		t.Error("warm-started pre-tune model should differ from the cold untrained model")
-	}
-}
-
-// TestCrossTargetWarmStart: a job on avx512 warm-started purely from
-// avx2 history (sibling target) is deterministic at any worker count,
-// absorbs the records as train-only (no inherited best), and — the §5.2
-// transfer claim at reproduction scale — does not degrade the final
-// best versus a cold start on a majority of seeds.
-func TestCrossTargetWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	avx2Log := filepath.Join(dir, "avx2.json")
-
-	// Build sibling history on avx2.
-	tuner, err := NewTuner(NewTask("mm", persistDAG(t), TargetIntelCPU(false)), TuningOptions{
-		Trials: 32, MeasuresPerRound: 16, Seed: 5, RecordTo: avx2Log,
+// recordHistory tunes the task on target and returns the tuning log.
+func recordHistory(t *testing.T, path string, target Target, seed int64) *measure.Log {
+	t.Helper()
+	tuner, err := NewTuner(NewTask("mm", persistDAG(t), target), TuningOptions{
+		Trials: 32, MeasuresPerRound: 16, Seed: seed, RecordTo: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,49 +64,128 @@ func TestCrossTargetWarmStart(t *testing.T) {
 	if err := tuner.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	target := TargetIntelCPU(true)
-	base := runWarmTune(t, target, 21, 32, 1, avx2Log)
-	if base.preFP == runWarmTune(t, target, 21, 0, 1, "").preFP && base.preFP == 0 {
-		t.Fatal("cross-target warm start absorbed nothing")
-	}
-	// Transferred records never claim a best: before round one the best
-	// time must still be unset (train-only pool exclusion). History
-	// starts at the first round's own measurements.
-	warmTuner, err := NewTuner(NewTask("mm", persistDAG(t), target), TuningOptions{
-		Trials: 16, Seed: 21, WarmStartFrom: avx2Log,
-	})
+	l, err := measure.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warmTuner.Best(); err == nil {
-		t.Error("sibling-target records must not enter the best pool before any native measurement")
-	}
+	return l
+}
 
-	// Deterministic at any worker count.
-	for _, workers := range []int{4, 8} {
-		got := runWarmTune(t, target, 21, 32, workers, avx2Log)
-		if got.preFP != base.preFP || got.outcome.sig != base.outcome.sig ||
-			got.outcome.seconds != base.outcome.seconds || got.outcome.modelFP != base.outcome.modelFP {
-			t.Errorf("workers=%d: cross-target warm start is nondeterministic", workers)
+// serveSnapshot uploads logs to a fresh registry server and saves its
+// best set to a file: the same record set the server's query serves.
+func serveSnapshot(t *testing.T, file string, logs ...*measure.Log) string {
+	t.Helper()
+	hs := httptest.NewServer(regserver.New(nil).Handler())
+	t.Cleanup(hs.Close)
+	cl := regserver.NewClient(hs.URL)
+	for _, l := range logs {
+		if _, err := cl.AddLog(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, err := regserver.LoadRegistry(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	return hs.URL
+}
+
+// TestWarmFileVsServerBitIdentical is the tentpole determinism proof:
+// warm-starting from a file and from a registry server holding the very
+// same records yields bit-identical tuning runs — equal model
+// fingerprints before round one, equal history curves, equal bests —
+// at any worker count. It holds under -warm-start-limit over
+// mixed-target history too, because both sources filter on the target
+// before the limit: the limited runs equal the unlimited native one.
+func TestWarmFileVsServerBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	seedLog := filepath.Join(dir, "seed.json")
+	target := TargetIntelCPU(true)
+	runPersistTune(t, 32, 0, seedLog, "")
+	native, err := measure.LoadFile(seedLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapFile := filepath.Join(dir, "snapshot.json")
+	url := serveSnapshot(t, snapFile, native)
+
+	fromFile := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 11, WarmStartFrom: snapFile})
+	for _, workers := range []int{0, 1, 8} {
+		fromServer := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 11, Workers: workers, WarmStartFrom: url})
+		if fromServer.preFP != fromFile.preFP {
+			t.Errorf("workers=%d: warm-started models diverged before round 1: %x vs %x",
+				workers, fromServer.preFP, fromFile.preFP)
+		}
+		if !reflect.DeepEqual(fromServer.outcome, fromFile.outcome) {
+			t.Errorf("workers=%d: warm-from-server run diverged from warm-from-file", workers)
 		}
 	}
 
-	// Majority-of-seeds: warm never degrades the final best vs cold.
-	if testing.Short() {
-		return // the full-budget seed sweep runs in the non-short suite
+	// The warm start absorbed real history: the model is trained before
+	// the first round (a cold tuner's pre-tune fingerprint differs).
+	cold := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 11})
+	if cold.preFP == fromFile.preFP {
+		t.Error("warm-started pre-tune model should differ from the cold untrained model")
 	}
-	wins := 0
-	seeds := []int64{21, 22, 23}
-	for _, seed := range seeds {
-		cold := runWarmTune(t, target, seed, 48, 0, "")
-		warm := runWarmTune(t, target, seed, 48, 0, avx2Log)
-		t.Logf("seed %d: cold %.4g warm %.4g", seed, cold.outcome.seconds, warm.outcome.seconds)
-		if warm.outcome.seconds <= cold.outcome.seconds {
-			wins++
+
+	// Mixed-target history, limited to one record a source: avx2 keys sort
+	// first on the server, yet neither source spends its limit on them.
+	avx2 := recordHistory(t, filepath.Join(dir, "avx2.json"), TargetIntelCPU(false), 5)
+	mixedFile := filepath.Join(dir, "mixed-snapshot.json")
+	mixedURL := serveSnapshot(t, mixedFile, avx2, native)
+	for _, src := range []string{mixedFile, mixedURL} {
+		got := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 11, WarmStartFrom: src, WarmStartLimit: 1})
+		if !reflect.DeepEqual(got, fromFile) {
+			t.Errorf("limited warm start from mixed-target %s diverged from the native-only one", src)
 		}
 	}
-	if wins < 2 {
-		t.Errorf("cross-target warm start degraded the final best on %d/%d seeds", len(seeds)-wins, len(seeds))
+}
+
+// TestCrossTargetWarmStart: a time is only ever used on the target that
+// measured it. An avx512 job warm-started from avx2-only history absorbs
+// nothing — its warm_start event counts 0 — and is bit-identical to the
+// cold run: history, best time, signature and model fingerprint. A
+// mixed-target log warm-starts exactly as its avx512 slice alone.
+func TestCrossTargetWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	avx2Log := filepath.Join(dir, "avx2.json")
+	avx512Log := filepath.Join(dir, "avx512.json")
+	avx2 := recordHistory(t, avx2Log, TargetIntelCPU(false), 5)
+	avx512 := recordHistory(t, avx512Log, TargetIntelCPU(true), 6)
+	target := TargetIntelCPU(true)
+
+	cold := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 21})
+	sink := &obs.MemorySink{}
+	fromAVX2 := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 21, WarmStartFrom: avx2Log,
+		Observer: obs.New(sink, obs.NewRegistry())})
+	if !reflect.DeepEqual(fromAVX2, cold) {
+		t.Errorf("warm start from avx2-only history diverged from the cold run:\ncold %+v\nwarm %+v", cold, fromAVX2)
+	}
+	if ws := sink.ByType(obs.EvWarmStart); len(ws) != 1 || ws[0].Count != 0 {
+		t.Errorf("warm_start events = %+v, want one absorbing 0 records", ws)
+	}
+
+	// The two logs interleaved, line by line.
+	var mixed measure.Log
+	for i := 0; i < max(len(avx2.Records), len(avx512.Records)); i++ {
+		for _, l := range []*measure.Log{avx2, avx512} {
+			if i < len(l.Records) {
+				mixed.Records = append(mixed.Records, l.Records[i])
+			}
+		}
+	}
+	mixedLog := filepath.Join(dir, "mixed.json")
+	if err := mixed.SaveFile(mixedLog); err != nil {
+		t.Fatal(err)
+	}
+	native := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 21, WarmStartFrom: avx512Log})
+	if native.preFP == cold.preFP {
+		t.Fatal("the avx512 log absorbed nothing")
+	}
+	if got := runWarmTune(t, target, TuningOptions{Trials: 32, Seed: 21, WarmStartFrom: mixedLog}); !reflect.DeepEqual(got, native) {
+		t.Errorf("mixed-target log diverged from its avx512 slice:\nslice %+v\nmixed %+v", native, got)
 	}
 }

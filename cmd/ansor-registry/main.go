@@ -120,7 +120,6 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "how long a worker may hold a lease before its slice is requeued on another worker")
 		maxFailures = fs.Int("max-failures", 3, "expired leases before a worker is quarantined (0 = never)")
 		authToken   = fs.String("auth-token", "", "require `Authorization: Bearer <token>` on job submission, leases and results (empty = open); clients embed it as http://:TOKEN@host")
-		maxDist     = fs.Int("max-dispatch-distance", 1, "largest target distance near-sibling dispatch may bridge when a worker's native queue is idle: 0 = exact target match only, 1 = same core family with a different vector ISA (e.g. avx2 <-> avx512), 2 = same device class; CPU <-> GPU never transfers, and a job for a machine model this build does not know is exact-match only")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
 		events      = fs.String("events", "", "stream the broker's fleet lifecycle events as JSONL to this file path or the literal 'stderr': batch_leased, batch_measured, fleet_requeue, fleet_quarantine, joined to submitters' timelines by trace IDs; non-blocking and drop-on-full, off when empty")
 	)
@@ -133,14 +132,10 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		return err
 	}
 	defer ln.Close()
-	if *maxDist < 0 {
-		return fmt.Errorf("fleet: -max-dispatch-distance must be >= 0, got %d", *maxDist)
-	}
 	b := fleet.NewBroker()
 	b.LeaseTTL = *leaseTTL
 	b.MaxFailures = *maxFailures
 	b.AuthToken = *authToken
-	b.MaxDispatchDistance = *maxDist
 	if *events != "" {
 		sink, err := obs.OpenSink(*events)
 		if err != nil {
@@ -149,8 +144,8 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		defer sink.Close()
 		b.Obs.Events = sink
 	}
-	fmt.Fprintf(stdout, "ansor-registry: measurement broker listening on %s (lease TTL %s, quarantine after %d failures, dispatch distance <= %d)\n",
-		ln.Addr(), *leaseTTL, *maxFailures, *maxDist)
+	fmt.Fprintf(stdout, "ansor-registry: measurement broker listening on %s (lease TTL %s, quarantine after %d failures, exact-target leases)\n",
+		ln.Addr(), *leaseTTL, *maxFailures)
 	hs := &http.Server{Handler: b.Handler()}
 	if onReady != nil {
 		onReady(ln.Addr().String())

@@ -61,12 +61,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		workers    = fs.Int("workers", 0, "worker goroutines for the tuning pipeline (0 = GOMAXPROCS); results are identical for any value")
 		logTo      = fs.String("log", "", "append measurement records to this tuning log (one JSON record per line)")
 		resume     = fs.String("resume", "", "resume from this tuning log: logged programs replay without re-measuring; with the same seed/options the run is bit-identical to an uninterrupted one (implies -log to the same file unless -log is set)")
-		warmStart  = fs.String("warm-start", "", "seed each task's cost model and best pool from tuning history before the first round; takes a log/registry file, a registry server URL (task-filtered fleet history), the literal 'registry' for the -registry-url server, or a comma-separated mix; sibling-target records transfer into the model only, time-calibrated and discounted")
+		warmStart  = fs.String("warm-start", "", "seed each task's cost model and best pool from tuning history before the first round; takes a log/registry file, a registry server URL (task-filtered fleet history), the literal 'registry' for the -registry-url server, or a comma-separated mix; only records measured on the tuned target are absorbed")
 		applyBest  = fs.String("apply-best", "", "skip searching: replay the best recorded schedule for the workload/network with zero trials; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
-		wsLimit    = fs.Int("warm-start-limit", 0, "cap the records each warm-start source contributes per task, subsampled training-representatively (top-k fastest + slow tail); 0 = unbounded")
+		wsLimit    = fs.Int("warm-start-limit", 0, "cap the tuned target's records each warm-start source contributes per task, subsampled training-representatively (top-k fastest + slow tail); 0 = unbounded")
 		regURL     = fs.String("registry-url", "", "publish every fresh measurement to this ansor-registry server (e.g. http://127.0.0.1:8421) so concurrent tuning jobs accumulate one shared registry")
 		fleetURL   = fs.String("fleet-url", "", "measure on a distributed worker fleet via this broker (ansor-registry fleet) instead of in-process; output is bit-identical to a local run at any worker count")
-		pooledCal  = fs.Bool("pooled-calibration", false, "pull the -registry-url server's fleet-pooled cross-target time calibration at startup; fills calibration gaps for warm starts from sibling targets where this run has no local overlap (training-data weighting only; measured bests are untouched)")
 		events     = fs.String("events", "", "stream the structured tuning narration as JSONL to this file path or the literal 'stderr': task/round/phase boundaries, scheduler waves, model training, best improvements, warm-start summaries, and per-batch fleet timelines joined by trace IDs; non-blocking and drop-on-full, so tuning output is bit-identical with or without it")
 		list       = fs.Bool("list", false, "list available workloads and exit")
 	)
@@ -125,11 +124,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		Trials: *trials, MeasuresPerRound: *perRound, Seed: *seed, Workers: *workers,
 		RecordTo: *logTo, ResumeFrom: *resume,
 		WarmStartFrom: *warmStart, WarmStartLimit: *wsLimit, ApplyHistoryBest: *applyBest,
-		RegistryURL: *regURL, FleetURL: *fleetURL, PooledCalibration: *pooledCal,
+		RegistryURL: *regURL, FleetURL: *fleetURL,
 		EventsTo: *events,
-	}
-	if *pooledCal && *regURL == "" {
-		return fmt.Errorf("-pooled-calibration needs -registry-url")
 	}
 	if *logTo != "" {
 		// The scheduler checkpoint lives beside the log so a network

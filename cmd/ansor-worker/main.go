@@ -21,18 +21,14 @@
 // (records belong to the submitting run); a worker is a pure
 // program-timing service.
 //
-// Under the broker's near-sibling dispatch (its -max-dispatch-distance,
-// default 1) an idle worker is also leased jobs of a compatible sibling
-// target — e.g. an avx512 worker drains an avx2 queue. The sibling job
-// is timed on the job target's own analytic model, so the reported time
-// is bit-identical to a native measurement and only tagged measured_on
-// for provenance; a target this build has no model for is never offered
-// to a sibling, and a grant naming one fails its programs (see
-// DESIGN.md, "Measurement fleet").
+// A worker is leased only jobs for the target it hosts: a time is only
+// ever used on the target that measured it, so an idle avx512 worker
+// never drains an avx2 queue, and a grant naming any other target fails
+// its programs (see DESIGN.md, "Measurement fleet").
 //
 // The worker's own side of the fleet is observable: -metrics-addr
-// serves /metrics (JSON: leases taken, programs measured, sibling
-// grants, program errors, quarantine state), /metrics/prom (Prometheus
+// serves /metrics (JSON: leases taken, programs measured, program
+// errors, quarantine state), /metrics/prom (Prometheus
 // text exposition; also /metrics?format=prometheus) and /healthz, and
 // -events streams worker_lease/worker_result JSONL events that join the
 // submitting run's per-batch timeline through the trace IDs echoed on
@@ -110,7 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		seed        = fs.Int64("seed", 1, "worker identity seed: distinguishes workers of the same target in the broker's failure accounting (give every worker of a fleet a distinct seed); measurement itself is seed-free")
 		id          = fs.String("id", "", "explicit worker id (default <target>-w<seed>)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
-		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, sibling grants, program errors, quarantine state), /metrics/prom or /metrics?format=prometheus (Prometheus text exposition), and /healthz; off when empty")
+		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, program errors, quarantine state), /metrics/prom or /metrics?format=prometheus (Prometheus text exposition), and /healthz; off when empty")
 		events      = fs.String("events", "", "stream structured JSONL lifecycle events (worker_lease, worker_result) to this file path or the literal \"stderr\"; non-blocking and drop-on-full, off when empty")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -11,10 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/regserver"
-	"repro/internal/sim"
 	"repro/internal/te"
 )
 
@@ -32,12 +30,12 @@ const maxWait = 25 * time.Second
 const waitSlice = 250 * time.Millisecond
 
 // Broker is the measurement-fleet coordinator: it accepts measurement
-// jobs from submitters, leases slices of them to compatible workers,
-// requeues slices whose lease expired, quarantines repeat-offender
-// workers, and reassembles results in submission order. All state is
-// in-memory: jobs are transient by design (the submitter holds the
-// programs and re-submits after a broker restart), unlike the registry
-// server's durable best-schedule store.
+// jobs from submitters, leases slices of them to workers hosting the
+// job's target, requeues slices whose lease expired, quarantines
+// repeat-offender workers, and reassembles results in submission order.
+// All state is in-memory: jobs are transient by design (the submitter
+// holds the programs and re-submits after a broker restart), unlike the
+// registry server's durable best-schedule store.
 //
 // Lease accounting is lazy: expiries are reaped at the top of every
 // mutating request and every poll, so the broker needs no background
@@ -61,13 +59,6 @@ type Broker struct {
 	// answered with the results; the cap evicts the oldest if a submitter
 	// dies before asking, so a long-lived broker cannot leak memory.
 	MaxDoneJobs int
-	// MaxDispatchDistance is the fleet's near-sibling dispatch policy: a
-	// worker with an empty native queue may be leased a job whose target
-	// sim.ByName resolves and is within this measure.TargetDistance of
-	// the worker's (default 1: same core family, different vector ISA —
-	// avx2 ↔ avx512). 0 restores exact-match sharding, and CPU ↔ GPU
-	// (distance 3) is never dispatched regardless.
-	MaxDispatchDistance int
 
 	// Obs carries the broker's counters and lease-wait histogram
 	// (Obs.Metrics — the JSON /metrics payload and the Prometheus
@@ -139,21 +130,20 @@ type workerState struct {
 	quarantined bool
 }
 
-// NewBroker returns a broker with default lease TTL, quarantine
-// threshold, and sibling dispatch up to distance 1 (avx2 ↔ avx512).
+// NewBroker returns a broker with default lease TTL and quarantine
+// threshold.
 func NewBroker() *Broker {
 	b := &Broker{
-		LeaseTTL:            30 * time.Second,
-		MaxFailures:         3,
-		MaxDoneJobs:         256,
-		MaxDispatchDistance: 1,
-		bodyLimit:           maxBody,
-		jobs:                map[string]*job{},
-		workers:             map[string]*workerState{},
-		notify:              make(chan struct{}),
-		started:             time.Now(),
-		now:                 time.Now,
-		Obs:                 obs.New(nil, obs.NewRegistry()),
+		LeaseTTL:    30 * time.Second,
+		MaxFailures: 3,
+		MaxDoneJobs: 256,
+		bodyLimit:   maxBody,
+		jobs:        map[string]*job{},
+		workers:     map[string]*workerState{},
+		notify:      make(chan struct{}),
+		started:     time.Now(),
+		now:         time.Now,
+		Obs:         obs.New(nil, obs.NewRegistry()),
 	}
 	b.routes()
 	return b
@@ -615,32 +605,15 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tryLeaseLocked hands req a slice of the oldest compatible job, if
-// any, as large as the worker's capacity. Native work always wins: the
-// job list is scanned at distance 0 (exact target match) first, and only
-// a worker with nothing native queued falls through to sibling
-// distances, nearest first, up to b.MaxDispatchDistance — so an idle
-// avx512 board drains an avx2 backlog, but never at the cost of its own
-// queue, and CPU ↔ GPU never dispatches. A sibling times the job on the
-// model sim.ByName resolves for its target, so a job for a machine the
-// build does not know is offered to exact-match workers only. Callers
-// hold b.mu.
+// tryLeaseLocked hands req a slice of the oldest job queued for exactly
+// the worker's target, if any, as large as the worker's capacity: a time
+// is only ever used on the target that measured it, so an idle worker
+// never drains another target's queue. Callers hold b.mu.
 func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
-	maxDist := min(b.MaxDispatchDistance, 2) // distance 3 is CPU ↔ GPU: never dispatched
 	var j *job
-	dist := 0
-	for d := 0; d <= maxDist && j == nil; d++ {
-		for _, id := range b.jobOrder {
-			cand := b.jobs[id]
-			if len(cand.queue) == 0 || measure.TargetDistance(cand.target, req.Target) != d {
-				continue
-			}
-			if d > 0 {
-				if _, known := sim.ByName(cand.target); !known {
-					continue
-				}
-			}
-			j, dist = cand, d
+	for _, id := range b.jobOrder {
+		if cand := b.jobs[id]; len(cand.queue) > 0 && cand.target == req.Target {
+			j = cand
 			break
 		}
 	}
@@ -660,17 +633,11 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		granted:  now,
 	}
 	j.leases[l.id] = l
-	detail := ""
-	if dist > 0 {
-		b.Obs.Count("sibling_leases")
-		b.Obs.Add("sibling_programs", int64(len(indices)))
-		detail = fmt.Sprintf("sibling dist=%d from=%s", dist, req.Target)
-	}
 	// Lease wait is submit→grant: how long the batch's work sat queued
 	// before a worker picked (this slice of) it up.
 	b.Obs.Observe("lease_wait_seconds", now.Sub(j.submitted).Seconds())
 	b.Obs.Emit(obs.Event{Type: obs.EvBatchLeased, Job: j.id, Trace: j.trace, Task: j.task,
-		Target: j.target, Worker: req.Worker, Count: len(indices), Detail: detail})
+		Target: j.target, Worker: req.Worker, Count: len(indices)})
 	grant := LeaseGrant{
 		Lease: l.id, Job: j.id, Task: j.task, Trace: j.trace, Target: j.target,
 		DAGBin: j.dagBin, Indices: indices, Programs: make([]json.RawMessage, len(indices)),
@@ -733,7 +700,7 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 			b.Obs.Count("duplicate_results")
 			continue
 		}
-		j.results[wr.Index] = UnitResult{Done: true, Noiseless: wr.Noiseless, Err: wr.Err, MeasuredOn: wr.MeasuredOn}
+		j.results[wr.Index] = UnitResult{Done: true, Noiseless: wr.Noiseless, Err: wr.Err}
 		j.completed++
 		accepted++
 		// The index may have been requeued after this worker's lease
@@ -867,8 +834,6 @@ func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BytesIn:           snap.Counters["bytes_in"],
 		BytesOut:          snap.Counters["bytes_out"],
 		LeaseWakeups:      snap.Counters["lease_wakeups"],
-		SiblingLeases:     snap.Counters["sibling_leases"],
-		SiblingPrograms:   snap.Counters["sibling_programs"],
 	}
 	writeJSON(w, http.StatusOK, m)
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/measure"
 	"repro/internal/te"
 )
 
@@ -598,117 +599,89 @@ func assertNoJobs(t *testing.T, b *Broker) {
 	}
 }
 
-// TestBrokerSiblingDispatch: an idle sibling worker (avx512 vs an avx2
-// job, distance 1) drains the queue under the broker's default; the grant
-// names the job's target so the worker can pick the right model, and the
-// sibling counters record the transfer.
-func TestBrokerSiblingDispatch(t *testing.T) {
-	_, cl := testBroker(t, nil)
-	if _, err := cl.Submit(synthJob("intel-20c-avx2", 2)); err != nil {
-		t.Fatal(err)
-	}
-	grant, err := cl.Lease(LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 4})
-	if err != nil || grant == nil {
-		t.Fatalf("sibling lease: %+v err=%v", grant, err)
-	}
-	if grant.Target != "intel-20c-avx2" {
-		t.Fatalf("grant target = %q, want the job's target so the worker can resolve its model", grant.Target)
-	}
-	post := ResultPost{Worker: "sib", Job: grant.Job, Lease: grant.Lease}
-	for _, idx := range grant.Indices {
-		post.Results = append(post.Results, WorkerResult{Index: idx, Noiseless: 1, MeasuredOn: "intel-20c-avx512"})
-	}
-	if _, err := cl.PostResults(post); err != nil {
-		t.Fatal(err)
-	}
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SiblingLeases != 1 || m.SiblingPrograms != 2 {
-		t.Errorf("sibling counters = %d leases / %d programs, want 1/2", m.SiblingLeases, m.SiblingPrograms)
-	}
-}
-
-// TestBrokerSiblingDispatchNativeFirst: native work always wins — a
-// worker with queued native programs never drains a sibling queue, even
-// when the sibling job is older.
-func TestBrokerSiblingDispatchNativeFirst(t *testing.T) {
-	_, cl := testBroker(t, nil)
-	if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil { // older, sibling
-		t.Fatal(err)
-	}
-	ackNative, err := cl.Submit(synthJob("intel-20c-avx512", 1)) // newer, native
-	if err != nil {
-		t.Fatal(err)
-	}
-	grant, err := cl.Lease(LeaseRequest{Worker: "w", Target: "intel-20c-avx512", Capacity: 4})
-	if err != nil || grant == nil {
-		t.Fatalf("lease: %+v err=%v", grant, err)
-	}
-	if grant.Job != ackNative.ID || grant.Target != "intel-20c-avx512" {
-		t.Fatalf("native job must win over an older sibling job: got %q target %q", grant.Job, grant.Target)
-	}
-}
-
-// TestBrokerSiblingDispatchOptOut: the broker saying 0 restores exact-
-// match sharding, and CPU <-> GPU (distance 3) never dispatches no
-// matter how permissive the broker is.
-func TestBrokerSiblingDispatchOptOut(t *testing.T) {
-	_, cl := testBroker(t, func(b *Broker) { b.MaxDispatchDistance = 0 })
-	if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if grant, err := cl.Lease(LeaseRequest{Worker: "sib", Target: "intel-20c-avx512", Capacity: 1}); err != nil || grant != nil {
-		t.Errorf("broker opts out: lease = %+v err=%v, want none", grant, err)
-	}
-	// Distance 3 is uncrossable even with an absurd bound.
-	_, cl = testBroker(t, func(b *Broker) { b.MaxDispatchDistance = 99 })
-	if _, err := cl.Submit(synthJob("intel-20c-avx2", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if grant, err := cl.Lease(LeaseRequest{Worker: "gpu", Target: "nvidia-v100", Capacity: 1}); err != nil || grant != nil {
-		t.Errorf("CPU<->GPU lease = %+v err=%v, want never", grant, err)
-	}
-}
-
-// TestBrokerUnknownTargetIsExactMatchOnly: a sibling times a job on the
-// model sim.ByName resolves for the job's target, so a job for a machine
-// this build does not know is never offered at distance 1 — however long
-// it waits — and goes to the worker registered under its exact name. A
-// request from an older peer that still says max_distance, or a result
-// that says clock, is read as any other: the field is ignored.
-func TestBrokerUnknownTargetIsExactMatchOnly(t *testing.T) {
+// TestBrokerLeasesExactTargetOnly: a time is only ever used on the
+// target that measured it, so an idle worker never drains another
+// target's queue — an avx512 board facing an avx2-only queue gets 204,
+// however close the two machines are — and a job goes to the worker
+// hosting exactly its target, a name this build has no model for
+// included. The lease table holds after every request.
+func TestBrokerLeasesExactTargetOnly(t *testing.T) {
 	b, cl := testBroker(t, nil)
-	const custom = "intel-20c-lab7" // family intel-20c: distance 1 from both built-in Xeons
-	ack, err := cl.Submit(synthJob(custom, 2))
+	const custom = "intel-20c-lab7"
+	avx2, err := cl.Submit(synthJob("intel-20c-avx2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLeaseTable(t, b, "submit")
-	for _, sib := range []string{"intel-20c-avx2", "intel-20c-avx512"} {
-		if grant, err := cl.Lease(LeaseRequest{Worker: "sib-" + sib, Target: sib, Capacity: 4}); err != nil || grant != nil {
-			t.Fatalf("%s was leased a job for unresolvable %s: %+v err=%v", sib, custom, grant, err)
+	checkLeaseTable(t, b, "avx2 submit")
+	lab, err := cl.Submit(synthJob(custom, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLeaseTable(t, b, "custom submit")
+	for _, other := range []string{"intel-20c-avx512", "arm-cortex-a53", "nvidia-v100"} {
+		body, _ := json.Marshal(LeaseRequest{Worker: "idle-" + other, Target: other, Capacity: 4})
+		code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json", body)
+		checkLeaseTable(t, b, other+" lease")
+		if err != nil || code != http.StatusNoContent {
+			t.Fatalf("%s worker facing avx2 and %s queues: %d %s err=%v, want 204", other, custom, code, raw, err)
 		}
-		checkLeaseTable(t, b, sib+" lease")
+	}
+	for _, want := range []struct {
+		target string
+		job    string
+		n      int
+	}{{"intel-20c-avx2", avx2.ID, 2}, {custom, lab.ID, 1}} {
+		g, err := cl.Lease(LeaseRequest{Worker: "native-" + want.target, Target: want.target, Capacity: 4})
+		checkLeaseTable(t, b, want.target+" lease")
+		if err != nil || g == nil || g.Job != want.job || g.Target != want.target || len(g.Indices) != want.n {
+			t.Fatalf("%s worker: grant %+v err=%v, want all %d programs of %s", want.target, g, err, want.n, want.job)
+		}
+	}
+}
+
+// TestOlderPeersAndLogsStillLoad: what an older peer or an older log
+// still carries — measured_on and clock on a result, max_distance on a
+// lease request, measured_on on a record — decodes with the field
+// ignored, and such a log re-saves byte for byte apart from that key.
+func TestOlderPeersAndLogsStillLoad(t *testing.T) {
+	b, cl := testBroker(t, nil)
+	ack, err := cl.Submit(synthJob("intel-20c-avx2", 2))
+	if err != nil {
+		t.Fatal(err)
 	}
 	code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json",
-		[]byte(`{"worker":"old","target":"`+custom+`","capacity":4,"max_distance":0}`))
+		[]byte(`{"worker":"old","target":"intel-20c-avx2","capacity":4,"max_distance":2}`))
+	checkLeaseTable(t, b, "older lease request")
 	if err != nil || code != http.StatusOK {
-		t.Fatalf("exact-match lease: %d %v", code, err)
+		t.Fatalf("lease request with max_distance: %d %v", code, err)
 	}
-	checkLeaseTable(t, b, "exact-match lease")
 	grant, err := decodeGrant(raw)
-	if err != nil || grant.Job != ack.ID || grant.Target != custom || len(grant.Indices) != 2 {
-		t.Fatalf("exact-match grant = %+v err=%v, want both programs of %s", grant, err, ack.ID)
+	if err != nil || grant.Job != ack.ID || len(grant.Indices) != 2 {
+		t.Fatalf("grant = %+v err=%v, want both programs of %s", grant, err, ack.ID)
 	}
-	_, _, err = cl.do(context.Background(), http.MethodPost, "/v1/results", "application/json",
-		[]byte(fmt.Sprintf(`{"worker":"old","job":%q,"lease":%d,"results":[{"index":0,"noiseless":1,"clock":"x"},{"index":1,"noiseless":2}]}`, ack.ID, grant.Lease)))
-	checkLeaseTable(t, b, "results")
-	if st, perr := poll(cl, ack.ID); err != nil || perr != nil || !st.Done || st.Results[0].Noiseless != 1 {
-		t.Errorf("results with an older peer's clock tag: %+v post err=%v poll err=%v, want them accepted as the target's times", st, err, perr)
+	code, _, err = cl.do(context.Background(), http.MethodPost, "/v1/results", "application/json",
+		[]byte(fmt.Sprintf(`{"worker":"old","job":%q,"lease":%d,"results":[`+
+			`{"index":0,"noiseless":1,"measured_on":"intel-20c-avx512","clock":"intel-20c-avx512"},`+
+			`{"index":1,"noiseless":2}]}`, ack.ID, grant.Lease)))
+	checkLeaseTable(t, b, "older result post")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("result post with measured_on and clock: %d %v", code, err)
 	}
-	if m, err := cl.Metrics(); err != nil || m.SiblingLeases != 0 {
-		t.Errorf("sibling leases = %d err=%v, want 0", m.SiblingLeases, err)
+	if st, err := poll(cl, ack.ID); err != nil || !st.Done || st.Results[0].Noiseless != 1 || st.Results[1].Noiseless != 2 {
+		t.Errorf("job after the older post: %+v err=%v, want both times accepted", st, err)
+	}
+
+	const line = `{"task":"t","target":"intel-20c-avx2","sig":"s","dag":"d","steps":[],` +
+		`"seconds":2,"noiseless":1.5,"measured_on":"intel-20c-avx512"}` + "\n"
+	l, err := measure.Load(strings.NewReader(line))
+	if err != nil || len(l.Records) != 1 {
+		t.Fatalf("record line with measured_on: %+v err=%v", l, err)
+	}
+	var out bytes.Buffer
+	if err := l.Save(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Replace(line, `,"measured_on":"intel-20c-avx512"`, "", 1); out.String() != want {
+		t.Errorf("re-saved log:\n got %q\nwant %q", out.String(), want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,28 +16,25 @@ import (
 
 // chaos_test.go is the deterministic fleet chaos suite: seeded fault
 // agents inject worker death, lease expiry, straggler (late) posts and
-// duplicate posts into a live mixed avx2/avx512 fleet with near-sibling
-// dispatch enabled, and every run must produce output bit-identical to
-// an in-process measurement — the package's determinism contract says
-// lease slicing, assignment, faults and dispatch distance are invisible
-// in results. After every request an agent makes, the broker's
-// lease-table invariant (checkLeaseTable) must hold. The suite runs
-// under CI's fleet -race gate.
+// duplicate posts into a live mixed avx2/avx512 fleet measuring jobs for
+// both targets at once, and every run must produce output bit-identical
+// to an in-process measurement — the package's determinism contract says
+// lease slicing, assignment and faults are invisible in results. A time
+// is only ever used on the target that measured it, so every grant an
+// agent receives must name the target it hosts. After every request an
+// agent makes, the broker's lease-table invariant (checkLeaseTable) must
+// hold. The suite runs under CI's fleet -race gate.
 
 // chaosTTL is the chaos brokers' lease TTL: short enough that a test
 // recovers abandoned slices quickly, long enough that healthy posts
 // comfortably beat it.
 const chaosTTL = 60 * time.Millisecond
 
-// chaosResults honestly measures a grant the way a real worker would:
-// on the job target's own machine model (sibling grants included). A nil
-// return means the agent could not measure (undecodable grant) and must
-// abandon the lease — the broker requeues it for a healthy worker.
-func chaosResults(g *LeaseGrant) []WorkerResult {
-	m, ok := sim.ByName(g.Target)
-	if !ok {
-		return nil
-	}
+// chaosResults honestly measures a grant on m, the way a real worker
+// would. A nil return means the agent could not measure (undecodable
+// grant) and must abandon the lease — the broker requeues it for a
+// healthy worker.
+func chaosResults(m *sim.Machine, g *LeaseGrant) []WorkerResult {
 	dag, err := te.DecodeDAGBinary(g.DAGBin)
 	if err != nil {
 		return nil
@@ -54,14 +52,14 @@ func chaosResults(g *LeaseGrant) []WorkerResult {
 }
 
 // startChaosAgent runs one seeded fault agent until test cleanup: it
-// leases like a sibling-dispatch worker for host, then rolls one of
-// {die, straggle, duplicate, behave} per lease. Dying abandons the
-// slice (lease expiry + requeue); straggling holds it past the TTL and
-// posts anyway (late/duplicate-result path); duplicating posts the same
-// results twice, the second time aboard its next lease request; behaving
-// is an ordinary worker, whose results ride on its next lease request.
-// All posted results are honestly measured, so whichever post lands
-// first is correct — the determinism contract under fire.
+// leases like a worker hosting host, checks that the grant is for host,
+// then rolls one of {die, straggle, duplicate, behave} per lease. Dying
+// abandons the slice (lease expiry + requeue); straggling holds it past
+// the TTL and posts anyway (late/duplicate-result path); duplicating
+// posts the same results twice, the second time aboard its next lease
+// request; behaving is an ordinary worker, whose results ride on its next
+// lease request. All posted results are honestly measured, so whichever
+// post lands first is correct — the determinism contract under fire.
 func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, seed int64) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -85,11 +83,14 @@ func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, see
 				}
 				continue
 			}
+			if g.Target != host.Name {
+				t.Errorf("%s, hosting %s, was granted a job for %s", id, host.Name, g.Target)
+			}
 			fault := rng.Intn(4)
 			if fault == 0 {
 				continue // die: never post, the slice must requeue
 			}
-			results := chaosResults(g)
+			results := chaosResults(host, g)
 			if results == nil {
 				continue
 			}
@@ -117,14 +118,18 @@ func startChaosAgent(t *testing.T, b *Broker, url string, host *sim.Machine, see
 	})
 }
 
-// TestFleetChaosBitIdentical: a mixed avx2/avx512 fleet with sibling
-// dispatch on, three chaos agents rolling faults from a fixed seed, and
-// a short lease TTL. At every seed the measured batch is bit-identical
-// to the in-process measurer.
+// TestFleetChaosBitIdentical: an avx2 and an avx512 batch measured at
+// once on a mixed fleet — real workers and chaos agents hosting each
+// target, rolling faults from a fixed seed — with a short lease TTL. At
+// every seed each batch is bit-identical to the in-process measurer of
+// its own target.
 func TestFleetChaosBitIdentical(t *testing.T) {
-	machine := sim.IntelXeon()
+	machines := []*sim.Machine{sim.IntelXeon(), sim.IntelXeonAVX512()}
 	states := sampleStates(t, 32)
-	local := measure.New(machine, 0.02, 11).MeasureTask("mm", states)
+	local := make([][]measure.Result, len(machines))
+	for k, m := range machines {
+		local[k] = measure.New(m, 0.02, 11).MeasureTask("mm", states)
+	}
 
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -133,52 +138,77 @@ func TestFleetChaosBitIdentical(t *testing.T) {
 				b.MaxFailures = 0 // chaos agents die constantly; never quarantine
 			})
 			url := bcl.base
-			startWorkers(t, url, sim.IntelXeon(), 2)          // native
-			startWorkers(t, url, sim.IntelXeonAVX512(), 1, 3) // siblings (the broker's distance 1 default)
-			startChaosAgent(t, b, url, sim.IntelXeon(), seed) // native-side faults
-			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+100)
-			startChaosAgent(t, b, url, sim.IntelXeonAVX512(), seed+200)
+			startWorkers(t, url, machines[0], 2)
+			startWorkers(t, url, machines[1], 1, 3)
+			startChaosAgent(t, b, url, machines[0], seed)
+			startChaosAgent(t, b, url, machines[1], seed+100)
+			startChaosAgent(t, b, url, machines[1], seed+200)
 
-			rm := remote(t, url, machine, 0.02, 11)
-			res := rm.MeasureTask("mm", states)
-			checkLeaseTable(t, b, "the batch")
-			assertBitIdentical(t, "chaos", local, res)
-			if err := rm.Err(); err != nil {
-				t.Fatalf("latched fleet error under chaos: %v", err)
+			res := make([][]measure.Result, len(machines))
+			errs := make([]error, len(machines))
+			var wg sync.WaitGroup
+			for k, m := range machines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rm := remote(t, url, m, 0.02, 11)
+					res[k] = rm.MeasureTask("mm", states)
+					errs[k] = rm.Err()
+				}()
+			}
+			wg.Wait()
+			checkLeaseTable(t, b, "the batches")
+			for k, m := range machines {
+				assertBitIdentical(t, "chaos "+m.Name, local[k], res[k])
+				if errs[k] != nil {
+					t.Fatalf("latched fleet error under chaos on %s: %v", m.Name, errs[k])
+				}
 			}
 		})
 	}
 }
 
-// TestSiblingOnlyFleetBitIdentical: the task's target hosts NO worker at
-// all — only avx512 boards are alive — yet the avx2 batch drains
-// bit-identically to a local run, because sibling grants are timed on
-// the job target's own model. measured_on records the provenance.
-func TestSiblingOnlyFleetBitIdentical(t *testing.T) {
+// TestFleetWithoutTargetWorkerNeverMeasuresElsewhere: a fleet with no
+// worker for the job's target — avx512 boards only, an avx2 batch — never
+// measures the job on another target. The idle boards are never leased a
+// program, and the batch fails at its Timeout with the error latched.
+func TestFleetWithoutTargetWorkerNeverMeasuresElsewhere(t *testing.T) {
 	machine := sim.IntelXeon()
-	sibling := sim.IntelXeonAVX512()
-	states := sampleStates(t, 16)
-	local := measure.New(machine, 0.02, 13).MeasureTask("mm", states)
-
-	url := startBroker(t, nil)
-	startWorkers(t, url, sibling, 2, 3)
+	b, bcl := testBroker(t, nil)
+	url := bcl.base
+	startWorkers(t, url, sim.IntelXeonAVX512(), 2, 3)
 	rm := remote(t, url, machine, 0.02, 13)
-	res := rm.MeasureTask("mm", states)
-	assertBitIdentical(t, "sibling-only", local, res)
+	rm.Timeout = 300 * time.Millisecond
+
+	start := time.Now()
+	res := rm.MeasureTask("mm", sampleStates(t, 16))
+	if elapsed := time.Since(start); elapsed < rm.Timeout {
+		t.Errorf("batch failed after %s, before its %s timeout", elapsed, rm.Timeout)
+	}
 	for i, r := range res {
-		if r.Err != nil {
-			continue
-		}
-		if r.MeasuredOn != sibling.Name {
-			t.Fatalf("result %d measured_on = %q, want provenance %q", i, r.MeasuredOn, sibling.Name)
+		if r.Err == nil {
+			t.Fatalf("result %d measured with no %s worker in the fleet", i, machine.Name)
 		}
 	}
-	cl := NewClient(url)
-	m, err := cl.Metrics()
+	if err := rm.Err(); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Errorf("latched error = %v, want the batch timeout", err)
+	}
+	checkLeaseTable(t, b, "the timed-out batch")
+	b.mu.Lock()
+	for _, j := range b.jobs {
+		if len(j.queue) != len(j.programs) || len(j.leases) != 0 {
+			t.Errorf("job %s: %d of %d programs queued, %d leases, want every program queued and none leased",
+				j.id, len(j.queue), len(j.programs), len(j.leases))
+		}
+	}
+	b.mu.Unlock()
+	m, err := bcl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SiblingLeases == 0 || m.SiblingPrograms == 0 {
-		t.Errorf("sibling counters = %d/%d, want > 0", m.SiblingLeases, m.SiblingPrograms)
+	for _, ws := range m.Workers {
+		if ws.Completed != 0 {
+			t.Errorf("worker %s (%s) completed %d programs of another target's job", ws.ID, ws.Target, ws.Completed)
+		}
 	}
 }

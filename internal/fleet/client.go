@@ -359,7 +359,7 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices 
 		case ur.Noiseless <= 0:
 			out[i].Err = fmt.Errorf("fleet: worker returned non-positive time %g", ur.Noiseless)
 		default:
-			out[i].NoiselessSeconds, out[i].MeasuredOn = ur.Noiseless, ur.MeasuredOn
+			out[i].NoiselessSeconds = ur.Noiseless
 		}
 	}
 }

@@ -12,16 +12,15 @@
 //     holding submitted jobs. A job is one measurement batch: a target
 //     name, a wire-encoded computation DAG, and one encoded step list
 //     per program. The broker leases batch slices, each the size the
-//     worker asked for, to compatible workers — exact target-name match
-//     first, then (near-sibling dispatch) to idle workers within its
-//     MaxDispatchDistance of a job target sim.ByName resolves — requeues
+//     worker asked for, to workers hosting exactly the job's target —
+//     a time is only ever used on the target that measured it — requeues
 //     slices whose lease expired (straggler/crash recovery), quarantines
 //     workers that keep failing, and reassembles results by submission
 //     index.
 //
 //   - Worker (cmd/ansor-worker) — hosts a sim.Machine, long-polls the
 //     broker for leases, replays + lowers + times each leased program on
-//     the job target's machine model, and posts NOISELESS times back.
+//     its machine model, and posts NOISELESS times back.
 //     Workers are stateless and interchangeable: nothing a worker
 //     computes depends on worker identity.
 //
@@ -52,9 +51,8 @@ type JobSpec struct {
 	// submitting an ID the broker holds attaches to that job instead of
 	// enqueueing the batch again.
 	ID string `json:"id"`
-	// Target names the machine model programs must be timed on. Workers
-	// hosting it are leased the job first; when sim.ByName resolves it, so
-	// are idle near siblings, which time the programs on this model too.
+	// Target names the machine model programs must be timed on; only
+	// workers hosting it are leased the job.
 	Target string `json:"target,omitempty"`
 	// Task attributes the batch for observability; the broker never
 	// keys on it.
@@ -135,11 +133,6 @@ type WorkerResult struct {
 	// program's fault, not the worker's — it does not count toward
 	// quarantine).
 	Err string `json:"err,omitempty"`
-	// MeasuredOn names the machine model the reporting worker hosts when
-	// it differs from the job's target (near-sibling dispatch); empty for
-	// the common exact-match case. Provenance only: the time is the job
-	// target's own, whichever box computed it.
-	MeasuredOn string `json:"measured_on,omitempty"`
 }
 
 // ResultPost returns a lease's results: on its own (POST /v1/results) or
@@ -159,14 +152,11 @@ type ResultAck struct {
 	Accepted int `json:"accepted"`
 }
 
-// UnitResult is one program's outcome in a job status. MeasuredOn
-// carries the worker's sibling-dispatch tag through unchanged (see
-// WorkerResult).
+// UnitResult is one program's outcome in a job status.
 type UnitResult struct {
-	Done       bool    `json:"done"`
-	Noiseless  float64 `json:"noiseless,omitempty"`
-	Err        string  `json:"err,omitempty"`
-	MeasuredOn string  `json:"measured_on,omitempty"`
+	Done      bool    `json:"done"`
+	Noiseless float64 `json:"noiseless,omitempty"`
+	Err       string  `json:"err,omitempty"`
 }
 
 // JobStatus answers a submission. Results are indexed by submission
@@ -223,10 +213,4 @@ type Metrics struct {
 	// LeaseWakeups counts lease long-polls that blocked and were then
 	// answered with work.
 	LeaseWakeups int64 `json:"lease_wakeups"`
-	// SiblingLeases / SiblingPrograms count near-sibling dispatch: leases
-	// granted to a worker whose target differs from the job's (and the
-	// programs they carried). Zero on a fleet where every target has its
-	// own workers keeping up.
-	SiblingLeases   int64 `json:"sibling_leases"`
-	SiblingPrograms int64 `json:"sibling_programs"`
 }

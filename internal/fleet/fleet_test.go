@@ -121,7 +121,7 @@ func startPoisoningWorker(t *testing.T, url string, poison []byte) {
 			if err != nil || g == nil {
 				continue
 			}
-			done = &ResultPost{Job: g.Job, Lease: g.Lease, Results: chaosResults(g)}
+			done = &ResultPost{Job: g.Job, Lease: g.Lease, Results: chaosResults(sim.IntelXeon(), g)}
 			for k := range done.Results {
 				if bytes.Equal(g.Programs[k], poison) {
 					done.Results[k] = WorkerResult{Index: g.Indices[k], Err: "poisoned"}
@@ -399,21 +399,21 @@ func TestWorkerRunExitsOnQuarantine(t *testing.T) {
 	}
 }
 
-// TestWorkerFailsGrantForUnknownTarget: a worker handed a grant whose
-// target this build has no model for (no broker of this tree sends one:
-// the worker here is re-registered under the job's name on the way in)
+// TestWorkerFailsGrantForOtherTarget: a worker handed a grant for a
+// target other than the one it hosts (no broker of this tree sends one:
+// the avx2 worker here is re-registered under avx512 on the way in)
 // fails the slice's programs, as it fails a bad DAG, and never times
 // them on its own machine. Program errors return the lease, so nothing
 // expires and nothing counts toward quarantine.
-func TestWorkerFailsGrantForUnknownTarget(t *testing.T) {
-	const custom = "lab-board-9"
+func TestWorkerFailsGrantForOtherTarget(t *testing.T) {
+	other := sim.IntelXeonAVX512().Name
 	b := NewBroker()
 	b.MaxFailures = 1
 	inner := b.Handler()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
 		if r.URL.Path == "/v1/lease" && json.NewDecoder(r.Body).Decode(&req) == nil {
-			req.Target = custom
+			req.Target = other
 			body, _ := json.Marshal(req)
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
@@ -422,15 +422,15 @@ func TestWorkerFailsGrantForUnknownTarget(t *testing.T) {
 	t.Cleanup(hs.Close)
 	startWorkers(t, hs.URL, sim.IntelXeon(), 2)
 	cl := NewClient(hs.URL)
-	spec := binJob(t, custom, sampleStates(t, 3))
+	spec := binJob(t, other, sampleStates(t, 3))
 	spec.WaitMS = 5000
 	st, err := cl.Submit(spec)
 	if err != nil || !st.Done {
-		t.Fatalf("job for %s: %+v err=%v, want it answered", custom, st, err)
+		t.Fatalf("job for %s: %+v err=%v, want it answered", other, st, err)
 	}
 	for i, ur := range st.Results {
-		if !strings.Contains(ur.Err, custom) || ur.Noiseless != 0 {
-			t.Errorf("result %d = %+v, want an error naming %s and no time", i, ur, custom)
+		if !strings.Contains(ur.Err, other) || ur.Noiseless != 0 {
+			t.Errorf("result %d = %+v, want an error naming %s and no time", i, ur, other)
 		}
 	}
 	m, err := cl.Metrics()

@@ -82,9 +82,6 @@ func TestWorkerMetricsEndpoints(t *testing.T) {
 	if m.ProgramsMeasured != int64(len(states)) || m.ProgramErrors != 0 {
 		t.Errorf("programs measured/errors = %d/%d, want %d/0", m.ProgramsMeasured, m.ProgramErrors, len(states))
 	}
-	if m.SiblingGrants != 0 {
-		t.Errorf("sibling_grants = %d on a native-target fleet, want 0", m.SiblingGrants)
-	}
 	if m.Quarantined {
 		t.Error("healthy worker reports quarantined")
 	}
@@ -159,7 +156,6 @@ func TestBrokerMetricsEndpoints(t *testing.T) {
 		"programs_queued", "programs_leased", "programs_completed",
 		"lease_expiries", "duplicate_results", "workers", "quarantined",
 		"uptime_seconds", "bytes_in", "bytes_out", "lease_wakeups",
-		"sibling_leases", "sibling_programs",
 	} {
 		if _, ok := payload[key]; !ok {
 			t.Errorf("/metrics JSON lost documented field %q", key)

@@ -13,11 +13,9 @@ import (
 )
 
 // Worker is one measurement device of the fleet: it hosts a machine
-// model, long-polls the broker for leases, replays + lowers + times every
-// leased program on the job target's model — the hosted one, or under
-// near-sibling dispatch the one sim.ByName resolves, whose time is the
-// target's exact time, just computed on another box — and posts the
-// noiseless times back. Workers are stateless — a worker can crash,
+// model, long-polls the broker for leases of jobs for that model's
+// target, replays + lowers + times every leased program on it, and posts
+// the noiseless times back. Workers are stateless — a worker can crash,
 // restart, or be replaced at any time and the broker's lease expiry puts
 // its in-flight slice back in the queue; nothing a worker computes
 // depends on which worker it is.
@@ -31,7 +29,7 @@ type Worker struct {
 	// Capacity bounds how many programs one lease may carry.
 	Capacity int
 	// Obs carries the worker's metrics registry (leases, programs
-	// measured, sibling grants, program errors, quarantine state —
+	// measured, program errors, quarantine state —
 	// served by MetricsHandler) and, when an event sink is attached,
 	// the worker's view of the fleet lifecycle: worker_lease and
 	// worker_result events joined to the submitter's timeline by the
@@ -73,39 +71,25 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 	if err != nil || grant == nil {
 		return nil, err
 	}
-	// Near-sibling dispatch: a grant for another target is timed on that
-	// target's own analytic model — machine models are portable code, so
-	// the time is bit-identical to what the target's native worker would
-	// report, tagged measured_on for provenance.
-	m, measuredOn := w.Machine, ""
-	if grant.Target != "" && grant.Target != w.Machine.Name {
-		m, _ = sim.ByName(grant.Target)
-		measuredOn = w.Machine.Name
-	}
 	w.Obs.Count("leases_taken")
-	if measuredOn != "" {
-		w.Obs.Count("sibling_grants")
-	}
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerLease, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(grant.Indices)})
 	post := &ResultPost{Job: grant.Job, Lease: grant.Lease, Results: make([]WorkerResult, 0, len(grant.Indices))}
 	dag, err := te.DecodeDAGBinary(grant.DAGBin)
-	if err == nil && m == nil {
-		err = fmt.Errorf("no machine model named %q in this build (worker hosts %s)", grant.Target, measuredOn)
+	if err == nil && grant.Target != w.Machine.Name {
+		err = fmt.Errorf("grant for target %q, but this worker hosts %s", grant.Target, w.Machine.Name)
 	}
 	if err != nil {
-		// A bad DAG, or a target this build cannot resolve, fails every
-		// program of the slice as a program error: it would fail identically
-		// on every other worker, so requeueing (by abandoning the lease)
-		// would only burn the fleet's patience quota on a poisoned job.
+		// A bad DAG, or a grant for a target this worker does not host,
+		// fails every program of the slice as a program error: requeueing
+		// it (by abandoning the lease) would only burn the fleet's patience
+		// quota on a job this worker must never time.
 		for _, idx := range grant.Indices {
 			post.Results = append(post.Results, WorkerResult{Index: idx, Err: err.Error()})
 		}
 	} else {
 		for k, idx := range grant.Indices {
-			wr := w.measureOne(m, dag, idx, grant.Programs[k])
-			wr.MeasuredOn = measuredOn
-			post.Results = append(post.Results, wr)
+			post.Results = append(post.Results, w.measureOne(dag, idx, grant.Programs[k]))
 		}
 	}
 	measured, failed := 0, 0
@@ -125,14 +109,13 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 	return post, nil
 }
 
-// measureOne replays, lowers and times one program on m (the hosted
-// machine model, or a sibling job target's model under near-sibling
-// dispatch). The returned time is the model's exact (noiseless) time:
-// noise is derived by the submitting client from its tuning seed, never
-// rolled on a worker (the package determinism contract). The lowering is
+// measureOne replays, lowers and times one program on the hosted machine
+// model. The returned time is the model's exact (noiseless) time: noise
+// is derived by the submitting client from its tuning seed, never rolled
+// on a worker (the package determinism contract). The lowering is
 // borrowed: it is read only inside Time, and nothing that points into it
 // outlives Release.
-func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []byte) WorkerResult {
+func (w *Worker) measureOne(dag *te.DAG, index int, encSteps []byte) WorkerResult {
 	steps, err := ir.DecodeSteps(encSteps)
 	if err != nil {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("decode steps: %v", err)}
@@ -145,7 +128,7 @@ func (w *Worker) measureOne(m *sim.Machine, dag *te.DAG, index int, encSteps []b
 	if err != nil {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("lower: %v", err)}
 	}
-	sec := m.Time(low)
+	sec := w.Machine.Time(low)
 	low.Release()
 	return WorkerResult{Index: index, Noiseless: sec}
 }

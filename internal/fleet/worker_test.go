@@ -17,7 +17,7 @@ import (
 // tests asserting worker/measurer equivalence directly.
 func NoiselessTime(m *sim.Machine, dag *te.DAG, encSteps []byte) (float64, error) {
 	w := Worker{Machine: m}
-	r := w.measureOne(m, dag, 0, encSteps)
+	r := w.measureOne(dag, 0, encSteps)
 	if r.Err != "" {
 		return 0, errors.New(r.Err)
 	}
@@ -50,8 +50,7 @@ func TestMeasureOneAllocationCeiling(t *testing.T) {
 	for k, s := range pop {
 		encoded[k], _ = ir.EncodeSteps(s.Steps)
 	}
-	m := sim.IntelXeon()
-	w := Worker{Machine: m}
+	w := Worker{Machine: sim.IntelXeon()}
 	// AllocsPerRun calls fn once more than runs: a multiple of programs
 	// after that first call has both rows average the same programs.
 	const runs = 4 * programs
@@ -62,7 +61,7 @@ func TestMeasureOneAllocationCeiling(t *testing.T) {
 		i++
 	}
 	measureOne := func() {
-		if r := w.measureOne(m, dag, 0, encoded[i%programs]); r.Err != "" {
+		if r := w.measureOne(dag, 0, encoded[i%programs]); r.Err != "" {
 			t.Fatal(r.Err)
 		}
 		i++

@@ -17,11 +17,8 @@ type WorkerMetrics struct {
 	// broker's per-worker status rows.
 	Worker string `json:"worker"`
 	Target string `json:"target"`
-	// LeasesTaken counts lease grants this worker received; SiblingGrants
-	// counts the subset for a target other than its own (near-sibling
-	// dispatch).
-	LeasesTaken   int64 `json:"leases_taken"`
-	SiblingGrants int64 `json:"sibling_grants"`
+	// LeasesTaken counts lease grants this worker received.
+	LeasesTaken int64 `json:"leases_taken"`
 	// ProgramsMeasured counts programs replayed+lowered+timed
 	// successfully; ProgramErrors counts programs that failed replay or
 	// lowering (the program's fault, reported back as errors).
@@ -50,7 +47,6 @@ func (w *Worker) Metrics() WorkerMetrics {
 	w.Obs.Metrics.Gauge("uptime_seconds").Set(m.UptimeSeconds)
 	s := w.Obs.Metrics.Snapshot()
 	m.LeasesTaken = s.Counters["leases_taken"]
-	m.SiblingGrants = s.Counters["sibling_grants"]
 	m.ProgramsMeasured = s.Counters["programs_measured"]
 	m.ProgramErrors = s.Counters["program_errors"]
 	m.Quarantined = s.Gauges["quarantined"] != 0

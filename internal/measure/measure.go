@@ -31,10 +31,6 @@ type Result struct {
 	Cached bool
 	Err    error
 
-	// MeasuredOn names the machine that physically timed the program
-	// when it differs from the requested target (near-sibling fleet
-	// dispatch); empty means the target itself measured it.
-	MeasuredOn string
 	// EncSteps carries the canonical step encoding when the measurer
 	// already made it (for the cache lookup, for the fleet), so NewRecord
 	// does not encode the program a second time.
@@ -83,7 +79,7 @@ type Measurer struct {
 	// the batch and the indices that lowered, were not served from Cache
 	// and carry their EncSteps, and sets on each of exactly those either
 	// NoiselessSeconds — positive, the exact time of the model named
-	// Machine.Name — with MeasuredOn when another box computed it, or Err.
+	// Machine.Name — or Err.
 	// Noise, trial counting and records stay with the measurer, so where a
 	// program was timed never shows in a result. Safe for concurrent use,
 	// like MeasureTask.

@@ -45,11 +45,6 @@ type Record struct {
 	// Noiseless is the machine model's exact time: derivable from
 	// Seconds only up to float rounding, so it is stored.
 	Noiseless float64 `json:"noiseless,omitempty"`
-	// MeasuredOn names the machine that physically timed the program
-	// when near-sibling fleet dispatch ran it somewhere other than
-	// Target (the machine the record is filed under). Empty — the
-	// common case — means Target measured it itself.
-	MeasuredOn string `json:"measured_on,omitempty"`
 }
 
 // NewRecord builds the durable record of one successful measurement.
@@ -65,14 +60,13 @@ func NewRecord(task, target string, r Result) (Record, error) {
 		}
 	}
 	return Record{
-		Task:       task,
-		Target:     target,
-		Sig:        r.State.Signature(),
-		DAG:        DAGFingerprint(r.State.DAG),
-		Steps:      steps,
-		Seconds:    r.Seconds,
-		Noiseless:  r.NoiselessSeconds,
-		MeasuredOn: r.MeasuredOn,
+		Task:      task,
+		Target:    target,
+		Sig:       r.State.Signature(),
+		DAG:       DAGFingerprint(r.State.DAG),
+		Steps:     steps,
+		Seconds:   r.Seconds,
+		Noiseless: r.NoiselessSeconds,
 	}, nil
 }
 

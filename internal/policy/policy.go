@@ -63,7 +63,7 @@ type Options struct {
 	// and full refits happen only at fingerprint-drift checkpoints (a
 	// new best time rescales every label) or when the ensemble hits its
 	// growth bound. Both modes are bit-deterministic; they just spend
-	// different training time (see xgb.CostModel.BoostWeighted).
+	// different training time (see xgb.CostModel.Boost).
 	DisableIncremental bool
 	// Space restrictions, used by the baseline frameworks and the
 	// "Limited space" ablation; all false for Ansor.
@@ -143,12 +143,9 @@ type Policy struct {
 	lastFitMin  float64
 	stale       bool
 
-	// Accumulated training data. progWeights carries each program's
-	// training weight: 1 for native measurements, a transfer discount for
-	// warm-started records of sibling targets (see WarmStartWeighted).
-	progFeats   [][][]float64
-	progTimes   []float64
-	progWeights []float64
+	// Accumulated training data, every program measured on this target.
+	progFeats [][][]float64
+	progTimes []float64
 
 	measuredSigs map[string]bool
 	bestStates   []*ir.State // sorted by measured time, ascending
@@ -458,28 +455,19 @@ func (p *Policy) update(results []measure.Result) {
 		if !ok {
 			continue
 		}
-		p.absorbWeighted(r.State, e.Feats, r.Seconds, 1, false)
+		p.absorb(r.State, e.Feats, r.Seconds)
 	}
 	p.rebuildBestPool()
 	p.stale = true
 	p.History = append(p.History, HistoryPoint{Trials: p.Trials, BestTime: p.BestTime})
 }
 
-// absorbWeighted folds one measured program into the accumulated
-// training data and best tracking (pool rebuild and marking the model
-// stale are the caller's job), with a training weight and an optional
-// train-only restriction. A train-only program feeds the cost model but never
-// enters the best-k pool, the best time, or the measured set —
-// transferred cross-target warm-start records must inform the model
-// without claiming a measured best on this target, and must stay
-// measurable if the search picks them natively.
-func (p *Policy) absorbWeighted(s *ir.State, feats [][]float64, seconds, weight float64, trainOnly bool) {
+// absorb folds one measured program into the accumulated training data,
+// the measured set and best tracking (pool rebuild and marking the model
+// stale are the caller's job).
+func (p *Policy) absorb(s *ir.State, feats [][]float64, seconds float64) {
 	p.progFeats = append(p.progFeats, feats)
 	p.progTimes = append(p.progTimes, seconds)
-	p.progWeights = append(p.progWeights, weight)
-	if trainOnly {
-		return
-	}
 	p.measuredSigs[s.Signature()] = true
 	if seconds < p.BestTime {
 		p.BestTime = seconds
@@ -554,9 +542,9 @@ func (p *Policy) retrainModel() {
 	case p.Opts.DisableIncremental, !p.model.Trained(), minT != p.lastFitMin,
 		p.model.NumTrees()+p.model.Opts.BoostTrees > p.model.Opts.MaxTrees:
 		mode = "refit"
-		p.model.FitWeighted(p.progFeats, y, p.progWeights)
+		p.model.Fit(p.progFeats, y)
 	default:
-		p.model.BoostWeighted(p.progFeats, y, p.progWeights, p.fittedProgs)
+		p.model.Boost(p.progFeats, y, p.fittedProgs)
 	}
 	p.lastFitMin = minT
 	p.fittedProgs = len(p.progFeats)
@@ -564,82 +552,42 @@ func (p *Policy) retrainModel() {
 		Count: len(p.progFeats), Detail: mode})
 }
 
-// WarmRecord is one source-tagged, weighted record offered to a policy's
-// warm start. Same-target history replays at full weight exactly as a
-// plain WarmStart; records transferred from a sibling target arrive
-// calibrated (Seconds rewritten into this target's time scale),
-// discounted (Weight < 1) and TrainOnly, so they shape the cost model
-// without ever claiming a measured best (see internal/warm).
-type WarmRecord struct {
-	measure.Record
-	// Weight scales the record's influence on cost-model training
-	// (clamped to (0, 1]; 1 = native measurement).
-	Weight float64
-	// TrainOnly keeps the record out of the best-k pool, the best time,
-	// and the measured set: it informs the model only, and the search may
-	// still measure the program natively.
-	TrainOnly bool
-	// Source tags the record's provenance (file path or server URL) for
-	// diagnostics; it never affects the search.
-	Source string
-}
-
 // WarmStart replays previously recorded programs of this policy's task
 // into the accumulated training data and best-k pool and marks the cost
 // model stale — so the very first proposal fits it to history and evolves
 // under that model instead of sampling blind (§5.2 trains "from all
 // accumulated measurements"; the TVM-style transfer-from-logs path).
-// Records of other tasks or targets are skipped, as are records that no
-// longer replay on this DAG. Warm-started programs enter measuredSigs,
-// so pickBatch never re-measures them. Trials and History stay
-// untouched: warm-start is free budget-wise. Returns how many records
-// were absorbed and the first replay error encountered.
+// A time is only ever used on the target that measured it: records of
+// other tasks, or of any target but the measurer's (a record without one
+// included), are skipped, as are non-positive times, records that no
+// longer replay on this DAG and programs already absorbed. Warm-started
+// programs enter measuredSigs, so pickBatch never re-measures them.
+// Trials and History stay untouched: warm-start is free budget-wise.
+// Returns how many records were absorbed and the first replay/lowering
+// error encountered.
 func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
-	ws := make([]WarmRecord, 0, len(recs))
-	for _, rec := range recs {
-		if rec.Target != "" && p.Measurer != nil && rec.Target != p.Measurer.Machine.Name {
-			continue
-		}
-		ws = append(ws, WarmRecord{Record: rec, Weight: 1})
-	}
-	return p.WarmStartWeighted(ws)
-}
-
-// WarmStartWeighted is the generalized warm start: each record carries
-// its own training weight and pool eligibility (see WarmRecord). The
-// caller — normally internal/warm — owns target filtering, cross-target
-// calibration and weighting; the policy still skips records of other
-// tasks, non-positive times or weights, programs that no longer replay
-// on this DAG, and programs already absorbed. Trials and History stay
-// untouched. Returns how many records were absorbed and the first
-// replay/lowering error encountered.
-func (p *Policy) WarmStartWeighted(recs []WarmRecord) (int, error) {
 	if p.pending != nil {
 		panic(fmt.Sprintf("policy: task %s warm-started with a proposal pending", p.Task.Name))
 	}
 	var n int
 	var first error
-	seen := map[string]bool{}
-	for _, wr := range recs {
-		if wr.Task != p.Task.Name || wr.Seconds <= 0 || wr.Weight <= 0 {
+	for _, rec := range recs {
+		if rec.Task != p.Task.Name || rec.Seconds <= 0 {
 			continue
 		}
-		w := wr.Weight
-		if w > 1 {
-			w = 1
+		if p.Measurer != nil && rec.Target != p.Measurer.Machine.Name {
+			continue
 		}
-		s, err := wr.Replay(p.Task.DAG)
+		s, err := rec.Replay(p.Task.DAG)
 		if err != nil {
 			if first == nil {
 				first = err
 			}
 			continue
 		}
-		sig := s.Signature()
-		if p.measuredSigs[sig] || seen[sig] {
+		if p.measuredSigs[s.Signature()] {
 			continue
 		}
-		seen[sig] = true
 		e, ok := p.feats.Program(s)
 		if !ok {
 			// The cache records the failure; re-lower once to surface the
@@ -651,7 +599,7 @@ func (p *Policy) WarmStartWeighted(recs []WarmRecord) (int, error) {
 			}
 			continue
 		}
-		p.absorbWeighted(s, e.Feats, wr.Seconds, w, wr.TrainOnly)
+		p.absorb(s, e.Feats, rec.Seconds)
 		n++
 	}
 	if n > 0 {

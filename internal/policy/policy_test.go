@@ -214,44 +214,9 @@ func TestWarmStartTrainsModelAndDedupes(t *testing.T) {
 	if n2, _ := p2.WarmStart(log.Records); n2 != 0 {
 		t.Errorf("re-warm-start absorbed %d records, want 0", n2)
 	}
-	// Records for other tasks or targets are ignored.
-	other := log.Records[0]
-	other.Task = "different"
-	if n3, _ := p2.WarmStart([]measure.Record{other}); n3 != 0 {
-		t.Error("foreign-task record absorbed")
-	}
-	wrongTarget := log.Records[0]
-	wrongTarget.Target = "not-this-machine"
-	if n4, _ := p2.WarmStart([]measure.Record{wrongTarget}); n4 != 0 {
-		t.Error("foreign-target record absorbed")
-	}
-	// The warm-started policy can keep tuning.
-	p2.Tune(16, 16)
-	if p2.BestTime > p1.BestTime {
-		t.Error("continued tuning regressed below the warm-started best")
-	}
-}
-
-func TestWarmStartWeightedTrainOnlyAndWeights(t *testing.T) {
-	task := Task{Name: "mm", DAG: matmulReLU(256, 256, 256), Target: sketch.CPUTarget()}
-	ms := measure.New(sim.IntelXeon(), 0.02, 1)
-	ms.Recorder = measure.NewRecorder(nil)
-	p1, err := New(task, DefaultOptions(), ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Tune(48, 16)
-	log := ms.Recorder.Log()
-	if len(log.Records) == 0 {
-		t.Fatal("nothing recorded")
-	}
-	asWarm := func(weight float64, trainOnly bool) []WarmRecord {
-		out := make([]WarmRecord, 0, len(log.Records))
-		for _, rec := range log.Records {
-			out = append(out, WarmRecord{Record: rec, Weight: weight, TrainOnly: trainOnly})
-		}
-		return out
-	}
+	// A fresh policy takes a record only if it is of this task, measured
+	// on this target and timed: a time is only ever used on the target
+	// that measured it, so a legacy record without a target is refused too.
 	fresh := func() *Policy {
 		p, err := New(task, DefaultOptions(), measure.New(sim.IntelXeon(), 0.02, 1))
 		if err != nil {
@@ -259,61 +224,34 @@ func TestWarmStartWeightedTrainOnlyAndWeights(t *testing.T) {
 		}
 		return p
 	}
-	untrained := xgb.NewCostModel(xgb.DefaultOpts()).Fingerprint()
-
-	// Train-only records train the model but never claim a best or block
-	// re-measurement.
-	p2 := fresh()
-	n, err := p2.WarmStartWeighted(asWarm(0.5, true))
-	if err != nil || n == 0 {
-		t.Fatalf("absorbed %d, err %v", n, err)
-	}
-	if p2.ModelFingerprint() == untrained {
-		t.Error("train-only records must still train the model")
-	}
-	if p2.BestState != nil {
-		t.Error("train-only records must not enter the best pool")
-	}
-	// The same programs stay measurable: a full-weight warm start right
-	// after still absorbs them into the pool (no measuredSigs entry).
-	if n2, _ := p2.WarmStart(log.Records); n2 == 0 {
-		t.Error("train-only absorption must not block native absorption")
-	}
-	if p2.BestState == nil || p2.BestTime != p1.BestTime {
-		t.Errorf("native re-absorption best %g, want %g", p2.BestTime, p1.BestTime)
-	}
-
-	// Weights reach the trained ensemble: down-weighting PART of the
-	// records trains a different model than full weight (a uniform
-	// rescale would be invariant under weighted least squares), and equal
-	// weighting is deterministic.
-	mixed := func() []WarmRecord {
-		out := asWarm(1, true)
-		for i := range out {
-			if i%2 == 0 {
-				out[i].Weight = 0.25
-			}
+	for name, edit := range map[string]func(*measure.Record){
+		"":               func(*measure.Record) {},
+		"foreign task":   func(r *measure.Record) { r.Task = "different" },
+		"foreign target": func(r *measure.Record) { r.Target = "not-this-machine" },
+		"no target":      func(r *measure.Record) { r.Target = "" },
+		"no time":        func(r *measure.Record) { r.Seconds = 0 },
+	} {
+		rec := log.Records[0]
+		edit(&rec)
+		want := 0
+		if name == "" {
+			want = 1
 		}
-		return out
+		if n, _ := fresh().WarmStart([]measure.Record{rec}); n != want {
+			t.Errorf("record edited to %q: absorbed %d, want %d", name, n, want)
+		}
 	}
-	pa, pb, pc := fresh(), fresh(), fresh()
-	pa.WarmStartWeighted(asWarm(1, true))
-	pb.WarmStartWeighted(mixed())
-	pc.WarmStartWeighted(mixed())
-	if pa.ModelFingerprint() == pb.ModelFingerprint() {
-		t.Error("training weight had no effect on the model")
+	// Equal history trains bit-identical models.
+	pa, pb := fresh(), fresh()
+	pa.WarmStart(log.Records)
+	pb.WarmStart(log.Records)
+	if pa.ModelFingerprint() != pb.ModelFingerprint() {
+		t.Error("warm start is nondeterministic")
 	}
-	if pb.ModelFingerprint() != pc.ModelFingerprint() {
-		t.Error("weighted warm start is nondeterministic")
-	}
-
-	// Invalid weights are skipped.
-	p3 := fresh()
-	if n, _ := p3.WarmStartWeighted(asWarm(0, true)); n != 0 {
-		t.Errorf("zero-weight records absorbed: %d", n)
-	}
-	if n, _ := p3.WarmStartWeighted(asWarm(-1, false)); n != 0 {
-		t.Errorf("negative-weight records absorbed: %d", n)
+	// The warm-started policy can keep tuning.
+	p2.Tune(16, 16)
+	if p2.BestTime > p1.BestTime {
+		t.Error("continued tuning regressed below the warm-started best")
 	}
 }
 

@@ -360,8 +360,7 @@ func (r *Registry) Keys() []Key {
 // Query returns the best records whose key matches the filters, in Keys
 // order (deterministic), capped at limit when limit > 0. An empty
 // workload or target matches every value — so ("GMM.s1", "", 0) returns
-// the workload's best record on every target the fleet has measured,
-// which is exactly what cross-target warm start wants.
+// the workload's best record on every target the fleet has measured.
 //
 // The scan is a single pass: each shard is snapshotted once under its
 // read lock, only the matching records are collected, and only those

@@ -467,28 +467,6 @@ func (c *Client) Records(workload, target string, limit int) (*measure.Log, erro
 	return l, nil
 }
 
-// Calibration fetches the server's fleet-pooled cross-target time
-// calibration for one native target: per-sibling-target scales fit over
-// the overlap pairs of every workload the registry holds (see
-// /v1/calibration). Callers hand the result to warm.RecordsCalibrated
-// so tasks with no native history still calibrate a sibling target's
-// times.
-func (c *Client) Calibration(target string) (*measure.Calibration, error) {
-	resp, err := c.get(c.base + "/v1/calibration?" + url.Values{"target": {target}}.Encode())
-	if err != nil {
-		return nil, fmt.Errorf("regserver: calibration from %s: %w", c.base, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorOf(resp)
-	}
-	defer DrainClose(resp.Body)
-	var cal measure.Calibration
-	if err := json.NewDecoder(resp.Body).Decode(&cal); err != nil {
-		return nil, fmt.Errorf("regserver: calibration from %s: %w", c.base, err)
-	}
-	return &cal, nil
-}
-
 // Metrics fetches the server's health counters.
 func (c *Client) Metrics() (Metrics, error) {
 	resp, err := c.get(c.base + "/metrics")

@@ -440,7 +440,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/merge", s.handleRecords) // a merge IS a record batch
 	s.mux.HandleFunc("/v1/best", s.handleBest)
 	s.mux.HandleFunc("/v1/keys", s.handleKeys)
-	s.mux.HandleFunc("/v1/calibration", s.handleCalibration)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics/prom", s.handleMetrics)
@@ -478,8 +477,7 @@ type AddResult struct {
 // with ?workload=&target=&limit= streams the matching best records as a
 // line-oriented log: the task-filtered query a fresh job warm-starts
 // from, instead of downloading the fleet's full snapshot. Empty filters
-// match everything (workload across all targets is the cross-target
-// transfer query); limit 0 means no cap.
+// match everything; limit 0 means no cap.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && r.URL.Path != "/v1/merge" {
 		q := r.URL.Query()
@@ -785,37 +783,6 @@ func (s *Server) metrics() Metrics {
 		KeysEvicted:        int64(snap.Gauges["keys_evicted"]),
 		UptimeSeconds:      snap.Gauges["uptime_seconds"],
 	}
-}
-
-// handleCalibration serves the fleet-pooled cross-target calibration
-// for one native target: per-sibling-target time scales fit over the
-// (workload, dag) overlap pairs of the registry's WHOLE record set
-// (measure.FitCalibration), not one job's history — so a task with no
-// native measurements yet still calibrates sibling times using every
-// workload the fleet has ever measured on both targets. The fit is
-// recomputed against the live registry, which every publish updates, so
-// the calibration is online by construction; the version-derived ETag
-// lets pollers revalidate an unchanged registry for free. The answer is
-// a pure, deterministic function of (registry contents, target) —
-// FitCalibration sums in canonical pair order — so two servers holding
-// the same records serve byte-identical scales.
-func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
-		return
-	}
-	target := r.URL.Query().Get("target")
-	if target == "" {
-		writeError(w, http.StatusBadRequest, "missing target parameter")
-		return
-	}
-	etag := queryETag(s.reg.Version(), "calibration", target)
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	writeJSON(w, http.StatusOK, measure.FitCalibration(s.reg.Log().Records, target))
 }
 
 // handleSnapshot streams the registry's best records in the

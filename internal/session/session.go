@@ -27,7 +27,6 @@ import (
 type Spec struct {
 	RecordTo, ResumeFrom string
 	RegistryURL          string
-	PooledCalibration    bool
 	FleetURL             string
 	WarmStartFrom        string
 	WarmStartLimit       int
@@ -49,8 +48,6 @@ type Session struct {
 	logFile *os.File
 	warmSrc warm.Source
 	remotes []*fleet.RemoteMeasurer
-	// cals memoizes the pooled calibration per target machine.
-	cals map[string]*measure.Calibration
 
 	closed   bool
 	closeErr error
@@ -106,28 +103,6 @@ func (s *Session) Observer() *obs.Observer {
 	return s.obsv
 }
 
-// calibration returns the registry server's fleet-pooled cross-target
-// calibration for the target when the spec asks for it, nil otherwise
-// (PooledCalibration without a RegistryURL is ignored). A fetch failure
-// is an error, not a silent cold start: the caller asked for pooling.
-func (s *Session) calibration(target string) (*measure.Calibration, error) {
-	if !s.spec.PooledCalibration || s.spec.RegistryURL == "" {
-		return nil, nil
-	}
-	if cal, ok := s.cals[target]; ok {
-		return cal, nil
-	}
-	cal, err := regserver.NewClient(s.spec.RegistryURL).Calibration(target)
-	if err != nil {
-		return nil, fmt.Errorf("pooled calibration: %w", err)
-	}
-	if s.cals == nil {
-		s.cals = map[string]*measure.Calibration{}
-	}
-	s.cals[target] = cal
-	return cal, nil
-}
-
 // Measurer returns the run's measurer for the machine, wired to its
 // recorder and resume cache: it times programs on the machine model in
 // process or, with a FleetURL, through the broker. Close reports the
@@ -150,30 +125,25 @@ func (s *Session) Measurer(m *sim.Machine, noise float64, seed int64, workers in
 	return ms
 }
 
-// WarmStart seeds the policy from the run's warm-start source — fetch,
-// calibrate onto the target's clock, absorb, narrate — and does nothing
-// without one. Fetch and replay failures are errors: history from a
-// drifted workload definition should fail loudly, as ApplyHistoryBest
-// does, instead of silently starting cold.
+// WarmStart seeds the policy from the run's warm-start source — fetch
+// the target's records, absorb, narrate — and does nothing without one.
+// Fetch and replay failures are errors: history from a drifted workload
+// definition should fail loudly, as ApplyHistoryBest does, instead of
+// silently starting cold.
 func (s *Session) WarmStart(p *policy.Policy, target string) error {
 	if s == nil || s.warmSrc == nil {
 		return nil
 	}
-	cal, err := s.calibration(target)
-	if err != nil {
-		return err
-	}
-	recs, err := warm.RecordsCalibrated(s.warmSrc, p.Task.Name, target, cal)
+	recs, err := warm.Records(s.warmSrc, p.Task.Name, target)
 	if err != nil {
 		return fmt.Errorf("warm start task %s: %w", p.Task.Name, err)
 	}
-	n, err := p.WarmStartWeighted(recs)
+	n, err := p.WarmStart(recs)
 	if err != nil {
 		return fmt.Errorf("warm start task %s: %w", p.Task.Name, err)
 	}
-	native, transfer := warm.Stats(recs)
 	s.obsv.Emit(obs.Event{Type: obs.EvWarmStart, Task: p.Task.Name, Target: target, Count: n,
-		Detail: fmt.Sprintf("native=%d transfer=%d source=%s", native, transfer, s.warmSrc.Name())})
+		Detail: fmt.Sprintf("fetched=%d source=%s", len(recs), s.warmSrc.Name())})
 	return nil
 }
 

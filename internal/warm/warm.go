@@ -1,34 +1,22 @@
 // Package warm is the fleet warm-start subsystem: it turns accumulated
 // tuning history — a local log file, a registry server, or several of
-// both — into the source-tagged, weighted records a search policy
-// absorbs before its first round (policy.WarmStartWeighted).
+// both — into the records a search policy absorbs before its first round
+// (policy.WarmStart).
 //
-// The pipeline is fetch → filter → weight:
+// The pipeline is fetch → canonical order → absorb, under one rule: a
+// time is only ever used on the target that measured it.
 //
-//   - A Source fetches the records relevant to one task: a file source
-//     reads a tuning log once and serves per-task slices of it; a
-//     registry source issues the server's task-filtered query
-//     (GET /v1/records?workload=...) so a fresh job pulls only its own
-//     slice of fleet history instead of the full snapshot.
-//   - Records measured on the job's own target replay at full weight and
-//     stay eligible for the best-k pool, exactly like the original
-//     file-only warm start.
-//   - Records measured on a sibling target (e.g. avx2 → avx512) carry
-//     signal the cost model can use — the §5.2 program features are
-//     target-agnostic — but their times live on another machine's clock.
-//     They transfer with a per-target linear throughput calibration
-//     (fit from overlapping (workload, dag) pairs measured on both
-//     targets), a target-distance weight discount, and TrainOnly set:
-//     they shape the model's view of the search space but never enter
-//     the best-k pool or claim a measured best, so the tuning curve's
-//     "best" always refers to a time measured on this target.
-//   - Records from a different hardware class (CPU ↔ GPU) do not
-//     transfer at all: the search spaces differ structurally and the
-//     calibration assumption (one throughput scale) does not hold.
-//
-// Preparation canonicalizes record order, so warm-starting from a file
-// and from a server holding the same records is bit-identical — the
-// determinism contract of DESIGN.md extends through the warm start.
+//   - A Source fetches one task's records measured on the job's target: a
+//     file source reads a tuning log once and serves per-(task, target)
+//     slices of it; a registry source issues the server's filtered query
+//     (GET /v1/records?workload=...&target=...) so a fresh job pulls only
+//     its own slice of fleet history instead of the full snapshot. Either
+//     way a warm-start limit counts only records that will be absorbed.
+//   - Records sorts them canonically, so warm-starting from a file and
+//     from a server holding the same records is bit-identical — the
+//     determinism contract of DESIGN.md extends through the warm start.
+//   - The policy absorbs them as it absorbs its own measurements: they
+//     train the cost model, seed the best-k pool and are never re-measured.
 package warm
 
 import (
@@ -37,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/measure"
-	"repro/internal/policy"
 	"repro/internal/regserver"
 )
 
@@ -46,10 +33,11 @@ import (
 // need not tolerate concurrent Fetch calls: warm start happens during
 // policy construction, which is serial in every caller.
 type Source interface {
-	// Fetch returns the source's records for the workload, on any
-	// target. Callers own filtering and weighting (Records).
-	Fetch(workload string) (*measure.Log, error)
-	// Name tags prepared records with their provenance.
+	// Fetch returns the source's records for the workload measured on
+	// target.
+	Fetch(workload, target string) (*measure.Log, error)
+	// Name names the source (its file paths or server URLs) for the
+	// warm-start event.
 	Name() string
 }
 
@@ -62,9 +50,9 @@ type Source interface {
 // work.
 //
 // limit, when > 0, bounds how many records each source contributes per
-// task (`-warm-start-limit`): server sources pass it to the registry
-// query's limit parameter, file sources subsample their task slice
-// through Subsample — both deterministic, so a limited warm start is
+// task (`-warm-start-limit`), counted after the target filter: server
+// sources pass it to the registry query's limit parameter, file sources
+// subsample their (task, target) slice through Subsample — both deterministic, so a limited warm start is
 // still a pure function of (source contents, limit). A fleet can hold
 // thousands of records per workload; absorbing them all makes job
 // startup cost scale with fleet history, and the limit caps it at a
@@ -102,8 +90,9 @@ func Open(spec, registryURL string, limit int) (Source, error) {
 	return multiSource(srcs), nil
 }
 
-// fileSource serves per-task slices of one tuning log, read lazily and
-// exactly once (a network tuning job fetches for every subgraph).
+// fileSource serves per-(task, target) slices of one tuning log, read
+// lazily and exactly once (a network tuning job fetches for every
+// subgraph).
 type fileSource struct {
 	path   string
 	limit  int
@@ -113,7 +102,7 @@ type fileSource struct {
 
 func (f *fileSource) Name() string { return f.path }
 
-func (f *fileSource) Fetch(workload string) (*measure.Log, error) {
+func (f *fileSource) Fetch(workload, target string) (*measure.Log, error) {
 	if !f.loaded {
 		l, err := measure.LoadFile(f.path)
 		if err != nil {
@@ -124,14 +113,15 @@ func (f *fileSource) Fetch(workload string) (*measure.Log, error) {
 	}
 	out := &measure.Log{}
 	for _, rec := range f.log.Records {
-		if rec.Task == workload {
+		if rec.Task == workload && rec.Target == target {
 			out.Records = append(out.Records, rec)
 		}
 	}
 	return Subsample(out, f.limit), nil
 }
 
-// serverSource queries a registry server's task-filtered endpoint.
+// serverSource queries a registry server's task- and target-filtered
+// endpoint.
 type serverSource struct {
 	cl    *regserver.Client
 	url   string
@@ -140,8 +130,8 @@ type serverSource struct {
 
 func (s *serverSource) Name() string { return s.url }
 
-func (s *serverSource) Fetch(workload string) (*measure.Log, error) {
-	l, err := s.cl.Records(workload, "", s.limit) // the server applies the limit
+func (s *serverSource) Fetch(workload, target string) (*measure.Log, error) {
+	l, err := s.cl.Records(workload, target, s.limit) // the server applies the limit
 	if err != nil {
 		return nil, fmt.Errorf("warm: %w", err)
 	}
@@ -179,7 +169,7 @@ func Subsample(l *measure.Log, limit int) *measure.Log {
 }
 
 // multiSource concatenates its children's fetches. Duplicate programs
-// across sources are harmless: preparation canonicalizes order and the
+// across sources are harmless: Records canonicalizes order and the
 // policy absorbs each program once.
 type multiSource []Source
 
@@ -191,10 +181,10 @@ func (m multiSource) Name() string {
 	return strings.Join(names, ",")
 }
 
-func (m multiSource) Fetch(workload string) (*measure.Log, error) {
+func (m multiSource) Fetch(workload, target string) (*measure.Log, error) {
 	out := &measure.Log{}
 	for _, s := range m {
-		l, err := s.Fetch(workload)
+		l, err := s.Fetch(workload, target)
 		if err != nil {
 			return nil, err
 		}
@@ -203,103 +193,21 @@ func (m multiSource) Fetch(workload string) (*measure.Log, error) {
 	return out, nil
 }
 
-// Records fetches and prepares one task's warm-start records: the
-// fetch → filter → weight pipeline. Same-target records come first at
-// weight 1, pool-eligible. Sibling records follow, calibrated onto the
-// native clock, discounted by target distance, and TrainOnly. Both
-// partitions are canonically sorted, so any source ordering (file append order, server key order)
-// prepares identically — warm-from-file and warm-from-server over the
-// same records stay bit-identical downstream.
-func Records(src Source, workload, target string) ([]policy.WarmRecord, error) {
-	return RecordsCalibrated(src, workload, target, nil)
-}
-
-// RecordsCalibrated is Records with a fleet-pooled calibration overlay:
-// scales the task's own overlap pairs cannot fit (no native history
-// yet) fall back to pooled, fit across every workload the fleet has
-// measured (regserver's /v1/calibration). nil pooled is plain Records.
-func RecordsCalibrated(src Source, workload, target string, pooled *measure.Calibration) ([]policy.WarmRecord, error) {
-	l, err := src.Fetch(workload)
+// Records fetches one task's warm-start records measured on target, in
+// canonical order: a time is only ever used on the target that measured
+// it, so the sources filter on the target before any limit applies, and
+// the order is a pure function of the records' contents, so any source
+// ordering (file append order, server key order) yields the same slice —
+// warm-from-file and warm-from-server over the same records stay
+// bit-identical downstream.
+func Records(src Source, workload, target string) ([]measure.Record, error) {
+	l, err := src.Fetch(workload, target)
 	if err != nil {
 		return nil, err
 	}
-	return PrepareCalibrated(l.Records, workload, target, src.Name(), pooled), nil
-}
-
-// Prepare is the filter/weight stage of Records, exposed for callers
-// that already hold raw records.
-func Prepare(recs []measure.Record, workload, target, source string) []policy.WarmRecord {
-	return PrepareCalibrated(recs, workload, target, source, nil)
-}
-
-// PrepareCalibrated is Prepare with a pooled-calibration fallback for
-// sibling scales the local records cannot fit (see RecordsCalibrated).
-// Weights follow measure's target-distance schedule (WeightSibling,
-// WeightSameClass, UncalibratedFactor).
-func PrepareCalibrated(recs []measure.Record, workload, target, source string, pooled *measure.Calibration) []policy.WarmRecord {
-	var native, sibling []measure.Record
-	for _, rec := range recs {
-		if rec.Task != workload || rec.Seconds <= 0 {
-			continue
-		}
-		if rec.Target == target {
-			native = append(native, rec)
-			continue
-		}
-		if measure.TargetDistance(target, rec.Target) >= 3 {
-			continue
-		}
-		sibling = append(sibling, rec)
-	}
-	sortCanonical(native)
-	sortCanonical(sibling)
-	cal := measure.FitCalibration(recs, target)
-	cal.Merge(pooled) // locally-fit scales win; pooled fills the gaps
-
-	out := make([]policy.WarmRecord, 0, len(native)+len(sibling))
-	for _, rec := range native {
-		out = append(out, policy.WarmRecord{Record: rec, Weight: 1, Source: source})
-	}
-	for _, rec := range sibling {
-		w := measure.WeightSibling
-		if measure.TargetDistance(target, rec.Target) == 2 {
-			w = measure.WeightSameClass
-		}
-		if scale, ok := cal.Scale(rec.Target); ok {
-			rec.Seconds *= scale
-			if rec.Noiseless > 0 {
-				rec.Noiseless *= scale
-			}
-		} else {
-			w *= measure.UncalibratedFactor
-		}
-		out = append(out, policy.WarmRecord{Record: rec, Weight: w, TrainOnly: true, Source: source})
-	}
-	return out
-}
-
-// Stats summarizes a prepared warm-start record set for the tuner's
-// warm_start event: how many records replay at native weight versus
-// arrive as calibrated, train-only transfers from sibling targets.
-func Stats(recs []policy.WarmRecord) (native, transfer int) {
-	for _, wr := range recs {
-		if wr.TrainOnly {
-			transfer++
-		} else {
-			native++
-		}
-	}
-	return native, transfer
-}
-
-// sortCanonical imposes the canonical record order preparation promises:
-// a pure function of the records' contents, independent of how the
-// source happened to order them.
-func sortCanonical(recs []measure.Record) {
+	recs := l.Records
+	// One target's records: by computation, time, then program.
 	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].Target != recs[b].Target {
-			return recs[a].Target < recs[b].Target
-		}
 		if recs[a].DAG != recs[b].DAG {
 			return recs[a].DAG < recs[b].DAG
 		}
@@ -308,4 +216,5 @@ func sortCanonical(recs []measure.Record) {
 		}
 		return string(recs[a].Steps) < string(recs[b].Steps)
 	})
+	return recs, nil
 }

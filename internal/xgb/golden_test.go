@@ -13,10 +13,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/model_gol
 
 // TestModelGolden pins what training computes, through the public surface
 // only: the fingerprint of the ensemble and the bits of every program and
-// statement score, for a fit, a weighted fit and a fit followed by a
-// boost. The file was recorded when training built pointer trees and
-// prediction walked a slab re-packed from them, so it holds the node
-// layout to the bytes Fingerprint hashed then (tree-relative child
+// statement score, for a fit and for that fit followed by boosts. The
+// file was recorded when training built pointer trees and prediction
+// walked a slab re-packed from them, so it holds the node layout to the
+// bytes Fingerprint hashed then (tree-relative child
 // indices) and the slab walk to the scores the tree walk gave. The data
 // has ties, constant columns and duplicated columns (multiStmt, tied).
 func TestModelGolden(t *testing.T) {
@@ -40,9 +40,6 @@ func TestModelGolden(t *testing.T) {
 	dump("fit+boost", m)
 	m.Boost(progs, y, old+30) // a second boost continues from a boosted slab
 	dump("fit+boost+boost", m)
-	m = NewCostModel(o)
-	m.FitWeighted(progs, y, halfWeights(len(progs)))
-	dump("fitweighted", m)
 
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -156,7 +156,7 @@ func (t *refTree) refBuild(x [][]float64, target, w []float64, idx []int, depth 
 // refGrow is the boosting loop as Fit and Boost each used to spell it:
 // per-row targets and weights, one refBuild per round, predictions moved
 // by walking the new tree per row.
-func refGrow(o Opts, prev []*refTree, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) []*refTree {
+func refGrow(o Opts, prev []*refTree, progs [][][]float64, y []float64, first, nTrees int, seed int64) []*refTree {
 	var rows [][]float64
 	var rowProg []int
 	for p := first; p < len(progs); p++ {
@@ -187,9 +187,6 @@ func refGrow(o Opts, prev []*refTree, progs [][][]float64, y, progWeight []float
 		for i, p := range rowProg {
 			target[i] = (y[p] - progPred[p]) / float64(len(progs[p]))
 			weight[i] = math.Max(y[p], 0.05)
-			if progWeight != nil {
-				weight[i] *= progWeight[p]
-			}
 		}
 		t := &refTree{}
 		t.refBuild(rows, target, weight, idx, 0, o, rng)
@@ -244,17 +241,6 @@ func needParallel(t *testing.T, progs [][][]float64) {
 	}
 }
 
-func halfWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-		if i%3 == 0 {
-			w[i] = 0.25
-		}
-	}
-	return w
-}
-
 func sameTrees(t *testing.T, what string, got, want []*refTree) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -275,26 +261,17 @@ func TestPresortedMatchesReferenceBuilder(t *testing.T) {
 	progs, y := multiStmt(1300, 12, false, 21)
 	old := 1200
 	needParallel(t, progs[:old])
-	for _, tc := range []struct {
-		name string
-		pw   []float64
-	}{{"unit", nil}, {"weighted", halfWeights(len(progs))}} {
-		o := DefaultOpts()
-		o.Workers = 2
-		m := NewCostModel(o)
-		var pwOld []float64
-		if tc.pw != nil {
-			pwOld = tc.pw[:old]
-		}
-		m.FitWeighted(progs[:old], y[:old], pwOld)
-		ref := refGrow(o, nil, progs[:old], y[:old], pwOld, 0, o.NumTrees, o.Seed)
-		sameTrees(t, tc.name+" fit", refTrees(m), ref)
+	o := DefaultOpts()
+	o.Workers = 2
+	m := NewCostModel(o)
+	m.Fit(progs[:old], y[:old])
+	ref := refGrow(o, nil, progs[:old], y[:old], 0, o.NumTrees, o.Seed)
+	sameTrees(t, "fit", refTrees(m), ref)
 
-		m.BoostWeighted(progs, y, tc.pw, old)
-		seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
-		ref = refGrow(o, ref, progs, y, tc.pw, old, o.BoostTrees, seed)
-		sameTrees(t, tc.name+" boost", refTrees(m), ref)
-	}
+	m.Boost(progs, y, old)
+	seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
+	ref = refGrow(o, ref, progs, y, old, o.BoostTrees, seed)
+	sameTrees(t, "boost", refTrees(m), ref)
 }
 
 // ---- (b) determinism under ties and constant columns

@@ -106,27 +106,11 @@ func (c *CostModel) Trained() bool { return c.snapshot() != nil }
 // new ensemble is built aside and swapped in atomically, so concurrent
 // Score calls keep working against the previous ensemble.
 func (c *CostModel) Fit(progs [][][]float64, y []float64) {
-	c.FitWeighted(progs, y, nil)
+	c.swap(c.grow(nil, progs, y, 0, c.Opts.NumTrees, c.Opts.Seed))
 }
 
-// FitWeighted is Fit with an extra per-program confidence weight
-// multiplied into the §5.2 loss weight (nil = all 1, bit-identical to
-// Fit). Transfer learning uses it to absorb measurements from sibling
-// targets at a discount: a record whose time was calibrated across
-// machines should pull the ensemble less hard than one measured
-// natively. Weights scale gradients only — tree structure, determinism
-// and the atomic swap are unchanged.
-func (c *CostModel) FitWeighted(progs [][][]float64, y, progWeight []float64) {
-	c.swap(c.grow(nil, progs, y, progWeight, 0, c.Opts.NumTrees, c.Opts.Seed))
-}
-
-// Boost is BoostWeighted with unit confidence weights.
-func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
-	c.BoostWeighted(progs, y, nil, newStart)
-}
-
-// BoostWeighted warm-starts training from the current ensemble instead
-// of refitting from scratch: the existing trees are kept verbatim and
+// Boost warm-starts training from the current ensemble instead of
+// refitting from scratch: the existing trees are kept verbatim and
 // Opts.BoostTrees new residual trees are fitted on the programs from
 // newStart onward (the rows added since the last fit), against the
 // residual of the current ensemble's prediction. progs and y cover ALL
@@ -141,10 +125,10 @@ func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
 // residual-tree RNG is derived from (Seed, current ensemble size), so
 // any run issuing the same Fit/Boost call sequence over the same data
 // reproduces the exact same ensemble at any worker count.
-func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, newStart int) {
+func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
 	prev := c.snapshot()
 	if prev == nil || newStart <= 0 {
-		c.FitWeighted(progs, y, progWeight)
+		c.Fit(progs, y)
 		return
 	}
 	if newStart >= len(progs) {
@@ -158,7 +142,7 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 	// fit's: the stream is a pure function of (Seed, ensemble size), so
 	// identical call sequences reproduce identical models.
 	seed := c.Opts.Seed ^ int64(uint64(len(prev.roots)+1)*0x9e3779b97f4a7c15)
-	c.swap(c.grow(prev, progs, y, progWeight, newStart, boostTrees, seed))
+	c.swap(c.grow(prev, progs, y, newStart, boostTrees, seed))
 }
 
 // grow is the boosting recurrence behind Fit and Boost: it fits nTrees
@@ -167,7 +151,7 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 // ensemble of prev's trees followed by the new ones — the trainer appends
 // every tree to a copy of prev's slab in the layout prediction walks.
 // Without a single statement to train on it returns prev itself.
-func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []float64, first, nTrees int, seed int64) *ensemble {
+func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y []float64, first, nTrees int, seed int64) *ensemble {
 	var rows [][]float64
 	var rowProg []int32 // program of each row, counted from first
 	for p, stmts := range progs[first:] {
@@ -204,9 +188,6 @@ func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y, progWeight []fl
 			yp := y[first+p]
 			target := (yp - progPred[p]) / float64(len(stmts))
 			w := math.Max(yp, minWeight)
-			if progWeight != nil {
-				w *= progWeight[first+p]
-			}
 			progGrad[p] = grad{w: w, wy: w * target, wyy: w * target * target}
 		}
 		for i, p := range rowProg {

@@ -171,44 +171,6 @@ func TestFingerprintIdentifiesEnsembles(t *testing.T) {
 	}
 }
 
-func TestFitWeightedMatchesFitAtUnitWeight(t *testing.T) {
-	progs, y := synth(300, 1)
-	m := NewCostModel(DefaultOpts())
-	m.Fit(progs, y)
-	base := m.Fingerprint()
-
-	ones := make([]float64, len(progs))
-	for i := range ones {
-		ones[i] = 1
-	}
-	mw := NewCostModel(DefaultOpts())
-	mw.FitWeighted(progs, y, ones)
-	if mw.Fingerprint() != base {
-		t.Error("unit-weight FitWeighted must train the exact ensemble Fit trains")
-	}
-
-	// Down-weighting half the programs must actually change the ensemble:
-	// weights that did nothing would make transfer discounts a no-op.
-	half := make([]float64, len(progs))
-	for i := range half {
-		half[i] = 1
-		if i%2 == 0 {
-			half[i] = 0.25
-		}
-	}
-	mh := NewCostModel(DefaultOpts())
-	mh.FitWeighted(progs, y, half)
-	if mh.Fingerprint() == base {
-		t.Error("non-unit weights should change the trained ensemble")
-	}
-	// Weighted training is still deterministic.
-	mh2 := NewCostModel(DefaultOpts())
-	mh2.FitWeighted(progs, y, half)
-	if mh2.Fingerprint() != mh.Fingerprint() {
-		t.Error("weighted training must be deterministic")
-	}
-}
-
 func TestBoostAppendsResidualTrees(t *testing.T) {
 	progs, y := synth(400, 7)
 	m := NewCostModel(DefaultOpts())

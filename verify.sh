@@ -8,6 +8,24 @@ cd "$(dirname "$0")"
 
 step() { printf '\n== %s\n' "$*"; }
 
+# gated PATTERN PKG [FLAG...] runs go test -run PATTERN over PKG, after
+# failing if any |-separated alternative of PATTERN names no test there:
+# a later rename or deletion must not silently empty a gate.
+gated() {
+	pattern=$1 pkg=$2
+	shift 2
+	ifs=$IFS
+	IFS='|'
+	for alt in $pattern; do
+		if ! go test -list "$alt" "$pkg" | grep -qE '^(Test|Fuzz)'; then
+			echo "verify: -run pattern $alt names no test in $pkg" >&2
+			exit 1
+		fi
+	done
+	IFS=$ifs
+	go test "$@" -run "$pattern" "$pkg"
+}
+
 step gofmt
 out="$(gofmt -l .)"
 if [ -n "$out" ]; then
@@ -30,7 +48,7 @@ go test -short ./...
 # for any other key order — and both must agree with the reflection
 # oracle in internal/ir/json_test.go, so every run fuzzes them a little.
 step "fuzz: step decoder (10 s)"
-go test -run '^$' -fuzz FuzzDecodeSteps -fuzztime 10s ./internal/ir/
+gated FuzzDecodeSteps ./internal/ir/ -fuzz FuzzDecodeSteps -fuzztime 10s
 
 # The packages that spawn goroutines, under the race detector: the worker
 # pool and everything sharded over it (measurement, evolution, cost-model
@@ -50,9 +68,9 @@ go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./inter
 # tests exclude — two calls at once on one task, a result that depends on
 # which goroutine finished first — shows up only under some interleavings.
 step "race: proposals ahead of picks (x10)"
-go test -race -count=10 -run 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|TestProposalContractViolationsPanic' ./internal/policy/
-go test -race -count=10 -run 'TestPrepareAheadChangesNoDecision|TestConvergedTaskIsNeverGuessed' ./internal/sched/
-go test -race -count=10 -run 'TestTuneNetworkRecordLogsEqualAcrossWorkers' ./ansor/
+gated 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|TestProposalContractViolationsPanic' ./internal/policy/ -race -count=10
+gated 'TestPrepareAheadChangesNoDecision|TestConvergedTaskIsNeverGuessed' ./internal/sched/ -race -count=10
+gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 
 # Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
 # with freed arena memory poisoned and the arenas' books checked at every
@@ -61,9 +79,9 @@ go test -race -count=10 -run 'TestTuneNetworkRecordLogsEqualAcrossWorkers' ./ans
 # to two goroutines, or read after its release, shows only when another
 # borrower has reused it in between.
 step "race: borrowed program memory (x10)"
-go test -race -count=10 -run 'TestPoisoned|TestArena' ./internal/ir/
-go test -race -count=10 -run 'TestRunReturnsHeapStates' ./internal/evo/
-go test -race -count=10 -run 'TestProposeLeavesBatchOnHeap' ./internal/policy/
+gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
+gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
+gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite (including the
@@ -73,20 +91,23 @@ go test -race -count=10 -run 'TestProposeLeavesBatchOnHeap' ./internal/policy/
 step "race: registry service"
 go test -race ./internal/regserver/ ./internal/registry/
 
-# The warm-start subsystem coordinates goroutines through the batched
-# publisher and serves concurrent policy fetches.
+# Warm start reads registry servers over HTTP, whose handlers run on
+# their own goroutines, and hands the records to a policy that trains on
+# its worker pool: the warm package's whole suite, and the policy's
+# warm-start tests.
 step "race: warm start"
-go test -race ./internal/warm/ ./internal/policy/ -run 'TestWarmStart|TestPrepare|TestOpen|TestRecords|TestTargetDistance|TestFitCalibration'
+go test -race ./internal/warm/
+gated TestWarmStart ./internal/policy/ -race
 
 # The measurement fleet is a concurrent broker/worker/client system (lazy
 # lease reaping under one mutex, worker goroutines, polling clients): its
 # whole suite, including the seeded chaos suite (worker death, lease
-# expiry, duplicate/late posts, slow siblings; bit-identity at every
-# seed), plus the ansor-level end-to-end bit-identity tests that drive
-# real workers (sibling-only fleets included).
+# expiry, duplicate/late posts on a fleet measuring avx2 and avx512 jobs
+# at once; bit-identity at every seed), plus the ansor-level end-to-end
+# bit-identity tests that drive real workers.
 step "race: measurement fleet (incl. chaos suite)"
 go test -race -count=1 ./internal/fleet/
-go test -race -count=1 -run 'TestFleet|TestTunerCloseSurfacesFleetError' ./ansor/
+gated 'TestFleet|TestTunerCloseSurfacesFleetError' ./ansor/ -race -count=1
 
 # The benchmark is a module of its own, so ./... above never reaches it:
 # vet it, run its unit tests, and run two short workloads end to end —

@@ -28,37 +28,31 @@ func warmBenchDAG(b *testing.B) *ansor.DAG {
 
 // BenchmarkWarmStartConvergence measures how many policy-local trials a
 // warm-started job needs to reach the cold run's final best — the
-// fleet-warm-start payoff. Four
+// fleet-warm-start payoff. Three
 // variants: cold (baseline, reports its full budget), warm from a local
-// log file, warm from a registry server (task-filtered query), and warm
-// across targets (avx512 job fed only avx2 history). Runs are
-// deterministic, so ns/op is dominated by the tuning itself; the
+// log file, and warm from a registry server (task-filtered query). Runs
+// are deterministic, so ns/op is dominated by the tuning itself; the
 // interesting number is the trials_to_cold_best metric.
 func BenchmarkWarmStartConvergence(b *testing.B) {
 	const trials, perRound, seed = 64, 16, 3
 	dir := b.TempDir()
 	target := ansor.TargetIntelCPU(true)
 
-	// Build history once: a native avx512 log, the same log on a server,
-	// and a sibling avx2 log for the cross-target variant.
+	// Build history once: a native avx512 log, and the same log on a
+	// server.
 	nativeLog := filepath.Join(dir, "native.json")
-	crossLog := filepath.Join(dir, "cross.json")
-	buildHistory := func(path string, tgt ansor.Target) {
-		tuner, err := ansor.NewTuner(ansor.NewTask("mm", warmBenchDAG(b), tgt), ansor.TuningOptions{
-			Trials: trials, MeasuresPerRound: perRound, Seed: seed, RecordTo: path,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tuner.Tune(); err != nil {
-			b.Fatal(err)
-		}
-		if err := tuner.Close(); err != nil {
-			b.Fatal(err)
-		}
+	tuner, err := ansor.NewTuner(ansor.NewTask("mm", warmBenchDAG(b), target), ansor.TuningOptions{
+		Trials: trials, MeasuresPerRound: perRound, Seed: seed, RecordTo: nativeLog,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	buildHistory(nativeLog, target)
-	buildHistory(crossLog, ansor.TargetIntelCPU(false))
+	if _, err := tuner.Tune(); err != nil {
+		b.Fatal(err)
+	}
+	if err := tuner.Close(); err != nil {
+		b.Fatal(err)
+	}
 
 	srv := regserver.New(nil)
 	hs := httptest.NewServer(srv.Handler())
@@ -94,7 +88,6 @@ func BenchmarkWarmStartConvergence(b *testing.B) {
 		{"cold", ""},
 		{"file", nativeLog},
 		{"server", hs.URL},
-		{"cross", crossLog},
 	} {
 		b.Run("source="+bc.name, func(b *testing.B) {
 			var reached int
