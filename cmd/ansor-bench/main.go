@@ -71,7 +71,7 @@ func main() {
 		}
 		fmt.Printf("%-32s %-20s %-10s %12s\n", "workload", "target", "shape", "seconds")
 		for _, k := range reg.Keys() {
-			rec, _ := reg.Lookup(k)
+			rec, _ := reg.Best(k.Workload, k.Target, k.DAG)
 			shape := k.DAG
 			if len(shape) > 8 {
 				shape = shape[:8]

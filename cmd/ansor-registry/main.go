@@ -8,10 +8,7 @@
 //
 //	ansor-registry serve -addr 127.0.0.1:8421 -store registry.json
 //	ansor-registry serve -auth-token s3cret                 # publishes need the bearer token
-//	ansor-registry serve -compact-over 10000000             # auto-compact the store past ~10MB
 //	ansor-registry serve -tls-cert srv.pem -tls-key srv.key # serve HTTPS
-//	ansor-registry serve -publish-quota 600                 # per-publisher records/minute, else 429
-//	ansor-registry serve -max-keys 100000                   # bound registry memory (evict idle keys)
 //	ansor-registry serve -best-cache 0                      # disable the /v1/best response cache
 //	ansor-registry compact -store registry.json -top-k 10   # bound a long-lived store/log
 //	ansor-registry fleet -addr 127.0.0.1:8521               # host a measurement broker
@@ -219,37 +216,21 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 	fs := flag.NewFlagSet("ansor-registry serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8421", "address to listen on")
-		store        = fs.String("store", "registry.json", "durable store: improving records append here immediately; snapshots compact it to the best set (empty = in-memory only)")
-		every        = fs.Duration("snapshot-every", 30*time.Second, "interval between store maintenance passes (best-set snapshots, or threshold checks with -compact-over)")
-		authToken    = fs.String("auth-token", "", "require `Authorization: Bearer <token>` on record publishes (empty = open); publishers embed it as http://:TOKEN@host in -registry-url and friends")
-		compactOver  = fs.Int64("compact-over", 0, "auto-compact the store through measure.Log.Compact whenever it exceeds this many bytes, instead of snapshotting it to the best set — keeps the training-representative slow tail that warm starts want (0 = best-set snapshots)")
-		compactTopK  = fs.Int("compact-top-k", 10, "records kept per (workload, target, shape) by -compact-over compaction: the k fastest plus up to k tail samples")
-		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
-		tlsCert      = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key); clients use https:// URLs")
-		tlsKey       = fs.String("tls-key", "", "PEM private key for -tls-cert")
-		publishQuota = fs.Int("publish-quota", 0, "max records per minute each publisher identity (bearer token, else remote host) may offer; over-quota publishes get 429 with Retry-After (0 = unlimited). Batches larger than the quota are always refused")
-		maxKeys      = fs.Int("max-keys", 0, "bound the in-memory registry to this many keys: past it, publishes evict the least-recently-queried entries (never-queried first; the durable store keeps them until the next snapshot). 0 = unbounded")
-		bestCache    = fs.Int("best-cache", regserver.DefaultBestCacheEntries, "entries in the encoded-response cache for /v1/best (pre-marshaled bodies with strong ETags; conditional GETs answer 304). 0 disables caching")
+		addr      = fs.String("addr", "127.0.0.1:8421", "address to listen on")
+		store     = fs.String("store", "registry.json", "durable store: improving records append here immediately; snapshots compact it to the best set (empty = in-memory only)")
+		every     = fs.Duration("snapshot-every", 30*time.Second, "interval between best-set snapshots of the store")
+		authToken = fs.String("auth-token", "", "require `Authorization: Bearer <token>` on record publishes (empty = open); publishers embed it as http://:TOKEN@host in -registry-url and friends")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
+		tlsCert   = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key); clients use https:// URLs")
+		tlsKey    = fs.String("tls-key", "", "PEM private key for -tls-cert")
+		bestCache = fs.Int("best-cache", regserver.DefaultBestCacheEntries, "entries in the encoded-response cache for /v1/best (pre-marshaled bodies with strong ETags; conditional GETs answer 304). 0 disables caching")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	startPprof(*pprofAddr, stderr)
-	if *compactOver < 0 {
-		return fmt.Errorf("serve: -compact-over must be >= 0, got %d", *compactOver)
-	}
-	if *compactTopK <= 0 {
-		return fmt.Errorf("serve: -compact-top-k must be positive, got %d", *compactTopK)
-	}
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return fmt.Errorf("serve: -tls-cert and -tls-key must be set together")
-	}
-	if *publishQuota < 0 {
-		return fmt.Errorf("serve: -publish-quota must be >= 0, got %d", *publishQuota)
-	}
-	if *maxKeys < 0 {
-		return fmt.Errorf("serve: -max-keys must be >= 0, got %d", *maxKeys)
 	}
 	if *bestCache < 0 {
 		return fmt.Errorf("serve: -best-cache must be >= 0, got %d", *bestCache)
@@ -272,17 +253,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 	}
 	srv.AuthToken = *authToken
 	srv.SetBestCache(*bestCache)
-	if *publishQuota > 0 {
-		srv.EnableQuota(*publishQuota)
-	}
-	if *maxKeys > 0 {
-		// Set before the handler serves traffic: the registry reads the
-		// bound without synchronization.
-		srv.Registry().MaxKeys = *maxKeys
-	}
-	if *compactOver > 0 && *store != "" {
-		srv.EnableAutoCompact(*compactOver, *compactTopK)
-	}
 	// One Close for every exit path: it writes the final snapshot, so
 	// its error must reach the caller.
 	defer func() {

@@ -326,67 +326,8 @@ func TestServeAuthToken(t *testing.T) {
 	}
 }
 
-// TestServeAutoCompact: -compact-over rewrites an oversize store
-// through the top-k + slow-tail compactor on the maintenance tick.
-func TestServeAutoCompact(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "registry.json")
-	url, _, shutdown := startServe(t,
-		"-store", store, "-snapshot-every", "30ms", "-compact-over", "1", "-compact-top-k", "2")
-	cl := regserver.NewClient(url)
-	// Descending times: every publish improves the key and appends.
-	for i := 0; i < 24; i++ {
-		if _, err := cl.Add(measure.Record{
-			Task: "op", Target: "cpu", DAG: "d",
-			Steps:   []byte(fmt.Sprintf(`[{"i":%d}]`, i)),
-			Seconds: float64(100 - i), Noiseless: float64(100 - i),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m, err := cl.Metrics()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.AutoCompactions >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no auto compaction within 5s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	l, err := measure.LoadFile(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Records) > 4 || len(l.Records) < 2 {
-		t.Fatalf("compacted store has %d records, want 2..4 (top-2 + tail sample)", len(l.Records))
-	}
-	// The best record survives compaction.
-	best := l.Records[0].Seconds
-	for _, r := range l.Records {
-		if r.Seconds < best {
-			best = r.Seconds
-		}
-	}
-	if best != 77 {
-		t.Errorf("best after compaction = %g, want 77", best)
-	}
-}
-
 func TestFleetAndServeFlagErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{"serve", "-compact-over", "-3"}, &out, &out, nil); err == nil {
-		t.Error("negative -compact-over should fail")
-	}
-	if err := run(context.Background(), []string{"serve", "-compact-top-k", "0"}, &out, &out, nil); err == nil {
-		t.Error("zero -compact-top-k should fail")
-	}
 	if err := run(context.Background(), []string{"fleet", "-addr", "256.0.0.1:99999"}, &out, &out, nil); err == nil {
 		t.Error("unbindable fleet address should fail")
 	}
@@ -395,12 +336,6 @@ func TestFleetAndServeFlagErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"serve", "-tls-key", "key.pem"}, &out, &out, nil); err == nil {
 		t.Error("-tls-key without -tls-cert should fail")
-	}
-	if err := run(context.Background(), []string{"serve", "-publish-quota", "-1"}, &out, &out, nil); err == nil {
-		t.Error("negative -publish-quota should fail")
-	}
-	if err := run(context.Background(), []string{"serve", "-max-keys", "-1"}, &out, &out, nil); err == nil {
-		t.Error("negative -max-keys should fail")
 	}
 	if err := run(context.Background(), []string{"serve", "-best-cache", "-1"}, &out, &out, nil); err == nil {
 		t.Error("negative -best-cache should fail")
@@ -491,37 +426,5 @@ func TestServeTLS(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "(https,") {
 		t.Errorf("startup line should note https: %s", out.String())
-	}
-}
-
-// TestServeQuotaAndMaxKeys: the hardening flags reach the server — a
-// publisher exceeding -publish-quota gets 429, and -max-keys bounds
-// the in-memory registry by evicting idle keys.
-func TestServeQuotaAndMaxKeys(t *testing.T) {
-	url, _, shutdown := startServe(t, "-store", "", "-publish-quota", "2", "-max-keys", "3")
-	defer shutdown()
-	cl := regserver.NewClient(url)
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Add(measure.Record{
-			Task: fmt.Sprintf("op%d", i), Target: "cpu", DAG: "d",
-			Steps: []byte(`[]`), Seconds: 1, Noiseless: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := cl.Add(measure.Record{
-		Task: "op2", Target: "cpu", DAG: "d", Steps: []byte(`[]`), Seconds: 1, Noiseless: 1,
-	}); err == nil || !strings.Contains(err.Error(), "quota exceeded") {
-		t.Fatalf("third publish in the window should hit the quota, got %v", err)
-	}
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.QuotaRejections != 1 {
-		t.Errorf("quota_rejections = %d, want 1", m.QuotaRejections)
-	}
-	if m.Keys > 3 {
-		t.Errorf("registry exceeded -max-keys: %d keys", m.Keys)
 	}
 }

@@ -153,8 +153,8 @@ func TestRegistryServerRoundTrip(t *testing.T) {
 		t.Fatalf("server registry keys diverged:\nwant %v\n got %v", want.Keys(), got.Keys())
 	}
 	for _, k := range want.Keys() {
-		a, _ := want.Lookup(k)
-		b, _ := got.Lookup(k)
+		a, _ := want.Best(k.Workload, k.Target, k.DAG)
+		b, _ := got.Best(k.Workload, k.Target, k.DAG)
 		if a.Seconds != b.Seconds || a.Noiseless != b.Noiseless || !bytes.Equal(a.Steps, b.Steps) {
 			t.Fatalf("server entry %v diverged from local merge:\nwant %+v\n got %+v", k, a, b)
 		}
@@ -209,8 +209,8 @@ func TestRegistryServerRoundTrip(t *testing.T) {
 		if k.Workload != "GMM.s1" {
 			continue
 		}
-		a, _ := want.Lookup(k)
-		b, ok := srv2.Registry().Lookup(k)
+		a, _ := want.Best(k.Workload, k.Target, k.DAG)
+		b, ok := srv2.Registry().Best(k.Workload, k.Target, k.DAG)
 		if !ok || a.Seconds != b.Seconds || !bytes.Equal(a.Steps, b.Steps) {
 			t.Fatalf("seeded server entry %v diverged: %+v vs %+v", k, a, b)
 		}

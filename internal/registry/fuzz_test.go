@@ -55,8 +55,8 @@ func FuzzRegistryLoadFile(f *testing.F) {
 			t.Fatalf("round trip changed keys: %v -> %v", r1.Keys(), r3.Keys())
 		}
 		for _, k := range r1.Keys() {
-			a, _ := r1.Lookup(k)
-			b, ok := r3.Lookup(k)
+			a, _ := r1.Best(k.Workload, k.Target, k.DAG)
+			b, ok := r3.Best(k.Workload, k.Target, k.DAG)
 			if !ok || a.Seconds != b.Seconds || a.Task != b.Task {
 				t.Fatalf("round trip changed entry %v: %+v -> %+v", k, a, b)
 			}

@@ -3,7 +3,7 @@
 // production auto-scheduler answers most queries from logs accumulated
 // by past searches ("apply history best" in TVM terms) instead of
 // re-searching; this package turns tuning logs into that database —
-// load/save/merge of log files and zero-trial replay of the best entry.
+// load/save of log files and zero-trial replay of the best entry.
 //
 // The store is sharded by key hash (power-of-two shard count, FNV-1a
 // over the key fields), so concurrent readers and publishers contend
@@ -57,23 +57,10 @@ func (k Key) less(o Key) bool {
 	return k.DAG < o.DAG
 }
 
-// entry wraps a stored record with its last-query stamp. Entries are
-// held by pointer so the read path can stamp queries under the shard's
-// read lock.
-type entry struct {
-	rec measure.Record
-	// lastQuery is the registry clock value of the most recent use of
-	// this entry: a Best or Touch that served it, or its insertion
-	// (insertion counts as use, so a full registry does not evict every
-	// newcomer on arrival). Eviction under MaxKeys removes the entry
-	// with the smallest stamp first.
-	lastQuery atomic.Uint64
-}
-
 // shard is one lock domain of the store.
 type shard struct {
 	mu   sync.RWMutex
-	best map[Key]*entry
+	best map[Key]measure.Record
 }
 
 // Registry holds the fastest record seen per key. It is safe for
@@ -82,26 +69,14 @@ type Registry struct {
 	shards []shard
 	mask   uint64
 
-	// version counts accepted mutations (improving adds and evictions).
-	// The registry service uses it as a cheap change validator for
-	// query/snapshot ETags: an unchanged version guarantees unchanged
-	// contents.
+	// version counts accepted adds. The registry service uses it as a
+	// cheap change validator for query/snapshot ETags: an unchanged
+	// version guarantees unchanged contents.
 	version atomic.Uint64
-	// clock issues last-query stamps.
-	clock   atomic.Uint64
 	size    atomic.Int64
-	evicted atomic.Int64
 
-	// MaxKeys, when > 0, bounds the number of keys held in memory: an
-	// accepted Add past the bound evicts the least-recently-used entry
-	// (use = a query serving it, or its insertion; ties broken by key
-	// order, so eviction is deterministic for a deterministic history).
-	// Evicted keys are only a memory bound, not data loss for a served
-	// registry: the durable store still holds them until the next
-	// snapshot. Set before concurrent use.
-	MaxKeys int
-	// NotifyChange, when non-nil, is called after any mutation that can
-	// change a served answer — an accepted Add or an eviction — with the
+	// NotifyChange, when non-nil, is called after every accepted Add —
+	// the one mutation that can change a served answer — with the
 	// affected key, outside the shard locks. The registry service hooks
 	// its encoded-response cache invalidation here. Set before
 	// concurrent use.
@@ -122,7 +97,7 @@ func NewSharded(n int) *Registry {
 	}
 	r := &Registry{shards: make([]shard, p), mask: uint64(p - 1)}
 	for i := range r.shards {
-		r.shards[i].best = map[Key]*entry{}
+		r.shards[i].best = map[Key]measure.Record{}
 	}
 	return r
 }
@@ -161,19 +136,11 @@ func (r *Registry) Add(rec measure.Record) bool {
 	sh := r.shardFor(k)
 	sh.mu.Lock()
 	cur, existed := sh.best[k]
-	if existed && !beats(cur.rec, rec) {
+	if existed && !beats(cur, rec) {
 		sh.mu.Unlock()
 		return false
 	}
-	e := &entry{rec: rec}
-	if existed {
-		// The improved entry keeps its query history: a hot key does not
-		// become an eviction candidate just because it got faster.
-		e.lastQuery.Store(cur.lastQuery.Load())
-	} else {
-		e.lastQuery.Store(r.clock.Add(1))
-	}
-	sh.best[k] = e
+	sh.best[k] = rec
 	sh.mu.Unlock()
 	if !existed {
 		r.size.Add(1)
@@ -182,68 +149,12 @@ func (r *Registry) Add(rec measure.Record) bool {
 	if r.NotifyChange != nil {
 		r.NotifyChange(k)
 	}
-	if r.MaxKeys > 0 {
-		r.evictOver(r.MaxKeys)
-	}
 	return true
 }
 
-// evictOver removes least-recently-queried entries until the registry
-// holds at most max keys. The scan is linear over all entries per
-// eviction — acceptable because eviction only triggers on publishes
-// (rare next to serves) of an over-bound registry.
-func (r *Registry) evictOver(max int) {
-	for r.size.Load() > int64(max) {
-		victim, ok := r.evictionCandidate()
-		if !ok {
-			return
-		}
-		sh := r.shardFor(victim)
-		sh.mu.Lock()
-		_, present := sh.best[victim]
-		if present {
-			delete(sh.best, victim)
-		}
-		sh.mu.Unlock()
-		if !present {
-			continue // raced with another evictor
-		}
-		r.size.Add(-1)
-		r.evicted.Add(1)
-		r.version.Add(1)
-		if r.NotifyChange != nil {
-			r.NotifyChange(victim)
-		}
-	}
-}
-
-// evictionCandidate picks the entry with the smallest (lastQuery, key):
-// the least recently used (queried or inserted), ties broken by key
-// order.
-func (r *Registry) evictionCandidate() (Key, bool) {
-	var best Key
-	var bestStamp uint64
-	found := false
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.best {
-			stamp := e.lastQuery.Load()
-			if !found || stamp < bestStamp || (stamp == bestStamp && k.less(best)) {
-				best, bestStamp, found = k, stamp, true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return best, found
-}
-
-// Evictions returns how many entries MaxKeys pressure has removed.
-func (r *Registry) Evictions() int64 { return r.evicted.Load() }
-
 // Version returns the mutation counter: it changes whenever an Add is
-// accepted or an entry is evicted, so an unchanged version proves every
-// served answer is unchanged too.
+// accepted, so an unchanged version proves every served answer is
+// unchanged too.
 func (r *Registry) Version() uint64 { return r.version.Load() }
 
 // Improves reports whether Add would accept the record: a valid record
@@ -259,7 +170,7 @@ func (r *Registry) Improves(rec measure.Record) bool {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	cur, ok := sh.best[k]
-	return !ok || beats(cur.rec, rec)
+	return !ok || beats(cur, rec)
 }
 
 // AddLog offers every record of a log and returns how many improved a
@@ -274,45 +185,17 @@ func (r *Registry) AddLog(l *measure.Log) int {
 	return n
 }
 
-// Merge folds another registry in (keeping per-key minima) and returns
-// how many keys improved.
-func (r *Registry) Merge(o *Registry) int {
-	return r.AddLog(o.Log())
-}
-
-// lookupStamp returns the entry under k, stamping its last-query clock
-// when stamp is set. Read-lock only: the stamp is atomic.
-func (r *Registry) lookupStamp(k Key, stamp bool) (*entry, bool) {
-	sh := r.shardFor(k)
-	sh.mu.RLock()
-	e, ok := sh.best[k]
-	sh.mu.RUnlock()
-	if ok && stamp {
-		e.lastQuery.Store(r.clock.Add(1))
-	}
-	return e, ok
-}
-
 // Best returns the fastest record for the workload's exact computation
 // (DAG fingerprint) on the target. A record of a different shape or
 // target of the same task name is never returned: its schedule and time
-// do not transfer. Serving through Best marks the entry recently-queried
-// for MaxKeys eviction.
+// do not transfer. A read-locked lookup that writes nothing.
 func (r *Registry) Best(workload, target, dag string) (measure.Record, bool) {
-	e, ok := r.lookupStamp(Key{workload, target, dag}, true)
-	if !ok {
-		return measure.Record{}, false
-	}
-	return e.rec, true
-}
-
-// Touch marks the entry Best(workload, target, dag) would serve as
-// recently queried without copying the record out: the registry
-// service calls it on encoded-response cache hits, which bypass Best
-// entirely — without the touch, the hottest keys would look idle to
-// MaxKeys eviction.
-func (r *Registry) Touch(workload, target, dag string) {
-	r.lookupStamp(Key{workload, target, dag}, true)
+	k := Key{workload, target, dag}
+	sh := r.shardFor(k)
+	sh.mu.RLock()
+	rec, ok := sh.best[k]
+	sh.mu.RUnlock()
+	return rec, ok
 }
 
 // BestFor is Best keyed by the computation itself.
@@ -374,14 +257,14 @@ func (r *Registry) Query(workload, target string, limit int) *measure.Log {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		for k, e := range sh.best {
+		for k, rec := range sh.best {
 			if workload != "" && k.Workload != workload {
 				continue
 			}
 			if target != "" && k.Target != target {
 				continue
 			}
-			hits = append(hits, hit{k, e.rec})
+			hits = append(hits, hit{k, rec})
 		}
 		sh.mu.RUnlock()
 	}
@@ -394,15 +277,6 @@ func (r *Registry) Query(workload, target string, limit int) *measure.Log {
 		l.Records = append(l.Records, h.rec)
 	}
 	return l
-}
-
-// Lookup returns the entry stored under the exact key.
-func (r *Registry) Lookup(k Key) (measure.Record, bool) {
-	e, ok := r.lookupStamp(k, false)
-	if !ok {
-		return measure.Record{}, false
-	}
-	return e.rec, true
 }
 
 // Log snapshots the registry as a log of best records in Keys order, so

@@ -102,15 +102,16 @@ func TestRegistrySaveLoadMerge(t *testing.T) {
 	if b1.Seconds != b2.Seconds || b1.Sig != b2.Sig {
 		t.Error("round trip changed the best record")
 	}
-	// Merging an identical registry improves nothing; a faster one wins.
-	if n := r.Merge(r2); n != 0 {
+	// Merging an identical registry's log improves nothing; a faster one
+	// wins.
+	if n := r.AddLog(r2.Log()); n != 0 {
 		t.Errorf("self-merge improved %d keys, want 0", n)
 	}
 	faster := b1
 	faster.Seconds /= 2
 	r3 := New()
 	r3.Add(faster)
-	if n := r.Merge(r3); n != 1 {
+	if n := r.AddLog(r3.Log()); n != 1 {
 		t.Errorf("merge of faster record improved %d keys, want 1", n)
 	}
 	// Missing file loads as empty.

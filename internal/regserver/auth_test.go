@@ -2,11 +2,7 @@ package regserver
 
 import (
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/measure"
 )
 
 func TestSplitTokenURL(t *testing.T) {
@@ -98,112 +94,4 @@ func TestAttachRecorderWithTokenURL(t *testing.T) {
 	if err := recder2.Close(); err == nil {
 		t.Fatal("tokenless publish should surface through Recorder.Close")
 	}
-}
-
-func TestServerAutoCompact(t *testing.T) {
-	dir := t.TempDir()
-	store := filepath.Join(dir, "store.json")
-	srv, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.EnableAutoCompact(1, 2) // any non-empty store is "over"
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	cl := NewClient(hs.URL)
-
-	// A descending run appends every record (each improves its key),
-	// growing the store way past 2·topK lines for the single key.
-	for i := 0; i < 24; i++ {
-		if _, err := cl.Add(rec("gmm", "cpu", "d1", float64(100-i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l0, err := loadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l0 != 24 {
-		t.Fatalf("pre-compact store has %d records, want 24", l0)
-	}
-	if err := srv.Snapshot(); err != nil { // the maintenance tick
-		t.Fatal(err)
-	}
-	l1, err := loadStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// top-2 + up-to-2 tail samples for the one group.
-	if l1 > 4 || l1 < 2 {
-		t.Fatalf("post-compact store has %d records, want 2..4", l1)
-	}
-	if srv.AutoCompactions() != 1 {
-		t.Errorf("auto compactions = %d, want 1", srv.AutoCompactions())
-	}
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.AutoCompactions != 1 {
-		t.Errorf("metrics auto_compactions = %d, want 1", m.AutoCompactions)
-	}
-
-	// The store keeps appending durably after the rewrite, and the best
-	// survives the compaction.
-	if ok, err := cl.Add(rec("gmm", "cpu", "d1", 0.5)); err != nil || !ok {
-		t.Fatalf("post-compact publish: ok=%v err=%v", ok, err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if r, ok := reopened.Registry().Best("gmm", "cpu", "d1"); !ok || r.Seconds != 0.5 {
-		t.Fatalf("best after compact+append+reopen: %+v ok=%v", r, ok)
-	}
-}
-
-// TestServerAutoCompactUnderThresholdLeavesStore verifies maintenance
-// is a no-op while the store is small: the append-durable file is
-// already safe, so there is nothing to rewrite.
-func TestServerAutoCompactUnderThresholdLeavesStore(t *testing.T) {
-	dir := t.TempDir()
-	store := filepath.Join(dir, "store.json")
-	srv, err := Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.EnableAutoCompact(1<<30, 2)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	cl := NewClient(hs.URL)
-	for i := 0; i < 6; i++ {
-		if _, err := cl.Add(rec("gmm", "cpu", "d1", float64(10-i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, _ := os.Stat(store)
-	if err := srv.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.Stat(store)
-	if before.Size() != after.Size() {
-		t.Errorf("under-threshold maintenance rewrote the store: %d -> %d bytes", before.Size(), after.Size())
-	}
-	if srv.AutoCompactions() != 0 {
-		t.Errorf("auto compactions = %d, want 0", srv.AutoCompactions())
-	}
-}
-
-func loadStore(path string) (int, error) {
-	l, err := measure.LoadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(l.Records), nil
 }

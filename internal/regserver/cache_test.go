@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/registry"
 )
@@ -296,101 +295,5 @@ func TestClientValidatorCache(t *testing.T) {
 	l, err := cl.Records("op", "", 0)
 	if err != nil || len(l.Records) != 1 || l.Records[0].Seconds != 1.0 {
 		t.Fatalf("repeat Records: %+v err=%v", l, err)
-	}
-}
-
-// TestPublishQuota drives the fixed-window quota with a fake clock:
-// distinct identities get distinct budgets, over-quota publishes are
-// 429 with Retry-After and consume nothing, and the window resets.
-func TestPublishQuota(t *testing.T) {
-	srv := New(nil)
-	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	srv.now = func() time.Time { return clock }
-	srv.EnableQuota(3)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-
-	post := func(token string, n int) *http.Response {
-		t.Helper()
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			b.WriteString(`{"task":"op","target":"cpu","dag":"d","steps":[],"seconds":1,"noiseless":1}` + "\n")
-		}
-		req, _ := http.NewRequest("POST", hs.URL+"/v1/records", strings.NewReader(b.String()))
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-
-	if resp := post("alice", 2); resp.StatusCode != http.StatusOK {
-		t.Fatalf("within quota: %d", resp.StatusCode)
-	}
-	if resp := post("alice", 2); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatal("2+2 records must exceed a quota of 3")
-	} else if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 must carry Retry-After")
-	}
-	// The rejected batch consumed nothing: one more record still fits.
-	if resp := post("alice", 1); resp.StatusCode != http.StatusOK {
-		t.Fatalf("rejected batch must not consume quota: %d", resp.StatusCode)
-	}
-	// A different identity has its own window.
-	if resp := post("bob", 3); resp.StatusCode != http.StatusOK {
-		t.Fatalf("distinct identity shares no budget: %d", resp.StatusCode)
-	}
-	// A batch larger than the quota can never succeed.
-	if resp := post("carol", 4); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatal("oversized batch must be refused")
-	}
-	// The window resets after a minute.
-	clock = clock.Add(61 * time.Second)
-	if resp := post("alice", 3); resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh window: %d", resp.StatusCode)
-	}
-	if got := srv.metrics().QuotaRejections; got != 2 {
-		t.Fatalf("quota_rejections=%d, want 2", got)
-	}
-}
-
-// TestMaxKeysEvictionInvalidatesCache: a MaxKeys eviction must drop the
-// evicted key's cached response, not serve it forever from the cache.
-func TestMaxKeysEvictionInvalidatesCache(t *testing.T) {
-	srv, cl := newTestServer(t)
-	srv.Registry().MaxKeys = 2
-	base := cl.base
-	if _, err := cl.Add(rec("a", "cpu", "d", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Add(rec("b", "cpu", "d", 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Cache "a"'s answer, then query b so a is the LRU registry key.
-	if code, _, _ := getBest(t, base, "a", "cpu", "d", ""); code != http.StatusOK {
-		t.Fatal("prime a")
-	}
-	getBest(t, base, "b", "cpu", "d", "")
-	getBest(t, base, "b", "cpu", "d", "")
-	getBest(t, base, "a", "cpu", "d", "")
-	getBest(t, base, "b", "cpu", "d", "")
-	// Push a third key in: "a" (LRU) is evicted from the registry, and
-	// its cached body must go with it.
-	if _, err := cl.Add(rec("c", "cpu", "d", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Registry().Evictions() != 1 {
-		t.Fatalf("evictions=%d, want 1", srv.Registry().Evictions())
-	}
-	if code, _, _ := getBest(t, base, "a", "cpu", "d", ""); code != http.StatusNotFound {
-		t.Fatalf("evicted key must 404, got %d", code)
-	}
-	if got := srv.metrics().KeysEvicted; got != 1 {
-		t.Fatalf("keys_evicted=%d, want 1", got)
 	}
 }

@@ -20,9 +20,9 @@ import (
 )
 
 // Client talks to a registry server, mirroring the in-process
-// registry.Registry API (Add/Best/BestFor/ApplyBest/Keys/Len plus
-// Snapshot and Merge) with an added error return per call: the network
-// is allowed to fail where process memory is not.
+// registry.Registry API (Add/AddLog/Best/BestFor/ApplyBest/Keys plus
+// Snapshot) with an added error return per call: the network is allowed
+// to fail where process memory is not.
 //
 // The client keeps a per-key validator cache: every /v1/best (and
 // records/snapshot query) response's ETag and body are remembered, and
@@ -317,12 +317,6 @@ func (c *Client) AddLog(l *measure.Log) (int, error) {
 	return res.Improved, nil
 }
 
-// Merge folds a whole registry into the server (its best set uploads as
-// a record batch); returns how many keys improved.
-func (c *Client) Merge(r *registry.Registry) (int, error) {
-	return c.AddLog(r.Log())
-}
-
 // Best returns the server's fastest record for exactly (workload,
 // target, dag). ok is false when the server has no entry; err reports
 // transport or server failures.
@@ -500,15 +494,6 @@ func (c *Client) Keys() ([]registry.Key, error) {
 		return nil, fmt.Errorf("regserver: keys from %s: %w", c.base, err)
 	}
 	return keys, nil
-}
-
-// Len returns the number of keys the server holds.
-func (c *Client) Len() (int, error) {
-	keys, err := c.Keys()
-	if err != nil {
-		return 0, err
-	}
-	return len(keys), nil
 }
 
 // Snapshot downloads the server's full best set as an in-process

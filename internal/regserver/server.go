@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -40,7 +39,7 @@ import (
 	"repro/internal/registry"
 )
 
-// maxBody bounds one request body (a record batch or merged log).
+// maxBody bounds one request body (a record batch).
 const maxBody = 64 << 20
 
 // BearerOK reports whether the request satisfies the bearer-token
@@ -86,7 +85,7 @@ type Server struct {
 	mux *http.ServeMux
 
 	// AuthToken, when non-empty, requires `Authorization: Bearer
-	// <token>` on every mutating endpoint (record/merge publishes).
+	// <token>` on every mutating endpoint (record publishes).
 	// Reads stay open: best-schedule queries are the high-fan-out path
 	// and leak only tuning results the publishers chose to share. Set it
 	// before the handler serves traffic.
@@ -94,17 +93,9 @@ type Server struct {
 
 	// bestCache holds pre-marshaled /v1/best bodies; nil disables
 	// caching (SetBestCache(0)). Invalidated through the registry's
-	// NotifyChange hook, so any accepted add or eviction — whichever
-	// code path performed it — drops exactly the stale answers.
+	// NotifyChange hook, so any accepted add — whichever code path
+	// performed it — drops exactly the stale answers.
 	bestCache *respCache
-
-	// Publish quota (EnableQuota): records per minute per publisher
-	// identity. Zero = unlimited.
-	quotaPerMin  int
-	quotaMu      sync.Mutex
-	quotaBuckets map[string]*quotaBucket
-	// now is the quota clock, swappable in tests.
-	now func() time.Time
 
 	// Health counters for /metrics: monotonic over the server's
 	// lifetime, cheap enough to bump on every publish. They live in a
@@ -119,10 +110,9 @@ type Server struct {
 	bestHits   *obs.Counter // /v1/best served from the encoded-response cache
 	bestMisses *obs.Counter // /v1/best that had to marshal
 	bestNotMod *obs.Counter // /v1/best answered 304 Not Modified
-	quotaRej   *obs.Counter // publishes refused with a 429
 	// storeBytes tracks the durable store's size without a stat per
 	// /metrics scrape: counted up on append, re-stated once per
-	// snapshot/compact rewrite.
+	// snapshot rewrite.
 	storeBytes atomic.Int64
 	started    time.Time
 
@@ -132,15 +122,6 @@ type Server struct {
 	storePath    string
 	appendF      *os.File
 	lastSnapshot time.Time
-
-	// Auto-compaction (EnableAutoCompact): when compactOver > 0, store
-	// maintenance rewrites the store through measure.Log.Compact —
-	// keeping per-key top-k plus the training-representative slow tail —
-	// instead of truncating it to the best set, and only when the file
-	// has grown past the threshold.
-	compactOver     int64
-	compactTopK     int
-	autoCompactions *obs.Counter
 }
 
 // New returns a server over an existing registry (nil = a fresh empty
@@ -153,7 +134,7 @@ func New(reg *registry.Registry) *Server {
 	if reg == nil {
 		reg = registry.New()
 	}
-	s := &Server{reg: reg, started: time.Now(), now: time.Now}
+	s := &Server{reg: reg, started: time.Now()}
 	s.om = obs.NewRegistry()
 	s.offered = s.om.Counter("records_offered")
 	s.improved = s.om.Counter("records_improved")
@@ -161,8 +142,6 @@ func New(reg *registry.Registry) *Server {
 	s.bestHits = s.om.Counter("best_hits")
 	s.bestMisses = s.om.Counter("best_misses")
 	s.bestNotMod = s.om.Counter("best_not_modified")
-	s.quotaRej = s.om.Counter("quota_rejections")
-	s.autoCompactions = s.om.Counter("auto_compactions")
 	s.SetBestCache(DefaultBestCacheEntries)
 	s.routes()
 	return s
@@ -188,57 +167,6 @@ func (s *Server) invalidateBest(k registry.Key) {
 	if c := s.bestCache; c != nil {
 		c.invalidate(cacheKey{k.Workload, k.Target, k.DAG})
 	}
-}
-
-// quotaBucket is one publisher's fixed-window record counter.
-type quotaBucket struct {
-	windowStart time.Time
-	count       int
-}
-
-// EnableQuota bounds each publisher identity to recordsPerMinute
-// offered records (fixed one-minute windows). Over-quota publishes are
-// refused with 429 and a Retry-After naming the seconds until the
-// window resets; the publisher's durable local log is unaffected — the
-// batch writer latches the error and the run keeps its own records.
-// Identity is the bearer token when one is presented, else the remote
-// host, so one misbehaving job cannot starve the whole fleet's publish
-// path. Zero disables the quota. Call before serving traffic.
-func (s *Server) EnableQuota(recordsPerMinute int) {
-	s.quotaPerMin = recordsPerMinute
-	s.quotaBuckets = map[string]*quotaBucket{}
-}
-
-// publisherIdentity names the quota bucket for a request.
-func publisherIdentity(r *http.Request) string {
-	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
-		return "token:" + tok
-	}
-	host := r.RemoteAddr
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
-	}
-	return "host:" + host
-}
-
-// quotaAllow charges n records against the identity's current window.
-// When the charge would exceed the quota nothing is consumed and the
-// time until the window resets is returned.
-func (s *Server) quotaAllow(id string, n int) (time.Duration, bool) {
-	const window = time.Minute
-	s.quotaMu.Lock()
-	defer s.quotaMu.Unlock()
-	now := s.now()
-	b := s.quotaBuckets[id]
-	if b == nil || now.Sub(b.windowStart) >= window {
-		b = &quotaBucket{windowStart: now}
-		s.quotaBuckets[id] = b
-	}
-	if b.count+n > s.quotaPerMin {
-		return b.windowStart.Add(window).Sub(now), false
-	}
-	b.count += n
-	return 0, true
 }
 
 // Open builds a server whose registry is loaded from storePath (a
@@ -322,82 +250,15 @@ func (s *Server) addDurably(rec measure.Record) (bool, error) {
 	return true, nil
 }
 
-// EnableAutoCompact switches the server's store maintenance from
-// best-set snapshots to threshold-triggered compaction: whenever the
-// store file exceeds `over` bytes, it is rewritten through
-// measure.Log.Compact(topK) — per (workload, target, shape) the k
-// fastest records plus a deterministic slow-tail sample survive, so a
-// store doubling as warm-start history keeps its negative training
-// examples, which a best-set snapshot would discard. This retires the
-// manual-only `ansor-registry compact` gap for live servers: the rewrite
-// happens under the server's own lock with the same temp+rename
-// discipline, so unlike the offline verb it is safe while serving.
-func (s *Server) EnableAutoCompact(over int64, topK int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if topK <= 0 {
-		topK = 10
-	}
-	s.compactOver = over
-	s.compactTopK = topK
-}
-
-// AutoCompactions returns how many threshold-triggered compactions have
-// run (the /metrics counter).
-func (s *Server) AutoCompactions() int64 { return s.autoCompactions.Value() }
-
-// compactLocked rewrites an oversize store through Log.Compact. Callers
-// hold s.mu and have checked compactOver > 0.
-func (s *Server) compactLocked() error {
-	fi, err := os.Stat(s.storePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("regserver: compact: %w", err)
-	}
-	if fi.Size() <= s.compactOver {
-		return nil
-	}
-	l, err := measure.LoadFile(s.storePath)
-	if err != nil {
-		return fmt.Errorf("regserver: compact: %w", err)
-	}
-	c := l.Compact(s.compactTopK)
-	tmp := s.storePath + ".tmp"
-	if err := c.SaveFile(tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("regserver: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.storePath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("regserver: compact: %w", err)
-	}
-	if s.appendF != nil {
-		s.appendF.Close()
-		s.appendF = nil
-	}
-	s.lastSnapshot = time.Now()
-	s.autoCompactions.Add(1)
-	return s.openAppend()
-}
-
 // Snapshot compacts the store file to the registry's current best set:
 // the snapshot is written to a temporary file and atomically renamed
 // over the store, so a crash mid-snapshot leaves the previous
-// append-durable file intact. No-op without a store. With
-// EnableAutoCompact configured, maintenance instead rewrites the store
-// via Log.Compact, and only once it exceeds the size threshold — the
-// append-durable file already survives restarts, so an under-threshold
-// store needs no rewrite at all.
+// append-durable file intact. No-op without a store.
 func (s *Server) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.storePath == "" {
 		return nil
-	}
-	if s.compactOver > 0 {
-		return s.compactLocked()
 	}
 	tmp := s.storePath + ".tmp"
 	if err := s.reg.SaveFile(tmp); err != nil {
@@ -437,7 +298,6 @@ func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/records", s.handleRecords)
-	s.mux.HandleFunc("/v1/merge", s.handleRecords) // a merge IS a record batch
 	s.mux.HandleFunc("/v1/best", s.handleBest)
 	s.mux.HandleFunc("/v1/keys", s.handleKeys)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
@@ -459,7 +319,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "keys": s.reg.Len()})
 }
 
-// AddResult is the response to a record/merge upload.
+// AddResult is the response to a record upload.
 type AddResult struct {
 	// Offered is how many records the body contained.
 	Offered int `json:"offered"`
@@ -479,7 +339,7 @@ type AddResult struct {
 // from, instead of downloading the fleet's full snapshot. Empty filters
 // match everything; limit 0 means no cap.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodGet && r.URL.Path != "/v1/merge" {
+	if r.Method == http.MethodGet {
 		q := r.URL.Query()
 		limit := 0
 		if raw := q.Get("limit"); raw != "" {
@@ -521,16 +381,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse records: %v", err)
 		return
 	}
-	if s.quotaPerMin > 0 {
-		if wait, ok := s.quotaAllow(publisherIdentity(r), len(l.Records)); !ok {
-			s.quotaRej.Add(1)
-			secs := int(wait/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests,
-				"publish quota exceeded (%d records/minute per publisher); retry in %ds", s.quotaPerMin, secs)
-			return
-		}
-	}
 	res := AddResult{Offered: len(l.Records)}
 	for _, rec := range l.Records {
 		improved, err := s.addDurably(rec)
@@ -569,8 +419,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 // carries a strong ETag (content hash of the body), and an
 // If-None-Match revalidation of an unchanged answer is a 304 with no
 // body at all. Cache entries are invalidated exactly when their key
-// improves or is evicted (registry.NotifyChange), so a 200 after a 304
-// run always carries the new record.
+// improves (registry.NotifyChange), so a 200 after a 304 run always
+// carries the new record.
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
@@ -584,13 +434,6 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	ck := cacheKey{workload, target, dag}
 	if c := s.bestCache; c != nil {
 		if body, etag, ok := c.get(ck); ok {
-			// The cache hit bypasses registry.Best, so stamp the entry's
-			// query clock by hand — otherwise the hottest keys would look
-			// idle to MaxKeys eviction. Without a bound the stamp is never
-			// read, so the unbounded (default) hit path skips the lookup.
-			if s.reg.MaxKeys > 0 {
-				s.reg.Touch(workload, target, dag)
-			}
 			s.bestHits.Add(1)
 			s.writeBest(w, r, body, etag)
 			return
@@ -698,9 +541,6 @@ type Metrics struct {
 	// StoreBytes is the current size of the durable store file (0
 	// in-memory), tracked incrementally — no stat per scrape.
 	StoreBytes int64 `json:"store_bytes"`
-	// AutoCompactions counts threshold-triggered store compactions
-	// (EnableAutoCompact / `serve -compact-over`).
-	AutoCompactions int64 `json:"auto_compactions"`
 	// Serve-path counters: /v1/best answered from the encoded-response
 	// cache (hits), via a fresh marshal (misses), or as a bodyless 304
 	// against a matching validator. A healthy steady-state fleet shows
@@ -711,12 +551,6 @@ type Metrics struct {
 	// CacheEvictions counts encoded-response cache entries dropped by
 	// LRU capacity pressure (invalidations are not evictions).
 	CacheEvictions int64 `json:"cache_evictions"`
-	// QuotaRejections counts publishes refused with a 429
-	// (EnableQuota / `serve -publish-quota`).
-	QuotaRejections int64 `json:"quota_rejections"`
-	// KeysEvicted counts registry entries removed by MaxKeys memory
-	// pressure (`serve -max-keys`): least recently used first.
-	KeysEvicted int64 `json:"keys_evicted"`
 	// UptimeSeconds since the server was constructed.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
@@ -741,7 +575,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // pair-updated counter.
 func (s *Server) obsSnapshot() obs.Snapshot {
 	s.om.Gauge("keys").Set(float64(s.reg.Len()))
-	s.om.Gauge("keys_evicted").Set(float64(s.reg.Evictions()))
 	s.om.Gauge("store_bytes").Set(float64(s.storeBytes.Load()))
 	s.om.Gauge("uptime_seconds").Set(time.Since(s.started).Seconds())
 	cacheEv := int64(0)
@@ -750,8 +583,7 @@ func (s *Server) obsSnapshot() obs.Snapshot {
 	}
 	s.om.Gauge("cache_evictions").Set(float64(cacheEv))
 	// A scrape no longer stats the store under s.mu: the size counter is
-	// maintained on every append and re-based on snapshot/compact
-	// rewrites, so /metrics stays cheap however often it is polled.
+	// maintained on every append and re-based on snapshot rewrites, so /metrics stays cheap however often it is polled.
 	age := -1.0
 	s.mu.Lock()
 	if !s.lastSnapshot.IsZero() {
@@ -774,13 +606,10 @@ func (s *Server) metrics() Metrics {
 		PublishErrors:      snap.Counters["publish_errors"],
 		SnapshotAgeSeconds: snap.Gauges["snapshot_age_seconds"],
 		StoreBytes:         int64(snap.Gauges["store_bytes"]),
-		AutoCompactions:    snap.Counters["auto_compactions"],
 		BestHits:           snap.Counters["best_hits"],
 		BestMisses:         snap.Counters["best_misses"],
 		BestNotModified:    snap.Counters["best_not_modified"],
 		CacheEvictions:     int64(snap.Gauges["cache_evictions"]),
-		QuotaRejections:    snap.Counters["quota_rejections"],
-		KeysEvicted:        int64(snap.Gauges["keys_evicted"]),
 		UptimeSeconds:      snap.Gauges["uptime_seconds"],
 	}
 }

@@ -90,9 +90,6 @@ func TestRegServerEndpoints(t *testing.T) {
 	if !reflect.DeepEqual(keys, srv.Registry().Keys()) {
 		t.Fatalf("keys diverged: client %v vs server %v", keys, srv.Registry().Keys())
 	}
-	if n, err := cl.Len(); err != nil || n != srv.Registry().Len() {
-		t.Fatalf("len: %d err=%v", n, err)
-	}
 
 	// Snapshot equals the in-process registry.
 	snap, err := cl.Snapshot()
@@ -101,15 +98,15 @@ func TestRegServerEndpoints(t *testing.T) {
 	}
 	assertSameRegistry(t, srv.Registry(), snap)
 
-	// AddLog/Merge.
+	// AddLog: another registry's best set uploads as one record batch.
 	other := registry.New()
 	other.Add(rec("gmm", "cpu", "d1", 0.25)) // improves
 	other.Add(rec("conv", "gpu", "d2", 4.0)) // new key
-	if n, err := cl.Merge(other); err != nil || n != 2 {
-		t.Fatalf("merge: n=%d err=%v", n, err)
+	if n, err := cl.AddLog(other.Log()); err != nil || n != 2 {
+		t.Fatalf("add log: n=%d err=%v", n, err)
 	}
 	if r, _, _ := cl.Best("gmm", "cpu", "d1"); r.Seconds != 0.25 {
-		t.Fatalf("merge did not improve gmm: %+v", r)
+		t.Fatalf("add log did not improve gmm: %+v", r)
 	}
 }
 
@@ -124,7 +121,6 @@ func TestRegServerHTTPErrors(t *testing.T) {
 		wantCode     int
 		wantBody     string // substring of the response, when set
 	}{
-		{"GET", "/v1/merge", "", http.StatusMethodNotAllowed, ""}, // merge is POST-only; the query lives on /v1/records
 		{"POST", "/v1/best", "", http.StatusMethodNotAllowed, ""},
 		{"POST", "/v1/keys", "", http.StatusMethodNotAllowed, ""},
 		{"POST", "/v1/snapshot", "", http.StatusMethodNotAllowed, ""},
@@ -138,7 +134,7 @@ func TestRegServerHTTPErrors(t *testing.T) {
 		// One record per JSON value: the single-object form is refused,
 		// also behind a good record.
 		{"POST", "/v1/records", `{"records":[` + strings.TrimSpace(good) + `]}`, http.StatusBadRequest, "not a record"},
-		{"POST", "/v1/merge", good + `{"records":[]}`, http.StatusBadRequest, "not a record"},
+		{"POST", "/v1/records", good + `{"records":[]}`, http.StatusBadRequest, "not a record"},
 		{"GET", "/nope", "", http.StatusNotFound, ""},
 	} {
 		req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
@@ -320,8 +316,8 @@ func assertSameRegistry(t *testing.T, want, got *registry.Registry) {
 		t.Fatalf("keys diverged:\nwant %v\n got %v", want.Keys(), got.Keys())
 	}
 	for _, k := range want.Keys() {
-		a, _ := want.Lookup(k)
-		b, _ := got.Lookup(k)
+		a, _ := want.Best(k.Workload, k.Target, k.DAG)
+		b, _ := got.Best(k.Workload, k.Target, k.DAG)
 		if a.Seconds != b.Seconds || a.Noiseless != b.Noiseless ||
 			!bytes.Equal(a.Steps, b.Steps) || a.Sig != b.Sig {
 			t.Fatalf("entry %v diverged:\nwant %+v\n got %+v", k, a, b)

@@ -84,12 +84,16 @@ gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
 gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
-# publishers and readers: its whole suite (including the
-# N-publishers/M-readers merge test) runs under the race detector,
-# together with the sharded registry underneath it (concurrent
-# publishers/readers/touchers with MaxKeys eviction enabled).
+# publishers and readers: its whole suite runs under the race detector,
+# together with the sharded registry underneath it. Then the two
+# order-independence tests (DESIGN.md "Consistency model": concurrent
+# publishers and readers end on exactly the sequential per-key minimum,
+# in process and over HTTP) ten times each, because a lost or misordered
+# update shows only under some interleavings.
 step "race: registry service"
 go test -race ./internal/regserver/ ./internal/registry/
+gated TestRegistryConcurrentShardedRace ./internal/registry/ -race -count=10
+gated TestRegServerConcurrentPublishers ./internal/regserver/ -race -count=10
 
 # Warm start reads registry servers over HTTP, whose handlers run on
 # their own goroutines, and hands the records to a policy that trains on
