@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -109,6 +110,41 @@ func TestBeamSearchRuns(t *testing.T) {
 	}
 	if ms.Trials() != 64 {
 		t.Errorf("beam used %d trials, want 64", ms.Trials())
+	}
+}
+
+// TestBeamBehindBackendMatchesInProcess: a measurer with a Backend hands
+// back times and nothing else, so Beam featurizes what it measured itself.
+// Behind a backend that times in process it ends where the plain measurer
+// does: same best time, trials and best program.
+func TestBeamBehindBackendMatchesInProcess(t *testing.T) {
+	task := conv2dTask()
+	machine := sim.IntelXeon()
+	run := func(ms *measure.Measurer) *Beam {
+		b := NewBeam(task.DAG, 8, ms, 3)
+		b.Tune(32, 16)
+		if b.BestState == nil {
+			t.Fatal("beam search found no valid program")
+		}
+		return b
+	}
+	plain := run(measure.New(machine, 0.02, 1))
+	backed := measure.New(machine, 0.02, 1)
+	backed.Backend = func(_ string, out []measure.Result, fresh []int) {
+		for _, i := range fresh {
+			low, err := ir.LowerBorrowed(out[i].State)
+			if err != nil {
+				out[i].Err = err
+				continue
+			}
+			out[i].NoiselessSeconds = machine.Time(low)
+			low.Release()
+		}
+	}
+	got := run(backed)
+	if got.BestTime != plain.BestTime || got.Trials != plain.Trials || got.BestState.Signature() != plain.BestState.Signature() {
+		t.Errorf("behind a backend: best %v after %d trials (%s); in process: %v after %d (%s)",
+			got.BestTime, got.Trials, got.BestState.Signature(), plain.BestTime, plain.Trials, plain.BestState.Signature())
 	}
 }
 

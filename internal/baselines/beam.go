@@ -88,8 +88,12 @@ func (b *Beam) SearchRound(numMeasure int) []measure.Result {
 		if r.Err != nil || r.Seconds <= 0 {
 			continue
 		}
+		f, err := features(r.State)
+		if err != nil {
+			continue
+		}
 		b.measured[r.State.Signature()] = true
-		b.progFeats = append(b.progFeats, feat.Extract(r.Lowered))
+		b.progFeats = append(b.progFeats, f)
 		b.progTimes = append(b.progTimes, r.Seconds)
 		if r.Seconds < b.BestTime {
 			b.BestTime = r.Seconds
@@ -216,9 +220,20 @@ func (b *Beam) score(s *ir.State) float64 {
 	if !b.model.Trained() {
 		return b.rng.Float64()
 	}
-	low, err := ir.Lower(s)
+	f, err := features(s)
 	if err != nil {
 		return -1e30
 	}
-	return b.model.Score(feat.Extract(low))
+	return b.model.Score(f)
+}
+
+// features extracts s's feature rows from a borrowed lowering: Extract
+// copies them into a slab of their own, so nothing outlives Release.
+func features(s *ir.State) ([][]float64, error) {
+	low, err := ir.LowerBorrowed(s)
+	if err != nil {
+		return nil, err
+	}
+	defer low.Release()
+	return feat.Extract(low), nil
 }

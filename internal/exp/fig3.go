@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/anno"
 	"repro/internal/feat"
+	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/sketch"
 	"repro/internal/te"
@@ -56,7 +57,13 @@ func Fig3(cfg Config) Fig3Result {
 		if r.Err != nil {
 			continue
 		}
-		feats = append(feats, feat.Extract(r.Lowered))
+		// Extract copies the rows out of the borrowed lowering.
+		low, err := ir.LowerBorrowed(r.State)
+		if err != nil {
+			continue
+		}
+		feats = append(feats, feat.Extract(low))
+		low.Release()
 		times = append(times, r.NoiselessSeconds)
 	}
 	// Split train/test, normalize throughput labels on the train set.

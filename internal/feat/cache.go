@@ -61,44 +61,19 @@ func (c *Cache) Program(s *ir.State) (Entry, bool) {
 	c.misses.Add(1)
 	// The lowering is read once, here: borrow it (ir.LowerBorrowed).
 	if low, err := ir.LowerBorrowed(s); err == nil {
-		e = fromLowered(low)
+		e = Entry{Feats: Extract(low), Stages: make([]string, len(low.Stmts))}
+		for i := range low.Stmts {
+			e.Stages[i] = low.Stmts[i].Stage.Name
+		}
 		low.Release()
 	}
-	c.put(sig, e)
-	return e, e.Feats != nil
-}
-
-// Add caches an already-lowered program (the measurement path lowers
-// programs anyway; this hands the work to the scoring path for free).
-func (c *Cache) Add(s *ir.State, low *ir.Lowered) {
-	if low == nil {
-		return
-	}
-	sig := s.Signature()
-	c.mu.RLock()
-	_, exists := c.m[sig]
-	c.mu.RUnlock()
-	if exists {
-		return
-	}
-	c.put(sig, fromLowered(low))
-}
-
-func fromLowered(low *ir.Lowered) Entry {
-	e := Entry{Feats: Extract(low), Stages: make([]string, len(low.Stmts))}
-	for i := range low.Stmts {
-		e.Stages[i] = low.Stmts[i].Stage.Name
-	}
-	return e
-}
-
-func (c *Cache) put(sig string, e Entry) {
 	c.mu.Lock()
 	if c.limit > 0 && len(c.m) >= c.limit {
 		c.m = map[string]Entry{}
 	}
 	c.m[sig] = e
 	c.mu.Unlock()
+	return e, e.Feats != nil
 }
 
 // Stats reports (hits, misses, live entries) for observability and

@@ -75,25 +75,6 @@ func TestCacheMatchesDirectExtraction(t *testing.T) {
 	}
 }
 
-func TestCacheAddSeedsFromLowered(t *testing.T) {
-	states := cacheStates(t, 2)
-	c := NewCache(0)
-	low, err := ir.Lower(states[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Add(states[0], low)
-	if _, misses, _ := func() (int64, int64, int) { return c.Stats() }(); misses != 0 {
-		t.Fatalf("Add should not count as a miss (misses=%d)", misses)
-	}
-	if e, ok := c.Program(states[0]); !ok || !reflect.DeepEqual(e.Feats, Extract(low)) {
-		t.Fatal("Add-seeded entry should serve the next lookup")
-	}
-	if hits, _, _ := c.Stats(); hits != 1 {
-		t.Error("lookup after Add should be a hit")
-	}
-}
-
 func TestCacheGenerationReset(t *testing.T) {
 	states := cacheStates(t, 6)
 	c := NewCache(2)

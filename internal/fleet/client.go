@@ -217,9 +217,10 @@ func (c *Client) Metrics() (Metrics, error) {
 
 // RemoteMeasurer is a measure.Measurer whose Backend is a measurement
 // broker: the fresh programs of a batch are submitted as fleet jobs,
-// timed on remote workers and filled in by submission index. Everything
-// else — lowering, the resume cache, noise, trial counting, records — is
-// the embedded measurer's, which is what makes a fleet-measured run
+// replayed, lowered and timed on remote workers and filled in by
+// submission index; the submitter lowers nothing. Everything else — the
+// resume cache, noise, trial counting, records — is the embedded
+// measurer's, which is what makes a fleet-measured run
 // bit-identical to a local one at any worker count or lease assignment
 // (see the package comment). Its Machine carries only the target's name:
 // with a Backend set the measurer times nothing on it.

@@ -25,13 +25,13 @@
 //     computes depends on worker identity.
 //
 //   - RemoteMeasurer — a measure.Measurer whose Backend is the broker.
-//     The measurer lowers programs (features and validity stay
-//     client-side), serves resume-cache hits and applies the
+//     The measurer serves resume-cache hits and applies the
 //     deterministic (seed, signature)-keyed noise exactly as it does in
-//     process; only the noiseless time of a fresh program comes from the
-//     fleet, so fleet-measured tuning runs are bit-identical to local
-//     runs at any worker count or assignment (DESIGN.md, "Measurement
-//     fleet").
+//     process, and lowers nothing: only the noiseless time of a fresh
+//     program, or the worker's error for one that does not lower, comes
+//     from the fleet, so fleet-measured tuning runs are bit-identical to
+//     local runs at any worker count or assignment (DESIGN.md,
+//     "Measurement fleet").
 //
 // Determinism contract: the broker never orders results — it indexes
 // them; workers never roll noise — they report the pure machine-model

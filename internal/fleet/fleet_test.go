@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -170,14 +171,15 @@ func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 	if res[0].Err == nil || rmBad.Err() == nil {
 		t.Error("batch against an incompatible-only fleet should fail and latch")
 	}
-	// One batch of everything the front half tells apart — a program that
-	// fails to lower, one served from the resume cache, fresh ones, the
-	// same program twice, one a worker reports an error for — under a
-	// recorder, through both backends: the seam filled in process and a
-	// loopback fleet, whose worker fails the same program. What comes back,
-	// the trial count and the bytes of the record log are equal, and the
-	// noise and the records are what the measurer alone makes of a
-	// noiseless time.
+	// One batch of everything the seam tells apart — a program that fails
+	// to lower, one served from the resume cache, fresh ones, the same
+	// program twice, one a worker reports an error for — under a recorder,
+	// through both backends: the seam filled in process, lowering each
+	// program itself, and a loopback fleet, whose worker fails the same
+	// program. The submitter lowers nothing, so the program that does not
+	// lower is the backend's error either way. What comes back, the trial
+	// count and the bytes of the record log are equal, and the noise and the
+	// records are what the measurer alone makes of a noiseless time.
 	bad := ir.NewState(states[0].DAG)
 	bad.MustApply(&ir.MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS"})
 	served, poisoned := states[0], states[7]
@@ -205,15 +207,22 @@ func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 		res := ms.MeasureTask("mm", batch)
 		return outcome{res, ms.Trials(), log.String()}
 	}
+	lowerErr := func(err error) bool { return err != nil && strings.Contains(err.Error(), "lower:") }
 	for _, workers := range []int{1, 8} {
 		inProcess := measure.New(machine, 0.02, 3)
 		inProcess.Backend = func(_ string, out []measure.Result, fresh []int) {
 			for _, i := range fresh {
-				if out[i].State == poisoned {
-					out[i].Err = errors.New("poisoned")
+				low, err := ir.LowerBorrowed(out[i].State)
+				switch {
+				case err != nil:
+					out[i].Err = fmt.Errorf("lower: %w", err)
 					continue
+				case out[i].State == poisoned:
+					out[i].Err = errors.New("poisoned")
+				default:
+					out[i].NoiselessSeconds = machine.Time(low)
 				}
-				out[i].NoiselessSeconds = machine.Time(out[i].Lowered)
+				low.Release()
 			}
 		}
 		want := run(inProcess, workers)
@@ -233,6 +242,9 @@ func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 			}
 			if (r.Err != nil) != (r.State == bad || r.State == poisoned) {
 				t.Errorf("workers=%d result %d: err = %v", workers, i, r.Err)
+			}
+			if r.State == bad && (!lowerErr(r.Err) || !lowerErr(w.Err)) {
+				t.Errorf("workers=%d result %d: errors %v / %v, want the backend's lowering error", workers, i, r.Err, w.Err)
 			}
 			if r.Err == nil && r.Seconds != r.NoiselessSeconds*measure.NoiseFactor(3, 0.02, r.State.Signature()) {
 				t.Errorf("workers=%d result %d: %v s is not the (seed, signature) noise over %v s", workers, i, r.Seconds, r.NoiselessSeconds)

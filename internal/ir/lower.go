@@ -116,12 +116,13 @@ func Lower(s *State) (*Lowered, error) {
 
 // LowerBorrowed is Lower into recycled memory, for a caller that reads
 // the lowering once and keeps nothing that points into it (the feature
-// cache's miss path lowers, extracts and drops). The Lowered, its
-// statements and their slabs are cut from the pooled scratch instead of
-// allocated to size, until Release, called exactly once, hands it back.
-// Lower itself keeps its exact-size slabs: what it returns lives on in
-// measurement results, and a slab cut from a grown arena would pin the
-// whole arena behind it.
+// cache's miss path lowers, extracts and drops; the measurer and a fleet
+// worker lower, time and drop). The Lowered, its statements and their
+// slabs are cut from the pooled scratch instead of allocated to size,
+// until Release, called exactly once, hands it back. Lower itself keeps
+// its exact-size slabs for a caller that holds the lowering (ansor.Program
+// and tests): a slab cut from a grown arena would pin the whole arena
+// behind it.
 func LowerBorrowed(s *State) (*Lowered, error) {
 	sc := getScratch()
 	sc.low.State, sc.low.arena = s, sc

@@ -1,0 +1,66 @@
+package measure
+
+import (
+	"testing"
+
+	"repro/internal/anno"
+	"repro/internal/ir"
+	"repro/internal/sim"
+	"repro/internal/sketch"
+	"repro/internal/te"
+	"repro/internal/workloads"
+)
+
+// c2dBatch samples n programs of C2D.s1 (conv2d with its ReLU, the shape
+// fleet-batch measures) for the CPU target.
+func c2dBatch(t *testing.T, n int) []*ir.State {
+	t.Helper()
+	var dag *te.DAG
+	for _, w := range workloads.SingleOps(1) {
+		if w.Key == "C2D.s1" {
+			dag = w.Build()
+		}
+	}
+	sks, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop := anno.NewSampler(sketch.CPUTarget(), 1).SamplePopulation(sks, n)
+	if len(pop) != n {
+		t.Fatalf("sampled %d of %d programs", len(pop), n)
+	}
+	return pop
+}
+
+// TestMeasureAllocationCeiling pins what measuring a 64-program batch
+// costs the heap per program, beside the batch's own result slice and
+// index list. In process: nothing — the lowering Time reads is borrowed
+// and handed back, and Time allocates nothing. Under a Backend: the
+// EncSteps bytes it is sent, and no lowering at all.
+func TestMeasureAllocationCeiling(t *testing.T) {
+	const programs = 64
+	batch := c2dBatch(t, programs)
+	inProcess := New(sim.IntelXeon(), 0.02, 1)
+	backed := New(sim.IntelXeon(), 0.02, 1)
+	backed.Backend = func(_ string, out []Result, fresh []int) {
+		for _, i := range fresh {
+			out[i].NoiselessSeconds = 1e-3
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		ms      *Measurer
+		ceiling float64
+	}{{"in process", inProcess, 0}, {"stub backend", backed, 1}} {
+		c.ms.Workers = 1
+		got := testing.AllocsPerRun(10, func() { c.ms.MeasureTask("c2d", batch) }) / programs
+		t.Logf("%s: %.2f allocations per program", c.name, got)
+		// The batch's own allocations (result slice, index list) stay under
+		// one program's worth, so the ceiling is on whole allocations per
+		// program. Under the race detector sync.Pool drops a quarter of what
+		// it is handed, so a borrowed lowering's scratch is rebuilt that often.
+		if got >= c.ceiling+1 && !raceDetector {
+			t.Errorf("%s: %.2f allocations per program, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

@@ -1,7 +1,10 @@
 // Package measure implements the measurer of Figure 4: it builds and
-// "runs" candidate programs on the target (the analytic machine model),
-// returning execution times that feed both the search and the cost-model
-// training data. Optional seeded noise models real-hardware jitter.
+// "runs" candidate programs on the target (the analytic machine model, in
+// process or behind a Backend such as the measurement fleet), returning
+// execution times that feed both the search and the cost-model training
+// data. A result carries a time, never a program artifact: the lowering
+// Machine.Time reads is borrowed and handed back inside the measurement.
+// Optional seeded noise models real-hardware jitter.
 package measure
 
 import (
@@ -17,8 +20,7 @@ import (
 
 // Result is the outcome of measuring one program.
 type Result struct {
-	State   *ir.State
-	Lowered *ir.Lowered
+	State *ir.State
 	// Seconds is the measured execution time (with noise); zero if invalid.
 	Seconds float64
 	// NoiselessSeconds is the model's exact time, used as ground truth in
@@ -37,14 +39,6 @@ type Result struct {
 	EncSteps []byte
 }
 
-// GFLOPS returns the measured throughput.
-func (r Result) GFLOPS() float64 {
-	if r.Seconds <= 0 || r.Lowered == nil {
-		return 0
-	}
-	return r.Lowered.TotalFlops() / r.Seconds / 1e9
-}
-
 // Measurer measures batches of programs on one machine. A Measurer may be
 // shared by concurrent searches: Measure is safe for concurrent use and
 // trial accounting is atomic.
@@ -55,7 +49,7 @@ type Measurer struct {
 	// the program, emulating repeatable per-program measurement bias.
 	NoiseStd float64
 	Seed     int64
-	// Workers bounds the goroutines lowering and timing one batch
+	// Workers bounds the goroutines preparing and timing one batch
 	// (0 = GOMAXPROCS). Results are order-stable and bit-identical for
 	// any value: each program's measurement is a pure function of the
 	// program and the measurer's seed.
@@ -76,10 +70,11 @@ type Measurer struct {
 
 	// Backend, when non-nil, times the batch's fresh programs in place of
 	// Machine.Time in process (a measurement fleet sets it). It is handed
-	// the batch and the indices that lowered, were not served from Cache
-	// and carry their EncSteps, and sets on each of exactly those either
+	// the batch and the indices that were not served from Cache and carry
+	// their EncSteps, and sets on each of exactly those either
 	// NoiselessSeconds — positive, the exact time of the model named
-	// Machine.Name — or Err.
+	// Machine.Name — or Err. The measurer lowers nothing it hands a
+	// Backend: a program that does not lower is the Backend's error.
 	// Noise, trial counting and records stay with the measurer, so where a
 	// program was timed never shows in a result. Safe for concurrent use,
 	// like MeasureTask.
@@ -101,7 +96,7 @@ func New(m *sim.Machine, noiseStd float64, seed int64) *Measurer {
 // MeasuredSet are free and not counted.
 func (ms *Measurer) Trials() int { return int(ms.trials.Load()) }
 
-// Measure lowers and times the given programs across Workers goroutines.
+// Measure times the given programs across Workers goroutines.
 // out[i] always corresponds to states[i]. Measurements are attributed to
 // the empty task; searches that persist records use MeasureTask.
 func (ms *Measurer) Measure(states []*ir.State) []Result {
@@ -154,15 +149,12 @@ func (ms *Measurer) MeasureTask(task string, states []*ir.State) []Result {
 	return out
 }
 
-// prepare is the per-program front half: lower, look the program up in
-// the cache, and — without a Backend — time it on the machine model. The
-// steps are encoded only when the cache or the backend needs the bytes.
+// prepare is the per-program front half: look the program up in the
+// cache and — without a Backend — time it on the machine model. The steps
+// are encoded only when the cache or the backend needs the bytes; the
+// program is lowered only to be timed here.
 func (ms *Measurer) prepare(task string, s *ir.State) Result {
-	low, err := ir.Lower(s)
-	if err != nil {
-		return Result{State: s, Err: err}
-	}
-	r := Result{State: s, Lowered: low}
+	r := Result{State: s}
 	if ms.Cache != nil || ms.Backend != nil {
 		// The exact cache key is the program's canonical step encoding:
 		// the structural Signature is too coarse (it exists for search
@@ -180,12 +172,21 @@ func (ms *Measurer) prepare(task string, s *ir.State) Result {
 		case ms.Backend != nil:
 			// A backend is sent the bytes; in process a step list the codec
 			// refuses only misses the cache.
-			return Result{State: s, Err: fmt.Errorf("measure: encode steps: %w", err)}
+			r.Err = fmt.Errorf("measure: encode steps: %w", err)
+			return r
 		}
 	}
-	if ms.Backend == nil {
-		r.NoiselessSeconds = ms.Machine.Time(low)
+	if ms.Backend != nil {
+		return r
 	}
+	// Time reads the lowering once: borrow it (ir.LowerBorrowed).
+	low, err := ir.LowerBorrowed(s)
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	r.NoiselessSeconds = ms.Machine.Time(low)
+	low.Release()
 	return r
 }
 

@@ -34,8 +34,8 @@ func TestMeasureCountsTrials(t *testing.T) {
 		if r.Seconds != r.NoiselessSeconds {
 			t.Error("zero-noise measurement should be exact")
 		}
-		if r.GFLOPS() <= 0 {
-			t.Error("throughput should be positive")
+		if r.NoiselessSeconds <= 0 {
+			t.Error("model time should be positive")
 		}
 	}
 }
@@ -62,8 +62,8 @@ func TestMeasureIncompleteProgramFails(t *testing.T) {
 	if r.Err == nil {
 		t.Error("incomplete program should fail to measure")
 	}
-	if r.GFLOPS() != 0 {
-		t.Error("failed measurement should report zero throughput")
+	if r.NoiselessSeconds != 0 || r.Seconds != 0 {
+		t.Error("failed measurement should report no time")
 	}
 }
 
@@ -89,11 +89,14 @@ func (f foreignStep) Clone() ir.Step      { return f }
 // only when the cache or the backend wants the bytes, and a list the
 // codec refuses costs exactly what needed them — nothing in process, the
 // cache lookup under a cache, the program itself under a backend, which
-// is never handed it.
+// is never handed it. Under a backend the front half lowers nothing: a
+// program that does not lower is handed over like any other uncached one
+// and comes back as the backend's error, still a trial.
 func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
-	plain, odd := matmulState(t), matmulState(t)
+	plain, odd, incomplete := matmulState(t), matmulState(t), matmulState(t)
 	odd.MustApply(foreignStep{})
-	batch := []*ir.State{plain, odd}
+	incomplete.MustApply(&ir.MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS"})
+	batch := []*ir.State{plain, odd, incomplete}
 	want := sim.IntelXeon().Time(mustLower(t, plain))
 
 	bare := New(sim.IntelXeon(), 0, 1)
@@ -101,10 +104,10 @@ func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
 	cached.Cache = NewMeasuredSet()
 	for name, ms := range map[string]*Measurer{"bare": bare, "cached": cached} {
 		for i, r := range ms.Measure(batch) {
-			if r.Err != nil || r.Cached || r.NoiselessSeconds <= 0 {
-				t.Errorf("%s measurer, program %d: %+v, want it measured in process", name, i, r)
+			if measured := r.Err == nil && !r.Cached && r.NoiselessSeconds > 0; measured != (i != 2) {
+				t.Errorf("%s measurer, program %d: %+v, want only the incomplete one to fail in process", name, i, r)
 			}
-			if wantBytes := ms.Cache != nil && i == 0; (r.EncSteps != nil) != wantBytes {
+			if wantBytes := ms.Cache != nil && i != 1; (r.EncSteps != nil) != wantBytes {
 				t.Errorf("%s measurer, program %d: steps %q, want bytes = %v", name, i, r.EncSteps, wantBytes)
 			}
 		}
@@ -115,18 +118,56 @@ func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
 	backed.Backend = func(_ string, out []Result, fresh []int) {
 		handed = fresh
 		for _, i := range fresh {
-			out[i].NoiselessSeconds = want
+			low, err := ir.LowerBorrowed(out[i].State)
+			if err != nil {
+				out[i].Err = fmt.Errorf("lower: %w", err)
+				continue
+			}
+			out[i].NoiselessSeconds = sim.IntelXeon().Time(low)
+			low.Release()
 		}
 	}
 	res := backed.Measure(batch)
-	if len(handed) != 1 || handed[0] != 0 || res[0].Err != nil || res[0].NoiselessSeconds != want || len(res[0].EncSteps) == 0 {
-		t.Errorf("backend was handed %v and program 0 came back %+v, want it alone, with its bytes", handed, res[0])
+	if len(handed) != 2 || handed[0] != 0 || handed[1] != 2 || res[0].Err != nil || res[0].NoiselessSeconds != want || len(res[0].EncSteps) == 0 {
+		t.Errorf("backend was handed %v and program 0 came back %+v, want programs 0 and 2, with their bytes", handed, res[0])
 	}
 	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "encode steps") || res[1].State != odd || res[1].Seconds != 0 {
 		t.Errorf("program 1 under a backend = %+v, want its encode error and no time", res[1])
 	}
-	if backed.Trials() != 2 {
-		t.Errorf("trials = %d, want 2: an errored program is still not cache-served", backed.Trials())
+	if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "lower:") || len(res[2].EncSteps) == 0 || res[2].Seconds != 0 {
+		t.Errorf("program 2 under a backend = %+v, want the backend's lowering error, its bytes and no time", res[2])
+	}
+	if backed.Trials() != 3 {
+		t.Errorf("trials = %d, want 3: an errored program is still not cache-served", backed.Trials())
+	}
+}
+
+// TestMeasureBorrowedLoweringAcrossWorkers: in process, every program is
+// lowered into pooled scratch that the measurer's goroutines share, one
+// borrower at a time. A 64-program batch (with a program that does not
+// lower, whose scratch goes back on the error path) measures bit-identically
+// at Workers 1 and 8, and each time equals a to-size lowering's.
+func TestMeasureBorrowedLoweringAcrossWorkers(t *testing.T) {
+	batch := c2dBatch(t, 63)
+	bad := matmulState(t)
+	bad.MustApply(&ir.MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS"})
+	batch = append(batch[:32:32], append([]*ir.State{bad}, batch[32:]...)...)
+	machine := sim.IntelXeon()
+	for _, workers := range []int{1, 8} {
+		ms := New(machine, 0.02, 1)
+		ms.Workers = workers
+		for i, r := range ms.Measure(batch) {
+			low, err := ir.Lower(batch[i])
+			if (r.Err != nil) != (err != nil) {
+				t.Fatalf("workers=%d program %d: measure error %v, lowering error %v", workers, i, r.Err, err)
+			}
+			if err != nil {
+				continue
+			}
+			if want := machine.Time(low); math.Float64bits(r.NoiselessSeconds) != math.Float64bits(want) {
+				t.Errorf("workers=%d program %d: %v s, a to-size lowering times %v s", workers, i, r.NoiselessSeconds, want)
+			}
+		}
 	}
 }
 

@@ -448,9 +448,6 @@ func (p *Policy) update(results []measure.Result) {
 		if r.Err != nil || r.Seconds <= 0 {
 			continue
 		}
-		// The measurer already lowered the program; seed the feature
-		// cache with it so scoring never lowers this program again.
-		p.feats.Add(r.State, r.Lowered)
 		e, ok := p.feats.Program(r.State)
 		if !ok {
 			continue
