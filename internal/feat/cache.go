@@ -18,15 +18,18 @@ type Entry struct {
 	Stages []string
 }
 
-// Cache memoizes feature extraction keyed by exact program identity
-// (ir.State.Signature — since the PackedConst tightening, two programs
-// share a signature iff they lower to the same statements). The search
-// re-encounters the same programs constantly — best-k states reseed
-// every round's population, and evolution re-derives equal states from
-// different parents — so without the cache the hot path re-lowers and
-// re-extracts each of them every round. Hits return the exact slices
-// computed on the miss; features are pure functions of the program, so
-// caching cannot change any search result, only its cost.
+// Cache memoizes feature extraction keyed by ir.State.Signature. The
+// search re-encounters the same programs constantly — best-k states
+// reseed every round's population, and evolution re-derives equal states
+// from different parents — so without the cache the hot path re-lowers
+// and re-extracts each of them every round. Hits return the exact slices
+// computed on the miss. Two programs that lower to the same statements
+// share a signature, but the converse fails: signature twins, which
+// differ only in the unroll pragma of an attached stage, share one while
+// lowering differently, and the cache serves the second twin the first
+// one's features (TestCacheServesSignatureTwin; DESIGN.md, "The
+// determinism contract"). So the order in which programs first reach the
+// cache is an input to the search.
 //
 // The cache is concurrency-safe (sharded evolution scores in parallel).
 // When a limit is set and would be exceeded, the whole map is dropped —

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/sketch"
 	"repro/internal/te"
+	"repro/internal/workloads"
 )
 
 func benchLowered(b *testing.B) *ir.Lowered {
@@ -38,5 +39,34 @@ func BenchmarkExtract(b *testing.B) {
 		if f := Extract(low); len(f) == 0 {
 			b.Fatal("no features")
 		}
+	}
+}
+
+// BenchmarkFeatureMiss measures what a feature-cache miss costs outside
+// the cache's map: per program, ir.LowerBorrowed, Extract and Release,
+// cycling through 8 programs sampled from each of ResNet-50's tasks on
+// the CPU target (the programs the benchmark's tune-net workload scores).
+func BenchmarkFeatureMiss(b *testing.B) {
+	var progs []*ir.State
+	gen := sketch.NewGenerator(sketch.CPUTarget())
+	sampler := anno.NewSampler(sketch.CPUTarget(), 1)
+	for _, task := range workloads.ResNet50(1).Tasks {
+		sketches, err := gen.Generate(task.Build())
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, sampler.SamplePopulation(sketches, 8)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		low, err := ir.LowerBorrowed(progs[i%len(progs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f := Extract(low); len(f) == 0 {
+			b.Fatal("no features")
+		}
+		low.Release()
 	}
 }

@@ -8,6 +8,7 @@ package feat
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
@@ -42,24 +43,69 @@ var (
 	StructureGroupStart = floatOps + intOps
 )
 
-func lg(x float64) float64 {
-	if x < 0 {
-		x = 0
+// log2p1 is the scale of every magnitude feature: log2(x+1).
+func log2p1(x float64) float64 { return math.Log2(x + 1) }
+
+// lgSmall holds log2p1 of every integer below its length: zeros, counts,
+// extents and small products, about half of all lg calls.
+var lgSmall = func() (t [4096]float64) {
+	for i := range t {
+		t[i] = log2p1(float64(i))
 	}
-	return math.Log2(x + 1)
+	return t
+}()
+
+// lg returns log2p1(max(x, 0)), bit for bit: from the table for an
+// integer below its length, ±0 included, and from lgMemo otherwise. The
+// mask keeps the index inside the table whatever x is; the compare admits
+// only an x equal to its index.
+func (sc *scratch) lg(x float64) float64 {
+	if i := int(x) & (len(lgSmall) - 1); float64(i) == x {
+		return lgSmall[i]
+	}
+	return sc.lgMemo(x)
 }
 
+// lgMemo is lg off the table: 0 for x < 0, and otherwise the memo slot of
+// x's bits, which a miss fills from log2p1. No key is 0, the bits of +0,
+// so a zeroed slot is empty.
+func (sc *scratch) lgMemo(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	bits := math.Float64bits(x)
+	slot := &sc.memo[lgSlot(bits)]
+	if slot.key != bits {
+		slot.key, slot.val = bits, log2p1(x)
+	}
+	return slot.val
+}
+
+// lgSlot spreads a value's bits over lg's memo (Fibonacci hashing): the
+// integers and fractions lg meets differ mostly in their high bits.
+func lgSlot(bits uint64) uint64 { return bits * 0x9E3779B97F4A7C15 >> (64 - lgMemoBits) }
+
+const lgMemoBits = 8
+
 // scratch holds the per-extraction working buffers (access list, unique
-// bytes per access, running spans, AI-curve samples) so the extraction hot
-// path allocates only the feature rows it returns. Pooled because the
-// sharded search extracts from many goroutines. All buffers are transient
-// within one Extract call; access pointers are cleared before the scratch
-// returns to the pool so it never pins a program.
+// bytes and reuse loop per access, running spans, AI-curve samples) so
+// the extraction hot path allocates only the feature rows it returns.
+// Pooled because the sharded search extracts from many goroutines. The
+// buffers are transient within one Extract call; access pointers are
+// cleared before the scratch returns to the pool so it never pins a
+// program. memo is lg's, and it outlives the call: a pure function's
+// results keyed by every bit of the input, it holds no pointer, and
+// whichever goroutine holds the scratch owns it.
 type scratch struct {
 	accs  []*ir.FlatAccess
-	sizes []float64 // unique bytes of accs[i] with every loop iterating
+	sizes []float64 // unique bytes of accs[i] at the current depth
+	reuse []int     // innermost loop of extent > 1 that does not move accs[i]
 	spans []int64   // per (access, dim): 1 + the index range the loops at and below the current depth sweep
 	ai    []float64
+	memo  [1 << lgMemoBits]struct {
+		key uint64
+		val float64
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -108,78 +154,70 @@ func extractStmt(v []float64, st *ir.Stmt, sc *scratch) {
 	// ---- Float / int op counts (totals over the statement) ----
 	f := st.Flops
 	for _, c := range []float64{f.AddF, f.SubF, f.MulF, f.DivF, f.MaxF, f.CmpF, f.MathF} {
-		v[p] = lg(c * iters)
+		v[p] = sc.lg(c * iters)
 		p++
 	}
-	v[p] = lg(f.IntOps * iters)
+	v[p] = sc.lg(f.IntOps * iters)
 	p++
 
 	// ---- Annotation groups: vectorize, unroll, parallel ----
-	for _, ann := range []ir.Annotation{ir.AnnVectorize, ir.AnnUnroll, ir.AnnParallel} {
-		p = extractAnnGroup(v, p, st, ann)
-	}
+	p, lgProduct := extractAnnGroups(v, p, st, sc)
 
 	// ---- GPU thread binding ----
 	// The simplified GPU convention maps the fused parallel loop to
-	// blockIdx.x and the vectorized loop to threadIdx.x.
-	var blockLen, threadLen float64 = 1, 1
-	for j := range st.Loops {
-		l := &st.Loops[j]
-		if l.Ann == ir.AnnParallel {
-			blockLen *= float64(l.Extent)
-		}
-		if l.Ann == ir.AnnVectorize {
-			threadLen *= float64(l.Extent)
-		}
-	}
-	v[p] = lg(blockLen)
-	v[p+3] = lg(threadLen)
+	// blockIdx.x and the vectorized loop to threadIdx.x: their lengths are
+	// the parallel and vectorize groups' products.
+	v[p] = lgProduct[2]
+	v[p+3] = lgProduct[0]
 	p += gpuBinding
 
 	// ---- Arithmetic intensity curve ----
 	p = extractAICurve(v, p, st, sc)
 
 	// ---- Buffer access features ----
-	accs, uniq := rankedAccesses(st, sc)
+	sc.rankAccesses()
 	for bi := 0; bi < bufCount; bi++ {
-		if bi < len(accs) {
-			extractBuffer(v[p:p+bufFeats], st, accs[bi], uniq[bi])
+		if bi < len(sc.accs) {
+			extractBuffer(v[p:p+bufFeats], st, iters, sc.accs[bi], sc.sizes[bi], sc.reuse[bi], sc)
 		}
 		p += bufFeats
 	}
 
 	// ---- Allocation ----
 	if st.Write != nil {
-		v[p] = lg(float64(st.Write.Tensor.Bytes()))
+		v[p] = sc.lg(float64(st.Write.Tensor.Bytes()))
 	}
-	v[p+1] = lg(1)
+	v[p+1] = sc.lg(1)
 	p += allocFeats
 
 	// ---- Other ----
-	v[p] = lg(float64(len(st.Loops)))
-	v[p+1] = lg(iters)
-	v[p+2] = lg(float64(st.AutoUnrollMax))
+	v[p] = sc.lg(float64(len(st.Loops)))
+	v[p+1] = sc.lg(iters)
+	v[p+2] = sc.lg(float64(st.AutoUnrollMax))
 	p += otherFeats
 	_ = p
 }
 
-// extractAnnGroup fills len/product/number plus the 8-way position one-hot
-// for one annotation kind.
-func extractAnnGroup(v []float64, p int, st *ir.Stmt, ann ir.Annotation) int {
-	product := 1.0
-	num := 0.0
-	maxLen := 0.0
-	pos := 7 // None
+// annKinds are the annotation groups' kinds, in feature order.
+var annKinds = [3]ir.Annotation{ir.AnnVectorize, ir.AnnUnroll, ir.AnnParallel}
+
+// extractAnnGroups fills, per annotation kind, len/product/number plus
+// the 8-way position one-hot, in one pass over the loops, and returns the
+// next offset and lg of each group's product of extents.
+func extractAnnGroups(v []float64, p int, st *ir.Stmt, sc *scratch) (int, [3]float64) {
+	product, num, maxLen := [3]float64{1, 1, 1}, [3]float64{}, [3]float64{}
+	pos := [3]int{7, 7, 7} // None
 	n := len(st.Loops)
 	for j := range st.Loops {
 		l := &st.Loops[j]
-		if l.Ann != ann {
+		g := slices.Index(annKinds[:], l.Ann)
+		if g < 0 {
 			continue
 		}
-		num++
-		product *= float64(l.Extent)
-		if float64(l.Extent) > maxLen {
-			maxLen = float64(l.Extent)
+		num[g]++
+		product[g] *= float64(l.Extent)
+		if float64(l.Extent) > maxLen[g] {
+			maxLen[g] = float64(l.Extent)
 		}
 		// Position: inner/middle/outer x spatial/reduce, mixed.
 		third := 0 // outer
@@ -188,28 +226,32 @@ func extractAnnGroup(v []float64, p int, st *ir.Stmt, ann ir.Annotation) int {
 		} else if j >= n/3 {
 			third = 1
 		}
-		var cls int
-		if l.Kind == te.Space {
-			cls = []int{2, 1, 0}[third] // Outer/Middle/InnerSpatial
-		} else {
-			cls = []int{5, 4, 3}[third]
+		cls := 2 - third // Outer/Middle/InnerSpatial
+		if l.Kind != te.Space {
+			cls += 3
 		}
-		if pos == 7 {
-			pos = cls
-		} else if pos != cls {
-			pos = 6 // Mixed
+		if pos[g] == 7 {
+			pos[g] = cls
+		} else if pos[g] != cls {
+			pos[g] = 6 // Mixed
 		}
 	}
-	v[p] = lg(maxLen)
-	v[p+1] = lg(product)
-	v[p+2] = lg(num)
-	v[p+3+pos] = 1
-	return p + annGroup
+	var lgProduct [3]float64
+	for g := range annKinds {
+		v[p] = sc.lg(maxLen[g])
+		v[p+1] = sc.lg(product[g])
+		v[p+2] = sc.lg(num[g])
+		v[p+3+pos[g]] = 1
+		lgProduct[g] = v[p+1]
+		p += annGroup
+	}
+	return p, lgProduct
 }
 
 // extractAICurve samples the arithmetic-intensity curve at 10 depths. It
-// leaves every access's unique bytes at depth 0 in sc.sizes, in
-// sc.accesses order.
+// leaves sc.accesses in sc.accs, and beside them, in sc.sizes, every
+// access's unique bytes at depth 0 and, in sc.reuse, the innermost loop of
+// extent > 1 that does not move it (-1 if none).
 func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 	n := len(st.Loops)
 	flopsPerIter := st.Flops.Total()
@@ -223,49 +265,50 @@ func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 	// the innermost loop outwards, each span only gains loop d's term; the
 	// terms are small integers, so the running int64 sums are, bit for
 	// bit, the float sums a from-scratch evaluation per depth would make.
+	// A loop of extent 1 moves nothing, so its depth repeats the one
+	// inside it. Elsewhere an access's bytes change only if the loop moves
+	// one of its spans, and only then is its product taken again, in
+	// dimension order; the sum over accesses is taken in access order.
 	if cap(sc.ai) < n+1 {
 		sc.ai = make([]float64, n+1)
 	}
 	ai := sc.ai[:n+1]
 	accs := sc.accesses(st)
-	sc.sizes, sc.spans = sc.sizes[:0], sc.spans[:0]
+	sc.sizes, sc.spans, sc.reuse = sc.sizes[:0], sc.spans[:0], sc.reuse[:0]
 	for _, a := range accs {
-		sc.sizes = append(sc.sizes, 0)
 		for range a.Tensor.Shape {
 			sc.spans = append(sc.spans, 1)
 		}
+		sc.sizes = append(sc.sizes, uniqueBytes(a, sc.spans[len(sc.spans)-len(a.Tensor.Shape):]))
+		sc.reuse = append(sc.reuse, -1)
 	}
 	inner := 1.0
 	for d := n; d >= 0; d-- {
 		if d < n {
+			if st.Loops[d].Extent == 1 {
+				ai[d] = ai[d+1]
+				continue
+			}
 			inner *= float64(st.Loops[d].Extent)
-			sweep := int64(st.Loops[d].Extent - 1)
-			k := 0
-			for _, a := range accs {
+			sweep, spans := int64(st.Loops[d].Extent-1), sc.spans
+			for i, a := range accs {
+				moved := 0 // nonzero once a coefficient at d is
 				for dim := range a.Tensor.Shape {
 					c := a.Coeff[dim*n+d]
-					if c < 0 {
-						c = -c
-					}
-					sc.spans[k] += int64(c) * sweep
-					k++
+					spans[dim] += int64(max(c, -c)) * sweep
+					moved |= c
 				}
+				if moved != 0 {
+					sc.sizes[i] = uniqueBytes(a, spans)
+				} else if sc.reuse[i] < 0 && sweep > 0 {
+					sc.reuse[i] = d
+				}
+				spans = spans[len(a.Tensor.Shape):]
 			}
 		}
 		bytes := 1.0
-		k := 0
-		for i, a := range accs {
-			unique := 1.0
-			for _, shape := range a.Tensor.Shape {
-				span := float64(sc.spans[k])
-				k++
-				if s := float64(shape); span > s {
-					span = s
-				}
-				unique *= span
-			}
-			sc.sizes[i] = unique * float64(a.Tensor.ElemBytes)
-			bytes += sc.sizes[i]
+		for _, size := range sc.sizes {
+			bytes += size
 		}
 		ai[d] = flopsPerIter * inner / bytes
 	}
@@ -279,32 +322,47 @@ func extractAICurve(v []float64, p int, st *ir.Stmt, sc *scratch) int {
 			hi = n
 		}
 		frac := x - float64(lo)
-		v[p+i] = lg(ai[lo]*(1-frac) + ai[hi]*frac)
+		v[p+i] = sc.lg(ai[lo]*(1-frac) + ai[hi]*frac)
 	}
 	return p + aiCurve
 }
 
-// rankedAccesses orders the statement's accesses by unique bytes
+// uniqueBytes returns the bytes an access touches when it sweeps spans
+// (one per tensor dimension, each clamped to the dimension).
+func uniqueBytes(a *ir.FlatAccess, spans []int64) float64 {
+	unique := 1.0
+	for dim, shape := range a.Tensor.Shape {
+		span := float64(spans[dim])
+		if s := float64(shape); span > s {
+			span = s
+		}
+		unique *= span
+	}
+	return unique * float64(a.Tensor.ElemBytes)
+}
+
+// rankAccesses orders what extractAICurve left in sc by unique bytes
 // (descending) so the 5 feature slots hold the largest buffers, as the
 // appendix specifies ("remove small buffers if a statement accesses more
-// than five buffers"). The sizes are the depth-0 values extractAICurve
-// left behind, swapped alongside.
-func rankedAccesses(st *ir.Stmt, sc *scratch) ([]*ir.FlatAccess, []float64) {
-	accs, sz := sc.accesses(st), sc.sizes
+// than five buffers").
+func (sc *scratch) rankAccesses() {
+	accs, sz, reuse := sc.accs, sc.sizes, sc.reuse
 	for i := 1; i < len(accs); i++ {
 		for j := i; j > 0 && sz[j] > sz[j-1]; j-- {
 			accs[j], accs[j-1] = accs[j-1], accs[j]
 			sz[j], sz[j-1] = sz[j-1], sz[j]
+			reuse[j], reuse[j-1] = reuse[j-1], reuse[j]
 		}
 	}
-	return accs, sz
 }
 
-// extractBuffer fills the 18 per-buffer features; uniq is the access's
-// unique bytes with every loop iterating.
-func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess, uniq float64) {
-	iters := float64(st.IterCount())
+// extractBuffer fills the 18 per-buffer features; iters is the
+// statement's iteration count, uniq the access's unique bytes with every
+// loop iterating and reuseLoop its innermost loop of extent > 1 that does
+// not move it (-1 if none).
+func extractBuffer(v []float64, st *ir.Stmt, iters float64, a *ir.FlatAccess, uniq float64, reuseLoop int, sc *scratch) {
 	eb := float64(a.Tensor.ElemBytes)
+	total := iters * eb
 	loops := st.Loops
 	n := len(loops)
 
@@ -323,26 +381,12 @@ func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess, uniq float64) {
 		v[0] = 1
 	}
 	// Bytes touched (total) and unique bytes.
-	v[3] = lg(iters * eb)
-	v[4] = lg(uniq)
+	v[3] = sc.lg(total)
+	v[4] = sc.lg(uniq)
 	// Lines (total / unique) at 64-byte granularity.
-	v[5] = lg(iters * eb / 64)
-	v[6] = lg(uniq / 64)
+	v[5] = sc.lg(total / 64)
+	v[6] = sc.lg(uniq / 64)
 	// Reuse type one-hot: LoopMultipleRead, SerialMultipleRead, NoReuse.
-	reuseLoop := -1
-	for j := n - 1; j >= 0; j-- {
-		moved := false
-		for dim := range a.Tensor.Shape {
-			if a.Coeff[dim*n+j] != 0 {
-				moved = true
-				break
-			}
-		}
-		if !moved && loops[j].Extent > 1 {
-			reuseLoop = j
-			break
-		}
-	}
 	reuseCount := 1.0
 	reuseDist := 0.0
 	switch {
@@ -360,8 +404,8 @@ func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess, uniq float64) {
 	default:
 		v[9] = 1 // NoReuse
 	}
-	v[10] = lg(reuseDist)
-	v[11] = lg(reuseCount)
+	v[10] = sc.lg(reuseDist)
+	v[11] = sc.lg(reuseCount)
 	// Stride of the innermost loop.
 	stride := 0
 	if n > 0 {
@@ -370,15 +414,15 @@ func extractBuffer(v []float64, st *ir.Stmt, a *ir.FlatAccess, uniq float64) {
 	if stride < 0 {
 		stride = -stride
 	}
-	v[12] = lg(float64(stride))
+	v[12] = sc.lg(float64(stride))
 	// Derived ratios: bytes/reuse, unique bytes/reuse, lines/reuse,
 	// unique lines/reuse.
-	v[13] = lg(iters * eb / reuseCount)
-	v[14] = lg(uniq / reuseCount)
-	v[15] = lg(iters * eb / 64 / reuseCount)
-	v[16] = lg(uniq / 64 / reuseCount)
+	v[13] = sc.lg(total / reuseCount)
+	v[14] = sc.lg(uniq / reuseCount)
+	v[15] = sc.lg(total / 64 / reuseCount)
+	v[16] = sc.lg(uniq / 64 / reuseCount)
 	// Buffer size.
-	v[17] = lg(float64(a.Tensor.Bytes()))
+	v[17] = sc.lg(float64(a.Tensor.Bytes()))
 }
 
 // MaskStructure zeroes the structure-dependent features (everything past

@@ -60,12 +60,14 @@ func TestSplitPreservesIterCount(t *testing.T) {
 	if mm.IterCount() != 64*64*64 {
 		t.Errorf("iter count changed: %d", mm.IterCount())
 	}
-	// strideOf: the outer part steps by 16, middle by 2, inner by 1.
-	if got := mm.strideOf(0, 0); got != 16 {
-		t.Errorf("stride(level0) = %d, want 16", got)
-	}
-	if got := mm.strideOf(0, 1); got != 2 {
-		t.Errorf("stride(level1) = %d, want 2", got)
+	// Strides: the outer part steps by 16, middle by 2, inner by 1.
+	sc := getScratch()
+	defer sc.release()
+	stride, levels := sc.strides(mm)
+	for level, want := range []int{16, 2, 1} {
+		if got := stride[0*levels+level]; got != want {
+			t.Errorf("stride(level%d) = %d, want %d", level, got, want)
+		}
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/te"
@@ -165,7 +166,7 @@ func (sc *scratch) lower(out *Lowered) (*Lowered, error) {
 			continue
 		}
 		sc.path = sc.path[:0]
-		if err := sc.emit(out, st, sc.alloc(st.numAtoms() * st.Node.NumAxes())[:0]); err != nil {
+		if err := sc.emit(out, st, sc.alloc(st.numAtoms()*st.Node.NumAxes())); err != nil {
 			return nil, err
 		}
 	}
@@ -174,11 +175,11 @@ func (sc *scratch) lower(out *Lowered) (*Lowered, error) {
 
 // scratch is the working memory of one lowering, or of one step that
 // needs a stage's effective reads: the loop path being walked, the
-// expanded reads, and an integer arena that every coefficient and
-// dependence matrix is cut from. Nothing in it outlives the call, except
-// under LowerBorrowed, whose result is low, its slabs cut from loops, accs
-// and ints, until Release. release clears what holds pointers, so a
-// pooled scratch never pins a program.
+// expanded reads, and an integer arena that every coefficient matrix,
+// dependence matrix and stride table is cut from. Nothing in it outlives
+// the call, except under LowerBorrowed, whose result is low, its slabs cut
+// from loops, accs and ints, until Release. release clears what holds
+// pointers, so a pooled scratch never pins a program.
 type scratch struct {
 	path  []LLoop
 	reads []effRead
@@ -328,25 +329,59 @@ func (st *Stage) numAtoms() int {
 	return n
 }
 
+// strides returns, for every loop of st, the step one iteration takes in
+// its axis: the product of the extents of the axis's atoms at deeper tile
+// levels. The table has levels entries per axis; an atom's stride is at
+// Axis*levels+Level (Validate keeps an axis's levels distinct).
+func (sc *scratch) strides(st *Stage) (table []int, levels int) {
+	for i := range st.Iters {
+		for _, at := range st.Atoms(i) {
+			levels = max(levels, at.Level+1)
+		}
+	}
+	table = sc.alloc(st.Node.NumAxes() * levels)
+	for i := range table {
+		table[i] = 1
+	}
+	for i := range st.Iters {
+		for _, at := range st.Atoms(i) {
+			table[at.Axis*levels+at.Level] = at.Extent
+		}
+	}
+	for row := table; len(row) > 0; row = row[levels:] {
+		s := 1
+		for l := levels - 1; l >= 0; l-- {
+			row[l], s = s, s*row[l]
+		}
+	}
+	return table, levels
+}
+
 // emit recursively emits the statement(s) of one stage below the current
-// path. dep holds one row per loop on the path — how far each of st's axes
-// moves per iteration of that loop — and has room for st's own loops. emit
-// leaves those on the path; the caller cuts them off.
+// path. dep holds, for each of st's axes, a column of how far the axis
+// moves per iteration of each loop of st's statement: the loops on the
+// path, then st's own, zero until emit adds them. emit leaves st's loops
+// on the path; the caller cuts them off. st's reads are expanded once, for
+// its attached children and its own statement.
 func (sc *scratch) emit(out *Lowered, st *Stage, dep []int) error {
 	s, nA := out.State, st.Node.NumAxes()
+	nLoops := len(dep) / nA
+	stride, levels := sc.strides(st)
+	first := len(sc.reads)
+	extra, zf := sc.expand(s, st)
+	end := len(sc.reads)
 	for idx := range st.Iters {
 		it := &st.Iters[idx]
 		for ai, at := range st.Atoms(idx) {
 			sc.path = append(sc.path, LLoop{Owner: st, Iter: idx, Extent: at.Extent,
 				Kind: it.Kind, Ann: it.Ann, FusedWithPrev: ai > 0})
-			dep = dep[:len(dep)+nA] // a zero row: the arena hands out cleared memory
-			dep[len(dep)-nA+at.Axis] = st.strideOf(at.Axis, at.Level)
+			dep[at.Axis*nLoops+len(sc.path)-1] = stride[at.Axis*levels+at.Level]
 		}
 		for _, child := range s.Stages {
 			if !child.Attached || child.AttachTarget != st.Name || child.AttachIdx != idx || child.Inlined {
 				continue
 			}
-			childDep, err := sc.descend(s, st, child, dep)
+			childDep, err := sc.descend(st, child, sc.reads[first:end], dep)
 			if err != nil {
 				return err
 			}
@@ -357,39 +392,44 @@ func (sc *scratch) emit(out *Lowered, st *Stage, dep []int) error {
 			sc.path = sc.path[:depth]
 		}
 	}
-	sc.emitLeaf(out, st, dep)
+	sc.emitLeaf(out, st, sc.reads[first:end], extra, zf, dep)
+	sc.reads = sc.reads[:first]
 	return nil
 }
 
-// descend rewrites the dependence rows of the current path from parent's
-// axes to those of a child attached in it. Only the child's space axes
-// (its output dims) are driven by the parent; reduce columns stay zero.
-// The parent's reads are expanded through inlined stages so fusion across
-// an inlined chain (conv → bn(inlined) → relu) resolves correctly.
-func (sc *scratch) descend(s *State, parent, child *Stage, dep []int) ([]int, error) {
-	r, ok := sc.readOf(s, parent, child.Node.Out)
-	if !ok {
+// descend rewrites the dependence columns of the current path from
+// parent's axes to those of a child attached in it. Only the child's
+// space axes (its output dims) are driven by the parent; reduce columns
+// stay zero. reads are the parent's, expanded through inlined stages so
+// fusion across an inlined chain (conv → bn(inlined) → relu) resolves
+// correctly.
+func (sc *scratch) descend(parent, child *Stage, reads []effRead, dep []int) ([]int, error) {
+	i := slices.IndexFunc(reads, func(r effRead) bool { return r.tensor == child.Node.Out })
+	if i < 0 {
 		return nil, errf("ir: attach target %q does not read %q", parent.Name, child.Name)
 	}
+	r := reads[i]
 	nC, nP := child.Node.NumAxes(), parent.Node.NumAxes()
 	driven := min(len(child.Node.SpaceAxes), len(r.coef)/(nP+1))
-	out := sc.alloc((len(sc.path) + child.numAtoms()) * nC)[:len(sc.path)*nC]
-	for j := range sc.path {
-		for ca := 0; ca < driven; ca++ {
-			for pa, w := range dep[j*nP : (j+1)*nP] {
-				out[j*nC+ca] += r.coef[ca*(nP+1)+pa] * w
+	depth, nIn, nOut := len(sc.path), len(dep)/nP, len(sc.path)+child.numAtoms()
+	out := sc.alloc(nOut * nC)
+	for ca := 0; ca < driven; ca++ {
+		to := out[ca*nOut : ca*nOut+depth]
+		for pa, c := range r.coef[ca*(nP+1) : ca*(nP+1)+nP] {
+			if c == 0 {
+				continue
+			}
+			for j, from := range dep[pa*nIn : pa*nIn+depth] {
+				to[j] += c * from
 			}
 		}
 	}
 	return out, nil
 }
 
-// emitLeaf builds the Stmt for a stage, expanding inlined producers.
-func (sc *scratch) emitLeaf(out *Lowered, st *Stage, dep []int) {
-	first := len(sc.reads)
-	extra, zf := sc.expand(out.State, st)
-	reads := sc.reads[first:]
-	sc.reads = sc.reads[:first]
+// emitLeaf builds the Stmt for a stage from its expanded reads and the
+// extra flops and zero fraction their inlined producers bring.
+func (sc *scratch) emitLeaf(out *Lowered, st *Stage, reads []effRead, extra te.FlopCount, zf float64, dep []int) {
 	nLoops, nA, nS := len(sc.path), st.Node.NumAxes(), len(st.Node.SpaceAxes)
 	rows := nS
 	for _, r := range reads {
@@ -430,14 +470,16 @@ func (sc *scratch) emitLeaf(out *Lowered, st *Stage, dep []int) {
 		accs[i] = FlatAccess{Tensor: r.tensor, Coeff: coef[:n:n], loops: nLoops}
 		coef = coef[n:]
 		// The stride of loop j in dimension d: the dimension's coefficient
-		// of every axis times how far loop j moves that axis.
-		for j := 0; j < nLoops; j++ {
-			for a, move := range dep[j*nA : (j+1)*nA] {
-				if move == 0 {
+		// of every axis times how far loop j moves that axis. A dimension
+		// reads few axes, so only its nonzero coefficients are visited.
+		for d := 0; d*nLoops < n; d++ {
+			row := accs[i].Coeff[d*nLoops : (d+1)*nLoops]
+			for a, c := range r.coef[d*(nA+1) : d*(nA+1)+nA] {
+				if c == 0 {
 					continue
 				}
-				for d := 0; d*nLoops < n; d++ {
-					accs[i].Coeff[d*nLoops+j] += r.coef[d*(nA+1)+a] * move
+				for j, move := range dep[a*nLoops : (a+1)*nLoops] {
+					row[j] += c * move
 				}
 			}
 		}

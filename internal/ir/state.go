@@ -192,21 +192,6 @@ func (st *Stage) IterName(i int) string {
 	return string(b)
 }
 
-// strideOf returns the product of extents of all atoms of the given axis
-// with a tile level strictly greater than level — i.e. the step in the
-// original axis value taken by one iteration of the (axis, level) loop.
-func (st *Stage) strideOf(axis, level int) int {
-	s := 1
-	for i := range st.Iters {
-		for _, at := range st.Atoms(i) {
-			if at.Axis == axis && at.Level > level {
-				s = mulExt(s, at.Extent)
-			}
-		}
-	}
-	return s
-}
-
 // IterCount returns the product of all loop extents of the stage, or
 // Unfilled if any extent is unfilled.
 func (st *Stage) IterCount() int64 {

@@ -75,15 +75,17 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
 # with freed arena memory poisoned and the arenas' books checked at every
 # carve and release, the two exit invariants — Search.Run returns and
-# Propose leaves no program of an arena — and the in-process measurer,
-# whose goroutines share pooled lowering scratch. Ten times, because an
-# arena handed to two goroutines, or read after its release, shows only
-# when another borrower has reused it in between.
+# Propose leaves no program of an arena — the in-process measurer, whose
+# goroutines share pooled lowering scratch, and feature extraction, whose
+# pooled scratch carries lg's memo from one holder to the next. Ten times,
+# because an arena or a scratch handed to two goroutines, or read after
+# its release, shows only when another borrower has reused it in between.
 step "race: borrowed program memory (x10)"
 gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
 gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
 gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=10
+gated TestExtractConcurrentMatchesSerial ./internal/feat/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite runs under the race detector,
