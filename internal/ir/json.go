@@ -111,7 +111,7 @@ func EncodeSteps(steps []Step) ([]byte, error) {
 			dst = append(append(append(dst, '"'), f.name...), `":`...)
 			switch p := f.ptr.(type) {
 			case *string:
-				dst = appendString(dst, *p)
+				dst = AppendString(dst, *p)
 			case *int:
 				dst = strconv.AppendInt(dst, int64(*p), 10)
 			case *[]int:
@@ -150,9 +150,11 @@ func appendInts(dst []byte, l []int) []byte {
 	return append(dst, ']')
 }
 
-// appendString quotes s. Plain ASCII, all this program ever writes, is
-// copied; a string with anything encoding/json escapes is left to it.
-func appendString(dst []byte, s string) []byte {
+// AppendString quotes s as encoding/json does. Plain ASCII, all this
+// program ever writes, is copied; a string with anything encoding/json
+// escapes is left to it. The record codec (measure.AppendRecord) quotes
+// its strings here too.
+func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
 			quoted, _ := json.Marshal(s) // a string always marshals

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/anno"
@@ -13,7 +14,7 @@ import (
 
 // c2dBatch samples n programs of C2D.s1 (conv2d with its ReLU, the shape
 // fleet-batch measures) for the CPU target.
-func c2dBatch(t *testing.T, n int) []*ir.State {
+func c2dBatch(t testing.TB, n int) []*ir.State {
 	t.Helper()
 	var dag *te.DAG
 	for _, w := range workloads.SingleOps(1) {
@@ -62,5 +63,29 @@ func TestMeasureAllocationCeiling(t *testing.T) {
 		if got >= c.ceiling+1 && !raceDetector {
 			t.Errorf("%s: %.2f allocations per program, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+}
+
+// TestRecorderAllocationCeiling pins what recording costs the heap per
+// record once the recorder's line buffer has grown: the dedupe key's
+// string and the in-memory log's share of its growth (and the dedupe
+// map's). The line is encoded into the recorder's own buffer.
+func TestRecorderAllocationCeiling(t *testing.T) {
+	ms := New(sim.IntelXeon(), 0.02, 1)
+	var l Log
+	if _, err := l.AddAll("c2d", ms.Machine.Name, ms.Measure(c2dBatch(t, 64))); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(10, func() {
+		r := NewRecorder(io.Discard)
+		for _, rec := range l.Records {
+			if _, err := r.Record(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(l.Records))
+	t.Logf("%.2f allocations per record", got)
+	if got >= 2 {
+		t.Errorf("%.2f allocations per record, ceiling: the dedupe key and a share of the log's and map's growth", got)
 	}
 }

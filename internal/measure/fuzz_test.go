@@ -32,7 +32,8 @@ func goldenSeeds(f *testing.F) {
 // FuzzLogLoad hammers the log parser with arbitrary bytes: malformed,
 // truncated, and single-object inputs must never panic, must report the same
 // (record count, error) on every load of the same bytes, and whatever
-// loads cleanly must survive a save/load round trip unchanged.
+// loads cleanly must survive a save/load round trip: the same fields, and
+// Steps as Save writes them — Save∘Load∘Save equals Save byte for byte.
 func FuzzLogLoad(f *testing.F) {
 	goldenSeeds(f)
 	f.Add([]byte(``))
@@ -70,12 +71,19 @@ func FuzzLogLoad(f *testing.F) {
 		}
 		for i := range l1.Records {
 			a, b := l1.Records[i], l3.Records[i]
-			// Steps are raw JSON: compare semantically-normalized forms
-			// (compact encoding can differ from the source bytes).
+			// Steps are raw JSON, compacted and escaped by Save: the fixed
+			// point below compares them.
 			if a.Task != b.Task || a.Target != b.Target || a.Sig != b.Sig || a.DAG != b.DAG ||
 				a.Seconds != b.Seconds || a.Noiseless != b.Noiseless {
 				t.Fatalf("round trip changed record %d: %+v -> %+v", i, a, b)
 			}
+		}
+		var again bytes.Buffer
+		if err := l3.Save(&again); err != nil {
+			t.Fatalf("save of a re-loaded log failed: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("Save∘Load∘Save is not Save:\n%q\n%q", buf.Bytes(), again.Bytes())
 		}
 	})
 }

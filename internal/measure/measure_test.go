@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -351,6 +353,54 @@ func TestRecorderDedupesAndStreams(t *testing.T) {
 	ms2.MeasureTask("mm", []*ir.State{s})
 	if got := len(rec2.Log().Records); got != 0 {
 		t.Errorf("recorder re-recorded %d pre-seen records, want 0", got)
+	}
+}
+
+// TestRecorderConcurrentLinesIntact: goroutines recording distinct
+// records into one recorder share its line buffer, one at a time. Every
+// line its sink receives loads, and the sink holds exactly the records
+// recorded, in the order the in-memory log has them.
+func TestRecorderConcurrentLinesIntact(t *testing.T) {
+	const goroutines, each = 8, 32
+	want := map[string]Record{} // by steps, which are distinct
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < each; i++ {
+			steps := fmt.Sprintf(`[{"kind":"Inline","data":{"Stage":"s%d_%d"}}]`, g, i)
+			want[steps] = Record{Task: fmt.Sprintf("task%d", g), Target: "m", DAG: "d", Sig: strings.Repeat("x", i),
+				Steps: []byte(steps), Seconds: float64(i+1) * 1e-3, Noiseless: float64(g+1) * 1e-7}
+		}
+	}
+	var sink bytes.Buffer
+	r := NewRecorder(&sink)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				rec := want[fmt.Sprintf(`[{"kind":"Inline","data":{"Stage":"s%d_%d"}}]`, g, i)]
+				if fresh, err := r.Record(rec); !fresh || err != nil {
+					t.Errorf("record %d of goroutine %d: fresh=%v err=%v", i, g, fresh, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	got, err := Load(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatalf("the sink's lines do not load: %v", err)
+	}
+	if len(got.Records) != len(want) {
+		t.Fatalf("the sink holds %d records, want %d", len(got.Records), len(want))
+	}
+	for _, rec := range got.Records {
+		if !reflect.DeepEqual(rec, want[string(rec.Steps)]) {
+			t.Fatalf("the sink holds %+v, recorded %+v", rec, want[string(rec.Steps)])
+		}
+		delete(want, string(rec.Steps))
+	}
+	if !reflect.DeepEqual(got.Records, r.Log().Records) {
+		t.Fatal("the sink's order is not the recorder's log order")
 	}
 }
 

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -89,11 +88,6 @@ func (ms *MeasuredSet) Len() int {
 	return len(ms.m)
 }
 
-// Recorder receives fresh successful measurements and appends them,
-// deduplicated by (target, task, signature), to an in-memory log and an
-// optional writer (one JSON record per line, so an *os.File opened in
-// append mode accumulates a durable log across runs). It is safe for
-// concurrent use by measurers sharing it.
 // teeSink is one secondary sink with its own latched error: sinks fail
 // independently, so one sick tee (a dead registry server) can neither
 // stop the primary log nor starve a healthy sibling tee.
@@ -102,12 +96,21 @@ type teeSink struct {
 	err error
 }
 
+// Recorder receives fresh successful measurements and appends them,
+// deduplicated by (target, task, dag, steps), to an in-memory log and an
+// optional writer (one record line each, so an *os.File opened in
+// append mode accumulates a durable log across runs). It is safe for
+// concurrent use by measurers sharing it.
 type Recorder struct {
 	mu   sync.Mutex
 	w    io.Writer
 	tees []teeSink
 	log  Log
 	seen map[setKey]struct{}
+	// line is the record line Record encodes into and hands each sink. It
+	// is overwritten by the next Record, so a sink keeps nothing of the
+	// slice past its Write (io.Writer's own rule).
+	line []byte
 	// err latches the primary sink's first failure; each tee latches its
 	// own (see teeSink).
 	err error
@@ -161,19 +164,19 @@ func (r *Recorder) Record(rec Record) (bool, error) {
 	}
 	r.log.Records = append(r.log.Records, rec)
 	if r.w != nil || len(r.tees) > 0 {
-		var line bytes.Buffer
-		one := Log{Records: []Record{rec}}
-		if err := one.Save(&line); err != nil {
+		line, err := AppendRecord(r.line[:0], rec)
+		if err != nil {
 			if r.err == nil {
-				r.err = err
+				r.err = fmt.Errorf("measure: save log: %w", err)
 			}
 			return true, r.firstErrLocked()
 		}
+		r.line = line
 		// Keep tuning if a sink fails; each sink latches its own first
 		// error (surfaced to whoever closes the run) so a sick registry
 		// server cannot starve the durable log file, or vice versa.
 		if r.w != nil && r.err == nil {
-			if _, err := r.w.Write(line.Bytes()); err != nil {
+			if _, err := r.w.Write(line); err != nil {
 				r.err = err
 			}
 		}
@@ -181,7 +184,7 @@ func (r *Recorder) Record(rec Record) (bool, error) {
 			if r.tees[i].err != nil {
 				continue
 			}
-			if _, err := r.tees[i].w.Write(line.Bytes()); err != nil {
+			if _, err := r.tees[i].w.Write(line); err != nil {
 				r.tees[i].err = err
 			}
 		}

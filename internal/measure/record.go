@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 
@@ -20,7 +18,8 @@ import (
 // measured time. Records are the durable tuning log — the equivalent of
 // TVM's measure records — so a finished search can be replayed without
 // re-measuring, warm-start a cost model, or serve a best schedule from
-// the registry.
+// the registry. Its bytes are a record line (codec.go); the struct tags
+// name the same keys for encoding/json, which reads every other layout.
 type Record struct {
 	// Task is the workload key the program was tuned for (e.g. "GMM.s1"
 	// or a network task name).
@@ -123,65 +122,6 @@ func (l *Log) AddAll(task, target string, rs []Result) (int, error) {
 		n++
 	}
 	return n, first
-}
-
-// Save writes the log line-oriented: one JSON record per line, so long
-// runs can append records without rewriting the file.
-func (l *Log) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range l.Records {
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("measure: save log: %w", err)
-		}
-	}
-	return nil
-}
-
-// SaveFile writes the log to path (truncating).
-func (l *Log) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load parses a log written by Save: a stream of JSON values, each one
-// record. Any other value — a record carries its steps — is refused.
-func Load(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
-	l := &Log{}
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return l, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("measure: load log: %w", err)
-		}
-		if rec.Steps == nil {
-			return nil, fmt.Errorf("measure: load log: entry is not a record")
-		}
-		l.Records = append(l.Records, rec)
-	}
-}
-
-// LoadFile reads a log from path. A missing file is not an error: it
-// returns an empty log, so "resume from a log that does not exist yet"
-// degrades to a cold start.
-func LoadFile(path string) (*Log, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &Log{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // Compact bounds an append-only log for long-lived deployments: per

@@ -290,10 +290,16 @@ func (c *Client) post(body []byte) (AddResult, error) {
 	return res, nil
 }
 
+// addBodies recycles Add's request bodies. A body goes back only after a
+// response to it was read and closed: net/http is done with a request
+// then, and may not be before.
+var addBodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // Add offers one record to the server; reports whether it improved a
 // key (registry.Registry.Add over the wire).
 func (c *Client) Add(rec measure.Record) (bool, error) {
-	body, err := json.Marshal(rec)
+	buf := addBodies.Get().(*[]byte)
+	body, err := measure.AppendRecord((*buf)[:0], rec)
 	if err != nil {
 		return false, fmt.Errorf("regserver: encode record: %w", err)
 	}
@@ -301,6 +307,8 @@ func (c *Client) Add(rec measure.Record) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	*buf = body
+	addBodies.Put(buf)
 	return res.Improved > 0, nil
 }
 
@@ -363,8 +371,8 @@ func (c *Client) Best(workload, target, dag string) (measure.Record, bool, error
 	default:
 		return measure.Record{}, false, errorOf(resp)
 	}
-	var rec measure.Record
-	if err := json.Unmarshal(body, &rec); err != nil {
+	rec, err := measure.DecodeRecord(body)
+	if err != nil {
 		return measure.Record{}, false, fmt.Errorf("regserver: best from %s: %w", c.base, err)
 	}
 	return rec, true, nil

@@ -20,7 +20,6 @@
 package regserver
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
@@ -122,6 +121,7 @@ type Server struct {
 	storePath    string
 	appendF      *os.File
 	lastSnapshot time.Time
+	line         []byte // the store line addDurably encodes into, reused
 }
 
 // New returns a server over an existing registry (nil = a fresh empty
@@ -233,12 +233,12 @@ func (s *Server) addDurably(rec measure.Record) (bool, error) {
 		}
 		// Encode to a buffer first so the cached store size counts
 		// exactly the bytes that reached the file.
-		var buf bytes.Buffer
-		one := measure.Log{Records: []measure.Record{rec}}
-		if err := one.Save(&buf); err != nil {
+		line, err := measure.AppendRecord(s.line[:0], rec)
+		if err != nil {
 			return false, err
 		}
-		n, err := s.appendF.Write(buf.Bytes())
+		s.line = line
+		n, err := s.appendF.Write(line)
 		s.storeBytes.Add(int64(n))
 		if err != nil {
 			return false, err
@@ -450,12 +450,11 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.bestMisses.Add(1)
-	body, err := json.Marshal(rec)
+	body, err := measure.AppendRecord(nil, rec)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode record: %v", err)
 		return
 	}
-	body = append(body, '\n') // exactly the bytes json.Encoder served pre-cache
 	etag := strongETag(body)
 	if c := s.bestCache; c != nil {
 		c.put(ck, body, etag, fillVersion)

@@ -50,6 +50,14 @@ go test -short ./...
 step "fuzz: step decoder (10 s)"
 gated FuzzDecodeSteps ./internal/ir/ -fuzz FuzzDecodeSteps -fuzztime 10s
 
+# The record codec writes json.Encoder's bytes by hand and reads its own
+# layout by hand, leaving every other layout to encoding/json: both
+# halves against a frozen copy of the reflection loops (records, Steps
+# bytes and error texts), and Save∘Load∘Save = Save on whatever loads.
+step "fuzz: record codec (10 s + 5 s)"
+gated FuzzRecordCodec ./internal/measure/ -fuzz FuzzRecordCodec -fuzztime 10s
+gated FuzzLogLoad ./internal/measure/ -fuzz FuzzLogLoad -fuzztime 5s
+
 # The packages that spawn goroutines, under the race detector: the worker
 # pool and everything sharded over it (measurement, evolution, cost-model
 # training, scheduler waves), the policy whose rounds drive them,
@@ -77,7 +85,8 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # carve and release, the two exit invariants — Search.Run returns and
 # Propose leaves no program of an arena — the in-process measurer, whose
 # goroutines share pooled lowering scratch, and feature extraction, whose
-# pooled scratch carries lg's memo from one holder to the next. Ten times,
+# pooled scratch carries lg's memo from one holder to the next, and the
+# recorder, whose goroutines share one line buffer. Ten times,
 # because an arena or a scratch handed to two goroutines, or read after
 # its release, shows only when another borrower has reused it in between.
 step "race: borrowed program memory (x10)"
@@ -86,6 +95,7 @@ gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
 gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=10
 gated TestExtractConcurrentMatchesSerial ./internal/feat/ -race -count=10
+gated TestRecorderConcurrentLinesIntact ./internal/measure/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite runs under the race detector,
