@@ -389,50 +389,31 @@ func (t *Tuner) History() []policy.HistoryPoint { return t.pol.History }
 // model of an uninterrupted run.
 func (t *Tuner) ModelFingerprint() uint64 { return t.pol.ModelFingerprint() }
 
-// NetworkTask is one weighted subgraph of a network.
-type NetworkTask struct {
-	Name   string
-	Weight int
-	Build  func() *DAG
-	// Tag groups similar tasks for the scheduler's gradient
-	// approximation (N(i), Appendix A); optional.
-	Tag string
-}
+// NetworkTask is one weighted subgraph of a network; its Tag groups
+// similar tasks for the scheduler's gradient approximation (N(i),
+// Appendix A) and is optional.
+type NetworkTask = workloads.NetTask
 
 // Network is a set of weighted subgraphs (see package workloads for the
 // paper's five networks).
-type Network struct {
-	Name  string
-	Tasks []NetworkTask
-}
+type Network = workloads.Network
 
 // BuiltinNetwork returns one of the paper's evaluation networks:
 // "resnet-50", "mobilenet-v2", "3d-resnet-18", "dcgan", "bert".
 func BuiltinNetwork(name string, batch int) (Network, error) {
-	var w workloads.Network
 	switch name {
 	case "resnet-50":
-		w = workloads.ResNet50(batch)
+		return workloads.ResNet50(batch), nil
 	case "mobilenet-v2":
-		w = workloads.MobileNetV2(batch)
+		return workloads.MobileNetV2(batch), nil
 	case "3d-resnet-18":
-		w = workloads.Res3D18(batch)
+		return workloads.Res3D18(batch), nil
 	case "dcgan":
-		w = workloads.DCGAN(batch)
+		return workloads.DCGAN(batch), nil
 	case "bert":
-		w = workloads.BERT(batch)
-	default:
-		return Network{}, fmt.Errorf("ansor: unknown network %q", name)
+		return workloads.BERT(batch), nil
 	}
-	return fromWorkload(w), nil
-}
-
-func fromWorkload(w workloads.Network) Network {
-	n := Network{Name: w.Name}
-	for _, t := range w.Tasks {
-		n.Tasks = append(n.Tasks, NetworkTask{Name: t.Name, Weight: t.Weight, Build: t.Build, Tag: t.Tag})
-	}
-	return n
+	return Network{}, fmt.Errorf("ansor: unknown network %q", name)
 }
 
 // NetworkResult is the outcome of tuning a network.

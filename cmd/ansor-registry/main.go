@@ -9,10 +9,9 @@
 //	ansor-registry serve -addr 127.0.0.1:8421 -store registry.json
 //	ansor-registry serve -auth-token s3cret                 # publishes need the bearer token
 //	ansor-registry serve -tls-cert srv.pem -tls-key srv.key # serve HTTPS
-//	ansor-registry serve -best-cache 0                      # disable the /v1/best response cache
 //	ansor-registry compact -store registry.json -top-k 10   # bound a long-lived store/log
 //	ansor-registry fleet -addr 127.0.0.1:8521               # host a measurement broker
-//	ansor-worker -broker http://127.0.0.1:8521 -target intel -capacity 4 -seed 1
+//	ansor-worker -broker http://127.0.0.1:8521 -target intel -capacity 4 -id intel-w1
 //	ansor-tune -workload GMM.s1 -fleet-url http://127.0.0.1:8521   # measure on the fleet
 //	ansor-tune -workload GMM.s1 -registry-url http://127.0.0.1:8421
 //	ansor-tune -workload GMM.s1 -registry-url http://:s3cret@127.0.0.1:8421  # token in the URL
@@ -24,10 +23,9 @@
 //	curl http://127.0.0.1:8521/metrics/prom         # broker metrics, same format
 //
 // Both verbs serve their /metrics JSON payload in Prometheus text
-// exposition too, at /metrics/prom or /metrics?format=prometheus; the
-// broker additionally narrates fleet lifecycle events (batch leased /
-// measured, lease requeues, quarantines) as JSONL via fleet -events
-// (DESIGN.md, "Observability").
+// exposition too, at /metrics/prom; the broker additionally narrates
+// fleet lifecycle events (batch leased / measured, lease requeues,
+// quarantines) as JSONL via fleet -events (DESIGN.md, "Observability").
 //
 // The store file is append-durable: every record that improves the
 // registry is appended immediately (the measure.Recorder semantics of
@@ -223,7 +221,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
 		tlsCert   = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key); clients use https:// URLs")
 		tlsKey    = fs.String("tls-key", "", "PEM private key for -tls-cert")
-		bestCache = fs.Int("best-cache", regserver.DefaultBestCacheEntries, "entries in the encoded-response cache for /v1/best (pre-marshaled bodies with strong ETags; conditional GETs answer 304). 0 disables caching")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -231,9 +228,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 	startPprof(*pprofAddr, stderr)
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return fmt.Errorf("serve: -tls-cert and -tls-key must be set together")
-	}
-	if *bestCache < 0 {
-		return fmt.Errorf("serve: -best-cache must be >= 0, got %d", *bestCache)
 	}
 
 	// Bind the address before touching the store: a bad -addr must not
@@ -252,7 +246,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		srv = regserver.New(nil)
 	}
 	srv.AuthToken = *authToken
-	srv.SetBestCache(*bestCache)
 	// One Close for every exit path: it writes the final snapshot, so
 	// its error must reach the caller.
 	defer func() {

@@ -337,9 +337,6 @@ func TestFleetAndServeFlagErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"serve", "-tls-key", "key.pem"}, &out, &out, nil); err == nil {
 		t.Error("-tls-key without -tls-cert should fail")
 	}
-	if err := run(context.Background(), []string{"serve", "-best-cache", "-1"}, &out, &out, nil); err == nil {
-		t.Error("negative -best-cache should fail")
-	}
 }
 
 // selfSignedCert writes a throwaway PEM certificate/key pair valid for

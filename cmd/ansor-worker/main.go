@@ -11,8 +11,9 @@
 // Examples:
 //
 //	ansor-registry fleet -addr 127.0.0.1:8521
-//	ansor-worker -broker http://127.0.0.1:8521 -target intel -capacity 4 -seed 1
-//	ansor-worker -broker http://127.0.0.1:8521 -target gpu -capacity 8 -seed 2
+//	ansor-worker -broker http://127.0.0.1:8521 -target intel -capacity 4 -id intel-w1
+//	ansor-worker -broker http://127.0.0.1:8521 -target intel -capacity 4 -id intel-w2
+//	ansor-worker -broker http://127.0.0.1:8521 -target gpu -capacity 8
 //	ansor-worker -broker http://:s3cret@127.0.0.1:8521 -target arm   # token-guarded broker
 //	ansor-tune -workload GMM.s1 -fleet-url http://127.0.0.1:8521
 //
@@ -28,8 +29,8 @@
 //
 // The worker's own side of the fleet is observable: -metrics-addr
 // serves /metrics (JSON: leases taken, programs measured, program
-// errors, quarantine state), /metrics/prom (Prometheus
-// text exposition; also /metrics?format=prometheus) and /healthz, and
+// errors, quarantine state), /metrics/prom (Prometheus text
+// exposition) and /healthz, and
 // -events streams worker_lease/worker_result JSONL events that join the
 // submitting run's per-batch timeline through the trace IDs echoed on
 // lease grants (DESIGN.md, "Observability").
@@ -103,10 +104,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		broker      = fs.String("broker", "http://127.0.0.1:8521", "measurement broker URL (ansor-registry fleet); a bearer token may be embedded as http://:TOKEN@host")
 		target      = fs.String("target", "intel", "hosted machine model: intel, intel-avx512, arm, gpu, or a model name like intel-20c-avx2")
 		capacity    = fs.Int("capacity", 4, "programs per lease: how much of a batch this worker takes in one bite")
-		seed        = fs.Int64("seed", 1, "worker identity seed: distinguishes workers of the same target in the broker's failure accounting (give every worker of a fleet a distinct seed); measurement itself is seed-free")
-		id          = fs.String("id", "", "explicit worker id (default <target>-w<seed>)")
+		id          = fs.String("id", "", "worker id for the broker's failure accounting (default <model>-w1, e.g. intel-20c-avx2-w1); give every worker of a target a distinct id")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
-		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, program errors, quarantine state), /metrics/prom or /metrics?format=prometheus (Prometheus text exposition), and /healthz; off when empty")
+		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, program errors, quarantine state), /metrics/prom (Prometheus text exposition), and /healthz; off when empty")
 		events      = fs.String("events", "", "stream structured JSONL lifecycle events (worker_lease, worker_result) to this file path or the literal \"stderr\"; non-blocking and drop-on-full, off when empty")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	wid := *id
 	if wid == "" {
-		wid = fmt.Sprintf("%s-w%d", m.Name, *seed)
+		wid = m.Name + "-w1"
 	}
 	w := fleet.NewWorker(*broker, wid, m, *capacity)
 	if *events != "" {

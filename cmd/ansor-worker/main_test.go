@@ -50,7 +50,7 @@ func TestWorkerCLIServesJobs(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		done <- run(ctx, []string{
-			"-broker", hs.URL, "-target", "intel", "-capacity", "2", "-seed", "9",
+			"-broker", hs.URL, "-target", "intel", "-capacity", "2", "-id", "cli-w9",
 		}, &out, &errb)
 	}()
 

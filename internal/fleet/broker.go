@@ -54,11 +54,6 @@ type Broker struct {
 	// (submissions, leases, results) — the same check the registry server
 	// applies to publishes. Only /healthz and /metrics stay open.
 	AuthToken string
-	// MaxDoneJobs bounds how many completed jobs are retained (default
-	// 256). A completed job lives until a submission under its id is
-	// answered with the results; the cap evicts the oldest if a submitter
-	// dies before asking, so a long-lived broker cannot leak memory.
-	MaxDoneJobs int
 
 	// Obs carries the broker's counters and lease-wait histogram
 	// (Obs.Metrics — the JSON /metrics payload and the Prometheus
@@ -71,6 +66,11 @@ type Broker struct {
 
 	// bodyLimit is the request body bound, maxBody; tests lower it.
 	bodyLimit int64
+	// maxDoneJobs bounds how many completed jobs are retained (256; tests
+	// lower it). A completed job lives until a submission under its id is
+	// answered with the results; the cap evicts the oldest if a submitter
+	// dies before asking, so a long-lived broker cannot leak memory.
+	maxDoneJobs int
 	// now is the broker's clock for lease deadlines and expiry reaping;
 	// tests inject a fake to drive expiry without sleeping (long-poll
 	// request holds and uptime stay wall-clock).
@@ -79,7 +79,7 @@ type Broker struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	jobOrder []string // submission order; leases scan oldest-first
-	done     []string // completion order; MaxDoneJobs evicts oldest
+	done     []string // completion order; maxDoneJobs evicts oldest
 	workers  map[string]*workerState
 	nextID   int64 // lease ids
 
@@ -136,8 +136,8 @@ func NewBroker() *Broker {
 	b := &Broker{
 		LeaseTTL:    30 * time.Second,
 		MaxFailures: 3,
-		MaxDoneJobs: 256,
 		bodyLimit:   maxBody,
+		maxDoneJobs: 256,
 		jobs:        map[string]*job{},
 		workers:     map[string]*workerState{},
 		notify:      make(chan struct{}),
@@ -363,7 +363,7 @@ func (b *Broker) handleHealth(w http.ResponseWriter, r *http.Request) {
 // is forgotten as it is written. So the request is idempotent while the
 // job lives (a retry attaches, it never enqueues the batch again), a
 // header without programs re-attaches after an expired wait, and an id
-// the broker no longer knows (answered, evicted past MaxDoneJobs, lost
+// the broker no longer knows (answered, evicted past maxDoneJobs, lost
 // in a restart) is 404, to which the submitter sends the programs again
 // — re-measuring is wasteful but, measurement being deterministic,
 // harmless.
@@ -756,11 +756,7 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 	if !wasDone && j.done() {
 		b.Obs.Count("jobs_completed")
 		b.done = append(b.done, j.id)
-		max := b.MaxDoneJobs
-		if max <= 0 {
-			max = 256
-		}
-		for len(b.done) > max {
+		for len(b.done) > b.maxDoneJobs {
 			b.dropJobLocked(b.done[0])
 		}
 	}
@@ -814,7 +810,7 @@ func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Gauge("uptime_seconds").Set(time.Since(b.started).Seconds())
 	snap := reg.Snapshot()
 
-	if r.URL.Path == "/metrics/prom" || r.URL.Query().Get("format") == "prometheus" {
+	if r.URL.Path == "/metrics/prom" {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		obs.WritePrometheus(w, "ansor_broker", snap)
 		return

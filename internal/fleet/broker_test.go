@@ -198,10 +198,10 @@ func TestBrokerSubmitIdempotent(t *testing.T) {
 }
 
 // TestBrokerDoneJobEviction bounds the completed-but-unacknowledged
-// backlog: past MaxDoneJobs the oldest done job is evicted, so a dead
+// backlog: past maxDoneJobs the oldest done job is evicted, so a dead
 // submitter cannot leak broker memory.
 func TestBrokerDoneJobEviction(t *testing.T) {
-	_, cl := testBroker(t, func(b *Broker) { b.MaxDoneJobs = 1 })
+	_, cl := testBroker(t, func(b *Broker) { b.maxDoneJobs = 1 })
 	ack1, err := cl.Submit(synthJob("cpu", 1))
 	if err != nil {
 		t.Fatal(err)

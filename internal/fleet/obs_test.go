@@ -89,14 +89,12 @@ func TestWorkerMetricsEndpoints(t *testing.T) {
 		t.Errorf("uptime_seconds = %v, want > 0", m.UptimeSeconds)
 	}
 
-	for _, path := range []string{"/metrics/prom", "/metrics?format=prometheus"} {
-		ct, body := httpGet(t, hs.URL+path)
-		if ct != obs.PromContentType {
-			t.Errorf("%s Content-Type = %q, want %q", path, ct, obs.PromContentType)
-		}
-		if err := obs.LintPrometheus(body); err != nil {
-			t.Errorf("%s failed the exposition-format lint: %v\n%s", path, err, body)
-		}
+	ct, body = httpGet(t, hs.URL+"/metrics/prom")
+	if ct != obs.PromContentType {
+		t.Errorf("/metrics/prom Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
+	if err := obs.LintPrometheus(body); err != nil {
+		t.Errorf("/metrics/prom failed the exposition-format lint: %v\n%s", err, body)
 	}
 
 	_, body = httpGet(t, hs.URL+"/healthz")
@@ -175,13 +173,11 @@ func TestBrokerMetricsEndpoints(t *testing.T) {
 		t.Errorf("worker rows = %+v, want one worker with 5 completed programs", m.Workers)
 	}
 
-	for _, path := range []string{"/metrics/prom", "/metrics?format=prometheus"} {
-		ct, body := httpGet(t, url+path)
-		if ct != obs.PromContentType {
-			t.Errorf("%s Content-Type = %q, want %q", path, ct, obs.PromContentType)
-		}
-		if err := obs.LintPrometheus(body); err != nil {
-			t.Errorf("%s failed the exposition-format lint: %v\n%s", path, err, body)
-		}
+	ct, body = httpGet(t, url+"/metrics/prom")
+	if ct != obs.PromContentType {
+		t.Errorf("/metrics/prom Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
+	if err := obs.LintPrometheus(body); err != nil {
+		t.Errorf("/metrics/prom failed the exposition-format lint: %v\n%s", err, body)
 	}
 }

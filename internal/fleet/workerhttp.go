@@ -57,14 +57,13 @@ func (w *Worker) Metrics() WorkerMetrics {
 // ansor-worker's -metrics-addr listener:
 //
 //	GET /metrics           JSON WorkerMetrics
-//	GET /metrics/prom      Prometheus text exposition (also
-//	                       /metrics?format=prometheus)
+//	GET /metrics/prom      Prometheus text exposition
 //	GET /healthz           liveness + quarantine state
 func (w *Worker) MetricsHandler() http.Handler {
 	mux := http.NewServeMux()
 	serveMetrics := func(rw http.ResponseWriter, r *http.Request) {
 		m := w.Metrics() // refreshes gauges before the snapshot below
-		if r.URL.Path == "/metrics/prom" || r.URL.Query().Get("format") == "prometheus" {
+		if r.URL.Path == "/metrics/prom" {
 			rw.Header().Set("Content-Type", obs.PromContentType)
 			if w.Obs != nil && w.Obs.Metrics != nil {
 				obs.WritePrometheus(rw, "ansor_worker", w.Obs.Metrics.Snapshot())

@@ -37,20 +37,20 @@ func TestServerAuthGuardsPublishes(t *testing.T) {
 	if err := open.Ping(); err != nil {
 		t.Fatalf("healthz should not need a token: %v", err)
 	}
-	if _, err := open.Keys(); err != nil {
-		t.Fatalf("keys should not need a token: %v", err)
+	if _, err := open.Snapshot(); err != nil {
+		t.Fatalf("snapshot should not need a token: %v", err)
 	}
 
-	// Token via WithToken and via URL userinfo both authenticate.
-	if ok, err := open.WithToken("s3cret").Add(rec("gmm", "cpu", "d1", 1.0)); err != nil || !ok {
-		t.Fatalf("WithToken publish: ok=%v err=%v", ok, err)
-	}
-	userinfo := NewClient("http://:s3cret@" + hs.Listener.Addr().String())
-	if ok, err := userinfo.Add(rec("gmm", "cpu", "d1", 0.5)); err != nil || !ok {
+	// The token rides in the URL's userinfo, bare or after a user name.
+	addr := hs.Listener.Addr().String()
+	if ok, err := NewClient("http://:s3cret@" + addr).Add(rec("gmm", "cpu", "d1", 1.0)); err != nil || !ok {
 		t.Fatalf("userinfo publish: ok=%v err=%v", ok, err)
 	}
+	if ok, err := NewClient("http://user:s3cret@" + addr).Add(rec("gmm", "cpu", "d1", 0.5)); err != nil || !ok {
+		t.Fatalf("user:token publish: ok=%v err=%v", ok, err)
+	}
 	// A wrong token is refused like no token.
-	if _, err := open.WithToken("guess").Add(rec("gmm", "cpu", "d1", 0.1)); err == nil {
+	if _, err := NewClient("http://:guess@" + addr).Add(rec("gmm", "cpu", "d1", 0.1)); err == nil {
 		t.Fatal("wrong-token publish should be refused")
 	}
 	if r, ok := srv.Registry().Best("gmm", "cpu", "d1"); !ok || r.Seconds != 0.5 {

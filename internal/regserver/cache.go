@@ -9,11 +9,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultBestCacheEntries bounds the encoded-response cache: one entry
-// is one pre-marshaled /v1/best body (a few hundred bytes to a few KB),
-// so the default costs at most a few MB while covering every key of a
+// bestCacheEntries bounds the encoded-response cache: one entry is one
+// pre-marshaled /v1/best body (a few hundred bytes to a few KB), so the
+// cache costs at most a few MB while covering every key of a
 // realistically sized registry.
-const DefaultBestCacheEntries = 4096
+const bestCacheEntries = 4096
 
 // strongETag derives the validator for an encoded response body. It is
 // a strong ETag in the HTTP sense — equal tags imply byte-identical

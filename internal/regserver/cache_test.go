@@ -217,56 +217,9 @@ func TestRespCacheLRUBound(t *testing.T) {
 	}
 }
 
-// TestRecordsAndSnapshotETags: the query endpoints carry version-derived
-// validators — a 304 repeat while the registry is unchanged, a fresh 200
-// after any mutation.
-func TestRecordsAndSnapshotETags(t *testing.T) {
-	_, cl := newTestServer(t)
-	base := cl.base
-	if _, err := cl.Add(rec("op", "cpu", "d", 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	for i, path := range []string{"/v1/records?workload=op", "/v1/snapshot"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		etag := resp.Header.Get("ETag")
-		if resp.StatusCode != http.StatusOK || etag == "" {
-			t.Fatalf("%s: code=%d etag=%q", path, resp.StatusCode, etag)
-		}
-		req, _ := http.NewRequest("GET", base+path, nil)
-		req.Header.Set("If-None-Match", etag)
-		resp2, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp2.Body)
-		resp2.Body.Close()
-		if resp2.StatusCode != http.StatusNotModified || len(body) != 0 {
-			t.Fatalf("%s revalidate: code=%d body=%d bytes", path, resp2.StatusCode, len(body))
-		}
-		// Any mutation refreshes the registry-wide validator.
-		if _, err := cl.Add(rec("op", "cpu", "d", 1.0/float64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-		resp3, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp3.Body)
-		resp3.Body.Close()
-		if resp3.StatusCode != http.StatusOK || resp3.Header.Get("ETag") == etag {
-			t.Fatalf("%s after mutation: code=%d", path, resp3.StatusCode)
-		}
-	}
-}
-
 // TestClientValidatorCache: the high-level client transparently rides
-// conditional GETs — repeat Best/Records calls revalidate with 304s and
-// still return the full answer.
+// conditional GETs — repeat Best calls revalidate with 304s and still
+// return the full answer.
 func TestClientValidatorCache(t *testing.T) {
 	srv, cl := newTestServer(t)
 	if _, err := cl.Add(rec("op", "cpu", "d", 2.0)); err != nil {
@@ -287,13 +240,5 @@ func TestClientValidatorCache(t *testing.T) {
 	}
 	if best, _, err := cl.Best("op", "cpu", "d"); err != nil || best.Seconds != 1.0 {
 		t.Fatalf("post-improvement Best: %+v err=%v", best, err)
-	}
-	// Repeat Records queries revalidate too.
-	if _, err := cl.Records("op", "", 0); err != nil {
-		t.Fatal(err)
-	}
-	l, err := cl.Records("op", "", 0)
-	if err != nil || len(l.Records) != 1 || l.Records[0].Seconds != 1.0 {
-		t.Fatalf("repeat Records: %+v err=%v", l, err)
 	}
 }

@@ -20,17 +20,17 @@ import (
 )
 
 // Client talks to a registry server, mirroring the in-process
-// registry.Registry API (Add/AddLog/Best/BestFor/ApplyBest/Keys plus
-// Snapshot) with an added error return per call: the network is allowed
-// to fail where process memory is not.
+// registry.Registry API (Add/AddLog/Best/BestFor/ApplyBest plus Records
+// and Snapshot) with an added error return per call: the network is
+// allowed to fail where process memory is not.
 //
-// The client keeps a per-key validator cache: every /v1/best (and
-// records/snapshot query) response's ETag and body are remembered, and
-// repeat requests go out as conditional GETs (If-None-Match). When the
-// server's answer has not changed it responds 304 with no body, and the
-// client decodes its cached bytes — so a fleet of clients re-checking
-// unchanged schedules costs the server ~0 bytes and no marshaling. The
-// cache is shared across WithTimeout/WithToken/WithTLSConfig copies.
+// The client keeps a per-key validator cache: every /v1/best response's
+// ETag and body are remembered, and repeat requests go out as
+// conditional GETs (If-None-Match). When the server's answer has not
+// changed it responds 304 with no body, and the client decodes its
+// cached bytes — so a fleet of clients re-checking unchanged schedules
+// costs the server ~0 bytes and no marshaling. The cache is shared
+// across WithTimeout/WithTLSConfig copies.
 type Client struct {
 	base  string
 	token string
@@ -62,13 +62,6 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 	return &Client{base: c.base, token: c.token, hc: &http.Client{Timeout: d, Transport: c.hc.Transport}, vc: c.vc}
 }
 
-// WithToken returns a copy of the client authenticating with the given
-// bearer token (for callers that hold the token separately from the
-// URL).
-func (c *Client) WithToken(token string) *Client {
-	return &Client{base: c.base, token: token, hc: c.hc, vc: c.vc}
-}
-
 // WithTLSConfig returns a copy of the client using the given TLS
 // configuration for https servers (`ansor-registry serve -tls-cert
 // -tls-key`) — e.g. a config trusting a private CA.
@@ -77,7 +70,7 @@ func (c *Client) WithTLSConfig(cfg *tls.Config) *Client {
 	return &Client{base: c.base, token: c.token, hc: hc, vc: c.vc}
 }
 
-// maxValidators bounds each validator map: past it an arbitrary entry
+// maxValidators bounds the validator map: past it an arbitrary entry
 // is dropped — the cache is an optimization, not a correctness
 // surface, so simple pressure relief beats LRU bookkeeping here.
 const maxValidators = 4096
@@ -88,16 +81,15 @@ type validator struct {
 	body []byte
 }
 
-// validatorCache remembers response validators per best-key and per
-// query URL. Safe for concurrent use.
+// validatorCache remembers /v1/best validators per key. Safe for
+// concurrent use.
 type validatorCache struct {
-	mu      sync.Mutex
-	best    map[cacheKey]validator
-	queries map[string]validator
+	mu   sync.Mutex
+	best map[cacheKey]validator
 }
 
 func newValidatorCache() *validatorCache {
-	return &validatorCache{best: map[cacheKey]validator{}, queries: map[string]validator{}}
+	return &validatorCache{best: map[cacheKey]validator{}}
 }
 
 func (v *validatorCache) getBest(k cacheKey) (validator, bool) {
@@ -117,25 +109,6 @@ func (v *validatorCache) putBest(k cacheKey, val validator) {
 		}
 	}
 	v.best[k] = val
-}
-
-func (v *validatorCache) getQuery(u string) (validator, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	val, ok := v.queries[u]
-	return val, ok
-}
-
-func (v *validatorCache) putQuery(u string, val validator) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.queries[u]; !ok && len(v.queries) >= maxValidators {
-		for old := range v.queries {
-			delete(v.queries, old)
-			break
-		}
-	}
-	v.queries[u] = val
 }
 
 // get issues an authenticated GET.
@@ -378,42 +351,17 @@ func (c *Client) Best(workload, target, dag string) (measure.Record, bool, error
 	return rec, true, nil
 }
 
-// getLog fetches a line-oriented record log from u with the query
-// validator cache: a 304 parses the cached bytes, a 200 refreshes them.
-// The records/snapshot ETags are registry-version-derived, so any
-// registry change refetches — never a stale answer.
+// getLog fetches a line-oriented record log from u.
 func (c *Client) getLog(u string) (*measure.Log, error) {
-	req, err := http.NewRequest(http.MethodGet, u, nil)
+	resp, err := c.get(u)
 	if err != nil {
 		return nil, err
 	}
-	c.auth(req)
-	cached, have := c.vc.getQuery(u)
-	if have {
-		req.Header.Set("If-None-Match", cached.etag)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	var body []byte
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		DrainClose(resp.Body)
-		body = cached.body
-	case http.StatusOK:
-		body, err = io.ReadAll(resp.Body)
-		DrainClose(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if etag := resp.Header.Get("ETag"); etag != "" {
-			c.vc.putQuery(u, validator{etag: etag, body: body})
-		}
-	default:
+	if resp.StatusCode != http.StatusOK {
 		return nil, errorOf(resp)
 	}
-	return measure.Load(bytes.NewReader(body))
+	defer DrainClose(resp.Body)
+	return measure.Load(resp.Body)
 }
 
 // BestFor is Best keyed by the computation itself.
@@ -486,29 +434,10 @@ func (c *Client) Metrics() (Metrics, error) {
 	return m, nil
 }
 
-// Keys returns every key the server holds, in the registry's sorted
-// order.
-func (c *Client) Keys() ([]registry.Key, error) {
-	resp, err := c.get(c.base + "/v1/keys")
-	if err != nil {
-		return nil, fmt.Errorf("regserver: keys from %s: %w", c.base, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorOf(resp)
-	}
-	defer DrainClose(resp.Body)
-	var keys []registry.Key
-	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
-		return nil, fmt.Errorf("regserver: keys from %s: %w", c.base, err)
-	}
-	return keys, nil
-}
-
 // Snapshot downloads the server's full best set as an in-process
 // registry: records arrive verbatim (raw steps, exact float
 // round-trip), so the result is bit-identical to a registry built
-// locally from the same records. Repeat snapshots of an unchanged
-// registry revalidate with a 304 and re-parse the cached bytes.
+// locally from the same records.
 func (c *Client) Snapshot() (*registry.Registry, error) {
 	l, err := c.getLog(c.base + "/v1/snapshot")
 	if err != nil {

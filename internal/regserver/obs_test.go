@@ -11,8 +11,7 @@ import (
 )
 
 // TestMetricsPrometheusExposition: the registry server's /metrics/prom
-// (and /metrics?format=prometheus) render the same obs snapshot as the
-// JSON payload in the Prometheus text exposition format, and the output
+// renders the same obs snapshot as the JSON payload in the Prometheus text exposition format, and the output
 // passes the format lint. The JSON payload keeps its documented fields
 // from the same snapshot, so the two encodings can never disagree.
 func TestMetricsPrometheusExposition(t *testing.T) {
@@ -25,30 +24,28 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	for _, path := range []string{"/metrics/prom", "/metrics?format=prometheus"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d: %s", path, resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
-			t.Errorf("%s Content-Type = %q, want %q", path, ct, obs.PromContentType)
-		}
-		if err := obs.LintPrometheus(body); err != nil {
-			t.Errorf("%s failed the exposition-format lint: %v\n%s", path, err, body)
-		}
+	resp, err := http.Get(hs.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics/prom: %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
+		t.Errorf("/metrics/prom Content-Type = %q, want %q", ct, obs.PromContentType)
+	}
+	if err := obs.LintPrometheus(body); err != nil {
+		t.Errorf("/metrics/prom failed the exposition-format lint: %v\n%s", err, body)
 	}
 
 	// The plain JSON encoding is untouched by the Prometheus form and
 	// still reflects the publishes above.
-	resp, err := http.Get(hs.URL + "/metrics")
+	resp, err = http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/url"
 	"os"
@@ -91,7 +90,7 @@ type Server struct {
 	AuthToken string
 
 	// bestCache holds pre-marshaled /v1/best bodies; nil disables
-	// caching (SetBestCache(0)). Invalidated through the registry's
+	// caching (setBestCache(0)). Invalidated through the registry's
 	// NotifyChange hook, so any accepted add — whichever code path
 	// performed it — drops exactly the stale answers.
 	bestCache *respCache
@@ -126,8 +125,8 @@ type Server struct {
 
 // New returns a server over an existing registry (nil = a fresh empty
 // one) with no durable store: state lives in memory only (tests,
-// ephemeral caches). The encoded-response cache is on by default
-// (DefaultBestCacheEntries); the server claims the registry's
+// ephemeral caches). The encoded-response cache holds
+// bestCacheEntries answers; the server claims the registry's
 // NotifyChange hook for its invalidation, so one registry serves one
 // server.
 func New(reg *registry.Registry) *Server {
@@ -142,16 +141,16 @@ func New(reg *registry.Registry) *Server {
 	s.bestHits = s.om.Counter("best_hits")
 	s.bestMisses = s.om.Counter("best_misses")
 	s.bestNotMod = s.om.Counter("best_not_modified")
-	s.SetBestCache(DefaultBestCacheEntries)
+	s.setBestCache(bestCacheEntries)
 	s.routes()
 	return s
 }
 
-// SetBestCache resizes the encoded-response cache to at most n entries;
-// n <= 0 disables caching (every /v1/best marshals — the pre-cache
-// behavior, kept for benchmarks and debugging). Existing entries are
-// dropped. Call before the handler serves traffic.
-func (s *Server) SetBestCache(n int) {
+// setBestCache resizes the encoded-response cache to at most n entries;
+// n <= 0 disables caching (every /v1/best marshals — the uncached
+// reference arm of BenchmarkServeBest). Existing entries are dropped.
+// Call before the handler serves traffic.
+func (s *Server) setBestCache(n int) {
 	if n <= 0 {
 		s.bestCache = nil
 		s.reg.NotifyChange = nil
@@ -299,7 +298,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/records", s.handleRecords)
 	s.mux.HandleFunc("/v1/best", s.handleBest)
-	s.mux.HandleFunc("/v1/keys", s.handleKeys)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics/prom", s.handleMetrics)
@@ -337,7 +335,8 @@ type AddResult struct {
 // with ?workload=&target=&limit= streams the matching best records as a
 // line-oriented log: the task-filtered query a fresh job warm-starts
 // from, instead of downloading the fleet's full snapshot. Empty filters
-// match everything; limit 0 means no cap.
+// match everything; limit 0 means no cap. A warm start fetches each
+// slice once, so the answer carries no validator.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
@@ -349,18 +348,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			limit = n
-		}
-		// The query result is a pure function of (registry version,
-		// query), so the version doubles as a change validator: a client
-		// revalidating an unchanged registry gets a 304 without the
-		// server even running the query. (The ETag changes on EVERY
-		// registry mutation, including ones outside this query's filter —
-		// an unnecessary refetch, never a stale answer.)
-		etag := queryETag(s.reg.Version(), "records", q.Get("workload"), q.Get("target"), strconv.Itoa(limit))
-		w.Header().Set("ETag", etag)
-		if etagMatch(r.Header.Get("If-None-Match"), etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = s.reg.Query(q.Get("workload"), q.Get("target"), limit).Save(w)
@@ -512,14 +499,6 @@ func (s *Server) writeBest(w http.ResponseWriter, r *http.Request, body []byte, 
 	_, _ = w.Write(body)
 }
 
-func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.reg.Keys())
-}
-
 // Metrics is the /metrics payload: the numbers a deployment watches to
 // know its registry is alive and retaining data.
 type Metrics struct {
@@ -559,7 +538,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
-	if r.URL.Path == "/metrics/prom" || r.URL.Query().Get("format") == "prometheus" {
+	if r.URL.Path == "/metrics/prom" {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		obs.WritePrometheus(w, "ansor_registry", s.obsSnapshot())
 		return
@@ -615,34 +594,12 @@ func (s *Server) metrics() Metrics {
 
 // handleSnapshot streams the registry's best records in the
 // line-oriented log format, so the download is directly usable as an
-// ApplyHistoryBest file or another server's store. Like the records
-// query it carries a version-derived ETag, so mirroring clients
-// revalidate an unchanged registry for free.
+// ApplyHistoryBest file or another server's store.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
-	etag := queryETag(s.reg.Version(), "snapshot")
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = s.reg.Log().Save(w)
-}
-
-// queryETag derives the validator for a version-gated response: equal
-// tags imply the same query against the same registry version, whose
-// bytes are identical (every response here is a pure function of the
-// two). It changes on every registry mutation — coarser than the
-// per-key /v1/best tags, but computable without running the query.
-func queryETag(version uint64, parts ...string) string {
-	h := fnv.New64a()
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf(`"v%d-%x"`, version, h.Sum64())
 }

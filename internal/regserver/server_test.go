@@ -82,15 +82,6 @@ func TestRegServerEndpoints(t *testing.T) {
 		t.Fatalf("target-less record served for another key: %+v ok=%v err=%v", r, ok, err)
 	}
 
-	// Keys match the in-process registry exactly.
-	keys, err := cl.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(keys, srv.Registry().Keys()) {
-		t.Fatalf("keys diverged: client %v vs server %v", keys, srv.Registry().Keys())
-	}
-
 	// Snapshot equals the in-process registry.
 	snap, err := cl.Snapshot()
 	if err != nil {
@@ -122,7 +113,7 @@ func TestRegServerHTTPErrors(t *testing.T) {
 		wantBody     string // substring of the response, when set
 	}{
 		{"POST", "/v1/best", "", http.StatusMethodNotAllowed, ""},
-		{"POST", "/v1/keys", "", http.StatusMethodNotAllowed, ""},
+		{"GET", "/v1/keys", "", http.StatusNotFound, ""},
 		{"POST", "/v1/snapshot", "", http.StatusMethodNotAllowed, ""},
 		{"GET", "/v1/metrics", "", http.StatusNotFound, ""}, // metrics is unversioned, like healthz
 		{"POST", "/metrics", "", http.StatusMethodNotAllowed, ""},
@@ -218,7 +209,7 @@ func TestRegServerDurability(t *testing.T) {
 
 // TestRegServerConcurrentPublishers is the race-focused service test: N
 // goroutines publish interleaved record streams while M goroutines
-// hammer Best/Keys/Snapshot/ApplyBest-style reads. The final registry
+// hammer Best/Records/Snapshot reads. The final registry
 // must equal the sequential merge of everything published — concurrency
 // may reorder arrivals but never change the per-key minimum.
 func TestRegServerConcurrentPublishers(t *testing.T) {
@@ -253,7 +244,7 @@ func TestRegServerConcurrentPublishers(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := cl.Keys(); err != nil {
+				if _, err := cl.Records(fmt.Sprintf("task%d", m%4), "cpu", 0); err != nil {
 					errs <- err
 					return
 				}
@@ -342,9 +333,12 @@ func TestClientKeepsItsConnection(t *testing.T) {
 	}
 	hs.Start()
 	defer hs.Close()
-	// A transport of its own: the test counts this client's connections.
+	// A transport of its own, shared by a tokenless client and one with
+	// the token in its URL: the test counts the transport's connections.
 	cl := NewClient(hs.URL)
 	cl.hc.Transport = &http.Transport{}
+	authed := NewClient("http://:s3cret@" + hs.Listener.Addr().String())
+	authed.hc.Transport = cl.hc.Transport
 	for i := 0; i < 20; i++ {
 		if _, ok, err := cl.Best("nosuch", "cpu", "dag"); ok || err != nil {
 			t.Fatalf("miss %d: ok=%v err=%v", i, ok, err)
@@ -355,7 +349,7 @@ func TestClientKeepsItsConnection(t *testing.T) {
 		if _, err := cl.Add(rec("t", "cpu", "dag", float64(100-i))); err == nil {
 			t.Fatal("tokenless publish should be refused")
 		}
-		if _, err := cl.WithToken("s3cret").Add(rec("t", "cpu", "dag", float64(100-i))); err != nil {
+		if _, err := authed.Add(rec("t", "cpu", "dag", float64(100-i))); err != nil {
 			t.Fatal(err)
 		}
 	}

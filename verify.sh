@@ -139,17 +139,24 @@ go run -C bench repro/bench --workload fleet-batch --seed 1 --seconds 3 --trace 
 
 printf '\nverify: all gates passed\n'
 
+# Did any trajectory move against HEAD? The identity probes' verdict, for
+# CHANGES.md to quote. Not a gate: a change may move trajectories on
+# purpose, and then says so and names the probes that moved.
+step "identity against HEAD (not a gate)"
+./identity.sh HEAD || true
+
 # The numbers ROADMAP tracks for the design-quality leg — non-test Go
-# lines, and the CLI flags declared under cmd/ (the simplicity guide asks
-# a change to count what can be set before and after) — for HEAD (unpacked
-# with git archive, as ab.sh unpacks a parent) beside the working tree, so
-# a CHANGES.md entry quotes the gate's counts and a simplicity change
-# their difference. Not a gate.
+# lines, and the CLI flags declared in cmd/*/main.go, through a FlagSet
+# or the flag package's globals (the simplicity guide asks a change to
+# count what can be set before and after) — for HEAD (unpacked with git
+# archive, as ab.sh unpacks a parent) beside the working tree, so a
+# CHANGES.md entry quotes the gate's counts and a simplicity change their
+# difference. Not a gate.
 count() {
 	(cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 }
 flags() {
-	(cd "$1" && cat cmd/*/*.go | grep -cE 'fs\.(String|Int|Int64|Bool|Float64|Duration)\(')
+	(cd "$1" && cat cmd/*/main.go | grep -cE '(fs|flag)\.(String|Int|Int64|Bool|Float64|Duration)\(')
 }
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/verify.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
