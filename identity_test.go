@@ -2,8 +2,8 @@ package repro
 
 // The cross-commit half of the determinism contract. TestIdentity runs a
 // fixed set of seeded probes through the search, the persistence spine,
-// the fleet, the figures and the program path, and logs one digest line
-// per probe:
+// the fleet, the figures, the program path and the fleet worker's bytes
+// to time, and logs one digest line per probe:
 //
 //	identity: <probe> <digest>
 //
@@ -24,6 +24,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,6 +38,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/sketch"
+	"repro/internal/te"
 	"repro/internal/workloads"
 )
 
@@ -127,6 +129,7 @@ func TestIdentity(t *testing.T) {
 	probe("fig10", out.String())
 
 	probe("corpus", identityCorpus(t))
+	probe("worker", identityWorker(t))
 }
 
 // identityTune tunes identityOp and renders what the run returned and
@@ -241,22 +244,24 @@ func identityFleet(t *testing.T, m *sim.Machine, capacities ...int) string {
 	return hs.URL
 }
 
+// identityTargets are the corpus probes' targets: a CPU and a GPU.
+var identityTargets = []struct {
+	space   sketch.Target
+	machine *sim.Machine
+}{
+	{sketch.CPUTarget(), sim.IntelXeon()},
+	{sketch.GPUTarget(), sim.NVIDIAV100()},
+}
+
 // identityCorpus samples programs of every single operator and subgraph
 // on a CPU and a GPU target and renders each one's signature, simulated
 // time bits and feature bits: the program path, without a search.
 func identityCorpus(t *testing.T) string {
 	t.Helper()
-	targets := []struct {
-		space   sketch.Target
-		machine *sim.Machine
-	}{
-		{sketch.CPUTarget(), sim.IntelXeon()},
-		{sketch.GPUTarget(), sim.NVIDIAV100()},
-	}
 	var b strings.Builder
 	for _, w := range append(workloads.SingleOps(1), workloads.Subgraphs(1)...) {
 		dag := w.Build()
-		for _, tgt := range targets {
+		for _, tgt := range identityTargets {
 			sketches, err := sketch.NewGenerator(tgt.space).Generate(dag)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Key, err)
@@ -284,6 +289,57 @@ func identityCorpus(t *testing.T) string {
 				}
 				fmt.Fprintf(&b, "  %s time %016x features %x\n",
 					s.Signature(), math.Float64bits(tgt.machine.Time(low)), h.Sum(nil)[:8])
+			}
+		}
+	}
+	return b.String()
+}
+
+// identityWorker sends programs of every single operator and subgraph, on
+// a CPU and a GPU target, to a loopback fleet's worker as step bytes, each
+// in five variants — as encoded, in another layout, with a trailing byte,
+// with a step that does not apply, and with one that does not decode
+// after that — and renders what comes back: a time's bits or the
+// worker's error text. The bytes-to-time path, errors included.
+func identityWorker(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, tgt := range identityTargets {
+		cl := fleet.NewClient(identityFleet(t, tgt.machine, 16))
+		for _, w := range append(workloads.SingleOps(1), workloads.Subgraphs(1)...) {
+			dag := w.Build()
+			sketches, err := sketch.NewGenerator(tgt.space).Generate(dag)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Key, err)
+			}
+			bin, err := te.EncodeDAGBinary(dag)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Key, err)
+			}
+			spec := fleet.JobSpec{ID: "identity-" + w.Key + "-" + tgt.machine.Name, Target: tgt.machine.Name,
+				Task: w.Key, DAGBin: bin, WaitMS: 20000}
+			for _, s := range anno.NewSampler(tgt.space, 2).SamplePopulation(sketches, 3) {
+				enc, err := ir.EncodeSteps(s.Steps)
+				if err != nil {
+					t.Fatalf("%s: %v", w.Key, err)
+				}
+				open := enc[:len(enc)-1]
+				spec.Programs = append(spec.Programs, enc,
+					bytes.ReplaceAll(enc, []byte(`,"`), []byte(` , "`)),
+					slices.Concat(enc, []byte(" x")),
+					slices.Concat(open, []byte(`,{"kind":"Inline","data":{"Stage":"nope"}}]`)),
+					slices.Concat(open, []byte(`,{"kind":"Inline","data":{"Stage":"nope"}},{"kind":"Bogus","data":{}}]`)))
+			}
+			if len(spec.Programs) == 0 {
+				continue
+			}
+			st, err := cl.Submit(spec)
+			if err != nil || !st.Done {
+				t.Fatalf("%s on %s: %+v, %v", w.Key, tgt.machine.Name, st, err)
+			}
+			fmt.Fprintf(&b, "%s %s\n", w.Key, tgt.machine.Name)
+			for _, r := range st.Results {
+				fmt.Fprintf(&b, "  %016x %s\n", math.Float64bits(r.Noiseless), r.Err)
 			}
 		}
 	}

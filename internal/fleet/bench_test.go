@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"repro/internal/anno"
+	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/sim"
 	"repro/internal/sketch"
 	"repro/internal/te"
+	"repro/internal/workloads"
 )
 
 // BenchmarkFleetMeasure compares one measurement batch in-process
@@ -74,6 +76,50 @@ func BenchmarkFleetMeasure(b *testing.B) {
 			reportBatch(b, len(states))
 		})
 	}
+}
+
+// BenchmarkWorkerMeasure is a worker's per-program cost from step bytes
+// to time — replay as it parses, lower, time — on the programs
+// fleet-batch measures (C2D.s1, CPU target), one lease of 16 per arena.
+func BenchmarkWorkerMeasure(b *testing.B) {
+	dag, encoded := c2dPrograms(b, 64)
+	w := Worker{Machine: sim.IntelXeon()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		a := ir.BorrowArena()
+		for k := 0; k < 16 && i < b.N; k, i = k+1, i+1 {
+			if r := w.measureOne(a, dag, i, encoded[i%len(encoded)]); r.Err != "" {
+				b.Fatal(r.Err)
+			}
+		}
+		a.Release()
+	}
+}
+
+// c2dPrograms samples n complete programs of C2D.s1 for the CPU target
+// and returns its DAG with their encoded step lists.
+func c2dPrograms(tb testing.TB, n int) (*te.DAG, [][]byte) {
+	tb.Helper()
+	var dag *te.DAG
+	for _, w := range workloads.SingleOps(1) {
+		if w.Key == "C2D.s1" {
+			dag = w.Build()
+		}
+	}
+	sks, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pop := anno.NewSampler(sketch.CPUTarget(), 1).SamplePopulation(sks, n)
+	if len(pop) != n {
+		tb.Fatalf("sampled %d of %d programs", len(pop), n)
+	}
+	encoded := make([][]byte, n)
+	for k, s := range pop {
+		encoded[k], _ = ir.EncodeSteps(s.Steps)
+	}
+	return dag, encoded
 }
 
 func reportBatch(b *testing.B, n int) {

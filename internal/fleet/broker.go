@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -229,10 +230,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// readAll reads r to its end into a buffer sized by the announced
-// content length, when there is a believable one.
-func readAll(r io.Reader, size int64) ([]byte, error) {
-	var buf bytes.Buffer
+// readAll reads r to its end into dst's memory, grown to the announced
+// content length when there is a believable one.
+func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
+	buf := bytes.NewBuffer(dst[:0])
 	if size > 0 && size <= maxBody {
 		buf.Grow(int(size) + bytes.MinRead)
 	}
@@ -242,24 +243,27 @@ func readAll(r io.Reader, size int64) ([]byte, error) {
 
 // readBody reads one bounded request body whole.
 func (b *Broker) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readAll(http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
+	body, err := readAll(nil, http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 	}
 	return body, err == nil
 }
 
-// decodeBody parses one bounded JSON request body.
-func (b *Broker) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// decodeBody parses one bounded request body in read's layout or, as
+// json.Unmarshal does, in any other.
+func decodeBody[T any](b *Broker, w http.ResponseWriter, r *http.Request, read func(*wireReader) T) (T, bool) {
 	body, ok := b.readBody(w, r)
 	if !ok {
-		return false
+		var zero T
+		return zero, false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	v, err := decode(body, read)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse body: %v", err)
-		return false
+		return v, false
 	}
-	return true
+	return v, true
 }
 
 // splitLines cuts an NDJSON body into its JSON header line and the
@@ -284,21 +288,18 @@ func splitLines(body []byte) (header []byte, programs []json.RawMessage, err err
 	return header, programs, nil
 }
 
-// joinLines builds an NDJSON body: the header as JSON, then the lines.
-func joinLines(header interface{}, programs []json.RawMessage) ([]byte, error) {
-	h, err := json.Marshal(header)
-	if err != nil {
-		return nil, err
-	}
-	size := len(h) + 1 + len(programs)
+// joinLines builds an NDJSON body in one buffer: the header line head
+// appends, whose dag_bin is dagBin, then the program lines.
+func joinLines(dagBin []byte, programs []json.RawMessage, head func([]byte) []byte) []byte {
+	size := 256 + base64.StdEncoding.EncodedLen(len(dagBin)) + len(programs) + 1
 	for _, p := range programs {
 		size += len(p)
 	}
-	body := append(make([]byte, 0, size), h...)
+	body := head(make([]byte, 0, size))
 	for _, p := range programs {
 		body = append(append(body, '\n'), p...)
 	}
-	return append(body, '\n'), nil
+	return append(body, '\n')
 }
 
 // authorized applies the broker's bearer check (shared with the
@@ -382,7 +383,7 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	header, programs, err := splitLines(body)
 	if err == nil {
-		err = json.Unmarshal(header, &spec)
+		spec, err = decode(header, readJob)
 	}
 	switch {
 	case err != nil:
@@ -447,7 +448,9 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 		if !ok || st.Done || remaining <= 0 {
 			// Evicted while it waited, a job is answered as last seen; the
 			// submitter's next attach is told it is unknown.
-			_ = json.NewEncoder(w).Encode(st)
+			if body, err := appendStatus(nil, st); err == nil {
+				_, _ = w.Write(append(body, '\n'))
+			}
 			return
 		}
 		if first {
@@ -523,8 +526,8 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
-	var req LeaseRequest
-	if !b.decodeBody(w, r, &req) {
+	req, ok := decodeBody(b, w, r, readLease)
+	if !ok {
 		return
 	}
 	if req.Worker == "" || req.Target == "" {
@@ -571,11 +574,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 			b.mu.Unlock()
 			// The programs are pieces of the submission's body, which no
 			// request ever writes to again: safe to send outside the lock.
-			body, err := joinLines(grant, grant.Programs)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "encode grant: %v", err)
-				return
-			}
+			body := joinLines(grant.DAGBin, grant.Programs, func(b []byte) []byte { return appendGrant(b, grant) })
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			_, _ = w.Write(body)
@@ -659,8 +658,8 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
-	var post ResultPost
-	if !b.decodeBody(w, r, &post) {
+	post, ok := decodeBody(b, w, r, readResults)
+	if !ok {
 		return
 	}
 	b.mu.Lock()

@@ -536,7 +536,7 @@ func TestBrokerAuth(t *testing.T) {
 
 // postJob sends a hand-made submission body.
 func postJob(cl *Client, body string) (int, error) {
-	code, _, err := cl.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", []byte(body))
+	code, _, err := cl.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", []byte(body), nil)
 	return code, err
 }
 
@@ -620,7 +620,7 @@ func TestBrokerLeasesExactTargetOnly(t *testing.T) {
 	checkLeaseTable(t, b, "custom submit")
 	for _, other := range []string{"intel-20c-avx512", "arm-cortex-a53", "nvidia-v100"} {
 		body, _ := json.Marshal(LeaseRequest{Worker: "idle-" + other, Target: other, Capacity: 4})
-		code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json", body)
+		code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json", body, nil)
 		checkLeaseTable(t, b, other+" lease")
 		if err != nil || code != http.StatusNoContent {
 			t.Fatalf("%s worker facing avx2 and %s queues: %d %s err=%v, want 204", other, custom, code, raw, err)
@@ -650,7 +650,7 @@ func TestOlderPeersAndLogsStillLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, raw, err := cl.do(context.Background(), http.MethodPost, "/v1/lease", "application/json",
-		[]byte(`{"worker":"old","target":"intel-20c-avx2","capacity":4,"max_distance":2}`))
+		[]byte(`{"worker":"old","target":"intel-20c-avx2","capacity":4,"max_distance":2}`), nil)
 	checkLeaseTable(t, b, "older lease request")
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("lease request with max_distance: %d %v", code, err)
@@ -662,7 +662,7 @@ func TestOlderPeersAndLogsStillLoad(t *testing.T) {
 	code, _, err = cl.do(context.Background(), http.MethodPost, "/v1/results", "application/json",
 		[]byte(fmt.Sprintf(`{"worker":"old","job":%q,"lease":%d,"results":[`+
 			`{"index":0,"noiseless":1,"measured_on":"intel-20c-avx512","clock":"intel-20c-avx512"},`+
-			`{"index":1,"noiseless":2}]}`, ack.ID, grant.Lease)))
+			`{"index":1,"noiseless":2}]}`, ack.ID, grant.Lease)), nil)
 	checkLeaseTable(t, b, "older result post")
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("result post with measured_on and clock: %d %v", code, err)

@@ -67,11 +67,11 @@ func NewClient(base string) *Client {
 	}
 }
 
-// do sends one request and returns the whole response body of a 200
-// (nil for a 204); any other status is an error carrying the broker's
-// reason. The body is read to its end before it is closed, so the
-// connection serves the next request.
-func (c *Client) do(ctx context.Context, method, path, contentType string, in []byte) (int, []byte, error) {
+// do sends one request and returns the whole response body of a 200,
+// read into buf's memory (nil for a 204); any other status is an error
+// carrying the broker's reason. The body is read to its end before it is
+// closed, so the connection serves the next request.
+func (c *Client) do(ctx context.Context, method, path, contentType string, in, buf []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(in))
 	if err != nil {
 		return 0, nil, fmt.Errorf("fleet: %s %s: %w", method, path, err)
@@ -91,7 +91,7 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, in []
 	case http.StatusNoContent:
 		return resp.StatusCode, nil, nil
 	case http.StatusOK:
-		out, err := readAll(io.LimitReader(resp.Body, maxBody), resp.ContentLength)
+		out, err := readAll(buf, io.LimitReader(resp.Body, maxBody), resp.ContentLength)
 		if err != nil {
 			return resp.StatusCode, nil, fmt.Errorf("%w: %s %s: %w: %v", ErrTransport, method, c.base+path, errCutShort, err)
 		}
@@ -107,17 +107,10 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, in []
 	return resp.StatusCode, nil, fmt.Errorf("fleet: broker returned %s for %s", resp.Status, path)
 }
 
-// doJSON is do with a JSON request body (none when in is nil) and a JSON
-// response decoded into out.
-func (c *Client) doJSON(method, path string, in, out interface{}) (int, error) {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return 0, fmt.Errorf("fleet: encode %s: %w", path, err)
-		}
-	}
-	code, raw, err := c.do(context.Background(), method, path, "application/json", body)
+// doJSON is do with a JSON request body (none when body is nil) and a
+// JSON response decoded into out.
+func (c *Client) doJSON(method, path string, body []byte, out interface{}) (int, error) {
+	code, raw, err := c.do(context.Background(), method, path, "application/json", body, nil)
 	if err == nil && out != nil && code == http.StatusOK {
 		if err = json.Unmarshal(raw, out); err != nil {
 			err = fmt.Errorf("fleet: decode %s: %w", path, err)
@@ -141,16 +134,13 @@ func (c *Client) Ping() error {
 // asked to attach to.
 func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 	spec.Count = len(spec.Programs)
-	body, err := joinLines(spec, spec.Programs)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("fleet: encode job: %w", err)
-	}
-	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body)
+	body := joinLines(spec.DAGBin, spec.Programs, func(b []byte) []byte { return appendJob(b, spec) })
+	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body, nil)
 	var st JobStatus
 	if code == http.StatusNotFound {
 		err = fmt.Errorf("%w: %v", ErrUnknownJob, err)
 	} else if err == nil {
-		if err = json.Unmarshal(raw, &st); err != nil {
+		if st, err = decode(raw, readStatus); err != nil {
 			err = fmt.Errorf("fleet: decode job status: %w", err)
 		}
 	}
@@ -168,18 +158,29 @@ func (c *Client) Lease(req LeaseRequest) (*LeaseGrant, error) {
 // shutting-down worker must be able to abort a request the broker is
 // deliberately holding open.
 func (c *Client) LeaseContext(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	body, err := json.Marshal(req)
+	grant, _, err := c.lease(ctx, req, nil)
+	return grant, err
+}
+
+// lease is LeaseContext reading the grant into buf's memory, which the
+// grant's programs then share; it returns that memory for the next lease.
+func (c *Client) lease(ctx context.Context, req LeaseRequest, buf []byte) (*LeaseGrant, []byte, error) {
+	body, err := appendLease(nil, req)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: encode lease request: %w", err)
+		return nil, buf, fmt.Errorf("fleet: encode lease request: %w", err)
 	}
-	code, raw, err := c.do(ctx, http.MethodPost, "/v1/lease", "application/json", body)
+	code, raw, err := c.do(ctx, http.MethodPost, "/v1/lease", "application/json", body, buf)
+	if raw != nil {
+		buf = raw
+	}
 	if code == http.StatusForbidden {
-		return nil, fmt.Errorf("%w: %v", ErrQuarantined, err)
+		return nil, buf, fmt.Errorf("%w: %v", ErrQuarantined, err)
 	}
 	if err != nil || code == http.StatusNoContent {
-		return nil, err
+		return nil, buf, err
 	}
-	return decodeGrant(raw)
+	grant, err := decodeGrant(raw)
+	return grant, buf, err
 }
 
 // decodeGrant parses a lease grant: its header line, then one program
@@ -188,7 +189,7 @@ func decodeGrant(body []byte) (*LeaseGrant, error) {
 	var grant LeaseGrant
 	header, programs, err := splitLines(body)
 	if err == nil {
-		err = json.Unmarshal(header, &grant)
+		grant, err = decode(header, readGrant)
 	}
 	if err == nil && len(programs) != len(grant.Indices) {
 		err = fmt.Errorf("%d programs for %d indices", len(programs), len(grant.Indices))
@@ -204,7 +205,11 @@ func decodeGrant(body []byte) (*LeaseGrant, error) {
 // asking for another lease.
 func (c *Client) PostResults(post ResultPost) (ResultAck, error) {
 	var ack ResultAck
-	_, err := c.doJSON(http.MethodPost, "/v1/results", post, &ack)
+	body, err := appendResults(nil, post)
+	if err != nil {
+		return ack, fmt.Errorf("fleet: encode /v1/results: %w", err)
+	}
+	_, err = c.doJSON(http.MethodPost, "/v1/results", body, &ack)
 	return ack, err
 }
 

@@ -50,7 +50,7 @@ func fuzzBroker(t testing.TB) (b *Broker, h http.Handler, jobID string, leaseID 
 	h = b.Handler()
 	spec := synthJob("cpu", 3)
 	spec.ID, spec.Count = "job-1", 3 // the id the seed corpus posts to
-	body, _ := joinLines(spec, spec.Programs)
+	body := joinLines(spec.DAGBin, spec.Programs, func(b []byte) []byte { return appendJob(b, spec) })
 	rec := fuzzPost(h, "/v1/jobs", body)
 	var ack JobStatus
 	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.ID != spec.ID || ack.Total != 3 {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -40,6 +41,14 @@ type Worker struct {
 
 	cl      *Client
 	started time.Time
+	// grant is the memory the last grant was read into, read into again
+	// by the next: nothing of a grant outlives its lease but copies (its
+	// strings, its decoded dag_bin).
+	grant []byte
+	// dagBin and dag are the DAG of the last lease, as sent and decoded:
+	// the leases of one job carry the same bytes, decoded once.
+	dagBin []byte
+	dag    *te.DAG
 }
 
 // NewWorker returns a worker for the broker at brokerURL.
@@ -66,8 +75,10 @@ func (w *Worker) Ping() error { return w.cl.Ping() }
 // next request; (nil, nil) means the broker had nothing for this worker
 // within the wait.
 func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, error) {
-	grant, err := w.cl.LeaseContext(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
-		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), Done: done})
+	var grant *LeaseGrant
+	var err error
+	grant, w.grant, err = w.cl.lease(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
+		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), Done: done}, w.grant)
 	if err != nil || grant == nil {
 		return nil, err
 	}
@@ -75,7 +86,7 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 	w.Obs.Emit(obs.Event{Type: obs.EvWorkerLease, Task: grant.Task, Target: grant.Target,
 		Trace: grant.Trace, Job: grant.Job, Worker: w.ID, Count: len(grant.Indices)})
 	post := &ResultPost{Job: grant.Job, Lease: grant.Lease, Results: make([]WorkerResult, 0, len(grant.Indices))}
-	dag, err := te.DecodeDAGBinary(grant.DAGBin)
+	dag, err := w.decodeDAG(grant.DAGBin)
 	if err == nil && grant.Target != w.Machine.Name {
 		err = fmt.Errorf("grant for target %q, but this worker hosts %s", grant.Target, w.Machine.Name)
 	}
@@ -88,9 +99,11 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 			post.Results = append(post.Results, WorkerResult{Index: idx, Err: err.Error()})
 		}
 	} else {
+		a := ir.BorrowArena()
 		for k, idx := range grant.Indices {
-			post.Results = append(post.Results, w.measureOne(dag, idx, grant.Programs[k]))
+			post.Results = append(post.Results, w.measureOne(a, dag, idx, grant.Programs[k]))
 		}
+		a.Release()
 	}
 	measured, failed := 0, 0
 	for _, r := range post.Results {
@@ -109,18 +122,34 @@ func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, er
 	return post, nil
 }
 
+// decodeDAG decodes a grant's DAG, or hands back the last lease's when
+// the bytes are the same: a DAG is never written after its decoding.
+func (w *Worker) decodeDAG(bin []byte) (*te.DAG, error) {
+	if w.dag != nil && bytes.Equal(bin, w.dagBin) {
+		return w.dag, nil
+	}
+	dag, err := te.DecodeDAGBinary(bin)
+	if err == nil {
+		w.dagBin, w.dag = bin, dag
+	}
+	return dag, err
+}
+
 // measureOne replays, lowers and times one program on the hosted machine
-// model. The returned time is the model's exact (noiseless) time: noise
-// is derived by the submitting client from its tuning seed, never rolled
-// on a worker (the package determinism contract). The lowering is
-// borrowed: it is read only inside Time, and nothing that points into it
-// outlives Release.
-func (w *Worker) measureOne(dag *te.DAG, index int, encSteps []byte) WorkerResult {
-	steps, err := ir.DecodeSteps(encSteps)
-	if err != nil {
+// model, from its step bytes to its time. The returned time is the
+// model's exact (noiseless) time: noise is derived by the submitting
+// client from its tuning seed, never rolled on a worker (the package
+// determinism contract). Everything in between is borrowed: the steps
+// are applied as they are parsed into a state in the lease's arena, which
+// gets the program's memory back before the next one, and the lowering is
+// read only inside Time. An error's text points at neither.
+func (w *Worker) measureOne(a *ir.Arena, dag *te.DAG, index int, encSteps []byte) WorkerResult {
+	m := a.Mark()
+	defer a.Rewind(m)
+	s, err := a.ReplayEncoded(dag, encSteps)
+	if errors.Is(err, ir.ErrDecodeSteps) {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("decode steps: %v", err)}
 	}
-	s, err := ir.Replay(dag, steps)
 	if err != nil {
 		return WorkerResult{Index: index, Err: fmt.Sprintf("replay: %v", err)}
 	}

@@ -1,9 +1,15 @@
 package ir
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"repro/internal/te"
 )
 
 // arenaPrograms is a handful of step lists over one DAG: tiled and fused, with
@@ -283,4 +289,82 @@ func TestPoisonMakesUseAfterReleaseLoud(t *testing.T) {
 		b.Release()
 	}()
 	_, _ = b.Replay(dag, arenaPrograms()[0])
+}
+
+// TestReplayEncodedIsDecodeThenReplay: replaying step bytes as they are
+// parsed reads, on the heap and in a poisoned arena, as DecodeSteps then
+// Replay does — the same program, steps and signature, or the same error,
+// a list that does not decode winning over a step that does not apply
+// before it — and a failure gives the arena back whole.
+func TestReplayEncodedIsDecodeThenReplay(t *testing.T) {
+	PoisonArenas(t)
+	dag := matmulReLU(64, 64, 64)
+	var lists [][]byte
+	for _, steps := range arenaPrograms() {
+		enc, err := EncodeSteps(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := enc[:len(enc)-1]
+		lists = append(lists, enc,
+			slices.Concat(open, []byte(`,{"kind":"Split","data":{"Stage":"matmul","IterIdx":0,"Factors":[3]}}]`)), // does not apply
+			slices.Concat(open, []byte(`,{"kind":"Inline","data":{"Stage":"relu"}},{"kind":"Bogus"}]`)),           // then does not decode
+			bytes.ReplaceAll(enc, []byte(`,"`), []byte(` , "`)))                                                   // another layout
+	}
+	for _, s := range decodeSeeds {
+		lists = append(lists, []byte(s))
+	}
+	a := BorrowArena()
+	defer a.Release()
+	var outcomes [3]int
+	for _, data := range lists {
+		outcomes[checkReplayEncoded(t, dag, a, data)]++
+	}
+	if outcomes[0] == 0 || outcomes[1] == 0 || outcomes[2] == 0 {
+		t.Errorf("%d lists replay, %d do not apply, %d do not decode: want some of each", outcomes[0], outcomes[1], outcomes[2])
+	}
+}
+
+// checkReplayEncoded holds ReplayEncoded of data, on the heap and in a,
+// to DecodeSteps then Replay, and returns 0 when data replays, 1 when it
+// decodes and does not apply, 2 when it does not decode.
+func checkReplayEncoded(t *testing.T, dag *te.DAG, a *Arena, data []byte) int {
+	t.Helper()
+	var ws *State
+	steps, werr := DecodeSteps(data)
+	if werr == nil {
+		ws, werr = Replay(dag, steps)
+	}
+	for _, arena := range []*Arena{nil, a} {
+		before := arena.Mark()
+		s, err := arena.ReplayEncoded(dag, data)
+		switch {
+		case werr != nil:
+			if s != nil || err == nil || err.Error() != werr.Error() {
+				t.Fatalf("%q: ReplayEncoded gives %v, %v; DecodeSteps then Replay: %v", data, s, err, werr)
+			}
+			if errors.Is(err, ErrDecodeSteps) != (steps == nil) {
+				t.Fatalf("%q: %v is told apart as a decode error: %v", data, err, errors.Is(err, ErrDecodeSteps))
+			}
+			if arena.Mark() != before {
+				t.Fatalf("%q: a failed replay moved the arena", data)
+			}
+		case err != nil:
+			t.Fatalf("%q: ReplayEncoded fails (%v), DecodeSteps then Replay does not", data, err)
+		case s.InArena() != (arena != nil) || !reflect.DeepEqual(s.Steps, ws.Steps) ||
+			s.Signature() != ws.Signature() || s.Print() != ws.Print():
+			t.Fatalf("%q: ReplayEncoded reads\n%s\nDecodeSteps then Replay\n%s", data, s.Print(), ws.Print())
+		}
+		if err := CheckArenas(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Rewind(ArenaMark{})
+	switch {
+	case steps == nil:
+		return 2
+	case werr != nil:
+		return 1
+	}
+	return 0
 }

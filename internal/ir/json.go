@@ -2,12 +2,17 @@ package ir
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"repro/internal/te"
 )
 
 // Step serialization: a program is fully determined by its DAG plus its
@@ -164,6 +169,31 @@ func AppendString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
+// AppendFloat writes f as encoding/json does: the shortest 'f' form for
+// 1e-6 ≤ |f| < 1e21, else the shortest 'e' form with e-07 written e-7.
+// NaN and ±Inf are refused with encoding/json's error. The record codec
+// and the fleet's bodies write their numbers here.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f) // encoding/json's refusal, word for word
+		return dst, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// ErrDecodeSteps is wrapped by every error of a step list that does not
+// decode, as opposed to one that decodes and does not replay.
+var ErrDecodeSteps = errors.New("ir: decode steps")
+
 // DecodeSteps parses a step list serialized by EncodeSteps.
 func DecodeSteps(data []byte) ([]Step, error) {
 	d := stepDecoder{b: data}
@@ -172,13 +202,44 @@ func DecodeSteps(data []byte) ([]Step, error) {
 	for first := true; d.next(first, ']'); first = false {
 		steps = append(steps, d.step())
 	}
-	if d.ws(); d.err == nil && d.i < len(d.b) {
-		d.fail("data after the step list")
-	}
-	if d.err != nil {
+	if d.end(); d.err != nil {
 		return nil, d.err
 	}
 	return steps, nil
+}
+
+// ReplayEncoded is Replay of DecodeSteps(data) in one pass: each step is
+// applied to the state as it is parsed, and no step list is built first.
+// What it returns is what the two calls would, error texts included: a
+// list that does not decode fails with DecodeSteps' error even past a
+// step that does not apply, so the steps after a failed one are still
+// parsed, not applied. The state is the arena's like Replay's (a nil
+// arena is the heap), and so is the rule for a failure: what it carved is
+// given back.
+func (a *Arena) ReplayEncoded(dag *te.DAG, data []byte) (*State, error) {
+	m := a.Mark()
+	s := newState(a, dag)
+	// Room for every step there can be, {"kind":"Fuse","data":{}} being
+	// the shortest; what decodes at all decodes into it, so the list is
+	// never counted first.
+	s.Steps = a.Steps(len(data)/25 + 1)[:0]
+	d := stepDecoder{b: data, dag: dag}
+	var replayErr error
+	d.expect('[')
+	for i, first := 0, true; d.next(first, ']'); i, first = i+1, false {
+		step := d.step()
+		if d.err == nil && replayErr == nil {
+			if err := s.Apply(step); err != nil {
+				replayErr = errf("ir: replay step %d (%s): %v", i, step.Name(), err)
+			}
+		}
+	}
+	d.end()
+	if err := cmp.Or(d.err, replayErr); err != nil {
+		a.Rewind(m)
+		return nil, err
+	}
+	return s, nil
 }
 
 // stepDecoder is a single forward pass over b. The first failure sticks
@@ -188,12 +249,20 @@ type stepDecoder struct {
 	b    []byte
 	i    int
 	err  error
-	last string // the string value read last
+	last string  // the string value read last
+	dag  *te.DAG // when replaying: its node names are the stage names
 }
 
 func (d *stepDecoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("ir: decode steps: offset %d: %s", d.i, fmt.Sprintf(format, args...))
+		d.err = fmt.Errorf("%w: offset %d: %s", ErrDecodeSteps, d.i, fmt.Sprintf(format, args...))
+	}
+}
+
+// end refuses anything but whitespace after the step list.
+func (d *stepDecoder) end() {
+	if d.ws(); d.err == nil && d.i < len(d.b) {
+		d.fail("data after the step list")
 	}
 }
 
@@ -320,10 +389,13 @@ func (d *stepDecoder) fields(s Step) {
 	fields := stepFields(s, &buf)
 	seen := 0
 	d.expect('{')
-	for first := true; d.next(first, '}'); first = false {
+	for n, first := 0, true; d.next(first, '}'); n, first = n+1, false {
 		key := d.raw()
 		d.expect(':')
-		k := slices.IndexFunc(fields, func(f field) bool { return f.name == string(key) })
+		k := n // where EncodeSteps writes it
+		if k >= len(fields) || fields[k].name != string(key) {
+			k = slices.IndexFunc(fields, func(f field) bool { return f.name == string(key) })
+		}
 		if k < 0 || seen&(1<<k) != 0 {
 			d.fail("unknown or repeated %s field %q", s.Name(), key)
 			return
@@ -355,15 +427,29 @@ func (d *stepDecoder) int() int {
 	if d.i < len(d.b) && d.b[d.i] == '-' {
 		d.i++
 	}
-	digits := d.i
-	for d.i < len(d.b) && '0' <= d.b[d.i] && d.b[d.i] <= '9' {
-		d.i++
+	digits, b, i := d.i, d.b, d.i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
 	}
-	n, err := strconv.Atoi(string(d.b[start:d.i]))
-	if err != nil || (d.i-digits > 1 && d.b[digits] == '0') {
+	d.i = i
+	if n := i - digits; n == 0 || n > 1 && b[digits] == '0' {
 		d.fail("want an integer")
+		return 0
+	} else if n > 18 { // may not fit: strconv decides
+		v, err := strconv.Atoi(string(b[start:i]))
+		if err != nil {
+			d.fail("want an integer")
+		}
+		return v
 	}
-	return n
+	v := 0
+	for _, c := range b[digits:i] {
+		v = v*10 + int(c-'0')
+	}
+	if digits > start {
+		return -v
+	}
+	return v
 }
 
 func (d *stepDecoder) ints() []int {
@@ -383,12 +469,26 @@ func (d *stepDecoder) ints() []int {
 	return out
 }
 
+// plainByte marks the bytes a JSON string holds as themselves: printable
+// ASCII but `"` and `\`.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // raw reads a JSON string and returns its bytes: a piece of the input
 // for plain ASCII, what encoding/json makes of anything else.
 func (d *stepDecoder) raw() []byte {
 	d.expect('"')
+	start, b, i := d.i, d.b, d.i
+	for i < len(b) && plainByte[b[i]] {
+		i++
+	}
+	d.i = i
 	plain := true
-	for start := d.i; d.i < len(d.b) && d.err == nil; d.i++ {
+	for ; d.i < len(d.b) && d.err == nil; d.i++ {
 		switch c := d.b[d.i]; {
 		case c == '"' && plain:
 			d.i++
@@ -412,10 +512,21 @@ func (d *stepDecoder) raw() []byte {
 }
 
 // str reads a string value. A step list names the same stage many times
-// running, so a repeat shares the string before it.
+// running, so a repeat shares the string before it, and a replay shares
+// the name of the DAG node it names.
 func (d *stepDecoder) str() string {
-	if raw := d.raw(); string(raw) != d.last {
-		d.last = string(raw)
+	raw := d.raw()
+	if string(raw) == d.last {
+		return d.last
 	}
+	if d.dag != nil {
+		for _, n := range d.dag.Nodes {
+			if n.Name == string(raw) {
+				d.last = n.Name
+				return d.last
+			}
+		}
+	}
+	d.last = string(raw)
 	return d.last
 }

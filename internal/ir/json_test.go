@@ -147,7 +147,9 @@ var decodeSeeds = []string{
 // FuzzDecodeSteps is the decoder's differential: whatever DecodeSteps
 // accepts the oracle accepts and decodes to the same steps (nil and empty
 // factor lists told apart), and what it accepts re-encodes to bytes that
-// decode to the same steps again.
+// decode to the same steps again. Replaying the bytes as they are parsed
+// (ReplayEncoded, on the heap and in an arena) is DecodeSteps then Replay
+// on every input.
 func FuzzDecodeSteps(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
@@ -156,7 +158,15 @@ func FuzzDecodeSteps(f *testing.F) {
 		enc, _ := EncodeSteps(everyKind(name))
 		f.Add(enc)
 	}
+	for _, steps := range arenaPrograms() {
+		enc, _ := EncodeSteps(steps)
+		f.Add(enc)
+	}
+	dag := matmulReLU(64, 64, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		a := BorrowArena()
+		checkReplayEncoded(t, dag, a, data)
+		a.Release()
 		got, err := DecodeSteps(data)
 		if err != nil {
 			return

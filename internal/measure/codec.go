@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -27,9 +26,10 @@ import (
 // AppendRecord writes exactly the bytes json.Encoder writes for a Record
 // (whose struct tags name the same keys for encoding/json's reader):
 //   - target, sig and dag only when not empty, noiseless only when not ±0;
-//   - a number as encoding/json formats a float64: the shortest 'f' form
-//     for 1e-6 ≤ |x| < 1e21, else the shortest 'e' form with e-07 written
-//     e-7; NaN and ±Inf are refused with encoding/json's error;
+//   - a number as encoding/json formats a float64 (ir.AppendFloat): the
+//     shortest 'f' form for 1e-6 ≤ |x| < 1e21, else the shortest 'e' form
+//     with e-07 written e-7; NaN and ±Inf are refused with encoding/json's
+//     error;
 //   - a string of printable ASCII without `"\<>&` is copied; any other is
 //     quoted by encoding/json itself (ir.AppendString);
 //   - steps is copied when it is compact JSON of ASCII bytes without <>&;
@@ -65,10 +65,10 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	dst = appendOptional(dst, `,"dag":`, rec.DAG)
 	dst, err := appendSteps(append(dst, `,"steps":`...), rec.Steps)
 	if err == nil {
-		dst, err = appendFloat(append(dst, `,"seconds":`...), rec.Seconds)
+		dst, err = ir.AppendFloat(append(dst, `,"seconds":`...), rec.Seconds)
 	}
 	if err == nil && rec.Noiseless != 0 {
-		dst, err = appendFloat(append(dst, `,"noiseless":`...), rec.Noiseless)
+		dst, err = ir.AppendFloat(append(dst, `,"noiseless":`...), rec.Noiseless)
 	}
 	if err != nil {
 		return dst[:start], err
@@ -96,23 +96,6 @@ func appendSteps(dst, steps []byte) ([]byte, error) {
 		return dst, err
 	}
 	return append(dst, compact...), nil
-}
-
-func appendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		_, err := json.Marshal(f) // encoding/json's refusal, word for word
-		return dst, err
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, nil
 }
 
 // saveFlush is how many bytes Save gathers before one write.

@@ -198,13 +198,9 @@ func (l *Log) Compact(topK int) *Log {
 	return out
 }
 
-// Replay rebuilds the record's program on the given DAG.
+// Replay rebuilds the record's program on the given DAG, on the heap.
 func (rec Record) Replay(dag *te.DAG) (*ir.State, error) {
-	steps, err := ir.DecodeSteps(rec.Steps)
-	if err != nil {
-		return nil, err
-	}
-	return ir.Replay(dag, steps)
+	return (*ir.Arena)(nil).ReplayEncoded(dag, rec.Steps)
 }
 
 // BestFor returns the fastest recorded program for a task, replayed on

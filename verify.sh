@@ -46,9 +46,18 @@ go test -short ./...
 # The step decoder has two paths — a step's data object read in place
 # after its kind, where EncodeSteps writes it, and skipped then rescanned
 # for any other key order — and both must agree with the reflection
-# oracle in internal/ir/json_test.go, so every run fuzzes them a little.
+# oracle in internal/ir/json_test.go, and replaying the bytes as they are
+# parsed (ReplayEncoded, the fleet worker's path) with decoding them and
+# then replaying, so every run fuzzes them a little.
 step "fuzz: step decoder (10 s)"
 gated FuzzDecodeSteps ./internal/ir/ -fuzz FuzzDecodeSteps -fuzztime 10s
+
+# The fleet's lease, results, grant, job and status bodies are written and
+# read by hand, every other layout left to encoding/json: both halves
+# against the json.Marshal/json.Unmarshal calls they replaced, error texts
+# included.
+step "fuzz: fleet body codec (10 s)"
+gated FuzzWireCodec ./internal/fleet/ -fuzz FuzzWireCodec -fuzztime 10s
 
 # The record codec writes json.Encoder's bytes by hand and reads its own
 # layout by hand, leaving every other layout to encoding/json: both
