@@ -2,9 +2,10 @@
 # Did any trajectory move? Runs the identity probes (TestIdentity in
 # identity_test.go: network tuning at Workers 1, 2 and 8, chained
 # warm-started single-op tuning, a loopback fleet arm, fresh against
-# resumed, short Figure 6 and 10 output, and signatures, simulated times
-# and features over a corpus sample) in <base-ref> and in this working
-# tree, and compares their digests probe by probe: the cross-commit half
+# resumed, short Figure 6 and 10 output, signatures, simulated times
+# and features over a corpus sample, the fleet worker's bytes to time,
+# and the cost model's fit-boost-fit chain) in <base-ref> and in this
+# working tree, and compares their digests probe by probe: the cross-commit half
 # of the determinism contract (DESIGN.md). <base-ref> is unpacked with git
 # archive under a temp dir and this tree's identity_test.go is copied
 # into it, so both sides run the same probes even when the base predates

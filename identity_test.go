@@ -3,7 +3,8 @@ package repro
 // The cross-commit half of the determinism contract. TestIdentity runs a
 // fixed set of seeded probes through the search, the persistence spine,
 // the fleet, the figures, the program path and the fleet worker's bytes
-// to time, and logs one digest line per probe:
+// to time and the cost model's training, and logs one digest line per
+// probe:
 //
 //	identity: <probe> <digest>
 //
@@ -40,6 +41,7 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/te"
 	"repro/internal/workloads"
+	"repro/internal/xgb"
 )
 
 // identityOp is the single-op probes' task, tuned with identityOpts:
@@ -130,6 +132,7 @@ func TestIdentity(t *testing.T) {
 
 	probe("corpus", identityCorpus(t))
 	probe("worker", identityWorker(t))
+	probe("model", identityModel(t))
 }
 
 // identityTune tunes identityOp and renders what the run returned and
@@ -343,5 +346,76 @@ func identityWorker(t *testing.T) string {
 			}
 		}
 	}
+	return b.String()
+}
+
+// identityModel trains the cost model through a Fit, a Boost and a Fit
+// again on two training sets — features of C2D.s1 programs sampled from
+// its sketches, and synthetic rows of a few values each, tied, constant
+// within nodes and with two columns copied — and renders the fingerprint and the bits of
+// every program's score and of its last statement's after each call:
+// the trainer, without a search.
+func identityModel(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	chain := func(name string, progs [][][]float64, y []float64) {
+		m := xgb.NewCostModel(xgb.DefaultOpts())
+		n := len(progs)
+		for i, call := range []func(){
+			func() { m.Fit(progs[:n/2], y[:n/2]) },
+			func() { m.Boost(progs[:3*n/4], y[:3*n/4], n/2) },
+			func() { m.Fit(progs, y) },
+		} {
+			call()
+			fmt.Fprintf(&b, "%s call %d trees %d fingerprint %016x\n", name, i, m.NumTrees(), m.Fingerprint())
+			for _, p := range progs {
+				fmt.Fprintf(&b, "%016x %016x\n", math.Float64bits(m.Score(p)), math.Float64bits(m.ScoreStmt(p[len(p)-1])))
+			}
+		}
+	}
+
+	var dag *te.DAG
+	for _, w := range workloads.SingleOps(1) {
+		if w.Key == identityOp {
+			dag = w.Build()
+		}
+	}
+	space, machine := identityTargets[0].space, identityTargets[0].machine
+	sketches, err := sketch.NewGenerator(space).Generate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs [][][]float64
+	var times, y []float64
+	for _, s := range anno.NewSampler(space, 1).SamplePopulation(sketches, 256) {
+		low, err := ir.Lower(s)
+		if err != nil {
+			continue
+		}
+		progs = append(progs, feat.Extract(low))
+		times = append(times, machine.Time(low))
+	}
+	best := slices.Min(times)
+	for _, tm := range times {
+		y = append(y, best/tm)
+	}
+	chain(identityOp, progs, y)
+
+	rng := rand.New(rand.NewSource(1))
+	progs, y = nil, nil
+	for i := 0; i < 400; i++ {
+		var p [][]float64
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			x := make([]float64, 12)
+			for f := range x[:10] {
+				x[f] = float64(rng.Intn(1 + f%4))
+			}
+			x[10], x[11] = x[2], x[3] // exact ties across columns
+			p = append(p, x)
+		}
+		progs = append(progs, p)
+		y = append(y, float64(rng.Intn(17))/16)
+	}
+	chain("tied", progs, y)
 	return b.String()
 }

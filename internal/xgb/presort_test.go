@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -14,7 +17,10 @@ import (
 // then, one node slice per tree with explicit child indices, which
 // refTrees reads back out of the slab. The float64() conversions pin the
 // products to unfused rounding, which is what the kernel's stored
-// per-row terms have on every architecture.
+// per-row terms have on every architecture. Its per-node sort is stable,
+// so tied values keep their rows in ascending order, as the kernel's
+// (value, row) lists do, and the left-side sums over a run of ties add
+// up in the same order.
 
 type refNode struct {
 	feature   int
@@ -108,7 +114,7 @@ func (t *refTree) refBuild(x [][]float64, target, w []float64, idx []int, depth 
 			continue
 		}
 		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
+		sort.SliceStable(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
 		var lw, lwy, lwyy float64
 		for k := 0; k < len(order)-1; k++ {
 			i := order[k]
@@ -373,7 +379,8 @@ func TestDegenerateInputsReturnLeaf(t *testing.T) {
 	}
 }
 
-// ---- (e) alloc gate: a tree costs its own two allocations, no more
+// ---- (e) alloc gate: a tree costs its own two allocations, no more,
+// and a call on a released trainer allocates its model and little else
 
 func TestFitAllocsDoNotGrowPerTree(t *testing.T) {
 	progs, y := multiStmt(1200, 8, true, 26)
@@ -389,4 +396,254 @@ func TestFitAllocsDoNotGrowPerTree(t *testing.T) {
 	if perTree := (many - few) / 40; perTree > 2 {
 		t.Errorf("%.1f allocations per extra tree (5 trees: %.0f, 45 trees: %.0f), want <= 2", perTree, few, many)
 	}
+
+	// About 512 rows: the first fit sizes a trainer, the second borrows
+	// it and allocates the ensemble — its header, roots and slab. The
+	// slab's share is measured as one make of its length, which rounds
+	// the same way.
+	progs, y = multiStmt(256, 8, true, 27)
+	o := DefaultOpts()
+	o.Workers = 1
+	m := NewCostModel(o)
+	m.Fit(progs, y)
+	bytes := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	got := bytes(func() { m.Fit(progs, y) })
+	slab := bytes(func() { slabSink = make([]node, len(m.snapshot().nodes)) })
+	const slack = 512 // the ensemble header and its roots
+	if got > slab+slack {
+		t.Errorf("a fit on a released trainer allocated %d bytes; its slab takes %d, want at most %d more", got, slab, slack)
+	}
+}
+
+var slabSink []node
+
+// ---- (f) borrowed memory: a trainer's last call leaves no trace
+
+// poisonFreeTrainers scribbles over every buffer of every trainer in the
+// free list, to their capacity: a call that reads memory it did not
+// write first then trains a different model.
+func poisonFreeTrainers() {
+	freeTrainers.Lock()
+	defer freeTrainers.Unlock()
+	for _, t := range freeTrainers.list {
+		nan := math.NaN()
+		for _, s := range [][]float64{t.vals, t.pred, t.progPred} {
+			fill(s, nan)
+		}
+		for _, s := range [][]int32{t.lists, t.activeByDepth, t.col, t.rowProg} {
+			fill(s, 1<<30)
+		}
+		fill(t.feat, 1<<20)
+		fill(t.grads, grad{nan, 1, 1})
+		fill(t.progGrad, grad{nan, 1, 1})
+		fill(t.best, split{gain: 1e300, thr: -1})
+		fill(t.mask, true)
+		fill(t.left, 1)
+		fill(t.nodes, node{threshold: -1, feature: 1 << 20, right: -1})
+	}
+}
+
+// fill sets every element of s up to its capacity to v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// drainFreeTrainers empties the free list, so the next call trains on a
+// new trainer.
+func drainFreeTrainers() {
+	freeTrainers.Lock()
+	defer freeTrainers.Unlock()
+	freeTrainers.list = nil
+}
+
+// TestReusedTrainersMatchFresh interleaves Fit and Boost on two models of
+// different row counts and widths — the narrow one on memory sized by
+// the wide one, and the wide one growing the narrow one's — with the
+// free list poisoned before every call, and demands the fingerprints
+// each model had when every call trained on a new trainer.
+func TestReusedTrainersMatchFresh(t *testing.T) {
+	wideProgs, wideY := multiStmt(500, 12, true, 28)
+	narrowProgs, narrowY := multiStmt(120, 6, false, 29)
+	type call struct {
+		wide  bool
+		start int // -1: Fit, else Boost from start
+		end   int
+	}
+	calls := []call{
+		{false, -1, 80}, {true, -1, 400}, {false, 80, 120}, {true, 400, 450},
+		{true, -1, 500}, {false, -1, 120}, {true, 450, 500}, {false, 60, 120},
+	}
+	run := func(before func()) []uint64 {
+		o := DefaultOpts()
+		o.Workers = 1
+		wide, narrow := NewCostModel(o), NewCostModel(o)
+		var fps []uint64
+		for _, c := range calls {
+			m, progs, y := narrow, narrowProgs, narrowY
+			if c.wide {
+				m, progs, y = wide, wideProgs, wideY
+			}
+			before()
+			if c.start < 0 {
+				m.Fit(progs[:c.end], y[:c.end])
+			} else {
+				m.Boost(progs[:c.end], y[:c.end], c.start)
+			}
+			fps = append(fps, m.Fingerprint())
+		}
+		return fps
+	}
+	fresh := run(drainFreeTrainers)
+	drainFreeTrainers()
+	if reused := run(poisonFreeTrainers); !slices.Equal(reused, fresh) {
+		t.Errorf("on reused trainers: fingerprints %x, on fresh ones %x", reused, fresh)
+	}
+}
+
+// TestConcurrentTrainingMatchesSerial trains two different models on two
+// goroutines at once, several times over, so each borrows what the
+// other released: each must end on its serial fingerprint.
+func TestConcurrentTrainingMatchesSerial(t *testing.T) {
+	type job struct {
+		progs [][][]float64
+		y     []float64
+	}
+	jobs := [2]job{}
+	jobs[0].progs, jobs[0].y = multiStmt(300, 10, true, 30)
+	jobs[1].progs, jobs[1].y = multiStmt(90, 6, false, 31)
+	train := func(j job) uint64 {
+		o := DefaultOpts()
+		o.NumTrees = 10
+		m := NewCostModel(o)
+		old := len(j.progs) * 3 / 4
+		m.Fit(j.progs[:old], j.y[:old])
+		m.Boost(j.progs, j.y, old)
+		return m.Fingerprint()
+	}
+	want := [2]uint64{train(jobs[0]), train(jobs[1])}
+	var wg sync.WaitGroup
+	var got [2][4]uint64
+	for g := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range got[g] {
+				got[g][r] = train(jobs[g])
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range jobs {
+		for r, fp := range got[g] {
+			if fp != want[g] {
+				t.Errorf("model %d, round %d trained beside the other: fingerprint %x, serially %x", g, r, fp, want[g])
+			}
+		}
+	}
+}
+
+// ---- (g) differential fuzz: few distinct values, so ties and columns
+// constant within a node are the common case
+
+// fuzzProgs decodes data into programs over 1–8 features of 4 values
+// each: byte 0 picks the width, then each program is a head byte (1–3
+// statements in its low bits, the label in the rest) and one byte per
+// feature of each statement. A program the bytes run out in is dropped.
+func fuzzProgs(data []byte) (progs [][][]float64, y []float64) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	nf := 1 + int(data[0]%8)
+	data = data[1:]
+	for len(data) > 0 && len(progs) < 64 {
+		head := data[0]
+		stmts := 1 + int(head&3)%3
+		if len(data) < 1+stmts*nf {
+			break
+		}
+		var p [][]float64
+		for s := 0; s < stmts; s++ {
+			x := make([]float64, nf)
+			for f := range x {
+				x[f] = float64(data[1+s*nf+f] % 4)
+			}
+			p = append(p, x)
+		}
+		progs = append(progs, p)
+		y = append(y, float64(head>>2)/63)
+		data = data[1+stmts*nf:]
+	}
+	return progs, y
+}
+
+// fuzzOpts are the options of one fuzz input: MinSamples 0–4, MaxDepth
+// 1–8, every feature sampled at every node or the default subsample.
+func fuzzOpts(minSamples, maxDepth uint8, all bool) Opts {
+	o := DefaultOpts()
+	o.NumTrees, o.BoostTrees = 4, 3
+	o.MinSamples = int(minSamples % 5)
+	o.MaxDepth = 1 + int(maxDepth%8)
+	o.Workers = 1
+	if all {
+		o.FeatureSubsample = 1
+	}
+	return o
+}
+
+// oneChildConstant is a seed whose first split, on feature 0, leaves
+// feature 1 constant on its left and varying on its right: programs
+// with feature 0 at 0 are slow and all have feature 1 at 2, the others
+// are fast and spread feature 1 over all four values.
+func oneChildConstant() []byte {
+	data := []byte{1} // two features
+	for i := 0; i < 24; i++ {
+		if i%2 == 0 {
+			data = append(data, 0<<2, 0, 2) // one statement, label 0
+		} else {
+			data = append(data, 60<<2, 3, byte(i/2)) // one statement, label 60/63
+		}
+	}
+	return data
+}
+
+func FuzzPresortedMatchesReference(f *testing.F) {
+	random := func(n int, seed int64) []byte {
+		b := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(b)
+		return b
+	}
+	f.Add(uint8(0), uint8(7), false, random(600, 1))
+	f.Add(uint8(0), uint8(7), true, oneChildConstant())
+	f.Add(uint8(1), uint8(3), true, oneChildConstant())
+	f.Add(uint8(4), uint8(5), false, random(400, 2))
+	f.Add(uint8(2), uint8(7), true, random(300, 3))
+	f.Fuzz(func(t *testing.T, minSamples, maxDepth uint8, all bool, data []byte) {
+		progs, y := fuzzProgs(data)
+		if len(progs) == 0 {
+			return
+		}
+		o := fuzzOpts(minSamples, maxDepth, all)
+		m := NewCostModel(o)
+		m.Fit(progs, y)
+		sameTrees(t, "fit", refTrees(m), refGrow(o, nil, progs, y, 0, o.NumTrees, o.Seed))
+		if len(progs) < 2 {
+			return
+		}
+		old := len(progs) / 2
+		m.Fit(progs[:old], y[:old])
+		ref := refGrow(o, nil, progs[:old], y[:old], 0, o.NumTrees, o.Seed)
+		sameTrees(t, "fit of the first half", refTrees(m), ref)
+		m.Boost(progs, y, old)
+		seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
+		sameTrees(t, "fit+boost", refTrees(m), refGrow(o, ref, progs, y, old, o.BoostTrees, seed))
+	})
 }

@@ -12,17 +12,18 @@
 // in flight: Fit builds the new ensemble aside and swaps it in atomically,
 // and Score/ScoreStmt/Trained read a snapshot. Training sorts every
 // feature column once per call and finds splits by linear scans over the
-// presorted lists (presort.go); large nodes shard the per-feature scan
+// presorted lists (presort.go), visiting at each node only the columns
+// that still vary over its rows; large nodes shard the per-feature scan
 // across a worker pool with a deterministic reduction, so trained models
-// are bit-identical for any worker count.
+// are bit-identical for any worker count. A call borrows all of its
+// scratch from a bounded free list of trainers, so what it allocates is
+// the model it returns.
 package xgb
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -150,25 +151,28 @@ func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
 // predictions of prev (nil = the empty ensemble), and returns a new
 // ensemble of prev's trees followed by the new ones — the trainer appends
 // every tree to a copy of prev's slab in the layout prediction walks.
-// Without a single statement to train on it returns prev itself.
+// All of the call's scratch is a borrowed trainer's; what it allocates
+// is the returned ensemble. Without a single statement to train on it
+// returns prev itself.
 func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y []float64, first, nTrees int, seed int64) *ensemble {
-	var rows [][]float64
-	var rowProg []int32 // program of each row, counted from first
+	t := borrowTrainer()
+	defer t.release()
+	t.rows, t.rowProg = t.rows[:0], t.rowProg[:0]
 	for p, stmts := range progs[first:] {
 		for _, s := range stmts {
-			rows = append(rows, s)
-			rowProg = append(rowProg, int32(p))
+			t.rows = append(t.rows, s)
+			t.rowProg = append(t.rowProg, int32(p))
 		}
 	}
-	if len(rows) == 0 {
+	if len(t.rows) == 0 {
 		return prev
 	}
-	pred := make([]float64, len(rows))
-	t := newTrainer(c.Opts, rows, pred, rand.New(rand.NewSource(seed)))
+	t.reset(c.Opts, seed)
+	rows, pred := t.rows, t.pred
 	e := &ensemble{lr: c.Opts.LearningRate}
 	if prev != nil {
 		// Readers may be walking prev: the new trees go behind a copy.
-		t.nodes, e.roots = slices.Clone(prev.nodes), prev.roots
+		t.nodes, e.roots = append(t.nodes, prev.nodes...), prev.roots
 		t.pl.Map(len(rows), func(i int) {
 			pred[i] = prev.scoreStmt(rows[i])
 		})
@@ -176,12 +180,13 @@ func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y []float64, first
 	e.roots = append(make([]int32, 0, len(e.roots)+nTrees), e.roots...)
 	// Per program: the summed prediction of its statements, then the
 	// sum-over-statements loss's terms, shared by all of its rows.
-	progPred := make([]float64, len(progs)-first)
-	progGrad := make([]grad, len(progs)-first)
+	t.progPred = resize(t.progPred, len(progs)-first)
+	t.progGrad = resize(t.progGrad, len(progs)-first)
+	progPred, progGrad := t.progPred, t.progGrad
 	const minWeight = 0.05
 	for round := 0; round < nTrees; round++ {
 		clear(progPred)
-		for i, p := range rowProg {
+		for i, p := range t.rowProg {
 			progPred[p] += pred[i]
 		}
 		for p, stmts := range progs[first:] {
@@ -190,12 +195,14 @@ func (c *CostModel) grow(prev *ensemble, progs [][][]float64, y []float64, first
 			w := math.Max(yp, minWeight)
 			progGrad[p] = grad{w: w, wy: w * target, wyy: w * target * target}
 		}
-		for i, p := range rowProg {
+		for i, p := range t.rowProg {
 			t.grads[i] = progGrad[p]
 		}
 		e.roots = append(e.roots, t.fitTree())
 	}
-	e.nodes = t.nodes
+	// The slab goes back with the trainer: the model keeps an exact copy.
+	e.nodes = make([]node, len(t.nodes))
+	copy(e.nodes, t.nodes)
 	return e
 }
 

@@ -67,6 +67,15 @@ step "fuzz: record codec (10 s + 5 s)"
 gated FuzzRecordCodec ./internal/measure/ -fuzz FuzzRecordCodec -fuzztime 10s
 gated FuzzLogLoad ./internal/measure/ -fuzz FuzzLogLoad -fuzztime 5s
 
+# The cost model's trainer scans and partitions only the columns that can
+# still split a node and stops each scan where no split can lie: against
+# the per-node-sort reference builder, tree for tree, on rows of few
+# distinct values, where ties and columns constant within a node are the
+# common case. Most inputs it finds reach new coverage, and minimizing
+# each for the default 60 s would spend the ten seconds on the first.
+step "fuzz: cost-model trainer (10 s)"
+gated FuzzPresortedMatchesReference ./internal/xgb/ -fuzz FuzzPresortedMatchesReference -fuzztime 10s -fuzzminimizetime 1s
+
 # The packages that spawn goroutines, under the race detector: the worker
 # pool and everything sharded over it (measurement, evolution, cost-model
 # training, scheduler waves), the policy whose rounds drive them,
@@ -94,10 +103,12 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # carve and release, the two exit invariants — Search.Run returns and
 # Propose leaves no program of an arena — the in-process measurer, whose
 # goroutines share pooled lowering scratch, and feature extraction, whose
-# pooled scratch carries lg's memo from one holder to the next, and the
-# recorder, whose goroutines share one line buffer. Ten times,
-# because an arena or a scratch handed to two goroutines, or read after
-# its release, shows only when another borrower has reused it in between.
+# pooled scratch carries lg's memo from one holder to the next, the
+# recorder, whose goroutines share one line buffer, and the cost model's
+# trainers, which two models training at once borrow from one free list.
+# Ten times, because an arena, a scratch or a trainer handed to two
+# goroutines, or read after its release, shows only when another
+# borrower has reused it in between.
 step "race: borrowed program memory (x10)"
 gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
 gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
@@ -105,6 +116,7 @@ gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=10
 gated TestExtractConcurrentMatchesSerial ./internal/feat/ -race -count=10
 gated TestRecorderConcurrentLinesIntact ./internal/measure/ -race -count=10
+gated TestConcurrentTrainingMatchesSerial ./internal/xgb/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite runs under the race detector,
