@@ -352,8 +352,9 @@ func identityWorker(t *testing.T) string {
 // identityModel trains the cost model through a Fit, a Boost and a Fit
 // again on two training sets — features of C2D.s1 programs sampled from
 // its sketches, and synthetic rows of a few values each, tied, constant
-// within nodes and with two columns copied — and renders the fingerprint and the bits of
-// every program's score and of its last statement's after each call:
+// within nodes, with two columns copied, one transformed and two in one
+// order but tied differently — and renders the fingerprint and the bits
+// of every program's score and of its last statement's after each call:
 // the trainer, without a search.
 func identityModel(t *testing.T) string {
 	t.Helper()
@@ -406,11 +407,16 @@ func identityModel(t *testing.T) string {
 	for i := 0; i < 400; i++ {
 		var p [][]float64
 		for s := 1 + rng.Intn(3); s > 0; s-- {
-			x := make([]float64, 12)
+			x := make([]float64, 15)
 			for f := range x[:10] {
 				x[f] = float64(rng.Intn(1 + f%4))
 			}
 			x[10], x[11] = x[2], x[3] // exact ties across columns
+			// An increasing transform, which joins column 3's order
+			// class, and the program's index beside a coarser copy: one
+			// (value, row) order, tied differently.
+			x[12] = math.Log2(1 + x[3])
+			x[13], x[14] = float64(i), float64(i/4)
 			p = append(p, x)
 		}
 		progs = append(progs, p)

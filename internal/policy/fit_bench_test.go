@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/anno"
@@ -58,19 +59,26 @@ func c2dTrainingSet(tb testing.TB, rows int) (progs [][][]float64, y []float64) 
 	return progs, y
 }
 
-// BenchmarkFitC2D is one full cost-model fit of 512 rows of C2D.s1
-// features at the default options on one worker: the training call that
-// dominates a tune-deep op. Unlike xgb's synthetic BenchmarkFitVsBoost,
-// its columns take few distinct values, so many of them are constant
-// within a node: 29 % of the sampled columns a fit meets at its nodes.
+// BenchmarkFitC2D is one full cost-model fit of C2D.s1 features at the
+// default options on one worker, at 512 and 896 rows, the range of
+// tune-deep's fits: the training call that dominates a tune-deep op.
+// Unlike xgb's synthetic BenchmarkFitVsBoost, its columns take few
+// distinct values, so many of them are constant within a node (29 % of
+// the sampled columns a 512-row fit meets at its nodes), and many order
+// the rows alike: the 76 varying columns of 512 rows fall into 37 order
+// classes.
 func BenchmarkFitC2D(b *testing.B) {
-	progs, y := c2dTrainingSet(b, 512)
-	o := xgb.DefaultOpts()
-	o.Workers = 1
-	m := xgb.NewCostModel(o)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Fit(progs, y)
+	for _, rows := range []int{512, 896} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			progs, y := c2dTrainingSet(b, rows)
+			o := xgb.DefaultOpts()
+			o.Workers = 1
+			m := xgb.NewCostModel(o)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Fit(progs, y)
+			}
+		})
 	}
 }

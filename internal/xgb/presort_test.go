@@ -1,6 +1,8 @@
 package xgb
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -263,21 +265,94 @@ func sameTrees(t *testing.T, what string, got, want []*refTree) {
 
 func TestPresortedMatchesReferenceBuilder(t *testing.T) {
 	// The first fit's root goes through the pool, everything below it
-	// and the whole boost take the serial path.
-	progs, y := multiStmt(1300, 12, false, 21)
-	old := 1200
-	needParallel(t, progs[:old])
-	o := DefaultOpts()
-	o.Workers = 2
-	m := NewCostModel(o)
-	m.Fit(progs[:old], y[:old])
-	ref := refGrow(o, nil, progs[:old], y[:old], 0, o.NumTrees, o.Seed)
-	sameTrees(t, "fit", refTrees(m), ref)
+	// and the whole boost take the serial path. The tied rows hold
+	// copied columns, so the pool also scans and partitions order
+	// classes of more than one column.
+	for _, tied := range []bool{false, true} {
+		progs, y := multiStmt(1300, 12, tied, 21)
+		old := 1200
+		needParallel(t, progs[:old])
+		o := DefaultOpts()
+		o.Workers = 2
+		m := NewCostModel(o)
+		m.Fit(progs[:old], y[:old])
+		ref := refGrow(o, nil, progs[:old], y[:old], 0, o.NumTrees, o.Seed)
+		sameTrees(t, fmt.Sprintf("fit, tied=%v", tied), refTrees(m), ref)
 
-	m.Boost(progs, y, old)
-	seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
-	ref = refGrow(o, ref, progs, y, old, o.BoostTrees, seed)
-	sameTrees(t, "boost", refTrees(m), ref)
+		m.Boost(progs, y, old)
+		seed := o.Seed ^ int64(uint64(len(ref)+1)*0x9e3779b97f4a7c15)
+		ref = refGrow(o, ref, progs, y, old, o.BoostTrees, seed)
+		sameTrees(t, fmt.Sprintf("boost, tied=%v", tied), refTrees(m), ref)
+	}
+}
+
+// TestOrderClasses classifies hand-built columns: a column joins the
+// class of a lower one only when it orders the rows alike and ties them
+// alike, and a class is named by its lowest column.
+func TestOrderClasses(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	x := []float64{0, 0, 0, 0, 2, 3, 4, 5}
+	of := func(fn func(float64) float64) []float64 {
+		out := make([]float64, len(x))
+		for i, v := range x {
+			out[i] = fn(v)
+		}
+		return out
+	}
+	cols := [][]float64{
+		of(func(v float64) float64 { return 10 - v }), // 0: reversed
+		x,               // 1
+		slices.Clone(x), // 2: an exact copy
+		of(func(v float64) float64 { return 2*v + 1 }),          // 3
+		of(func(v float64) float64 { return math.Log2(1 + v) }), // 4
+		{0, 0, 1, 1, 2, 3, 4, 5},                                // 5: x's order, other ties
+		{0, math.Copysign(0, -1), 0, 0, 2, 3, 4, 5},             // 6: ±0 tie like x's 0s
+		{-inf, -inf, -inf, -inf, 2, 3, 4, inf},                  // 7: ±Inf
+		{0, 0, 0, 0, 2, 3, nan, 5},                              // 8: a NaN
+		{0, 0, 0, 0, 2, 3, nan, 5},                              // 9: the same NaN column
+		{7, 7, 7, 7, 7, 7, 7, 7},                                // 10: constant
+		{0, 0, 1, 1, 2, 3, 4, 5},                                // 11: a copy of 5
+		{10, 10, 10, 10, 8, 7, 6, 5},                            // 12: a copy of 0
+		{0, 3, 0, 0, 1, 0, 0, 2},                                // 13
+		{0, 3, 0, 0, 2, 0, 0, 1},                                // 14: 13's key, rows 4 and 7 swapped
+	}
+	// want[f] is the lowest feature of f's class, -1 for a constant one.
+	want := []int{0, 1, 1, 1, 1, 5, 1, 1, 8, 9, -1, 5, 0, 13, 14}
+
+	tr := borrowTrainer()
+	defer tr.release()
+	for i := range x {
+		row := make([]float64, len(cols))
+		for f, c := range cols {
+			row[f] = c[i]
+		}
+		tr.rows = append(tr.rows[:i], row)
+	}
+	tr.reset(DefaultOpts(), 1)
+	for f, w := range want {
+		c := tr.col[f]
+		if c < 0 {
+			if w >= 0 {
+				t.Errorf("feature %d: dropped as constant, want it in %d's class", f, w)
+			}
+			continue
+		}
+		k := tr.class[c]
+		if got := tr.feat[tr.rep[k]]; got != w {
+			t.Errorf("feature %d: in %d's class, want %d's", f, got, w)
+		}
+		// The class's list is the member's own (value, row) order.
+		v := tr.vals[int(c)*tr.n:][:tr.n]
+		byValueRow := func(a, b int32) int { return cmp.Or(cmp.Compare(v[a], v[b]), cmp.Compare(a, b)) }
+		if list := tr.sorted[int(k)*tr.n:][:tr.n]; f != 8 && f != 9 && !slices.IsSortedFunc(list, byValueRow) {
+			t.Errorf("feature %d: its class's list %v is not its (value, row) order", f, list)
+		}
+	}
+	// 13 and 14 share a key, so 14 was checked against 13's list and
+	// turned down, not kept apart by its key.
+	if a, b := tr.key[tr.col[13]], tr.key[tr.col[14]]; a != b {
+		t.Errorf("features 13 and 14: keys %x and %x, want one key", a, b)
+	}
 }
 
 // ---- (b) determinism under ties and constant columns
@@ -436,13 +511,14 @@ func poisonFreeTrainers() {
 		for _, s := range [][]float64{t.vals, t.pred, t.progPred} {
 			fill(s, nan)
 		}
-		for _, s := range [][]int32{t.lists, t.activeByDepth, t.col, t.rowProg} {
+		for _, s := range [][]int32{t.lists, t.activeByDepth, t.col, t.rowProg, t.class, t.rep, t.members, t.bounds} {
 			fill(s, 1<<30)
 		}
+		fill(t.key, 0)
 		fill(t.feat, 1<<20)
 		fill(t.grads, grad{nan, 1, 1})
 		fill(t.progGrad, grad{nan, 1, 1})
-		fill(t.best, split{gain: 1e300, thr: -1})
+		fill(t.best, split{gain: 1e300, pos: 1 << 30, col: 1 << 30})
 		fill(t.mask, true)
 		fill(t.left, 1)
 		fill(t.nodes, node{threshold: -1, feature: 1 << 20, right: -1})
@@ -465,38 +541,56 @@ func drainFreeTrainers() {
 	freeTrainers.list = nil
 }
 
-// TestReusedTrainersMatchFresh interleaves Fit and Boost on two models of
-// different row counts and widths — the narrow one on memory sized by
-// the wide one, and the wide one growing the narrow one's — with the
-// free list poisoned before every call, and demands the fingerprints
-// each model had when every call trained on a new trainer.
+// TestReusedTrainersMatchFresh interleaves Fit and Boost on three models
+// of different row counts, widths and order classes — the narrow one on
+// memory sized by the wide one, the wide one growing the narrow one's,
+// and a third whose columns fall into different classes from call to
+// call — with the free list poisoned before every call, and demands the
+// fingerprints each model had when every call trained on a new trainer.
 func TestReusedTrainersMatchFresh(t *testing.T) {
-	wideProgs, wideY := multiStmt(500, 12, true, 28)
-	narrowProgs, narrowY := multiStmt(120, 6, false, 29)
+	type data struct {
+		progs [][][]float64
+		y     []float64
+	}
+	var sets [3]data
+	sets[0].progs, sets[0].y = multiStmt(120, 6, false, 29) // narrow
+	sets[1].progs, sets[1].y = multiStmt(500, 12, true, 28) // wide
+	// drift: column 12 is 2x+1 of column 0 in the first 80 programs and
+	// column 13 a copy of column 1 in the others; elsewhere both are noise.
+	sets[2].progs, sets[2].y = multiStmt(160, 6, true, 32)
+	rng := rand.New(rand.NewSource(33))
+	for p, stmts := range sets[2].progs {
+		for s, x := range stmts {
+			a, b := rng.Float64(), rng.Float64()
+			if p < 80 {
+				a = 2*x[0] + 1
+			} else {
+				b = x[1]
+			}
+			stmts[s] = append(x, a, b)
+		}
+	}
 	type call struct {
-		wide  bool
+		set   int
 		start int // -1: Fit, else Boost from start
 		end   int
 	}
 	calls := []call{
-		{false, -1, 80}, {true, -1, 400}, {false, 80, 120}, {true, 400, 450},
-		{true, -1, 500}, {false, -1, 120}, {true, 450, 500}, {false, 60, 120},
+		{0, -1, 80}, {1, -1, 400}, {2, -1, 80}, {0, 80, 120}, {2, 80, 160}, {1, 400, 450},
+		{2, -1, 160}, {1, -1, 500}, {0, -1, 120}, {2, 40, 160}, {1, 450, 500}, {0, 60, 120},
 	}
 	run := func(before func()) []uint64 {
 		o := DefaultOpts()
 		o.Workers = 1
-		wide, narrow := NewCostModel(o), NewCostModel(o)
+		models := [3]*CostModel{NewCostModel(o), NewCostModel(o), NewCostModel(o)}
 		var fps []uint64
 		for _, c := range calls {
-			m, progs, y := narrow, narrowProgs, narrowY
-			if c.wide {
-				m, progs, y = wide, wideProgs, wideY
-			}
+			m, d := models[c.set], sets[c.set]
 			before()
 			if c.start < 0 {
-				m.Fit(progs[:c.end], y[:c.end])
+				m.Fit(d.progs[:c.end], d.y[:c.end])
 			} else {
-				m.Boost(progs[:c.end], y[:c.end], c.start)
+				m.Boost(d.progs[:c.end], d.y[:c.end], c.start)
 			}
 			fps = append(fps, m.Fingerprint())
 		}
@@ -558,7 +652,11 @@ func TestConcurrentTrainingMatchesSerial(t *testing.T) {
 // each: byte 0 picks the width, then each program is a head byte (1–3
 // statements in its low bits, the label in the rest) and one byte per
 // feature of each statement. A program the bytes run out in is dropped.
-func fuzzProgs(data []byte) (progs [][][]float64, y []float64) {
+// With derived set, every statement gets three more columns, all of
+// feature 0: log2(1+x), which orders and ties the rows alike and joins
+// its class; min(x, 2), which merges its two highest values, so it may
+// order the rows alike but ties them differently; and −x.
+func fuzzProgs(data []byte, derived bool) (progs [][][]float64, y []float64) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -575,6 +673,9 @@ func fuzzProgs(data []byte) (progs [][][]float64, y []float64) {
 			x := make([]float64, nf)
 			for f := range x {
 				x[f] = float64(data[1+s*nf+f] % 4)
+			}
+			if derived {
+				x = append(x, math.Log2(1+x[0]), min(x[0], 2), -x[0])
 			}
 			p = append(p, x)
 		}
@@ -615,19 +716,43 @@ func oneChildConstant() []byte {
 	return data
 }
 
+// risingFeature0 is a seed of one-statement programs whose feature 0
+// rises with the row, 0 to 3, eight programs each, whose feature 1
+// alternates 0 and 2, and whose label jumps between 2 and 3: min(x, 2)
+// then has feature 0's (value, row) order but not its ties, and the best
+// split of feature 0 is the one it lacks. Classifying on the order alone
+// puts min(x, 2) in feature 0's class and fails this seed.
+func risingFeature0() []byte {
+	data := []byte{1} // two features
+	for i := 0; i < 32; i++ {
+		x0 := byte(i / 8)
+		label := byte(5 * x0)
+		if x0 == 3 {
+			label = 60
+		}
+		data = append(data, (label+byte(i%3))<<2, x0, byte(2*i))
+	}
+	return data
+}
+
 func FuzzPresortedMatchesReference(f *testing.F) {
 	random := func(n int, seed int64) []byte {
 		b := make([]byte, n)
 		rand.New(rand.NewSource(seed)).Read(b)
 		return b
 	}
-	f.Add(uint8(0), uint8(7), false, random(600, 1))
-	f.Add(uint8(0), uint8(7), true, oneChildConstant())
-	f.Add(uint8(1), uint8(3), true, oneChildConstant())
-	f.Add(uint8(4), uint8(5), false, random(400, 2))
-	f.Add(uint8(2), uint8(7), true, random(300, 3))
-	f.Fuzz(func(t *testing.T, minSamples, maxDepth uint8, all bool, data []byte) {
-		progs, y := fuzzProgs(data)
+	f.Add(uint8(0), uint8(7), false, false, random(600, 1))
+	f.Add(uint8(0), uint8(7), true, false, oneChildConstant())
+	f.Add(uint8(1), uint8(3), true, false, oneChildConstant())
+	f.Add(uint8(4), uint8(5), false, false, random(400, 2))
+	f.Add(uint8(2), uint8(7), true, false, random(300, 3))
+	// The derived columns: log2(1+x) a member of feature 0's class on
+	// random rows, min(x, 2) in its order but not its ties, and −x.
+	f.Add(uint8(1), uint8(7), false, true, random(600, 4))
+	f.Add(uint8(1), uint8(7), false, true, risingFeature0())
+	f.Add(uint8(0), uint8(5), true, true, oneChildConstant())
+	f.Fuzz(func(t *testing.T, minSamples, maxDepth uint8, all, derived bool, data []byte) {
+		progs, y := fuzzProgs(data, derived)
 		if len(progs) == 0 {
 			return
 		}

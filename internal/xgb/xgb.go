@@ -10,14 +10,18 @@
 //
 // The model is safe for concurrent prediction while a training round is
 // in flight: Fit builds the new ensemble aside and swaps it in atomically,
-// and Score/ScoreStmt/Trained read a snapshot. Training sorts every
-// feature column once per call and finds splits by linear scans over the
-// presorted lists (presort.go), visiting at each node only the columns
-// that still vary over its rows; large nodes shard the per-feature scan
-// across a worker pool with a deterministic reduction, so trained models
-// are bit-identical for any worker count. A call borrows all of its
-// scratch from a bounded free list of trainers, so what it allocates is
-// the model it returns.
+// and Score/ScoreStmt/Trained read a snapshot. Training groups the
+// feature columns of a call into order classes — columns that sort the
+// rows alike and tie them alike — sorts one row list per class once per
+// call, and finds splits by linear scans over the presorted lists
+// (presort.go), visiting at each node only the classes that still vary
+// over its rows; a class's scan stands for all of its members, and the
+// winner takes its own threshold, so the trees are those a scan of every
+// column would grow. Large nodes shard the per-class scan across a
+// worker pool with a deterministic reduction, so trained models are
+// bit-identical for any worker count. A call borrows all of its scratch
+// from a bounded free list of trainers, so what it allocates is the
+// model it returns.
 package xgb
 
 import (
