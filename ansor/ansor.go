@@ -470,7 +470,7 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 		dnn.Tasks = append(dnn.Tasks, i)
 		dnn.Weights = append(dnn.Weights, float64(task.Weight))
 	}
-	s := sched.New(tuners, sched.F1{DNNs: []sched.DNN{dnn}}, schedOptions(opts))
+	s := sched.New(tuners, []sched.DNN{dnn}, schedOptions(opts))
 	s.Obs = obsv
 	// A resumed run re-executes from round one with cached measurements;
 	// the checkpoint written by the interrupted run lets us VERIFY the
@@ -588,7 +588,7 @@ func applyNetworkBest(net Network, target Target, path string) (NetworkResult, e
 // schedOptions builds the task scheduler's options for a network run.
 // Seed is not carried over: the scheduler's ε-greedy stream is seed 1
 // for every TuningOptions.Seed (pinned by TestSchedulerSeedIsNotWired,
-// to be repaired with ROADMAP item 2, since wiring it moves every
+// to be repaired with ROADMAP item 3(e), since wiring it moves every
 // network trajectory).
 func schedOptions(opts TuningOptions) sched.Options {
 	sopts := sched.DefaultOptions()

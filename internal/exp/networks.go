@@ -105,8 +105,7 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	opts.Workers = cfg.Workers
 	opts.RoundRobin = variant == VariantNoTaskScheduler || variant == VariantAutoTVM
 
-	var obj sched.Objective = sched.F1{DNNs: dnns}
-	s := sched.New(tuners, obj, opts)
+	s := sched.New(tuners, dnns, opts)
 	s.Obs = cfg.Session.Observer()
 
 	totalUnits := trialsPerTask * len(tuners) / cfg.PerRound

@@ -6,32 +6,27 @@ import (
 	"math"
 )
 
-// Checkpoint is the durable gradient state of a scheduler: everything
-// the allocation policy of §6/Appendix A reads — per-task allocation
-// histories (the g_i curves backing the backward difference), the
-// convergence counters, the unit and warm-up cursors, the objective
-// curve, and the count of ε-greedy decisions made so far. Together with
-// the tuning log (which reconstitutes every task's policy state by
-// replay) it makes a killed tuning job resumable bit-identically.
+// Checkpoint is the trace a scheduler leaves of its gradient state: the
+// unit count, the per-task allocation histories (the g_i curves backing
+// the backward difference) and the objective curve. It does not resume a
+// job: a killed job resumes by re-running from round one on the tuning
+// log's cached measurements, and VerifyReplay then checks that the re-run
+// passed through exactly this state. A checkpoint written before it lost
+// its since_improve, warmed and picks fields still loads; they are
+// ignored.
 type Checkpoint struct {
-	Units        int         `json:"units"`
-	Warmed       int         `json:"warmed"`
-	Picks        int         `json:"picks"`
-	History      [][]float64 `json:"history"`
-	SinceImprove []int       `json:"since_improve"`
-	CostCurve    []float64   `json:"cost_curve"`
+	Units     int         `json:"units"`
+	History   [][]float64 `json:"history"`
+	CostCurve []float64   `json:"cost_curve"`
 }
 
 // Checkpoint snapshots the scheduler's gradient state. The snapshot is
 // deep-copied: later allocations do not mutate it.
 func (s *Scheduler) Checkpoint() *Checkpoint {
 	c := &Checkpoint{
-		Units:        s.Units,
-		Warmed:       s.warmed,
-		Picks:        s.picks,
-		History:      make([][]float64, len(s.history)),
-		SinceImprove: append([]int(nil), s.sinceImprove...),
-		CostCurve:    append([]float64(nil), s.CostCurve...),
+		Units:     s.Units,
+		History:   make([][]float64, len(s.history)),
+		CostCurve: append([]float64(nil), s.CostCurve...),
 	}
 	for i, h := range s.history {
 		c.History[i] = append([]float64(nil), h...)
@@ -55,12 +50,9 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 // jsonCheckpoint mirrors Checkpoint with infinity-safe float encoding
 // (encoding/json rejects +Inf).
 type jsonCheckpoint struct {
-	Units        int                 `json:"units"`
-	Warmed       int                 `json:"warmed"`
-	Picks        int                 `json:"picks"`
-	History      [][]json.RawMessage `json:"history"`
-	SinceImprove []int               `json:"since_improve"`
-	CostCurve    []json.RawMessage   `json:"cost_curve"`
+	Units     int                 `json:"units"`
+	History   [][]json.RawMessage `json:"history"`
+	CostCurve []json.RawMessage   `json:"cost_curve"`
 }
 
 func numOf(v float64) json.RawMessage {
@@ -93,10 +85,7 @@ func floatOf(raw json.RawMessage) (float64, error) {
 }
 
 func infToString(c *Checkpoint) *jsonCheckpoint {
-	out := &jsonCheckpoint{
-		Units: c.Units, Warmed: c.Warmed, Picks: c.Picks,
-		SinceImprove: c.SinceImprove,
-	}
+	out := &jsonCheckpoint{Units: c.Units}
 	for _, h := range c.History {
 		row := make([]json.RawMessage, len(h))
 		for i, v := range h {
@@ -111,10 +100,7 @@ func infToString(c *Checkpoint) *jsonCheckpoint {
 }
 
 func stringToInf(raw *jsonCheckpoint) (*Checkpoint, error) {
-	c := &Checkpoint{
-		Units: raw.Units, Warmed: raw.Warmed, Picks: raw.Picks,
-		SinceImprove: raw.SinceImprove,
-	}
+	c := &Checkpoint{Units: raw.Units}
 	for _, row := range raw.History {
 		h := make([]float64, len(row))
 		for i, n := range row {
@@ -138,9 +124,8 @@ func stringToInf(raw *jsonCheckpoint) (*Checkpoint, error) {
 
 // VerifyReplay checks that a scheduler which re-ran from scratch (the
 // replay-resume path: cached measurements, same seed and options) passed
-// exactly through the checkpointed state — same allocation histories,
-// convergence counters and objective curve as a prefix of the current
-// run. A mismatch means the determinism contract was broken (changed
+// exactly through the checkpointed state — same allocation histories
+// and objective curve as a prefix of the current run. A mismatch means the determinism contract was broken (changed
 // seed, options, task set, or log) and resumed output cannot be trusted
 // to extend the original run.
 func (s *Scheduler) VerifyReplay(c *Checkpoint) error {

@@ -117,7 +117,7 @@ func TestPrepareAheadChangesNoDecision(t *testing.T) {
 	for i, f := range plain {
 		plainTuners[i] = &f.fakeTuner
 	}
-	ref := New(plainTuners, F1{dnns}, opts)
+	ref := New(plainTuners, dnns, opts)
 	refSeq := run(ref, func() []int {
 		u := make([]int, len(plain))
 		for i, f := range plain {
@@ -133,7 +133,7 @@ func TestPrepareAheadChangesNoDecision(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		tuners, dnns, ts, rig := prepareSetup(t)
 		opts.Workers = workers
-		s := New(tuners, F1{dnns}, opts)
+		s := New(tuners, dnns, opts)
 		waiting := 0 // tasks prepared and not yet allocated, after the last Step
 		seq := run(s, func() []int {
 			u := make([]int, len(ts))
@@ -177,23 +177,30 @@ func TestPrepareAheadChangesNoDecision(t *testing.T) {
 	}
 }
 
-// TestConvergedTaskIsNeverGuessed: a task whose gradient is zero (F4's
-// early stopping) is prepared only when it is the pick itself, never as
-// a guess at a later one — with ε = 0 it is never picked, so never
+// TestZeroGradientTaskIsNeverGuessed: a task in no DNN, whose gradient
+// ∂f/∂g is zero, is prepared only when it is the pick itself, never as a
+// guess at a later one — with ε = 0 it is never picked, so never
 // prepared at all.
-func TestConvergedTaskIsNeverGuessed(t *testing.T) {
+func TestZeroGradientTaskIsNeverGuessed(t *testing.T) {
 	tuners, dnns, ts, _ := prepareSetup(t)
 	opts := DefaultOptions()
 	opts.EpsGreedy = 0
 	opts.Workers = 8
 	const stopped = 3
-	s := New(tuners, F4{DNNs: dnns, Converged: func(i int) bool { return i == stopped }}, opts)
+	var d DNN
+	for k, i := range dnns[0].Tasks {
+		if i != stopped {
+			d.Tasks = append(d.Tasks, i)
+			d.Weights = append(d.Weights, dnns[0].Weights[k])
+		}
+	}
+	s := New(tuners, []DNN{d}, opts)
 	s.Run(40)
 	if n := ts[stopped].prepares; n != 0 {
-		t.Errorf("the converged task was prepared %d times", n)
+		t.Errorf("the task in no DNN was prepared %d times", n)
 	}
 	if ts[stopped].t != 1 {
-		t.Errorf("the converged task got %d units, want its warm-up unit only", ts[stopped].t)
+		t.Errorf("the task in no DNN got %d units, want its warm-up unit only", ts[stopped].t)
 	}
 	guessed := 0
 	for _, f := range ts {

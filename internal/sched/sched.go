@@ -1,7 +1,7 @@
 // Package sched implements Ansor's task scheduler (§6): gradient-descent
 // allocation of tuning time units across the tasks (subgraphs) of one or
-// more DNNs, with the objective functions of Table 2 and the gradient
-// approximation of Appendix A.
+// more DNNs, minimizing Table 2's f1 (the sum of the DNNs' latencies)
+// with the gradient approximation of Appendix A.
 package sched
 
 import (
@@ -53,10 +53,6 @@ type DNN struct {
 	Tasks []int
 	// Weights[i] is w of Tasks[i] within this DNN.
 	Weights []float64
-	// LatencyReq is L_j for objective f2 (0 = none).
-	LatencyReq float64
-	// RefLatency is B_j for objective f3.
-	RefLatency float64
 }
 
 // Latency returns Σ w_i g_i for this DNN given per-task latencies.
@@ -67,115 +63,6 @@ func (d *DNN) Latency(g []float64) float64 {
 	}
 	return l
 }
-
-// Objective is f(g_1, ..., g_n) over per-task best latencies.
-type Objective interface {
-	Cost(g []float64) float64
-	// PartialG returns ∂f/∂g_i for all i.
-	PartialG(g []float64) []float64
-}
-
-// ---- Table 2 objectives ----
-
-// F1 minimizes the sum of DNN latencies (a pipeline running every DNN
-// once): f1 = Σ_j Σ_{i∈S(j)} w_i g_i.
-type F1 struct{ DNNs []DNN }
-
-func (f F1) Cost(g []float64) float64 {
-	var c float64
-	for _, d := range f.DNNs {
-		c += d.Latency(g)
-	}
-	return c
-}
-
-func (f F1) PartialG(g []float64) []float64 {
-	out := make([]float64, len(g))
-	for _, d := range f.DNNs {
-		for k, ti := range d.Tasks {
-			out[ti] += d.Weights[k]
-		}
-	}
-	return out
-}
-
-// F2 stops caring about DNNs that already meet their latency requirement:
-// f2 = Σ_j max(Σ w_i g_i, L_j).
-type F2 struct{ DNNs []DNN }
-
-func (f F2) Cost(g []float64) float64 {
-	var c float64
-	for _, d := range f.DNNs {
-		c += math.Max(d.Latency(g), d.LatencyReq)
-	}
-	return c
-}
-
-func (f F2) PartialG(g []float64) []float64 {
-	out := make([]float64, len(g))
-	for _, d := range f.DNNs {
-		if d.Latency(g) <= d.LatencyReq {
-			continue
-		}
-		for k, ti := range d.Tasks {
-			out[ti] += d.Weights[k]
-		}
-	}
-	return out
-}
-
-// F3 maximizes the geometric mean of speedups against reference
-// latencies: f3 = −(Π_j B_j / lat_j)^(1/m).
-type F3 struct{ DNNs []DNN }
-
-func (f F3) Cost(g []float64) float64 {
-	prod := 1.0
-	for _, d := range f.DNNs {
-		lat := d.Latency(g)
-		if lat <= 0 {
-			return 0
-		}
-		prod *= d.RefLatency / lat
-	}
-	return -math.Pow(prod, 1/float64(len(f.DNNs)))
-}
-
-func (f F3) PartialG(g []float64) []float64 {
-	out := make([]float64, len(g))
-	base := -f.Cost(g) // (Π r)^(1/m) ≥ 0
-	m := float64(len(f.DNNs))
-	for _, d := range f.DNNs {
-		lat := d.Latency(g)
-		if lat <= 0 {
-			continue
-		}
-		for k, ti := range d.Tasks {
-			out[ti] += base / m * d.Weights[k] / lat
-		}
-	}
-	return out
-}
-
-// F4 adds per-task early stopping: f4 = Σ_j Σ_i w_i max(g_i, ES(g_i, t)).
-// Converged returns whether task i's gradient should be zeroed.
-type F4 struct {
-	DNNs      []DNN
-	Converged func(task int) bool
-}
-
-func (f F4) Cost(g []float64) float64 { return F1{f.DNNs}.Cost(g) }
-
-func (f F4) PartialG(g []float64) []float64 {
-	out := F1{f.DNNs}.PartialG(g)
-	for i := range out {
-		if f.Converged != nil && f.Converged(i) {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// ---- Scheduler ----
 
 // Options configures the gradient-descent scheduler (Appendix A).
 type Options struct {
@@ -188,11 +75,7 @@ type Options struct {
 	BackwardWindow int
 	// EpsGreedy is the probability of picking a random task (§6.2).
 	EpsGreedy float64
-	// ESWindow: a task is "converged" when its best latency has not
-	// improved in this many consecutive allocations (used by F4 and for
-	// the RoundRobin comparison it is ignored).
-	ESWindow int
-	Seed     int64
+	Seed      int64
 	// RoundRobin disables the gradient scheduling ("No task scheduler"
 	// ablation, Fig. 10): equal time to all tasks.
 	RoundRobin bool
@@ -209,14 +92,13 @@ type Options struct {
 
 // DefaultOptions matches the paper's setup.
 func DefaultOptions() Options {
-	return Options{Alpha: 0.2, Beta: 2, BackwardWindow: 3, EpsGreedy: 0.05, ESWindow: 8, Seed: 1}
+	return Options{Alpha: 0.2, Beta: 2, BackwardWindow: 3, EpsGreedy: 0.05, Seed: 1}
 }
 
 // Scheduler allocates tuning units to tasks.
 type Scheduler struct {
-	Tasks     []Tuner
-	Objective Objective
-	Opts      Options
+	Tasks []Tuner
+	Opts  Options
 
 	// Obs narrates allocation when set: one wave_scheduled event per
 	// dispatched wave and one proposals_prepared event per prepare wave,
@@ -224,12 +106,13 @@ type Scheduler struct {
 	// decisions are identical (events are narration, never inputs).
 	Obs *obs.Observer
 
-	rng  *rand.Rand
-	pool *pool.Pool
+	dnns []DNN
+	// weight[i] is ∂f1/∂g_i: task i's weights summed over every DNN.
+	weight []float64
+	rng    *rand.Rand
+	pool   *pool.Pool
 	// history[i] is g_i after each unit allocated to task i.
 	history [][]float64
-	// sinceImprove[i] counts allocations without improvement.
-	sinceImprove []int
 	// guessed[i] marks a task prepared as a guess at a later pick and not
 	// picked since; nGuessed counts them (see prepare).
 	guessed  []bool
@@ -238,30 +121,39 @@ type Scheduler struct {
 	Units int
 	// warmed tracks round-robin warm-up progress across Run calls.
 	warmed int
-	// picks counts gradient-descent pick() decisions, i.e. how many
-	// ε-greedy draws the rng has made (recorded in Checkpoint).
-	picks int
-	// CostCurve records the objective after every allocation.
+	// CostCurve records f1 after every allocation.
 	CostCurve []float64
 }
 
-// New returns a scheduler over the tasks.
-func New(tasks []Tuner, obj Objective, opts Options) *Scheduler {
+// New returns a scheduler that allocates units across the tasks to
+// minimize f1 over the DNNs.
+func New(tasks []Tuner, dnns []DNN, opts Options) *Scheduler {
+	weight := make([]float64, len(tasks))
+	for _, d := range dnns {
+		for k, ti := range d.Tasks {
+			weight[ti] += d.Weights[k]
+		}
+	}
 	return &Scheduler{
-		Tasks:        tasks,
-		Objective:    obj,
-		Opts:         opts,
-		rng:          rand.New(rand.NewSource(opts.Seed)),
-		pool:         pool.New(opts.Workers),
-		history:      make([][]float64, len(tasks)),
-		sinceImprove: make([]int, len(tasks)),
-		guessed:      make([]bool, len(tasks)),
+		Tasks:   tasks,
+		Opts:    opts,
+		dnns:    dnns,
+		weight:  weight,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		pool:    pool.New(opts.Workers),
+		history: make([][]float64, len(tasks)),
+		guessed: make([]bool, len(tasks)),
 	}
 }
 
-// Converged reports whether task i has stopped improving (for F4).
-func (s *Scheduler) Converged(i int) bool {
-	return s.Opts.ESWindow > 0 && s.sinceImprove[i] >= s.Opts.ESWindow
+// cost returns f1 = Σ_j Σ_{i∈S(j)} w_i g_i: the latency of a pipeline
+// running every DNN once.
+func (s *Scheduler) cost(g []float64) float64 {
+	var c float64
+	for _, d := range s.dnns {
+		c += d.Latency(g)
+	}
+	return c
 }
 
 // latencies returns the g vector, treating unmeasured tasks as very slow.
@@ -292,17 +184,12 @@ func (s *Scheduler) runWave(wave []int) {
 	for k, i := range wave {
 		g[i] = prev[k]
 	}
-	for k, i := range wave {
+	for _, i := range wave {
 		now := s.Tasks[i].BestLatency()
 		s.history[i] = append(s.history[i], now)
-		if now < prev[k] {
-			s.sinceImprove[i] = 0
-		} else {
-			s.sinceImprove[i]++
-		}
 		s.Units++
 		g[i] = now
-		s.CostCurve = append(s.CostCurve, s.Objective.Cost(g))
+		s.CostCurve = append(s.CostCurve, s.cost(g))
 	}
 }
 
@@ -363,9 +250,11 @@ func (s *Scheduler) prepare(picked, unitsLeft int) {
 	}
 	wave := []int{picked}
 	if room := min(s.pool.Workers(), unitsLeft-s.nGuessed) - 1; room > 0 {
-		grads := s.gradients()
-		for i, v := range grads {
-			if i != picked && !s.guessed[i] && v > 0 {
+		g := s.latencies()
+		grads := make([]float64, len(g))
+		for i := range grads {
+			grads[i] = s.gradient(i, g)
+			if i != picked && !s.guessed[i] && grads[i] > 0 {
 				wave = append(wave, i)
 			}
 		}
@@ -406,34 +295,24 @@ func (s *Scheduler) Run(totalUnits int) {
 }
 
 // pick chooses the next task: argmax |∂f/∂t_i|, with ε-greedy random
-// exploration; round-robin if configured.
+// exploration.
 func (s *Scheduler) pick() int {
-	n := len(s.Tasks)
-	if s.Opts.RoundRobin {
-		return s.Units % n
-	}
-	s.picks++
 	if s.rng.Float64() < s.Opts.EpsGreedy {
-		return s.rng.Intn(n)
+		return s.rng.Intn(len(s.Tasks))
 	}
+	g := s.latencies()
 	best, bestScore := 0, math.Inf(-1)
-	for i, v := range s.gradients() {
-		if v > bestScore {
+	for i := range s.Tasks {
+		if v := s.gradient(i, g); v > bestScore {
 			best, bestScore = i, v
 		}
 	}
 	return best
 }
 
-// gradients returns |∂f/∂t_i| = |∂f/∂g_i · ∂g_i/∂t_i| for every task.
-func (s *Scheduler) gradients() []float64 {
-	g := s.latencies()
-	df := s.Objective.PartialG(g)
-	out := make([]float64, len(df))
-	for i := range out {
-		out[i] = math.Abs(df[i] * s.gradientT(i, g))
-	}
-	return out
+// gradient returns |∂f/∂t_i| = |∂f/∂g_i · ∂g_i/∂t_i| at latencies g.
+func (s *Scheduler) gradient(i int, g []float64) float64 {
+	return math.Abs(s.weight[i] * s.gradientT(i, g))
 }
 
 // gradientT approximates ∂g_i/∂t_i per Appendix A.

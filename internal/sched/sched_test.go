@@ -52,9 +52,9 @@ func TestGradientBeatsRoundRobin(t *testing.T) {
 		opts := DefaultOptions()
 		opts.RoundRobin = rr
 		opts.EpsGreedy = 0
-		s := New(tuners, F1{dnns}, opts)
+		s := New(tuners, dnns, opts)
 		s.Run(30)
-		return s.Objective.Cost(s.latencies())
+		return s.cost(s.latencies())
 	}
 	grad := run(false)
 	rr := run(true)
@@ -68,7 +68,7 @@ func TestSchedulerPrioritizesBottleneck(t *testing.T) {
 	tuners, dnns, ts := twoDNNSetup()
 	opts := DefaultOptions()
 	opts.EpsGreedy = 0
-	s := New(tuners, F1{dnns}, opts)
+	s := New(tuners, dnns, opts)
 	s.Run(30)
 	if ts[0].t <= ts[1].t {
 		t.Errorf("bottleneck task got %d units, saturated task got %d", ts[0].t, ts[1].t)
@@ -77,7 +77,7 @@ func TestSchedulerPrioritizesBottleneck(t *testing.T) {
 
 func TestWarmupTouchesAllTasks(t *testing.T) {
 	tuners, dnns, ts := twoDNNSetup()
-	s := New(tuners, F1{dnns}, DefaultOptions())
+	s := New(tuners, dnns, DefaultOptions())
 	s.Run(len(tuners))
 	for i, f := range ts {
 		if f.t != 1 {
@@ -86,70 +86,28 @@ func TestWarmupTouchesAllTasks(t *testing.T) {
 	}
 }
 
+// TestObjectiveF1 pins f1 on two DNNs that share a task: its cost on
+// the curve once every task is measured, and the task's gradient weight,
+// its weights summed over both DNNs.
 func TestObjectiveF1(t *testing.T) {
+	ts := []*fakeTuner{
+		{name: "a", floor: 5, decay: 1, tag: "a", flops: 1},
+		{name: "b", floor: 7, decay: 1, tag: "b", flops: 1},
+	}
 	dnns := []DNN{
 		{Tasks: []int{0, 1}, Weights: []float64{2, 1}},
 		{Tasks: []int{1}, Weights: []float64{3}},
 	}
-	g := []float64{5, 7}
-	f := F1{dnns}
-	if got, want := f.Cost(g), 2*5+1*7+3*7.0; got != want {
+	s := New([]Tuner{ts[0], ts[1]}, dnns, DefaultOptions())
+	s.Run(2)
+	if got, want := s.CostCurve[1], 2*5+1*7+3*7.0; got != want {
 		t.Errorf("f1 cost = %g, want %g", got, want)
 	}
-	pg := f.PartialG(g)
-	if pg[0] != 2 || pg[1] != 4 {
-		t.Errorf("f1 partials = %v, want [2 4]", pg)
+	if !math.IsInf(s.CostCurve[0], 1) {
+		t.Errorf("f1 cost with a task unmeasured = %g, want +Inf", s.CostCurve[0])
 	}
-}
-
-func TestObjectiveF2StopsAtRequirement(t *testing.T) {
-	dnns := []DNN{{Tasks: []int{0}, Weights: []float64{1}, LatencyReq: 10}}
-	f := F2{dnns}
-	// Above requirement: gradient active.
-	if pg := f.PartialG([]float64{20}); pg[0] != 1 {
-		t.Errorf("above req partial = %v, want 1", pg[0])
-	}
-	// Below requirement: no gradient, cost clamps at L_j.
-	if pg := f.PartialG([]float64{5}); pg[0] != 0 {
-		t.Errorf("below req partial = %v, want 0", pg[0])
-	}
-	if got := f.Cost([]float64{5}); got != 10 {
-		t.Errorf("cost below req = %g, want 10", got)
-	}
-}
-
-func TestObjectiveF3GeomeanSpeedup(t *testing.T) {
-	dnns := []DNN{
-		{Tasks: []int{0}, Weights: []float64{1}, RefLatency: 10},
-		{Tasks: []int{1}, Weights: []float64{1}, RefLatency: 20},
-	}
-	f := F3{dnns}
-	// Latencies equal to references: speedup 1, cost -1.
-	if got := f.Cost([]float64{10, 20}); math.Abs(got+1) > 1e-12 {
-		t.Errorf("f3 cost = %g, want -1", got)
-	}
-	// Halving both latencies doubles the geomean speedup.
-	if got := f.Cost([]float64{5, 10}); math.Abs(got+2) > 1e-12 {
-		t.Errorf("f3 cost = %g, want -2", got)
-	}
-	// Partials are positive (reducing latency reduces cost).
-	for i, p := range f.PartialG([]float64{10, 20}) {
-		if p <= 0 {
-			t.Errorf("f3 partial %d = %g, want > 0", i, p)
-		}
-	}
-}
-
-func TestObjectiveF4EarlyStopping(t *testing.T) {
-	dnns := []DNN{{Tasks: []int{0, 1}, Weights: []float64{1, 1}}}
-	converged := map[int]bool{0: true}
-	f := F4{DNNs: dnns, Converged: func(i int) bool { return converged[i] }}
-	pg := f.PartialG([]float64{5, 5})
-	if pg[0] != 0 {
-		t.Error("converged task should have zero gradient")
-	}
-	if pg[1] != 1 {
-		t.Error("active task should keep its gradient")
+	if w := s.weight; w[0] != 2 || w[1] != 4 {
+		t.Errorf("f1 partials = %v, want [2 4]", w)
 	}
 }
 
@@ -166,21 +124,10 @@ func TestSimilarityPrediction(t *testing.T) {
 	dnns := []DNN{{Tasks: []int{0, 1, 2}, Weights: []float64{1, 1, 1}}}
 	opts := DefaultOptions()
 	opts.EpsGreedy = 0
-	s := New([]Tuner{ts[0], ts[1], ts[2]}, F1{dnns}, opts)
+	s := New([]Tuner{ts[0], ts[1], ts[2]}, dnns, opts)
 	s.Run(20)
 	if ts[1].t <= ts[2].t {
 		t.Errorf("similar-to-fast task got %d units, saturated misc task got %d", ts[1].t, ts[2].t)
-	}
-}
-
-func TestConvergenceDetection(t *testing.T) {
-	ts := []*fakeTuner{{name: "flat", base: 0, decay: 1, floor: 5, tag: "x", flops: 1}}
-	opts := DefaultOptions()
-	opts.ESWindow = 3
-	s := New([]Tuner{ts[0]}, F1{[]DNN{{Tasks: []int{0}, Weights: []float64{1}}}}, opts)
-	s.Run(6)
-	if !s.Converged(0) {
-		t.Error("flat task should be detected as converged after ESWindow units")
 	}
 }
 
@@ -195,7 +142,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			opts := DefaultOptions()
 			opts.RoundRobin = rr
 			opts.Workers = workers
-			s := New(tuners, F1{dnns}, opts)
+			s := New(tuners, dnns, opts)
 			s.Run(30)
 			units := make([]int, len(ts))
 			for i, f := range ts {
@@ -223,7 +170,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 
 func TestCostCurveMonotoneForF1(t *testing.T) {
 	tuners, dnns, _ := twoDNNSetup()
-	s := New(tuners, F1{dnns}, DefaultOptions())
+	s := New(tuners, dnns, DefaultOptions())
 	s.Run(20)
 	for i := 1; i < len(s.CostCurve); i++ {
 		if s.CostCurve[i] > s.CostCurve[i-1]+1e-9 {
@@ -235,13 +182,13 @@ func TestCostCurveMonotoneForF1(t *testing.T) {
 func TestCheckpointVerifyReplay(t *testing.T) {
 	opts := DefaultOptions()
 	tunersA, dnnsA, _ := twoDNNSetup()
-	a := New(tunersA, F1{dnnsA}, opts)
+	a := New(tunersA, dnnsA, opts)
 	a.Run(12)
 	ckpt := a.Checkpoint()
 
 	// A replayed run (same everything) passes through the checkpoint.
 	tunersB, dnnsB, _ := twoDNNSetup()
-	b := New(tunersB, F1{dnnsB}, opts)
+	b := New(tunersB, dnnsB, opts)
 	b.Run(30)
 	if err := b.VerifyReplay(ckpt); err != nil {
 		t.Fatalf("faithful replay rejected: %v", err)
@@ -250,7 +197,7 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 	// A diverging run (different tuner behaviour) is caught.
 	tunersC, dnnsC, fakesC := twoDNNSetup()
 	fakesC[0].decay = 0.5
-	c := New(tunersC, F1{dnnsC}, opts)
+	c := New(tunersC, dnnsC, opts)
 	c.Run(30)
 	if err := c.VerifyReplay(ckpt); err == nil {
 		t.Fatal("diverged replay must be rejected")
@@ -258,7 +205,7 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 
 	// A replay that stopped short is caught.
 	tunersD, dnnsD, _ := twoDNNSetup()
-	d := New(tunersD, F1{dnnsD}, opts)
+	d := New(tunersD, dnnsD, opts)
 	d.Run(6)
 	if err := d.VerifyReplay(ckpt); err == nil {
 		t.Fatal("short replay must be rejected")
@@ -272,7 +219,7 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 func TestCheckpointSurvivesJSON(t *testing.T) {
 	for _, units := range []int{1, 12} {
 		tuners, dnns, _ := twoDNNSetup()
-		s := New(tuners, F1{dnns}, DefaultOptions())
+		s := New(tuners, dnns, DefaultOptions())
 		s.Run(units)
 		blob, err := s.Checkpoint().Marshal()
 		if err != nil {
@@ -291,5 +238,33 @@ func TestCheckpointSurvivesJSON(t *testing.T) {
 		if units == 1 && !math.IsInf(back.CostCurve[0], 1) {
 			t.Errorf("a warm-up checkpoint should hold an infinite cost: %+v", back.CostCurve)
 		}
+	}
+}
+
+// TestOldCheckpointStillVerifies: a checkpoint written before it lost
+// its since_improve, warmed and picks fields (a job checkpointed by an
+// older build) still loads, and an equal run passes its replay check.
+func TestOldCheckpointStillVerifies(t *testing.T) {
+	const blob = `{"units":12,"warmed":3,"picks":9,` +
+		`"history":[[85,69.00000000000001,56.20000000000001,45.96000000000002,37.76800000000002,31.214400000000015,25.971520000000016],` +
+		`[3.88,3.8602,3.840598],[22,20.200000000000003]],"since_improve":[0,0,0],` +
+		`"cost_curve":["inf","inf",315.8,267.80000000000007,229.40000000000003,198.68000000000006,174.10400000000004,` +
+		`173.90600000000006,154.24520000000004,152.44520000000006,136.71656000000007,136.52054000000004]}`
+	old, err := UnmarshalCheckpoint([]byte(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuners, dnns, _ := twoDNNSetup()
+	s := New(tuners, dnns, DefaultOptions())
+	s.Run(12)
+	if err := s.VerifyReplay(old); err != nil {
+		t.Errorf("an equal run fails the old checkpoint: %v", err)
+	}
+	tuners, dnns, fakes := twoDNNSetup()
+	fakes[0].decay = 0.5
+	s = New(tuners, dnns, DefaultOptions())
+	s.Run(12)
+	if err := s.VerifyReplay(old); err == nil {
+		t.Error("a diverged run passes the old checkpoint")
 	}
 }

@@ -626,32 +626,6 @@ func (b *Builder) Softmax(x *Tensor) *Tensor {
 	})
 }
 
-// Pool2D emits a 2-D max or average pooling over NCHW.
-func (b *Builder) Pool2D(x *Tensor, kernel, stride int, avg bool) *Tensor {
-	nm := b.Fresh("pool2d")
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-kernel)/stride + 1
-	ow := (w-kernel)/stride + 1
-	out := Placeholder(nm+"_out", n, c, oh, ow)
-	f := FlopCount{MaxF: 1}
-	if avg {
-		f = FlopCount{AddF: 1}
-	}
-	// Space: n=0, c=1, oh=2, ow=3. Reduce: rh=4, rw=5.
-	return b.Emit(&Node{
-		Name:       nm,
-		Out:        out,
-		SpaceAxes:  axes([]string{"n", "c", "oh", "ow"}, []int{n, c, oh, ow}, Space),
-		ReduceAxes: axes([]string{"rh", "rw"}, []int{kernel, kernel}, Reduce),
-		Reads: []Access{{Tensor: x, Index: []LinExpr{
-			Var(0), Var(1),
-			Scaled(2, stride).Add(Var(4)),
-			Scaled(3, stride).Add(Var(5)),
-		}}},
-		Flops: f,
-	})
-}
-
 // Dense emits y[i,j] += x[i,k] * w[j,k] + bias (a fully connected layer
 // with constant weights, the building block of BERT and classifier heads).
 func (b *Builder) Dense(x *Tensor, units int) *Tensor {

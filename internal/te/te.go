@@ -249,16 +249,6 @@ type DAG struct {
 // Output returns the tensor produced by the last node.
 func (d *DAG) Output() *Tensor { return d.Nodes[len(d.Nodes)-1].Out }
 
-// NodeByName returns the node with the given name, or nil.
-func (d *DAG) NodeByName(name string) *Node {
-	for _, n := range d.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // Producer returns the node producing tensor t, or nil for graph inputs.
 func (d *DAG) Producer(t *Tensor) *Node {
 	for _, n := range d.Nodes {
@@ -382,39 +372,6 @@ func (d *DAG) String() string {
 		b.WriteString(")\n")
 	}
 	return b.String()
-}
-
-// IsElementwise reports whether the node has no reduce axes and every read
-// uses each space axis with unit stride at most once (ReLU, add, bias, ...).
-func (n *Node) IsElementwise() bool {
-	if len(n.ReduceAxes) > 0 {
-		return false
-	}
-	for _, acc := range n.Reads {
-		for _, ix := range acc.Index {
-			if len(ix.Terms) > 1 {
-				return false
-			}
-			for _, t := range ix.Terms {
-				if t.Coeff != 1 {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// HasFusibleConsumer reports whether node i of the DAG has exactly one
-// consumer and that consumer iterates over the same space volume so the
-// two can be fused (Table 1 rule 4's condition).
-func (d *DAG) HasFusibleConsumer(n *Node) bool {
-	cons := d.Consumers(n)
-	if len(cons) != 1 {
-		return false
-	}
-	c := cons[0]
-	return c.SpaceSize() == n.SpaceSize() && !c.DataReuse
 }
 
 // HasMoreReductionParallel reports whether the node has little parallelism

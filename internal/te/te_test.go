@@ -34,11 +34,8 @@ func TestMatmulReLUStructure(t *testing.T) {
 		t.Errorf("matmul flops = %g, want %g", got, float64(2*512*512*512))
 	}
 	relu := d.Nodes[1]
-	if !relu.StrictInlinable || !relu.IsElementwise() {
-		t.Error("relu should be strictly inlinable and elementwise")
-	}
-	if !d.HasFusibleConsumer(mm) {
-		t.Error("matmul should have a fusible consumer (relu)")
+	if !relu.StrictInlinable {
+		t.Error("relu should be strictly inlinable")
 	}
 	if len(d.Consumers(relu)) != 0 {
 		t.Error("relu is the output; no consumers expected")

@@ -95,7 +95,7 @@ go test -race -short ./internal/pool/ ./internal/measure/ ./internal/ir/ ./inter
 # which goroutine finished first — shows up only under some interleavings.
 step "race: proposals ahead of picks (x10)"
 gated 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|TestProposalContractViolationsPanic' ./internal/policy/ -race -count=10
-gated 'TestPrepareAheadChangesNoDecision|TestConvergedTaskIsNeverGuessed' ./internal/sched/ -race -count=10
+gated 'TestPrepareAheadChangesNoDecision|TestZeroGradientTaskIsNeverGuessed' ./internal/sched/ -race -count=10
 gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 
 # Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
