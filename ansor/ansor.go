@@ -249,6 +249,7 @@ type Tuner struct {
 	pol      *policy.Policy
 	measurer *measure.Measurer
 	sess     *session.Session
+	closed   bool
 }
 
 // spec maps the options' plumbing fields onto the run assembly's.
@@ -294,9 +295,17 @@ func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 // Close flushes and closes the tuning log (if RecordTo was set), flushes
 // any batched registry publishing, drains an EventsTo stream, and reports
 // the first write/publish error any of them hit — or, on a fleet-measured
-// run, the first broker failure the remote measurer latched. Safe to call
-// on a tuner that never recorded, and more than once.
-func (t *Tuner) Close() error { return t.sess.Close() }
+// run, the first broker failure the remote measurer latched. It also
+// gives the search's feature memory back, so Tune fails from here on;
+// Best, History and ModelFingerprint stay valid. Safe to call on a tuner
+// that never recorded, and more than once.
+func (t *Tuner) Close() error {
+	if !t.closed {
+		t.closed = true
+		t.pol.Release()
+	}
+	return t.sess.Close()
+}
 
 // Sketches returns the generated sketches of the task's search space
 // (incomplete programs with TILE placeholders, §4.1).
@@ -306,6 +315,9 @@ func (t *Tuner) Sketches() []*ir.State { return t.pol.Sketches() }
 // ApplyHistoryBest set it does not search at all: the registry's best
 // schedule is replayed with zero measurement trials.
 func (t *Tuner) Tune() (Program, error) {
+	if t.closed {
+		return Program{}, fmt.Errorf("ansor: tuner of task %q is closed", t.task.Name)
+	}
 	if t.opts.ApplyHistoryBest != "" {
 		return t.ApplyBest()
 	}
@@ -448,6 +460,11 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	var dnn sched.DNN
 	dnn.Name = net.Name
 	pols := make([]*policy.Scheduled, 0, len(net.Tasks))
+	defer func() {
+		for _, p := range pols {
+			p.Release() // once the results are read: nothing proposes again
+		}
+	}()
 	for i, task := range net.Tasks {
 		popts := policy.DefaultOptions()
 		popts.Seed = opts.Seed + int64(i)*31

@@ -3,6 +3,8 @@ package ansor
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func matmulDAG(t *testing.T) *DAG {
@@ -110,4 +112,46 @@ func TestTargets(t *testing.T) {
 	if !TargetNVIDIAGPU().Space.GPU {
 		t.Error("gpu target should use gpu sketch rules")
 	}
+}
+
+// TestTuneAfterCloseFails: Close gives the search's feature memory back,
+// so a later Tune returns an error before it proposes anything, while what
+// the tuner reports stays readable — the model fingerprint fitted after
+// Close included, which must equal that of a tuner never closed.
+func TestTuneAfterCloseFails(t *testing.T) {
+	task := NewTask("matmul", matmulDAG(t), TargetIntelCPU(false))
+	open := func() (*Tuner, *obs.Observer) {
+		o, _ := memObserver()
+		tuner, err := NewTuner(task, TuningOptions{Trials: 32, MeasuresPerRound: 16, Seed: 2, Observer: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tuner.Tune(); err != nil {
+			t.Fatal(err)
+		}
+		return tuner, o
+	}
+	kept, _ := open()
+	tuner, o := open()
+	best, _ := tuner.Best()
+	if err := tuner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tuner.ModelFingerprint(), kept.ModelFingerprint(); got != want {
+		t.Errorf("fingerprint after Close %016x, of a tuner not closed %016x", got, want)
+	}
+	prepared := o.Metrics.Snapshot().Counters["proposals_prepared"]
+	if _, err := tuner.Tune(); err == nil {
+		t.Fatal("Tune after Close returned no error")
+	}
+	if got := o.Metrics.Snapshot().Counters["proposals_prepared"]; got != prepared {
+		t.Errorf("Tune after Close prepared %d proposals", got-prepared)
+	}
+	if again, err := tuner.Best(); err != nil || again.State != best.State || again.Seconds != best.Seconds {
+		t.Errorf("Best after Close: %v, %v; before: %v", again, err, best)
+	}
+	if err := tuner.Close(); err != nil {
+		t.Errorf("a second Close: %v", err)
+	}
+	kept.Close()
 }

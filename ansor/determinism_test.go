@@ -146,6 +146,13 @@ func TestTuneNetworkRecordLogsEqualAcrossWorkers(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if workers == 1 {
+			dags := map[string]*DAG{}
+			for _, task := range net.Tasks {
+				dags[task.Name] = task.Build()
+			}
+			checkBestImproved(t, sink, dags, path)
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -176,6 +183,9 @@ func TestTuneNetworkRecordLogsEqualAcrossWorkers(t *testing.T) {
 	if c["proposals_committed"] != int64(units) || c["proposals_prepared"] != c["proposals_committed"]+c["proposals_unused"] {
 		t.Errorf("proposals prepared/committed/unused = %d/%d/%d over %d units",
 			c["proposals_prepared"], c["proposals_committed"], c["proposals_unused"], units)
+	}
+	if c["feat_cache_misses"] == 0 || c["feat_cache_hits"] == 0 {
+		t.Errorf("feature cache traffic of the proposals: %d hits, %d misses", c["feat_cache_hits"], c["feat_cache_misses"])
 	}
 	if starts, ends := len(sink.ByType(obs.EvRoundStart)), len(sink.ByType(obs.EvRoundEnd)); starts != ends || starts != int(c["proposals_prepared"]) {
 		t.Errorf("%d round_start, %d round_end, %d proposals: a round stays open", starts, ends, c["proposals_prepared"])

@@ -182,8 +182,11 @@ func TestWarmStartImprovesStart(t *testing.T) {
 	logFile := filepath.Join(dir, "log.json")
 	tuned := runPersistTune(t, 32, 0, logFile, "")
 
-	tuner, err := NewTuner(NewTask("mm", persistDAG(t), TargetIntelCPU(true)), TuningOptions{
-		Trials: 16, MeasuresPerRound: 16, Seed: 11, WarmStartFrom: logFile,
+	o, sink := memObserver()
+	task := NewTask("mm", persistDAG(t), TargetIntelCPU(true))
+	warmLog := filepath.Join(dir, "warm.json")
+	tuner, err := NewTuner(task, TuningOptions{
+		Trials: 16, MeasuresPerRound: 16, Seed: 11, WarmStartFrom: logFile, RecordTo: warmLog, Observer: o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +195,14 @@ func TestWarmStartImprovesStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tuner.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if best.Seconds > tuned.seconds {
 		t.Errorf("warm-started search (%g) regressed below the recorded best (%g)", best.Seconds, tuned.seconds)
+	}
+	if checkBestImproved(t, sink, map[string]*DAG{task.Name: task.DAG}, logFile, warmLog) == 0 {
+		t.Error("no best program was compared with the naive one")
 	}
 }
 

@@ -38,9 +38,10 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // 8 000); the layout it replaced (a pointer, an atom slice and a formatted
 // name per loop, maps in Validate and Lower) cost 10 to 20 times as much,
 // so a change that brings per-loop allocations back fails here. A miss
-// of the feature cache lowers into borrowed memory (ir.LowerBorrowed) and
-// costs 6 with the fresh cache the test hands it — the features' two, the
-// stage names, the cache and its map — where lowering to size made it 14
+// of the feature cache lowers into borrowed memory (ir.LowerBorrowed),
+// carves its rows from a chunk of the free list and costs 6 with the
+// fresh cache the test hands it — the row headers, the stage names, the
+// cache, its map and its chunk list — where lowering to size made it 14
 // (its ceiling is wider than the others': a scratch the race detector's
 // pool dropped costs a borrowed lowering more to rebuild). The step codec
 // is on the same path — every measured program is encoded for its record,
@@ -48,11 +49,12 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // costs 1 and 26 where the reflection pair cost 11 and 110.
 //
 // A search run replays its children into borrowed arenas: it cost 8 000
-// objects and 3.0 MiB while every replay was the heap's, and costs 4 500
-// and 1.05 MiB now (ceilings a tenth above), most of it the feature rows
-// of programs nobody had seen; a replay into an arena that has its chunks
-// allocates nothing, and reading the signature then costs the memo and
-// its string.
+// objects and 3.0 MiB while every replay was the heap's, and 4 500 and
+// 1.05 MiB while the feature rows of programs nobody had seen were the
+// heap's too. With the rows carved from the chunks the last run's cache
+// released, it costs 4 450 and 440 KiB (ceilings a tenth above); a replay
+// into an arena that has its chunks allocates nothing, and reading the
+// signature then costs the memo and its string.
 func TestProgramPathAllocationCeilings(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
@@ -84,7 +86,9 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	evoRun := func() {
 		search := NewSearch(Config{PopulationSize: 96, Generations: 4, CrossoverProb: 0.15,
 			EliteCount: 12, Seed: int64(i), Workers: 1})
-		search.Run(dag, pop[:50], featScorer{feat.NewCache(0)}, 32)
+		feats := feat.NewCache(0)
+		search.Run(dag, pop[:50], featScorer{feats}, 32)
+		feats.Release()
 		i++
 	}
 	for _, c := range []struct {
@@ -97,7 +101,11 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 		{"arena replay, steady state", 200, 0, inArena(false)},
 		{"arena replay and signature", 200, 4, inArena(true)},
 		{"ir.Lower", 200, 10, func() { _, _ = ir.Lower(next()) }},
-		{"feat.Cache.Program miss", 200, 12, func() { feat.NewCache(0).Program(next()) }},
+		{"feat.Cache.Program miss", 200, 12, func() {
+			c := feat.NewCache(0)
+			c.Program(next())
+			c.Release()
+		}},
 		{"ir.EncodeSteps", 200, 1, func() { _, _ = ir.EncodeSteps(next().Steps) }},
 		{"ir.DecodeSteps", 200, 32, func() { _, _ = ir.DecodeSteps(encoded[i%len(pop)]); i++ }},
 		{"anno.Sample", 200, 32, func() { _, _ = sampler.Sample(sketches[0]) }},
@@ -116,7 +124,7 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	}
 	// The bytes of a run, beside its objects. The arena it borrows has
 	// its chunks by now: the rows above ran on the free list's.
-	const runs, ceilingKiB = 5, 1170
+	const runs, ceilingKiB = 5, 490
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 0; k < runs; k++ {

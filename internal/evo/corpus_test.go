@@ -486,7 +486,7 @@ func miniFamilies() []workloads.Workload {
 }
 
 // checkLegal asserts what must hold of every program the search can
-// emit: it lowers, every access stays inside its tensor, and its step
+// emit: it lowers, every access stays inside its tensor (CheckBounds), and its step
 // list survives the wire encoding. With verify set it is also compared,
 // write for write, with the naive program.
 func checkLegal(t *testing.T, where string, dag *te.DAG, m *sim.Machine, c candidate, verify bool) {
@@ -509,38 +509,8 @@ func checkLegal(t *testing.T, where string, dag *te.DAG, m *sim.Machine, c candi
 		t.Errorf("%s: valid program does not lower: %v\n%s", where, err, s.Print())
 		return
 	}
-	// A predicated node (padding, zero insertion) guards its reads: the
-	// halo it sweeps beyond its input is never dereferenced.
-	guarded := map[*te.Tensor]bool{}
-	for _, n := range dag.Nodes {
-		if n.Predicated {
-			for _, r := range n.Reads {
-				guarded[r.Tensor] = true
-			}
-		}
-	}
-	for i := range low.Stmts {
-		st := &low.Stmts[i]
-		accs := append([]ir.FlatAccess{*st.Write}, st.Reads...)
-		for _, a := range accs {
-			if guarded[a.Tensor] {
-				continue
-			}
-			for d, size := range a.Tensor.Shape {
-				lo, hi := 0, 0
-				for j, coef := range a.Row(d) {
-					if sweep := coef * (st.Loops[j].Extent - 1); sweep > 0 {
-						hi += sweep
-					} else {
-						lo += sweep
-					}
-				}
-				if hi-lo >= size {
-					t.Errorf("%s: stmt %s sweeps %d indices of dim %d of %s (size %d)\n%s",
-						where, st.Stage.Name, hi-lo+1, d, a.Tensor.Name, size, s.Print())
-				}
-			}
-		}
+	if err := low.CheckBounds(); err != nil {
+		t.Errorf("%s: %v\n%s", where, err, s.Print())
 	}
 	enc, err := ir.EncodeSteps(s.Steps)
 	if err != nil {

@@ -126,19 +126,33 @@ func (s *splitMix64) Uint64() uint64 {
 // the heap: every child is replayed into a borrowed arena, and what Run
 // hands out of one (or of the caller's, through init) is a clone.
 func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*ir.State {
-	if len(init) == 0 {
-		return nil
+	res, release := e.RunBorrowed(dag, init, scorer, out)
+	defer release()
+	for i, s := range res {
+		if s.InArena() {
+			res[i] = s.Clone()
+		}
 	}
+	return res
+}
+
+// RunBorrowed is Run without the clones: the children it returns live in
+// the arenas it borrowed, which stay borrowed until the caller calls
+// release, exactly once, after cloning what it keeps.
+func (e *Search) RunBorrowed(dag *te.DAG, init []*ir.State, scorer Scorer, out int) (res []*ir.State, release func()) {
 	// The arenas this Run has borrowed and no attempt is in: an attempt
 	// takes one for as long as it runs, so each is one goroutine's at a
-	// time, and the children live in them until Run returns.
+	// time, and the children live in them until release.
 	arenas := make(chan *ir.Arena, e.pool.Workers())
-	defer func() {
+	release = func() {
 		close(arenas)
 		for a := range arenas {
 			a.Release()
 		}
-	}()
+	}
+	if len(init) == 0 {
+		return nil, release
+	}
 	pop := append([]*ir.State(nil), init...)
 	type scored struct {
 		s     *ir.State
@@ -247,13 +261,11 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 	if out > len(all) {
 		out = len(all)
 	}
-	res := make([]*ir.State, out)
-	for i := 0; i < out; i++ {
-		if res[i] = all[i].s; res[i].InArena() {
-			res[i] = res[i].Clone()
-		}
+	res = make([]*ir.State, out)
+	for i := range res {
+		res[i] = all[i].s
 	}
-	return res
+	return res, release
 }
 
 // offspring produces one child (or nil) from its private RNG, in the

@@ -153,6 +153,7 @@ func searchFramework(fw Framework, name string, d *te.DAG, plat Platform, cfg Co
 		if err != nil {
 			return math.Inf(1)
 		}
+		defer p.Release()
 		return p.Tune(cfg.Trials, cfg.PerRound)
 	case FwAutoTVM:
 		ms := cfg.measurer(plat.Machine, cfg.Seed)
@@ -160,6 +161,7 @@ func searchFramework(fw Framework, name string, d *te.DAG, plat Platform, cfg Co
 		if err != nil {
 			return math.Inf(1)
 		}
+		defer p.Release()
 		return p.Tune(cfg.Trials, cfg.PerRound)
 	case FwAnsor:
 		ms := cfg.measurer(plat.Machine, cfg.Seed)
@@ -167,6 +169,7 @@ func searchFramework(fw Framework, name string, d *te.DAG, plat Platform, cfg Co
 		if err != nil {
 			return math.Inf(1)
 		}
+		defer p.Release()
 		p.Obs = cfg.Session.Observer()
 		cfg.warmStart(p, plat.Machine.Name)
 		return p.Tune(cfg.Trials, cfg.PerRound)

@@ -103,6 +103,7 @@ func Fig7(cfg Config, runs int) Fig7Result {
 					p.SearchRound(min(cfg.PerRound, cfg.Trials-p.Trials))
 					record(p.Trials, p.BestTime)
 				}
+				p.Release()
 			}
 			curvesRaw[v] = append(curvesRaw[v], h)
 		}

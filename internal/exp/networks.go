@@ -143,6 +143,7 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	}
 	for _, p := range pols {
 		p.Abandon() // a task prepared on a guess the scheduler never confirmed
+		p.Release()
 	}
 	if len(res.Curve) > 0 {
 		res.Latencies = res.Curve[len(res.Curve)-1].Latencies

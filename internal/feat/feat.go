@@ -4,6 +4,11 @@
 // features, GPU binding features, an arithmetic-intensity curve, per-buffer
 // access features, allocation features and outer-loop features. Numeric
 // magnitudes are log2(x+1)-scaled as in TVM's auto_scheduler.
+//
+// Extract returns rows on the heap. Cache, the search's memo of them,
+// carves its rows from chunks it borrows from a bounded free list and
+// gives back in Release: rows a reader keeps past that come from Keep,
+// which moves them to the heap.
 package feat
 
 import (
@@ -134,8 +139,13 @@ func (sc *scratch) release() {
 // program (slab + row index) regardless of statement count, plus pooled
 // scratch for the per-statement working sets.
 func Extract(low *ir.Lowered) [][]float64 {
+	return extractInto(low, make([]float64, len(low.Stmts)*Dim))
+}
+
+// extractInto is Extract with the rows in slab (zeroed, len(low.Stmts)*Dim
+// long): only the row index is allocated.
+func extractInto(low *ir.Lowered, slab []float64) [][]float64 {
 	out := make([][]float64, len(low.Stmts))
-	slab := make([]float64, len(low.Stmts)*Dim)
 	sc := scratchPool.Get().(*scratch)
 	for i := range low.Stmts {
 		v := slab[i*Dim : (i+1)*Dim : (i+1)*Dim]

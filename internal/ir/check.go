@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+
+	"repro/internal/te"
 )
 
 // This file implements a semantic checker for lowered programs: it
@@ -138,6 +140,48 @@ func VerifyAgainstNaive(s *State, limit int64) error {
 			continue
 		}
 		return fmt.Errorf("ir: tensor %q write counts diverge from naive (no cache stage explains it)", name)
+	}
+	return nil
+}
+
+// CheckBounds reports the first access of the lowered program whose loops
+// sweep more indices of a tensor dimension than the dimension has. The
+// reads of a predicated node (padding, zero insertion) are guarded: the
+// halo they sweep beyond their input is never dereferenced.
+func (l *Lowered) CheckBounds() error {
+	guarded := map[*te.Tensor]bool{}
+	for _, n := range l.State.DAG.Nodes {
+		if n.Predicated {
+			for _, r := range n.Reads {
+				guarded[r.Tensor] = true
+			}
+		}
+	}
+	for i := range l.Stmts {
+		st := &l.Stmts[i]
+		for k := -1; k < len(st.Reads); k++ {
+			a := st.Write
+			if k >= 0 {
+				a = &st.Reads[k]
+			}
+			if a == nil || guarded[a.Tensor] {
+				continue
+			}
+			for d, size := range a.Tensor.Shape {
+				lo, hi := 0, 0
+				for j, coef := range a.Row(d) {
+					if sweep := coef * (st.Loops[j].Extent - 1); sweep > 0 {
+						hi += sweep
+					} else {
+						lo += sweep
+					}
+				}
+				if hi-lo >= size {
+					return fmt.Errorf("ir: stmt %s sweeps %d indices of dim %d of %s (size %d)",
+						st.Stage.Name, hi-lo+1, d, a.Tensor.Name, size)
+				}
+			}
+		}
 	}
 	return nil
 }

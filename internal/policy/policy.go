@@ -130,7 +130,8 @@ type Policy struct {
 	// feats memoizes Lower+Extract per program signature across rounds:
 	// best-k states reseed every round's population and evolution keeps
 	// re-deriving equal programs, so each distinct program is featurized
-	// exactly once per task (ISSUE 6's transport-gap slice).
+	// exactly once per task. Its rows are borrowed memory, given back in
+	// Release; progFeats holds the rows Keep moved to the heap.
 	feats *feat.Cache
 
 	// Incremental-training state: the program count at the last model
@@ -294,9 +295,12 @@ func (p *Policy) Propose(numMeasure int) {
 	p.Obs.Emit(obs.Event{Type: obs.EvRoundStart, Task: p.Task.Name, Round: p.round,
 		Trials: p.Trials})
 	p.fit()
-	// What is sampled lives in a borrowed arena until the proposal is
-	// made: only the batch, detached here, outlives it.
+	// What is sampled, and what evolution derives, lives in borrowed
+	// arenas until the proposal is made: only the batch, detached here,
+	// outlives them.
 	arena := ir.BorrowArena()
+	releaseEvolved := func() {}
+	hits0, misses0, _ := p.feats.Stats()
 	defer func() {
 		for i, s := range prop.batch {
 			if s.InArena() {
@@ -304,6 +308,10 @@ func (p *Policy) Propose(numMeasure int) {
 			}
 		}
 		arena.Release()
+		releaseEvolved()
+		hits, misses, _ := p.feats.Stats()
+		p.Obs.Add("feat_cache_hits", hits-hits0)
+		p.Obs.Add("feat_cache_misses", misses-misses0)
 	}()
 	var init []*ir.State
 	p.phase("sketch", func() {
@@ -332,7 +340,7 @@ func (p *Policy) Propose(numMeasure int) {
 			Workers:        p.Opts.Workers,
 		})
 		p.phase("evolve", func() {
-			candidates = search.Run(p.Task.DAG, init, sc, 4*numMeasure)
+			candidates, releaseEvolved = search.RunBorrowed(p.Task.DAG, init, sc, 4*numMeasure)
 		})
 	}
 	p.phase("score", func() { prop.batch = p.pickBatch(sc, candidates, numMeasure) })
@@ -448,7 +456,7 @@ func (p *Policy) update(results []measure.Result) {
 		if r.Err != nil || r.Seconds <= 0 {
 			continue
 		}
-		e, ok := p.feats.Program(r.State)
+		e, ok := p.feats.Keep(r.State)
 		if !ok {
 			continue
 		}
@@ -461,7 +469,8 @@ func (p *Policy) update(results []measure.Result) {
 
 // absorb folds one measured program into the accumulated training data,
 // the measured set and best tracking (pool rebuild and marking the model
-// stale are the caller's job).
+// stale are the caller's job). feats come from the feature cache's Keep:
+// they are on the heap and outlive its Release.
 func (p *Policy) absorb(s *ir.State, feats [][]float64, seconds float64) {
 	p.progFeats = append(p.progFeats, feats)
 	p.progTimes = append(p.progTimes, seconds)
@@ -585,7 +594,7 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 		if p.measuredSigs[s.Signature()] {
 			continue
 		}
-		e, ok := p.feats.Program(s)
+		e, ok := p.feats.Keep(s)
 		if !ok {
 			// The cache records the failure; re-lower once to surface the
 			// actual error to the caller.
@@ -605,6 +614,11 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 	}
 	return n, first
 }
+
+// Release hands the feature cache's memory back once the search is over.
+// The policy must not propose or commit again (the cache panics); what it
+// reports, its training data and ModelFingerprint stay valid.
+func (p *Policy) Release() { p.feats.Release() }
 
 // ModelFingerprint hashes the cost-model ensemble trained on everything
 // absorbed so far, fitting it first if it is stale; equal fingerprints

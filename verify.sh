@@ -104,9 +104,11 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # Propose leaves no program of an arena — the in-process measurer, whose
 # goroutines share pooled lowering scratch, and feature extraction, whose
 # pooled scratch carries lg's memo from one holder to the next, the
-# recorder, whose goroutines share one line buffer, and the cost model's
-# trainers, which two models training at once borrow from one free list.
-# Ten times, because an arena, a scratch or a trainer handed to two
+# feature cache's chunks, which concurrent lookups carve and whole runs
+# hand from one cache to the next (poisoned in between), the recorder,
+# whose goroutines share one line buffer, and the cost model's trainers,
+# which two models training at once borrow from one free list. Ten
+# times, because an arena, a scratch, a chunk or a trainer handed to two
 # goroutines, or read after its release, shows only when another
 # borrower has reused it in between.
 step "race: borrowed program memory (x10)"
@@ -114,7 +116,7 @@ gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
 gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
 gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
 gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=10
-gated TestExtractConcurrentMatchesSerial ./internal/feat/ -race -count=10
+gated 'TestExtractConcurrentMatchesSerial|TestCacheConcurrentLookups|TestReusedChunksMatchFresh' ./internal/feat/ -race -count=10
 gated TestRecorderConcurrentLinesIntact ./internal/measure/ -race -count=10
 gated TestConcurrentTrainingMatchesSerial ./internal/xgb/ -race -count=10
 
