@@ -187,6 +187,9 @@ func TestTuneNetworkRecordLogsEqualAcrossWorkers(t *testing.T) {
 	if c["feat_cache_misses"] == 0 || c["feat_cache_hits"] == 0 {
 		t.Errorf("feature cache traffic of the proposals: %d hits, %d misses", c["feat_cache_hits"], c["feat_cache_misses"])
 	}
+	if c["score_memo_misses"] == 0 || c["score_memo_hits"] == 0 {
+		t.Errorf("score memo traffic of the proposals: %d hits, %d misses", c["score_memo_hits"], c["score_memo_misses"])
+	}
 	if starts, ends := len(sink.ByType(obs.EvRoundStart)), len(sink.ByType(obs.EvRoundEnd)); starts != ends || starts != int(c["proposals_prepared"]) {
 		t.Errorf("%d round_start, %d round_end, %d proposals: a round stays open", starts, ends, c["proposals_prepared"])
 	}

@@ -62,8 +62,9 @@ func TestScoreAllDedupesTwins(t *testing.T) {
 	want := sc.Score(pop) // reference: score every slot independently
 	sc.calls.Store(0)
 
-	e := NewSearch(DefaultConfig())
-	got := e.scoreAll(sc, pop)
+	tables := borrowTables()
+	defer tables.release()
+	got := tables.scoreAll(NewSearch(DefaultConfig()).pool, sc, pop)
 	if len(got) != len(pop) {
 		t.Fatalf("scoreAll returned %d scores for %d states", len(got), len(pop))
 	}

@@ -17,6 +17,7 @@ package evo
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/anno"
@@ -138,44 +139,31 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 
 // RunBorrowed is Run without the clones: the children it returns live in
 // the arenas it borrowed, which stay borrowed until the caller calls
-// release, exactly once, after cloning what it keeps.
+// release, exactly once, after cloning what it keeps. The run's
+// bookkeeping is borrowed too, and goes back with them.
 func (e *Search) RunBorrowed(dag *te.DAG, init []*ir.State, scorer Scorer, out int) (res []*ir.State, release func()) {
-	// The arenas this Run has borrowed and no attempt is in: an attempt
+	// The attempters this Run has made and no attempt is in: an attempt
 	// takes one for as long as it runs, so each is one goroutine's at a
-	// time, and the children live in them until release.
-	arenas := make(chan *ir.Arena, e.pool.Workers())
+	// time, and the children live in their arenas until release.
+	idle := make(chan *attempter, e.pool.Workers())
+	t := borrowTables()
 	release = func() {
-		close(arenas)
-		for a := range arenas {
-			a.Release()
+		t.release()
+		close(idle)
+		for w := range idle {
+			w.a.Release()
 		}
 	}
 	if len(init) == 0 {
 		return nil, release
 	}
-	pop := append([]*ir.State(nil), init...)
-	type scored struct {
-		s     *ir.State
-		sig   string
-		score float64
-	}
-	best := map[string]scored{}
-	// record keys the best-map off the memoized signature: elites and
-	// re-derived twins survive across generations, so this reads the
-	// cached string rather than rebuilding it per generation.
-	record := func(states []*ir.State, scores []float64) {
-		for i, s := range states {
-			sig := s.Signature()
-			if b, ok := best[sig]; !ok || scores[i] > b.score {
-				best[sig] = scored{s, sig, scores[i]}
-			}
-		}
-	}
-	scores := e.scoreAll(scorer, pop)
-	record(pop, scores)
+	pop, next := append(t.pop, init...), t.next
+	scores := t.scoreAll(e.pool, scorer, pop)
+	t.record(pop, scores)
 	for gen := 0; gen < e.Cfg.Generations; gen++ {
-		next := e.elites(pop, scores)
-		sel := newRoulette(scores)
+		next = t.elites(next[:0], pop, scores, e.Cfg.EliteCount)
+		sel := newRoulette(t.cum, scores)
+		t.cum = sel.cum
 		// Offspring attempts run in waves. A wave's size depends only on
 		// how many children are still missing — never on the worker count
 		// — and each attempt's outcome is a pure function of its seed and
@@ -197,20 +185,9 @@ func (e *Search) RunBorrowed(dag *te.DAG, init []*ir.State, scorer Scorer, out i
 			if wave > maxAttempts-attempt {
 				wave = maxAttempts - attempt
 			}
-			children := make([]*ir.State, wave)
-			base := attempt
-			e.pool.Map(wave, func(k int) {
-				src := splitMix64(attemptSeed(e.Cfg.Seed, gen, base+k))
-				rng := rand.New(&src)
-				var a *ir.Arena
-				select {
-				case a = <-arenas:
-				default:
-					a = ir.BorrowArena()
-				}
-				children[k] = e.offspring(a, dag, pop, sel, scorer, rng)
-				arenas <- a
-			})
+			children := slices.Grow(t.children[:0], wave)[:wave]
+			t.children = children
+			e.attempts(children, idle, dag, pop, sel, scorer, gen, attempt)
 			attempt += wave
 			for _, c := range children {
 				if c != nil && len(next) < e.Cfg.PopulationSize {
@@ -221,57 +198,44 @@ func (e *Search) RunBorrowed(dag *te.DAG, init []*ir.State, scorer Scorer, out i
 		if len(next) == 0 {
 			break
 		}
-		pop = next
-		scores = e.scoreAll(scorer, pop)
-		record(pop, scores)
+		pop, next = next, pop
+		scores = t.scoreAll(e.pool, scorer, pop)
+		t.record(pop, scores)
 	}
-	// Return the top `out` distinct programs. Equal scores tie-break on
-	// the program signature: map iteration order must never leak into the
-	// result (the determinism contract of DESIGN.md).
-	all := make([]scored, 0, len(best))
-	for _, b := range best {
-		all = append(all, b)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	t.pop, t.next = pop, next
+	return t.cut(out), release
+}
+
+// attempts makes the attempts base, base+1, ... of generation gen, one
+// per slot of children, each writing its child (or nil) to its slot.
+func (e *Search) attempts(children []*ir.State, idle chan *attempter, dag *te.DAG, pop []*ir.State, sel roulette, scorer Scorer, gen, base int) {
+	e.pool.Map(len(children), func(k int) {
+		var w *attempter
+		select {
+		case w = <-idle:
+		default:
+			w = &attempter{a: ir.BorrowArena()}
+			w.rng = rand.New(&w.src)
 		}
-		return all[i].sig < all[j].sig
+		w.rng.Seed(attemptSeed(e.Cfg.Seed, gen, base+k))
+		children[k] = e.offspring(w.a, dag, pop, sel, scorer, w.rng)
+		idle <- w
 	})
-	// Family-diverse cut: the exact signature distinguishes near-twin
-	// variants of one loop structure (packed vs. unpacked constant
-	// layout) that score adjacently, so taking the top `out` verbatim
-	// would crowd the result with twins and starve distinct structures.
-	// Keep the best scorer of each structural family first, then fill
-	// with the twins — both in the deterministic sorted order, so the
-	// result is still a pure function of the inputs.
-	seenFam := map[string]bool{}
-	lead := make([]scored, 0, len(all))
-	var twins []scored
-	for _, b := range all {
-		fam := b.s.FamilySignature()
-		if seenFam[fam] {
-			twins = append(twins, b)
-			continue
-		}
-		seenFam[fam] = true
-		lead = append(lead, b)
-	}
-	all = append(lead, twins...)
-	if out > len(all) {
-		out = len(all)
-	}
-	res = make([]*ir.State, out)
-	for i := range res {
-		res[i] = all[i].s
-	}
-	return res, release
+}
+
+// attempter is what an offspring attempt runs in: a borrowed arena, and
+// an RNG that the attempt reseeds, so it draws exactly what a new one
+// would.
+type attempter struct {
+	a   *ir.Arena
+	src splitMix64
+	rng *rand.Rand
 }
 
 // offspring produces one child (or nil) from its private RNG, in the
 // arena: the genes are assembled in a step buffer the arena owns, and an
 // attempt that yields no child gives back all it took.
-func (e *Search) offspring(a *ir.Arena, dag *te.DAG, pop []*ir.State, sel *roulette, scorer Scorer, rng *rand.Rand) *ir.State {
+func (e *Search) offspring(a *ir.Arena, dag *te.DAG, pop []*ir.State, sel roulette, scorer Scorer, rng *rand.Rand) *ir.State {
 	m := a.Mark()
 	var steps []ir.Step
 	ok := true
@@ -325,61 +289,6 @@ func ScoreAllInto(pl *pool.Pool, scorer Scorer, states []*ir.State, out []float6
 	})
 }
 
-// scoreAll scores one population with within-wave dedupe: twin
-// offspring (equal signatures — mutation and crossover keep re-deriving
-// the same program from different parents, and elites survive rounds
-// verbatim) are scored once and share the result. Scores are pure
-// functions of the program under a frozen model, so sharing cannot
-// change any value — only skip redundant ensemble walks. Grouping keys
-// off the memoized signature and first occurrence wins, so the unique
-// set and the expanded result are pure functions of the population
-// order.
-func (e *Search) scoreAll(scorer Scorer, pop []*ir.State) []float64 {
-	scores := make([]float64, len(pop))
-	ref := make([]int, len(pop))
-	uniq := make([]*ir.State, 0, len(pop))
-	first := make(map[string]int, len(pop))
-	for i, s := range pop {
-		sig := s.Signature()
-		j, dup := first[sig]
-		if !dup {
-			j = len(uniq)
-			first[sig] = j
-			uniq = append(uniq, s)
-		}
-		ref[i] = j
-	}
-	uscores := scores[:len(uniq)]
-	if len(uniq) < len(pop) {
-		uscores = make([]float64, len(uniq))
-	}
-	ScoreAllInto(e.pool, scorer, uniq, uscores)
-	if len(uniq) < len(pop) {
-		for i, j := range ref {
-			scores[i] = uscores[j]
-		}
-	}
-	return scores
-}
-
-// elites returns the top EliteCount programs of the current population.
-func (e *Search) elites(pop []*ir.State, scores []float64) []*ir.State {
-	idx := make([]int, len(pop))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	n := e.Cfg.EliteCount
-	if n > len(pop) {
-		n = len(pop)
-	}
-	out := make([]*ir.State, n)
-	for i := 0; i < n; i++ {
-		out[i] = pop[idx[i]]
-	}
-	return out
-}
-
 // roulette implements fitness-proportional selection with a shift making
 // all weights positive. It is immutable after construction; callers pass
 // their own RNG to pick, so concurrent picks stay independent.
@@ -387,23 +296,25 @@ type roulette struct {
 	cum []float64
 }
 
-func newRoulette(scores []float64) *roulette {
+// newRoulette returns the roulette of scores, its weights in cum's
+// memory.
+func newRoulette(cum, scores []float64) roulette {
 	min := 0.0
 	for _, s := range scores {
 		if s < min {
 			min = s
 		}
 	}
-	cum := make([]float64, len(scores))
+	cum = cum[:0]
 	total := 0.0
-	for i, s := range scores {
+	for _, s := range scores {
 		total += s - min + 1e-6
-		cum[i] = total
+		cum = append(cum, total)
 	}
-	return &roulette{cum: cum}
+	return roulette{cum}
 }
 
-func (r *roulette) pick(rng *rand.Rand) int {
+func (r roulette) pick(rng *rand.Rand) int {
 	if len(r.cum) == 0 {
 		return 0
 	}

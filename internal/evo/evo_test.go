@@ -164,7 +164,7 @@ func TestCrossoverMergesParents(t *testing.T) {
 
 func TestRouletteFavorsHighScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	r := newRoulette([]float64{0.1, 0.1, 10})
+	r := newRoulette(nil, []float64{0.1, 0.1, 10})
 	count := 0
 	for i := 0; i < 1000; i++ {
 		if r.pick(rng) == 2 {

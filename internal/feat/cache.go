@@ -49,14 +49,21 @@ type Entry struct {
 // program's rows are allocated once, on the heap. The chunks save bytes
 // only when a later cache in the same process borrows them: several
 // tuning runs in one process (successive TuneNetwork calls, the
-// experiment runner, the benchmark). A generation reset leaves the old chunks to the collector,
-// not to the free list: a proposal in flight may still read their rows.
+// experiment runner, the benchmark). A generation reset leaves the old
+// chunks to the collector, not to the free list: a proposal in flight
+// may still read their rows. The entries themselves live in blocks the
+// cache allocates as it fills, one per entryBlock misses; the map holds
+// pointers into them, and a reader gets a copy.
 type Cache struct {
-	mu     sync.RWMutex
-	m      map[string]Entry // nil once released
-	limit  int
-	chunks [][]float64 // rows are carved from the last one, at off
-	off    int
+	mu sync.RWMutex
+	// m points into blocks of entryBlock entries, filled in order
+	// (entries is the current one), so growing the map moves a pointer
+	// per entry, not a 72-byte Entry. Readers copy an entry under mu.
+	m       map[string]*Entry // nil once released
+	entries []Entry
+	limit   int
+	chunks  [][]float64 // rows are carved from the last one, at off
+	off     int
 	// holes[k] holds the slabs of k statements that Keep moved out of.
 	holes  [][][]float64
 	hits   atomic.Int64
@@ -64,6 +71,7 @@ type Cache struct {
 }
 
 const (
+	entryBlock  = 64
 	chunkFloats = 64 << 10 / 8 // a chunk is 64 KiB of rows
 	// chunksKept bounds the free list: 16 MiB, above the 12–15.6 MiB of
 	// rows a tune-net op carves, so the next op borrows all it needs.
@@ -81,7 +89,7 @@ var freeChunks struct {
 // NewCache returns a feature cache bounded to limit entries (0 =
 // unbounded).
 func NewCache(limit int) *Cache {
-	return &Cache{m: map[string]Entry{}, limit: limit}
+	return &Cache{m: map[string]*Entry{}, limit: limit}
 }
 
 // Program returns the cached entry for s, computing (and caching) it on
@@ -89,8 +97,12 @@ func NewCache(limit int) *Cache {
 // cached as a nil-feature entry. It panics on a released cache.
 func (c *Cache) Program(s *ir.State) (Entry, bool) {
 	sig := s.Signature()
+	var e Entry
 	c.mu.RLock()
-	e, hit := c.m[sig]
+	p, hit := c.m[sig]
+	if hit {
+		e = *p
+	}
 	released := c.m == nil
 	c.mu.RUnlock()
 	if released {
@@ -115,10 +127,14 @@ func (c *Cache) Program(s *ir.State) (Entry, bool) {
 	}
 	c.mu.Lock()
 	if c.limit > 0 && len(c.m) >= c.limit {
-		c.m = map[string]Entry{}
-		c.chunks, c.off, c.holes = nil, 0, nil
+		c.m = map[string]*Entry{}
+		c.entries, c.chunks, c.off, c.holes = nil, nil, 0, nil
 	}
-	c.m[sig] = e
+	if len(c.entries) == cap(c.entries) {
+		c.entries = make([]Entry, 0, entryBlock)
+	}
+	c.entries = append(c.entries, e)
+	c.m[sig] = &c.entries[len(c.entries)-1]
 	c.mu.Unlock()
 	return e, e.Feats != nil
 }
@@ -135,27 +151,27 @@ func (c *Cache) Keep(s *ir.State) (Entry, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, in := c.m[s.Signature()]
+	p, in := c.m[s.Signature()]
 	switch {
-	case !in || &e.Stages[0] != &first.Stages[0]:
+	case !in || &p.Stages[0] != &first.Stages[0]:
 		// A reset since Program: first's chunk went to the collector,
 		// never to the free list.
 		return first, true
-	case e.slab == nil:
-		return e, true // another Keep moved it
+	case p.slab == nil:
+		return *p, true // another Keep moved it
 	}
+	e := *p
 	slab := append([]float64(nil), e.slab...)
-	kept := Entry{Feats: make([][]float64, len(e.Feats)), Stages: e.Stages}
-	for i := range kept.Feats {
-		kept.Feats[i] = slab[i*Dim : (i+1)*Dim : (i+1)*Dim]
+	*p = Entry{Feats: make([][]float64, len(e.Feats)), Stages: e.Stages}
+	for i := range p.Feats {
+		p.Feats[i] = slab[i*Dim : (i+1)*Dim : (i+1)*Dim]
 	}
-	c.m[s.Signature()] = kept
 	k := len(e.Feats)
 	for len(c.holes) <= k {
 		c.holes = append(c.holes, nil)
 	}
 	c.holes[k] = append(c.holes[k], e.slab)
-	return kept, true
+	return *p, true
 }
 
 // carve returns the zeroed rows of stmts statements, a slab no live
@@ -195,7 +211,7 @@ func (c *Cache) Release() {
 		panic("feat: feature cache released twice")
 	}
 	chunks := c.chunks
-	c.m, c.chunks, c.off, c.holes = nil, nil, 0, nil
+	c.m, c.entries, c.chunks, c.off, c.holes = nil, nil, nil, 0, nil
 	c.mu.Unlock()
 	freeChunks.Lock()
 	defer freeChunks.Unlock()

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -53,6 +54,19 @@ func TestSignatureMemoization(t *testing.T) {
 	}
 }
 
+// TestAppendFamilyIsReplaceAll holds the family the search compares to
+// the one FamilySignature renders: every packing marker removed, left to
+// right, without looking again across the seams a removal makes.
+func TestAppendFamilyIsReplaceAll(t *testing.T) {
+	buf := []byte("stale")
+	for _, sig := range []string{"", "!pk", "!p", "a!pkb!pk", "!!pkpk", "!pk!pk", "x!p!pkk;", "conv!pk[1,2,]u0;"} {
+		buf = AppendFamily(buf[:0], sig)
+		if want := strings.ReplaceAll(sig, "!pk", ""); string(buf) != want {
+			t.Errorf("family of %q is %q, want %q", sig, buf, want)
+		}
+	}
+}
+
 // TestSignatureConcurrentReads races many Signature/FamilySignature
 // readers over one shared state (the sharded scorer does exactly this);
 // run under -race by the CI gates. All readers must agree.
@@ -84,7 +98,8 @@ func TestSignatureConcurrentReads(t *testing.T) {
 
 // TestSignatureMemoizedZeroAlloc pins the steady-state signature read at
 // zero allocations: after the first build, dedupe-map and cache keys
-// must not rebuild the string.
+// must not rebuild the string. The family is not memoized: the search
+// appends it to a buffer of its own, which allocates nothing either.
 func TestSignatureMemoizedZeroAlloc(t *testing.T) {
 	s := NewState(matmulReLU(64, 64, 64))
 	s.MustApply(&MultiLevelTileStep{
@@ -95,9 +110,10 @@ func TestSignatureMemoizedZeroAlloc(t *testing.T) {
 	})
 	_ = s.Signature()
 	var sink string
+	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() {
 		sink = s.Signature()
-		sink = s.FamilySignature()
+		buf = AppendFamily(buf[:0], sink)
 	}); n != 0 {
 		t.Errorf("memoized signature read allocates %.1f objects/op, want 0", n)
 	}

@@ -236,18 +236,12 @@ type State struct {
 	Steps  []Step
 	arena  *Arena // nil: the heap
 
-	// sig memoizes Signature/FamilySignature and valid a passed Validate;
-	// Apply drops both. They are atomics because shared states are read
-	// concurrently; racing computations store identical values, so any
-	// winner is correct.
-	sig   atomic.Pointer[sigMemo]
+	// sig memoizes Signature and valid a passed Validate; Apply drops
+	// both. They are atomics because shared states are read concurrently;
+	// racing computations store identical values, so any winner is
+	// correct.
+	sig   atomic.Pointer[string]
 	valid atomic.Bool
-}
-
-// sigMemo is an immutable signature pair cached on a State.
-type sigMemo struct {
-	sig string
-	fam string
 }
 
 // NewState returns the naive program of the DAG: one stage per node, one
@@ -538,25 +532,38 @@ func (s *State) validateStage(st *Stage) error {
 // The string is memoized on the state: it is a pure function of the
 // post-replay structure, and the search consults it on every dedupe
 // map, feature-cache and best-pool touch of every candidate.
-func (s *State) Signature() string { return s.memoSig().sig }
+func (s *State) Signature() string {
+	if m := s.sig.Load(); m != nil {
+		return *m
+	}
+	sig := s.buildSignature()
+	s.sig.Store(&sig)
+	return sig
+}
 
 // FamilySignature identifies the program's structural family: the
 // Signature with the constant-layout packing markers stripped. Near-twin
 // variants that differ only in packing (§4.2's layout rewrite) share a
 // family. Search uses it as a diversity key when cutting candidate
 // lists: identity stays exact (Signature), but a measurement batch
-// should not fill up with twins of one loop structure.
-func (s *State) FamilySignature() string { return s.memoSig().fam }
+// should not fill up with twins of one loop structure. It is built on
+// each call; the search compares families with AppendFamily instead.
+func (s *State) FamilySignature() string { return string(AppendFamily(nil, s.Signature())) }
 
-// memoSig returns the cached signature pair, computing it on first use.
-func (s *State) memoSig() *sigMemo {
-	if m := s.sig.Load(); m != nil {
-		return m
+// packMark is what buildSignature writes for a packed constant layout.
+const packMark = "!pk"
+
+// AppendFamily appends the family of signature sig to dst: sig without
+// its packing markers (see FamilySignature).
+func AppendFamily(dst []byte, sig string) []byte {
+	for {
+		i := strings.Index(sig, packMark)
+		if i < 0 {
+			return append(dst, sig...)
+		}
+		dst = append(dst, sig[:i]...)
+		sig = sig[i+len(packMark):]
 	}
-	sig := s.buildSignature()
-	m := &sigMemo{sig: sig, fam: strings.ReplaceAll(sig, "!pk", "")}
-	s.sig.Store(m)
-	return m
 }
 
 // buildSignature renders the signature string (see Signature).
@@ -573,7 +580,7 @@ func (s *State) buildSignature() string {
 			// behaviour without changing the loop nest: omitting it
 			// conflated two programs that measure differently (ROADMAP,
 			// "coarse signature").
-			b = append(b, "!pk"...)
+			b = append(b, packMark...)
 		}
 		b = append(b, '[')
 		for i := range st.Iters {

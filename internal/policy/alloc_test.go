@@ -20,7 +20,7 @@ func TestScoreIntoZeroAlloc(t *testing.T) {
 	if len(states) == 0 {
 		t.Fatal("no sampled states")
 	}
-	sc := p.scorer().(evo.IntoScorer)
+	var sc evo.IntoScorer = p.scorer()
 	dst := make([]float64, len(states))
 	// Warm pass: lower + extract + memoize signatures once.
 	sc.ScoreInto(dst, states)
@@ -29,4 +29,30 @@ func TestScoreIntoZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("cache-hit ScoreInto allocates %.1f objects per batch, want 0", n)
 	}
+}
+
+// TestScorerReleasedTwicePanics is the scorer's half of the borrow
+// clauses: a released scorer holds no score, node map or model, and a
+// second release panics, as an arena's does.
+func TestScorerReleasedTwicePanics(t *testing.T) {
+	p := benchPolicy(t)
+	states := p.sampler.SamplePopulation(p.sketches, 16)
+	sc := p.scorer()
+	sc.Score(states)
+	for _, s := range states {
+		sc.NodeScores(s)
+	}
+	if len(sc.handed) == 0 {
+		t.Fatal("NodeScores handed out no map")
+	}
+	sc.release()
+	if len(sc.scores)+len(sc.nodes)+len(sc.handed) != 0 || sc.model != nil || sc.feats != nil {
+		t.Fatal("a released scorer still holds scores, node maps or a model")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second release did not panic")
+		}
+	}()
+	sc.release()
 }

@@ -12,7 +12,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/anno"
@@ -297,9 +296,12 @@ func (p *Policy) Propose(numMeasure int) {
 	p.fit()
 	// What is sampled, and what evolution derives, lives in borrowed
 	// arenas until the proposal is made: only the batch, detached here,
-	// outlives them.
+	// outlives them. One scorer serves the whole proposal, so programs
+	// featurized during evolution are not re-lowered for batch selection;
+	// it is borrowed for the proposal too.
 	arena := ir.BorrowArena()
 	releaseEvolved := func() {}
+	sc := p.scorer()
 	hits0, misses0, _ := p.feats.Stats()
 	defer func() {
 		for i, s := range prop.batch {
@@ -312,6 +314,9 @@ func (p *Policy) Propose(numMeasure int) {
 		hits, misses, _ := p.feats.Stats()
 		p.Obs.Add("feat_cache_hits", hits-hits0)
 		p.Obs.Add("feat_cache_misses", misses-misses0)
+		p.Obs.Add("score_memo_hits", sc.hits.Load())
+		p.Obs.Add("score_memo_misses", sc.misses.Load())
+		sc.release()
 	}()
 	var init []*ir.State
 	p.phase("sketch", func() {
@@ -326,9 +331,6 @@ func (p *Policy) Propose(numMeasure int) {
 	if len(init) == 0 {
 		return
 	}
-	// One scorer serves the whole proposal so programs featurized during
-	// evolution are not re-lowered for batch selection.
-	sc := p.scorer()
 	candidates := init
 	if !p.Opts.DisableFineTuning && p.model.Trained() {
 		search := evo.NewSearch(evo.Config{
@@ -633,76 +635,6 @@ func (p *Policy) ModelFingerprint() uint64 {
 // results.
 func (p *Policy) scoreAll(sc evo.Scorer, states []*ir.State) []float64 {
 	return evo.ScoreAll(p.pool, sc, states)
-}
-
-// scorer adapts the cost model to the evolutionary search, backed by the
-// policy's cross-round feature cache.
-func (p *Policy) scorer() evo.Scorer {
-	return &modelScorer{model: p.model, feats: p.feats}
-}
-
-// modelScorer serves concurrent Score/NodeScores calls from the sharded
-// evolution. Each artifact has exactly one memoization layer: the
-// signature lives on the state (ir memoizes it), features live in the
-// policy's cross-round cache, and the ensemble's scores — of a program
-// and of its nodes — live here, keyed by signature for the scorer's
-// lifetime. A scorer serves one proposal and the cost model is frozen
-// from the fit at its head until the next one, so both are pure
-// functions of the signature — elites and re-derived twins, which
-// evolution re-scores every generation, and the parents crossover asks
-// about on every attempt pay the ensemble walk once per round.
-type modelScorer struct {
-	model *xgb.CostModel
-	feats *feat.Cache
-	// scores maps signature → float64 score, nodes signature → the
-	// NodeScores map (nil for a program that does not lower). sync.Map
-	// because the sharded workers are read-heavy on exactly the keys
-	// other workers insert; values are pure, so a racing double-compute
-	// stores an equal value.
-	scores sync.Map
-	nodes  sync.Map
-}
-
-func (m *modelScorer) Score(states []*ir.State) []float64 {
-	out := make([]float64, len(states))
-	m.ScoreInto(out, states)
-	return out
-}
-
-// ScoreInto implements evo.IntoScorer: the steady-state score of a
-// seen program is a memoized-signature map lookup, with zero
-// allocations (pinned by TestScoreIntoZeroAlloc); first encounters pay
-// one flattened-ensemble walk.
-func (m *modelScorer) ScoreInto(dst []float64, states []*ir.State) {
-	for i, s := range states {
-		sig := s.Signature()
-		if v, hit := m.scores.Load(sig); hit {
-			dst[i] = v.(float64)
-			continue
-		}
-		score := -1e30
-		if e, ok := m.feats.Program(s); ok {
-			score = m.model.Score(e.Feats)
-		}
-		m.scores.Store(sig, score)
-		dst[i] = score
-	}
-}
-
-func (m *modelScorer) NodeScores(s *ir.State) map[string]float64 {
-	sig := s.Signature()
-	if v, hit := m.nodes.Load(sig); hit {
-		return v.(map[string]float64)
-	}
-	var out map[string]float64
-	if e, ok := m.feats.Program(s); ok && m.model.Trained() {
-		out = make(map[string]float64, len(e.Stages))
-		for i, stage := range e.Stages {
-			out[ir.BaseStage(stage)] += m.model.ScoreStmt(e.Feats[i])
-		}
-	}
-	m.nodes.Store(sig, out)
-	return out
 }
 
 // Tune runs rounds until the trial budget is exhausted and returns the

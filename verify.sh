@@ -105,16 +105,18 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # goroutines share pooled lowering scratch, and feature extraction, whose
 # pooled scratch carries lg's memo from one holder to the next, the
 # feature cache's chunks, which concurrent lookups carve and whole runs
-# hand from one cache to the next (poisoned in between), the recorder,
-# whose goroutines share one line buffer, and the cost model's trainers,
-# which two models training at once borrow from one free list. Ten
-# times, because an arena, a scratch, a chunk or a trainer handed to two
-# goroutines, or read after its release, shows only when another
-# borrower has reused it in between.
+# hand from one cache to the next (poisoned in between), evolution's
+# tables and the score memos, which the proposals two tasks prepare at
+# once borrow from one free list each (poisoned on the way back), the
+# recorder, whose goroutines share one line buffer, and the cost model's
+# trainers, which two models training at once borrow from one free list.
+# Ten times, because an arena, a scratch, a chunk, a table set, a scorer
+# or a trainer handed to two goroutines, or read after its release,
+# shows only when another borrower has reused it in between.
 step "race: borrowed program memory (x10)"
 gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
-gated TestRunReturnsHeapStates ./internal/evo/ -race -count=10
-gated TestProposeLeavesBatchOnHeap ./internal/policy/ -race -count=10
+gated 'TestRunReturnsHeapStates|TestReusedTablesMatchFresh' ./internal/evo/ -race -count=10
+gated 'TestProposeLeavesBatchOnHeap|TestReusedScorersMatchFresh' ./internal/policy/ -race -count=10
 gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=10
 gated 'TestExtractConcurrentMatchesSerial|TestCacheConcurrentLookups|TestReusedChunksMatchFresh' ./internal/feat/ -race -count=10
 gated TestRecorderConcurrentLinesIntact ./internal/measure/ -race -count=10
