@@ -153,7 +153,7 @@ func BenchmarkAblationLayoutRewrite(b *testing.B) {
 				used = true
 				continue
 			}
-			steps = append(steps, st.Clone())
+			steps = append(steps, st)
 		}
 		if !used {
 			continue

@@ -70,7 +70,11 @@ func Divisors(n int) []int {
 // RandomFactors samples parts-1 inner tile lengths whose product divides
 // extent (the outermost length is derived by the split).
 func RandomFactors(rng *rand.Rand, extent, parts int) []int {
-	fs := make([]int, parts-1)
+	return randomFactors(make([]int, parts-1), rng, extent)
+}
+
+// randomFactors fills fs with RandomFactors' draws.
+func randomFactors(fs []int, rng *rand.Rand, extent int) []int {
 	rem := extent
 	for i := range fs {
 		ds := Divisors(rem)
@@ -85,13 +89,14 @@ func RandomFactors(rng *rand.Rand, extent, parts int) []int {
 // produced an invalid program and the caller should redraw.
 func (sp *Sampler) Sample(sk *ir.State) (*ir.State, error) { return sp.SampleIn(nil, sk) }
 
-// SampleIn is Sample into the arena's memory (nil: the heap's); an invalid
-// draw gives back everything it took.
+// SampleIn is Sample into the arena's memory (nil: the heap's), the
+// steps it makes and their step list included; an invalid draw gives back
+// everything it took.
 func (sp *Sampler) SampleIn(a *ir.Arena, sk *ir.State) (*ir.State, error) {
 	m := a.Mark()
 	s, err := a.Replay(sk.DAG, sp.fillStructure(a, sk))
 	if err == nil {
-		err = sp.annotate(s)
+		err = sp.annotate(a, s)
 	}
 	if err == nil && !s.Complete() {
 		err = fmt.Errorf("anno: sampled program still incomplete")
@@ -157,42 +162,47 @@ func (sp *Sampler) tilePlan(sk *ir.State) []*te.Node {
 	return plan
 }
 
+// annotationRoom bounds the steps annotate appends per stage: a fuse,
+// three annotations, a pragma and a layout rewrite.
+const annotationRoom = 6
+
 // fillStructure returns the sketch's steps with unfilled tile factors
 // randomly filled and, occasionally, the compute location (the fused
-// consumer's split point) tweaked. Steps it does not change are the
-// sketch's own: a step is immutable once a state holds it.
+// consumer's split point) tweaked, in the arena with the room annotate
+// needs. Steps it does not change are the sketch's own: a step is
+// immutable once a state holds it.
 func (sp *Sampler) fillStructure(a *ir.Arena, sk *ir.State) []ir.Step {
 	plan := sp.tilePlan(sk)
-	steps := a.Steps(len(sk.Steps))
+	steps := a.Steps(len(sk.Steps) + annotationRoom*len(sk.Stages))[:len(sk.Steps)]
 	for i, st := range sk.Steps {
 		steps[i] = st
 		switch t := st.(type) {
 		case *ir.MultiLevelTileStep:
 			if node := plan[i]; node != nil {
-				c := *t
+				c := ir.NewStep(a, *t)
 				nSp, nRe := countLevels(t.Structure)
-				c.SpaceFactors = make([][]int, len(node.SpaceAxes))
-				for k, a := range node.SpaceAxes {
-					c.SpaceFactors[k] = RandomFactors(sp.rng, a.Extent, nSp)
+				c.SpaceFactors = a.Lists(len(node.SpaceAxes))
+				for k, ax := range node.SpaceAxes {
+					c.SpaceFactors[k] = randomFactors(a.Ints(nSp-1), sp.rng, ax.Extent)
 				}
-				c.ReduceFactors = make([][]int, len(node.ReduceAxes))
-				for k, a := range node.ReduceAxes {
-					c.ReduceFactors[k] = RandomFactors(sp.rng, a.Extent, nRe)
+				c.ReduceFactors = a.Lists(len(node.ReduceAxes))
+				for k, ax := range node.ReduceAxes {
+					c.ReduceFactors[k] = randomFactors(a.Ints(nRe-1), sp.rng, ax.Extent)
 				}
-				steps[i] = &c
+				steps[i] = c
 			}
 		case *ir.FuseConsumerStep:
 			// Compute-location tweak: occasionally move the fusion point
 			// one tile level out or in (§4.2 "randomly change the
 			// computation location of some nodes").
 			if !sp.Fixed && sp.rng.Float64() < 0.2 {
-				c := *t
+				c := ir.NewStep(a, *t)
 				if sp.rng.Intn(2) == 0 && c.OuterLevels > 1 {
 					c.OuterLevels--
 				} else {
 					c.OuterLevels++
 				}
-				steps[i] = &c
+				steps[i] = c
 			}
 		}
 	}
@@ -210,8 +220,9 @@ func countLevels(structure string) (nSpace, nReduce int) {
 	return
 }
 
-// annotate applies the random annotation pass to a complete state.
-func (sp *Sampler) annotate(s *ir.State) error {
+// annotate applies the random annotation pass to a complete state, its
+// steps in the state's arena.
+func (sp *Sampler) annotate(a *ir.Arena, s *ir.State) error {
 	// auto_unroll_max_step candidates, as in TVM's auto_scheduler.
 	unrollCandidates := []int{0, 16, 64, 512}
 	for _, st := range s.Stages {
@@ -243,14 +254,14 @@ func (sp *Sampler) annotate(s *ir.State) error {
 					nf = 1 + sp.rng.Intn(maxFuse)
 				}
 				if nf >= 2 {
-					if err := s.Apply(&ir.FuseStep{Stage: name, First: 0, Count: nf}); err != nil {
+					if err := s.Apply(ir.NewStep(a, ir.FuseStep{Stage: name, First: 0, Count: nf})); err != nil {
 						return err
 					}
 				}
 				// GPU thread binding is mandatory: a kernel without a
 				// block-distributed loop is not a valid GPU program.
 				if st.Iters[0].Extent != 1 && (sp.Fixed || sp.Target.GPU || sp.rng.Float64() < 0.95) {
-					if err := s.Apply(&ir.AnnotateStep{Stage: name, IterIdx: 0, Ann: ir.AnnParallel}); err != nil {
+					if err := s.Apply(ir.NewStep(a, ir.AnnotateStep{Stage: name, IterIdx: 0, Ann: ir.AnnParallel})); err != nil {
 						return err
 					}
 				}
@@ -261,7 +272,7 @@ func (sp *Sampler) annotate(s *ir.State) error {
 			last := st.Iters[n-1]
 			if last.Kind == te.Space && last.Extent != 1 && last.Ann == ir.AnnNone &&
 				(sp.Fixed || sp.Target.GPU || sp.rng.Float64() < 0.85) {
-				if err := s.Apply(&ir.AnnotateStep{Stage: name, IterIdx: n - 1, Ann: ir.AnnVectorize}); err != nil {
+				if err := s.Apply(ir.NewStep(a, ir.AnnotateStep{Stage: name, IterIdx: n - 1, Ann: ir.AnnVectorize})); err != nil {
 					return err
 				}
 			}
@@ -273,7 +284,7 @@ func (sp *Sampler) annotate(s *ir.State) error {
 				max = 16 // the baselines' fixed unrolling policy
 			}
 			if max > 0 {
-				if err := s.Apply(&ir.PragmaStep{Stage: name, AutoUnrollMax: max}); err != nil {
+				if err := s.Apply(ir.NewStep(a, ir.PragmaStep{Stage: name, AutoUnrollMax: max})); err != nil {
 					return err
 				}
 			}
@@ -283,7 +294,7 @@ func (sp *Sampler) annotate(s *ir.State) error {
 			for i := len(st.Iters) - 1; i >= 0; i-- {
 				it := st.Iters[i]
 				if it.Kind == te.Reduce && it.Extent > 1 && it.Extent <= 16 && it.Ann == ir.AnnNone {
-					if err := s.Apply(&ir.AnnotateStep{Stage: name, IterIdx: i, Ann: ir.AnnUnroll}); err != nil {
+					if err := s.Apply(ir.NewStep(a, ir.AnnotateStep{Stage: name, IterIdx: i, Ann: ir.AnnUnroll})); err != nil {
 						return err
 					}
 					break
@@ -295,13 +306,13 @@ func (sp *Sampler) annotate(s *ir.State) error {
 		// cost model sees both variants).
 		if st.TiledSpaceLevels > 0 && sp.rng.Float64() < 0.9 {
 			hasConst := false
-			for _, a := range st.Node.Reads {
-				if a.Tensor.Const {
+			for _, rd := range st.Node.Reads {
+				if rd.Tensor.Const {
 					hasConst = true
 				}
 			}
 			if hasConst {
-				if err := s.Apply(&ir.LayoutRewriteStep{Stage: name}); err != nil {
+				if err := s.Apply(ir.NewStep(a, ir.LayoutRewriteStep{Stage: name})); err != nil {
 					return err
 				}
 			}

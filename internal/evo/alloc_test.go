@@ -1,6 +1,7 @@
 package evo
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -55,13 +56,19 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // too, and 4 450 and 450 KiB while its maps, populations and score
 // slices and each attempt's RNG were. With the rows carved from the
 // chunks the last run's cache released and the bookkeeping in the tables
-// the last run gave back (TestRunBorrowedReusesItsTables), it costs
-// 3 500 and 250 KiB. The byte ceiling is a tenth above; the object
-// ceiling, 4 450, is wider, because the pooled scratch the race detector
-// drops adds some 2 500 objects a run (6 000–6 200 there), which a
+// the last run gave back (TestRunBorrowedReusesItsTables), it cost
+// 3 500 and 250 KiB; with every mutated step, its factor lists and the
+// copies inherit makes carved from the attempt's arena too, it costs
+// 2 430 and 230 KiB. The byte ceiling is a tenth above; the object
+// ceiling, 3 600, is wider, because the pooled scratch the race detector
+// drops adds some 2 500 objects a run (4 900–5 100 there), which a
 // tenth's margin scaled by 1.5 does not cover. A replay into an arena
 // that has its chunks allocates nothing, and reading the signature then
-// costs the memo and its string.
+// costs the memo and its string. So does a sample into a warm arena —
+// its tile steps, factor lists, annotation steps and their room in the
+// step list are the arena's — and a mutation there costs what its
+// rejected children's errors cost (one on average); each has a ceiling
+// of one more than that.
 func TestProgramPathAllocationCeilings(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
@@ -90,6 +97,24 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 			arena.Rewind(m)
 		}
 	}
+	// A sample and a mutation in the arena: their steps, factor lists and
+	// step lists are carved from it, so what is left is a failed draw's
+	// error.
+	sampleIn := func() {
+		m := arena.Mark()
+		_, _ = sampler.SampleIn(arena, sketches[i%len(sketches)])
+		arena.Rewind(m)
+		i++
+	}
+	rng := rand.New(rand.NewSource(1))
+	mutate := func() {
+		m := arena.Mark()
+		parent := next().Steps
+		if steps, ok := mutateSteps(arena, arena.Steps(len(parent))[:0], parent, rng); ok {
+			_, _ = replayChild(arena, dag, steps)
+		}
+		arena.Rewind(m)
+	}
 	evoRun := func() {
 		search := NewSearch(Config{PopulationSize: 96, Generations: 4, CrossoverProb: 0.15,
 			EliteCount: 12, Seed: int64(i), Workers: 1})
@@ -116,7 +141,9 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 		{"ir.EncodeSteps", 200, 1, func() { _, _ = ir.EncodeSteps(next().Steps) }},
 		{"ir.DecodeSteps", 200, 32, func() { _, _ = ir.DecodeSteps(encoded[i%len(pop)]); i++ }},
 		{"anno.Sample", 200, 32, func() { _, _ = sampler.Sample(sketches[0]) }},
-		{"evo.Search.Run", 5, 4450, evoRun},
+		{"anno.SampleIn into a warm arena", 200, 1, sampleIn},
+		{"mutation in an arena", 200, 2, mutate},
+		{"evo.Search.Run", 5, 3600, evoRun},
 	} {
 		got := testing.AllocsPerRun(c.runs, c.fn)
 		t.Logf("%s: %.0f allocations", c.name, got)
@@ -131,7 +158,7 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 	}
 	// The bytes of a run, beside its objects. The arena it borrows has
 	// its chunks by now: the rows above ran on the free list's.
-	const runs, ceilingKiB = 5, 275
+	const runs, ceilingKiB = 5, 255
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 0; k < runs; k++ {

@@ -111,7 +111,7 @@ func walk(t *testing.T, a *ir.Arena, dag *te.DAG, tgt sketch.Target, seed int64,
 	}
 	for i := 0; i < mutations; i++ {
 		label := fmt.Sprintf("mutation %d", i)
-		steps, ok := mutateSteps(nil, pop[rng.Intn(len(pop))].Steps, rng)
+		steps, ok := mutateSteps(nil, nil, pop[rng.Intn(len(pop))].Steps, rng)
 		if !ok {
 			add(label, nil, nil, fmt.Errorf("nothing to mutate"))
 			continue
@@ -121,7 +121,7 @@ func walk(t *testing.T, a *ir.Arena, dag *te.DAG, tgt sketch.Target, seed int64,
 	}
 	for i := 0; i < crossovers; i++ {
 		x, y := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
-		steps := crossoverSteps(nil, x, y, nil, nil, rng)
+		steps := crossoverSteps(nil, nil, x, y, nil, nil, rng)
 		s, err := replayChild(a, dag, steps)
 		add(fmt.Sprintf("crossover %d", i), steps, s, err)
 	}

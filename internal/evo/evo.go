@@ -233,18 +233,19 @@ type attempter struct {
 }
 
 // offspring produces one child (or nil) from its private RNG, in the
-// arena: the genes are assembled in a step buffer the arena owns, and an
-// attempt that yields no child gives back all it took.
+// arena: the genes are assembled in a step buffer the arena owns, the
+// steps it edits are copied into it, and an attempt that yields no child
+// gives back all it took.
 func (e *Search) offspring(a *ir.Arena, dag *te.DAG, pop []*ir.State, sel roulette, scorer Scorer, rng *rand.Rand) *ir.State {
 	m := a.Mark()
 	var steps []ir.Step
 	ok := true
 	if rng.Float64() < e.Cfg.CrossoverProb && len(pop) >= 2 {
 		x, y := pop[sel.pick(rng)], pop[sel.pick(rng)]
-		steps = crossoverSteps(a.Steps(len(x.Steps))[:0], x, y, scorer.NodeScores(x), scorer.NodeScores(y), rng)
+		steps = crossoverSteps(a, a.Steps(len(x.Steps))[:0], x, y, scorer.NodeScores(x), scorer.NodeScores(y), rng)
 	} else {
 		parent := pop[sel.pick(rng)]
-		steps, ok = mutateSteps(a.Steps(len(parent.Steps))[:0], parent.Steps, rng)
+		steps, ok = mutateSteps(a, a.Steps(len(parent.Steps))[:0], parent.Steps, rng)
 	}
 	if ok {
 		if child, err := replayChild(a, dag, steps); err == nil {
@@ -325,23 +326,24 @@ func (r roulette) pick(rng *rand.Rand) int {
 // mutateSteps appends the parent's step list to dst with one randomly
 // chosen evolution operation applied; ok is false when the operation
 // found nothing to edit. A step is immutable once a state holds it, so
-// the child shares the parent's steps and only the edited one is a copy.
-func mutateSteps(dst, parent []ir.Step, rng *rand.Rand) (steps []ir.Step, ok bool) {
+// the child shares the parent's steps and only the edited one is a copy,
+// in the arena.
+func mutateSteps(a *ir.Arena, dst, parent []ir.Step, rng *rand.Rand) (steps []ir.Step, ok bool) {
 	steps = dst
 	for _, s := range parent {
-		steps = append(steps, inherit(s))
+		steps = append(steps, inherit(a, s))
 	}
 	switch rng.Intn(5) {
 	case 0:
-		ok = mutateTileSize(steps, rng)
+		ok = mutateTileSize(a, steps, rng)
 	case 1:
-		ok = mutateAnnotation(steps, rng)
+		ok = mutateAnnotation(a, steps, rng)
 	case 2:
-		ok = mutateParallelGranularity(steps, rng)
+		ok = mutateParallelGranularity(a, steps, rng)
 	case 3:
-		ok = mutateComputeLocation(steps, rng)
+		ok = mutateComputeLocation(a, steps, rng)
 	case 4:
-		ok = mutatePragma(steps, rng)
+		ok = mutatePragma(a, steps, rng)
 	}
 	return steps, ok
 }
@@ -370,22 +372,38 @@ func replayChild(a *ir.Arena, dag *te.DAG, steps []ir.Step) (*ir.State, error) {
 
 // inherit returns the step an offspring takes over from a parent: the
 // parent's own, except that a tiling step with an empty (non-nil) factor
-// list — an axis tiled at a single level, as under "SSRS" — is copied,
-// as every inherited step used to be. MultiLevelTileStep.Clone turns such
-// a list into a missing one, so those offspring replay to an incomplete
-// program and are discarded: a defect recorded in ROADMAP.md that sharing
-// the step would silently repair, moving every template-space baseline.
-func inherit(s ir.Step) ir.Step {
-	if t, ok := s.(*ir.MultiLevelTileStep); ok {
-		for _, group := range [2][][]int{t.SpaceFactors, t.ReduceFactors} {
-			for _, fs := range group {
-				if fs != nil && len(fs) == 0 {
-					return t.Clone()
-				}
+// list — an axis tiled at a single level, as under "SSRS" — is copied
+// into the arena with its empty lists made missing ones, as the step
+// clone every inherited step used to be made them. Those offspring
+// replay to an incomplete program and are discarded: a defect recorded
+// in ROADMAP.md that sharing the step would silently repair, moving
+// every template-space baseline.
+func inherit(a *ir.Arena, s ir.Step) ir.Step {
+	t, ok := s.(*ir.MultiLevelTileStep)
+	if !ok || !hasEmptyList(t) {
+		return s
+	}
+	c := a.CopyStep(t).(*ir.MultiLevelTileStep)
+	for _, group := range [2][][]int{c.SpaceFactors, c.ReduceFactors} {
+		for i, fs := range group {
+			if len(fs) == 0 {
+				group[i] = nil
 			}
 		}
 	}
-	return s
+	return c
+}
+
+// hasEmptyList reports whether a factor list of t is empty but not nil.
+func hasEmptyList(t *ir.MultiLevelTileStep) bool {
+	for _, group := range [2][][]int{t.SpaceFactors, t.ReduceFactors} {
+		for _, fs := range group {
+			if fs != nil && len(fs) == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // count returns how many steps have type T and pass keep (nil = all).
@@ -400,12 +418,12 @@ func count[T ir.Step](steps []ir.Step, keep func(T) bool) int {
 }
 
 // edit replaces the k-th step of type T that passes keep with a private
-// copy and returns the copy for the caller to rewrite.
-func edit[T ir.Step](steps []ir.Step, k int, keep func(T) bool) T {
+// copy in the arena and returns the copy for the caller to rewrite.
+func edit[T ir.Step](a *ir.Arena, steps []ir.Step, k int, keep func(T) bool) T {
 	for i, s := range steps {
 		if t, ok := s.(T); ok && (keep == nil || keep(t)) {
 			if k == 0 {
-				c := t.Clone().(T)
+				c := a.CopyStep(t).(T)
 				steps[i] = c
 				return c
 			}
@@ -418,7 +436,7 @@ func edit[T ir.Step](steps []ir.Step, k int, keep func(T) bool) T {
 // mutateTileSize implements the paper's tile size mutation: divide one
 // tile level by a factor and multiply another level of the same axis by
 // the same factor, keeping the product equal to the loop length.
-func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
+func mutateTileSize(a *ir.Arena, steps []ir.Step, rng *rand.Rand) bool {
 	filled := func(t *ir.MultiLevelTileStep) bool { return t.SpaceFactors != nil }
 	tiles := count(steps, filled)
 	rfs := count[*ir.RFactorStep](steps, nil)
@@ -427,7 +445,7 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 	}
 	if rfs > 0 && (tiles == 0 || rng.Float64() < 0.2) {
 		// Mutate an rfactor split factor.
-		rf := edit[*ir.RFactorStep](steps, rng.Intn(rfs), nil)
+		rf := edit[*ir.RFactorStep](a, steps, rng.Intn(rfs), nil)
 		if rng.Intn(2) == 0 {
 			rf.Factor *= 2
 		} else if rf.Factor%2 == 0 {
@@ -435,7 +453,7 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 		}
 		return rf.Factor >= 2
 	}
-	t := edit(steps, rng.Intn(tiles), filled)
+	t := edit(a, steps, rng.Intn(tiles), filled)
 	all := [][][]int{t.SpaceFactors, t.ReduceFactors}
 	group := all[rng.Intn(2)]
 	if len(group) == 0 {
@@ -474,25 +492,25 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 }
 
 // mutateAnnotation rewrites one annotation step's kind.
-func mutateAnnotation(steps []ir.Step, rng *rand.Rand) bool {
+func mutateAnnotation(a *ir.Arena, steps []ir.Step, rng *rand.Rand) bool {
 	anns := count[*ir.AnnotateStep](steps, nil)
 	if anns == 0 {
 		return false
 	}
-	a := edit[*ir.AnnotateStep](steps, rng.Intn(anns), nil)
+	ann := edit[*ir.AnnotateStep](a, steps, rng.Intn(anns), nil)
 	choices := []ir.Annotation{ir.AnnNone, ir.AnnVectorize, ir.AnnUnroll, ir.AnnParallel}
-	a.Ann = choices[rng.Intn(len(choices))]
+	ann.Ann = choices[rng.Intn(len(choices))]
 	return true
 }
 
 // mutateParallelGranularity changes how many outer loops are fused for
 // the parallel annotation (the paper's parallel granularity mutation).
-func mutateParallelGranularity(steps []ir.Step, rng *rand.Rand) bool {
+func mutateParallelGranularity(a *ir.Arena, steps []ir.Step, rng *rand.Rand) bool {
 	outermost := func(f *ir.FuseStep) bool { return f.First == 0 }
 	if count(steps, outermost) == 0 {
 		return false
 	}
-	f := edit(steps, 0, outermost)
+	f := edit(a, steps, 0, outermost)
 	if rng.Intn(2) == 0 {
 		f.Count++
 	} else if f.Count > 2 {
@@ -502,12 +520,12 @@ func mutateParallelGranularity(steps []ir.Step, rng *rand.Rand) bool {
 }
 
 // mutateComputeLocation moves the fusion point of a fused consumer.
-func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
+func mutateComputeLocation(a *ir.Arena, steps []ir.Step, rng *rand.Rand) bool {
 	fcs := count[*ir.FuseConsumerStep](steps, nil)
 	if fcs == 0 {
 		return false
 	}
-	f := edit[*ir.FuseConsumerStep](steps, rng.Intn(fcs), nil)
+	f := edit[*ir.FuseConsumerStep](a, steps, rng.Intn(fcs), nil)
 	if rng.Intn(2) == 0 && f.OuterLevels > 1 {
 		f.OuterLevels--
 	} else {
@@ -517,12 +535,12 @@ func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
 }
 
 // mutatePragma rewrites an auto_unroll_max_step pragma.
-func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
+func mutatePragma(a *ir.Arena, steps []ir.Step, rng *rand.Rand) bool {
 	candidates := []int{0, 16, 64, 512}
 	if count[*ir.PragmaStep](steps, nil) == 0 {
 		return false
 	}
-	edit[*ir.PragmaStep](steps, 0, nil).AutoUnrollMax = candidates[rng.Intn(len(candidates))]
+	edit[*ir.PragmaStep](a, steps, 0, nil).AutoUnrollMax = candidates[rng.Intn(len(candidates))]
 	return true
 }
 
@@ -532,8 +550,9 @@ func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
 // with the steps of every node tag donated by b replaced, position for
 // position, by b's same-type steps of that tag. A nil score
 // map makes the donor of every tag a coin flip. The child shares its
-// parents' steps (see inherit): nothing here edits one.
-func crossoverSteps(dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]float64, rng *rand.Rand) []ir.Step {
+// parents' steps (see inherit, whose copies go to the arena): nothing
+// here edits one.
+func crossoverSteps(arena *ir.Arena, dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]float64, rng *rand.Rand) []ir.Step {
 	// Decide the donor of each tag, in order of first appearance in a.
 	type choice struct {
 		tag   string
@@ -584,7 +603,7 @@ func crossoverSteps(dst []ir.Step, a, b *ir.State, scoreA, scoreB map[string]flo
 				}
 			}
 		}
-		steps = append(steps, inherit(s))
+		steps = append(steps, inherit(arena, s))
 	}
 	return steps
 }

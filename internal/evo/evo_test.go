@@ -119,7 +119,7 @@ func TestTileSizeMutationKeepsProduct(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		parent := pop[i%len(pop)]
 		steps := append([]ir.Step(nil), parent.Steps...)
-		if !mutateTileSize(steps, rng) {
+		if !mutateTileSize(nil, steps, rng) {
 			continue
 		}
 		// The child shares every step but the edited one with its
@@ -152,7 +152,7 @@ func TestCrossoverMergesParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ok := 0
 	for i := 0; i+1 < len(pop); i++ {
-		steps := crossoverSteps(nil, pop[i], pop[i+1], sc.NodeScores(pop[i]), sc.NodeScores(pop[i+1]), rng)
+		steps := crossoverSteps(nil, nil, pop[i], pop[i+1], sc.NodeScores(pop[i]), sc.NodeScores(pop[i+1]), rng)
 		if c, _ := replayChild(nil, d, steps); c != nil {
 			ok++
 		}

@@ -145,21 +145,29 @@ func TestArenaFailedReplayRewinds(t *testing.T) {
 		if herr == nil {
 			t.Fatalf("bad program %d replays", i)
 		}
-		before := a.Mark()
-		s, err := a.Replay(dag, steps)
-		if s != nil || err == nil {
-			t.Fatalf("bad program %d replays into the arena", i)
+		// Once with the heap's steps, once with copies in the arena, whose
+		// lists the error must not keep.
+		copies := make([]Step, len(steps))
+		for k, st := range steps {
+			copies[k] = a.CopyStep(st)
 		}
-		if a.Mark() != before {
-			t.Fatalf("bad program %d moved the arena: %v, was %v", i, a.Mark(), before)
+		for _, steps := range [][]Step{steps, copies} {
+			before := a.Mark()
+			s, err := a.Replay(dag, steps)
+			if s != nil || err == nil {
+				t.Fatalf("bad program %d replays into the arena", i)
+			}
+			if a.Mark() != before {
+				t.Fatalf("bad program %d moved the arena: %v, was %v", i, a.Mark(), before)
+			}
+			if err := CheckArenas(a); err != nil {
+				t.Fatal(err)
+			}
+			if err.Error() != herr.Error() {
+				t.Fatalf("arena replay fails with %q, heap replay with %q", err, herr)
+			}
+			errs, want = append(errs, err), append(want, herr.Error())
 		}
-		if err := CheckArenas(a); err != nil {
-			t.Fatal(err)
-		}
-		if err.Error() != herr.Error() {
-			t.Fatalf("arena replay fails with %q, heap replay with %q", err, herr)
-		}
-		errs, want = append(errs, err), append(want, herr.Error())
 	}
 	a.Release()
 	b := BorrowArena() // the same chunks, in other hands
@@ -172,6 +180,46 @@ func TestArenaFailedReplayRewinds(t *testing.T) {
 		}
 	}
 	b.Release()
+}
+
+// TestArenaCopyStep: every step kind has a slab, and a copy — in an
+// arena or on the heap — encodes to its original's bytes, a nil list
+// null and an empty one [], with lists of its own.
+func TestArenaCopyStep(t *testing.T) {
+	PoisonArenas(t)
+	steps := slices.Concat(arenaPrograms()...)
+	for _, proto := range stepKinds {
+		steps = append(steps, proto)
+	}
+	steps = append(steps,
+		&MultiLevelTileStep{Stage: "m", Structure: "SSRS", SpaceFactors: [][]int{{2, 2}, {4, 1}}, ReduceFactors: [][]int{{}}},
+		&MultiLevelTileStep{Stage: "m", Structure: "SS", SpaceFactors: [][]int{nil, {}}, ReduceFactors: [][]int{}},
+		&SplitStep{Stage: "m", Factors: []int{}}, &ReorderStep{Stage: "m", Perm: []int{1, 0}})
+	a := BorrowArena()
+	defer a.Release()
+	for _, arena := range []*Arena{a, nil} {
+		for i, s := range steps {
+			before := a.Mark()
+			c := arena.CopyStep(s)
+			if moved := a.Mark() != before; moved != (arena != nil) {
+				t.Fatalf("step %d (%s): copy into arena %v moved the arena: %v", i, s.Name(), arena != nil, moved)
+			}
+			want, _ := EncodeSteps([]Step{s})
+			got, err := EncodeSteps([]Step{c})
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("step %d: copy encodes to %s (%v), original to %s", i, got, err, want)
+			}
+			var sbuf, cbuf [4]field
+			for k, f := range stepFields(c, &cbuf) {
+				if l, ok := f.ptr.(*[]int); ok && len(*l) > 0 && &(*l)[0] == &(*stepFields(s, &sbuf)[k].ptr.(*[]int))[0] {
+					t.Fatalf("step %d: the copy shares its %s list", i, f.name)
+				}
+			}
+		}
+	}
+	if err := CheckArenas(a); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestArenaRangesAreClipped: a carved range ends at its length, so the

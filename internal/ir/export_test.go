@@ -17,9 +17,14 @@ const (
 	freedExtent = -7
 )
 
+// freedInts is what a freed factor list holds.
+var freedInts = []int{freedExtent}
+
 // scribble overwrites a range an arena took back, in place of the zeros
 // it left there: a reader of a dead state meets stages without a node,
-// with a name and loop extents that nothing else has.
+// with a name and loop extents that nothing else has, and a reader of a
+// dead step meets that name, that extent for every number and that list
+// for every factor list.
 func scribble(r any) {
 	switch r := r.(type) {
 	case []Stage:
@@ -30,7 +35,46 @@ func scribble(r any) {
 		for i := range r {
 			r[i].Extent, r[i].atom[0].Extent = freedExtent, freedExtent
 		}
+	case []int:
+		for i := range r {
+			r[i] = freedExtent
+		}
+	case [][]int:
+		for i := range r {
+			r[i] = freedInts
+		}
+	default:
+		v := reflect.ValueOf(r)
+		if v.Len() == 0 {
+			return
+		}
+		if _, ok := v.Index(0).Addr().Interface().(Step); !ok {
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			e := v.Index(i)
+			for f := 0; f < e.NumField(); f++ {
+				if p, ok := freedField(e.Field(f).Type()); ok {
+					e.Field(f).Set(p)
+				}
+			}
+		}
 	}
+}
+
+// freedField is what a freed step field of type t holds.
+func freedField(t reflect.Type) (reflect.Value, bool) {
+	switch {
+	case t.Kind() == reflect.String:
+		return reflect.ValueOf(freedName).Convert(t), true
+	case t.Kind() == reflect.Int:
+		return reflect.ValueOf(freedExtent).Convert(t), true
+	case t == reflect.TypeOf([]int(nil)):
+		return reflect.ValueOf(freedInts), true
+	case t == reflect.TypeOf([][]int(nil)):
+		return reflect.ValueOf([][]int{freedInts}), true
+	}
+	return reflect.Value{}, false
 }
 
 // isFree reports whether every element of r is as a give-back left it:
@@ -46,6 +90,22 @@ func isFree(r any) bool {
 		case *Iter:
 			if (e.Extent != freedExtent && e.Extent != 0) || e.count != 0 || e.atom[0].Axis != 0 {
 				return false
+			}
+		case *int:
+			if *e != freedExtent && *e != 0 {
+				return false
+			}
+		case *[]int:
+			if *e != nil && (len(*e) != 1 || &(*e)[0] != &freedInts[0]) {
+				return false
+			}
+		case Step:
+			s := v.Index(i)
+			for f := 0; f < s.NumField(); f++ {
+				if p, ok := freedField(s.Field(f).Type()); !s.Field(f).IsZero() &&
+					(!ok || fmt.Sprint(s.Field(f)) != fmt.Sprint(p)) {
+					return false
+				}
 			}
 		default:
 			if !v.Index(i).IsZero() {
@@ -110,19 +170,16 @@ func PoisonArenas(t testing.TB) *ArenaBooks {
 // arena is.
 func (a *Arena) check(empty bool) error {
 	var err error
-	slabCheck(&a.states, empty, &err)
-	slabCheck(&a.ptrs, empty, &err)
-	slabCheck(&a.stages, empty, &err)
-	slabCheck(&a.iters, empty, &err)
-	slabCheck(&a.atoms, empty, &err)
-	slabCheck(&a.steps, empty, &err)
+	for _, sl := range a.slabs() {
+		sl.(interface{ check(bool, *error) }).check(empty, &err)
+	}
 	return err
 }
 
-func slabCheck[T any](sl *slab[T], empty bool, err *error) {
+func (sl *slab[T]) check(empty bool, err *error) {
 	switch {
 	case *err != nil:
-	case empty && sl.slabPos != slabPos{}:
+	case empty && *sl.slabPos != slabPos{}:
 		*err = fmt.Errorf("%T at chunk %d offset %d, want empty", sl, sl.cur, sl.off)
 	case sl.cur < 0 || sl.off < 0 || sl.cur > len(sl.chunks) || (sl.cur == len(sl.chunks) && sl.off != 0):
 		*err = fmt.Errorf("%T at chunk %d offset %d of %d chunks", sl, sl.cur, sl.off, len(sl.chunks))
@@ -172,8 +229,11 @@ func CheckFreeArenas() error {
 		if err := a.check(true); err != nil {
 			return err
 		}
-		if n := len(a.states.chunks) + len(a.ptrs.chunks) + len(a.stages.chunks) + len(a.iters.chunks) +
-			len(a.atoms.chunks) + len(a.steps.chunks); n > arenaChunks {
+		n := 0
+		for _, sl := range a.slabs() {
+			n += sl.chunkCount()
+		}
+		if n > arenaChunks {
 			return fmt.Errorf("free arena keeps %d chunks, bound %d", n, arenaChunks)
 		}
 	}

@@ -82,7 +82,7 @@ func stepFields(s Step, buf *[4]field) []field {
 	return nil
 }
 
-// stepKinds maps a kind name to its zero step, cloned for decoding.
+// stepKinds maps a kind name to its zero step, copied for decoding.
 var stepKinds = func() map[string]Step {
 	kinds := map[string]Step{}
 	for _, s := range []Step{&InlineStep{}, &SplitStep{}, &FuseStep{}, &ReorderStep{}, &AnnotateStep{},
@@ -214,8 +214,8 @@ func DecodeSteps(data []byte) ([]Step, error) {
 // list that does not decode fails with DecodeSteps' error even past a
 // step that does not apply, so the steps after a failed one are still
 // parsed, not applied. The state is the arena's like Replay's (a nil
-// arena is the heap), and so is the rule for a failure: what it carved is
-// given back.
+// arena is the heap), and so are the steps it decodes and their lists;
+// so is the rule for a failure: what it carved is given back.
 func (a *Arena) ReplayEncoded(dag *te.DAG, data []byte) (*State, error) {
 	m := a.Mark()
 	s := newState(a, dag)
@@ -223,14 +223,14 @@ func (a *Arena) ReplayEncoded(dag *te.DAG, data []byte) (*State, error) {
 	// the shortest; what decodes at all decodes into it, so the list is
 	// never counted first.
 	s.Steps = a.Steps(len(data)/25 + 1)[:0]
-	d := stepDecoder{b: data, dag: dag}
+	d := stepDecoder{b: data, dag: dag, a: a}
 	var replayErr error
 	d.expect('[')
 	for i, first := 0, true; d.next(first, ']'); i, first = i+1, false {
 		step := d.step()
 		if d.err == nil && replayErr == nil {
 			if err := s.Apply(step); err != nil {
-				replayErr = errf("ir: replay step %d (%s): %v", i, step.Name(), err)
+				replayErr = &replayError{i, step.Name(), err}
 			}
 		}
 	}
@@ -251,6 +251,7 @@ type stepDecoder struct {
 	err  error
 	last string  // the string value read last
 	dag  *te.DAG // when replaying: its node names are the stage names
+	a    *Arena  // when replaying: the memory of the steps (nil: the heap)
 }
 
 func (d *stepDecoder) fail(format string, args ...any) {
@@ -329,7 +330,7 @@ func (d *stepDecoder) step() Step {
 			}
 		case string(key) == "data" && seen&2 == 0 && s != nil:
 			seen |= 2
-			s = s.Clone()
+			s = d.a.CopyStep(s)
 			d.fields(s)
 		case string(key) == "data" && seen&2 == 0:
 			seen |= 2
@@ -347,7 +348,7 @@ func (d *stepDecoder) step() Step {
 		return nil
 	}
 	if data >= 0 {
-		s = s.Clone()
+		s = d.a.CopyStep(s)
 		end := d.i
 		d.i = data
 		d.fields(s)
@@ -412,11 +413,13 @@ func (d *stepDecoder) fields(s Step) {
 			if d.null() {
 				break
 			}
-			*p = make([][]int, 0, 4)
+			var buf [8][]int
+			lists := buf[:0]
 			d.expect('[')
 			for first := true; d.next(first, ']'); first = false {
-				*p = append(*p, d.ints())
+				lists = append(lists, d.ints())
 			}
+			*p = append(d.a.Lists(len(lists))[:0], lists...)
 		}
 	}
 }
@@ -462,7 +465,7 @@ func (d *stepDecoder) ints() []int {
 		d.fail("unterminated list")
 		return nil
 	}
-	out := make([]int, 0, bytes.Count(d.b[d.i:d.i+end], []byte(","))+1)
+	out := d.a.Ints(bytes.Count(d.b[d.i:d.i+end], []byte(",")) + 1)[:0]
 	for first := true; d.next(first, ']'); first = false {
 		out = append(out, d.int())
 	}

@@ -40,7 +40,7 @@ func refDecodeSteps(data []byte) ([]Step, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown step kind %q", e.Kind)
 		}
-		steps[i] = proto.Clone()
+		steps[i] = reflect.New(reflect.TypeOf(proto).Elem()).Interface().(Step)
 		if err := json.Unmarshal(e.Data, steps[i]); err != nil {
 			return nil, err
 		}

@@ -294,3 +294,58 @@ func TestPoisonedSearchRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisonedBatchClonesKeepTheirSteps is what Clone detaches: a
+// proposal's batch — programs sampled into one arena and evolved into the
+// search's, whose steps, factor lists and step lists are carved from
+// those arenas — is cloned, the arenas are released, poisoned and filled
+// with other programs, and every clone must still encode to the bytes
+// its original encoded to before the release.
+func TestPoisonedBatchClonesKeepTheirSteps(t *testing.T) {
+	ir.PoisonArenas(t)
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := ir.BorrowArena()
+	init := anno.NewSampler(sketch.CPUTarget(), 3).SamplePopulationIn(mine, sketches, 32)
+	search := evo.NewSearch(evo.Config{PopulationSize: 48, Generations: 3, CrossoverProb: 0.15,
+		EliteCount: 6, Seed: 9, Workers: 2})
+	batch, release := search.RunBorrowed(dag, init, poisonedScorer{feat.NewCache(0)}, 16)
+	if len(batch) == 0 {
+		t.Fatal("the search returned nothing")
+	}
+	want := make([][]byte, len(batch))
+	for i, s := range batch {
+		if !s.InArena() {
+			t.Fatalf("program %d of the batch is the heap's: nothing to detach", i)
+		}
+		if want[i], err = ir.EncodeSteps(s.Steps); err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = s.Clone()
+	}
+	release()
+	mine.Release()
+	// Other programs into the same chunks.
+	again := ir.BorrowArena()
+	other := anno.NewSampler(sketch.CPUTarget(), 4).SamplePopulationIn(again, sketches, 32)
+	_, releaseOther := search.RunBorrowed(dag, other, poisonedScorer{feat.NewCache(0)}, 16)
+	defer func() {
+		releaseOther()
+		again.Release()
+	}()
+	for i, c := range batch {
+		got, err := ir.EncodeSteps(c.Steps)
+		if err != nil {
+			t.Fatalf("clone %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("clone %d reads other steps than its original once the arenas are reused:\n got %s\nwant %s", i, got, want[i])
+		}
+		if again, err := ir.Replay(dag, c.Steps); err != nil || again.Signature() != c.Signature() {
+			t.Errorf("clone %d no longer replays to itself (replay: %v)", i, err)
+		}
+	}
+}

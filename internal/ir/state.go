@@ -297,9 +297,11 @@ func naiveIters(dst []Iter, n *te.Node) []Iter {
 	return dst
 }
 
-// Clone returns a deep copy of the state on the heap (steps are shared;
-// they are immutable after application). The memos carry over: a clone is
-// structurally identical until its next Apply, which drops them.
+// Clone returns a deep copy of the state on the heap. A heap state's
+// steps are shared (they are immutable after application); an arena
+// state's are copied to the heap (Arena.CopyStep), so no clone points
+// into an arena. The memos carry over: a clone is structurally identical
+// until its next Apply, which drops them.
 func (s *State) Clone() *State {
 	nIters := 0
 	for _, st := range s.Stages {
@@ -315,6 +317,11 @@ func (s *State) Clone() *State {
 		iters = iters[k:]
 	}
 	c.Steps = append([]Step(nil), s.Steps...)
+	if s.arena != nil {
+		for i, st := range c.Steps {
+			c.Steps[i] = (*Arena)(nil).CopyStep(st)
+		}
+	}
 	c.sig.Store(s.sig.Load())
 	c.valid.Store(s.valid.Load())
 	return c

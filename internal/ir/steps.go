@@ -18,8 +18,6 @@ type Step interface {
 	StageName() string
 	// Apply rewrites the state or reports why it cannot.
 	Apply(s *State) error
-	// Clone returns an independent deep copy of the step.
-	Clone() Step
 }
 
 // BaseStage maps a synthesized stage name back to its original node name:
@@ -34,7 +32,9 @@ func BaseStage(name string) string {
 // stepError is why a step could not be applied. Evolution throws a
 // quarter of its offspring away on one of these without looking at it, so
 // the text is rendered when somebody asks for it, not when the step
-// fails; the arguments must be values no later rewrite changes.
+// fails; the arguments must be values no later rewrite changes. A list
+// argument is copied: a step's lists may be an arena's, which a failed
+// replay gives back before its error is read.
 type stepError struct {
 	format string
 	args   []any
@@ -42,7 +42,26 @@ type stepError struct {
 
 func (e *stepError) Error() string { return fmt.Sprintf(e.format, e.args...) }
 
-func errf(format string, args ...any) error { return &stepError{format, args} }
+func errf(format string, args ...any) error {
+	for i, v := range args {
+		if l, ok := v.([]int); ok {
+			args[i] = slices.Clone(l)
+		}
+	}
+	return &stepError{format, args}
+}
+
+// replayError is why a replay stopped at step i: the step's kind and its
+// error, rendered, like stepError, when read.
+type replayError struct {
+	i    int
+	kind string
+	err  error
+}
+
+func (e *replayError) Error() string {
+	return fmt.Sprintf("ir: replay step %d (%s): %v", e.i, e.kind, e.err)
+}
 
 // adjustAttachments remaps the attach indices of stages attached to the
 // named target after its loop list changed.
@@ -85,7 +104,6 @@ type InlineStep struct {
 
 func (st *InlineStep) Name() string      { return "Inline" }
 func (st *InlineStep) StageName() string { return st.Stage }
-func (st *InlineStep) Clone() Step       { c := *st; return &c }
 
 func (st *InlineStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -118,11 +136,6 @@ type SplitStep struct {
 
 func (st *SplitStep) Name() string      { return "Split" }
 func (st *SplitStep) StageName() string { return st.Stage }
-func (st *SplitStep) Clone() Step {
-	c := *st
-	c.Factors = append([]int(nil), st.Factors...)
-	return &c
-}
 
 func (st *SplitStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -186,7 +199,6 @@ type FuseStep struct {
 
 func (st *FuseStep) Name() string      { return "Fuse" }
 func (st *FuseStep) StageName() string { return st.Stage }
-func (st *FuseStep) Clone() Step       { c := *st; return &c }
 
 func (st *FuseStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -252,11 +264,6 @@ type ReorderStep struct {
 
 func (st *ReorderStep) Name() string      { return "Reorder" }
 func (st *ReorderStep) StageName() string { return st.Stage }
-func (st *ReorderStep) Clone() Step {
-	c := *st
-	c.Perm = append([]int(nil), st.Perm...)
-	return &c
-}
 
 func (st *ReorderStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -296,7 +303,6 @@ type AnnotateStep struct {
 
 func (st *AnnotateStep) Name() string      { return "Annotate" }
 func (st *AnnotateStep) StageName() string { return st.Stage }
-func (st *AnnotateStep) Clone() Step       { c := *st; return &c }
 
 func (st *AnnotateStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -327,7 +333,6 @@ type PragmaStep struct {
 
 func (st *PragmaStep) Name() string      { return "Pragma" }
 func (st *PragmaStep) StageName() string { return st.Stage }
-func (st *PragmaStep) Clone() Step       { c := *st; return &c }
 
 func (st *PragmaStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -351,7 +356,6 @@ type LayoutRewriteStep struct {
 
 func (st *LayoutRewriteStep) Name() string      { return "LayoutRewrite" }
 func (st *LayoutRewriteStep) StageName() string { return st.Stage }
-func (st *LayoutRewriteStep) Clone() Step       { c := *st; return &c }
 
 func (st *LayoutRewriteStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -388,23 +392,6 @@ type MultiLevelTileStep struct {
 
 func (st *MultiLevelTileStep) Name() string      { return "MultiLevelTile" }
 func (st *MultiLevelTileStep) StageName() string { return st.Stage }
-func (st *MultiLevelTileStep) Clone() Step {
-	c := *st
-	c.SpaceFactors = cloneFactors(st.SpaceFactors)
-	c.ReduceFactors = cloneFactors(st.ReduceFactors)
-	return &c
-}
-
-func cloneFactors(f [][]int) [][]int {
-	if f == nil {
-		return nil
-	}
-	out := make([][]int, len(f))
-	for i := range f {
-		out[i] = append([]int(nil), f[i]...)
-	}
-	return out
-}
 
 // outerExtent derives the outermost tile extent of one axis from its full
 // extent and the inner factors; nil factors yield Unfilled.
@@ -525,7 +512,6 @@ type FuseConsumerStep struct {
 
 func (st *FuseConsumerStep) Name() string      { return "FuseConsumer" }
 func (st *FuseConsumerStep) StageName() string { return st.Producer }
-func (st *FuseConsumerStep) Clone() Step       { c := *st; return &c }
 
 func (st *FuseConsumerStep) Apply(s *State) error {
 	p := s.Stage(st.Producer)
@@ -635,7 +621,6 @@ type CacheWriteStep struct {
 
 func (st *CacheWriteStep) Name() string      { return "CacheWrite" }
 func (st *CacheWriteStep) StageName() string { return st.Stage }
-func (st *CacheWriteStep) Clone() Step       { c := *st; return &c }
 
 func (st *CacheWriteStep) Apply(s *State) error {
 	idx := s.StageIndex(st.Stage)
@@ -694,7 +679,6 @@ type RFactorStep struct {
 
 func (st *RFactorStep) Name() string      { return "RFactor" }
 func (st *RFactorStep) StageName() string { return st.Stage }
-func (st *RFactorStep) Clone() Step       { c := *st; return &c }
 
 func (st *RFactorStep) Apply(s *State) error {
 	idx := s.StageIndex(st.Stage)
@@ -820,7 +804,6 @@ type ComputeAtStep struct {
 
 func (st *ComputeAtStep) Name() string      { return "ComputeAt" }
 func (st *ComputeAtStep) StageName() string { return st.Stage }
-func (st *ComputeAtStep) Clone() Step       { c := *st; return &c }
 
 func (st *ComputeAtStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)
@@ -900,7 +883,6 @@ type ComputeRootStep struct {
 
 func (st *ComputeRootStep) Name() string      { return "ComputeRoot" }
 func (st *ComputeRootStep) StageName() string { return st.Stage }
-func (st *ComputeRootStep) Clone() Step       { c := *st; return &c }
 
 func (st *ComputeRootStep) Apply(s *State) error {
 	stage := s.Stage(st.Stage)

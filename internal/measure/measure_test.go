@@ -85,7 +85,6 @@ type foreignStep struct{}
 func (foreignStep) Name() string          { return "foreign" }
 func (foreignStep) StageName() string     { return "matmul" }
 func (foreignStep) Apply(*ir.State) error { return nil }
-func (f foreignStep) Clone() ir.Step      { return f }
 
 // TestStepsEncodedOnlyForWhoNeedsThem: the front half encodes a step list
 // only when the cache or the backend wants the bytes, and a list the

@@ -99,9 +99,12 @@ gated 'TestPrepareAheadChangesNoDecision|TestZeroGradientTaskIsNeverGuessed' ./i
 gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 
 # Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
-# with freed arena memory poisoned and the arenas' books checked at every
-# carve and release, the two exit invariants — Search.Run returns and
-# Propose leaves no program of an arena — the in-process measurer, whose
+# with freed arena memory — states, loops, step values and their factor
+# lists — poisoned and the arenas' books checked at every carve and
+# release, among them a proposal's batch clones read after their arenas
+# were reused (Clone detaches the steps), the two exit invariants —
+# Search.Run returns and Propose leaves no program of an arena — the
+# in-process measurer, whose
 # goroutines share pooled lowering scratch, and feature extraction, whose
 # pooled scratch carries lg's memo from one holder to the next, the
 # feature cache's chunks, which concurrent lookups carve and whole runs
