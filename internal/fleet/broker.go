@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/jsonx"
 	"repro/internal/obs"
 	"repro/internal/regserver"
 	"repro/internal/te"
@@ -220,16 +221,6 @@ func (b *Broker) routes() {
 	b.mux.HandleFunc("/metrics/prom", b.handleMetrics)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // readAll reads r to its end into dst's memory, grown to the announced
 // content length when there is a believable one.
 func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
@@ -245,25 +236,9 @@ func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
 func (b *Broker) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := readAll(nil, http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		regserver.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 	}
 	return body, err == nil
-}
-
-// decodeBody parses one bounded request body in read's layout or, as
-// json.Unmarshal does, in any other.
-func decodeBody[T any](b *Broker, w http.ResponseWriter, r *http.Request, read func(*wireReader) T) (T, bool) {
-	body, ok := b.readBody(w, r)
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	v, err := decode(body, read)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse body: %v", err)
-		return v, false
-	}
-	return v, true
 }
 
 // splitLines cuts an NDJSON body into its JSON header line and the
@@ -308,7 +283,7 @@ func (b *Broker) authorized(w http.ResponseWriter, r *http.Request) bool {
 	if regserver.BearerOK(r, b.AuthToken) {
 		return true
 	}
-	writeError(w, http.StatusUnauthorized, "missing or wrong bearer token")
+	regserver.WriteError(w, http.StatusUnauthorized, "missing or wrong bearer token")
 	return false
 }
 
@@ -354,7 +329,7 @@ func (b *Broker) handleHealth(w http.ResponseWriter, r *http.Request) {
 	b.mu.Lock()
 	jobs, workers := len(b.jobs), len(b.workers)
 	b.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "jobs": jobs, "workers": workers})
+	regserver.WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "jobs": jobs, "workers": workers})
 }
 
 // handleSubmit is the submitter's one request: enqueue the batch under
@@ -370,7 +345,7 @@ func (b *Broker) handleHealth(w http.ResponseWriter, r *http.Request) {
 // harmless.
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a job to %s", r.URL.Path)
+		regserver.WriteError(w, http.StatusMethodNotAllowed, "POST a job to %s", r.URL.Path)
 		return
 	}
 	if !b.authorized(w, r) {
@@ -383,28 +358,29 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	header, programs, err := splitLines(body)
 	if err == nil {
-		spec, err = decode(header, readJob)
+		d := jsonx.NewReader(header)
+		spec, err = jsonx.Decode(&d, readJob(&d))
 	}
 	switch {
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "parse body: %v", err)
+		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
 	case spec.ID == "":
-		writeError(w, http.StatusBadRequest, "job needs an id")
+		regserver.WriteError(w, http.StatusBadRequest, "job needs an id")
 	case spec.Count != len(programs):
-		writeError(w, http.StatusBadRequest, "header counts %d programs, body has %d lines", spec.Count, len(programs))
+		regserver.WriteError(w, http.StatusBadRequest, "header counts %d programs, body has %d lines", spec.Count, len(programs))
 	case spec.Count == 0 && spec.Target == "":
 		b.awaitJob(w, r, &spec, nil)
 	case spec.Count == 0:
-		writeError(w, http.StatusBadRequest, "job carries no programs")
+		regserver.WriteError(w, http.StatusBadRequest, "job carries no programs")
 	case spec.Target == "":
-		writeError(w, http.StatusBadRequest, "job needs a target")
+		regserver.WriteError(w, http.StatusBadRequest, "job needs a target")
 	case len(spec.DAGBin) == 0:
-		writeError(w, http.StatusBadRequest, "job carries no dag_bin (the binary wire DAG)")
+		regserver.WriteError(w, http.StatusBadRequest, "job carries no dag_bin (the binary wire DAG)")
 	default:
 		// Reject undecodable DAGs at the door, once per job: a poisoned job
 		// would otherwise fail identically on every worker that leased it.
 		if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
-			writeError(w, http.StatusBadRequest, "bad binary dag: %v", err)
+			regserver.WriteError(w, http.StatusBadRequest, "bad binary dag: %v", err)
 			return
 		}
 		b.awaitJob(w, r, &spec, programs)
@@ -441,7 +417,7 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 		ch := b.notify
 		b.mu.Unlock()
 		if !ok && first {
-			writeError(w, http.StatusNotFound, "unknown job %q (answered and evicted jobs are forgotten)", spec.ID)
+			regserver.WriteError(w, http.StatusNotFound, "unknown job %q (answered and evicted jobs are forgotten)", spec.ID)
 			return
 		}
 		remaining := time.Until(deadline)
@@ -520,18 +496,24 @@ func (b *Broker) dropJobLocked(id string) {
 
 func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a lease request to %s", r.URL.Path)
+		regserver.WriteError(w, http.StatusMethodNotAllowed, "POST a lease request to %s", r.URL.Path)
 		return
 	}
 	if !b.authorized(w, r) {
 		return
 	}
-	req, ok := decodeBody(b, w, r, readLease)
+	body, ok := b.readBody(w, r)
 	if !ok {
 		return
 	}
+	d := jsonx.NewReader(body)
+	req, err := jsonx.Decode(&d, readLease(&d))
+	if err != nil {
+		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
+		return
+	}
 	if req.Worker == "" || req.Target == "" {
-		writeError(w, http.StatusBadRequest, "lease request needs worker and target")
+		regserver.WriteError(w, http.StatusBadRequest, "lease request needs worker and target")
 		return
 	}
 	if req.Capacity < 1 {
@@ -545,7 +527,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 		_, err := b.applyResultsLocked(*req.Done)
 		b.mu.Unlock()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			regserver.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -564,7 +546,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 		if ws.quarantined {
 			failures := ws.failures
 			b.mu.Unlock()
-			writeError(w, http.StatusForbidden, "worker %q is quarantined after %d lease failures", req.Worker, failures)
+			regserver.WriteError(w, http.StatusForbidden, "worker %q is quarantined after %d lease failures", req.Worker, failures)
 			return
 		}
 		if grant, ok := b.tryLeaseLocked(req); ok {
@@ -652,24 +634,30 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 // down); a working worker returns its lease with its next lease request.
 func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST results to %s", r.URL.Path)
+		regserver.WriteError(w, http.StatusMethodNotAllowed, "POST results to %s", r.URL.Path)
 		return
 	}
 	if !b.authorized(w, r) {
 		return
 	}
-	post, ok := decodeBody(b, w, r, readResults)
+	body, ok := b.readBody(w, r)
 	if !ok {
+		return
+	}
+	d := jsonx.NewReader(body)
+	post, err := jsonx.Decode(&d, readResults(&d))
+	if err != nil {
+		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
 		return
 	}
 	b.mu.Lock()
 	ack, err := b.applyResultsLocked(post)
 	b.mu.Unlock()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		regserver.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ack)
+	regserver.WriteJSON(w, http.StatusOK, ack)
 }
 
 // applyResultsLocked records one lease's results and releases the lease
@@ -764,7 +752,7 @@ func (b *Broker) applyResultsLocked(post ResultPost) (ResultAck, error) {
 
 func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
+		regserver.WriteError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
 	b.mu.Lock()
@@ -830,7 +818,7 @@ func (b *Broker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BytesOut:          snap.Counters["bytes_out"],
 		LeaseWakeups:      snap.Counters["lease_wakeups"],
 	}
-	writeJSON(w, http.StatusOK, m)
+	regserver.WriteJSON(w, http.StatusOK, m)
 }
 
 func sortedWorkerIDs(ws map[string]*workerState) []string {

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonx"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/regserver"
@@ -140,7 +141,8 @@ func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 	if code == http.StatusNotFound {
 		err = fmt.Errorf("%w: %v", ErrUnknownJob, err)
 	} else if err == nil {
-		if st, err = decode(raw, readStatus); err != nil {
+		d := jsonx.NewReader(raw)
+		if st, err = jsonx.Decode(&d, readStatus(&d)); err != nil {
 			err = fmt.Errorf("fleet: decode job status: %w", err)
 		}
 	}
@@ -189,7 +191,8 @@ func decodeGrant(body []byte) (*LeaseGrant, error) {
 	var grant LeaseGrant
 	header, programs, err := splitLines(body)
 	if err == nil {
-		grant, err = decode(header, readGrant)
+		d := jsonx.NewReader(header)
+		grant, err = jsonx.Decode(&d, readGrant(&d))
 	}
 	if err == nil && len(programs) != len(grant.Indices) {
 		err = fmt.Errorf("%d programs for %d indices", len(programs), len(grant.Indices))

@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/jsonx"
 )
 
 // The bodies' hand codec (wire.go) against the reflection calls it
@@ -22,12 +24,17 @@ type wireKind struct {
 	write  func(any) ([]byte, error)
 }
 
-func kindOf[T any](name string, read func(*wireReader) T, write func([]byte, T) ([]byte, error)) wireKind {
+func kindOf[T any](name string, read func(*jsonx.Reader) T, write func([]byte, T) ([]byte, error)) wireKind {
 	return wireKind{
 		name: name,
-		hand: func(b []byte) (any, bool) { return byHand(b, read) },
+		hand: func(b []byte) (any, bool) {
+			d := jsonx.NewReader(b)
+			v := read(&d)
+			return v, d.Whole()
+		},
 		decode: func(b []byte) (any, error) {
-			v, err := decode(b, read)
+			d := jsonx.NewReader(b)
+			v, err := jsonx.Decode(&d, read(&d))
 			return v, err
 		},
 		ref: func(b []byte) (any, error) {

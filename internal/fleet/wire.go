@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"strconv"
 
-	"repro/internal/ir"
+	"repro/internal/jsonx"
 )
 
 // Wire bodies: a lease request and the results it returns (or a results
@@ -32,26 +29,18 @@ import (
 // The append functions write exactly the bytes json.Marshal writes for
 // JobSpec, LeaseRequest, ResultPost, LeaseGrant and JobStatus, whose
 // struct tags name the same keys for encoding/json's reader: a bracketed
-// member only when it is not empty, a string and a number as
-// ir.AppendString and ir.AppendFloat write them (NaN and ±Inf refused
-// with encoding/json's error), bytes in standard base64, a nil list null.
-//
-// Reading: a body in this layout — these keys in this order, no
-// whitespace but after the closing brace, strings of printable ASCII
-// without `"` and `\`, integers without fraction or exponent that fit
-// 64 bits, numbers that parse as a float64 — is decoded by hand. Any
-// other body is json.Unmarshal's, whole: other key orders and
-// whitespace, escapes, a null member, fields an older peer still sends.
-// So what decodes, what it decodes to and every error text stay
-// encoding/json's; no version of this program writes another layout.
+// member only when it is not empty, strings, numbers and bytes as jsonx
+// writes them, a nil list null. The read functions take that layout
+// under jsonx's strict-read rule; jsonx.Decode leaves any other body to
+// json.Unmarshal, whole.
 
 // appendJob appends a job's header line, without its newline.
 func appendJob(dst []byte, j JobSpec) []byte {
-	dst = ir.AppendString(append(dst, `{"id":`...), j.ID)
-	dst = appendOptional(dst, `,"target":`, j.Target)
-	dst = appendOptional(dst, `,"task":`, j.Task)
-	dst = appendOptional(dst, `,"trace":`, j.Trace)
-	dst = appendBytes(dst, `,"dag_bin":`, j.DAGBin)
+	dst = jsonx.AppendString(append(dst, `{"id":`...), j.ID)
+	dst = jsonx.AppendOptional(dst, `,"target":`, j.Target)
+	dst = jsonx.AppendOptional(dst, `,"task":`, j.Task)
+	dst = jsonx.AppendOptional(dst, `,"trace":`, j.Trace)
+	dst = jsonx.AppendBytes(dst, `,"dag_bin":`, j.DAGBin)
 	if j.Count != 0 {
 		dst = strconv.AppendInt(append(dst, `,"count":`...), int64(j.Count), 10)
 	}
@@ -61,34 +50,34 @@ func appendJob(dst []byte, j JobSpec) []byte {
 	return append(dst, '}')
 }
 
-func readJob(r *wireReader) (j JobSpec) {
-	r.need(`{"id":`)
-	j.ID = r.str()
-	if r.key(`,"target":`) {
-		j.Target = r.str()
+func readJob(r *jsonx.Reader) (j JobSpec) {
+	r.Need(`{"id":`)
+	j.ID = r.Str("")
+	if r.Key(`,"target":`) {
+		j.Target = r.Str("")
 	}
-	if r.key(`,"task":`) {
-		j.Task = r.str()
+	if r.Key(`,"task":`) {
+		j.Task = r.Str("")
 	}
-	if r.key(`,"trace":`) {
-		j.Trace = r.str()
+	if r.Key(`,"trace":`) {
+		j.Trace = r.Str("")
 	}
-	if r.key(`,"dag_bin":`) {
-		j.DAGBin = r.bytes()
+	if r.Key(`,"dag_bin":`) {
+		j.DAGBin = r.Bytes()
 	}
-	if r.key(`,"count":`) {
-		j.Count = int(r.int())
+	if r.Key(`,"count":`) {
+		j.Count = int(r.Int())
 	}
-	if r.key(`,"wait_ms":`) {
-		j.WaitMS = r.int()
+	if r.Key(`,"wait_ms":`) {
+		j.WaitMS = r.Int()
 	}
-	r.need("}")
+	r.Need("}")
 	return j
 }
 
 func appendLease(dst []byte, q LeaseRequest) ([]byte, error) {
-	dst = ir.AppendString(append(dst, `{"worker":`...), q.Worker)
-	dst = ir.AppendString(append(dst, `,"target":`...), q.Target)
+	dst = jsonx.AppendString(append(dst, `{"worker":`...), q.Worker)
+	dst = jsonx.AppendString(append(dst, `,"target":`...), q.Target)
 	dst = strconv.AppendInt(append(dst, `,"capacity":`...), int64(q.Capacity), 10)
 	if q.WaitMS != 0 {
 		dst = strconv.AppendInt(append(dst, `,"wait_ms":`...), q.WaitMS, 10)
@@ -102,30 +91,30 @@ func appendLease(dst []byte, q LeaseRequest) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func readLease(r *wireReader) (q LeaseRequest) {
-	r.need(`{"worker":`)
-	q.Worker = r.str()
-	r.need(`,"target":`)
-	q.Target = r.str()
-	r.need(`,"capacity":`)
-	q.Capacity = int(r.int())
-	if r.key(`,"wait_ms":`) {
-		q.WaitMS = r.int()
+func readLease(r *jsonx.Reader) (q LeaseRequest) {
+	r.Need(`{"worker":`)
+	q.Worker = r.Str("")
+	r.Need(`,"target":`)
+	q.Target = r.Str("")
+	r.Need(`,"capacity":`)
+	q.Capacity = int(r.Int())
+	if r.Key(`,"wait_ms":`) {
+		q.WaitMS = r.Int()
 	}
-	if r.key(`,"done":`) {
+	if r.Key(`,"done":`) {
 		p := readResults(r)
 		q.Done = &p
 	}
-	r.need("}")
+	r.Need("}")
 	return q
 }
 
 func appendResults(dst []byte, p ResultPost) ([]byte, error) {
 	dst = append(dst, '{')
 	if p.Worker != "" {
-		dst = append(ir.AppendString(append(dst, `"worker":`...), p.Worker), ',')
+		dst = append(jsonx.AppendString(append(dst, `"worker":`...), p.Worker), ',')
 	}
-	dst = ir.AppendString(append(dst, `"job":`...), p.Job)
+	dst = jsonx.AppendString(append(dst, `"job":`...), p.Job)
 	dst = strconv.AppendInt(append(dst, `,"lease":`...), p.Lease, 10)
 	if p.Results == nil {
 		return append(dst, `,"results":null}`...), nil
@@ -137,52 +126,52 @@ func appendResults(dst []byte, p ResultPost) ([]byte, error) {
 		}
 		dst = strconv.AppendInt(append(dst, `{"index":`...), int64(w.Index), 10)
 		var err error
-		if dst, err = ir.AppendFloat(append(dst, `,"noiseless":`...), w.Noiseless); err != nil {
+		if dst, err = jsonx.AppendFloat(append(dst, `,"noiseless":`...), w.Noiseless); err != nil {
 			return nil, err
 		}
-		dst = append(appendOptional(dst, `,"err":`, w.Err), '}')
+		dst = append(jsonx.AppendOptional(dst, `,"err":`, w.Err), '}')
 	}
 	return append(dst, "]}"...), nil
 }
 
-func readResults(r *wireReader) (p ResultPost) {
-	r.need("{")
-	if r.key(`"worker":`) {
-		p.Worker = r.str()
-		r.need(",")
+func readResults(r *jsonx.Reader) (p ResultPost) {
+	r.Need("{")
+	if r.Key(`"worker":`) {
+		p.Worker = r.Str("")
+		r.Need(",")
 	}
-	r.need(`"job":`)
-	p.Job = r.str()
-	r.need(`,"lease":`)
-	p.Lease = r.int()
-	r.need(`,"results":`)
-	if !r.key("null") {
+	r.Need(`"job":`)
+	p.Job = r.Str("")
+	r.Need(`,"lease":`)
+	p.Lease = r.Int()
+	r.Need(`,"results":`)
+	if !r.Key("null") {
 		p.Results = []WorkerResult{}
-		r.list(func() {
+		r.List(func() {
 			var w WorkerResult
-			r.need(`{"index":`)
-			w.Index = int(r.int())
-			r.need(`,"noiseless":`)
-			w.Noiseless = r.float()
-			if r.key(`,"err":`) {
-				w.Err = r.str()
+			r.Need(`{"index":`)
+			w.Index = int(r.Int())
+			r.Need(`,"noiseless":`)
+			w.Noiseless = r.Float()
+			if r.Key(`,"err":`) {
+				w.Err = r.Str("")
 			}
-			r.need("}")
+			r.Need("}")
 			p.Results = append(p.Results, w)
 		})
 	}
-	r.need("}")
+	r.Need("}")
 	return p
 }
 
 // appendGrant appends a lease grant's header line, without its newline.
 func appendGrant(dst []byte, g LeaseGrant) []byte {
 	dst = strconv.AppendInt(append(dst, `{"lease":`...), g.Lease, 10)
-	dst = ir.AppendString(append(dst, `,"job":`...), g.Job)
-	dst = appendOptional(dst, `,"task":`, g.Task)
-	dst = appendOptional(dst, `,"trace":`, g.Trace)
-	dst = ir.AppendString(append(dst, `,"target":`...), g.Target)
-	dst = appendBytes(dst, `,"dag_bin":`, g.DAGBin)
+	dst = jsonx.AppendString(append(dst, `,"job":`...), g.Job)
+	dst = jsonx.AppendOptional(dst, `,"task":`, g.Task)
+	dst = jsonx.AppendOptional(dst, `,"trace":`, g.Trace)
+	dst = jsonx.AppendString(append(dst, `,"target":`...), g.Target)
+	dst = jsonx.AppendBytes(dst, `,"dag_bin":`, g.DAGBin)
 	if g.Indices == nil {
 		return append(dst, `,"indices":null}`...)
 	}
@@ -196,35 +185,35 @@ func appendGrant(dst []byte, g LeaseGrant) []byte {
 	return append(dst, "]}"...)
 }
 
-func readGrant(r *wireReader) (g LeaseGrant) {
-	r.need(`{"lease":`)
-	g.Lease = r.int()
-	r.need(`,"job":`)
-	g.Job = r.str()
-	if r.key(`,"task":`) {
-		g.Task = r.str()
+func readGrant(r *jsonx.Reader) (g LeaseGrant) {
+	r.Need(`{"lease":`)
+	g.Lease = r.Int()
+	r.Need(`,"job":`)
+	g.Job = r.Str("")
+	if r.Key(`,"task":`) {
+		g.Task = r.Str("")
 	}
-	if r.key(`,"trace":`) {
-		g.Trace = r.str()
+	if r.Key(`,"trace":`) {
+		g.Trace = r.Str("")
 	}
-	r.need(`,"target":`)
-	g.Target = r.str()
-	if r.key(`,"dag_bin":`) {
-		g.DAGBin = r.bytes()
+	r.Need(`,"target":`)
+	g.Target = r.Str("")
+	if r.Key(`,"dag_bin":`) {
+		g.DAGBin = r.Bytes()
 	}
-	r.need(`,"indices":`)
-	if !r.key("null") {
+	r.Need(`,"indices":`)
+	if !r.Key("null") {
 		g.Indices = []int{}
-		r.list(func() { g.Indices = append(g.Indices, int(r.int())) })
+		r.List(func() { g.Indices = append(g.Indices, int(r.Int())) })
 	}
-	r.need("}")
+	r.Need("}")
 	return g
 }
 
 func appendStatus(dst []byte, st JobStatus) ([]byte, error) {
-	dst = ir.AppendString(append(dst, `{"id":`...), st.ID)
-	dst = ir.AppendString(append(dst, `,"target":`...), st.Target)
-	dst = appendOptional(dst, `,"task":`, st.Task)
+	dst = jsonx.AppendString(append(dst, `{"id":`...), st.ID)
+	dst = jsonx.AppendString(append(dst, `,"target":`...), st.Target)
+	dst = jsonx.AppendOptional(dst, `,"task":`, st.Task)
 	dst = strconv.AppendInt(append(dst, `,"total":`...), int64(st.Total), 10)
 	dst = strconv.AppendInt(append(dst, `,"completed":`...), int64(st.Completed), 10)
 	dst = strconv.AppendBool(append(dst, `,"done":`...), st.Done)
@@ -237,11 +226,11 @@ func appendStatus(dst []byte, st JobStatus) ([]byte, error) {
 		dst = strconv.AppendBool(append(dst, `{"done":`...), u.Done)
 		if u.Noiseless != 0 {
 			var err error
-			if dst, err = ir.AppendFloat(append(dst, `,"noiseless":`...), u.Noiseless); err != nil {
+			if dst, err = jsonx.AppendFloat(append(dst, `,"noiseless":`...), u.Noiseless); err != nil {
 				return nil, err
 			}
 		}
-		dst = append(appendOptional(dst, `,"err":`, u.Err), '}')
+		dst = append(jsonx.AppendOptional(dst, `,"err":`, u.Err), '}')
 	}
 	if len(st.Results) > 0 {
 		dst = append(dst, ']')
@@ -249,197 +238,36 @@ func appendStatus(dst []byte, st JobStatus) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func readStatus(r *wireReader) (st JobStatus) {
-	r.need(`{"id":`)
-	st.ID = r.str()
-	r.need(`,"target":`)
-	st.Target = r.str()
-	if r.key(`,"task":`) {
-		st.Task = r.str()
+func readStatus(r *jsonx.Reader) (st JobStatus) {
+	r.Need(`{"id":`)
+	st.ID = r.Str("")
+	r.Need(`,"target":`)
+	st.Target = r.Str("")
+	if r.Key(`,"task":`) {
+		st.Task = r.Str("")
 	}
-	r.need(`,"total":`)
-	st.Total = int(r.int())
-	r.need(`,"completed":`)
-	st.Completed = int(r.int())
-	r.need(`,"done":`)
-	st.Done = r.bool()
-	if r.key(`,"results":`) {
+	r.Need(`,"total":`)
+	st.Total = int(r.Int())
+	r.Need(`,"completed":`)
+	st.Completed = int(r.Int())
+	r.Need(`,"done":`)
+	st.Done = r.Bool()
+	if r.Key(`,"results":`) {
 		st.Results = []UnitResult{}
-		r.list(func() {
+		r.List(func() {
 			var u UnitResult
-			r.need(`{"done":`)
-			u.Done = r.bool()
-			if r.key(`,"noiseless":`) {
-				u.Noiseless = r.float()
+			r.Need(`{"done":`)
+			u.Done = r.Bool()
+			if r.Key(`,"noiseless":`) {
+				u.Noiseless = r.Float()
 			}
-			if r.key(`,"err":`) {
-				u.Err = r.str()
+			if r.Key(`,"err":`) {
+				u.Err = r.Str("")
 			}
-			r.need("}")
+			r.Need("}")
 			st.Results = append(st.Results, u)
 		})
 	}
-	r.need("}")
+	r.Need("}")
 	return st
-}
-
-func appendOptional(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	return ir.AppendString(append(dst, key...), s)
-}
-
-func appendBytes(dst []byte, key string, b []byte) []byte {
-	if len(b) == 0 {
-		return dst
-	}
-	dst = base64.StdEncoding.AppendEncode(append(append(dst, key...), '"'), b)
-	return append(dst, '"')
-}
-
-// decode reads a whole body by hand when it is in read's layout, and
-// with json.Unmarshal when it is not.
-func decode[T any](b []byte, read func(*wireReader) T) (T, error) {
-	if v, ok := byHand(b, read); ok {
-		return v, nil
-	}
-	var v T
-	err := json.Unmarshal(b, &v)
-	return v, err
-}
-
-// byHand reads b with read and reports whether all of it, but for
-// trailing whitespace, was in read's layout.
-func byHand[T any](b []byte, read func(*wireReader) T) (T, bool) {
-	r := wireReader{b: b, ok: true}
-	v := read(&r)
-	return v, r.ok && len(bytes.TrimLeft(b[r.i:], " \t\r\n")) == 0
-}
-
-// wireReader reads a body in the layout the append functions write. ok
-// turns false at the first byte outside it, and every later read is a
-// no-op.
-type wireReader struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// key steps over s if the input continues with it.
-func (r *wireReader) key(s string) bool {
-	if r.ok && len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s {
-		r.i += len(s)
-		return true
-	}
-	return false
-}
-
-func (r *wireReader) need(s string) {
-	if !r.key(s) {
-		r.ok = false
-	}
-}
-
-// list reads `[` [ elem { `,` elem } ] `]`.
-func (r *wireReader) list(elem func()) {
-	if r.need("["); r.key("]") {
-		return
-	}
-	for r.ok {
-		if elem(); r.key("]") {
-			return
-		}
-		r.need(",")
-	}
-}
-
-// raw reads a string of printable ASCII without `"` and `\` and returns
-// its bytes, a piece of the input.
-func (r *wireReader) raw() []byte {
-	if !r.key(`"`) {
-		r.ok = false
-		return nil
-	}
-	for start := r.i; r.i < len(r.b); r.i++ {
-		switch c := r.b[r.i]; {
-		case c == '"':
-			r.i++
-			return r.b[start : r.i-1]
-		case c < ' ' || c >= 0x80 || c == '\\':
-			r.ok = false
-			return nil
-		}
-	}
-	r.ok = false
-	return nil
-}
-
-func (r *wireReader) str() string { return string(r.raw()) }
-
-// bytes reads a base64 string as encoding/json decodes it into a []byte.
-func (r *wireReader) bytes() []byte {
-	raw := r.raw()
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
-	n, err := base64.StdEncoding.Decode(out, raw)
-	if err != nil {
-		r.ok = false
-	}
-	return out[:n]
-}
-
-func (r *wireReader) bool() bool {
-	if r.key("true") {
-		return true
-	}
-	r.need("false")
-	return false
-}
-
-func (r *wireReader) int() int64 {
-	n, err := strconv.ParseInt(string(r.number()), 10, 64)
-	if err != nil {
-		r.ok = false
-	}
-	return n
-}
-
-func (r *wireReader) float() float64 {
-	f, err := strconv.ParseFloat(string(r.number()), 64)
-	if err != nil {
-		r.ok = false
-	}
-	return f
-}
-
-// number reads a JSON number literal.
-func (r *wireReader) number() []byte {
-	start := r.i
-	r.key("-")
-	if !r.key("0") && r.digits() == 0 {
-		r.ok = false
-	}
-	if r.key(".") && r.digits() == 0 {
-		r.ok = false
-	}
-	if r.key("e") || r.key("E") {
-		if !r.key("+") {
-			r.key("-")
-		}
-		if r.digits() == 0 {
-			r.ok = false
-		}
-	}
-	if !r.ok {
-		return nil
-	}
-	return r.b[start:r.i]
-}
-
-func (r *wireReader) digits() int {
-	start := r.i
-	for r.ok && r.i < len(r.b) && '0' <= r.b[r.i] && r.b[r.i] <= '9' {
-		r.i++
-	}
-	return r.i - start
 }

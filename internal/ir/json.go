@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
+	"repro/internal/jsonx"
 	"repro/internal/te"
 )
 
@@ -116,7 +115,7 @@ func EncodeSteps(steps []Step) ([]byte, error) {
 			dst = append(append(append(dst, '"'), f.name...), `":`...)
 			switch p := f.ptr.(type) {
 			case *string:
-				dst = AppendString(dst, *p)
+				dst = jsonx.AppendString(dst, *p)
 			case *int:
 				dst = strconv.AppendInt(dst, int64(*p), 10)
 			case *[]int:
@@ -153,41 +152,6 @@ func appendInts(dst []byte, l []int) []byte {
 		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
 	return append(dst, ']')
-}
-
-// AppendString quotes s as encoding/json does. Plain ASCII, all this
-// program ever writes, is copied; a string with anything encoding/json
-// escapes is left to it. The record codec (measure.AppendRecord) quotes
-// its strings here too.
-func AppendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
-}
-
-// AppendFloat writes f as encoding/json does: the shortest 'f' form for
-// 1e-6 ≤ |f| < 1e21, else the shortest 'e' form with e-07 written e-7.
-// NaN and ±Inf are refused with encoding/json's error. The record codec
-// and the fleet's bodies write their numbers here.
-func AppendFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		_, err := json.Marshal(f) // encoding/json's refusal, word for word
-		return dst, err
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst, nil
 }
 
 // ErrDecodeSteps is wrapped by every error of a step list that does not

@@ -1,8 +1,10 @@
 package measure
 
 import (
+	"bytes"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/anno"
 	"repro/internal/ir"
@@ -87,5 +89,46 @@ func TestRecorderAllocationCeiling(t *testing.T) {
 	t.Logf("%.2f allocations per record", got)
 	if got >= 2 {
 		t.Errorf("%.2f allocations per record, ceiling: the dedupe key and a share of the log's and map's growth", got)
+	}
+}
+
+// TestLoadAllocationCeiling pins what loading a one-task log costs the
+// heap per record: its Steps bytes and a share of the record slice's
+// growth. Every line is read on a Reader on Load's stack, and a Task,
+// Target or DAG equal to the line before's shares that string, so all of
+// them share the first record's.
+func TestLoadAllocationCeiling(t *testing.T) {
+	ms := New(sim.IntelXeon(), 0.02, 1)
+	var l Log
+	if _, err := l.AddAll("C2D.s1", ms.Machine.Name, ms.Measure(c2dBatch(t, 256))); err != nil {
+		t.Fatal(err)
+	}
+	for i := range l.Records {
+		l.Records[i].Sig = "" // one string per program: what is pinned here is what they share
+	}
+	var buf bytes.Buffer
+	if err := l.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *Log
+	got := testing.AllocsPerRun(10, func() {
+		var err error
+		if loaded, err = Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(l.Records))
+	t.Logf("%.3f allocations per record", got)
+	if got > 1.1 && !raceDetector {
+		t.Errorf("%.3f allocations per record, ceiling 1.1: the Steps bytes and a share of the slice's growth", got)
+	}
+	if len(loaded.Records) != len(l.Records) {
+		t.Fatalf("loaded %d of %d records", len(loaded.Records), len(l.Records))
+	}
+	first := loaded.Records[0]
+	for i, rec := range loaded.Records {
+		if unsafe.StringData(rec.Task) != unsafe.StringData(first.Task) || unsafe.StringData(rec.Target) != unsafe.StringData(first.Target) ||
+			unsafe.StringData(rec.DAG) != unsafe.StringData(first.DAG) {
+			t.Fatalf("record %d: Task, Target and DAG do not share the first record's strings", i)
+		}
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"sync"
 
-	"repro/internal/ir"
+	"repro/internal/jsonx"
 )
 
 // Record lines: every place a record becomes bytes or comes back from
@@ -25,28 +24,19 @@ import (
 //
 // AppendRecord writes exactly the bytes json.Encoder writes for a Record
 // (whose struct tags name the same keys for encoding/json's reader):
-//   - target, sig and dag only when not empty, noiseless only when not ±0;
-//   - a number as encoding/json formats a float64 (ir.AppendFloat): the
-//     shortest 'f' form for 1e-6 ≤ |x| < 1e21, else the shortest 'e' form
-//     with e-07 written e-7; NaN and ±Inf are refused with encoding/json's
-//     error;
-//   - a string of printable ASCII without `"\<>&` is copied; any other is
-//     quoted by encoding/json itself (ir.AppendString);
-//   - steps is copied when it is compact JSON of ASCII bytes without <>&;
-//     otherwise json.Marshal(json.RawMessage(steps)) compacts it, escapes
-//     <>& (and U+2028/U+2029) and refuses what is not JSON. Nil steps is
-//     null.
+// target, sig and dag only when not empty, noiseless only when not ±0,
+// strings and numbers as jsonx writes them. Steps is copied when it is
+// compact JSON of ASCII bytes without <>&; otherwise
+// json.Marshal(json.RawMessage(steps)) compacts it, escapes <>& (and
+// U+2028/U+2029) and refuses what is not JSON. Nil steps is null.
 //
-// Reading: a line in exactly this layout — these keys in this order, no
-// whitespace around them, strings of printable ASCII without `"` and `\`,
-// steps a JSON array (validated against the full grammar and kept
-// verbatim), numbers JSON number literals that parse as a float64 — is
-// decoded by hand. Anything else is read by encoding/json from that
-// point on: other key orders and whitespace, escapes, unknown keys (an
-// older peer's measured_on or clock), "steps":null, two values on one
-// line, a torn tail. So what loads, what it loads as and every error text
-// stay encoding/json's; no version of this program writes another
-// layout.
+// Reading follows jsonx's strict-read rule, with steps a JSON array
+// validated against the full grammar and kept verbatim. Load hands the
+// rest of the stream to json.Decoder from the first line outside the
+// layout on (an older peer's unknown key, "steps":null, two values on
+// one line, a torn tail). A string equal to the same field of the line
+// before shares that line's string, so a log's repeated task, target
+// and dag cost one copy.
 
 // lineOverhead bounds a line's bytes beside its strings and steps: the
 // keys, quotes, brace and newline (75) and two numbers of at most 25
@@ -59,28 +49,21 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
 	// One allocation at most for a line whose strings need no escapes.
 	dst = slices.Grow(dst, len(rec.Task)+len(rec.Target)+len(rec.Sig)+len(rec.DAG)+len(rec.Steps)+lineOverhead)
-	dst = ir.AppendString(append(dst, `{"task":`...), rec.Task)
-	dst = appendOptional(dst, `,"target":`, rec.Target)
-	dst = appendOptional(dst, `,"sig":`, rec.Sig)
-	dst = appendOptional(dst, `,"dag":`, rec.DAG)
+	dst = jsonx.AppendString(append(dst, `{"task":`...), rec.Task)
+	dst = jsonx.AppendOptional(dst, `,"target":`, rec.Target)
+	dst = jsonx.AppendOptional(dst, `,"sig":`, rec.Sig)
+	dst = jsonx.AppendOptional(dst, `,"dag":`, rec.DAG)
 	dst, err := appendSteps(append(dst, `,"steps":`...), rec.Steps)
 	if err == nil {
-		dst, err = ir.AppendFloat(append(dst, `,"seconds":`...), rec.Seconds)
+		dst, err = jsonx.AppendFloat(append(dst, `,"seconds":`...), rec.Seconds)
 	}
 	if err == nil && rec.Noiseless != 0 {
-		dst, err = ir.AppendFloat(append(dst, `,"noiseless":`...), rec.Noiseless)
+		dst, err = jsonx.AppendFloat(append(dst, `,"noiseless":`...), rec.Noiseless)
 	}
 	if err != nil {
 		return dst[:start], err
 	}
 	return append(dst, "}\n"...), nil
-}
-
-func appendOptional(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	return ir.AppendString(append(dst, key...), s)
 }
 
 func appendSteps(dst, steps []byte) ([]byte, error) {
@@ -162,7 +145,7 @@ func Load(r io.Reader) (*Log, error) {
 		readers.Put(br)
 	}()
 	l := &Log{}
-	var d lineDecoder
+	var last Record
 	var long []byte
 	for {
 		line, err := br.ReadSlice('\n')
@@ -177,10 +160,12 @@ func Load(r io.Reader) (*Log, error) {
 		if len(line) == 0 && err == io.EOF {
 			return l, nil
 		}
-		rec, n, ok := d.record(line)
-		if !ok || !(err == nil && n == len(line)-1 || err == io.EOF && n == len(line)) {
+		d := jsonx.NewReader(line)
+		rec := readRecord(&d, &last)
+		if n, ok := d.End(); !ok || !(err == nil && n == len(line)-1 || err == io.EOF && n == len(line)) {
 			return l.loadJSON(line, br, err)
 		}
+		last = rec
 		l.Records = append(l.Records, rec)
 		if err == io.EOF {
 			return l, nil
@@ -234,128 +219,42 @@ func LoadFile(path string) (*Log, error) {
 // then whitespace only. A record line is decoded by hand; anything else
 // is json.Unmarshal's.
 func DecodeRecord(data []byte) (Record, error) {
-	var d lineDecoder
-	if rec, n, ok := d.record(data); ok && len(bytes.TrimLeft(data[n:], " \t\r\n")) == 0 {
-		return rec, nil
-	}
-	var rec Record
-	err := json.Unmarshal(data, &rec)
-	return rec, err
+	r := jsonx.NewReader(data)
+	return jsonx.Decode(&r, readRecord(&r, &Record{}))
 }
 
-// lineDecoder reads records in AppendRecord's layout. ok turns false at
-// the first byte outside the layout, and every later read is a no-op.
-type lineDecoder struct {
-	b    []byte
-	i    int
-	ok   bool
-	last Record // the record read last: a string equal to its field shares it
+// readRecord reads a record in AppendRecord's layout; a string equal to
+// last's field comes back as last's.
+func readRecord(r *jsonx.Reader, last *Record) (rec Record) {
+	r.Need(`{"task":`)
+	rec.Task = r.Str(last.Task)
+	if r.Key(`,"target":`) {
+		rec.Target = r.Str(last.Target)
+	}
+	if r.Key(`,"sig":`) {
+		rec.Sig = r.Str(last.Sig)
+	}
+	if r.Key(`,"dag":`) {
+		rec.DAG = r.Str(last.DAG)
+	}
+	r.Need(`,"steps":`)
+	rec.Steps = bytes.Clone(r.Span(arrayEnd))
+	r.Need(`,"seconds":`)
+	rec.Seconds = r.Float()
+	if r.Key(`,"noiseless":`) {
+		rec.Noiseless = r.Float()
+	}
+	r.Need("}")
+	return rec
 }
 
-// record reads the record at the start of b and returns it with the
-// offset just past its closing brace; ok is false when b does not start
-// with one in the layout.
-func (d *lineDecoder) record(b []byte) (rec Record, n int, ok bool) {
-	d.b, d.i, d.ok = b, 0, true
-	d.need(`{"task":`)
-	rec.Task = d.str(d.last.Task)
-	if d.key(`,"target":`) {
-		rec.Target = d.str(d.last.Target)
+// arrayEnd returns the end of the JSON array that starts at b[i], or -1.
+func arrayEnd(b []byte, i int) int {
+	if i >= len(b) || b[i] != '[' {
+		return -1
 	}
-	if d.key(`,"sig":`) {
-		rec.Sig = d.str(d.last.Sig)
-	}
-	if d.key(`,"dag":`) {
-		rec.DAG = d.str(d.last.DAG)
-	}
-	d.need(`,"steps":`)
-	rec.Steps = d.steps()
-	d.need(`,"seconds":`)
-	rec.Seconds = d.num()
-	if d.key(`,"noiseless":`) {
-		rec.Noiseless = d.num()
-	}
-	d.need("}")
-	if !d.ok {
-		return Record{}, 0, false
-	}
-	d.last = rec
-	return rec, d.i, true
-}
-
-// key steps over s if the input continues with it.
-func (d *lineDecoder) key(s string) bool {
-	if d.ok && len(d.b)-d.i >= len(s) && string(d.b[d.i:d.i+len(s)]) == s {
-		d.i += len(s)
-		return true
-	}
-	return false
-}
-
-func (d *lineDecoder) need(s string) {
-	if !d.key(s) {
-		d.ok = false
-	}
-}
-
-// str reads a string of printable ASCII without escapes; one equal to
-// last comes back as last.
-func (d *lineDecoder) str(last string) string {
-	if !d.key(`"`) {
-		d.ok = false
-		return ""
-	}
-	start := d.i
-	for ; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; {
-		case c == '"':
-			d.i++
-			if raw := d.b[start : d.i-1]; string(raw) != last {
-				return string(raw)
-			}
-			return last
-		case c < ' ' || c >= 0x80 || c == '\\':
-			d.ok = false
-			return ""
-		}
-	}
-	d.ok = false
-	return ""
-}
-
-// steps reads a JSON array and returns a copy of its bytes.
-func (d *lineDecoder) steps() []byte {
-	if !d.ok || d.i >= len(d.b) || d.b[d.i] != '[' {
-		d.ok = false
-		return nil
-	}
-	s := jsonScan{b: d.b}
-	end := s.value(d.i, 0)
-	if end < 0 {
-		d.ok = false
-		return nil
-	}
-	steps := bytes.Clone(d.b[d.i:end])
-	d.i = end
-	return steps
-}
-
-// num reads a JSON number literal that parses as a float64.
-func (d *lineDecoder) num() float64 {
-	if !d.ok {
-		return 0
-	}
-	end := number(d.b, d.i)
-	if end < 0 {
-		d.ok = false
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(d.b[d.i:end]), 64)
-	if err != nil {
-		d.ok = false
-	}
-	d.i = end
-	return f
+	s := jsonScan{b: b}
+	return s.value(i, 0)
 }
 
 // jsonScan validates JSON values in place against the full grammar.
@@ -422,7 +321,7 @@ func (s *jsonScan) value(i, depth int) int {
 	case 'n':
 		return s.lit(i, "null")
 	}
-	return number(s.b, i)
+	return jsonx.Number(s.b, i)
 }
 
 // ws skips whitespace.
@@ -498,43 +397,4 @@ func (s *jsonScan) str(i int) int {
 		}
 	}
 	return -1
-}
-
-// number returns the end of the JSON number literal that starts at b[i],
-// or -1.
-func number(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		if i = digits(b, i+1); b[i-1] == '.' {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		start := i
-		if i = digits(b, i); i == start {
-			return -1
-		}
-	}
-	return i
-}
-
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }

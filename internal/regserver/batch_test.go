@@ -80,7 +80,7 @@ func TestBatchWriterSurvivesHungServer(t *testing.T) {
 	block := make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
-			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+			WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 			return
 		}
 		<-block // hang every publish
@@ -121,7 +121,7 @@ func TestBatchWriterSurvivesHungServer(t *testing.T) {
 // batched companion of the PR 3 latched-sink regression test.
 func TestBatchWriter500Server(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusInternalServerError, "store is sick")
+		WriteError(w, http.StatusInternalServerError, "store is sick")
 	}))
 	defer hs.Close()
 
@@ -151,7 +151,7 @@ func TestBatchWriterRetriesOnce(t *testing.T) {
 		if failFirst {
 			failFirst = false
 			fails++
-			writeError(w, http.StatusInternalServerError, "transient")
+			WriteError(w, http.StatusInternalServerError, "transient")
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)

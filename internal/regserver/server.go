@@ -303,18 +303,20 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/metrics/prom", s.handleMetrics)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSON answers with code and v as a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers with code and a JSON body {"error": message}.
+func WriteError(w http.ResponseWriter, code int, format string, args ...interface{}) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "keys": s.reg.Len()})
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "keys": s.reg.Len()})
 }
 
 // AddResult is the response to a record upload.
@@ -344,7 +346,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		if raw := q.Get("limit"); raw != "" {
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "bad limit %q", raw)
+				WriteError(w, http.StatusBadRequest, "bad limit %q", raw)
 				return
 			}
 			limit = n
@@ -354,18 +356,18 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a record batch to %s", r.URL.Path)
+		WriteError(w, http.StatusMethodNotAllowed, "POST a record batch to %s", r.URL.Path)
 		return
 	}
 	if !BearerOK(r, s.AuthToken) {
-		writeError(w, http.StatusUnauthorized, "missing or wrong bearer token")
+		WriteError(w, http.StatusUnauthorized, "missing or wrong bearer token")
 		return
 	}
 	l, err := measure.Load(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		// MaxBytesReader turns an oversize body into a parse error here
 		// rather than silently truncating the batch.
-		writeError(w, http.StatusBadRequest, "parse records: %v", err)
+		WriteError(w, http.StatusBadRequest, "parse records: %v", err)
 		return
 	}
 	res := AddResult{Offered: len(l.Records)}
@@ -377,7 +379,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			// reported, so they are not counted either.
 			s.om.Atomically(func() { s.offered.Add(int64(len(l.Records))) })
 			s.pubErrors.Add(1)
-			writeError(w, http.StatusInternalServerError, "persist: %v", err)
+			WriteError(w, http.StatusInternalServerError, "persist: %v", err)
 			return
 		}
 		if improved {
@@ -393,7 +395,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		s.improved.Add(int64(res.Improved))
 	})
 	res.Keys = s.reg.Len()
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleBest serves the fastest record stored under exactly
@@ -410,12 +412,12 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 // carries the new record.
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
+		WriteError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
 	workload, target, dag := bestParams(r)
 	if workload == "" {
-		writeError(w, http.StatusBadRequest, "missing workload parameter")
+		WriteError(w, http.StatusBadRequest, "missing workload parameter")
 		return
 	}
 	ck := cacheKey{workload, target, dag}
@@ -432,14 +434,14 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	fillVersion := s.reg.Version()
 	rec, ok := s.reg.Best(workload, target, dag)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			"no schedule recorded for workload %q (this shape) on target %q", workload, target)
 		return
 	}
 	s.bestMisses.Add(1)
 	body, err := measure.AppendRecord(nil, rec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode record: %v", err)
+		WriteError(w, http.StatusInternalServerError, "encode record: %v", err)
 		return
 	}
 	etag := strongETag(body)
@@ -535,7 +537,7 @@ type Metrics struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
+		WriteError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
 	if r.URL.Path == "/metrics/prom" {
@@ -543,7 +545,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WritePrometheus(w, "ansor_registry", s.obsSnapshot())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metrics())
+	WriteJSON(w, http.StatusOK, s.metrics())
 }
 
 // obsSnapshot mirrors the values owned by other subsystems (registry
@@ -597,7 +599,7 @@ func (s *Server) metrics() Metrics {
 // ApplyHistoryBest file or another server's store.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
+		WriteError(w, http.StatusMethodNotAllowed, "GET %s", r.URL.Path)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -52,17 +52,18 @@ go test -short ./...
 step "fuzz: step decoder (10 s)"
 gated FuzzDecodeSteps ./internal/ir/ -fuzz FuzzDecodeSteps -fuzztime 10s
 
-# The fleet's lease, results, grant, job and status bodies are written and
-# read by hand, every other layout left to encoding/json: both halves
-# against the json.Marshal/json.Unmarshal calls they replaced, error texts
-# included.
+# The fleet's lease, results, grant, job and status bodies and the record
+# lines are written and read by hand on internal/jsonx's shared Reader and
+# append primitives, every other layout left to encoding/json; jsonx has
+# no fuzz target of its own, so the next three pin it through its two
+# callers. The bodies: both halves against the json.Marshal/json.Unmarshal
+# calls they replaced, error texts included.
 step "fuzz: fleet body codec (10 s)"
 gated FuzzWireCodec ./internal/fleet/ -fuzz FuzzWireCodec -fuzztime 10s
 
-# The record codec writes json.Encoder's bytes by hand and reads its own
-# layout by hand, leaving every other layout to encoding/json: both
-# halves against a frozen copy of the reflection loops (records, Steps
-# bytes and error texts), and Save∘Load∘Save = Save on whatever loads.
+# The record lines: both halves against a frozen copy of the reflection
+# loops (records, Steps bytes and error texts), and Save∘Load∘Save = Save
+# on whatever loads.
 step "fuzz: record codec (10 s + 5 s)"
 gated FuzzRecordCodec ./internal/measure/ -fuzz FuzzRecordCodec -fuzztime 10s
 gated FuzzLogLoad ./internal/measure/ -fuzz FuzzLogLoad -fuzztime 5s
