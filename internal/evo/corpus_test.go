@@ -169,7 +169,7 @@ func dumpCandidate(b *strings.Builder, c candidate, m *sim.Machine) {
 		return
 	}
 	s := c.state
-	fmt.Fprintf(b, "sig: %s\nfamily: %s\n%s", s.Signature(), s.FamilySignature(), s.Print())
+	fmt.Fprintf(b, "sig: %s\nfamily: %s\n%s", s.Signature(), string(ir.AppendFamily(nil, s.Signature())), s.Print())
 	low, err := ir.Lower(s)
 	if err != nil {
 		fmt.Fprintf(b, "lower error: %v\n", err)

@@ -62,7 +62,9 @@ func TestScoreAllDedupesTwins(t *testing.T) {
 	want := sc.Score(pop) // reference: score every slot independently
 	sc.calls.Store(0)
 
-	tables := borrowTables()
+	sigs := ir.NewSigTable()
+	defer sigs.Release()
+	tables := borrowTables(sigs)
 	defer tables.release()
 	got := tables.scoreAll(NewSearch(DefaultConfig()).pool, sc, pop)
 	if len(got) != len(pop) {

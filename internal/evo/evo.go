@@ -80,6 +80,15 @@ type IntoScorer interface {
 	ScoreInto(dst []float64, states []*ir.State)
 }
 
+// SigScorer is an optional Scorer extension: the signature table the
+// scorer keys its own memos on, valid for the whole run. The search keys
+// its tables on the same IDs, so each program is interned once; a scorer
+// without one gets a table that lives as long as the run.
+type SigScorer interface {
+	Scorer
+	Sigs() *ir.SigTable
+}
+
 // Search runs evolutionary fine-tuning.
 type Search struct {
 	Cfg  Config
@@ -146,9 +155,19 @@ func (e *Search) RunBorrowed(dag *te.DAG, init []*ir.State, scorer Scorer, out i
 	// takes one for as long as it runs, so each is one goroutine's at a
 	// time, and the children live in their arenas until release.
 	idle := make(chan *attempter, e.pool.Workers())
-	t := borrowTables()
+	sc, shared := scorer.(SigScorer)
+	var sigs *ir.SigTable
+	if shared {
+		sigs = sc.Sigs()
+	} else {
+		sigs = ir.NewSigTable()
+	}
+	t := borrowTables(sigs)
 	release = func() {
 		t.release()
+		if !shared {
+			sigs.Release()
+		}
 		close(idle)
 		for w := range idle {
 			w.a.Release()

@@ -20,7 +20,7 @@ func DrainFreeTables() {
 }
 
 // PoisonReturnedTables makes every set that goes back to the free list,
-// until the returned function is called, keep its signatures as keys and
+// until the returned function is called, keep its IDs as keys and
 // fill the rest with what no run produces: NaN scores, a state of another
 // DAG, stale indices and hashes. A run that read a borrowed set before
 // writing it would meet them. stop returns how many sets it poisoned.
@@ -39,11 +39,11 @@ func PoisonReturnedTables() (stop func() int) {
 
 func poisonTables(t *tables, junk *ir.State) {
 	nan := math.NaN()
-	for sig := range t.best {
-		t.best[sig] = scored{junk, sig, nan}
+	for id := range t.best {
+		t.best[id] = scored{junk, id, []byte("junk"), nan}
 	}
-	for sig := range t.first {
-		t.first[sig] = 0
+	for id := range t.first {
+		t.first[id] = 0
 	}
 	for h := range t.fam {
 		t.fam[h] = 0
@@ -51,7 +51,7 @@ func poisonTables(t *tables, junk *ir.State) {
 	t.famBuf = append(t.famBuf[:0], "junk"...)
 	t.famEnd = append(t.famEnd[:0], len(t.famBuf))
 	for _, s := range []*[]scored{&t.all, &t.lead, &t.twins} {
-		*s = append((*s)[:0], scored{junk, "junk", nan})
+		*s = append((*s)[:0], scored{junk, 0, []byte("junk"), nan})
 	}
 	for _, s := range []*[]*ir.State{&t.uniq, &t.pop, &t.next, &t.children} {
 		*s = append((*s)[:0], junk)

@@ -3,7 +3,6 @@ package evo
 import (
 	"bytes"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/ir"
@@ -11,9 +10,11 @@ import (
 )
 
 // scored is one distinct program a run has seen, with its best score.
+// sig is its signature, viewed in the run's table; cut fills it in.
 type scored struct {
 	s     *ir.State
-	sig   string
+	id    ir.SigID
+	sig   []byte
 	score float64
 }
 
@@ -24,10 +25,12 @@ type scored struct {
 // rebuilding these maps and slices on the heap for each would be a
 // quarter of what a tuning run allocates.
 type tables struct {
-	// best keys every distinct program seen by signature; first is
+	// sigs is the run's signature table, the scorer's or the run's own.
+	// best keys every distinct program seen by its ID there; first is
 	// scoreAll's dedupe of one population.
-	best  map[string]scored
-	first map[string]int
+	sigs  *ir.SigTable
+	best  map[ir.SigID]scored
+	first map[ir.SigID]int
 	// The family cut's table: fam maps the hash of a family to the
 	// leader that first had it, whose family is famBuf[famEnd[k-1]:famEnd[k]].
 	fam    map[uint64]int
@@ -66,8 +69,9 @@ var freeTables struct {
 // tests set it (export_test.go), to fill the set with stale contents.
 var tablesHook func(*tables)
 
-// borrowTables returns an empty set, the caller's until its release.
-func borrowTables() *tables {
+// borrowTables returns an empty set keyed on sigs, the caller's until its
+// release.
+func borrowTables(sigs *ir.SigTable) *tables {
 	freeTables.Lock()
 	n := len(freeTables.list)
 	var t *tables
@@ -78,12 +82,12 @@ func borrowTables() *tables {
 	}
 	freeTables.Unlock()
 	if t == nil {
-		t = &tables{best: map[string]scored{}, first: map[string]int{}, fam: map[uint64]int{}}
+		t = &tables{best: map[ir.SigID]scored{}, first: map[ir.SigID]int{}, fam: map[uint64]int{}}
 	}
 	// A set is cleared when it goes back too; clearing it here as well
 	// makes "a borrowed set is empty" hold whatever the list holds.
 	t.clear()
-	t.lent = true
+	t.sigs, t.lent = sigs, true
 	return t
 }
 
@@ -113,6 +117,7 @@ func (t *tables) release() {
 // clear empties every table and drops every pointer the buffers hold,
 // keeping their memory.
 func (t *tables) clear() {
+	t.sigs = nil
 	clear(t.best)
 	clear(t.first)
 	clear(t.fam)
@@ -129,14 +134,14 @@ func (t *tables) clear() {
 	t.famBuf, t.famEnd = t.famBuf[:0], t.famEnd[:0]
 }
 
-// record keys the best map off the memoized signature: elites and
-// re-derived twins survive across generations, so this reads the cached
-// string rather than rebuilding it per generation.
+// record keys the best map off the program's ID: elites and re-derived
+// twins survive across generations, and the state's memo of its ID makes
+// each repeat a load.
 func (t *tables) record(states []*ir.State, scores []float64) {
 	for i, s := range states {
-		sig := s.Signature()
-		if b, ok := t.best[sig]; !ok || scores[i] > b.score {
-			t.best[sig] = scored{s, sig, scores[i]}
+		id := t.sigs.Intern(s)
+		if b, ok := t.best[id]; !ok || scores[i] > b.score {
+			t.best[id] = scored{s: s, id: id, score: scores[i]}
 		}
 	}
 }
@@ -147,7 +152,7 @@ func (t *tables) record(states []*ir.State, scores []float64) {
 // verbatim) are scored once and share the result. Scores are pure
 // functions of the program under a frozen model, so sharing cannot
 // change any value — only skip redundant ensemble walks. Grouping keys
-// off the memoized signature and first occurrence wins, so the unique
+// off the program's ID and first occurrence wins, so the unique
 // set and the expanded result are pure functions of the population
 // order. The result is the set's until the next call.
 func (t *tables) scoreAll(pl *pool.Pool, scorer Scorer, pop []*ir.State) []float64 {
@@ -156,11 +161,11 @@ func (t *tables) scoreAll(pl *pool.Pool, scorer Scorer, pop []*ir.State) []float
 	uniq := t.uniq[:0]
 	clear(t.first)
 	for i, s := range pop {
-		sig := s.Signature()
-		j, dup := t.first[sig]
+		id := t.sigs.Intern(s)
+		j, dup := t.first[id]
 		if !dup {
 			j = len(uniq)
-			t.first[sig] = j
+			t.first[id] = j
 			uniq = append(uniq, s)
 		}
 		ref[i] = j
@@ -204,9 +209,9 @@ func (t *tables) elites(dst, pop []*ir.State, scores []float64, n int) []*ir.Sta
 }
 
 // cut returns the top out distinct programs seen, family leaders first.
-// Equal scores tie-break on the program signature: map iteration order
-// must never leak into the result (the determinism contract of
-// DESIGN.md).
+// Equal scores tie-break on the signature's bytes: neither map iteration
+// order nor the order IDs were handed out in may leak into the result
+// (the determinism contract of DESIGN.md).
 //
 // Family-diverse cut: the exact signature distinguishes near-twin
 // variants of one loop structure (packed vs. unpacked constant layout)
@@ -218,6 +223,7 @@ func (t *tables) elites(dst, pop []*ir.State, scores []float64, n int) []*ir.Sta
 func (t *tables) cut(out int) []*ir.State {
 	all := t.all[:0]
 	for _, b := range t.best {
+		b.sig = t.sigs.Bytes(b.id)
 		all = append(all, b)
 	}
 	slices.SortFunc(all, func(a, b scored) int {
@@ -227,7 +233,7 @@ func (t *tables) cut(out int) []*ir.State {
 			}
 			return 1
 		}
-		return strings.Compare(a.sig, b.sig)
+		return bytes.Compare(a.sig, b.sig)
 	})
 	lead, twins := t.lead[:0], t.twins[:0]
 	for _, b := range all {
@@ -247,11 +253,11 @@ func (t *tables) cut(out int) []*ir.State {
 	return res
 }
 
-// newFamily reports whether the family of signature sig
-// (ir.State.FamilySignature) has no leader yet, and makes sig its leader
-// if so. Families are found by hash and compared byte for byte, so the
-// table allocates nothing once its buffers have grown.
-func (t *tables) newFamily(sig string) bool {
+// newFamily reports whether the family of signature sig (ir.AppendFamily)
+// has no leader yet, and makes sig its leader if so. Families are found
+// by hash and compared byte for byte, so the table allocates nothing once
+// its buffers have grown.
+func (t *tables) newFamily(sig []byte) bool {
 	start := len(t.famBuf)
 	t.famBuf = ir.AppendFamily(t.famBuf, sig)
 	f := t.famBuf[start:]

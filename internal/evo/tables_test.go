@@ -28,12 +28,12 @@ func (sigScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // emptyTables reports whether a set holds nothing: no key in a map and
 // no pointer anywhere in a buffer's capacity.
 func emptyTables(t *tables) bool {
-	if len(t.best)+len(t.first)+len(t.fam) != 0 {
+	if t.sigs != nil || len(t.best)+len(t.first)+len(t.fam) != 0 {
 		return false
 	}
 	for _, s := range [][]scored{t.all, t.lead, t.twins} {
 		for _, b := range s[:cap(s)] {
-			if b.s != nil || b.sig != "" {
+			if b.s != nil || b.sig != nil {
 				return false
 			}
 		}
@@ -54,7 +54,9 @@ func emptyTables(t *tables) bool {
 func TestTablesReleasedTwicePanics(t *testing.T) {
 	d := matmulReLU(64, 64, 64)
 	pop := initPop(t, d, 12, 1)
-	set := borrowTables()
+	sigs := ir.NewSigTable()
+	defer sigs.Release()
+	set := borrowTables(sigs)
 	set.record(pop, set.scoreAll(NewSearch(DefaultConfig()).pool, sigScorer{}, pop))
 	if len(set.cut(4)) == 0 {
 		t.Fatal("the cut returned nothing")

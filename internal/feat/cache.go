@@ -23,7 +23,8 @@ type Entry struct {
 	slab []float64
 }
 
-// Cache memoizes feature extraction keyed by ir.State.Signature. The
+// Cache memoizes feature extraction keyed by program identity: the ID of
+// the program's signature in the signature table the cache owns (Sigs). The
 // search re-encounters the same programs constantly — best-k states
 // reseed every round's population, and evolution re-derives equal states
 // from different parents — so without the cache the hot path re-lowers
@@ -51,16 +52,20 @@ type Entry struct {
 // tuning runs in one process (successive TuneNetwork calls, the
 // experiment runner, the benchmark). A generation reset leaves the old
 // chunks to the collector, not to the free list: a proposal in flight
-// may still read their rows. The entries themselves live in blocks the
-// cache allocates as it fills, one per entryBlock misses; the map holds
-// pointers into them, and a reader gets a copy.
+// may still read their rows. The entries themselves, and their stage
+// names, live in blocks the cache allocates as it fills; the table
+// points into them, and a reader gets a copy.
 type Cache struct {
-	mu sync.RWMutex
-	// m points into blocks of entryBlock entries, filled in order
-	// (entries is the current one), so growing the map moves a pointer
-	// per entry, not a 72-byte Entry. Readers copy an entry under mu.
-	m       map[string]*Entry // nil once released
+	sigs *ir.SigTable
+	mu   sync.RWMutex
+	// m is indexed by SigID and points into blocks of entryBlock entries,
+	// filled in order (entries is the current one), so growing it moves a
+	// pointer per ID, not a 72-byte Entry. Readers copy an entry under mu.
+	// A reset clears the entries; the IDs stay the table's.
+	m       []*Entry
+	live    int
 	entries []Entry
+	names   []string // the current block of stage names
 	limit   int
 	chunks  [][]float64 // rows are carved from the last one, at off
 	off     int
@@ -72,6 +77,7 @@ type Cache struct {
 
 const (
 	entryBlock  = 64
+	nameBlock   = 256
 	chunkFloats = 64 << 10 / 8 // a chunk is 64 KiB of rows
 	// chunksKept bounds the free list: 16 MiB, above the 12–15.6 MiB of
 	// rows a tune-net op carves, so the next op borrows all it needs.
@@ -87,36 +93,39 @@ var freeChunks struct {
 }
 
 // NewCache returns a feature cache bounded to limit entries (0 =
-// unbounded).
+// unbounded), with a signature table of its own.
 func NewCache(limit int) *Cache {
-	return &Cache{m: map[string]*Entry{}, limit: limit}
+	return &Cache{sigs: ir.NewSigTable(), limit: limit}
 }
+
+// Sigs returns the signature table the cache keys on, valid until
+// Release: the search keys its own memos on the same IDs.
+func (c *Cache) Sigs() *ir.SigTable { return c.sigs }
 
 // Program returns the cached entry for s, computing (and caching) it on
 // a miss. ok is false when the program does not lower; the failure is
 // cached as a nil-feature entry. It panics on a released cache.
 func (c *Cache) Program(s *ir.State) (Entry, bool) {
-	sig := s.Signature()
-	var e Entry
-	c.mu.RLock()
-	p, hit := c.m[sig]
-	if hit {
-		e = *p
-	}
-	released := c.m == nil
-	c.mu.RUnlock()
-	if released {
+	if c.sigs == nil {
 		panic("feat: feature cache used after Release")
 	}
-	if hit {
+	id := c.sigs.Intern(s)
+	var e Entry
+	c.mu.RLock()
+	p := c.entry(id)
+	if p != nil {
+		e = *p
+	}
+	c.mu.RUnlock()
+	if p != nil {
 		c.hits.Add(1)
 		return e, e.Feats != nil
 	}
 	c.misses.Add(1)
 	// The lowering is read once, here: borrow it (ir.LowerBorrowed).
 	if low, err := ir.LowerBorrowed(s); err == nil {
-		slab := c.carve(len(low.Stmts))
-		e = Entry{Feats: extractInto(low, slab), Stages: make([]string, len(low.Stmts))}
+		slab, names := c.carve(len(low.Stmts))
+		e = Entry{Feats: extractInto(low, slab), Stages: names}
 		if len(slab) > 0 && len(slab) <= chunkFloats {
 			e.slab = slab
 		}
@@ -126,17 +135,29 @@ func (c *Cache) Program(s *ir.State) (Entry, bool) {
 		low.Release()
 	}
 	c.mu.Lock()
-	if c.limit > 0 && len(c.m) >= c.limit {
-		c.m = map[string]*Entry{}
-		c.entries, c.chunks, c.off, c.holes = nil, nil, 0, nil
+	if c.limit > 0 && c.live >= c.limit {
+		clear(c.m)
+		c.live, c.entries, c.names, c.chunks, c.off, c.holes = 0, nil, nil, nil, 0, nil
 	}
 	if len(c.entries) == cap(c.entries) {
 		c.entries = make([]Entry, 0, entryBlock)
 	}
 	c.entries = append(c.entries, e)
-	c.m[sig] = &c.entries[len(c.entries)-1]
+	for int(id) >= len(c.m) {
+		c.m = append(c.m, nil)
+	}
+	c.m[id] = &c.entries[len(c.entries)-1]
+	c.live++
 	c.mu.Unlock()
 	return e, e.Feats != nil
+}
+
+// entry returns the entry of id, or nil; the caller holds mu.
+func (c *Cache) entry(id ir.SigID) *Entry {
+	if int(id) < len(c.m) {
+		return c.m[id]
+	}
+	return nil
 }
 
 // Keep is Program for rows the caller keeps past Release: the entry's
@@ -149,11 +170,12 @@ func (c *Cache) Keep(s *ir.State) (Entry, bool) {
 	if !ok || first.slab == nil {
 		return first, ok
 	}
+	id := c.sigs.Intern(s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, in := c.m[s.Signature()]
+	p := c.entry(id)
 	switch {
-	case !in || &p.Stages[0] != &first.Stages[0]:
+	case p == nil || &p.Stages[0] != &first.Stages[0]:
 		// A reset since Program: first's chunk went to the collector,
 		// never to the free list.
 		return first, true
@@ -176,14 +198,20 @@ func (c *Cache) Keep(s *ir.State) (Entry, bool) {
 
 // carve returns the zeroed rows of stmts statements, a slab no live
 // entry shares: a hole Keep left, or the cache's chunks; more than a
-// chunk holds is the heap's.
-func (c *Cache) carve(stmts int) []float64 {
+// chunk holds is the heap's. names is room for the statements' stage
+// names, from the current block.
+func (c *Cache) carve(stmts int) (r []float64, names []string) {
 	n := stmts * Dim
-	if n > chunkFloats {
-		return make([]float64, n)
-	}
 	c.mu.Lock()
-	var r []float64
+	defer c.mu.Unlock()
+	k := len(c.names)
+	if k+stmts > cap(c.names) {
+		c.names, k = make([]string, 0, max(nameBlock, stmts)), 0
+	}
+	c.names, names = c.names[:k+stmts], c.names[k:k+stmts:k+stmts]
+	if n > chunkFloats {
+		return make([]float64, n), names
+	}
 	if stmts < len(c.holes) && len(c.holes[stmts]) > 0 {
 		h := c.holes[stmts]
 		r, h[len(h)-1] = h[len(h)-1], nil
@@ -195,9 +223,8 @@ func (c *Cache) carve(stmts int) []float64 {
 		r = c.chunks[len(c.chunks)-1][c.off : c.off+n : c.off+n]
 		c.off += n
 	}
-	c.mu.Unlock()
 	clear(r)
-	return r
+	return r, names
 }
 
 // Release hands the cache's chunks back to the free list. Every row it
@@ -206,12 +233,13 @@ func (c *Cache) carve(stmts int) []float64 {
 // row it was served after this.
 func (c *Cache) Release() {
 	c.mu.Lock()
-	if c.m == nil {
+	if c.sigs == nil {
 		c.mu.Unlock()
 		panic("feat: feature cache released twice")
 	}
+	c.sigs.Release()
 	chunks := c.chunks
-	c.m, c.entries, c.chunks, c.off, c.holes = nil, nil, nil, 0, nil
+	c.sigs, c.m, c.live, c.entries, c.names, c.chunks, c.off, c.holes = nil, nil, 0, nil, nil, nil, 0, nil
 	c.mu.Unlock()
 	freeChunks.Lock()
 	defer freeChunks.Unlock()
@@ -238,5 +266,5 @@ func borrowChunk() []float64 {
 func (c *Cache) Stats() (hits, misses int64, size int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.hits.Load(), c.misses.Load(), len(c.m)
+	return c.hits.Load(), c.misses.Load(), c.live
 }

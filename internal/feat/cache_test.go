@@ -247,13 +247,17 @@ func TestResetRowsOutliveBorrowedChunks(t *testing.T) {
 // TestMissAllocatesOnlyItsHeaders is the bound of the cache's memory, in
 // the style of xgb's TestFitAllocsDoNotGrowPerTree: once a warm-up cache
 // has released its chunks, a miss on a program of ResNet-50 (the
-// benchmark's tune-net network) allocates its row headers, its Stages and
-// its map entry, and no rows: they are carved from the free list's chunks.
-// The collector is held off so that no pool is emptied mid-count.
+// benchmark's tune-net network) allocates its row headers and its share
+// of the cache's blocks (entries, stage names, the ID-indexed table), and
+// no rows: they are carved from the free list's chunks. The collector is
+// held off so that no pool is emptied mid-count, and the test runs on one
+// P: a goroutine that a busy machine moves to another P misses the pooled
+// scratch it put on the first, and rebuilds it.
 func TestMissAllocatesOnlyItsHeaders(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector drops pooled lowering and extraction scratch")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var progs []*ir.State
 	gen := sketch.NewGenerator(sketch.CPUTarget())
 	sampler := anno.NewSampler(sketch.CPUTarget(), 1)
@@ -300,12 +304,12 @@ func TestMissAllocatesOnlyItsHeaders(t *testing.T) {
 		}
 	})
 	c.Release()
-	const perEntry = 256 // the map's growth, amortized over its entries
+	const perEntry = 256 // the blocks' growth, amortized over the entries
 	if limit := headers + uint64(size)*perEntry; got > limit {
 		t.Errorf("%d misses allocated %d bytes; their headers take %d, want at most %d", misses, got, headers, limit)
 	}
-	if limit := 2*uint64(misses) + uint64(size)/4; gotObjects > limit {
-		t.Errorf("%d misses allocated %d objects, want at most %d (two a miss and the map's growth)", misses, gotObjects, limit)
+	if limit := uint64(misses) + uint64(size)/4; gotObjects > limit {
+		t.Errorf("%d misses allocated %d objects, want at most %d (one a miss and the blocks' growth)", misses, gotObjects, limit)
 	}
 	t.Logf("%d misses: %d bytes (headers %d), %d objects", misses, got, headers, gotObjects)
 }

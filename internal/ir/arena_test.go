@@ -42,7 +42,7 @@ func render(t *testing.T, s *State) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.Signature() + "\n" + s.FamilySignature() + "\n" + s.Print()
+	out := s.Signature() + "\n" + string(AppendFamily(nil, s.Signature())) + "\n" + s.Print()
 	for i := range low.Stmts {
 		st := &low.Stmts[i]
 		out += st.Stage.Name

@@ -253,3 +253,30 @@ const (
 	ArenaChunks     = arenaChunks
 	ArenasKept      = arenasKept
 )
+
+// freedSig is what a released signature table's chunks hold.
+const freedSig = '#'
+
+// PoisonSigTables switches on, until the test ends, a hook that fills a
+// signature table's chunks with freedSig as it is released, so a reader
+// of a view Bytes handed out, or of a string made over one, meets other
+// bytes than the program's. It returns the count of tables poisoned. The
+// free list is emptied on the way in and out.
+func PoisonSigTables(t testing.TB) *atomic.Int64 {
+	var n atomic.Int64
+	drain := func(hook func(*SigTable)) {
+		freeSigTables.Lock()
+		defer freeSigTables.Unlock()
+		freeSigTables.list, sigTableHook = nil, hook
+	}
+	drain(func(st *SigTable) {
+		for _, c := range st.chunks {
+			for i := range c {
+				c[i] = freedSig
+			}
+		}
+		n.Add(1)
+	})
+	t.Cleanup(func() { drain(nil) })
+	return &n
+}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/feat"
 	"repro/internal/ir"
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/sketch"
@@ -348,4 +349,76 @@ func TestPoisonedBatchClonesKeepTheirSteps(t *testing.T) {
 			t.Errorf("clone %d no longer replays to itself (replay: %v)", i, err)
 		}
 	}
+}
+
+// TestPoisonedSigTablesReadersKeepTheirStrings is the signature table's
+// exit clause: no string a reader keeps is made over the table's chunks.
+// A policy tunes a few rounds with events and a record log, and its
+// measured batch clones are kept; the policy is released, its table's
+// chunks are scribbled over (ir.PoisonSigTables) and a neighbour policy
+// borrows the table and fills it with its own programs. Only then are the
+// clones' signatures, the records' Sig and the events' signatures read:
+// they must read as in the unpoisoned run, and as a fresh replay signs.
+func TestPoisonedSigTablesReadersKeepTheirStrings(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	rig := func(seed int64, log *bytes.Buffer, o *obs.Observer) *policy.Policy {
+		ms := measure.New(sim.IntelXeon(), 0.02, 2)
+		if log != nil {
+			ms.Recorder = measure.NewRecorder(log)
+		}
+		opts := policy.DefaultOptions()
+		opts.Seed, opts.Workers = seed, 2
+		p, err := policy.New(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Obs = o
+		return p
+	}
+	run := func(t *testing.T) string {
+		var log bytes.Buffer
+		sink := &obs.MemorySink{}
+		p := rig(5, &log, obs.New(sink, obs.NewRegistry()))
+		var batch []*ir.State
+		for round := 0; round < 3; round++ {
+			for _, r := range p.SearchRound(8) {
+				batch = append(batch, r.State)
+			}
+		}
+		p.Release()
+		neighbour := rig(6, nil, nil)
+		neighbour.Tune(16, 8)
+		out := ""
+		for _, s := range batch {
+			fresh, err := ir.Replay(dag, s.Steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Signature() != fresh.Signature() {
+				t.Errorf("a batch clone signs %q once the table is reused, its replay %q", s.Signature(), fresh.Signature())
+			}
+			out += s.Signature() + "\n"
+		}
+		l, err := measure.Load(bytes.NewReader(log.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range l.Records {
+			out += "record " + rec.Sig + "\n"
+		}
+		for _, e := range sink.ByType(obs.EvBestImproved) {
+			out += "event " + e.Signature + "\n"
+		}
+		neighbour.Release()
+		return out
+	}
+	plain := run(t)
+	t.Run("poisoned", func(t *testing.T) {
+		poisoned := ir.PoisonSigTables(t)
+		got := run(t)
+		if poisoned.Load() < 2 {
+			t.Fatalf("%d tables poisoned, want the policy's and its neighbour's", poisoned.Load())
+		}
+		sameTranscripts(t, "strings read after the signature table's release", plain, got)
+	})
 }

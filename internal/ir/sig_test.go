@@ -23,7 +23,7 @@ func TestSignatureMemoization(t *testing.T) {
 	if got := s.buildSignature(); got != first {
 		t.Fatalf("memoized signature diverges from rebuild:\n%s\n%s", first, got)
 	}
-	if s.Signature() != first || s.FamilySignature() != s.buildSignature() {
+	if s.Signature() != first || string(AppendFamily(nil, s.Signature())) != s.buildSignature() {
 		t.Fatal("repeat signature reads changed")
 	}
 
@@ -54,20 +54,24 @@ func TestSignatureMemoization(t *testing.T) {
 	}
 }
 
-// TestAppendFamilyIsReplaceAll holds the family the search compares to
-// the one FamilySignature renders: every packing marker removed, left to
-// right, without looking again across the seams a removal makes.
+// TestAppendFamilyIsReplaceAll holds the family the search compares, of
+// a signature string or of a table's bytes, to strings.ReplaceAll: every
+// packing marker removed, left to right, without looking again across the
+// seams a removal makes.
 func TestAppendFamilyIsReplaceAll(t *testing.T) {
 	buf := []byte("stale")
-	for _, sig := range []string{"", "!pk", "!p", "a!pkb!pk", "!!pkpk", "!pk!pk", "x!p!pkk;", "conv!pk[1,2,]u0;"} {
-		buf = AppendFamily(buf[:0], sig)
-		if want := strings.ReplaceAll(sig, "!pk", ""); string(buf) != want {
+	for _, sig := range []string{"", "!pk", "!p", "a!pkb!pk", "!!pkpk", "!pk!pk", "x!p!pkk;", "conv!pk[1,2,]u0;", "!pk!"} {
+		want := strings.ReplaceAll(sig, "!pk", "")
+		if buf = AppendFamily(buf[:0], sig); string(buf) != want {
 			t.Errorf("family of %q is %q, want %q", sig, buf, want)
+		}
+		if buf = AppendFamily(buf[:0], []byte(sig)); string(buf) != want {
+			t.Errorf("family of the bytes %q is %q, want %q", sig, buf, want)
 		}
 	}
 }
 
-// TestSignatureConcurrentReads races many Signature/FamilySignature
+// TestSignatureConcurrentReads races many Signature and family
 // readers over one shared state (the sharded scorer does exactly this);
 // run under -race by the CI gates. All readers must agree.
 func TestSignatureConcurrentReads(t *testing.T) {
@@ -85,7 +89,7 @@ func TestSignatureConcurrentReads(t *testing.T) {
 					errs <- got
 					return
 				}
-				_ = s.FamilySignature()
+				_ = string(AppendFamily(nil, s.Signature()))
 			}
 		}()
 	}
@@ -97,9 +101,10 @@ func TestSignatureConcurrentReads(t *testing.T) {
 }
 
 // TestSignatureMemoizedZeroAlloc pins the steady-state signature read at
-// zero allocations: after the first build, dedupe-map and cache keys
-// must not rebuild the string. The family is not memoized: the search
-// appends it to a buffer of its own, which allocates nothing either.
+// zero allocations: after the first build, a boundary caller must not
+// rebuild the string. The family is not memoized: the search appends it,
+// from a signature table's bytes, to a buffer of its own, which
+// allocates nothing either.
 func TestSignatureMemoizedZeroAlloc(t *testing.T) {
 	s := NewState(matmulReLU(64, 64, 64))
 	s.MustApply(&MultiLevelTileStep{
@@ -109,11 +114,15 @@ func TestSignatureMemoizedZeroAlloc(t *testing.T) {
 		ReduceFactors: [][]int{{16}},
 	})
 	_ = s.Signature()
+	sigs := NewSigTable()
+	defer sigs.Release()
+	view := sigs.Bytes(sigs.Intern(s))
 	var sink string
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() {
 		sink = s.Signature()
 		buf = AppendFamily(buf[:0], sink)
+		buf = AppendFamily(buf[:0], view)
 	}); n != 0 {
 		t.Errorf("memoized signature read allocates %.1f objects/op, want 0", n)
 	}
@@ -233,5 +242,107 @@ func TestSignatureOmitsAttachedStagePragma(t *testing.T) {
 	if lowA.Stmts[0].Stage.Name != "matmul" || lowA.Stmts[0].AutoUnrollMax != 0 || lowB.Stmts[0].AutoUnrollMax != 512 {
 		t.Errorf("twins lower to pragmas %d and %d on %s, want 0 and 512 on matmul",
 			lowA.Stmts[0].AutoUnrollMax, lowB.Stmts[0].AutoUnrollMax, lowA.Stmts[0].Stage.Name)
+	}
+}
+
+// TestSigTableInternsEachProgramOnce: equal programs get one ID however
+// they were derived, different ones different IDs, dense from 0; Bytes
+// is the signature; a state interned by another table, or by a released
+// one, is interned again; a released table refuses new programs and a
+// second release.
+func TestSigTableInternsEachProgramOnce(t *testing.T) {
+	tiled := func(f int) *State {
+		s := NewState(matmulReLU(64, 64, 64))
+		s.MustApply(&MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS",
+			SpaceFactors: [][]int{{8, 2, f}, {8, 8, 1}}, ReduceFactors: [][]int{{16}}})
+		return s
+	}
+	a, twin, b := tiled(4), tiled(4), tiled(2)
+	sigs := NewSigTable()
+	ids := []SigID{sigs.Intern(a), sigs.Intern(b), sigs.Intern(twin), sigs.Intern(a.Clone())}
+	if want := []SigID{0, 1, 0, 0}; !slices.Equal(ids, want) {
+		t.Fatalf("IDs %v, want %v", ids, want)
+	}
+	for _, s := range []*State{a, b} {
+		if got := string(sigs.Bytes(sigs.Intern(s))); got != s.Signature() {
+			t.Errorf("Bytes %q, Signature %q", got, s.Signature())
+		}
+	}
+	other := NewSigTable()
+	if id := other.Intern(b); id != 0 || string(other.Bytes(id)) != b.Signature() {
+		t.Errorf("another table gave b ID %d", id)
+	}
+	if id := sigs.Intern(b); id != 1 {
+		t.Errorf("b is %d again in its first table, want 1", id)
+	}
+	other.Release()
+	sigs.Release()
+	again := NewSigTable() // a released table, borrowed again
+	defer again.Release()
+	if id := again.Intern(b); id != 0 {
+		t.Errorf("a state's memo of a released table matched: ID %d, want 0", id)
+	}
+	panics := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	lost := NewSigTable()
+	lost.Release()
+	panics("interning into a released table", func() { lost.Intern(tiled(8)) })
+	panics("a second release", lost.Release)
+}
+
+// TestSigTableConcurrentIntern races goroutines interning one set of
+// programs, replayed afresh by each (the sharded scorer does this): all
+// must agree on every program's ID, and the IDs must be dense.
+func TestSigTableConcurrentIntern(t *testing.T) {
+	var progs []*State
+	for f := 1; f <= 64; f *= 2 {
+		for _, g := range []int{1, 2, 4} {
+			s := NewState(matmulReLU(64, 64, 64))
+			s.MustApply(&MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS",
+				SpaceFactors: [][]int{{64 / f, f, 1}, {64 / g, g, 1}}, ReduceFactors: [][]int{{16}}})
+			progs = append(progs, s)
+		}
+	}
+	sigs := NewSigTable()
+	defer sigs.Release()
+	got := make([][]SigID, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range progs {
+				c, err := Replay(p.DAG, p.Steps)
+				if err != nil {
+					panic(err)
+				}
+				got[w] = append(got[w], sigs.Intern(c))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[SigID]bool{}
+	for w := range got {
+		if !slices.Equal(got[w], got[0]) {
+			t.Fatalf("goroutine %d saw IDs %v, goroutine 0 %v", w, got[w], got[0])
+		}
+	}
+	for i, id := range got[0] {
+		seen[id] = true
+		if string(sigs.Bytes(id)) != progs[i].Signature() {
+			t.Errorf("program %d: ID %d holds %q", i, id, sigs.Bytes(id))
+		}
+	}
+	for id := range seen {
+		if int(id) >= len(seen) {
+			t.Errorf("ID %d of %d distinct programs: not dense", id, len(seen))
+		}
 	}
 }

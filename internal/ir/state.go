@@ -12,7 +12,6 @@ package ir
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/te"
@@ -236,11 +235,13 @@ type State struct {
 	Steps  []Step
 	arena  *Arena // nil: the heap
 
-	// sig memoizes Signature and valid a passed Validate; Apply drops
-	// both. They are atomics because shared states are read concurrently;
-	// racing computations store identical values, so any winner is
-	// correct.
+	// sig memoizes Signature, sigID the state's ID in the SigTable that
+	// last interned it (that table's serial above the ID), and valid a
+	// passed Validate; Apply drops all three. They are atomics because
+	// shared states are read concurrently; racing computations store
+	// values that are each correct, so any winner is.
 	sig   atomic.Pointer[string]
+	sigID atomic.Uint64
 	valid atomic.Bool
 }
 
@@ -323,6 +324,7 @@ func (s *State) Clone() *State {
 		}
 	}
 	c.sig.Store(s.sig.Load())
+	c.sigID.Store(s.sigID.Load())
 	c.valid.Store(s.valid.Load())
 	return c
 }
@@ -417,6 +419,7 @@ func (s *State) EffectiveConsumer(st *Stage) *Stage {
 // error path too; a state whose Apply failed is only good for discarding.)
 func (s *State) Apply(step Step) error {
 	s.sig.Store(nil)
+	s.sigID.Store(0)
 	s.valid.Store(false)
 	if err := step.Apply(s); err != nil {
 		return err
@@ -529,16 +532,17 @@ func (s *State) validateStage(st *Stage) error {
 }
 
 // Signature returns a short stable string identifying the program
-// structure, tile sizes, annotations, and constant-layout packing; used
-// for deduplication in search. Two states with equal signatures lower to
-// the same loop nest and memory layout, so §5.1's search-level dedupe is
-// exact; the persistence layer still keys exact program identity on the
-// (DAG fingerprint, step list) pair — see internal/measure — because the
-// signature does not record how the program was derived.
+// structure, tile sizes, annotations, and constant-layout packing. Two
+// states with equal signatures lower to the same loop nest and memory
+// layout, so §5.1's search-level dedupe is exact; the persistence layer
+// still keys exact program identity on the (DAG fingerprint, step list)
+// pair — see internal/measure — because the signature does not record how
+// the program was derived.
 //
-// The string is memoized on the state: it is a pure function of the
-// post-replay structure, and the search consults it on every dedupe
-// map, feature-cache and best-pool touch of every candidate.
+// The search compares programs by their ID in a SigTable, which interns
+// these bytes without making a string; the string is for what crosses a
+// boundary — the measurer's noise seed, a record's Sig, an event, the
+// sketch generator's dedupe — and is memoized on the state.
 func (s *State) Signature() string {
 	if m := s.sig.Load(); m != nil {
 		return *m
@@ -548,34 +552,30 @@ func (s *State) Signature() string {
 	return sig
 }
 
-// FamilySignature identifies the program's structural family: the
-// Signature with the constant-layout packing markers stripped. Near-twin
-// variants that differ only in packing (§4.2's layout rewrite) share a
-// family. Search uses it as a diversity key when cutting candidate
-// lists: identity stays exact (Signature), but a measurement batch
-// should not fill up with twins of one loop structure. It is built on
-// each call; the search compares families with AppendFamily instead.
-func (s *State) FamilySignature() string { return string(AppendFamily(nil, s.Signature())) }
-
 // packMark is what buildSignature writes for a packed constant layout.
 const packMark = "!pk"
 
 // AppendFamily appends the family of signature sig to dst: sig without
-// its packing markers (see FamilySignature).
-func AppendFamily(dst []byte, sig string) []byte {
-	for {
-		i := strings.Index(sig, packMark)
-		if i < 0 {
-			return append(dst, sig...)
+// its packing markers. Near-twin variants that differ only in packing
+// (§4.2's layout rewrite) share a family; the search's cut uses it as a
+// diversity key.
+func AppendFamily[S ~string | ~[]byte](dst []byte, sig S) []byte {
+	start := 0
+	for i := 0; i+len(packMark) <= len(sig); i++ {
+		if string(sig[i:i+len(packMark)]) == packMark {
+			dst = append(dst, sig[start:i]...)
+			i += len(packMark) - 1
+			start = i + 1
 		}
-		dst = append(dst, sig[:i]...)
-		sig = sig[i+len(packMark):]
 	}
+	return append(dst, sig[start:]...)
 }
 
 // buildSignature renders the signature string (see Signature).
-func (s *State) buildSignature() string {
-	b := make([]byte, 0, 256)
+func (s *State) buildSignature() string { return string(s.appendSignature(make([]byte, 0, 256))) }
+
+// appendSignature appends the signature's bytes to b.
+func (s *State) appendSignature(b []byte) []byte {
 	for _, st := range s.Stages {
 		b = append(b, st.Name...)
 		if st.Inlined {
@@ -606,7 +606,7 @@ func (s *State) buildSignature() string {
 		}
 		b = append(b, ';')
 	}
-	return string(b)
+	return b
 }
 
 func annShort(a Annotation) string {

@@ -3,6 +3,8 @@ package policy
 import (
 	"math"
 	"sync/atomic"
+
+	"repro/internal/ir"
 )
 
 // The lifetime tests' side of the scorers (DESIGN.md "The search's
@@ -52,3 +54,6 @@ func PoisonReleasedScorers() (stop func() int) {
 		return int(n.Load())
 	}
 }
+
+// Sigs exposes the policy's signature table (its feature cache's).
+func (p *Policy) Sigs() *ir.SigTable { return p.feats.Sigs() }

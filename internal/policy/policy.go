@@ -147,9 +147,11 @@ type Policy struct {
 	progFeats [][][]float64
 	progTimes []float64
 
-	measuredSigs map[string]bool
-	bestStates   []*ir.State // sorted by measured time, ascending
-	bestTimes    []float64
+	// measured holds the ID of every program measured or warm-started
+	// (IDs of the feature cache's signature table).
+	measured   map[ir.SigID]bool
+	bestStates []*ir.State // sorted by measured time, ascending
+	bestTimes  []float64
 
 	// BestTime is the best measured execution time so far (+Inf before
 	// any measurement); BestState the corresponding program.
@@ -203,17 +205,17 @@ func New(task Task, opts Options, ms *measure.Measurer, extraRules ...sketch.Rul
 	mopts := xgb.DefaultOpts()
 	mopts.Workers = opts.Workers
 	return &Policy{
-		Task:         task,
-		Opts:         opts,
-		Measurer:     ms,
-		sketches:     sketches,
-		sampler:      sampler,
-		model:        xgb.NewCostModel(mopts),
-		rng:          rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
-		pool:         pool.New(opts.Workers),
-		feats:        feat.NewCache(1 << 16),
-		measuredSigs: map[string]bool{},
-		BestTime:     1e30,
+		Task:     task,
+		Opts:     opts,
+		Measurer: ms,
+		sketches: sketches,
+		sampler:  sampler,
+		model:    xgb.NewCostModel(mopts),
+		rng:      rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
+		pool:     pool.New(opts.Workers),
+		feats:    feat.NewCache(1 << 16),
+		measured: map[ir.SigID]bool{},
+		BestTime: 1e30,
 	}, nil
 }
 
@@ -406,9 +408,10 @@ func PhaseHistogram(name string) string {
 // unmeasured candidates, with an ε fraction chosen at random (§6.2's
 // ε-greedy exploration applied at the program level).
 func (p *Policy) pickBatch(sc evo.Scorer, candidates []*ir.State, n int) []*ir.State {
+	sigs := p.feats.Sigs()
 	var fresh []*ir.State
 	for _, c := range candidates {
-		if !p.measuredSigs[c.Signature()] {
+		if !p.measured[sigs.Intern(c)] {
 			fresh = append(fresh, c)
 		}
 	}
@@ -435,7 +438,9 @@ func (p *Policy) pickBatch(sc evo.Scorer, candidates []*ir.State, n int) []*ir.S
 		fresh = fresh[1:]
 	}
 	// The ε slice measures genuinely random samples so the search never
-	// commits fully to a possibly-wrong cost model.
+	// commits fully to a possibly-wrong cost model. A draw of a program
+	// already measured is counted, and measured again (narration only).
+	dups := 0
 	for len(batch) < n {
 		extra := p.sampler.SamplePopulation(p.sketches, 1)
 		if len(extra) == 0 {
@@ -446,8 +451,12 @@ func (p *Policy) pickBatch(sc evo.Scorer, candidates []*ir.State, n int) []*ir.S
 			fresh = fresh[1:]
 			continue
 		}
+		if p.measured[sigs.Intern(extra[0])] {
+			dups++
+		}
 		batch = append(batch, extra[0])
 	}
+	p.Obs.Add("eps_duplicate_draws", int64(dups))
 	return batch
 }
 
@@ -476,7 +485,7 @@ func (p *Policy) update(results []measure.Result) {
 func (p *Policy) absorb(s *ir.State, feats [][]float64, seconds float64) {
 	p.progFeats = append(p.progFeats, feats)
 	p.progTimes = append(p.progTimes, seconds)
-	p.measuredSigs[s.Signature()] = true
+	p.measured[p.feats.Sigs().Intern(s)] = true
 	if seconds < p.BestTime {
 		p.BestTime = seconds
 		p.BestState = s
@@ -569,7 +578,7 @@ func (p *Policy) retrainModel() {
 // other tasks, or of any target but the measurer's (a record without one
 // included), are skipped, as are non-positive times, records that no
 // longer replay on this DAG and programs already absorbed. Warm-started
-// programs enter measuredSigs, so pickBatch never re-measures them.
+// programs enter the measured set, so pickBatch never re-measures them.
 // Trials and History stay untouched: warm-start is free budget-wise.
 // Returns how many records were absorbed and the first replay/lowering
 // error encountered.
@@ -593,7 +602,7 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 			}
 			continue
 		}
-		if p.measuredSigs[s.Signature()] {
+		if p.measured[p.feats.Sigs().Intern(s)] {
 			continue
 		}
 		e, ok := p.feats.Keep(s)

@@ -20,12 +20,12 @@ func (p *Policy) scorer() *modelScorer {
 
 // modelScorer serves concurrent Score/NodeScores calls from the sharded
 // evolution. Each artifact has exactly one memoization layer: the
-// signature lives on the state (ir memoizes it), features live in the
-// policy's cross-round cache, and the ensemble's scores — of a program
-// and of its nodes — live here, keyed by signature for the scorer's
-// lifetime. A scorer serves one proposal and the cost model is frozen
-// from the fit at its head until the next one, so both are pure
-// functions of the signature — elites and re-derived twins, which
+// program's ID lives in the policy's signature table (and on the state),
+// features live in the policy's cross-round cache, and the ensemble's
+// scores — of a program and of its nodes — live here, keyed by ID for
+// the scorer's lifetime. A scorer serves one proposal and the cost model
+// is frozen from the fit at its head until the next one, so both are pure
+// functions of the program — elites and re-derived twins, which
 // evolution re-scores every generation, and the parents crossover asks
 // about on every attempt pay the ensemble walk once per round.
 //
@@ -35,13 +35,13 @@ func (p *Policy) scorer() *modelScorer {
 type modelScorer struct {
 	model *xgb.CostModel
 	feats *feat.Cache
-	// scores maps signature → score, nodes signature → the NodeScores
+	// scores maps a program's ID → score, nodes ID → the NodeScores
 	// map (nil for a program that does not lower). The sharded workers
 	// are read-heavy on exactly the keys other workers insert; values are
 	// pure, so a racing double-compute stores an equal value.
 	mu     sync.RWMutex
-	scores map[string]float64
-	nodes  map[string]map[string]float64
+	scores map[ir.SigID]float64
+	nodes  map[ir.SigID]map[string]float64
 	// handed holds every node map handed out, spare the ones kept from
 	// an earlier proposal, cleared when they are handed out again.
 	handed, spare []map[string]float64
@@ -81,7 +81,7 @@ func borrowScorer() *modelScorer {
 	}
 	freeScorers.Unlock()
 	if m == nil {
-		m = &modelScorer{scores: map[string]float64{}, nodes: map[string]map[string]float64{}}
+		m = &modelScorer{scores: map[ir.SigID]float64{}, nodes: map[ir.SigID]map[string]float64{}}
 	}
 	// Cleared on release too; clearing here as well makes "a borrowed
 	// scorer is empty" hold whatever the list holds.
@@ -125,6 +125,10 @@ func (m *modelScorer) clear() {
 	m.misses.Store(0)
 }
 
+// Sigs implements evo.SigScorer: the search keys its tables on the
+// feature cache's IDs.
+func (m *modelScorer) Sigs() *ir.SigTable { return m.feats.Sigs() }
+
 func (m *modelScorer) Score(states []*ir.State) []float64 {
 	out := make([]float64, len(states))
 	m.ScoreInto(out, states)
@@ -132,18 +136,19 @@ func (m *modelScorer) Score(states []*ir.State) []float64 {
 }
 
 // ScoreInto implements evo.IntoScorer: the steady-state score of a
-// seen program is a memoized-signature map lookup, with zero
+// seen program is a memoized-ID map lookup, with zero
 // allocations (pinned by TestScoreIntoZeroAlloc); first encounters pay
 // one flattened-ensemble walk. The lookups of up to 64 programs share
 // one read lock, so workers scoring at once do not trade the lock's
 // cache line per program.
 func (m *modelScorer) ScoreInto(dst []float64, states []*ir.State) {
+	sigs := m.feats.Sigs()
 	for lo := 0; lo < len(states); lo += 64 {
 		hi := min(lo+64, len(states))
 		var missed uint64 // bit i-lo: states[i] is not memoized
 		m.mu.RLock()
 		for i := lo; i < hi; i++ {
-			if v, hit := m.scores[states[i].Signature()]; hit {
+			if v, hit := m.scores[sigs.Intern(states[i])]; hit {
 				dst[i] = v
 			} else {
 				missed |= 1 << (i - lo)
@@ -160,7 +165,7 @@ func (m *modelScorer) ScoreInto(dst []float64, states []*ir.State) {
 				score = m.model.Score(e.Feats)
 			}
 			m.mu.Lock()
-			m.scores[states[i].Signature()] = score
+			m.scores[sigs.Intern(states[i])] = score
 			m.mu.Unlock()
 			dst[i] = score
 		}
@@ -168,9 +173,9 @@ func (m *modelScorer) ScoreInto(dst []float64, states []*ir.State) {
 }
 
 func (m *modelScorer) NodeScores(s *ir.State) map[string]float64 {
-	sig := s.Signature()
+	id := m.feats.Sigs().Intern(s)
 	m.mu.RLock()
-	out, hit := m.nodes[sig]
+	out, hit := m.nodes[id]
 	m.mu.RUnlock()
 	if hit {
 		return out
@@ -183,7 +188,7 @@ func (m *modelScorer) NodeScores(s *ir.State) map[string]float64 {
 		}
 	}
 	m.mu.Lock()
-	m.nodes[sig] = out
+	m.nodes[id] = out
 	m.mu.Unlock()
 	return out
 }
