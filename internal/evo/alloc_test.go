@@ -31,6 +31,10 @@ func (f featScorer) Score(states []*ir.State) []float64 {
 
 func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 
+// Sigs keys the search's tables on the cache's IDs, as the policy's
+// scorer does, so a run interns each program into one table.
+func (f featScorer) Sigs() *ir.SigTable { return f.feats.Sigs() }
+
 // TestProgramPathAllocationCeilings pins the allocation cost of the path
 // every candidate of the search walks — replay, lower, sample, and one
 // evolutionary run — on the shape the benchmark's tune-net probes use
@@ -60,9 +64,10 @@ func (featScorer) NodeScores(*ir.State) map[string]float64 { return nil }
 // the last run gave back (TestRunBorrowedReusesItsTables), it cost
 // 3 500 and 250 KiB; with every mutated step, its factor lists and the
 // copies inherit makes carved from the attempt's arena too, 2 430 and
-// 230 KiB. Now that the run keys its tables on IDs of a signature table
-// it borrows, and the feature cache on IDs of its own, no signature is a
-// string: it costs 1 564 and 165–172 KiB. The ceilings are a tenth
+// 230 KiB. Now that the run keys its tables, and the feature cache its
+// entries, on IDs of the cache's signature table (featScorer is a
+// SigScorer, as the policy's scorer is), no signature is a string: it
+// costs 1 564 and 160–172 KiB. The ceilings are a tenth
 // above. The pooled scratch the race detector drops adds some 2 600
 // objects a run (4 150–4 330 there), which the usual scaling of a
 // ceiling does not follow, so the row has a race ceiling of its own, a

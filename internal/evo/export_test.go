@@ -11,13 +11,8 @@ import (
 // search's tables", invariant T). None of it is compiled into a
 // production binary.
 
-// DrainFreeTables empties the free list, so the next run borrows a new
-// set, as in a fresh process.
-func DrainFreeTables() {
-	freeTables.Lock()
-	defer freeTables.Unlock()
-	freeTables.list = nil
-}
+// FreeTables is the sets' free list, for its books.
+var FreeTables = freeTables
 
 // PoisonReturnedTables makes every set that goes back to the free list,
 // until the returned function is called, keep its IDs as keys and
@@ -27,12 +22,12 @@ func DrainFreeTables() {
 func PoisonReturnedTables() (stop func() int) {
 	junk := ir.NewState(matmulReLU(8, 8, 8))
 	var n atomic.Int64
-	tablesHook = func(t *tables) {
+	freeTables.SetPoison(func(t *tables) {
 		poisonTables(t, junk)
 		n.Add(1)
-	}
+	})
 	return func() int {
-		tablesHook = nil
+		freeTables.SetPoison(nil)
 		return int(n.Load())
 	}
 }

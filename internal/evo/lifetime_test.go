@@ -20,11 +20,14 @@ import (
 // Latencies, results, record logs and model fingerprints must be
 // bit-equal: a borrowed set is empty whatever the list holds.
 func TestReusedTablesMatchFresh(t *testing.T) {
-	fresh := tuneTwice(t, evo.DrainFreeTables)
+	fresh := tuneTwice(t, evo.FreeTables.Drain)
 	stop := evo.PoisonReturnedTables()
 	reused := tuneTwice(t, func() {})
 	if stop() == 0 {
 		t.Fatal("no set went back to the free list: nothing was reused")
+	}
+	if err := evo.FreeTables.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if reused != fresh {
 		t.Errorf("on poisoned tables the runs returned\n%s\non fresh ones\n%s", reused, fresh)

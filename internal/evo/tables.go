@@ -3,7 +3,6 @@ package evo
 import (
 	"bytes"
 	"slices"
-	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/pool"
@@ -58,30 +57,15 @@ const (
 	tablesMaxSeen = 1 << 13
 )
 
-// freeTables is where returned sets wait: a mutex and a bounded list, no
-// sync.Pool, like the arenas' and the feature chunks' free lists.
-var freeTables struct {
-	sync.Mutex
-	list []*tables
-}
-
-// tablesHook, when set, takes the place of clearing a returned set. Only
-// tests set it (export_test.go), to fill the set with stale contents.
-var tablesHook func(*tables)
+// freeTables is where returned sets wait (DESIGN.md "Borrowed memory").
+// Its tests' hook takes the place of clearing a returned set.
+var freeTables = pool.NewFreeList[*tables](tablesKept)
 
 // borrowTables returns an empty set keyed on sigs, the caller's until its
 // release.
 func borrowTables(sigs *ir.SigTable) *tables {
-	freeTables.Lock()
-	n := len(freeTables.list)
-	var t *tables
-	if n > 0 {
-		t = freeTables.list[n-1]
-		freeTables.list[n-1] = nil
-		freeTables.list = freeTables.list[:n-1]
-	}
-	freeTables.Unlock()
-	if t == nil {
+	t, ok := freeTables.Borrow()
+	if !ok {
 		t = &tables{best: map[ir.SigID]scored{}, first: map[ir.SigID]int{}, fam: map[uint64]int{}}
 	}
 	// A set is cleared when it goes back too; clearing it here as well
@@ -99,19 +83,10 @@ func (t *tables) release() {
 	}
 	t.lent = false
 	seen := len(t.best)
-	if tablesHook != nil {
-		tablesHook(t)
-	} else {
+	if !freeTables.Poison(t) {
 		t.clear()
 	}
-	if seen > tablesMaxSeen {
-		return
-	}
-	freeTables.Lock()
-	defer freeTables.Unlock()
-	if len(freeTables.list) < tablesKept {
-		freeTables.list = append(freeTables.list, t)
-	}
+	freeTables.Return(t, seen <= tablesMaxSeen)
 }
 
 // clear empties every table and drops every pointer the buffers hold,

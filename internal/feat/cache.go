@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ir"
+	"repro/internal/pool"
 )
 
 // Entry is one cached program: the per-statement feature matrix plus
@@ -67,7 +68,7 @@ type Cache struct {
 	entries []Entry
 	names   []string // the current block of stage names
 	limit   int
-	chunks  [][]float64 // rows are carved from the last one, at off
+	chunks  []*[chunkFloats]float64 // rows are carved from the last one, at off
 	off     int
 	// holes[k] holds the slabs of k statements that Keep moved out of.
 	holes  [][][]float64
@@ -84,13 +85,8 @@ const (
 	chunksKept = 256
 )
 
-// freeChunks is where released chunks wait: a bounded list and no
-// sync.Pool, so what a run allocates does not depend on when the
-// collector ran.
-var freeChunks struct {
-	sync.Mutex
-	list [][]float64
-}
+// freeChunks is where released chunks wait (DESIGN.md "Borrowed memory").
+var freeChunks = pool.NewFreeList[*[chunkFloats]float64](chunksKept)
 
 // NewCache returns a feature cache bounded to limit entries (0 =
 // unbounded), with a signature table of its own.
@@ -136,6 +132,9 @@ func (c *Cache) Program(s *ir.State) (Entry, bool) {
 	}
 	c.mu.Lock()
 	if c.limit > 0 && c.live >= c.limit {
+		for _, ch := range c.chunks {
+			freeChunks.Return(ch, false) // to the collector: rows may still be read
+		}
 		clear(c.m)
 		c.live, c.entries, c.names, c.chunks, c.off, c.holes = 0, nil, nil, nil, 0, nil
 	}
@@ -218,7 +217,11 @@ func (c *Cache) carve(stmts int) (r []float64, names []string) {
 		c.holes[stmts] = h[:len(h)-1]
 	} else {
 		if len(c.chunks) == 0 || c.off+n > chunkFloats {
-			c.chunks, c.off = append(c.chunks, borrowChunk()), 0
+			ch, ok := freeChunks.Borrow()
+			if !ok {
+				ch = new([chunkFloats]float64)
+			}
+			c.chunks, c.off = append(c.chunks, ch), 0
 		}
 		r = c.chunks[len(c.chunks)-1][c.off : c.off+n : c.off+n]
 		c.off += n
@@ -241,24 +244,9 @@ func (c *Cache) Release() {
 	chunks := c.chunks
 	c.sigs, c.m, c.live, c.entries, c.names, c.chunks, c.off, c.holes = nil, nil, 0, nil, nil, nil, 0, nil
 	c.mu.Unlock()
-	freeChunks.Lock()
-	defer freeChunks.Unlock()
-	keep := min(len(chunks), chunksKept-len(freeChunks.list))
-	freeChunks.list = append(freeChunks.list, chunks[:keep]...)
-}
-
-// borrowChunk returns a chunk off the free list, or a new one.
-func borrowChunk() []float64 {
-	freeChunks.Lock()
-	defer freeChunks.Unlock()
-	n := len(freeChunks.list)
-	if n == 0 {
-		return make([]float64, chunkFloats)
+	for _, ch := range chunks {
+		freeChunks.Return(ch, true)
 	}
-	ch := freeChunks.list[n-1]
-	freeChunks.list[n-1] = nil
-	freeChunks.list = freeChunks.list[:n-1]
-	return ch
 }
 
 // Stats reports (hits, misses, live entries) for observability and

@@ -207,7 +207,7 @@ func TestResetRowsOutliveBorrowedChunks(t *testing.T) {
 		_, _, ok := sameBits(got, want)
 		return ok && len(got) > 0
 	}
-	DrainFreeChunks()
+	freeChunks.Drain()
 	c := NewCache(2)
 	var kept, want [][][]float64
 	for _, s := range states[:2] {
@@ -338,7 +338,7 @@ func TestKeptRowsOutliveTheirSlab(t *testing.T) {
 		}
 		return n
 	}
-	DrainFreeChunks()
+	freeChunks.Drain()
 	c := NewCache(0)
 	for _, s := range states[:8] {
 		c.Program(s)

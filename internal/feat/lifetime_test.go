@@ -77,10 +77,13 @@ func TestReusedChunksMatchFresh(t *testing.T) {
 		}
 		return out
 	}
-	fresh := run(feat.DrainFreeChunks)
+	fresh := run(feat.FreeChunks.Drain)
 	reused := run(func() { poisoned += feat.PoisonFreeChunks() })
 	if poisoned == 0 {
 		t.Fatal("no chunk was on the free list between runs: nothing was reused")
+	}
+	if err := feat.FreeChunks.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if reused != fresh {
 		t.Errorf("on reused chunks the runs returned\n%s\non fresh ones\n%s", reused, fresh)

@@ -1,9 +1,9 @@
 package ir
 
 import (
-	"sync"
 	"unsafe"
 
+	"repro/internal/pool"
 	"repro/internal/te"
 )
 
@@ -307,30 +307,18 @@ func (a *Arena) copyLists(ls [][]int) [][]int {
 	return out
 }
 
-// freeArenas is where released arenas wait: a bounded list and no
-// sync.Pool, so what a run allocates does not depend on when the collector
-// ran. lent counts the arenas out.
-var freeArenas struct {
-	sync.Mutex
-	list []*Arena
-	lent int
-}
+// freeArenas is where released arenas wait (DESIGN.md "Borrowed memory").
+var freeArenas = pool.NewFreeList[*Arena](arenasKept)
 
 // BorrowArena returns an empty arena, the caller's until its Release.
 func BorrowArena() *Arena {
-	freeArenas.Lock()
-	defer freeArenas.Unlock()
-	freeArenas.lent++
-	n := len(freeArenas.list)
-	if n == 0 {
-		a := &Arena{lent: true}
+	a, ok := freeArenas.Borrow()
+	if !ok {
+		a = &Arena{}
 		for i, sl := range a.slabs() {
 			sl.bind(&a.at[i])
 		}
-		return a
 	}
-	a := freeArenas.list[n-1]
-	freeArenas.list = freeArenas.list[:n-1]
 	a.lent = true
 	return a
 }
@@ -343,20 +331,14 @@ func (a *Arena) Release() {
 	}
 	a.lent = false
 	a.Rewind(ArenaMark{})
+	if arenaHook != nil {
+		arenaHook('r', a)
+	}
 	chunks := 0
 	for _, sl := range a.slabs() {
 		chunks += sl.chunkCount()
 	}
-	keep := chunks <= arenaChunks
-	if arenaHook != nil {
-		arenaHook('r', a)
-	}
-	freeArenas.Lock()
-	defer freeArenas.Unlock()
-	freeArenas.lent--
-	if keep && len(freeArenas.list) < arenasKept {
-		freeArenas.list = append(freeArenas.list, a)
-	}
+	freeArenas.Return(a, chunks <= arenaChunks)
 }
 
 // Replay rebuilds a state from a DAG and a step list in the arena's

@@ -113,7 +113,7 @@ func TestArenaReplayEqualsHeap(t *testing.T) {
 				}
 			}
 		}
-		if n := ArenasLent(); n != 0 {
+		if n := FreeArenas.Lent(); n != 0 {
 			t.Fatalf("%d arenas still lent", n)
 		}
 	}
@@ -268,7 +268,7 @@ func TestArenaFreeListIsBounded(t *testing.T) {
 		a.Steps(1)
 		as = append(as, a)
 	}
-	if n := ArenasLent(); n != len(as) {
+	if n := FreeArenas.Lent(); n != len(as) {
 		t.Fatalf("%d arenas lent, borrowed %d", n, len(as))
 	}
 	huge := as[0]
@@ -281,14 +281,13 @@ func TestArenaFreeListIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	freeArenas.Lock()
-	n := len(freeArenas.list)
-	for _, a := range freeArenas.list {
+	n := 0
+	freeArenas.Visit(func(a *Arena) {
+		n++
 		if a == huge {
 			t.Error("an arena past the chunk bound went back to the free list")
 		}
-	}
-	freeArenas.Unlock()
+	})
 	if n != ArenasKept {
 		t.Errorf("free list holds %d arenas, want its bound %d", n, ArenasKept)
 	}

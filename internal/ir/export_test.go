@@ -132,12 +132,11 @@ type ArenaBooks struct {
 func PoisonArenas(t testing.TB) *ArenaBooks {
 	books := new(ArenaBooks)
 	drain := func(hook func(byte, any)) {
-		freeArenas.Lock()
-		defer freeArenas.Unlock()
-		if freeArenas.lent != 0 {
-			t.Fatalf("%d arenas lent while switching the arena hook", freeArenas.lent)
+		if n := freeArenas.Lent(); n != 0 {
+			t.Fatalf("%d arenas lent while switching the arena hook", n)
 		}
-		freeArenas.list, arenaHook = nil, hook
+		freeArenas.Drain()
+		arenaHook = hook
 	}
 	drain(func(op byte, r any) {
 		switch op {
@@ -212,40 +211,34 @@ func CheckArenas(as ...*Arena) error {
 	return CheckFreeArenas()
 }
 
-// CheckFreeArenas asserts the free list's invariant: at most arenasKept
-// arenas, each once, none lent, all empty and free, none too large.
+// CheckFreeArenas asserts the free list's invariant (pool.FreeList's
+// Check) and the arenas' own: none on it lent, each empty and free, none
+// past the chunk bound.
 func CheckFreeArenas() error {
-	freeArenas.Lock()
-	defer freeArenas.Unlock()
-	if len(freeArenas.list) > arenasKept {
-		return fmt.Errorf("free list holds %d arenas, bound %d", len(freeArenas.list), arenasKept)
-	}
-	seen := map[*Arena]bool{}
-	for _, a := range freeArenas.list {
-		if seen[a] || a.lent {
-			return fmt.Errorf("arena %p is on the free list twice, or lent", a)
-		}
-		seen[a] = true
-		if err := a.check(true); err != nil {
-			return err
-		}
+	err := freeArenas.Check()
+	freeArenas.Visit(func(a *Arena) {
 		n := 0
 		for _, sl := range a.slabs() {
 			n += sl.chunkCount()
 		}
-		if n > arenaChunks {
-			return fmt.Errorf("free arena keeps %d chunks, bound %d", n, arenaChunks)
+		switch {
+		case err != nil:
+		case a.lent:
+			err = fmt.Errorf("arena %p is on the free list and lent", a)
+		case n > arenaChunks:
+			err = fmt.Errorf("free arena keeps %d chunks, bound %d", n, arenaChunks)
+		default:
+			err = a.check(true)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
-// ArenasLent returns how many arenas are borrowed and not released.
-func ArenasLent() int {
-	freeArenas.Lock()
-	defer freeArenas.Unlock()
-	return freeArenas.lent
-}
+// FreeArenas and FreeSigTables are the free lists, for their books.
+var (
+	FreeArenas    = freeArenas
+	FreeSigTables = freeSigTables
+)
 
 // ArenaChunkBytes and ArenasKept expose the bounds.
 const (
@@ -264,12 +257,8 @@ const freedSig = '#'
 // free list is emptied on the way in and out.
 func PoisonSigTables(t testing.TB) *atomic.Int64 {
 	var n atomic.Int64
-	drain := func(hook func(*SigTable)) {
-		freeSigTables.Lock()
-		defer freeSigTables.Unlock()
-		freeSigTables.list, sigTableHook = nil, hook
-	}
-	drain(func(st *SigTable) {
+	freeSigTables.Drain()
+	freeSigTables.SetPoison(func(st *SigTable) {
 		for _, c := range st.chunks {
 			for i := range c {
 				c[i] = freedSig
@@ -277,6 +266,9 @@ func PoisonSigTables(t testing.TB) *atomic.Int64 {
 		}
 		n.Add(1)
 	})
-	t.Cleanup(func() { drain(nil) })
+	t.Cleanup(func() {
+		freeSigTables.Drain()
+		freeSigTables.SetPoison(nil)
+	})
 	return &n
 }

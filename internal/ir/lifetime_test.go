@@ -38,7 +38,7 @@ func twice(t *testing.T, fn func(t *testing.T) string) (plain, poisoned string) 
 	t.Helper()
 	settled := func(when string) {
 		t.Helper()
-		if n := ir.ArenasLent(); n != 0 {
+		if n := ir.FreeArenas.Lent(); n != 0 {
 			t.Fatalf("%s: %d arenas borrowed and never released", when, n)
 		}
 		if err := ir.CheckFreeArenas(); err != nil {
@@ -336,6 +336,9 @@ func TestPoisonedBatchClonesKeepTheirSteps(t *testing.T) {
 	defer func() {
 		releaseOther()
 		again.Release()
+		if err := ir.CheckFreeArenas(); err != nil {
+			t.Error(err)
+		}
 	}()
 	for i, c := range batch {
 		got, err := ir.EncodeSteps(c.Steps)
@@ -418,6 +421,9 @@ func TestPoisonedSigTablesReadersKeepTheirStrings(t *testing.T) {
 		got := run(t)
 		if poisoned.Load() < 2 {
 			t.Fatalf("%d tables poisoned, want the policy's and its neighbour's", poisoned.Load())
+		}
+		if err := ir.FreeSigTables.Check(); err != nil {
+			t.Fatal(err)
 		}
 		sameTranscripts(t, "strings read after the signature table's release", plain, got)
 	})

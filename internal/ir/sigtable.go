@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/pool"
 )
 
 // SigID is a program's identity in one SigTable: two states have the same
@@ -47,28 +49,16 @@ const (
 )
 
 var (
-	// freeSigTables is where released tables wait, like freeArenas.
-	freeSigTables struct {
-		sync.Mutex
-		list []*SigTable
-	}
-	sigSerial atomic.Uint32
-	// sigTableHook, when set, runs on a table being released once it is
-	// cleared. Only tests set it (export_test.go), to scribble the chunks.
-	sigTableHook func(*SigTable)
+	// freeSigTables is where released tables wait (DESIGN.md "Borrowed
+	// memory"). Its tests' hook runs on a table once it is cleared.
+	freeSigTables = pool.NewFreeList[*SigTable](sigTablesKept)
+	sigSerial     atomic.Uint32
 )
 
 // NewSigTable borrows an empty table; the caller releases it.
 func NewSigTable() *SigTable {
-	freeSigTables.Lock()
-	var t *SigTable
-	if n := len(freeSigTables.list); n > 0 {
-		t = freeSigTables.list[n-1]
-		freeSigTables.list[n-1] = nil
-		freeSigTables.list = freeSigTables.list[:n-1]
-	}
-	freeSigTables.Unlock()
-	if t == nil {
+	t, ok := freeSigTables.Borrow()
+	if !ok {
 		t = &SigTable{m: map[string]SigID{}}
 	}
 	t.serial, t.lent = sigSerial.Add(2)|1, true // odd: never a released table's 0
@@ -90,17 +80,8 @@ func (t *SigTable) Release() {
 	clear(t.m)
 	clear(t.spans)
 	t.spans, t.cur, t.off = t.spans[:0], 0, 0
-	if sigTableHook != nil {
-		sigTableHook(t)
-	}
-	if seen > sigTableMaxIDs {
-		return
-	}
-	freeSigTables.Lock()
-	defer freeSigTables.Unlock()
-	if len(freeSigTables.list) < sigTablesKept {
-		freeSigTables.list = append(freeSigTables.list, t)
-	}
+	freeSigTables.Poison(t)
+	freeSigTables.Return(t, seen <= sigTableMaxIDs)
 }
 
 // Intern returns the program's ID in the table. The state memoizes it,

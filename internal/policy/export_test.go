@@ -11,13 +11,8 @@ import (
 // tables", invariant T). None of it is compiled into a production
 // binary.
 
-// DrainFreeScorers empties the free list, so the next proposal borrows a
-// new scorer, as in a fresh process.
-func DrainFreeScorers() {
-	freeScorers.Lock()
-	defer freeScorers.Unlock()
-	freeScorers.list = nil
-}
+// FreeScorers is the scorers' free list, for its books.
+var FreeScorers = freeScorers
 
 // PoisonReleasedScorers makes every scorer that goes back to the free
 // list, until the returned function is called, keep its signatures as
@@ -27,7 +22,7 @@ func DrainFreeScorers() {
 // meet them. stop returns how many scorers it poisoned.
 func PoisonReleasedScorers() (stop func() int) {
 	var n atomic.Int64
-	scorerHook = func(m *modelScorer) {
+	freeScorers.SetPoison(func(m *modelScorer) {
 		nan := math.NaN()
 		for sig := range m.scores {
 			m.scores[sig] = nan
@@ -48,9 +43,9 @@ func PoisonReleasedScorers() (stop func() int) {
 		m.hits.Store(-1)
 		m.misses.Store(-1)
 		n.Add(1)
-	}
+	})
 	return func() int {
-		scorerHook = nil
+		freeScorers.SetPoison(nil)
 		return int(n.Load())
 	}
 }

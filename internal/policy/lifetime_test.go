@@ -20,11 +20,14 @@ import (
 // poisoned one. Latencies, results, record logs and model fingerprints
 // must be bit-equal: a borrowed scorer is empty whatever the list holds.
 func TestReusedScorersMatchFresh(t *testing.T) {
-	fresh := tuneTwice(t, policy.DrainFreeScorers)
+	fresh := tuneTwice(t, policy.FreeScorers.Drain)
 	stop := policy.PoisonReleasedScorers()
 	reused := tuneTwice(t, func() {})
 	if stop() == 0 {
 		t.Fatal("no scorer went back to the free list: nothing was reused")
+	}
+	if err := policy.FreeScorers.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if reused != fresh {
 		t.Errorf("on poisoned scorers the runs returned\n%s\non fresh ones\n%s", reused, fresh)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/feat"
 	"repro/internal/ir"
+	"repro/internal/pool"
 	"repro/internal/xgb"
 )
 
@@ -60,27 +61,13 @@ const (
 	scorerMaxSeen = 1 << 13
 )
 
-// freeScorers is where released scorers wait: a mutex and a bounded
-// list, no sync.Pool, like evo's tables and the feature chunks.
-var freeScorers struct {
-	sync.Mutex
-	list []*modelScorer
-}
-
-// scorerHook, when set, takes the place of clearing a released scorer.
-// Only tests set it (export_test.go), to fill it with stale contents.
-var scorerHook func(*modelScorer)
+// freeScorers is where released scorers wait (DESIGN.md "Borrowed
+// memory"). Its tests' hook takes the place of clearing a released one.
+var freeScorers = pool.NewFreeList[*modelScorer](scorersKept)
 
 func borrowScorer() *modelScorer {
-	freeScorers.Lock()
-	var m *modelScorer
-	if n := len(freeScorers.list); n > 0 {
-		m = freeScorers.list[n-1]
-		freeScorers.list[n-1] = nil
-		freeScorers.list = freeScorers.list[:n-1]
-	}
-	freeScorers.Unlock()
-	if m == nil {
+	m, ok := freeScorers.Borrow()
+	if !ok {
 		m = &modelScorer{scores: map[ir.SigID]float64{}, nodes: map[ir.SigID]map[string]float64{}}
 	}
 	// Cleared on release too; clearing here as well makes "a borrowed
@@ -99,19 +86,10 @@ func (m *modelScorer) release() {
 	}
 	m.lent = false
 	seen := len(m.scores)
-	if scorerHook != nil {
-		scorerHook(m)
-	} else {
+	if !freeScorers.Poison(m) {
 		m.clear()
 	}
-	if seen > scorerMaxSeen {
-		return
-	}
-	freeScorers.Lock()
-	defer freeScorers.Unlock()
-	if len(freeScorers.list) < scorersKept {
-		freeScorers.list = append(freeScorers.list, m)
-	}
+	freeScorers.Return(m, seen <= scorerMaxSeen)
 }
 
 func (m *modelScorer) clear() {

@@ -3,7 +3,6 @@ package xgb
 import (
 	"math/rand"
 	"slices"
-	"sync"
 
 	"repro/internal/pool"
 )
@@ -130,12 +129,9 @@ type trainer struct {
 	sortList      func(k int)
 }
 
-// freeTrainers is where released trainers wait: a bounded list and no
-// sync.Pool, which every collection empties.
-var freeTrainers struct {
-	sync.Mutex
-	list []*trainer
-}
+// freeTrainers is where released trainers wait (DESIGN.md "Borrowed
+// memory").
+var freeTrainers = pool.NewFreeList[*trainer](trainersKept)
 
 const (
 	// trainersKept bounds the free list: more calls than this training
@@ -151,30 +147,18 @@ const (
 
 // borrowTrainer returns a trainer, the caller's until its release.
 func borrowTrainer() *trainer {
-	freeTrainers.Lock()
-	defer freeTrainers.Unlock()
-	n := len(freeTrainers.list)
-	if n == 0 {
-		t := &trainer{}
+	t, ok := freeTrainers.Borrow()
+	if !ok {
+		t = &trainer{}
 		t.scan, t.part, t.sortList = t.scanClass, t.partitionList, t.sortClass
-		return t
 	}
-	t := freeTrainers.list[n-1]
-	freeTrainers.list = freeTrainers.list[:n-1]
 	return t
 }
 
 // release hands the trainer back; it drops its hold on the caller's rows.
 func (t *trainer) release() {
 	clear(t.rows)
-	if cap(t.vals) > keptCells {
-		return
-	}
-	freeTrainers.Lock()
-	defer freeTrainers.Unlock()
-	if len(freeTrainers.list) < trainersKept {
-		freeTrainers.list = append(freeTrainers.list, t)
-	}
+	freeTrainers.Return(t, cap(t.vals) <= keptCells)
 }
 
 // resize returns s with length n, reusing its memory when it is large

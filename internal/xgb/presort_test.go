@@ -504,9 +504,7 @@ var slabSink []node
 // free list, to their capacity: a call that reads memory it did not
 // write first then trains a different model.
 func poisonFreeTrainers() {
-	freeTrainers.Lock()
-	defer freeTrainers.Unlock()
-	for _, t := range freeTrainers.list {
+	freeTrainers.Visit(func(t *trainer) {
 		nan := math.NaN()
 		for _, s := range [][]float64{t.vals, t.pred, t.progPred} {
 			fill(s, nan)
@@ -522,7 +520,7 @@ func poisonFreeTrainers() {
 		fill(t.mask, true)
 		fill(t.left, 1)
 		fill(t.nodes, node{threshold: -1, feature: 1 << 20, right: -1})
-	}
+	})
 }
 
 // fill sets every element of s up to its capacity to v.
@@ -531,14 +529,6 @@ func fill[T any](s []T, v T) {
 	for i := range s {
 		s[i] = v
 	}
-}
-
-// drainFreeTrainers empties the free list, so the next call trains on a
-// new trainer.
-func drainFreeTrainers() {
-	freeTrainers.Lock()
-	defer freeTrainers.Unlock()
-	freeTrainers.list = nil
 }
 
 // TestReusedTrainersMatchFresh interleaves Fit and Boost on three models
@@ -596,10 +586,16 @@ func TestReusedTrainersMatchFresh(t *testing.T) {
 		}
 		return fps
 	}
-	fresh := run(drainFreeTrainers)
-	drainFreeTrainers()
+	fresh := run(freeTrainers.Drain)
+	freeTrainers.Drain()
 	if reused := run(poisonFreeTrainers); !slices.Equal(reused, fresh) {
 		t.Errorf("on reused trainers: fingerprints %x, on fresh ones %x", reused, fresh)
+	}
+	if err := freeTrainers.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if n := freeTrainers.Lent(); n != 0 {
+		t.Errorf("%d trainers lent after every call returned", n)
 	}
 }
 

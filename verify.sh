@@ -99,11 +99,15 @@ gated 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|Test
 gated 'TestPrepareAheadChangesNoDecision|TestZeroGradientTaskIsNeverGuessed' ./internal/sched/ -race -count=10
 gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 
-# Borrowed program memory (DESIGN.md "Program memory"): the lifetime tests
+# Borrowed program memory (DESIGN.md "Borrowed memory" and "Program
+# memory"): the one free list all of it waits on (pool.FreeList: its
+# bound, its books and concurrent borrowers), the lifetime tests
 # with freed arena memory — states, loops, step values and their factor
 # lists — poisoned and the arenas' books checked at every carve and
 # release, among them a proposal's batch clones read after their arenas
-# were reused (Clone detaches the steps), the two exit invariants —
+# were reused (Clone detaches the steps), the signature tables, whose
+# chunks are poisoned on release before a neighbour reuses them while
+# the strings read from them live on, the two exit invariants —
 # Search.Run returns and Propose leaves no program of an arena — the
 # in-process measurer, whose
 # goroutines share pooled lowering scratch, and feature extraction, whose
@@ -114,10 +118,12 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # once borrow from one free list each (poisoned on the way back), the
 # recorder, whose goroutines share one line buffer, and the cost model's
 # trainers, which two models training at once borrow from one free list.
-# Ten times, because an arena, a scratch, a chunk, a table set, a scorer
-# or a trainer handed to two goroutines, or read after its release,
-# shows only when another borrower has reused it in between.
+# Ten times, because an arena, a signature table, a scratch, a chunk, a
+# table set, a scorer or a trainer handed to two goroutines, or read
+# after its release, shows only when another borrower has reused it in
+# between.
 step "race: borrowed program memory (x10)"
+gated TestFreeList ./internal/pool/ -race -count=10
 gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
 gated 'TestRunReturnsHeapStates|TestReusedTablesMatchFresh' ./internal/evo/ -race -count=10
 gated 'TestProposeLeavesBatchOnHeap|TestReusedScorersMatchFresh' ./internal/policy/ -race -count=10
