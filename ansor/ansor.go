@@ -5,8 +5,8 @@
 // The typical flow mirrors Figure 4 of the paper:
 //
 //	dag   := ansor.NewComputeBuilder("matmul").…   // define the computation
-//	task  := ansor.NewTask("matmul", dag, ansor.TargetIntelCPU())
-//	tuner := ansor.NewTuner(task, ansor.TuningOptions{Trials: 1000})
+//	task  := ansor.NewTask("matmul", dag, ansor.TargetIntelCPU(false))
+//	tuner, err := ansor.NewTuner(task, ansor.TuningOptions{Trials: 1000})
 //	best, err := tuner.Tune()                      // search
 //	fmt.Println(best.Print())                      // the winning program
 //
@@ -111,8 +111,6 @@ type TuningOptions struct {
 	// bit-identical for any value (see DESIGN.md's determinism
 	// contract); Workers only changes wall-clock time.
 	Workers int
-	// CustomRules are user-defined sketch derivation rules (§4.1).
-	CustomRules []sketch.Rule
 
 	// RecordTo appends every fresh successful measurement as one JSON
 	// record per line to this file (created if missing), building the
@@ -227,9 +225,6 @@ func (o *TuningOptions) defaults() {
 	}
 }
 
-// Rule re-exports the sketch derivation rule interface for user rules.
-type Rule = sketch.Rule
-
 // Program is a complete scheduled tensor program.
 type Program struct {
 	State *ir.State
@@ -281,7 +276,7 @@ func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 	popts.Workers = opts.Workers
 	pol, err := policy.New(policy.Task{
 		Name: task.Name, DAG: task.DAG, Target: task.Target.Space, Weight: task.Weight,
-	}, popts, ms, opts.CustomRules...)
+	}, popts, ms)
 	if err != nil {
 		return nil, fmt.Errorf("ansor: %w", err)
 	}

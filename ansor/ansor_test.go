@@ -1,6 +1,9 @@
 package ansor
 
 import (
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,4 +157,23 @@ func TestTuneAfterCloseFails(t *testing.T) {
 		t.Errorf("a second Close: %v", err)
 	}
 	kept.Close()
+}
+
+// The executed examples are what a user outside this module can write:
+// they may import the public API and the standard library, but no
+// package under internal/, which Go forbids outside the module.
+func TestExamplesUsePublicAPIOnly(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "example_test.go", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(path, "repro/internal/") {
+			t.Errorf("example_test.go imports %s, which code outside the module cannot import", path)
+		}
+	}
 }

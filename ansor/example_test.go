@@ -6,11 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/ansor"
-	"repro/internal/ir"
-	"repro/internal/sketch"
 )
 
 // Define a matmul+ReLU computation, tune it for the Intel CPU, and print
@@ -194,135 +191,6 @@ func ExampleTuneNetwork() {
 	//   t2d.h4.c1024-512         0.00034226 s
 	//   t2d.h8.c512-256          0.00015034 s
 	//   t2d.out                  0.00011426 s
-}
-
-// shallowTileRule derives an extra sketch with a 2-level space tiling for
-// small convolution nodes.
-type shallowTileRule struct{}
-
-func (shallowTileRule) Name() string { return "ShallowTileForSmallConv" }
-
-func (shallowTileRule) Meets(_ *sketch.Generator, s *ir.State, i int) bool {
-	st := s.Stages[i]
-	return strings.HasPrefix(st.Name, "conv2d") &&
-		st.TiledSpaceLevels == 0 && !st.Inlined && !st.Attached &&
-		st.Node.SpaceSize() <= 1<<16
-}
-
-func (shallowTileRule) Apply(_ *sketch.Generator, s *ir.State, i int) []sketch.Next {
-	c := s.Clone()
-	if err := c.Apply(&ir.MultiLevelTileStep{
-		Stage: c.Stages[i].Name, Structure: "SSRS",
-	}); err != nil {
-		return nil
-	}
-	return []sketch.Next{{State: c, Index: i - 1}}
-}
-
-// Register a user-defined sketch derivation rule (§4.1: "we allow users
-// to register new derivation rules and integrate them seamlessly with
-// existing rules"). The built-in rules always tile compute-intensive
-// nodes with the full "SSRSRS" structure. Some algorithms want a
-// different shape: this rule offers an alternative shallow "SSRS" tiling
-// for small convolutions (standing in for a special algorithm such as
-// Winograd that needs its own tile structure), and the search space then
-// contains both structures. A rule names ir and sketch types, which are
-// internal to this module.
-func ExampleRule() {
-	b := ansor.NewComputeBuilder("small_conv")
-	x := b.Input("X", 1, 64, 14, 14)
-	y := b.Conv2D(x, ansor.ConvOpts{OutChannels: 64, Kernel: 3, Pad: 1})
-	b.ReLU(y)
-	dag, err := b.Finish()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	task := ansor.NewTask("small_conv", dag, ansor.TargetIntelCPU(false))
-	tuner, err := ansor.NewTuner(task, ansor.TuningOptions{
-		Trials:           120,
-		MeasuresPerRound: 20,
-		Seed:             1,
-		CustomRules:      []ansor.Rule{shallowTileRule{}},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("search space now has %d sketches (built-in + user rule):\n", len(tuner.Sketches()))
-	for i, sk := range tuner.Sketches() {
-		fmt.Printf("\n--- sketch %d ---\n%s", i+1, sk.Print())
-	}
-	best, err := tuner.Tune()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbest: %.4g s (%.1f GFLOP/s)\n%s", best.Seconds, best.GFLOPS, best.Print())
-	// Output:
-	// search space now has 2 sketches (built-in + user rule):
-	//
-	// --- sketch 1 ---
-	// for n.0 in range(TILE_N0):
-	//   for co.0 in range(TILE_CO0):
-	//     for oh.0 in range(TILE_OH0):
-	//       for ow.0 in range(TILE_OW0):
-	//         for n.1 in range(TILE_N1):
-	//           for co.1 in range(TILE_CO1):
-	//             for oh.1 in range(TILE_OH1):
-	//               for ow.1 in range(TILE_OW1):
-	//                 for rc.0 in range(TILE_RC0):
-	//                   for rh.0 in range(TILE_RH0):
-	//                     for rw.0 in range(TILE_RW0):
-	//                       for n.2 in range(TILE_N2):
-	//                         for co.2 in range(TILE_CO2):
-	//                           for oh.2 in range(TILE_OH2):
-	//                             for ow.2 in range(TILE_OW2):
-	//                               conv2d_out[...] += f(pad_out, conv2d_w)
-	// for i1 in range(64):
-	//   for i2 in range(14):
-	//     for i3 in range(14):
-	//       relu_out[...] = f(conv2d_out)
-	//
-	// --- sketch 2 ---
-	// for i0.0 in range(TILE_I00):
-	//   for i1.0 in range(TILE_I10):
-	//     for i2.0 in range(TILE_I20):
-	//       for i3.0 in range(TILE_I30):
-	//         for i0.1 in range(TILE_I01):
-	//           for i1.1 in range(TILE_I11):
-	//             for i2.1 in range(TILE_I21):
-	//               for i3.1 in range(TILE_I31):
-	//                 for rc.0 in range(TILE_RC0):
-	//                   for rh.0 in range(TILE_RH0):
-	//                     for rw.0 in range(TILE_RW0):
-	//                       for n.2 in range(TILE_N2):
-	//                         for co.2 in range(TILE_CO2):
-	//                           for oh.2 in range(TILE_OH2):
-	//                             for ow.2 in range(TILE_OW2):
-	//                               for rc.1 in range(TILE_RC1):
-	//                                 for rh.1 in range(TILE_RH1):
-	//                                   for rw.1 in range(TILE_RW1):
-	//                                     for n.3 in range(TILE_N3):
-	//                                       for co.3 in range(TILE_CO3):
-	//                                         for oh.3 in range(TILE_OH3):
-	//                                           for ow.3 in range(TILE_OW3):
-	//                                             conv2d_out[...] += f(pad_out, conv2d_w)
-	//                 for i0.in in range(TILE_I0IN):
-	//                   for i1.in in range(TILE_I1IN):
-	//                     for i2.in in range(TILE_I2IN):
-	//                       for i3.in in range(TILE_I3IN):
-	//                         relu_out[...] = f(conv2d_out)
-	//
-	// best: 1.314e-05 s (1430.5 GFLOP/s)
-	// parallel i0.0@i1.0@i2.0@i3.0@i0.1@i1.1@i2.1 in range(896):
-	//   # pragma auto_unroll_max_step=512
-	//   for rc.0 in range(2):
-	//     for rh.0 in range(3):
-	//       for rc.1 in range(32):
-	//         for rw.1 in range(3):
-	//           vectorize ow.3 in range(14):
-	//             conv2d_out[...] += f(pad_out, conv2d_w)
-	//   for i3.in in range(14):
-	//     relu_out[...] = f(conv2d_out)
 }
 
 // The durable-tuning-records workflow: tune with a log file, kill and

@@ -42,7 +42,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"os/signal"
 	"strings"
@@ -52,24 +51,9 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/measure"
 	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/regserver"
 )
-
-// startPprof serves net/http/pprof's /debug/pprof endpoints on addr
-// when non-empty. The listener is token-free and off by default: point
-// it at localhost (or a firewalled interface) only while profiling.
-// It is separate from the service listener, so profiling never rides
-// the (possibly token-guarded) API port.
-func startPprof(addr string, stderr io.Writer) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "ansor-registry: pprof server: %v\n", err)
-		}
-	}()
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -121,7 +105,7 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	startPprof(*pprofAddr, stderr)
+	prof.Serve(*pprofAddr, "ansor-registry", stderr)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -225,7 +209,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	startPprof(*pprofAddr, stderr)
+	prof.Serve(*pprofAddr, "ansor-registry", stderr)
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return fmt.Errorf("serve: -tls-cert and -tls-key must be set together")
 	}

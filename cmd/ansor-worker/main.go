@@ -42,30 +42,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"os/signal"
 	"syscall"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/regserver"
 	"repro/internal/sim"
 )
-
-// startPprof serves net/http/pprof's /debug/pprof endpoints on addr
-// when non-empty. The listener is token-free and off by default: point
-// it at localhost (or a firewalled interface) only while profiling.
-func startPprof(addr string, stderr io.Writer) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "ansor-worker: pprof server: %v\n", err)
-		}
-	}()
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -112,7 +98,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	startPprof(*pprofAddr, stderr)
+	prof.Serve(*pprofAddr, "ansor-worker", stderr)
 	if *capacity < 1 {
 		return fmt.Errorf("-capacity must be positive, got %d", *capacity)
 	}

@@ -151,33 +151,62 @@ func TestBeamBehindBackendMatchesInProcess(t *testing.T) {
 func TestRestrictedSpacesAreSmaller(t *testing.T) {
 	// The restricted baselines must not contain Ansor-only structures:
 	// no cache stages, no rfactor stages; FlexTensor additionally never
-	// fuses or inlines.
-	task := conv2dTask()
+	// fuses or inlines, and AutoTVM's "SSRS" tiles have 3 space levels at
+	// most. A bare matmul is where Ansor's rule 5 adds a cache stage and
+	// a Norm where its rule 6 adds an rfactor stage: the full space
+	// holding them is the control that keeps the absence checks from
+	// passing vacuously.
+	gemm := te.NewBuilder("gemm")
+	gemm.Matmul(gemm.Input("A", 128, 128), 128, true)
+	nrm := te.NewBuilder("nrm")
+	nrm.Norm(nrm.Input("X", 1, 512, 512))
+	tasks := []policy.Task{
+		conv2dTask(),
+		{Name: "gemm", DAG: gemm.MustFinish(), Target: sketch.CPUTarget()},
+		{Name: "nrm", DAG: nrm.MustFinish(), Target: sketch.CPUTarget()},
+	}
 	ms := measure.New(sim.IntelXeon(), 0, 1)
-	ft, err := NewFlexTensor(task, ms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sk := range ft.Sketches() {
-		for _, st := range sk.Stages {
-			if st.Inlined {
-				t.Error("FlexTensor sketch contains an inlined stage")
+	kinds := map[string]map[ir.StageKind]bool{}
+	for _, arm := range []struct {
+		name string
+		mk   func(policy.Task, *measure.Measurer, int64) (*policy.Policy, error)
+	}{
+		{"Ansor", NewAnsor}, {"AutoTVM", NewAutoTVM}, {"FlexTensor", NewFlexTensor}, {"LimitedSpace", NewLimitedSpace},
+	} {
+		for _, task := range tasks {
+			p, err := arm.mk(task, ms, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.Attached {
-				t.Error("FlexTensor sketch contains a fused stage")
+			seen := map[ir.StageKind]bool{}
+			kinds[arm.name+"/"+task.Name] = seen
+			for _, sk := range p.Sketches() {
+				for _, st := range sk.Stages {
+					seen[st.Kind] = true
+					if arm.name == "FlexTensor" && st.Inlined {
+						t.Errorf("FlexTensor sketch of %s contains an inlined stage", task.Name)
+					}
+					if arm.name == "FlexTensor" && st.Attached {
+						t.Errorf("FlexTensor sketch of %s contains a fused stage", task.Name)
+					}
+					if arm.name == "AutoTVM" && st.TiledSpaceLevels > 3 {
+						t.Errorf("AutoTVM sketch of %s has %d space tile levels, want <= 3", task.Name, st.TiledSpaceLevels)
+					}
+				}
+			}
+			if arm.name != "Ansor" && seen[ir.StageCache] {
+				t.Errorf("%s sketch of %s contains a cache stage", arm.name, task.Name)
+			}
+			if arm.name != "Ansor" && seen[ir.StageRFactor] {
+				t.Errorf("%s sketch of %s contains an rfactor stage", arm.name, task.Name)
 			}
 		}
 	}
-	atvm, err := NewAutoTVM(task, ms, 1)
-	if err != nil {
-		t.Fatal(err)
+	if !kinds["Ansor/gemm"][ir.StageCache] {
+		t.Error("control: no Ansor sketch of a bare matmul has a cache stage")
 	}
-	for _, sk := range atvm.Sketches() {
-		for _, st := range sk.Stages {
-			if st.TiledSpaceLevels > 3 { // "SSRS" has 3 space levels
-				t.Errorf("AutoTVM sketch has %d space tile levels, want <= 3", st.TiledSpaceLevels)
-			}
-		}
+	if !kinds["Ansor/nrm"][ir.StageRFactor] {
+		t.Error("control: no Ansor sketch of a Norm has an rfactor stage")
 	}
 }
 

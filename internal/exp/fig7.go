@@ -151,10 +151,3 @@ func Fig7(cfg Config, runs int) Fig7Result {
 	}
 	return res
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -37,7 +37,7 @@ func benchPolicy(b testing.TB) *Policy {
 // path.
 func BenchmarkEvoRound(b *testing.B) {
 	p := benchPolicy(b)
-	init := p.sampler.SamplePopulation(p.sketches, p.Opts.SampleInitSize)
+	init := p.sampler.SamplePopulation(p.sketches, sampleInitSize)
 	init = append(init, p.bestStates...)
 	sc := p.scorer()
 	search := evo.NewSearch(evo.Config{

@@ -39,16 +39,19 @@ type Task struct {
 	Weight int
 }
 
+// The search sizes of one round (§5: "re-sampled new programs as well as
+// good programs from previous iterations"): sampleInitSize fresh random
+// programs and up to keepBest measured ones seed an evolutionary search
+// of population programs that runs for generations generations.
+const (
+	sampleInitSize = 50
+	keepBest       = 12
+	population     = 96
+	generations    = 4
+)
+
 // Options configures the search policy.
 type Options struct {
-	// SampleInitSize random programs are drawn per round (§5: "re-sampled
-	// new programs as well as good programs from previous iterations").
-	SampleInitSize int
-	// KeepBest previously measured programs seed the population.
-	KeepBest int
-	// Evolution parameters.
-	Population  int
-	Generations int
 	// EpsGreedy is the fraction of each measured batch chosen randomly
 	// instead of by predicted score, for exploration.
 	EpsGreedy float64
@@ -66,10 +69,7 @@ type Options struct {
 	DisableIncremental bool
 	// Space restrictions, used by the baseline frameworks and the
 	// "Limited space" ablation; all false for Ansor.
-	DisableFusion     bool
-	DisableCacheWrite bool
-	DisableRFactor    bool
-	DisableInline     bool
+	sketch.Restrictions
 	// Structure overrides the target's multi-level tile structure
 	// (e.g. "SSRS" for template-style two-level tiles); empty keeps it.
 	Structure string
@@ -87,12 +87,8 @@ type Options struct {
 // DefaultOptions returns the configuration used in the evaluation.
 func DefaultOptions() Options {
 	return Options{
-		SampleInitSize: 50,
-		KeepBest:       12,
-		Population:     96,
-		Generations:    4,
-		EpsGreedy:      0.15,
-		Seed:           1,
+		EpsGreedy: 0.15,
+		Seed:      1,
 	}
 }
 
@@ -177,7 +173,7 @@ type HistoryPoint struct {
 
 // New builds a policy for the task: it generates the task's sketches once
 // (the search space construction of §4.1).
-func New(task Task, opts Options, ms *measure.Measurer, extraRules ...sketch.Rule) (*Policy, error) {
+func New(task Task, opts Options, ms *measure.Measurer) (*Policy, error) {
 	target := task.Target
 	if opts.Structure != "" {
 		target.Structure = opts.Structure
@@ -186,13 +182,7 @@ func New(task Task, opts Options, ms *measure.Measurer, extraRules ...sketch.Rul
 		}
 	}
 	gen := sketch.NewGenerator(target)
-	gen.DisableFusion = opts.DisableFusion
-	gen.DisableCacheWrite = opts.DisableCacheWrite
-	gen.DisableRFactor = opts.DisableRFactor
-	gen.DisableInline = opts.DisableInline
-	for _, r := range extraRules {
-		gen.RegisterRule(r)
-	}
+	gen.Restrictions = opts.Restrictions
 	sketches, err := gen.Generate(task.DAG)
 	if err != nil {
 		return nil, fmt.Errorf("policy: %w", err)
@@ -322,10 +312,10 @@ func (p *Policy) Propose(numMeasure int) {
 	}()
 	var init []*ir.State
 	p.phase("sketch", func() {
-		init = p.sampler.SamplePopulationIn(arena, p.sketches, p.Opts.SampleInitSize)
+		init = p.sampler.SamplePopulationIn(arena, p.sketches, sampleInitSize)
 	})
 	for i, s := range p.bestStates {
-		if i >= p.Opts.KeepBest {
+		if i >= keepBest {
 			break
 		}
 		init = append(init, s)
@@ -336,10 +326,10 @@ func (p *Policy) Propose(numMeasure int) {
 	candidates := init
 	if !p.Opts.DisableFineTuning && p.model.Trained() {
 		search := evo.NewSearch(evo.Config{
-			PopulationSize: p.Opts.Population,
-			Generations:    p.Opts.Generations,
+			PopulationSize: population,
+			Generations:    generations,
 			CrossoverProb:  0.15,
-			EliteCount:     p.Opts.Population / 8,
+			EliteCount:     population / 8,
 			Seed:           p.rng.Int63(),
 			Workers:        p.Opts.Workers,
 		})
@@ -503,7 +493,7 @@ func (p *Policy) rebuildBestPool() {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return p.bestTimes[idx[a]] < p.bestTimes[idx[b]] })
-	limit := 4 * p.Opts.KeepBest
+	limit := 4 * keepBest
 	if len(idx) > limit {
 		idx = idx[:limit]
 	}

@@ -3,8 +3,6 @@ package policy
 import (
 	"testing"
 
-	"repro/internal/ir"
-
 	"repro/internal/measure"
 	"repro/internal/sim"
 	"repro/internal/sketch"
@@ -140,30 +138,6 @@ func TestGPUTaskSearch(t *testing.T) {
 	}
 	if p.BestTime >= 1e30 {
 		t.Fatal("no valid measurement on GPU target")
-	}
-}
-
-// countingRule counts sketch-generation visits through the policy layer
-// without altering derivation, verifying user-rule plumbing (§4.1).
-type countingRule struct{ hits *int }
-
-func (r countingRule) Name() string { return "Counting" }
-func (r countingRule) Meets(_ *sketch.Generator, _ *ir.State, _ int) bool {
-	*r.hits++
-	return false
-}
-func (r countingRule) Apply(_ *sketch.Generator, _ *ir.State, _ int) []sketch.Next { return nil }
-
-func TestPolicyCustomRulePlumbing(t *testing.T) {
-	ms := measure.New(sim.IntelXeon(), 0, 1)
-	hits := 0
-	_, err := New(Task{Name: "mm", DAG: matmulReLU(64, 64, 64), Target: sketch.CPUTarget()},
-		DefaultOptions(), ms, countingRule{hits: &hits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits == 0 {
-		t.Error("user rule was never consulted")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package prof wires the conventional -cpuprofile/-memprofile flags
-// into the CLIs. Combined with the policy's per-phase pprof labels
+// into the CLIs, and the services' -pprof listener. Combined with the policy's per-phase pprof labels
 // (sketch / evolve / score / measure / train), a profile of a tuning run
 // splits cleanly by search stage:
 //
@@ -9,10 +9,30 @@ package prof
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on the default mux for Serve
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
+
+// Serve serves net/http/pprof's /debug/pprof endpoints on addr when
+// non-empty, reporting a listener failure to stderr as name's. The
+// listener is token-free and off by default: point it at localhost (or a
+// firewalled interface) only while profiling. It is separate from any
+// service listener, so profiling never rides a (possibly token-guarded)
+// API port.
+func Serve(addr, name string, stderr io.Writer) {
+	if addr == "" {
+		return
+	}
+	go func() {
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			fmt.Fprintf(stderr, "%s: pprof server: %v\n", name, err)
+		}
+	}()
+}
 
 // Start begins a CPU profile to cpuPath (empty = disabled) and returns
 // a stop function that finishes it and, when memPath is non-empty,

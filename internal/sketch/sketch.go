@@ -3,7 +3,8 @@
 // Table 1 to produce the high-level structures ("sketches") of the search
 // space. Sketches are incomplete programs — tile structures without tile
 // sizes or loop annotations; the annotation sampler (package anno)
-// completes them.
+// completes them. The rule set is Table 1's, closed: §4.1's
+// user-registered rules are not offered (DESIGN.md says why).
 package sketch
 
 import (
@@ -37,64 +38,35 @@ func GPUTarget() Target {
 	return Target{Structure: "SSSRRSRS", FuseOuterLevels: 3, VectorLanes: 32, GPU: true}
 }
 
-// Next is one successor in the derivation: a rewritten state and the next
-// working-stage index (the derivation is terminal when Index < 0).
-type Next struct {
-	State *ir.State
-	Index int
+// sigma is one state σ = (S, i) of the derivation: a rewritten program and
+// the next working-stage index (the derivation is terminal when i < 0).
+type sigma struct {
+	s *ir.State
+	i int
 }
 
-// Rule is one derivation rule (a row of Table 1). Users may register
-// additional rules to cover special algorithms (§4.1: "we allow users to
-// register new derivation rules and integrate them seamlessly").
-type Rule interface {
-	Name() string
-	// Meets reports whether the rule applies at state σ = (s, i).
-	Meets(g *Generator, s *ir.State, i int) bool
-	// Apply derives the successor states; implementations must not
-	// modify s (clone first).
-	Apply(g *Generator, s *ir.State, i int) []Next
-}
+// maxSketches bounds the enumeration (safety valve; the DAGs in the
+// paper's workloads generate a handful of sketches each).
+const maxSketches = 64
 
-// Generator enumerates sketches for a DAG.
-type Generator struct {
-	Target Target
-	// rules are the built-in structural rules, in priority order.
-	rules []Rule
-	// userRules are consulted before the built-in rules.
-	userRules []Rule
-	// MaxSketches bounds the enumeration (safety valve; the DAGs in the
-	// paper's workloads generate a handful of sketches each).
-	MaxSketches int
-
-	// Restriction flags model the limited search spaces of the baseline
-	// frameworks (§7.1's "Limited space" ablation, FlexTensor's missing
-	// fusion, Halide's missing reduction splitting). All false for Ansor.
+// Restrictions model the limited search spaces of the baseline frameworks
+// (§7.1's "Limited space" ablation, FlexTensor's missing fusion, Halide's
+// missing reduction splitting). All false for Ansor.
+type Restrictions struct {
 	DisableFusion     bool // no rule 4 (consumer fusion)
 	DisableCacheWrite bool // no rule 5
 	DisableRFactor    bool // no rule 6
 	DisableInline     bool // no rule 2
 }
 
-// NewGenerator returns a sketch generator for the target.
-func NewGenerator(t Target) *Generator {
-	return &Generator{
-		Target: t,
-		rules: []Rule{
-			ruleAlwaysInline{},
-			ruleMultiLevelTilingWithFusion{},
-			ruleMultiLevelTiling{},
-			ruleAddCacheStage{},
-			ruleReductionFactorization{},
-			ruleSkip{},
-		},
-		MaxSketches: 64,
-	}
+// Generator enumerates sketches for a DAG.
+type Generator struct {
+	Target Target
+	Restrictions
 }
 
-// RegisterRule adds a user-defined derivation rule, consulted before the
-// built-in rules.
-func (g *Generator) RegisterRule(r Rule) { g.userRules = append(g.userRules, r) }
+// NewGenerator returns a sketch generator for the target.
+func NewGenerator(t Target) *Generator { return &Generator{Target: t} }
 
 // Generate returns all sketches of the DAG: every terminal state of the
 // derivation, deduplicated by structural signature.
@@ -103,24 +75,24 @@ func (g *Generator) Generate(dag *te.DAG) ([]*ir.State, error) {
 		return nil, fmt.Errorf("sketch: %w", err)
 	}
 	init := ir.NewState(dag)
-	queue := []Next{{State: init, Index: len(init.Stages) - 1}}
+	queue := []sigma{{init, len(init.Stages) - 1}}
 	var out []*ir.State
 	seen := map[string]bool{}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.Index < 0 {
-			sig := cur.State.Signature()
+		if cur.i < 0 {
+			sig := cur.s.Signature()
 			if !seen[sig] {
 				seen[sig] = true
-				out = append(out, cur.State)
+				out = append(out, cur.s)
 			}
-			if len(out) >= g.MaxSketches {
+			if len(out) >= maxSketches {
 				break
 			}
 			continue
 		}
-		queue = append(queue, g.derive(cur)...)
+		queue = append(queue, g.derive(cur.s, cur.i)...)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("sketch: no sketches derived for dag %q", dag.Name)
@@ -128,51 +100,40 @@ func (g *Generator) Generate(dag *te.DAG) ([]*ir.State, error) {
 	return out, nil
 }
 
-// derive applies the applicable rules at one state. Inline and tiling
-// rules are exclusive ("apply and skip rest" in priority order); the
-// cache-stage and rfactor rules add extra branches; skip fires only when
-// nothing else did.
-func (g *Generator) derive(cur Next) []Next {
-	var next []Next
-	for _, r := range g.userRules {
-		if r.Meets(g, cur.State, cur.Index) {
-			next = append(next, r.Apply(g, cur.State, cur.Index)...)
-		}
-	}
-	s, i := cur.State, cur.Index
+// derive applies the rules of Table 1 that hold at state (s, i). Inline
+// and tiling rules are exclusive ("apply and skip rest" in priority
+// order); the cache-stage and rfactor rules add extra branches; skip
+// fires only when nothing else did. The rule set is closed: a new rule
+// is a meets/apply pair added here, in Table 1's priority order.
+func (g *Generator) derive(s *ir.State, i int) []sigma {
+	st := s.Stages[i]
+	var next []sigma
 	switch {
-	case !g.DisableInline && (ruleAlwaysInline{}).Meets(g, s, i):
-		next = append(next, (ruleAlwaysInline{}).Apply(g, s, i)...)
-	case !g.DisableFusion && (ruleMultiLevelTilingWithFusion{}).Meets(g, s, i):
-		next = append(next, (ruleMultiLevelTilingWithFusion{}).Apply(g, s, i)...)
-		if !g.DisableRFactor && (ruleReductionFactorization{}).Meets(g, s, i) {
-			next = append(next, (ruleReductionFactorization{}).Apply(g, s, i)...)
+	case !g.DisableInline && meetsAlwaysInline(s, st):
+		next = applyAlwaysInline(s, i)
+	case !g.DisableFusion && hasDataReuse(st) && fusibleConsumer(s, st) != nil: // rule 4
+		next = applyTilingWithFusion(g.Target, s, i)
+		if !g.DisableRFactor && meetsRFactor(st) {
+			next = append(next, applyRFactor(g.Target.VectorLanes, s, i)...)
 		}
-	case (ruleMultiLevelTiling{}).Meets(g, s, i):
-		next = append(next, (ruleMultiLevelTiling{}).Apply(g, s, i)...)
-		if !g.DisableCacheWrite && (ruleAddCacheStage{}).Meets(g, s, i) {
-			next = append(next, (ruleAddCacheStage{}).Apply(g, s, i)...)
+	case hasDataReuse(st): // rule 3
+		next = applyMultiLevelTiling(g.Target.Structure, s, i)
+		if !g.DisableCacheWrite && meetsAddCacheStage(s, st) {
+			next = append(next, applyAddCacheStage(s, i)...)
 		}
-		if !g.DisableRFactor && (ruleReductionFactorization{}).Meets(g, s, i) {
-			next = append(next, (ruleReductionFactorization{}).Apply(g, s, i)...)
+		if !g.DisableRFactor && meetsRFactor(st) {
+			next = append(next, applyRFactor(g.Target.VectorLanes, s, i)...)
 		}
-	default:
-		if len(next) == 0 {
-			next = (ruleSkip{}).Apply(g, s, i)
-		}
+	default: // rule 1: skip
+		next = []sigma{{s, i - 1}}
 	}
 	return next
 }
 
 // ---- Predicates (the condition column of Table 1) ----
 
-// isStrictInlinable: simple elementwise stage with at least one consumer.
-func isStrictInlinable(s *ir.State, st *ir.Stage) bool {
-	return st.Node.StrictInlinable && !st.Inlined && !st.Attached &&
-		len(st.Node.ReduceAxes) == 0 && len(s.ConsumerStages(st)) > 0
-}
-
-// hasDataReuse: compute-intensive stage, still untransformed.
+// hasDataReuse: compute-intensive stage, still untransformed. It is rule
+// 3's condition, and rules 4–6 add theirs to it.
 func hasDataReuse(st *ir.Stage) bool {
 	return st.Node.DataReuse && !st.Inlined && !st.Attached && st.TiledSpaceLevels == 0
 }
@@ -193,104 +154,79 @@ func fusibleConsumer(s *ir.State, st *ir.Stage) *ir.Stage {
 	return c
 }
 
-// ---- Rules ----
-
-// ruleSkip is Table 1 rule 1.
-type ruleSkip struct{}
-
-func (ruleSkip) Name() string                                  { return "Skip" }
-func (ruleSkip) Meets(_ *Generator, _ *ir.State, _ int) bool   { return true }
-func (ruleSkip) Apply(_ *Generator, s *ir.State, i int) []Next { return []Next{{s, i - 1}} }
-
-// ruleAlwaysInline is Table 1 rule 2.
-type ruleAlwaysInline struct{}
-
-func (ruleAlwaysInline) Name() string { return "AlwaysInline" }
-func (ruleAlwaysInline) Meets(_ *Generator, s *ir.State, i int) bool {
-	return isStrictInlinable(s, s.Stages[i])
+// meetsAlwaysInline is rule 2's condition: a simple elementwise stage with
+// at least one consumer.
+func meetsAlwaysInline(s *ir.State, st *ir.Stage) bool {
+	return st.Node.StrictInlinable && !st.Inlined && !st.Attached &&
+		len(st.Node.ReduceAxes) == 0 && len(s.ConsumerStages(st)) > 0
 }
-func (ruleAlwaysInline) Apply(_ *Generator, s *ir.State, i int) []Next {
+
+// meetsAddCacheStage is rule 5's condition: a data-reuse stage with no
+// fusible consumer.
+func meetsAddCacheStage(s *ir.State, st *ir.Stage) bool {
+	return hasDataReuse(st) && fusibleConsumer(s, st) == nil && st.Kind == ir.StageNormal
+}
+
+// meetsRFactor is rule 6's condition: a data-reuse stage with more
+// parallelism in its reduction than in its space.
+func meetsRFactor(st *ir.Stage) bool {
+	return hasDataReuse(st) && st.Kind == ir.StageNormal && st.Node.HasMoreReductionParallel()
+}
+
+// ---- Rules (the application column of Table 1) ----
+//
+// Each apply clones s and leaves it unmodified.
+
+// applyAlwaysInline is rule 2.
+func applyAlwaysInline(s *ir.State, i int) []sigma {
 	c := s.Clone()
 	if err := c.Apply(&ir.InlineStep{Stage: c.Stages[i].Name}); err != nil {
 		return nil
 	}
-	return []Next{{c, i - 1}}
+	return []sigma{{c, i - 1}}
 }
 
-// ruleMultiLevelTiling is Table 1 rule 3.
-type ruleMultiLevelTiling struct{}
-
-func (ruleMultiLevelTiling) Name() string { return "MultiLevelTiling" }
-func (ruleMultiLevelTiling) Meets(_ *Generator, s *ir.State, i int) bool {
-	return hasDataReuse(s.Stages[i])
-}
-func (ruleMultiLevelTiling) Apply(g *Generator, s *ir.State, i int) []Next {
+// applyMultiLevelTiling is rule 3.
+func applyMultiLevelTiling(structure string, s *ir.State, i int) []sigma {
 	c := s.Clone()
-	if err := c.Apply(&ir.MultiLevelTileStep{
-		Stage: c.Stages[i].Name, Structure: g.Target.Structure,
-	}); err != nil {
+	if err := c.Apply(&ir.MultiLevelTileStep{Stage: c.Stages[i].Name, Structure: structure}); err != nil {
 		return nil
 	}
-	return []Next{{c, i - 1}}
+	return []sigma{{c, i - 1}}
 }
 
-// ruleMultiLevelTilingWithFusion is Table 1 rule 4.
-type ruleMultiLevelTilingWithFusion struct{}
-
-func (ruleMultiLevelTilingWithFusion) Name() string { return "MultiLevelTilingWithFusion" }
-func (ruleMultiLevelTilingWithFusion) Meets(_ *Generator, s *ir.State, i int) bool {
-	st := s.Stages[i]
-	return hasDataReuse(st) && fusibleConsumer(s, st) != nil
-}
-func (ruleMultiLevelTilingWithFusion) Apply(g *Generator, s *ir.State, i int) []Next {
+// applyTilingWithFusion is rule 4.
+func applyTilingWithFusion(t Target, s *ir.State, i int) []sigma {
 	st := s.Stages[i]
 	cons := fusibleConsumer(s, st)
 	c := s.Clone()
-	if err := c.Apply(&ir.MultiLevelTileStep{
-		Stage: st.Name, Structure: g.Target.Structure,
-	}); err != nil {
+	if err := c.Apply(&ir.MultiLevelTileStep{Stage: st.Name, Structure: t.Structure}); err != nil {
 		return nil
 	}
 	if err := c.Apply(&ir.FuseConsumerStep{
-		Producer: st.Name, Consumer: cons.Name,
-		OuterLevels: g.Target.FuseOuterLevels,
+		Producer: st.Name, Consumer: cons.Name, OuterLevels: t.FuseOuterLevels,
 	}); err != nil {
 		return nil
 	}
-	return []Next{{c, i - 1}}
+	return []sigma{{c, i - 1}}
 }
 
-// ruleAddCacheStage is Table 1 rule 5. It keeps the working index on the
+// applyAddCacheStage is rule 5. It keeps the working index on the
 // inserted cache stage, which then satisfies rule 4 (the copy-out stage is
 // its fusible consumer).
-type ruleAddCacheStage struct{}
-
-func (ruleAddCacheStage) Name() string { return "AddCacheStage" }
-func (ruleAddCacheStage) Meets(_ *Generator, s *ir.State, i int) bool {
-	st := s.Stages[i]
-	return hasDataReuse(st) && fusibleConsumer(s, st) == nil && st.Kind == ir.StageNormal
-}
-func (ruleAddCacheStage) Apply(_ *Generator, s *ir.State, i int) []Next {
+func applyAddCacheStage(s *ir.State, i int) []sigma {
 	c := s.Clone()
 	if err := c.Apply(&ir.CacheWriteStep{Stage: c.Stages[i].Name}); err != nil {
 		return nil
 	}
 	// The cache stage was inserted at index i; revisit it.
-	return []Next{{c, i}}
+	return []sigma{{c, i}}
 }
 
-// ruleReductionFactorization is Table 1 rule 6: rfactor a reduction-heavy
-// stage, branching over a few vectorization-friendly factors. The factor
-// remains mutable during fine-tuning (tile-size mutation rewrites it).
-type ruleReductionFactorization struct{}
-
-func (ruleReductionFactorization) Name() string { return "ReductionFactorization" }
-func (ruleReductionFactorization) Meets(_ *Generator, s *ir.State, i int) bool {
-	st := s.Stages[i]
-	return hasDataReuse(st) && st.Kind == ir.StageNormal &&
-		st.Node.HasMoreReductionParallel()
-}
-func (ruleReductionFactorization) Apply(g *Generator, s *ir.State, i int) []Next {
+// applyRFactor is rule 6: rfactor a reduction-heavy stage, branching over
+// a few vectorization-friendly factors. The factor remains mutable during
+// fine-tuning (tile-size mutation rewrites it).
+func applyRFactor(lanes int, s *ir.State, i int) []sigma {
 	st := s.Stages[i]
 	// Pick the largest reduce axis and factor it.
 	best, bestExt := -1, 0
@@ -302,8 +238,8 @@ func (ruleReductionFactorization) Apply(g *Generator, s *ir.State, i int) []Next
 	if best < 0 {
 		return nil
 	}
-	var out []Next
-	for _, f := range []int{g.Target.VectorLanes, 4 * g.Target.VectorLanes} {
+	var out []sigma
+	for _, f := range []int{lanes, 4 * lanes} {
 		if f <= 1 || bestExt%f != 0 || f >= bestExt {
 			continue
 		}
@@ -311,7 +247,7 @@ func (ruleReductionFactorization) Apply(g *Generator, s *ir.State, i int) []Next
 		if err := c.Apply(&ir.RFactorStep{Stage: st.Name, ReduceIdx: best, Factor: f}); err != nil {
 			continue
 		}
-		out = append(out, Next{c, i - 1})
+		out = append(out, sigma{c, i - 1})
 	}
 	return out
 }

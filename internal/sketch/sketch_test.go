@@ -136,54 +136,6 @@ func TestGPUStructure(t *testing.T) {
 	}
 }
 
-// userWinogradRule is a toy user-defined rule: it tags conv2d stages with
-// an annotation hint instead of tiling them.
-type userWinogradRule struct{ fired *bool }
-
-func (u userWinogradRule) Name() string { return "UserWinograd" }
-func (u userWinogradRule) Meets(_ *Generator, s *ir.State, i int) bool {
-	return strings.HasPrefix(s.Stages[i].Name, "conv2d") && s.Stages[i].TiledSpaceLevels == 0
-}
-func (u userWinogradRule) Apply(g *Generator, s *ir.State, i int) []Next {
-	*u.fired = true
-	c := s.Clone()
-	if err := c.Apply(&ir.MultiLevelTileStep{
-		Stage: c.Stages[i].Name, Structure: "SSRS",
-	}); err != nil {
-		return nil
-	}
-	return []Next{{c, i - 1}}
-}
-
-func TestUserDefinedRule(t *testing.T) {
-	b := te.NewBuilder("conv")
-	x := b.Input("X", 1, 32, 16, 16)
-	y := b.Conv2D(x, te.ConvOpts{OutChannels: 32, Kernel: 3, Pad: 1})
-	b.ReLU(y)
-	g := NewGenerator(CPUTarget())
-	fired := false
-	g.RegisterRule(userWinogradRule{fired: &fired})
-	sk, err := g.Generate(b.MustFinish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("user rule did not fire")
-	}
-	// Both the user-rule branch and the built-in branch should survive.
-	var custom bool
-	for _, s := range sk {
-		for _, st := range s.Stages {
-			if strings.HasPrefix(st.Name, "conv2d") && st.TiledSpaceLevels == 3 { // "SSRS" has 3 space levels
-				custom = true
-			}
-		}
-	}
-	if !custom {
-		t.Error("user-rule sketch (SSRS tiling) missing")
-	}
-}
-
 func TestSketchesReplayable(t *testing.T) {
 	// Every sketch's step list must replay to the same signature.
 	for _, build := range []func() *te.DAG{
