@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/jsonx"
@@ -89,6 +90,9 @@ type Broker struct {
 	// unblock a waiter (job submitted, results landed, slices requeued)
 	// closes and replaces it, waking every blocked lease and submission.
 	notify chan struct{}
+
+	// lastDAG is the last dag_bin checkDAG accepted.
+	lastDAG atomic.Pointer[[]byte]
 
 	started time.Time
 	mux     *http.ServeMux
@@ -277,6 +281,27 @@ func joinLines(dagBin []byte, programs []json.RawMessage, head func([]byte) []by
 	return append(body, '\n')
 }
 
+// newline ends each line writeLines writes.
+var newline = []byte{'\n'}
+
+// writeLines sends the NDJSON body joinLines would build from header and
+// programs, a piece at a time under a Content-Length counted first,
+// without building it: a Writer never keeps the bytes it is handed.
+func writeLines(w http.ResponseWriter, header []byte, programs []json.RawMessage) {
+	size := len(header) + len(programs) + 1
+	for _, p := range programs {
+		size += len(p)
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	_, _ = w.Write(header)
+	for _, p := range programs {
+		_, _ = w.Write(newline)
+		_, _ = w.Write(p)
+	}
+	_, _ = w.Write(newline)
+}
+
 // authorized applies the broker's bearer check (shared with the
 // registry server) to a mutating request.
 func (b *Broker) authorized(w http.ResponseWriter, r *http.Request) bool {
@@ -379,12 +404,27 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Reject undecodable DAGs at the door, once per job: a poisoned job
 		// would otherwise fail identically on every worker that leased it.
-		if _, err := te.DecodeDAGBinary(spec.DAGBin); err != nil {
+		if err := b.checkDAG(spec.DAGBin); err != nil {
 			regserver.WriteError(w, http.StatusBadRequest, "bad binary dag: %v", err)
 			return
 		}
 		b.awaitJob(w, r, &spec, programs)
 	}
+}
+
+// checkDAG refuses a dag_bin that does not decode. The last one that
+// did is remembered and passes on sight: a submitter's jobs carry the
+// same bytes, decoded once.
+func (b *Broker) checkDAG(bin []byte) error {
+	if last := b.lastDAG.Load(); last != nil && bytes.Equal(*last, bin) {
+		return nil
+	}
+	if _, err := te.DecodeDAGBinary(bin); err != nil {
+		return err
+	}
+	accepted := bin
+	b.lastDAG.Store(&accepted)
+	return nil
 }
 
 // awaitJob enqueues spec's programs unless its id is already held (nil
@@ -556,10 +596,7 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 			b.mu.Unlock()
 			// The programs are pieces of the submission's body, which no
 			// request ever writes to again: safe to send outside the lock.
-			body := joinLines(grant.DAGBin, grant.Programs, func(b []byte) []byte { return appendGrant(b, grant) })
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-			_, _ = w.Write(body)
+			writeLines(w, appendGrant(nil, grant), grant.Programs)
 			return
 		}
 		ch := b.notify

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ir"
 	"repro/internal/jsonx"
 	"repro/internal/measure"
 	"repro/internal/obs"
@@ -56,11 +57,15 @@ type Client struct {
 // connections: a client talks to one host, so every connection it has
 // opened may idle for the next request, however many goroutines share it
 // (http.DefaultTransport keeps two per host, for every client in the
-// process together).
+// process together). Each connection's write buffer holds a whole job of
+// 64 programs: a request body that fits is copied into it, where a larger
+// one goes through a copy buffer net/http allocates at the body's size
+// for every request.
 func NewClient(base string) *Client {
 	base, token := regserver.SplitTokenURL(base)
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = tr.MaxIdleConns
+	tr.WriteBufferSize = 64 << 10
 	return &Client{
 		base:  strings.TrimRight(base, "/"),
 		token: token,
@@ -135,7 +140,12 @@ func (c *Client) Ping() error {
 // asked to attach to.
 func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 	spec.Count = len(spec.Programs)
-	body := joinLines(spec.DAGBin, spec.Programs, func(b []byte) []byte { return appendJob(b, spec) })
+	return c.submit(joinLines(spec.DAGBin, spec.Programs, func(b []byte) []byte { return appendJob(b, spec) }))
+}
+
+// submit is Submit with the job's body already laid out as joinLines
+// lays it out.
+func (c *Client) submit(body []byte) (JobStatus, error) {
 	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body, nil)
 	var st JobStatus
 	if code == http.StatusNotFound {
@@ -226,7 +236,9 @@ func (c *Client) Metrics() (Metrics, error) {
 // RemoteMeasurer is a measure.Measurer whose Backend is a measurement
 // broker: the fresh programs of a batch are submitted as fleet jobs,
 // replayed, lowered and timed on remote workers and filled in by
-// submission index; the submitter lowers nothing. Everything else — the
+// submission index; the submitter lowers nothing, and writes each
+// program's step bytes once, into the job's body, where its result's
+// EncSteps points. Everything else — the
 // resume cache, noise, trial counting, records — is the embedded
 // measurer's, which is what makes a fleet-measured run
 // bit-identical to a local one at any worker count or lease assignment
@@ -253,6 +265,9 @@ type RemoteMeasurer struct {
 	// counter, not a clock, so enabling events never perturbs the wire
 	// bytes a deterministic run produces.
 	traceSeq atomic.Int64
+	// bodyCap is the largest job body this measurer has built: the next
+	// one is allocated at that size, so appending to it never regrows it.
+	bodyCap atomic.Int64
 
 	mu  sync.Mutex
 	err error // first broker failure, latched for Err/Close
@@ -295,7 +310,8 @@ func (rm *RemoteMeasurer) latch(err error) {
 
 // timeOnFleet is the measurer's Backend: it sends the batch's fresh
 // programs to the fleet, one job per distinct DAG (policy batches share
-// their task's DAG, so one job per call in practice).
+// their task's DAG, so one job per call in practice), and leaves the step
+// bytes it sent in their EncSteps.
 func (rm *RemoteMeasurer) timeOnFleet(task string, out []measure.Result, fresh []int) {
 	byDAG := map[string][]int{}
 	var dagOrder []string
@@ -344,24 +360,26 @@ const (
 // measureRemote ships one DAG group to the fleet as one job — the
 // broker slices it into leases the size its workers ask for — and fills
 // the group's results. A broker failure fails the group's indices (the
-// search skips errored results) and latches for Err.
+// search skips errored results) and latches for Err; a program whose
+// steps do not encode is that program's error and never leaves.
 func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices []int, out []measure.Result) {
 	spec := JobSpec{ID: fmt.Sprintf("%s-%d", rm.jobPrefix, rm.jobSeq.Add(1)),
 		Target: rm.Machine.Name, Task: task, Trace: trace, DAGBin: dag,
-		Programs: make([]json.RawMessage, len(indices))}
-	for k, i := range indices {
-		spec.Programs[k] = out[i].EncSteps
+		Count: len(indices), WaitMS: longPollWait.Milliseconds()}
+	body, sent := rm.jobBody(&spec, indices, out)
+	if len(sent) == 0 {
+		return
 	}
-	results, err := rm.runJob(spec)
+	results, err := rm.runJob(spec, body)
 	if err != nil {
-		err = fmt.Errorf("fleet: measure batch (%d programs) via %s: %w", len(indices), rm.cl.base, err)
+		err = fmt.Errorf("fleet: measure batch (%d programs) via %s: %w", len(sent), rm.cl.base, err)
 		rm.latch(err)
-		for _, i := range indices {
+		for _, i := range sent {
 			out[i].Err = err
 		}
 		return
 	}
-	for k, i := range indices {
+	for k, i := range sent {
 		switch ur := results[k]; {
 		case ur.Err != "":
 			out[i].Err = fmt.Errorf("fleet: worker: %s", ur.Err)
@@ -371,6 +389,50 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices 
 			out[i].NoiselessSeconds = ur.Noiseless
 		}
 	}
+}
+
+// jobBody writes spec's header line and then, in place, the step list
+// of each program of indices — the bytes the cache lookup made, or
+// encoded here — and returns the body and the indices it carries.
+// spec.Programs and their results' EncSteps are pieces of that one
+// body, which nothing writes again. The body is joinLines' layout for
+// spec; it is nil, and Submit lays the job out itself, when a program
+// did not encode and the header's count no longer holds.
+func (rm *RemoteMeasurer) jobBody(spec *JobSpec, indices []int, out []measure.Result) ([]byte, []int) {
+	body := appendJob(make([]byte, 0, rm.bodyCap.Load()), *spec)
+	start := len(body) + 1
+	sent, ends := make([]int, 0, len(indices)), make([]int, 0, len(indices))
+	for _, i := range indices {
+		line := len(body)
+		body = append(body, '\n')
+		if enc := out[i].EncSteps; enc != nil {
+			body = append(body, enc...)
+		} else {
+			var err error
+			if body, err = ir.AppendSteps(body, out[i].State.Steps); err != nil {
+				body = body[:line]
+				out[i].Err = fmt.Errorf("fleet: encode steps: %w", err)
+				continue
+			}
+		}
+		sent, ends = append(sent, i), append(ends, len(body))
+	}
+	body = append(body, '\n')
+	for n := int64(len(body)); ; {
+		if c := rm.bodyCap.Load(); c >= n || rm.bodyCap.CompareAndSwap(c, n) {
+			break
+		}
+	}
+	spec.Programs = make([]json.RawMessage, len(sent))
+	for k, i := range sent {
+		spec.Programs[k] = body[start:ends[k]:ends[k]]
+		out[i].EncSteps = spec.Programs[k]
+		start = ends[k] + 1
+	}
+	if len(sent) != len(indices) {
+		return nil, sent
+	}
+	return body, sent
 }
 
 // runJob submits a job and waits for its results, one held-open request
@@ -384,11 +446,17 @@ func (rm *RemoteMeasurer) measureRemote(task, trace string, dag []byte, indices 
 // restarted) is sent them again under the same id: a broker restart
 // mid-batch costs a retry, not the batch. Other HTTP-level refusals fail
 // immediately.
-func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
+//
+// body, when not nil, is spec's whole body under the wait_ms spec
+// carries: the first send goes out as those bytes if that is the wait it
+// asks for, and every other send, and that one otherwise, is laid out
+// by Submit.
+func (rm *RemoteMeasurer) runJob(spec JobSpec, body []byte) ([]UnitResult, error) {
 	queuedAt := rm.Obs.Now()
 	rm.Obs.Emit(obs.Event{Type: obs.EvBatchQueued, Task: spec.Task, Trace: spec.Trace,
 		Job: spec.ID, Target: spec.Target, Count: len(spec.Programs)})
 	attach := JobSpec{ID: spec.ID}
+	bodyWait := spec.WaitMS
 	send, reached := &spec, false
 	backoff := idlePause
 	deadline := time.Now().Add(rm.Timeout)
@@ -403,7 +471,14 @@ func (rm *RemoteMeasurer) runJob(spec JobSpec) ([]UnitResult, error) {
 			}
 		}
 		send.WaitMS = max(w.Milliseconds(), 1)
-		st, err := rm.cl.Submit(*send)
+		var st JobStatus
+		var err error
+		if body != nil && send == &spec && send.WaitMS == bodyWait {
+			st, err = rm.cl.submit(body)
+		} else {
+			st, err = rm.cl.Submit(*send)
+		}
+		body = nil
 		inTime := rm.Timeout <= 0 || time.Now().Before(deadline)
 		switch {
 		case errors.Is(err, ErrUnknownJob):

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -481,54 +482,105 @@ func TestWorkerMeasurementMatchesMeasurer(t *testing.T) {
 	}
 }
 
+// batchFleet is a warm loopback fleet for 64-program batches: a broker
+// behind a real HTTP server that counts requests and new connections,
+// two capacity-16 workers and one measurer, which has measured the batch
+// three times, bit-identically to the in-process measurer, so every
+// client has dialled and both workers are waiting.
+type batchFleet struct {
+	rm              *RemoteMeasurer
+	states          []*ir.State
+	local           []measure.Result
+	requests, dials atomic.Int64
+}
+
+func newBatchFleet(t *testing.T) *batchFleet {
+	t.Helper()
+	f := &batchFleet{}
+	machine := sim.IntelXeon()
+	f.states = sampleStates(t, 64)
+	if len(f.states) != 64 {
+		t.Fatalf("sampled %d of 64 programs", len(f.states))
+	}
+	f.local = measure.New(machine, 0.02, 3).MeasureTask("mm", f.states)
+	inner := NewBroker().Handler()
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.requests.Add(1)
+		inner.ServeHTTP(w, r)
+	}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			f.dials.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	startWorkers(t, hs.URL, machine, 16, 16)
+	f.rm = remote(t, hs.URL, machine, 0.02, 3)
+	for i := 0; i < 3; i++ {
+		assertBitIdentical(t, "warm-up", f.local, f.rm.MeasureTask("mm", f.states))
+	}
+	return f
+}
+
 // TestFleetBatchRequestBudget pins what a batch costs on the wire once
 // the fleet is warm: a 64-program batch through two capacity-16 workers
 // is one held-open submission and four lease requests, each returning
 // the lease before it — at most 6 requests — on connections that were
 // opened once and are kept alive, none new in 50 batches.
 func TestFleetBatchRequestBudget(t *testing.T) {
-	machine := sim.IntelXeon()
-	states := sampleStates(t, 64)
-	if len(states) != 64 {
-		t.Fatalf("sampled %d of 64 programs", len(states))
-	}
-	local := measure.New(machine, 0.02, 3).MeasureTask("mm", states)
-
-	var requests, dials atomic.Int64
-	inner := NewBroker().Handler()
-	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		inner.ServeHTTP(w, r)
-	}))
-	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			dials.Add(1)
-		}
-	}
-	hs.Start()
-	t.Cleanup(hs.Close)
-	startWorkers(t, hs.URL, machine, 16, 16)
-	rm := remote(t, hs.URL, machine, 0.02, 3)
-	for i := 0; i < 3; i++ { // warm-up: every client dials, both workers end up waiting
-		assertBitIdentical(t, "warm-up", local, rm.MeasureTask("mm", states))
-	}
-
+	f := newBatchFleet(t)
 	const batches = 50
-	r0, d0 := requests.Load(), dials.Load()
+	r0, d0 := f.requests.Load(), f.dials.Load()
 	for i := 0; i < batches; i++ {
-		res := rm.MeasureTask("mm", states)
+		res := f.rm.MeasureTask("mm", f.states)
 		if i == batches-1 {
-			assertBitIdentical(t, "budgeted", local, res)
+			assertBitIdentical(t, "budgeted", f.local, res)
 		}
 	}
-	if err := rm.Err(); err != nil {
+	if err := f.rm.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if per := float64(requests.Load()-r0) / batches; per > 6 {
+	if per := float64(f.requests.Load()-r0) / batches; per > 6 {
 		t.Errorf("%.2f requests per batch, want <= 6", per)
 	}
-	if n := dials.Load() - d0; n != 0 {
+	if n := f.dials.Load() - d0; n != 0 {
 		t.Errorf("%d new connections over %d batches, want every request on a kept-alive one", n, batches)
+	}
+}
+
+// bytesPerProgramCeiling is TestFleetBatchBytesPerProgram's bound: the
+// 3 150 bytes measured (go1.24, linux/amd64) and a margin of 300, less
+// than one more exact-size copy of a program's step bytes (430 on
+// average here). Before the job body was written in place and grants
+// streamed, a program cost 4 650.
+const bytesPerProgramCeiling = 3450
+
+// TestFleetBatchBytesPerProgram pins what a program costs the heap on
+// its way through a warm fleet — measurer, broker and both workers, all
+// in this process — in bytes allocated over 50 batches of 64 programs.
+// A program's step bytes are written once, into the job's body, which
+// the broker reads once and streams out in grants; a further copy of
+// them anywhere on the way breaks the ceiling.
+func TestFleetBatchBytesPerProgram(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	f := newBatchFleet(t)
+	const batches = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		f.rm.MeasureTask("mm", f.states)
+	}
+	runtime.ReadMemStats(&after)
+	if err := f.rm.Err(); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (batches * 64)
+	t.Logf("%.0f bytes allocated per program", per)
+	if per > bytesPerProgramCeiling {
+		t.Errorf("%.0f bytes allocated per program, ceiling %d", per, bytesPerProgramCeiling)
 	}
 }
 

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/base64"
+	"slices"
 	"strconv"
 
 	"repro/internal/jsonx"
@@ -33,6 +35,27 @@ import (
 // writes them, a nil list null. The read functions take that layout
 // under jsonx's strict-read rule; jsonx.Decode leaves any other body to
 // json.Unmarshal, whole.
+//
+// appendLease, appendResults, appendGrant and appendStatus first grow
+// dst by what they are about to write, so a body is one allocation: the
+// lengths of its strings and bytes and room for its keys, numbers and
+// punctuation, per list element. An err text, or a string jsonx
+// escapes, may still grow it once.
+const (
+	// headRoom holds a body's keys and numbers, outside its lists.
+	headRoom = 128
+	// resultRoom holds one result, and unitRoom one unit, without an
+	// err: keys, an index of up to 20 digits, the longest number jsonx
+	// writes (25 bytes), the separating comma.
+	resultRoom = 72
+	unitRoom   = 56
+)
+
+// resultsRoom is what appendResults writes for p when no result has an
+// err.
+func resultsRoom(p ResultPost) int {
+	return headRoom + len(p.Worker) + len(p.Job) + resultRoom*len(p.Results)
+}
 
 // appendJob appends a job's header line, without its newline.
 func appendJob(dst []byte, j JobSpec) []byte {
@@ -76,6 +99,11 @@ func readJob(r *jsonx.Reader) (j JobSpec) {
 }
 
 func appendLease(dst []byte, q LeaseRequest) ([]byte, error) {
+	room := headRoom + len(q.Worker) + len(q.Target)
+	if q.Done != nil {
+		room += resultsRoom(*q.Done)
+	}
+	dst = slices.Grow(dst, room)
 	dst = jsonx.AppendString(append(dst, `{"worker":`...), q.Worker)
 	dst = jsonx.AppendString(append(dst, `,"target":`...), q.Target)
 	dst = strconv.AppendInt(append(dst, `,"capacity":`...), int64(q.Capacity), 10)
@@ -110,7 +138,7 @@ func readLease(r *jsonx.Reader) (q LeaseRequest) {
 }
 
 func appendResults(dst []byte, p ResultPost) ([]byte, error) {
-	dst = append(dst, '{')
+	dst = append(slices.Grow(dst, resultsRoom(p)), '{')
 	if p.Worker != "" {
 		dst = append(jsonx.AppendString(append(dst, `"worker":`...), p.Worker), ',')
 	}
@@ -166,6 +194,8 @@ func readResults(r *jsonx.Reader) (p ResultPost) {
 
 // appendGrant appends a lease grant's header line, without its newline.
 func appendGrant(dst []byte, g LeaseGrant) []byte {
+	dst = slices.Grow(dst, headRoom+len(g.Job)+len(g.Task)+len(g.Trace)+len(g.Target)+
+		base64.StdEncoding.EncodedLen(len(g.DAGBin))+20*len(g.Indices))
 	dst = strconv.AppendInt(append(dst, `{"lease":`...), g.Lease, 10)
 	dst = jsonx.AppendString(append(dst, `,"job":`...), g.Job)
 	dst = jsonx.AppendOptional(dst, `,"task":`, g.Task)
@@ -211,6 +241,7 @@ func readGrant(r *jsonx.Reader) (g LeaseGrant) {
 }
 
 func appendStatus(dst []byte, st JobStatus) ([]byte, error) {
+	dst = slices.Grow(dst, headRoom+len(st.ID)+len(st.Target)+len(st.Task)+unitRoom*len(st.Results))
 	dst = jsonx.AppendString(append(dst, `{"id":`...), st.ID)
 	dst = jsonx.AppendString(append(dst, `,"target":`...), st.Target)
 	dst = jsonx.AppendOptional(dst, `,"task":`, st.Task)

@@ -1,12 +1,21 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ir"
+	"repro/internal/jsonx"
+	"repro/internal/measure"
 	"repro/internal/sim"
 	"repro/internal/te"
 )
@@ -48,6 +57,16 @@ func TestBrokerRejectsBadBinarySubmissions(t *testing.T) {
 	assertNoJobs(t, b)
 	if _, err := cl.Submit(good); err != nil {
 		t.Errorf("well-formed binary job refused: %v", err)
+	}
+	// The broker remembers the last good DAG; a bad one after it is still
+	// decoded, and refused.
+	bad := good
+	bad.ID, bad.DAGBin = "after-good", append([]byte("TED\x01"), 0xff, 0xff, 0xff)
+	if code, err := postJob(cl, string(joinLines(bad.DAGBin, bad.Programs, func(b []byte) []byte {
+		bad.Count = len(bad.Programs)
+		return appendJob(b, bad)
+	}))); code != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), "bad binary dag") {
+		t.Errorf("bad dag_bin after a good one: %d %v, want 400 bad binary dag", code, err)
 	}
 }
 
@@ -179,5 +198,190 @@ func TestClientMetricsRoundTrip(t *testing.T) {
 	}
 	if len(m.Workers) == 0 || m.UptimeSeconds <= 0 {
 		t.Errorf("worker/uptime fields: %+v", m)
+	}
+}
+
+// wireTap sits in front of a broker and keeps a copy of every job body
+// that carries programs and of every lease grant the broker writes, with
+// the grant's announced Content-Length.
+type wireTap struct {
+	mu      sync.Mutex
+	jobs    [][]byte
+	grants  [][]byte
+	lengths []string
+}
+
+type tapWriter struct {
+	http.ResponseWriter
+	buf bytes.Buffer
+}
+
+func (w *tapWriter) Write(p []byte) (int, error) {
+	w.buf.Write(p)
+	return w.ResponseWriter.Write(p)
+}
+
+func (tap *wireTap) serve(t *testing.T, b *Broker) string {
+	t.Helper()
+	inner := b.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs":
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			if bytes.Count(body, []byte{'\n'}) > 1 {
+				tap.mu.Lock()
+				tap.jobs = append(tap.jobs, body)
+				tap.mu.Unlock()
+			}
+		case "/v1/lease":
+			tw := &tapWriter{ResponseWriter: w}
+			inner.ServeHTTP(tw, r)
+			if tw.buf.Len() > 0 && tw.Header().Get("Content-Type") == "application/x-ndjson" {
+				tap.mu.Lock()
+				tap.grants = append(tap.grants, tw.buf.Bytes())
+				tap.lengths = append(tap.lengths, tw.Header().Get("Content-Length"))
+				tap.mu.Unlock()
+			}
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return hs.URL
+}
+
+// readJobHeader parses a job body's header line.
+func readJobHeader(t *testing.T, body []byte) JobSpec {
+	t.Helper()
+	header, _, _ := bytes.Cut(body, []byte{'\n'})
+	d := jsonx.NewReader(header)
+	spec, err := jsonx.Decode(&d, readJob(&d))
+	if err != nil {
+		t.Fatalf("job header %q: %v", header, err)
+	}
+	return spec
+}
+
+// encodeAll is each program's ir.EncodeSteps bytes.
+func encodeAll(t *testing.T, states []*ir.State) []json.RawMessage {
+	t.Helper()
+	out := make([]json.RawMessage, len(states))
+	for i, s := range states {
+		enc, err := ir.EncodeSteps(s.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = enc
+	}
+	return out
+}
+
+// TestWireBytesFrozen: the job body a RemoteMeasurer writes in place and
+// the grants the broker streams piece by piece are, byte for byte, what
+// joinLines builds from the same header and programs — the layout every
+// peer reads — and each grant announces its exact length.
+func TestWireBytesFrozen(t *testing.T) {
+	machine := sim.IntelXeon()
+	states := sampleStates(t, 40)
+	local := measure.New(machine, 0.02, 9).MeasureTask("mm", states)
+	tap := &wireTap{}
+	url := tap.serve(t, NewBroker())
+	startWorkers(t, url, machine, 16, 16)
+	rm := remote(t, url, machine, 0.02, 9)
+	assertBitIdentical(t, "tapped", local, rm.MeasureTask("mm", states))
+	if err := rm.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	dag, err := te.EncodeDAGBinary(states[0].DAG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := encodeAll(t, states)
+	if len(tap.jobs) != 1 {
+		t.Fatalf("%d job bodies with programs sent, want 1", len(tap.jobs))
+	}
+	got := readJobHeader(t, tap.jobs[0])
+	spec := JobSpec{ID: got.ID, Target: machine.Name, Task: "mm", Trace: got.Trace, DAGBin: dag,
+		Count: len(states), WaitMS: longPollWait.Milliseconds()}
+	if want := joinLines(dag, programs, func(b []byte) []byte { return appendJob(b, spec) }); !bytes.Equal(tap.jobs[0], want) {
+		t.Errorf("job body differs from joinLines':\n got %.300q\nwant %.300q", tap.jobs[0], want)
+	}
+
+	seen := make([]int, len(states))
+	for k, body := range tap.grants {
+		g, err := decodeGrant(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make([]json.RawMessage, len(g.Indices))
+		for n, idx := range g.Indices {
+			sent[n] = programs[idx]
+			seen[idx]++
+		}
+		head := LeaseGrant{Lease: g.Lease, Job: spec.ID, Task: "mm", Trace: spec.Trace, Target: machine.Name,
+			DAGBin: dag, Indices: g.Indices}
+		if want := joinLines(dag, sent, func(b []byte) []byte { return appendGrant(b, head) }); !bytes.Equal(body, want) {
+			t.Errorf("grant %d differs from joinLines':\n got %.300q\nwant %.300q", k, body, want)
+		}
+		if tap.lengths[k] != strconv.Itoa(len(body)) {
+			t.Errorf("grant %d announced Content-Length %s for %d bytes", k, tap.lengths[k], len(body))
+		}
+	}
+	for idx, n := range seen {
+		if n != 1 {
+			t.Errorf("program %d was granted %d times, want once", idx, n)
+		}
+	}
+}
+
+// foreignStep is a Step type from outside ir: it applies (to nothing),
+// and the step encoder refuses it.
+type foreignStep struct{}
+
+func (foreignStep) Name() string          { return "foreign" }
+func (foreignStep) StageName() string     { return "matmul" }
+func (foreignStep) Apply(*ir.State) error { return nil }
+
+// TestRemoteMeasurerUnencodableStepIsItsError: a program whose steps the
+// encoder refuses never leaves the submitter. It comes back with its
+// encode error and no time, and still costs its trial; the job carries
+// the others, and its count matches its lines.
+func TestRemoteMeasurerUnencodableStepIsItsError(t *testing.T) {
+	machine := sim.IntelXeon()
+	states := sampleStates(t, 6)
+	odd := states[2].Clone()
+	odd.MustApply(foreignStep{})
+	batch := append(append(append([]*ir.State(nil), states[:2]...), odd), states[2:]...)
+	tap := &wireTap{}
+	url := tap.serve(t, NewBroker())
+	startWorkers(t, url, machine, 4)
+	rm := remote(t, url, machine, 0.02, 4)
+	res := rm.MeasureTask("mm", batch)
+	if err := rm.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if r := res[2]; r.Err == nil || !strings.Contains(r.Err.Error(), "encode steps") || r.Seconds != 0 || r.NoiselessSeconds != 0 {
+		t.Errorf("unencodable program = %+v, want its encode error and no time", r)
+	}
+	if rm.Trials() != len(batch) {
+		t.Errorf("trials = %d, want %d: the refused program is a trial too", rm.Trials(), len(batch))
+	}
+	others := append(append([]measure.Result(nil), res[:2]...), res[3:]...)
+	assertBitIdentical(t, "beside the refused one", measure.New(machine, 0.02, 4).MeasureTask("mm", states), others)
+
+	if len(tap.jobs) != 1 {
+		t.Fatalf("%d job bodies with programs sent, want 1", len(tap.jobs))
+	}
+	spec := readJobHeader(t, tap.jobs[0])
+	_, lines, err := splitLines(tap.jobs[0])
+	if err != nil || spec.Count != len(states) || len(lines) != spec.Count {
+		t.Fatalf("job counts %d programs and carries %d lines (%v), want %d of each", spec.Count, len(lines), err, len(states))
+	}
+	for k, want := range encodeAll(t, states) {
+		if !bytes.Equal(lines[k], want) {
+			t.Errorf("job line %d = %.80q, want program %d's steps", k, lines[k], k)
+		}
 	}
 }

@@ -97,12 +97,24 @@ func EncodeSteps(steps []Step) ([]byte, error) {
 	// Built on the stack and copied out at its exact size: the result is
 	// what a record keeps, and a typical list is a third of the buffer.
 	var stack [2048]byte
+	dst, err := AppendSteps(stack[:0], steps)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(dst), nil
+}
+
+// AppendSteps appends the step list's JSON encoding, the bytes
+// EncodeSteps returns, to dst. On an error it returns dst cut back to its
+// original length.
+func AppendSteps(dst []byte, steps []Step) ([]byte, error) {
 	var buf [4]field
-	dst := append(stack[:0], '[')
+	n := len(dst)
+	dst = append(dst, '[')
 	for i, s := range steps {
 		fields := stepFields(s, &buf)
 		if fields == nil {
-			return nil, fmt.Errorf("ir: encode step %d: unknown step type %T", i, s)
+			return dst[:n], fmt.Errorf("ir: encode step %d: unknown step type %T", i, s)
 		}
 		if i > 0 {
 			dst = append(dst, ',')
@@ -137,7 +149,7 @@ func EncodeSteps(steps []Step) ([]byte, error) {
 		}
 		dst = append(dst, "}}"...)
 	}
-	return bytes.Clone(append(dst, ']')), nil
+	return append(dst, ']'), nil
 }
 
 func appendInts(dst []byte, l []int) []byte {

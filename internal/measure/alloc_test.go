@@ -38,8 +38,9 @@ func c2dBatch(t testing.TB, n int) []*ir.State {
 // TestMeasureAllocationCeiling pins what measuring a 64-program batch
 // costs the heap per program, beside the batch's own result slice and
 // index list. In process: nothing — the lowering Time reads is borrowed
-// and handed back, and Time allocates nothing. Under a Backend: the
-// EncSteps bytes it is sent, and no lowering at all.
+// and handed back, and Time allocates nothing. Under a Backend without
+// a cache: nothing either — no lowering, and no step bytes, which the
+// backend encodes where it ships them.
 func TestMeasureAllocationCeiling(t *testing.T) {
 	const programs = 64
 	batch := c2dBatch(t, programs)
@@ -54,7 +55,7 @@ func TestMeasureAllocationCeiling(t *testing.T) {
 		name    string
 		ms      *Measurer
 		ceiling float64
-	}{{"in process", inProcess, 0}, {"stub backend", backed, 1}} {
+	}{{"in process", inProcess, 0}, {"stub backend", backed, 0}} {
 		c.ms.Workers = 1
 		got := testing.AllocsPerRun(10, func() { c.ms.MeasureTask("c2d", batch) }) / programs
 		t.Logf("%s: %.2f allocations per program", c.name, got)

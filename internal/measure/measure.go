@@ -8,7 +8,6 @@
 package measure
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sync/atomic"
@@ -33,9 +32,10 @@ type Result struct {
 	Cached bool
 	Err    error
 
-	// EncSteps carries the canonical step encoding when the measurer
-	// already made it (for the cache lookup, for the fleet), so NewRecord
-	// does not encode the program a second time.
+	// EncSteps carries the canonical step encoding when the measurer (for
+	// the cache lookup) or its Backend (for the wire) already made it, so
+	// NewRecord does not encode the program a second time. Read-only: it
+	// may be a piece of a larger buffer.
 	EncSteps []byte
 }
 
@@ -70,11 +70,15 @@ type Measurer struct {
 
 	// Backend, when non-nil, times the batch's fresh programs in place of
 	// Machine.Time in process (a measurement fleet sets it). It is handed
-	// the batch and the indices that were not served from Cache and carry
-	// their EncSteps, and sets on each of exactly those either
-	// NoiselessSeconds — positive, the exact time of the model named
-	// Machine.Name — or Err. The measurer lowers nothing it hands a
-	// Backend: a program that does not lower is the Backend's error.
+	// the batch and the indices that were not served from Cache, and sets
+	// on each of exactly those either NoiselessSeconds — positive, the
+	// exact time of the model named Machine.Name — or Err. The measurer
+	// lowers nothing it hands a Backend and encodes a program's steps
+	// only for the Cache: a program arrives with EncSteps when the lookup
+	// made them and without otherwise. The Backend encodes what it ships
+	// (ir.AppendSteps) and leaves those bytes in EncSteps, which it must
+	// never write again, so records share them; a step list the encoder
+	// refuses and a program that does not lower are the Backend's errors.
 	// Noise, trial counting and records stay with the measurer, so where a
 	// program was timed never shows in a result. Safe for concurrent use,
 	// like MeasureTask.
@@ -115,7 +119,7 @@ func (ms *Measurer) MeasureTask(task string, states []*ir.State) []Result {
 	if ms.Backend != nil {
 		fresh := make([]int, 0, len(out))
 		for i := range out {
-			if !out[i].Cached && out[i].Err == nil {
+			if !out[i].Cached {
 				fresh = append(fresh, i)
 			}
 		}
@@ -151,29 +155,20 @@ func (ms *Measurer) MeasureTask(task string, states []*ir.State) []Result {
 
 // prepare is the per-program front half: look the program up in the
 // cache and — without a Backend — time it on the machine model. The steps
-// are encoded only when the cache or the backend needs the bytes; the
-// program is lowered only to be timed here.
+// are encoded only for the cache (a list the codec refuses just misses
+// it); the program is lowered only to be timed here.
 func (ms *Measurer) prepare(task string, s *ir.State) Result {
 	r := Result{State: s}
-	if ms.Cache != nil || ms.Backend != nil {
+	if ms.Cache != nil {
 		// The exact cache key is the program's canonical step encoding:
 		// the structural Signature is too coarse (it exists for search
 		// dedupe) to guarantee the served time belongs to this program.
-		enc, err := ir.EncodeSteps(s.Steps)
-		switch {
-		case err == nil:
+		if enc, err := ir.EncodeSteps(s.Steps); err == nil {
 			r.EncSteps = enc
-			if ms.Cache != nil {
-				if rec, ok := ms.Cache.Lookup(ms.Machine.Name, task, DAGFingerprint(s.DAG), enc); ok {
-					r.NoiselessSeconds, r.Cached = rec.Noiseless, true
-					return r
-				}
+			if rec, ok := ms.Cache.Lookup(ms.Machine.Name, task, DAGFingerprint(s.DAG), enc); ok {
+				r.NoiselessSeconds, r.Cached = rec.Noiseless, true
+				return r
 			}
-		case ms.Backend != nil:
-			// A backend is sent the bytes; in process a step list the codec
-			// refuses only misses the cache.
-			r.Err = fmt.Errorf("measure: encode steps: %w", err)
-			return r
 		}
 	}
 	if ms.Backend != nil {

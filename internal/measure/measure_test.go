@@ -87,12 +87,14 @@ func (foreignStep) StageName() string     { return "matmul" }
 func (foreignStep) Apply(*ir.State) error { return nil }
 
 // TestStepsEncodedOnlyForWhoNeedsThem: the front half encodes a step list
-// only when the cache or the backend wants the bytes, and a list the
-// codec refuses costs exactly what needed them — nothing in process, the
-// cache lookup under a cache, the program itself under a backend, which
-// is never handed it. Under a backend the front half lowers nothing: a
-// program that does not lower is handed over like any other uncached one
-// and comes back as the backend's error, still a trial.
+// only for the cache, and a list the codec refuses only misses it. In
+// process that costs nothing else. A backend is handed every program the
+// cache did not serve — with the bytes the lookup made, without them
+// when there was no cache or no bytes — encodes the rest itself, leaves
+// what it shipped in EncSteps and owns the refusal as that program's
+// error. Under a backend the front half lowers nothing: a program that
+// does not lower comes back as the backend's error. Either is still a
+// trial.
 func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
 	plain, odd, incomplete := matmulState(t), matmulState(t), matmulState(t)
 	odd.MustApply(foreignStep{})
@@ -114,32 +116,53 @@ func TestStepsEncodedOnlyForWhoNeedsThem(t *testing.T) {
 		}
 	}
 
-	var handed []int
-	backed := New(sim.IntelXeon(), 0.02, 1)
-	backed.Backend = func(_ string, out []Result, fresh []int) {
-		handed = fresh
-		for _, i := range fresh {
-			low, err := ir.LowerBorrowed(out[i].State)
-			if err != nil {
-				out[i].Err = fmt.Errorf("lower: %w", err)
-				continue
-			}
-			out[i].NoiselessSeconds = sim.IntelXeon().Time(low)
-			low.Release()
+	for _, withCache := range []bool{false, true} {
+		var handed []int
+		var arrived []bool
+		backed := New(sim.IntelXeon(), 0.02, 1)
+		if withCache {
+			backed.Cache = NewMeasuredSet()
 		}
-	}
-	res := backed.Measure(batch)
-	if len(handed) != 2 || handed[0] != 0 || handed[1] != 2 || res[0].Err != nil || res[0].NoiselessSeconds != want || len(res[0].EncSteps) == 0 {
-		t.Errorf("backend was handed %v and program 0 came back %+v, want programs 0 and 2, with their bytes", handed, res[0])
-	}
-	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "encode steps") || res[1].State != odd || res[1].Seconds != 0 {
-		t.Errorf("program 1 under a backend = %+v, want its encode error and no time", res[1])
-	}
-	if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "lower:") || len(res[2].EncSteps) == 0 || res[2].Seconds != 0 {
-		t.Errorf("program 2 under a backend = %+v, want the backend's lowering error, its bytes and no time", res[2])
-	}
-	if backed.Trials() != 3 {
-		t.Errorf("trials = %d, want 3: an errored program is still not cache-served", backed.Trials())
+		// A backend by the contract: encode what arrived without bytes,
+		// ship it (here: lower and time it), leave the bytes in EncSteps.
+		backed.Backend = func(_ string, out []Result, fresh []int) {
+			handed = fresh
+			for _, i := range fresh {
+				arrived = append(arrived, out[i].EncSteps != nil)
+				if out[i].EncSteps == nil {
+					enc, err := ir.AppendSteps(nil, out[i].State.Steps)
+					if err != nil {
+						out[i].Err = fmt.Errorf("encode steps: %w", err)
+						continue
+					}
+					out[i].EncSteps = enc
+				}
+				low, err := ir.LowerBorrowed(out[i].State)
+				if err != nil {
+					out[i].Err = fmt.Errorf("lower: %w", err)
+					continue
+				}
+				out[i].NoiselessSeconds = sim.IntelXeon().Time(low)
+				low.Release()
+			}
+		}
+		res := backed.Measure(batch)
+		wantArrived := []bool{withCache, false, withCache}
+		if !reflect.DeepEqual(handed, []int{0, 1, 2}) || !reflect.DeepEqual(arrived, wantArrived) {
+			t.Errorf("cache %v: backend was handed %v with bytes %v, want [0 1 2] with bytes %v", withCache, handed, arrived, wantArrived)
+		}
+		if res[0].Err != nil || res[0].NoiselessSeconds != want || len(res[0].EncSteps) == 0 {
+			t.Errorf("cache %v: program 0 came back %+v, want its time and its bytes", withCache, res[0])
+		}
+		if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "encode steps") || res[1].State != odd || res[1].Seconds != 0 {
+			t.Errorf("cache %v: program 1 under a backend = %+v, want its encode error and no time", withCache, res[1])
+		}
+		if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "lower:") || len(res[2].EncSteps) == 0 || res[2].Seconds != 0 {
+			t.Errorf("cache %v: program 2 under a backend = %+v, want the backend's lowering error, its bytes and no time", withCache, res[2])
+		}
+		if backed.Trials() != 3 {
+			t.Errorf("cache %v: trials = %d, want 3: an errored program is still not cache-served", withCache, backed.Trials())
+		}
 	}
 }
 
