@@ -24,6 +24,7 @@ type Sampler struct {
 	// tile sizes remain random, but annotations and compute locations
 	// are fixed.
 	Fixed bool
+	src   *Source
 	rng   *rand.Rand
 	// tiles remembers, per sketch, the nodes its unfilled tiling steps
 	// split (see tilePlan). It is the tree's one map keyed by a state's
@@ -32,10 +33,16 @@ type Sampler struct {
 	tiles map[*ir.State][]*te.Node
 }
 
-// NewSampler returns a sampler seeded deterministically.
+// NewSampler returns a sampler seeded deterministically, drawing from a
+// borrowed source that Release gives back.
 func NewSampler(t sketch.Target, seed int64) *Sampler {
-	return &Sampler{Target: t, rng: rand.New(rand.NewSource(seed))}
+	src := BorrowSource(seed)
+	return &Sampler{Target: t, src: src, rng: rand.New(src.Source64)}
 }
+
+// Release gives the sampler's source back; the sampler must not sample
+// again.
+func (sp *Sampler) Release() { sp.src.Release() }
 
 // divisors memoizes Divisors: tile sampling and tile-size mutation ask
 // for the same few hundred extents millions of times, from many

@@ -31,7 +31,7 @@ func TestDecodeAllocationCeiling(t *testing.T) {
 		}, 7},
 		{"lease request", func() error {
 			d := jsonx.NewReader(lease)
-			_, err := jsonx.Decode(&d, readLease(&d))
+			_, err := jsonx.Decode(&d, readLease(&d, nil))
 			return err
 		}, 5},
 	} {

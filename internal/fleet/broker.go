@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -108,7 +109,14 @@ type job struct {
 	submitted time.Time
 	// dagBin is the submitted binary DAG, validated at the door and
 	// handed to workers verbatim.
-	dagBin   []byte
+	dagBin []byte
+	// body is the borrowed submission, of which programs are pieces and
+	// whose queue is the job's first. refs counts its holders: the
+	// broker's table while the job is held, and each grant tryLeaseLocked
+	// handed out until handleLease has written it. Whoever takes refs to
+	// 0 gives body back.
+	body     *buffer
+	refs     atomic.Int32
 	programs []json.RawMessage
 
 	results   []UnitResult
@@ -118,6 +126,13 @@ type job struct {
 }
 
 func (j *job) done() bool { return j.completed == len(j.programs) }
+
+// unref drops one hold on the job's body; the last gives it back.
+func (j *job) unref() {
+	if j.refs.Add(-1) == 0 {
+		freeBodies.give(j.body)
+	}
+}
 
 type lease struct {
 	id       int64
@@ -236,27 +251,29 @@ func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// readBody reads one bounded request body whole.
-func (b *Broker) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readAll(nil, http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
+// readBody reads one bounded request body whole, into bf's memory.
+func (b *Broker) readBody(w http.ResponseWriter, r *http.Request, bf *buffer) bool {
+	var err error
+	bf.b, err = readAll(bf.b, http.MaxBytesReader(w, r.Body, b.bodyLimit), r.ContentLength)
 	if err != nil {
 		regserver.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 	}
-	return body, err == nil
+	return err == nil
 }
 
 // splitLines cuts an NDJSON body into its JSON header line and the
-// program lines after it, each a piece of body: nobody parses a program
-// between the submitter that encoded it and the worker that replays it.
-// Every line must end in a newline and none be empty, so a truncated
-// body is refused here; the caller holds the count the header announces
-// against the lines, which catches a program with a newline inside.
-func splitLines(body []byte) (header []byte, programs []json.RawMessage, err error) {
+// program lines after it, each a piece of body, listed in dst's memory:
+// nobody parses a program between the submitter that encoded it and the
+// worker that replays it. Every line must end in a newline and none be
+// empty, so a truncated body is refused here; the caller holds the count
+// the header announces against the lines, which catches a program with a
+// newline inside.
+func splitLines(body []byte, dst []json.RawMessage) (header []byte, programs []json.RawMessage, err error) {
 	header, rest, ok := bytes.Cut(body, []byte{'\n'})
 	if !ok {
 		return nil, nil, fmt.Errorf("no header line")
 	}
-	programs = make([]json.RawMessage, 0, bytes.Count(rest, []byte{'\n'}))
+	programs = slices.Grow(dst[:0], bytes.Count(rest, []byte{'\n'}))
 	for len(rest) > 0 {
 		line, after, ok := bytes.Cut(rest, []byte{'\n'})
 		if !ok || len(line) == 0 {
@@ -376,12 +393,20 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
-	body, ok := b.readBody(w, r)
-	if !ok {
+	// The submission's memory is borrowed. An enqueued job owns it from
+	// then on; a submission that enqueued nothing gives it back here.
+	body, kept := freeBodies.borrow(), false
+	defer func() {
+		if !kept {
+			freeBodies.give(body)
+		}
+	}()
+	if !b.readBody(w, r, body) {
 		return
 	}
 	var spec JobSpec
-	header, programs, err := splitLines(body)
+	header, programs, err := splitLines(body.b, body.programs)
+	body.programs = programs
 	if err == nil {
 		d := jsonx.NewReader(header)
 		spec, err = jsonx.Decode(&d, readJob(&d))
@@ -408,7 +433,7 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			regserver.WriteError(w, http.StatusBadRequest, "bad binary dag: %v", err)
 			return
 		}
-		b.awaitJob(w, r, &spec, programs)
+		kept = b.awaitJob(w, r, &spec, body)
 	}
 }
 
@@ -427,13 +452,13 @@ func (b *Broker) checkDAG(bin []byte) error {
 	return nil
 }
 
-// awaitJob enqueues spec's programs unless its id is already held (nil
-// programs only attach), then answers with the job's status: at once
+// awaitJob enqueues the job in body unless spec's id is already held (a
+// nil body only attaches), then answers with the job's status: at once
 // when it is done or no wait was asked for, else when it completes or
 // the wait runs out. A held answer sends its status line first: that is
 // the submitter's receipt, by which it tells a broker that lost the job
-// from one that never had it.
-func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec, programs []json.RawMessage) {
+// from one that never had it. It reports whether the job took body.
+func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec, body *buffer) (enqueued bool) {
 	deadline := time.Now().Add(clampWait(spec.WaitMS))
 	w.Header().Set("Content-Type", "application/json")
 	var st JobStatus
@@ -441,8 +466,8 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 		b.mu.Lock()
 		b.reapLocked(b.now())
 		j, ok := b.jobs[spec.ID]
-		if !ok && first && programs != nil {
-			j, ok = b.enqueueLocked(spec, programs), true
+		if !ok && first && body != nil {
+			j, ok, enqueued = b.enqueueLocked(spec, body), true, true
 		}
 		if ok {
 			st = JobStatus{
@@ -458,16 +483,20 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 		b.mu.Unlock()
 		if !ok && first {
 			regserver.WriteError(w, http.StatusNotFound, "unknown job %q (answered and evicted jobs are forgotten)", spec.ID)
-			return
+			return enqueued
 		}
 		remaining := time.Until(deadline)
 		if !ok || st.Done || remaining <= 0 {
 			// Evicted while it waited, a job is answered as last seen; the
 			// submitter's next attach is told it is unknown.
-			if body, err := appendStatus(nil, st); err == nil {
-				_, _ = w.Write(append(body, '\n'))
+			reply := freeReplies.borrow()
+			var err error
+			if reply.b, err = appendStatus(reply.b, st); err == nil {
+				reply.b = append(reply.b, '\n')
+				_, _ = w.Write(reply.b)
 			}
-			return
+			freeReplies.give(reply)
+			return enqueued
 		}
 		if first {
 			w.WriteHeader(http.StatusOK)
@@ -486,15 +515,17 @@ func (b *Broker) awaitJob(w http.ResponseWriter, r *http.Request, spec *JobSpec,
 		case <-time.After(slice):
 		case <-r.Context().Done():
 			// The submitter is gone; the job stays for its retry.
-			return
+			return enqueued
 		}
 	}
 }
 
-// enqueueLocked creates spec's job with every program queued. Callers
-// hold b.mu.
-func (b *Broker) enqueueLocked(spec *JobSpec, programs []json.RawMessage) *job {
+// enqueueLocked creates the job of spec and body, which it takes, with
+// every program queued and the table's hold on body. Callers hold b.mu.
+func (b *Broker) enqueueLocked(spec *JobSpec, body *buffer) *job {
 	b.Obs.Count("jobs_submitted")
+	n := len(body.programs)
+	body.queue = slices.Grow(body.queue[:0], n)[:n]
 	j := &job{
 		id:        spec.ID,
 		target:    spec.Target,
@@ -502,11 +533,13 @@ func (b *Broker) enqueueLocked(spec *JobSpec, programs []json.RawMessage) *job {
 		trace:     spec.Trace,
 		submitted: b.now(),
 		dagBin:    spec.DAGBin,
-		programs:  programs,
-		results:   make([]UnitResult, len(programs)),
-		queue:     make([]int, len(programs)),
+		body:      body,
+		programs:  body.programs,
+		results:   make([]UnitResult, n),
+		queue:     body.queue,
 		leases:    map[int64]*lease{},
 	}
+	j.refs.Store(1)
 	for i := range j.queue {
 		j.queue[i] = i
 	}
@@ -517,8 +550,10 @@ func (b *Broker) enqueueLocked(spec *JobSpec, programs []json.RawMessage) *job {
 	return j
 }
 
-// dropJobLocked removes a job from every index. Callers hold b.mu.
+// dropJobLocked removes a job from every index and drops the table's
+// hold on its body. Callers hold b.mu.
 func (b *Broker) dropJobLocked(id string) {
+	j := b.jobs[id]
 	delete(b.jobs, id)
 	for i, jid := range b.jobOrder {
 		if jid == id {
@@ -532,6 +567,7 @@ func (b *Broker) dropJobLocked(id string) {
 			break
 		}
 	}
+	j.unref()
 }
 
 func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -542,34 +578,9 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
-	body, ok := b.readBody(w, r)
+	req, ok := b.takeLease(w, r)
 	if !ok {
 		return
-	}
-	d := jsonx.NewReader(body)
-	req, err := jsonx.Decode(&d, readLease(&d))
-	if err != nil {
-		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
-		return
-	}
-	if req.Worker == "" || req.Target == "" {
-		regserver.WriteError(w, http.StatusBadRequest, "lease request needs worker and target")
-		return
-	}
-	if req.Capacity < 1 {
-		req.Capacity = 1
-	}
-	if req.Done != nil {
-		// The previous lease's results come first and on their own terms:
-		// refused, the request ends here, having changed and granted nothing.
-		req.Done.Worker = req.Worker
-		b.mu.Lock()
-		_, err := b.applyResultsLocked(*req.Done)
-		b.mu.Unlock()
-		if err != nil {
-			regserver.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	deadline := time.Now().Add(clampWait(req.WaitMS))
 	waited := false
@@ -589,14 +600,19 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 			regserver.WriteError(w, http.StatusForbidden, "worker %q is quarantined after %d lease failures", req.Worker, failures)
 			return
 		}
-		if grant, ok := b.tryLeaseLocked(req); ok {
+		if grant, j := b.tryLeaseLocked(req); j != nil {
 			if waited {
 				b.Obs.Count("lease_wakeups")
 			}
 			b.mu.Unlock()
-			// The programs are pieces of the submission's body, which no
-			// request ever writes to again: safe to send outside the lock.
-			writeLines(w, appendGrant(nil, grant), grant.Programs)
+			// The programs are pieces of the job's body, which this grant
+			// holds until it is written: safe to send outside the lock, even
+			// as the lease expires and the job is answered and forgotten.
+			reply := freeReplies.borrow()
+			reply.b = appendGrant(reply.b, grant)
+			writeLines(w, reply.b, grant.Programs)
+			freeReplies.give(reply)
+			j.unref()
 			return
 		}
 		ch := b.notify
@@ -623,11 +639,50 @@ func (b *Broker) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// takeLease reads and checks a lease request, applying the results it
+// returns first and on their own terms: refused, the request ends here,
+// having changed and granted nothing. Its memory goes back before the
+// long-poll wait: the request's strings are copies.
+func (b *Broker) takeLease(w http.ResponseWriter, r *http.Request) (req LeaseRequest, ok bool) {
+	in := freeRequests.borrow()
+	defer freeRequests.give(in)
+	if !b.readBody(w, r, in) {
+		return req, false
+	}
+	d := jsonx.NewReader(in.b)
+	req, err := jsonx.Decode(&d, readLease(&d, in.results))
+	if err != nil {
+		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
+		return req, false
+	}
+	if req.Worker == "" || req.Target == "" {
+		regserver.WriteError(w, http.StatusBadRequest, "lease request needs worker and target")
+		return req, false
+	}
+	if req.Capacity < 1 {
+		req.Capacity = 1
+	}
+	if req.Done != nil {
+		in.results = req.Done.Results
+		req.Done.Worker = req.Worker
+		b.mu.Lock()
+		_, err := b.applyResultsLocked(*req.Done)
+		b.mu.Unlock()
+		req.Done = nil
+		if err != nil {
+			regserver.WriteError(w, http.StatusBadRequest, "%v", err)
+			return req, false
+		}
+	}
+	return req, true
+}
+
 // tryLeaseLocked hands req a slice of the oldest job queued for exactly
 // the worker's target, if any, as large as the worker's capacity: a time
 // is only ever used on the target that measured it, so an idle worker
-// never drains another target's queue. Callers hold b.mu.
-func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
+// never drains another target's queue. The grant holds the job's body
+// until the caller's unref. Callers hold b.mu.
+func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, *job) {
 	var j *job
 	for _, id := range b.jobOrder {
 		if cand := b.jobs[id]; len(cand.queue) > 0 && cand.target == req.Target {
@@ -636,10 +691,12 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		}
 	}
 	if j == nil {
-		return LeaseGrant{}, false
+		return LeaseGrant{}, nil
 	}
 	n := min(req.Capacity, len(j.queue))
-	indices := append([]int(nil), j.queue[:n]...)
+	// The lease's indices are the queue's head: memory before the queue's
+	// start is never written again (requeues append past its end).
+	indices := j.queue[:n:n]
 	j.queue = j.queue[n:]
 	b.nextID++
 	now := b.now()
@@ -658,12 +715,30 @@ func (b *Broker) tryLeaseLocked(req LeaseRequest) (LeaseGrant, bool) {
 		Target: j.target, Worker: req.Worker, Count: len(indices)})
 	grant := LeaseGrant{
 		Lease: l.id, Job: j.id, Task: j.task, Trace: j.trace, Target: j.target,
-		DAGBin: j.dagBin, Indices: indices, Programs: make([]json.RawMessage, len(indices)),
+		DAGBin: j.dagBin, Indices: indices,
 	}
+	if first := indices[0]; isRun(indices) {
+		// A fresh queue hands out runs: their programs are a piece of the
+		// job's list.
+		grant.Programs = j.programs[first : first+n : first+n]
+	} else {
+		grant.Programs = make([]json.RawMessage, n)
+		for k, idx := range indices {
+			grant.Programs[k] = j.programs[idx]
+		}
+	}
+	j.refs.Add(1)
+	return grant, j
+}
+
+// isRun reports whether indices count up by one.
+func isRun(indices []int) bool {
 	for k, idx := range indices {
-		grant.Programs[k] = j.programs[idx]
+		if idx != indices[0]+k {
+			return false
+		}
 	}
-	return grant, true
+	return true
 }
 
 // handleResults is the results-only entry into applyResultsLocked, for
@@ -677,16 +752,18 @@ func (b *Broker) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !b.authorized(w, r) {
 		return
 	}
-	body, ok := b.readBody(w, r)
-	if !ok {
+	in := freeRequests.borrow()
+	defer freeRequests.give(in)
+	if !b.readBody(w, r, in) {
 		return
 	}
-	d := jsonx.NewReader(body)
-	post, err := jsonx.Decode(&d, readResults(&d))
+	d := jsonx.NewReader(in.b)
+	post, err := jsonx.Decode(&d, readResults(&d, in.results))
 	if err != nil {
 		regserver.WriteError(w, http.StatusBadRequest, "parse body: %v", err)
 		return
 	}
+	in.results = post.Results
 	b.mu.Lock()
 	ack, err := b.applyResultsLocked(post)
 	b.mu.Unlock()

@@ -84,9 +84,27 @@ func testBroker(t *testing.T, mutate func(*Broker)) (*Broker, *Client) {
 	if mutate != nil {
 		mutate(b)
 	}
-	hs := httptest.NewServer(b.Handler())
+	hs := httptest.NewServer(countLeases(b, b.Handler()))
 	t.Cleanup(hs.Close)
 	return b, NewClient(hs.URL)
+}
+
+// leasesInFlight counts, per broker, the lease requests its test servers
+// are serving (countLeases): an upper bound on the grants being written,
+// each of which holds its job's body.
+var leasesInFlight sync.Map // *Broker -> *atomic.Int64
+
+// countLeases wraps b's handler h, counting its lease requests in flight.
+func countLeases(b *Broker, h http.Handler) http.Handler {
+	v, _ := leasesInFlight.LoadOrStore(b, new(atomic.Int64))
+	n := v.(*atomic.Int64)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/lease" {
+			n.Add(1)
+			defer n.Add(-1)
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // drain plays a well-behaved worker: lease until empty, posting the
@@ -384,12 +402,38 @@ func TestBrokerPartialPostRequeuesRest(t *testing.T) {
 // the job's completion count is the number done. Leased means held by a
 // live lease and not yet done — a done index lingers in the lease of a
 // worker that lost the race for it until that lease is released or
-// reaped, which requeues undone indices only. Safe to call from any
-// goroutine.
+// reaped, which requeues undone indices only.
+//
+// It also checks the body count: a held job's body is lent, waits on no
+// free list, and is held once by the table and once by each grant being
+// written. Grants are written outside the lock, so what is read under it
+// bounds them by the lease requests in flight (leasesInFlight): with none,
+// every held job's count is exactly 1. Safe to call from any goroutine.
 func checkLeaseTable(t *testing.T, b *Broker, step string) {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// Read before the counts: no grant is taken while b.mu is held, and a
+	// grant's hold is dropped before its request leaves the count.
+	inFlight := int64(0)
+	if v, ok := leasesInFlight.Load(b); ok {
+		inFlight = v.(*atomic.Int64).Load()
+	}
+	waiting := map[*buffer]bool{}
+	freeBodies.Visit(func(bf *buffer) { waiting[bf] = true })
+	var writing int64
+	for _, j := range b.jobs {
+		refs := int64(j.refs.Load())
+		if refs < 1 || !j.body.lent || waiting[j.body] {
+			t.Errorf("after %s: held job %s counts %d holders of its body (lent %v, waiting %v)",
+				step, j.id, refs, j.body.lent, waiting[j.body])
+			return
+		}
+		writing += refs - 1
+	}
+	if writing > inFlight {
+		t.Errorf("after %s: held jobs count %d grants being written, %d lease requests are in flight", step, writing, inFlight)
+	}
 	for _, j := range b.jobs {
 		in := make([]int, len(j.programs))
 		done := 0
@@ -655,7 +699,7 @@ func TestOlderPeersAndLogsStillLoad(t *testing.T) {
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("lease request with max_distance: %d %v", code, err)
 	}
-	grant, err := decodeGrant(raw)
+	grant, err := decodeGrant(raw, nil)
 	if err != nil || grant.Job != ack.ID || len(grant.Indices) != 2 {
 		t.Fatalf("grant = %+v err=%v, want both programs of %s", grant, err, ack.ID)
 	}

@@ -144,13 +144,17 @@ func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 }
 
 // submit is Submit with the job's body already laid out as joinLines
-// lays it out.
+// lays it out. The status is read into borrowed memory, given back once
+// it is decoded: nothing of it is kept but copies.
 func (c *Client) submit(body []byte) (JobStatus, error) {
-	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body, nil)
+	reply := freeReplies.borrow()
+	defer freeReplies.give(reply)
+	code, raw, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", "application/x-ndjson", body, reply.b)
 	var st JobStatus
 	if code == http.StatusNotFound {
 		err = fmt.Errorf("%w: %v", ErrUnknownJob, err)
 	} else if err == nil {
+		reply.b = raw
 		d := jsonx.NewReader(raw)
 		if st, err = jsonx.Decode(&d, readStatus(&d)); err != nil {
 			err = fmt.Errorf("fleet: decode job status: %w", err)
@@ -170,36 +174,39 @@ func (c *Client) Lease(req LeaseRequest) (*LeaseGrant, error) {
 // shutting-down worker must be able to abort a request the broker is
 // deliberately holding open.
 func (c *Client) LeaseContext(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	grant, _, err := c.lease(ctx, req, nil)
+	return c.lease(ctx, req, &buffer{})
+}
+
+// lease is LeaseContext reading the grant into mem, whose bytes and
+// program list the grant's programs then share, and which keeps what
+// they grew to for the next lease.
+func (c *Client) lease(ctx context.Context, req LeaseRequest, mem *buffer) (*LeaseGrant, error) {
+	body, err := appendLease(nil, req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: encode lease request: %w", err)
+	}
+	code, raw, err := c.do(ctx, http.MethodPost, "/v1/lease", "application/json", body, mem.b)
+	if raw != nil {
+		mem.b = raw
+	}
+	if code == http.StatusForbidden {
+		return nil, fmt.Errorf("%w: %v", ErrQuarantined, err)
+	}
+	if err != nil || code == http.StatusNoContent {
+		return nil, err
+	}
+	grant, err := decodeGrant(raw, mem.programs)
+	if err == nil {
+		mem.programs = grant.Programs
+	}
 	return grant, err
 }
 
-// lease is LeaseContext reading the grant into buf's memory, which the
-// grant's programs then share; it returns that memory for the next lease.
-func (c *Client) lease(ctx context.Context, req LeaseRequest, buf []byte) (*LeaseGrant, []byte, error) {
-	body, err := appendLease(nil, req)
-	if err != nil {
-		return nil, buf, fmt.Errorf("fleet: encode lease request: %w", err)
-	}
-	code, raw, err := c.do(ctx, http.MethodPost, "/v1/lease", "application/json", body, buf)
-	if raw != nil {
-		buf = raw
-	}
-	if code == http.StatusForbidden {
-		return nil, buf, fmt.Errorf("%w: %v", ErrQuarantined, err)
-	}
-	if err != nil || code == http.StatusNoContent {
-		return nil, buf, err
-	}
-	grant, err := decodeGrant(raw)
-	return grant, buf, err
-}
-
 // decodeGrant parses a lease grant: its header line, then one program
-// per index.
-func decodeGrant(body []byte) (*LeaseGrant, error) {
+// per index, listed in dst's memory.
+func decodeGrant(body []byte, dst []json.RawMessage) (*LeaseGrant, error) {
 	var grant LeaseGrant
-	header, programs, err := splitLines(body)
+	header, programs, err := splitLines(body, dst)
 	if err == nil {
 		d := jsonx.NewReader(header)
 		grant, err = jsonx.Decode(&d, readGrant(&d))

@@ -52,8 +52,8 @@ func noErr[T any](write func([]byte, T) []byte) func([]byte, T) ([]byte, error) 
 
 var wireKinds = []wireKind{
 	kindOf("job", readJob, noErr(appendJob)),
-	kindOf("lease", readLease, appendLease),
-	kindOf("results", readResults, appendResults),
+	kindOf("lease", func(r *jsonx.Reader) LeaseRequest { return readLease(r, nil) }, appendLease),
+	kindOf("results", func(r *jsonx.Reader) ResultPost { return readResults(r, nil) }, appendResults),
 	kindOf("grant", readGrant, noErr(appendGrant)),
 	kindOf("status", readStatus, appendStatus),
 }

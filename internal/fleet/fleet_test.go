@@ -550,18 +550,21 @@ func TestFleetBatchRequestBudget(t *testing.T) {
 }
 
 // bytesPerProgramCeiling is TestFleetBatchBytesPerProgram's bound: the
-// 3 150 bytes measured (go1.24, linux/amd64) and a margin of 300, less
-// than one more exact-size copy of a program's step bytes (430 on
-// average here). Before the job body was written in place and grants
-// streamed, a program cost 4 650.
-const bytesPerProgramCeiling = 3450
+// 1 985 bytes measured (go1.24, linux/amd64) and a margin of about 10 %,
+// less than one more exact-size copy of a program's step bytes (430 on
+// average here). A program cost 4 650 before the job body was written in
+// place and grants streamed, and 3 150 before the broker's and the
+// status's buffers were borrowed and cache-write stages carved from the
+// worker's arena.
+const bytesPerProgramCeiling = 2200
 
 // TestFleetBatchBytesPerProgram pins what a program costs the heap on
 // its way through a warm fleet — measurer, broker and both workers, all
 // in this process — in bytes allocated over 50 batches of 64 programs.
 // A program's step bytes are written once, into the job's body, which
-// the broker reads once and streams out in grants; a further copy of
-// them anywhere on the way breaks the ceiling.
+// the broker reads once, into borrowed memory, and streams out in grants;
+// a further copy of them anywhere on the way, or a request buffer no
+// longer reused, breaks the ceiling.
 func TestFleetBatchBytesPerProgram(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")

@@ -58,7 +58,7 @@ func fuzzBroker(t testing.TB) (b *Broker, h http.Handler, jobID string, leaseID 
 	}
 	lb, _ := json.Marshal(LeaseRequest{Worker: "w", Target: "cpu", Capacity: 2})
 	rec = fuzzPost(h, "/v1/lease", lb)
-	grant, err := decodeGrant(rec.Body.Bytes())
+	grant, err := decodeGrant(rec.Body.Bytes(), nil)
 	if err != nil || grant.Lease == 0 {
 		t.Fatalf("seed lease: %s", rec.Body.Bytes())
 	}
@@ -104,7 +104,7 @@ func FuzzLeaseDecode(f *testing.F) {
 		switch rec.Code {
 		case http.StatusOK:
 			// A grant must decode and carry matched indices/programs.
-			if _, err := decodeGrant(rec.Body.Bytes()); err != nil {
+			if _, err := decodeGrant(rec.Body.Bytes(), nil); err != nil {
 				t.Fatalf("200 with undecodable grant: %v: %s", err, rec.Body.Bytes())
 			}
 		case http.StatusBadRequest:

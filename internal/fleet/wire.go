@@ -119,7 +119,9 @@ func appendLease(dst []byte, q LeaseRequest) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func readLease(r *jsonx.Reader) (q LeaseRequest) {
+// readLease reads a lease request, listing the results it returns in
+// dst's memory.
+func readLease(r *jsonx.Reader, dst []WorkerResult) (q LeaseRequest) {
 	r.Need(`{"worker":`)
 	q.Worker = r.Str("")
 	r.Need(`,"target":`)
@@ -130,7 +132,7 @@ func readLease(r *jsonx.Reader) (q LeaseRequest) {
 		q.WaitMS = r.Int()
 	}
 	if r.Key(`,"done":`) {
-		p := readResults(r)
+		p := readResults(r, dst)
 		q.Done = &p
 	}
 	r.Need("}")
@@ -162,7 +164,8 @@ func appendResults(dst []byte, p ResultPost) ([]byte, error) {
 	return append(dst, "]}"...), nil
 }
 
-func readResults(r *jsonx.Reader) (p ResultPost) {
+// readResults reads a results post, listing its results in dst's memory.
+func readResults(r *jsonx.Reader, dst []WorkerResult) (p ResultPost) {
 	r.Need("{")
 	if r.Key(`"worker":`) {
 		p.Worker = r.Str("")
@@ -174,7 +177,10 @@ func readResults(r *jsonx.Reader) (p ResultPost) {
 	p.Lease = r.Int()
 	r.Need(`,"results":`)
 	if !r.Key("null") {
-		p.Results = []WorkerResult{}
+		p.Results = dst[:0]
+		if p.Results == nil {
+			p.Results = []WorkerResult{}
+		}
 		r.List(func() {
 			var w WorkerResult
 			r.Need(`{"index":`)
@@ -284,7 +290,9 @@ func readStatus(r *jsonx.Reader) (st JobStatus) {
 	r.Need(`,"done":`)
 	st.Done = r.Bool()
 	if r.Key(`,"results":`) {
-		st.Results = []UnitResult{}
+		// A status lists a result per program: room for total of them, up
+		// to 4 096 (past that, the list grows as it is read).
+		st.Results = make([]UnitResult, 0, min(max(st.Total, 0), 1<<12))
 		r.List(func() {
 			var u UnitResult
 			r.Need(`{"done":`)

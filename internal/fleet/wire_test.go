@@ -203,17 +203,25 @@ func TestClientMetricsRoundTrip(t *testing.T) {
 
 // wireTap sits in front of a broker and keeps a copy of every job body
 // that carries programs and of every lease grant the broker writes, with
-// the grant's announced Content-Length.
+// the grant's announced Content-Length, and counts the lease requests
+// and results posts the broker refused.
 type wireTap struct {
 	mu      sync.Mutex
 	jobs    [][]byte
 	grants  [][]byte
 	lengths []string
+	refused int
 }
 
 type tapWriter struct {
 	http.ResponseWriter
-	buf bytes.Buffer
+	buf  bytes.Buffer
+	code int
+}
+
+func (w *tapWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *tapWriter) Write(p []byte) (int, error) {
@@ -223,7 +231,7 @@ func (w *tapWriter) Write(p []byte) (int, error) {
 
 func (tap *wireTap) serve(t *testing.T, b *Broker) string {
 	t.Helper()
-	inner := b.Handler()
+	inner := countLeases(b, b.Handler())
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/jobs":
@@ -234,14 +242,17 @@ func (tap *wireTap) serve(t *testing.T, b *Broker) string {
 				tap.jobs = append(tap.jobs, body)
 				tap.mu.Unlock()
 			}
-		case "/v1/lease":
+		case "/v1/lease", "/v1/results":
 			tw := &tapWriter{ResponseWriter: w}
 			inner.ServeHTTP(tw, r)
+			tap.mu.Lock()
+			defer tap.mu.Unlock()
+			if tw.code == http.StatusBadRequest {
+				tap.refused++
+			}
 			if tw.buf.Len() > 0 && tw.Header().Get("Content-Type") == "application/x-ndjson" {
-				tap.mu.Lock()
 				tap.grants = append(tap.grants, tw.buf.Bytes())
 				tap.lengths = append(tap.lengths, tw.Header().Get("Content-Length"))
-				tap.mu.Unlock()
 			}
 			return
 		}
@@ -311,7 +322,7 @@ func TestWireBytesFrozen(t *testing.T) {
 
 	seen := make([]int, len(states))
 	for k, body := range tap.grants {
-		g, err := decodeGrant(body)
+		g, err := decodeGrant(body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +386,7 @@ func TestRemoteMeasurerUnencodableStepIsItsError(t *testing.T) {
 		t.Fatalf("%d job bodies with programs sent, want 1", len(tap.jobs))
 	}
 	spec := readJobHeader(t, tap.jobs[0])
-	_, lines, err := splitLines(tap.jobs[0])
+	_, lines, err := splitLines(tap.jobs[0], nil)
 	if err != nil || spec.Count != len(states) || len(lines) != spec.Count {
 		t.Fatalf("job counts %d programs and carries %d lines (%v), want %d of each", spec.Count, len(lines), err, len(states))
 	}

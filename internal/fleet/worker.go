@@ -41,10 +41,10 @@ type Worker struct {
 
 	cl      *Client
 	started time.Time
-	// grant is the memory the last grant was read into, read into again
-	// by the next: nothing of a grant outlives its lease but copies (its
-	// strings, its decoded dag_bin).
-	grant []byte
+	// grant is the memory the last grant was read into, its bytes and
+	// program list, read into again by the next: nothing of a grant
+	// outlives its lease but copies (its strings, its decoded dag_bin).
+	grant buffer
 	// dagBin and dag are the DAG of the last lease, as sent and decoded:
 	// the leases of one job carry the same bytes, decoded once.
 	dagBin []byte
@@ -75,10 +75,8 @@ func (w *Worker) Ping() error { return w.cl.Ping() }
 // next request; (nil, nil) means the broker had nothing for this worker
 // within the wait.
 func (w *Worker) runOnce(ctx context.Context, done *ResultPost) (*ResultPost, error) {
-	var grant *LeaseGrant
-	var err error
-	grant, w.grant, err = w.cl.lease(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
-		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), Done: done}, w.grant)
+	grant, err := w.cl.lease(ctx, LeaseRequest{Worker: w.ID, Target: w.Machine.Name,
+		Capacity: w.Capacity, WaitMS: longPollWait.Milliseconds(), Done: done}, &w.grant)
 	if err != nil || grant == nil {
 		return nil, err
 	}

@@ -164,6 +164,14 @@ func (a *Arena) Steps(n int) []Step {
 	return a.steps.carve(n)
 }
 
+// newStage returns a zeroed stage in the arena.
+func newStage(a *Arena) *Stage {
+	if a == nil {
+		return new(Stage)
+	}
+	return &a.stages.carve(1)[0]
+}
+
 // newIters returns n zeroed loops in the arena.
 func newIters(a *Arena, n int) []Iter {
 	if a == nil {

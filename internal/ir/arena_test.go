@@ -13,8 +13,8 @@ import (
 )
 
 // arenaPrograms is a handful of step lists over one DAG: tiled and fused, with
-// fuses (spill growth), a split and a reorder (the carving steps), and the
-// stage-inserting steps that stay on the heap.
+// fuses (spill growth), a split and a reorder (the carving steps), and a
+// stage-inserting cache write, whose stage and loops are carved too.
 func arenaPrograms() [][]Step {
 	tile := &MultiLevelTileStep{Stage: "matmul", Structure: "SSRSRS",
 		SpaceFactors: [][]int{{4, 2, 2}, {2, 4, 2}}, ReduceFactors: [][]int{{8}}}

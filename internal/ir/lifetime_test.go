@@ -20,6 +20,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/sketch"
+	"repro/internal/te"
 	"repro/internal/workloads"
 )
 
@@ -294,6 +295,85 @@ func TestPoisonedSearchRun(t *testing.T) {
 			t.Errorf("Workers %d evolved another result than Workers 1", workers)
 		}
 	}
+}
+
+// TestPoisonedEncodedReplays is the fleet worker's path on borrowed
+// memory: sampled programs of a batched matmul, whose cache-write steps
+// carve the stage they insert and its loops from the arena, and of a
+// norm, whose rfactor steps do too, replayed from their step bytes into
+// one arena, each program's memory given back before the next
+// (ReplayEncoded, Mark, Rewind). Every program must print, lower and time
+// as the heap replay of its steps does, poisoned or not.
+func TestPoisonedEncodedReplays(t *testing.T) {
+	for _, key := range []string{"GMM.s1", "NRM.s0"} {
+		var dag *te.DAG
+		for _, w := range workloads.SingleOps(1) {
+			if w.Key == key {
+				dag = w.Build()
+			}
+		}
+		sketches, err := sketch.NewGenerator(sketch.CPUTarget()).Generate(dag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := anno.NewSampler(sketch.CPUTarget(), 5).SamplePopulation(sketches, 16)
+		inserting := 0
+		var want string
+		encs := make([][]byte, len(progs))
+		for i, s := range progs {
+			for _, st := range s.Steps {
+				switch st.(type) {
+				case *ir.CacheWriteStep, *ir.RFactorStep:
+					inserting++
+				}
+			}
+			if encs[i], err = ir.EncodeSteps(s.Steps); err != nil {
+				t.Fatal(err)
+			}
+			heap, err := ir.Replay(dag, s.Steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += timed(t, heap)
+		}
+		if inserting == 0 {
+			t.Fatalf("%s: no sampled program inserts a stage", key)
+		}
+		plain, poisoned := twice(t, func(t *testing.T) string {
+			a := ir.BorrowArena()
+			defer a.Release()
+			out := ""
+			for _, enc := range encs {
+				m := a.Mark()
+				s, err := a.ReplayEncoded(dag, enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !s.InArena() {
+					t.Fatal("an encoded replay into an arena is the heap's")
+				}
+				out += timed(t, s)
+				a.Rewind(m)
+			}
+			return out
+		})
+		sameTranscripts(t, key+" encoded replays", plain, poisoned)
+		if plain != want {
+			t.Errorf("%s: arena replays read\n%s\nheap replays\n%s", key, plain, want)
+		}
+	}
+}
+
+// timed is what a worker reads of a program: its signature, nest and
+// modelled time.
+func timed(t *testing.T, s *ir.State) string {
+	t.Helper()
+	low, err := ir.LowerBorrowed(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer low.Release()
+	return fmt.Sprintf("%s %016x\n%s", s.Signature(), math.Float64bits(sim.IntelXeon().Time(low)), s.Print())
 }
 
 // TestPoisonedBatchClonesKeepTheirSteps is what Clone detaches: a

@@ -285,12 +285,8 @@ func newStateSlabs(a *Arena, dag *te.DAG, nStages, nIters int) (*State, []Stage,
 // InArena reports whether the state lives in borrowed memory.
 func (s *State) InArena() bool { return s.arena != nil }
 
-// naiveIters fills dst (one slot per axis; allocated when nil) with the
-// node's naive nest.
+// naiveIters fills dst, one slot per axis, with the node's naive nest.
 func naiveIters(dst []Iter, n *te.Node) []Iter {
-	if dst == nil {
-		dst = make([]Iter, n.NumAxes())
-	}
 	for i := range dst {
 		a := n.Axis(i)
 		dst[i] = plainIter(a.Extent, a.Kind, i, 0, 0)

@@ -658,10 +658,12 @@ func (st *CacheWriteStep) Apply(s *State) error {
 		Flops:     te.FlopCount{},
 	}
 	orig.Node = copyNode
-	orig.Iters = naiveIters(nil, copyNode)
+	orig.Iters = naiveIters(newIters(s.arena, copyNode.NumAxes()), copyNode)
 	orig.TiledSpaceLevels = 0
-	s.Stages = slices.Insert(s.Stages, idx,
-		&Stage{Name: cacheNode.Name, Node: cacheNode, Kind: StageCache, Iters: naiveIters(nil, cacheNode)})
+	cache := newStage(s.arena)
+	*cache = Stage{Name: cacheNode.Name, Node: cacheNode, Kind: StageCache,
+		Iters: naiveIters(newIters(s.arena, cacheNode.NumAxes()), cacheNode)}
+	s.Stages = slices.Insert(s.Stages, idx, cache)
 	return nil
 }
 
@@ -757,8 +759,9 @@ func (st *RFactorStep) Apply(s *State) error {
 	// rf stage loop order: space..., other reduces..., ro, ri — the new
 	// space axis ri is innermost so it can be vectorized (Figure 5,
 	// sampled program 4).
-	rfStage := &Stage{Name: rfNode.Name, Node: rfNode, Kind: StageRFactor,
-		Iters: make([]Iter, 0, rfNode.NumAxes())}
+	rfStage := newStage(s.arena)
+	*rfStage = Stage{Name: rfNode.Name, Node: rfNode, Kind: StageRFactor,
+		Iters: newIters(s.arena, rfNode.NumAxes())[:0]}
 	for i, a := range n.SpaceAxes {
 		rfStage.Iters = append(rfStage.Iters, plainIter(a.Extent, te.Space, i, 0, 0))
 	}
@@ -784,7 +787,7 @@ func (st *RFactorStep) Apply(s *State) error {
 		Flops:      te.FlopCount{AddF: 1},
 	}
 	orig.Node = finalNode
-	orig.Iters = naiveIters(nil, finalNode)
+	orig.Iters = naiveIters(newIters(s.arena, finalNode.NumAxes()), finalNode)
 	orig.TiledSpaceLevels = 0
 	s.Stages = slices.Insert(s.Stages, idx, rfStage)
 	return nil

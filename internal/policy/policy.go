@@ -119,6 +119,7 @@ type Policy struct {
 	sketches []*ir.State
 	sampler  *anno.Sampler
 	model    *xgb.CostModel
+	src      *anno.Source
 	rng      *rand.Rand
 	pool     *pool.Pool
 
@@ -194,6 +195,7 @@ func New(task Task, opts Options, ms *measure.Measurer) (*Policy, error) {
 	}
 	mopts := xgb.DefaultOpts()
 	mopts.Workers = opts.Workers
+	src := anno.BorrowSource(opts.Seed ^ 0x5eed)
 	return &Policy{
 		Task:     task,
 		Opts:     opts,
@@ -201,7 +203,8 @@ func New(task Task, opts Options, ms *measure.Measurer) (*Policy, error) {
 		sketches: sketches,
 		sampler:  sampler,
 		model:    xgb.NewCostModel(mopts),
-		rng:      rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
+		src:      src,
+		rng:      rand.New(src.Source64),
 		pool:     pool.New(opts.Workers),
 		feats:    feat.NewCache(1 << 16),
 		measured: map[ir.SigID]bool{},
@@ -616,10 +619,15 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 	return n, first
 }
 
-// Release hands the feature cache's memory back once the search is over.
-// The policy must not propose or commit again (the cache panics); what it
-// reports, its training data and ModelFingerprint stay valid.
-func (p *Policy) Release() { p.feats.Release() }
+// Release hands the feature cache's memory and the random sources back
+// once the search is over. The policy must not propose or commit again
+// (the cache panics); what it reports, its training data and
+// ModelFingerprint stay valid.
+func (p *Policy) Release() {
+	p.feats.Release()
+	p.sampler.Release()
+	p.src.Release()
+}
 
 // ModelFingerprint hashes the cost-model ensemble trained on everything
 // absorbed so far, fitting it first if it is stale; equal fingerprints

@@ -116,12 +116,16 @@ gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 # hand from one cache to the next (poisoned in between), evolution's
 # tables and the score memos, which the proposals two tasks prepare at
 # once borrow from one free list each (poisoned on the way back), the
-# recorder, whose goroutines share one line buffer, and the cost model's
-# trainers, which two models training at once borrow from one free list.
+# recorder, whose goroutines share one line buffer, the cost model's
+# trainers, which two models training at once borrow from one free list,
+# the random sources samplers and policies reseed, and the fleet's
+# request memory — job bodies held by a count, lease and results
+# requests, replies — poisoned on the way back under the chaos agents
+# and a lease that expires while its grant is still being written.
 # Ten times, because an arena, a signature table, a scratch, a chunk, a
-# table set, a scorer or a trainer handed to two goroutines, or read
-# after its release, shows only when another borrower has reused it in
-# between.
+# table set, a scorer, a trainer, a source or a buffer handed to two
+# goroutines, or read after its release, shows only when another
+# borrower has reused it in between.
 step "race: borrowed program memory (x10)"
 gated TestFreeList ./internal/pool/ -race -count=10
 gated 'TestPoisoned|TestArena' ./internal/ir/ -race -count=10
@@ -131,6 +135,8 @@ gated TestMeasureBorrowedLoweringAcrossWorkers ./internal/measure/ -race -count=
 gated 'TestExtractConcurrentMatchesSerial|TestCacheConcurrentLookups|TestReusedChunksMatchFresh' ./internal/feat/ -race -count=10
 gated TestRecorderConcurrentLinesIntact ./internal/measure/ -race -count=10
 gated TestConcurrentTrainingMatchesSerial ./internal/xgb/ -race -count=10
+gated TestReusedSourceDrawsAsFresh ./internal/anno/ -race -count=10
+gated TestPoisoned ./internal/fleet/ -race -count=10
 
 # The registry service is a shared mutable store serving concurrent
 # publishers and readers: its whole suite runs under the race detector,
