@@ -273,7 +273,6 @@ func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 	ms := sess.Measurer(task.Target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
 	popts := policy.DefaultOptions()
 	popts.Seed = opts.Seed
-	popts.Workers = opts.Workers
 	pol, err := policy.New(policy.Task{
 		Name: task.Name, DAG: task.DAG, Target: task.Target.Space, Weight: task.Weight,
 	}, popts, ms)
@@ -326,44 +325,52 @@ func (t *Tuner) Tune() (Program, error) {
 
 // ApplyBest replays the best recorded schedule for this task from the
 // options' ApplyHistoryBest source (log/registry file or registry
-// server URL) without spending any measurement. A server source is
-// queried per key (/v1/best) instead of downloading the full snapshot —
-// the client rides the server's encoded-response cache and conditional
-// GETs, so a fleet of consumers applying unchanged schedules costs the
-// server ~0 bytes per answer. The served record is byte-identical to
-// the snapshot path's (the server stores records verbatim).
+// server URL, see bestLookup) without spending any measurement.
 func (t *Tuner) ApplyBest() (Program, error) {
-	s, sec, err := applyBestFrom(t.opts.ApplyHistoryBest, t.task.Name, t.task.Target.Machine.Name, t.task.DAG)
+	target := t.task.Target.Machine.Name
+	lookup, err := bestLookup(t.opts.ApplyHistoryBest, target)
 	if err != nil {
 		return Program{}, err
 	}
-	low, err := ir.Lower(s)
+	rec, ok, err := lookup(t.task.Name, t.task.DAG)
 	if err != nil {
 		return Program{}, fmt.Errorf("ansor: apply history best: %w", err)
 	}
-	return Program{State: s, Seconds: sec, GFLOPS: low.TotalFlops() / sec / 1e9}, nil
+	if !ok {
+		return Program{}, fmt.Errorf("ansor: apply history best: no schedule recorded for workload %q (this shape) on target %q",
+			t.task.Name, target)
+	}
+	s, err := rec.Replay(t.task.DAG)
+	if err != nil {
+		return Program{}, fmt.Errorf("ansor: apply history best: replay %q on %q: %w", t.task.Name, target, err)
+	}
+	return program(s, rec.Seconds)
 }
 
-// applyBestFrom resolves one task's best schedule from an
-// ApplyHistoryBest source: per-key server query for URLs, local
-// registry load for files.
-func applyBestFrom(src, workload, target string, dag *te.DAG) (*ir.State, float64, error) {
+// bestLookup resolves an ApplyHistoryBest source to a lookup of the best
+// record on the target, keyed by the task's name and exact computation
+// fingerprint, so a record tuned for another shape (e.g. a different
+// batch size under the same task name) is never served. A file is loaded
+// once. A server is asked per key (/v1/best) instead of downloading the
+// full snapshot: each lookup rides the server's encoded-response cache,
+// and the client's validator cache turns repeat applications into
+// conditional GETs. The served record is byte-identical to the snapshot
+// path's (the server stores records verbatim).
+func bestLookup(src, target string) (func(name string, dag *DAG) (measure.Record, bool, error), error) {
 	if regserver.IsURL(src) {
-		s, sec, err := regserver.NewClient(src).ApplyBest(workload, target, dag)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ansor: apply history best: %w", err)
-		}
-		return s, sec, nil
+		cl := regserver.NewClient(src)
+		return func(name string, dag *DAG) (measure.Record, bool, error) {
+			return cl.BestFor(name, target, dag)
+		}, nil
 	}
 	reg, err := regserver.LoadRegistry(src)
 	if err != nil {
-		return nil, 0, fmt.Errorf("ansor: apply history best: %w", err)
+		return nil, fmt.Errorf("ansor: apply history best: %w", err)
 	}
-	s, sec, err := reg.ApplyBest(workload, target, dag)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ansor: %w", err)
-	}
-	return s, sec, nil
+	return func(name string, dag *DAG) (measure.Record, bool, error) {
+		rec, ok := reg.BestFor(name, target, dag)
+		return rec, ok, nil
+	}, nil
 }
 
 // Best returns the best program measured so far.
@@ -371,15 +378,17 @@ func (t *Tuner) Best() (Program, error) {
 	if t.pol.BestState == nil {
 		return Program{}, fmt.Errorf("ansor: no valid program measured for task %q", t.task.Name)
 	}
-	low, err := ir.Lower(t.pol.BestState)
+	return program(t.pol.BestState, t.pol.BestTime)
+}
+
+// program is s at its measured time, with the throughput its lowered
+// loops give at that time.
+func program(s *ir.State, sec float64) (Program, error) {
+	low, err := ir.Lower(s)
 	if err != nil {
-		return Program{}, err
+		return Program{}, fmt.Errorf("ansor: %w", err)
 	}
-	return Program{
-		State:   t.pol.BestState,
-		Seconds: t.pol.BestTime,
-		GFLOPS:  low.TotalFlops() / t.pol.BestTime / 1e9,
-	}, nil
+	return Program{State: s, Seconds: sec, GFLOPS: low.TotalFlops() / sec / 1e9}, nil
 }
 
 // Trials returns the number of measurements spent so far.
@@ -451,39 +460,29 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	defer sess.Close() // for the error returns; the run's own Close is below
 	obsv := sess.Observer()
 	ms := sess.Measurer(target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
-	var tuners []sched.Tuner
-	var dnn sched.DNN
-	dnn.Name = net.Name
-	pols := make([]*policy.Scheduled, 0, len(net.Tasks))
-	defer func() {
-		for _, p := range pols {
-			p.Release() // once the results are read: nothing proposes again
-		}
-	}()
-	for i, task := range net.Tasks {
-		popts := policy.DefaultOptions()
-		popts.Seed = opts.Seed + int64(i)*31
-		popts.Workers = opts.Workers
-		dag := task.Build()
-		p, err := policy.New(policy.Task{
-			Name: task.Name, DAG: dag, Target: target.Space, Weight: task.Weight,
-		}, popts, ms)
-		if err != nil {
-			return NetworkResult{}, fmt.Errorf("ansor: task %s: %w", task.Name, err)
-		}
-		p.Obs = obsv
-		if err := sess.WarmStart(p, target.Machine.Name); err != nil {
-			return NetworkResult{}, fmt.Errorf("ansor: %w", err)
-		}
-		obsv.Emit(obs.Event{Type: obs.EvTaskStart, Task: task.Name,
-			Target: target.Machine.Name, Trials: opts.Trials})
-		pols = append(pols, p.Scheduled(opts.MeasuresPerRound, task.Tag))
-		tuners = append(tuners, pols[i])
-		dnn.Tasks = append(dnn.Tasks, i)
-		dnn.Weights = append(dnn.Weights, float64(task.Weight))
+	run, err := policy.NewNetwork([]Network{net}, opts.MeasuresPerRound, schedOptions(opts), obsv,
+		func(i int, task NetworkTask) (*policy.Policy, error) {
+			popts := policy.DefaultOptions()
+			popts.Seed = opts.Seed + int64(i)*31
+			p, err := policy.New(policy.Task{
+				Name: task.Name, DAG: task.Build(), Target: target.Space, Weight: task.Weight,
+			}, popts, ms)
+			if err != nil {
+				return nil, fmt.Errorf("ansor: task %s: %w", task.Name, err)
+			}
+			p.Obs = obsv
+			if err := sess.WarmStart(p, target.Machine.Name); err != nil {
+				p.Release()
+				return nil, fmt.Errorf("ansor: %w", err)
+			}
+			obsv.Emit(obs.Event{Type: obs.EvTaskStart, Task: task.Name,
+				Target: target.Machine.Name, Trials: opts.Trials})
+			return p, nil
+		})
+	if err != nil {
+		return NetworkResult{}, err
 	}
-	s := sched.New(tuners, []sched.DNN{dnn}, schedOptions(opts))
-	s.Obs = obsv
+	defer run.Release() // once the results are read: nothing proposes again
 	// A resumed run re-executes from round one with cached measurements;
 	// the checkpoint written by the interrupted run lets us VERIFY the
 	// replay passed through exactly the recorded state instead of
@@ -503,34 +502,24 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 			verifyAgainst = prevSched
 		}
 	}
-	units := opts.Trials * len(tuners) / opts.MeasuresPerRound
-	if units < len(tuners) {
-		units = len(tuners)
-	}
-	s.Run(units)
-	for _, p := range pols {
-		p.Abandon() // a task prepared on a guess the scheduler never confirmed
-	}
+	run.Run(opts.Trials, nil)
 	if verifyAgainst != nil {
-		if err := s.VerifyReplay(verifyAgainst); err != nil {
+		if err := run.Sched.VerifyReplay(verifyAgainst); err != nil {
 			return NetworkResult{}, fmt.Errorf("ansor: resume %s: replay diverged from checkpoint (options, workload, or log drift): %w",
 				opts.CheckpointPath, err)
 		}
 	}
 	if opts.CheckpointPath != "" {
-		if err := writeCheckpoint(opts.CheckpointPath, meta, s); err != nil {
+		if err := writeCheckpoint(opts.CheckpointPath, meta, run.Sched); err != nil {
 			return NetworkResult{}, err
 		}
 	}
-	res := NetworkResult{TaskLatencies: map[string]float64{}, Trials: ms.Trials()}
-	g := make([]float64, len(pols))
-	for i, t := range pols {
-		g[i] = t.BestLatency()
-		res.TaskLatencies[net.Tasks[i].Name] = g[i]
-		obsv.Emit(obs.Event{Type: obs.EvTaskEnd, Task: net.Tasks[i].Name,
-			Target: target.Machine.Name, Seconds: g[i], Trials: pols[i].Trials})
+	res := NetworkResult{Latency: run.Latencies()[0], TaskLatencies: map[string]float64{}, Trials: ms.Trials()}
+	for _, t := range run.Tasks {
+		res.TaskLatencies[t.Name()] = t.BestLatency()
+		obsv.Emit(obs.Event{Type: obs.EvTaskEnd, Task: t.Name(),
+			Target: target.Machine.Name, Seconds: t.BestLatency(), Trials: t.Trials})
 	}
-	res.Latency = dnn.Latency(g)
 	if math.IsInf(res.Latency, 1) {
 		return res, fmt.Errorf("ansor: some tasks were never measured; increase Trials")
 	}
@@ -545,34 +534,16 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 // applyNetworkBest serves a whole network's latencies from the registry
 // with zero measurement trials. Every unique subgraph must have a
 // recorded schedule; missing tasks are reported by name so the caller
-// knows what still needs tuning. A server source is queried per task
-// (/v1/best) instead of snapshotting the whole fleet database: each
-// lookup rides the server's encoded-response cache, and the client's
-// validator cache turns repeat applications into conditional GETs.
+// knows what still needs tuning.
 func applyNetworkBest(net Network, target Target, path string) (NetworkResult, error) {
-	var lookup func(name string, dag *DAG) (measure.Record, bool, error)
-	if regserver.IsURL(path) {
-		cl := regserver.NewClient(path)
-		lookup = func(name string, dag *DAG) (measure.Record, bool, error) {
-			return cl.BestFor(name, target.Machine.Name, dag)
-		}
-	} else {
-		reg, err := regserver.LoadRegistry(path)
-		if err != nil {
-			return NetworkResult{}, fmt.Errorf("ansor: apply history best: %w", err)
-		}
-		lookup = func(name string, dag *DAG) (measure.Record, bool, error) {
-			rec, ok := reg.BestFor(name, target.Machine.Name, dag)
-			return rec, ok, nil
-		}
+	lookup, err := bestLookup(path, target.Machine.Name)
+	if err != nil {
+		return NetworkResult{}, err
 	}
 	res := NetworkResult{TaskLatencies: map[string]float64{}}
 	var missing []string
 	for _, task := range net.Tasks {
 		dag := task.Build()
-		// The lookup keys on the task's exact computation fingerprint, so
-		// a record tuned for another shape (e.g. a different batch size
-		// under the same task name) is never served.
 		rec, ok, err := lookup(task.Name, dag)
 		if err != nil {
 			return NetworkResult{}, fmt.Errorf("ansor: apply history best: task %s: %w", task.Name, err)

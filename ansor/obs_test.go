@@ -111,14 +111,50 @@ func TestPhaseEventsCoverPprofPhases(t *testing.T) {
 // intentional schema or taxonomy change.
 func TestGoldenEventStream(t *testing.T) {
 	task := fleetTask(t)
+	o, sink := fakeClockObserver()
+	runFleetTune(t, task, TuningOptions{Trials: 8, MeasuresPerRound: 4, Seed: 3, Workers: 1, Observer: o})
+	checkGoldenEvents(t, sink, "events_golden.jsonl")
+}
+
+// TestGoldenNetworkEventStream pins a two-task TuneNetwork run the same
+// way: task starts while the tasks are built, the scheduler's warm-up
+// and gradient waves, every round of both tasks, and the task ends after
+// the run, in that order. Regenerate with `go test ./ansor -run
+// GoldenNetworkEventStream -update-golden`.
+func TestGoldenNetworkEventStream(t *testing.T) {
+	mm := fleetTask(t)
+	b := NewComputeBuilder("matmul")
+	b.Matmul(b.Input("A", 128, 128), 128, false)
+	small, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := Network{Name: "two", Tasks: []NetworkTask{
+		{Name: "mm", Weight: 2, Tag: "matmul", Build: func() *DAG { return mm.DAG }},
+		{Name: "mm-small", Weight: 1, Tag: "matmul", Build: func() *DAG { return small }},
+	}}
+	o, sink := fakeClockObserver()
+	if _, err := TuneNetwork(net, mm.Target, TuningOptions{Trials: 8, MeasuresPerRound: 4, Seed: 3, Workers: 1, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenEvents(t, sink, "events_network_golden.jsonl")
+}
+
+// fakeClockObserver returns an observer collecting into a fresh
+// MemorySink whose clock ticks one millisecond a reading.
+func fakeClockObserver() (*obs.Observer, *obs.MemorySink) {
 	sink := &obs.MemorySink{}
-	o := &obs.Observer{
+	return &obs.Observer{
 		Events:  sink,
 		Metrics: obs.NewRegistry(),
 		Clock:   obs.FakeClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC), time.Millisecond),
-	}
-	runFleetTune(t, task, TuningOptions{Trials: 8, MeasuresPerRound: 4, Seed: 3, Workers: 1, Observer: o})
+	}, sink
+}
 
+// checkGoldenEvents encodes the sink's events as JSONL and compares them
+// with testdata/name byte for byte (or rewrites it under -update-golden).
+func checkGoldenEvents(t *testing.T, sink *obs.MemorySink, name string) {
+	t.Helper()
 	var got bytes.Buffer
 	for _, e := range sink.Events() {
 		line, err := e.Encode()
@@ -137,7 +173,7 @@ func TestGoldenEventStream(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "events_golden.jsonl")
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

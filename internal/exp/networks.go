@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/baselines"
-	"repro/internal/measure"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workloads"
@@ -53,65 +52,41 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	variant NetVariant, trialsPerTask int) NetTuneResult {
 	ms := cfg.measurer(plat.Machine, cfg.Seed)
 
-	mk := func(task policy.Task, m *measure.Measurer, seed int64) (*policy.Policy, error) {
-		switch variant {
-		case VariantNoFineTuning:
-			return baselines.NewNoFineTuning(task, m, seed)
-		case VariantLimitedSpace:
-			return baselines.NewLimitedSpace(task, m, seed)
-		case VariantAutoTVM:
-			return baselines.NewAutoTVM(task, m, seed)
-		default:
-			return baselines.NewAnsor(task, m, seed)
-		}
-	}
-
-	// Deduplicate tasks across networks by name (§6: "a subgraph can
-	// also appear multiple times in a DNN or across different DNNs").
-	taskIndex := map[string]int{}
-	var pols []*policy.Scheduled
-	var tuners []sched.Tuner
-	var dnns []sched.DNN
-	for _, net := range nets {
-		d := sched.DNN{Name: net.Name}
-		for _, task := range net.Tasks {
-			index, ok := taskIndex[task.Name]
-			if !ok {
-				p, err := mk(policy.Task{
-					Name: task.Name, DAG: task.Build(), Target: plat.Target, Weight: task.Weight,
-				}, ms, cfg.Seed+int64(len(tuners))*31)
-				if err != nil {
-					panic(err)
-				}
-				p.Obs = cfg.Session.Observer()
-				// Only the full-space Ansor variants warm-start; the
-				// restricted ablation variants stay cold baselines.
-				if variant == VariantAnsor || variant == VariantNoTaskScheduler {
-					cfg.warmStart(p, plat.Machine.Name)
-				}
-				index = len(tuners)
-				taskIndex[task.Name] = index
-				pols = append(pols, p.Scheduled(cfg.PerRound, task.Tag))
-				tuners = append(tuners, pols[index])
-			}
-			d.Tasks = append(d.Tasks, index)
-			d.Weights = append(d.Weights, float64(task.Weight))
-		}
-		dnns = append(dnns, d)
+	newPolicy := baselines.NewAnsor
+	switch variant {
+	case VariantNoFineTuning:
+		newPolicy = baselines.NewNoFineTuning
+	case VariantLimitedSpace:
+		newPolicy = baselines.NewLimitedSpace
+	case VariantAutoTVM:
+		newPolicy = baselines.NewAutoTVM
 	}
 
 	opts := sched.DefaultOptions()
 	opts.Seed = cfg.Seed
 	opts.Workers = cfg.Workers
 	opts.RoundRobin = variant == VariantNoTaskScheduler || variant == VariantAutoTVM
-
-	s := sched.New(tuners, dnns, opts)
-	s.Obs = cfg.Session.Observer()
-
-	totalUnits := trialsPerTask * len(tuners) / cfg.PerRound
-	if totalUnits < len(tuners) {
-		totalUnits = len(tuners)
+	run, err := policy.NewNetwork(nets, cfg.PerRound, opts, cfg.Session.Observer(),
+		func(i int, task workloads.NetTask) (*policy.Policy, error) {
+			p, err := newPolicy(policy.Task{
+				Name: task.Name, DAG: task.Build(), Target: plat.Target, Weight: task.Weight,
+			}, ms, cfg.Seed+int64(i)*31)
+			if err != nil {
+				return nil, err
+			}
+			p.Obs = cfg.Session.Observer()
+			// Only the full-space Ansor variants warm-start; the
+			// restricted ablation variants stay cold baselines.
+			if variant == VariantAnsor || variant == VariantNoTaskScheduler {
+				cfg.warmStart(p, plat.Machine.Name)
+			}
+			return p, nil
+		})
+	if err != nil {
+		panic(err)
 	}
+	defer run.Release()
+
 	res := NetTuneResult{}
 	for _, net := range nets {
 		res.Networks = append(res.Networks, net.Name)
@@ -121,38 +96,15 @@ func TuneNetworks(nets []workloads.Network, plat Platform, cfg Config,
 	// x-axis of the tuning curve.
 	policyTrials := func() int {
 		n := 0
-		for _, p := range pols {
+		for _, p := range run.Tasks {
 			n += p.Trials
 		}
 		return n
 	}
-	// Step wave by wave to record the curve: warm-up and round-robin
-	// waves keep their internal parallelism, and wave boundaries depend
-	// only on scheduler state, so the curve is identical for any worker
-	// count.
-	for s.Step(totalUnits) > 0 {
-		lats := make([]float64, len(dnns))
-		g := make([]float64, len(tuners))
-		for i, t := range tuners {
-			g[i] = t.BestLatency()
-		}
-		for j, d := range dnns {
-			lats[j] = d.Latency(g)
-		}
-		res.Curve = append(res.Curve, NetCurvePoint{Trials: policyTrials(), Latencies: lats})
-	}
-	for _, p := range pols {
-		p.Abandon() // a task prepared on a guess the scheduler never confirmed
-		p.Release()
-	}
-	if len(res.Curve) > 0 {
-		res.Latencies = res.Curve[len(res.Curve)-1].Latencies
-	} else {
-		res.Latencies = make([]float64, len(dnns))
-		for i := range res.Latencies {
-			res.Latencies[i] = math.Inf(1)
-		}
-	}
+	run.Run(trialsPerTask, func() {
+		res.Curve = append(res.Curve, NetCurvePoint{Trials: policyTrials(), Latencies: run.Latencies()})
+	})
+	res.Latencies = run.Latencies()
 	res.Trials = ms.Trials()
 	res.PolicyTrials = policyTrials()
 	return res

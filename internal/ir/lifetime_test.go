@@ -201,11 +201,12 @@ func TestPoisonedProposalHeldAcrossRounds(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	rig := func(seed int64, log *bytes.Buffer) *policy.Policy {
 		ms := measure.New(sim.IntelXeon(), 0.02, 2)
+		ms.Workers = 2
 		if log != nil {
 			ms.Recorder = measure.NewRecorder(log)
 		}
 		opts := policy.DefaultOptions()
-		opts.Seed, opts.Workers = seed, 2
+		opts.Seed = seed
 		p, err := policy.New(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
 		if err != nil {
 			t.Fatal(err)
@@ -446,11 +447,12 @@ func TestPoisonedSigTablesReadersKeepTheirStrings(t *testing.T) {
 	dag := workloads.ResNet50(1).Tasks[2].Build()
 	rig := func(seed int64, log *bytes.Buffer, o *obs.Observer) *policy.Policy {
 		ms := measure.New(sim.IntelXeon(), 0.02, 2)
+		ms.Workers = 2
 		if log != nil {
 			ms.Recorder = measure.NewRecorder(log)
 		}
 		opts := policy.DefaultOptions()
-		opts.Seed, opts.Workers = seed, 2
+		opts.Seed = seed
 		p, err := policy.New(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 
@@ -201,25 +200,4 @@ func (l *Log) Compact(topK int) *Log {
 // Replay rebuilds the record's program on the given DAG, on the heap.
 func (rec Record) Replay(dag *te.DAG) (*ir.State, error) {
 	return (*ir.Arena)(nil).ReplayEncoded(dag, rec.Steps)
-}
-
-// BestFor returns the fastest recorded program for a task, replayed on
-// the DAG.
-func (l *Log) BestFor(task string, dag *te.DAG) (*ir.State, float64, error) {
-	best := math.Inf(1)
-	idx := -1
-	for i, rec := range l.Records {
-		if rec.Task == task && rec.Seconds < best {
-			best = rec.Seconds
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil, 0, fmt.Errorf("measure: no records for task %q", task)
-	}
-	s, err := l.Records[idx].Replay(dag)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, best, nil
 }

@@ -187,8 +187,8 @@ func TestEpsDuplicateDrawsAreNarration(t *testing.T) {
 		var log bytes.Buffer
 		ms := measure.New(sim.IntelXeon(), 0.02, 1)
 		ms.Recorder = measure.NewRecorder(&log)
+		ms.Workers = 2
 		opts := DefaultOptions()
-		opts.Workers = 2
 		p, err := New(Task{Name: "nrm", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
 		if err != nil {
 			t.Fatal(err)

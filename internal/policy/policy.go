@@ -77,11 +77,6 @@ type Options struct {
 	// template baselines.
 	FixedAnnotation bool
 	Seed            int64
-	// Workers bounds the goroutines used for candidate scoring, evolution
-	// and cost-model training (0 = inherit the measurer's setting, which
-	// itself defaults to GOMAXPROCS). Search results are bit-identical
-	// for any value.
-	Workers int
 }
 
 // DefaultOptions returns the configuration used in the evaluation.
@@ -190,11 +185,15 @@ func New(task Task, opts Options, ms *measure.Measurer) (*Policy, error) {
 	}
 	sampler := anno.NewSampler(target, opts.Seed)
 	sampler.Fixed = opts.FixedAnnotation
-	if opts.Workers == 0 && ms != nil {
-		opts.Workers = ms.Workers
+	// Scoring, evolution and cost-model training run on the measurer's
+	// worker setting (0 = GOMAXPROCS); search results are bit-identical
+	// for any value.
+	workers := 0
+	if ms != nil {
+		workers = ms.Workers
 	}
 	mopts := xgb.DefaultOpts()
-	mopts.Workers = opts.Workers
+	mopts.Workers = workers
 	src := anno.BorrowSource(opts.Seed ^ 0x5eed)
 	return &Policy{
 		Task:     task,
@@ -205,7 +204,7 @@ func New(task Task, opts Options, ms *measure.Measurer) (*Policy, error) {
 		model:    xgb.NewCostModel(mopts),
 		src:      src,
 		rng:      rand.New(src.Source64),
-		pool:     pool.New(opts.Workers),
+		pool:     pool.New(workers),
 		feats:    feat.NewCache(1 << 16),
 		measured: map[ir.SigID]bool{},
 		BestTime: 1e30,
@@ -334,7 +333,7 @@ func (p *Policy) Propose(numMeasure int) {
 			CrossoverProb:  0.15,
 			EliteCount:     population / 8,
 			Seed:           p.rng.Int63(),
-			Workers:        p.Opts.Workers,
+			Workers:        p.model.Opts.Workers, // the measurer's, as for the pool
 		})
 		p.phase("evolve", func() {
 			candidates, releaseEvolved = search.RunBorrowed(p.Task.DAG, init, sc, 4*numMeasure)

@@ -25,9 +25,9 @@ func newProposeRig(t *testing.T, o *obs.Observer) *proposeRig {
 	t.Helper()
 	r := &proposeRig{ms: measure.New(sim.IntelXeon(), 0.02, 5), log: &bytes.Buffer{}}
 	r.ms.Recorder = measure.NewRecorder(r.log)
+	r.ms.Workers = 2
 	opts := DefaultOptions()
 	opts.Seed = 5
-	opts.Workers = 2
 	p, err := New(Task{Name: "mm", DAG: matmulReLU(256, 256, 256), Target: sketch.CPUTarget()}, opts, r.ms)
 	if err != nil {
 		t.Fatal(err)

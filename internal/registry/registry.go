@@ -15,13 +15,11 @@
 package registry
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/te"
 )
@@ -201,21 +199,6 @@ func (r *Registry) Best(workload, target, dag string) (measure.Record, bool) {
 // BestFor is Best keyed by the computation itself.
 func (r *Registry) BestFor(workload, target string, dag *te.DAG) (measure.Record, bool) {
 	return r.Best(workload, target, measure.DAGFingerprint(dag))
-}
-
-// ApplyBest replays the best schedule for the workload's computation on
-// the target, returning the program and its recorded time without
-// spending any measurement trial.
-func (r *Registry) ApplyBest(workload, target string, dag *te.DAG) (*ir.State, float64, error) {
-	rec, ok := r.BestFor(workload, target, dag)
-	if !ok {
-		return nil, 0, fmt.Errorf("registry: no schedule recorded for workload %q (this shape) on target %q", workload, target)
-	}
-	s, err := rec.Replay(dag)
-	if err != nil {
-		return nil, 0, fmt.Errorf("registry: replay %q on %q: %w", workload, target, err)
-	}
-	return s, rec.Seconds, nil
 }
 
 // Len returns the number of keys with a best entry.

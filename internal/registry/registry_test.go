@@ -64,20 +64,24 @@ func TestRegistryApplyBestReplays(t *testing.T) {
 	l := measuredLog(t, dag)
 	r := New()
 	r.AddLog(l)
-	s, sec, err := r.ApplyBest("mm", l.Records[0].Target, dag)
+	rec, ok := r.BestFor("mm", l.Records[0].Target, dag)
+	if !ok {
+		t.Fatal("no best record for a logged workload")
+	}
+	s, err := rec.Replay(dag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || sec <= 0 {
+	if s == nil || rec.Seconds <= 0 {
 		t.Fatal("bad replayed best")
 	}
 	// Replayed program re-measures to the recorded time (noise-free).
 	got := measure.New(sim.IntelXeon(), 0, 1).Measure([]*ir.State{s})[0]
-	if got.Seconds != sec {
-		t.Errorf("replayed best measures %g, recorded %g", got.Seconds, sec)
+	if got.Seconds != rec.Seconds {
+		t.Errorf("replayed best measures %g, recorded %g", got.Seconds, rec.Seconds)
 	}
-	if _, _, err := r.ApplyBest("absent", "x", dag); err == nil {
-		t.Error("missing workload should error")
+	if _, ok := r.BestFor("absent", "x", dag); ok {
+		t.Error("missing workload has a best record")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 // benchRegistry tunes one small task for real and returns the registry
-// holding its best schedule, so both ApplyBest paths replay a genuine
+// holding its best schedule, so both apply-best paths replay a genuine
 // program.
 func benchRegistry(b *testing.B) (*registry.Registry, ansor.Task) {
 	b.Helper()
@@ -63,7 +63,11 @@ func BenchmarkApplyBest(b *testing.B) {
 
 	b.Run("source=inprocess", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := reg.ApplyBest(task.Name, target, task.DAG); err != nil {
+			rec, ok := reg.BestFor(task.Name, target, task.DAG)
+			if !ok {
+				b.Fatal("no best record")
+			}
+			if _, err := rec.Replay(task.DAG); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +79,11 @@ func BenchmarkApplyBest(b *testing.B) {
 		cl := regserver.NewClient(hs.URL)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cl.ApplyBest(task.Name, target, task.DAG); err != nil {
+			rec, ok, err := cl.BestFor(task.Name, target, task.DAG)
+			if err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+			if _, err := rec.Replay(task.DAG); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,14 +13,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ir"
 	"repro/internal/measure"
 	"repro/internal/registry"
 	"repro/internal/te"
 )
 
 // Client talks to a registry server, mirroring the in-process
-// registry.Registry API (Add/AddLog/Best/BestFor/ApplyBest plus Records
+// registry.Registry API (Add/AddLog/Best/BestFor plus Records
 // and Snapshot) with an added error return per call: the network is
 // allowed to fail where process memory is not.
 //
@@ -367,26 +366,6 @@ func (c *Client) getLog(u string) (*measure.Log, error) {
 // BestFor is Best keyed by the computation itself.
 func (c *Client) BestFor(workload, target string, dag *te.DAG) (measure.Record, bool, error) {
 	return c.Best(workload, target, measure.DAGFingerprint(dag))
-}
-
-// ApplyBest replays the server's best schedule for the workload's
-// computation on the target, returning the program and its recorded
-// time without spending any measurement trial — the remote counterpart
-// of registry.ApplyBest, with the replay done client-side (only the
-// client holds the DAG).
-func (c *Client) ApplyBest(workload, target string, dag *te.DAG) (*ir.State, float64, error) {
-	rec, ok, err := c.BestFor(workload, target, dag)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !ok {
-		return nil, 0, fmt.Errorf("regserver: no schedule recorded for workload %q (this shape) on target %q", workload, target)
-	}
-	s, err := rec.Replay(dag)
-	if err != nil {
-		return nil, 0, fmt.Errorf("regserver: replay %q on %q: %w", workload, target, err)
-	}
-	return s, rec.Seconds, nil
 }
 
 // Records queries the server's best records filtered by workload and

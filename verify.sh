@@ -99,6 +99,16 @@ gated 'TestProposeAheadEqualsSearchRound|TestUncommittedProposalIsInvisible|Test
 gated 'TestPrepareAheadChangesNoDecision|TestZeroGradientTaskIsNeverGuessed' ./internal/sched/ -race -count=10
 gated TestTuneNetworkRecordLogsEqualAcrossWorkers ./ansor/ -race -count=10
 
+# One network driver (DESIGN.md "Run assembly"): the library's
+# TuneNetwork and the figures' TuneNetworks run policy.NewNetwork and
+# must end on the same latency bits and fresh trials at Workers 1 and 2,
+# scheduler waves running concurrently. The event streams of a
+# single-task tuner and of a two-task network run stay byte-identical
+# to their goldens.
+step "race: network drivers agree; event-stream goldens"
+gated TestLibraryAndFigureDriversAgree ./internal/exp/ -race
+gated 'TestGoldenEventStream|TestGoldenNetworkEventStream' ./ansor/
+
 # Borrowed program memory (DESIGN.md "Borrowed memory" and "Program
 # memory"): the one free list all of it waits on (pool.FreeList: its
 # bound, its books and concurrent borrowers), the lifetime tests
