@@ -94,7 +94,7 @@ func TestTuneNetworkSmall(t *testing.T) {
 // scheduler, so the scheduler's ε-greedy stream is seed 1 whatever the
 // user's seed (exp.TuneNetworks does set it). Wiring it moves every
 // network trajectory with Seed != 1, so the repair waits for the window
-// that moves them anyway (ROADMAP item 2); this test flips with it.
+// that moves them anyway (ROADMAP item 3(e)); this test flips with it.
 func TestSchedulerSeedIsNotWired(t *testing.T) {
 	opts := TuningOptions{Seed: 7, Workers: 3}
 	opts.defaults()

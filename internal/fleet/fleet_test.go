@@ -337,8 +337,8 @@ func TestRemoteMeasurerRecordsFreshMeasurements(t *testing.T) {
 	url := startBroker(t, nil)
 	startWorkers(t, url, machine, 2)
 	rm := remote(t, url, machine, 0.02, 3)
-	rec := measure.NewRecorder(nil)
-	rm.Recorder = rec
+	var sink bytes.Buffer
+	rm.Recorder = measure.NewRecorder(&sink)
 	res := rm.MeasureTask("mm", states)
 	ok := 0
 	for _, r := range res {
@@ -346,7 +346,11 @@ func TestRemoteMeasurerRecordsFreshMeasurements(t *testing.T) {
 			ok++
 		}
 	}
-	got := rec.Log().Records
+	log, err := measure.Load(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := log.Records
 	if len(got) == 0 || len(got) > ok {
 		t.Fatalf("recorded %d records for %d successes", len(got), ok)
 	}
@@ -355,18 +359,18 @@ func TestRemoteMeasurerRecordsFreshMeasurements(t *testing.T) {
 			t.Fatalf("bad record %+v", r)
 		}
 	}
-	// The record keeps the encoding the local stage made for the job, not
-	// a second one of the same program.
-	shared := 0
-	for _, r := range res {
-		for _, g := range got {
-			if len(r.EncSteps) > 0 && &r.EncSteps[0] == &g.Steps[0] {
-				shared++
+	// The record carries the encoding the local stage made for the job.
+	shipped := 0
+	for _, g := range got {
+		for _, r := range res {
+			if bytes.Equal(r.EncSteps, g.Steps) {
+				shipped++
+				break
 			}
 		}
 	}
-	if shared != len(got) {
-		t.Errorf("%d of %d records share their steps with the measured result, want all: the rest were encoded twice", shared, len(got))
+	if shipped != len(got) {
+		t.Errorf("%d of %d records carry the steps a measured result shipped, want all", shipped, len(got))
 	}
 }
 

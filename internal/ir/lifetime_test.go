@@ -236,6 +236,64 @@ func TestPoisonedProposalHeldAcrossRounds(t *testing.T) {
 	sameTranscripts(t, "proposal held across a neighbour's rounds", plain, poisoned)
 }
 
+// TestPoisonedWarmStartKeepsItsPool is WarmStart's exit invariant made
+// loud: a policy warm-starts from a recorded log, whose records replay
+// into one arena; a neighbour runs whole rounds through the arenas given
+// back; only then is the warm-started policy tuned, from the best pool
+// the warm start left it.
+func TestPoisonedWarmStartKeepsItsPool(t *testing.T) {
+	dag := workloads.ResNet50(1).Tasks[2].Build()
+	rig := func(seed int64, log *bytes.Buffer) *policy.Policy {
+		ms := measure.New(sim.IntelXeon(), 0.02, 2)
+		if log != nil {
+			ms.Recorder = measure.NewRecorder(log)
+		}
+		opts := policy.DefaultOptions()
+		opts.Seed = seed
+		p, err := policy.New(policy.Task{Name: "conv", DAG: dag, Target: sketch.CPUTarget()}, opts, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, poisoned := twice(t, func(t *testing.T) string {
+		var history, log bytes.Buffer
+		first := rig(4, &history)
+		first.Tune(32, 16)
+		first.Release()
+		recs, err := measure.Load(&history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, neighbour := rig(5, &log), rig(6, nil)
+		n, err := warm.WarmStart(recs.Records)
+		if err != nil || n == 0 {
+			t.Fatalf("warm start absorbed %d records: %v", n, err)
+		}
+		if warm.BestState == nil || warm.BestState.InArena() {
+			t.Fatal("the warm start's best state lives in an arena")
+		}
+		neighbour.SearchRound(8)
+		neighbour.SearchRound(8)
+		// A released arena is zeroed, and poisoned under the hook.
+		if warm.BestState.DAG == nil {
+			t.Fatal("the warm start's best state lived in an arena")
+		}
+		warmBest, err := ir.EncodeSteps(warm.BestState.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := warm.Tune(24, 8)
+		steps, err := ir.EncodeSteps(warm.BestState.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("absorbed %d best %s\ntuned %016x %s\nmodel %016x\n%s", n, warmBest,
+			math.Float64bits(best), steps, warm.ModelFingerprint(), log.Bytes())
+	})
+	sameTranscripts(t, "warm start read after a neighbour's rounds", plain, poisoned)
+}
+
 // poisonedScorer scores through the real program path with a stand-in for
 // the ensemble (evo's tests have the same).
 type poisonedScorer struct{ feats *feat.Cache }

@@ -71,8 +71,8 @@ func TestMeasureAllocationCeiling(t *testing.T) {
 
 // TestRecorderAllocationCeiling pins what recording costs the heap per
 // record once the recorder's line buffer has grown: the dedupe key's
-// string and the in-memory log's share of its growth (and the dedupe
-// map's). The line is encoded into the recorder's own buffer.
+// string and a share of the dedupe map's growth. The line is encoded
+// into the recorder's own buffer.
 func TestRecorderAllocationCeiling(t *testing.T) {
 	ms := New(sim.IntelXeon(), 0.02, 1)
 	var l Log
@@ -89,7 +89,7 @@ func TestRecorderAllocationCeiling(t *testing.T) {
 	}) / float64(len(l.Records))
 	t.Logf("%.2f allocations per record", got)
 	if got >= 2 {
-		t.Errorf("%.2f allocations per record, ceiling: the dedupe key and a share of the log's and map's growth", got)
+		t.Errorf("%.2f allocations per record, ceiling: the dedupe key and a share of the map's growth", got)
 	}
 }
 

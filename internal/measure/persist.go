@@ -96,16 +96,16 @@ type teeSink struct {
 	err error
 }
 
-// Recorder receives fresh successful measurements and appends them,
-// deduplicated by (target, task, dag, steps), to an in-memory log and an
-// optional writer (one record line each, so an *os.File opened in
-// append mode accumulates a durable log across runs). It is safe for
-// concurrent use by measurers sharing it.
+// Recorder receives fresh successful measurements and streams them,
+// deduplicated by (target, task, dag, steps), to an optional writer and
+// its tees (one record line each, so an *os.File opened in append mode
+// accumulates a durable log across runs). It keeps no copy of what it
+// wrote, only the dedupe set. It is safe for concurrent use by measurers
+// sharing it.
 type Recorder struct {
 	mu   sync.Mutex
 	w    io.Writer
 	tees []teeSink
-	log  Log
 	seen map[setKey]struct{}
 	// line is the record line Record encodes into and hands each sink. It
 	// is overwritten by the next Record, so a sink keeps nothing of the
@@ -116,8 +116,8 @@ type Recorder struct {
 	err error
 }
 
-// NewRecorder returns a recorder streaming to w (nil keeps the log
-// in-memory only).
+// NewRecorder returns a recorder streaming to w (nil: to its tees only,
+// if any).
 func NewRecorder(w io.Writer) *Recorder {
 	return &Recorder{w: w, seen: map[setKey]struct{}{}}
 }
@@ -162,7 +162,6 @@ func (r *Recorder) Record(rec Record) (bool, error) {
 		}
 		r.seen[k] = struct{}{}
 	}
-	r.log.Records = append(r.log.Records, rec)
 	if r.w != nil || len(r.tees) > 0 {
 		line, err := AppendRecord(r.line[:0], rec)
 		if err != nil {
@@ -225,15 +224,6 @@ func (r *Recorder) firstErrLocked() error {
 		}
 	}
 	return nil
-}
-
-// Log returns a snapshot of everything recorded so far.
-func (r *Recorder) Log() *Log {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := &Log{Records: make([]Record, len(r.log.Records))}
-	copy(out.Records, r.log.Records)
-	return out
 }
 
 // Err returns the first write error encountered by any streaming sink

@@ -574,10 +574,17 @@ func (p *Policy) retrainModel() {
 // Trials and History stay untouched: warm-start is free budget-wise.
 // Returns how many records were absorbed and the first replay/lowering
 // error encountered.
+//
+// Every record replays into one arena borrowed for the call; a record
+// that is not absorbed gives its memory back at once, and only the
+// programs the best pool keeps leave the arena, as clones (DESIGN.md
+// "Program memory").
 func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 	if p.pending != nil {
 		panic(fmt.Sprintf("policy: task %s warm-started with a proposal pending", p.Task.Name))
 	}
+	arena := ir.BorrowArena()
+	defer arena.Release()
 	var n int
 	var first error
 	for _, rec := range recs {
@@ -587,7 +594,8 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 		if p.Measurer != nil && rec.Target != p.Measurer.Machine.Name {
 			continue
 		}
-		s, err := rec.Replay(p.Task.DAG)
+		m := arena.Mark()
+		s, err := arena.ReplayEncoded(p.Task.DAG, rec.Steps)
 		if err != nil {
 			if first == nil {
 				first = err
@@ -595,6 +603,7 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 			continue
 		}
 		if p.measured[p.feats.Sigs().Intern(s)] {
+			arena.Rewind(m)
 			continue
 		}
 		e, ok := p.feats.Keep(s)
@@ -606,6 +615,7 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 					first = err
 				}
 			}
+			arena.Rewind(m)
 			continue
 		}
 		p.absorb(s, e.Feats, rec.Seconds)
@@ -614,6 +624,18 @@ func (p *Policy) WarmStart(recs []measure.Record) (int, error) {
 	if n > 0 {
 		p.rebuildBestPool()
 		p.stale = true
+	}
+	// What the pool keeps of the arena leaves it as clones.
+	for i, s := range p.bestStates {
+		if s.InArena() {
+			p.bestStates[i] = s.Clone()
+			if p.BestState == s {
+				p.BestState = p.bestStates[i]
+			}
+		}
+	}
+	if p.BestState != nil && p.BestState.InArena() {
+		p.BestState = p.BestState.Clone() // tied with more than the pool keeps
 	}
 	return n, first
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/measure"
@@ -146,13 +147,17 @@ func TestWarmStartTrainsModelAndDedupes(t *testing.T) {
 
 	// First run: tune a little and record everything measured.
 	ms := measure.New(sim.IntelXeon(), 0.02, 1)
-	ms.Recorder = measure.NewRecorder(nil)
+	var recorded bytes.Buffer
+	ms.Recorder = measure.NewRecorder(&recorded)
 	p1, err := New(task, DefaultOptions(), ms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1.Tune(48, 16)
-	log := ms.Recorder.Log()
+	log, err := measure.Load(&recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(log.Records) == 0 {
 		t.Fatal("nothing recorded")
 	}

@@ -150,7 +150,7 @@ func LoadRegistry(src string) (*registry.Registry, error) {
 
 // AttachRecorder wires a recorder to the registry server at url: the
 // server is pinged (a misspelled URL fails fast, before any tuning
-// work), a nil recorder is replaced by a fresh in-memory one, and the
+// work), a nil recorder is replaced by a fresh sink-less one, and the
 // server becomes a tee sink — every subsequently recorded measurement
 // publishes there, with failures surfacing through Recorder.Err/Close
 // without stopping the run or the recorder's primary log sink. The sink
