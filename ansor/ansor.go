@@ -77,6 +77,20 @@ func TargetNVIDIAGPU() Target {
 	return Target{Name: "nvidia-v100", Machine: sim.NVIDIAV100(), Space: sketch.GPUTarget()}
 }
 
+// TargetByName resolves a target's command-line name: one of the
+// aliases intel, intel-avx512, arm and gpu, or a machine-model name
+// (Target.Name, the name records and fleet leases carry).
+func TargetByName(name string) (Target, error) {
+	aliases := map[string]Target{"intel": TargetIntelCPU(false), "intel-avx512": TargetIntelCPU(true),
+		"arm": TargetARMCPU(), "gpu": TargetNVIDIAGPU()}
+	for alias, t := range aliases {
+		if name == alias || name == t.Name {
+			return t, nil
+		}
+	}
+	return Target{}, fmt.Errorf("unknown target %q (want intel, intel-avx512, arm, gpu, or a machine-model name)", name)
+}
+
 // Task is one program-generation task: a subgraph on a target.
 type Task struct {
 	Name   string
@@ -144,9 +158,11 @@ type TuningOptions struct {
 	WarmStartFrom string
 	// ApplyHistoryBest skips searching entirely: the best recorded
 	// schedule for (workload, target) in this log/registry file — or,
-	// when set to an http(s) URL, on that registry server — is replayed
+	// when set to an http(s) URL, on that registry server, and when set
+	// to the literal "registry", on the RegistryURL server — is replayed
 	// with zero measurement trials. Tune returns an error if the source
-	// has no entry for the task.
+	// has no entry for the task, and "registry" without a RegistryURL is
+	// an error.
 	ApplyHistoryBest string
 	// RegistryURL connects the run to a shared registry server
 	// (ansor-registry): every fresh successful measurement is published
@@ -328,7 +344,7 @@ func (t *Tuner) Tune() (Program, error) {
 // server URL, see bestLookup) without spending any measurement.
 func (t *Tuner) ApplyBest() (Program, error) {
 	target := t.task.Target.Machine.Name
-	lookup, err := bestLookup(t.opts.ApplyHistoryBest, target)
+	lookup, err := bestLookup(t.opts, target)
 	if err != nil {
 		return Program{}, err
 	}
@@ -347,16 +363,21 @@ func (t *Tuner) ApplyBest() (Program, error) {
 	return program(s, rec.Seconds)
 }
 
-// bestLookup resolves an ApplyHistoryBest source to a lookup of the best
-// record on the target, keyed by the task's name and exact computation
-// fingerprint, so a record tuned for another shape (e.g. a different
-// batch size under the same task name) is never served. A file is loaded
+// bestLookup resolves the options' ApplyHistoryBest source ("registry"
+// names the RegistryURL server, see regserver.ResolveSource) to a lookup
+// of the best record on the target, keyed by the task's name and exact
+// computation fingerprint, so a record tuned for another shape (e.g. a
+// different batch size under the same task name) is never served. A file is loaded
 // once. A server is asked per key (/v1/best) instead of downloading the
 // full snapshot: each lookup rides the server's encoded-response cache,
 // and the client's validator cache turns repeat applications into
 // conditional GETs. The served record is byte-identical to the snapshot
 // path's (the server stores records verbatim).
-func bestLookup(src, target string) (func(name string, dag *DAG) (measure.Record, bool, error), error) {
+func bestLookup(opts TuningOptions, target string) (func(name string, dag *DAG) (measure.Record, bool, error), error) {
+	src, err := regserver.ResolveSource(opts.ApplyHistoryBest, opts.RegistryURL)
+	if err != nil {
+		return nil, fmt.Errorf("ansor: apply history best: %w", err)
+	}
 	if regserver.IsURL(src) {
 		cl := regserver.NewClient(src)
 		return func(name string, dag *DAG) (measure.Record, bool, error) {
@@ -451,7 +472,7 @@ type NetworkResult struct {
 func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult, error) {
 	opts.defaults()
 	if opts.ApplyHistoryBest != "" {
-		return applyNetworkBest(net, target, opts.ApplyHistoryBest)
+		return applyNetworkBest(net, target, opts)
 	}
 	sess, err := session.Open(opts.spec())
 	if err != nil {
@@ -535,8 +556,8 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 // with zero measurement trials. Every unique subgraph must have a
 // recorded schedule; missing tasks are reported by name so the caller
 // knows what still needs tuning.
-func applyNetworkBest(net Network, target Target, path string) (NetworkResult, error) {
-	lookup, err := bestLookup(path, target.Machine.Name)
+func applyNetworkBest(net Network, target Target, opts TuningOptions) (NetworkResult, error) {
+	lookup, err := bestLookup(opts, target.Machine.Name)
 	if err != nil {
 		return NetworkResult{}, err
 	}

@@ -3,6 +3,7 @@ package ansor
 import (
 	"go/parser"
 	"go/token"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,6 +115,30 @@ func TestTargets(t *testing.T) {
 	}
 	if !TargetNVIDIAGPU().Space.GPU {
 		t.Error("gpu target should use gpu sketch rules")
+	}
+}
+
+// TestTargetByName: the command-line aliases and the machine-model
+// names resolve to the Target constructors' targets, so ansor-tune and
+// ansor-worker share one table.
+func TestTargetByName(t *testing.T) {
+	for name, want := range map[string]Target{
+		"intel":            TargetIntelCPU(false),
+		"intel-avx512":     TargetIntelCPU(true),
+		"arm":              TargetARMCPU(),
+		"gpu":              TargetNVIDIAGPU(),
+		"intel-20c-avx2":   TargetIntelCPU(false),
+		"intel-20c-avx512": TargetIntelCPU(true),
+		"arm-cortex-a53":   TargetARMCPU(),
+		"nvidia-v100":      TargetNVIDIAGPU(),
+	} {
+		got, err := TargetByName(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("TargetByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := TargetByName("abacus"); err == nil {
+		t.Error("unknown target should fail")
 	}
 }
 

@@ -1,10 +1,14 @@
 package ansor
 
 import (
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/measure"
+	"repro/internal/regserver"
 )
 
 func persistDAG(t *testing.T) *DAG {
@@ -172,6 +176,76 @@ func TestApplyHistoryBestZeroTrials(t *testing.T) {
 	}
 	if _, err := miss.Tune(); err == nil {
 		t.Error("apply-history-best for an unrecorded task must error")
+	}
+}
+
+// TestApplyHistoryBestRegistryLiteral: ApplyHistoryBest "registry"
+// names the RegistryURL server, for one tuner and for a network, and
+// serves what the server's URL serves; without a RegistryURL it is an
+// error that names the field.
+func TestApplyHistoryBestRegistryLiteral(t *testing.T) {
+	dir := t.TempDir()
+	taskLog := filepath.Join(dir, "task.json")
+	runPersistTune(t, 32, 0, taskLog, "")
+	net, err := BuiltinNetwork("dcgan", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Tasks = net.Tasks[:2]
+	netLog := filepath.Join(dir, "net.json")
+	if _, err := TuneNetwork(net, TargetIntelCPU(true), TuningOptions{
+		Trials: 16, MeasuresPerRound: 8, RecordTo: netLog,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(regserver.New(nil).Handler())
+	defer hs.Close()
+	for _, f := range []string{taskLog, netLog} {
+		l, err := measure.LoadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := regserver.NewClient(hs.URL).AddLog(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	applyTask := func(opts TuningOptions) (Program, error) {
+		tuner, err := NewTuner(NewTask("mm", persistDAG(t), TargetIntelCPU(true)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tuner.Close()
+		return tuner.Tune()
+	}
+	byURL, err := applyTask(TuningOptions{ApplyHistoryBest: hs.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName, err := applyTask(TuningOptions{ApplyHistoryBest: "registry", RegistryURL: hs.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byName.State.Signature() != byURL.State.Signature() || byName.Seconds != byURL.Seconds {
+		t.Errorf("task served from \"registry\" (%g) differs from the server URL's (%g)", byName.Seconds, byURL.Seconds)
+	}
+	netByURL, err := TuneNetwork(net, TargetIntelCPU(true), TuningOptions{ApplyHistoryBest: hs.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	netByName, err := TuneNetwork(net, TargetIntelCPU(true), TuningOptions{ApplyHistoryBest: "registry", RegistryURL: hs.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(netByName, netByURL) || len(netByName.TaskLatencies) != 2 {
+		t.Errorf("network served from \"registry\" %+v differs from the server URL's %+v", netByName, netByURL)
+	}
+
+	if _, err := applyTask(TuningOptions{ApplyHistoryBest: "registry"}); err == nil || !strings.Contains(err.Error(), "RegistryURL") {
+		t.Errorf("task: \"registry\" without a RegistryURL: %v, want an error naming RegistryURL", err)
+	}
+	if _, err := TuneNetwork(net, TargetIntelCPU(true), TuningOptions{ApplyHistoryBest: "registry"}); err == nil || !strings.Contains(err.Error(), "RegistryURL") {
+		t.Errorf("network: \"registry\" without a RegistryURL: %v, want an error naming RegistryURL", err)
 	}
 }
 

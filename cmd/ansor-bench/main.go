@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/exp"
@@ -27,139 +29,120 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is an error in what was asked for — a bad flag, an unknown
+// experiment — on which ansor-bench exits 2 instead of 1.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run is the whole CLI; main only maps its error to an exit code, so
+// tests drive the binary in-process.
+func run(args []string, stdout, stderr io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("ansor-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	shared := session.RegisterFlags(fs)
+	fs.Lookup("warm-start").Usage += "; ansor-bench warm-starts only the Ansor runs: baselines stay cold"
 	var (
-		which     = flag.String("exp", "all", "experiment: fig3, fig6, fig7, fig8, fig9, fig10, all")
-		trials    = flag.Int("trials", 0, "trials per case (0 = default reduced scale; paper uses 1000)")
-		perRound  = flag.Int("per-round", 0, "measurements per round (0 = default)")
-		batch     = flag.Int("batch", 1, "batch size for fig6/fig8/fig10")
-		platform  = flag.String("platform", "", "fig9 platform filter: intel, gpu, arm (empty = all)")
-		runs      = flag.Int("runs", 3, "fig7 median-of-N runs")
-		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "worker goroutines for the tuning pipeline (0 = GOMAXPROCS); results are identical for any value")
-		logTo     = flag.String("log", "", "append every fresh measurement to this tuning log (one JSON record per line)")
-		resume    = flag.String("resume", "", "serve measurements recorded in this log instead of re-measuring (implies -log to the same file unless -log is set)")
-		applyBest = flag.String("apply-best", "", "print the best recorded schedule per (workload, target) and exit; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
-		regURL    = flag.String("registry-url", "", "publish every fresh measurement to this ansor-registry server so experiment runs feed the shared registry")
-		warmStart = flag.String("warm-start", "", "warm-start the Ansor runs (baselines stay cold) from tuning history: a log/registry file, a registry server URL (task-filtered fleet history), the literal 'registry' for the -registry-url server, or a comma-separated mix; NOTE this deliberately changes Ansor's results, unlike -resume")
-		wsLimit   = flag.Int("warm-start-limit", 0, "cap the records each warm-start source contributes per task, subsampled training-representatively (top-k fastest + slow tail); 0 = unbounded")
-		fleetURL  = flag.String("fleet-url", "", "measure on a distributed worker fleet via this broker (ansor-registry fleet) instead of in-process; figures are bit-identical either way")
-		events    = flag.String("events", "", "stream the Ansor searches' structured JSONL narration (round/phase events, model training, best improvements, fleet batch timelines) to this file path or the literal 'stderr'; non-blocking and drop-on-full, so figures are bit-identical with or without it")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file; the search phases are pprof-labeled, so `go tool pprof -tagfocus phase=score` isolates one stage")
-		memProfile = flag.String("memprofile", "", "write an allocation profile (live heap + cumulative allocs) to this file at exit")
+		which     = fs.String("exp", "all", "experiment: fig3, fig6, fig7, fig8, fig9, fig10, all")
+		trials    = fs.Int("trials", 0, "trials per case (0 = default reduced scale; paper uses 1000)")
+		perRound  = fs.Int("per-round", 0, "measurements per round (0 = default)")
+		batch     = fs.Int("batch", 1, "batch size for fig6/fig8/fig10")
+		platform  = fs.String("platform", "", "fig9 platform filter: intel, gpu, arm (empty = all)")
+		runs      = fs.Int("runs", 3, "fig7 median-of-N runs")
+		applyBest = fs.String("apply-best", "", "print the best recorded schedule per (workload, target) and exit; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
 	)
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	stopProf, err := prof.Start(shared.CPUProfile, shared.MemProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
+	defer func() { retErr = errors.Join(retErr, stopProf()) }()
 
-	if *applyBest == "registry" {
-		if *regURL == "" {
-			fmt.Fprintln(os.Stderr, "ansor-bench: -apply-best registry needs -registry-url")
-			os.Exit(2)
-		}
-		*applyBest = *regURL
-	}
+	spec := shared.Spec()
 	if *applyBest != "" {
-		reg, err := regserver.LoadRegistry(*applyBest)
+		src, err := regserver.ResolveSource(*applyBest, spec.RegistryURL)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-			os.Exit(1)
+			return usageError{err}
 		}
-		fmt.Printf("%-32s %-20s %-10s %12s\n", "workload", "target", "shape", "seconds")
+		reg, err := regserver.LoadRegistry(src)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%-32s %-20s %-10s %12s\n", "workload", "target", "shape", "seconds")
 		for _, k := range reg.Keys() {
 			rec, _ := reg.Best(k.Workload, k.Target, k.DAG)
 			shape := k.DAG
 			if len(shape) > 8 {
 				shape = shape[:8]
 			}
-			fmt.Printf("%-32s %-20s %-10s %12.6g\n", k.Workload, k.Target, shape, rec.Seconds)
+			fmt.Fprintf(stdout, "%-32s %-20s %-10s %12.6g\n", k.Workload, k.Target, shape, rec.Seconds)
 		}
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return nil
 	}
 
 	cfg := exp.DefaultConfig()
-	cfg.Out = os.Stdout
-	cfg.Seed = *seed
-	cfg.Workers = *workers
+	cfg.Out = stdout
+	cfg.Seed = shared.Seed
+	cfg.Workers = shared.Workers
 	if *trials > 0 {
 		cfg.Trials = *trials
 	}
 	if *perRound > 0 {
 		cfg.PerRound = *perRound
 	}
-	if *resume != "" && *logTo == "" {
-		*logTo = *resume
+	if cfg.Session, err = session.Open(spec); err != nil {
+		return err
 	}
-	cfg.Session, err = session.Open(session.Spec{
-		RecordTo: *logTo, ResumeFrom: *resume, RegistryURL: *regURL, FleetURL: *fleetURL,
-		WarmStartFrom: *warmStart, WarmStartLimit: *wsLimit, EventsTo: *events,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-		os.Exit(1)
-	}
-
-	run := func(name string) {
-		switch name {
-		case "fig3":
-			exp.Fig3(cfg)
-		case "fig6":
-			exp.Fig6(cfg, *batch)
-		case "fig7":
-			exp.Fig7(cfg, *runs)
-		case "fig8":
-			exp.Fig8(cfg, *batch)
-		case "fig9":
-			c := cfg
-			if c.Trials > 200 {
-				fmt.Println("(fig9 interprets -trials per task)")
-			}
-			if *platform != "" {
-				exp.Fig9Panel(c, *platform, *batch)
-			} else {
-				exp.Fig9(c)
-			}
-		case "fig10":
-			c := cfg
-			exp.Fig10(c, *batch, 2)
-		case "all":
-			exp.Fig3(cfg)
-			exp.Fig6(cfg, 1)
-			exp.Fig6(cfg, 16)
-			exp.Fig7(cfg, *runs)
-			exp.Fig8(cfg, 1)
-			exp.Fig8(cfg, 16)
-			exp.Fig9(cfg)
-			exp.Fig10(cfg, *batch, 2)
-		default:
-			fmt.Fprintf(os.Stderr, "ansor-bench: unknown experiment %q\n", name)
-			cfg.Session.Close()
-			os.Exit(2)
-		}
-	}
-	run(*which)
 	// A log with dropped records, a fleet that failed batches mid-run or a
 	// torn event stream must fail the process: scripts would resume from a
 	// silently truncated file, or read figures run on partial measurements
 	// as a success.
-	ok := true
-	if err := cfg.Session.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-		ok = false
+	defer func() { retErr = errors.Join(retErr, cfg.Session.Close()) }()
+
+	switch *which {
+	case "fig3":
+		exp.Fig3(cfg)
+	case "fig6":
+		exp.Fig6(cfg, *batch)
+	case "fig7":
+		exp.Fig7(cfg, *runs)
+	case "fig8":
+		exp.Fig8(cfg, *batch)
+	case "fig9":
+		if cfg.Trials > 200 {
+			fmt.Fprintln(stdout, "(fig9 interprets -trials per task)")
+		}
+		if *platform != "" {
+			exp.Fig9Panel(cfg, *platform, *batch)
+		} else {
+			exp.Fig9(cfg)
+		}
+	case "fig10":
+		exp.Fig10(cfg, *batch, 2)
+	case "all":
+		exp.Fig3(cfg)
+		exp.Fig6(cfg, 1)
+		exp.Fig6(cfg, 16)
+		exp.Fig7(cfg, *runs)
+		exp.Fig8(cfg, 1)
+		exp.Fig8(cfg, 16)
+		exp.Fig9(cfg)
+		exp.Fig10(cfg, *batch, 2)
+	default:
+		return usageError{fmt.Errorf("unknown experiment %q", *which)}
 	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-		ok = false
-	}
-	if !ok {
-		os.Exit(1)
-	}
+	return nil
 }

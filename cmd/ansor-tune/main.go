@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +34,7 @@ import (
 
 	"repro/ansor"
 	"repro/internal/prof"
+	"repro/internal/session"
 	"repro/internal/workloads"
 )
 
@@ -48,39 +50,25 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("ansor-tune", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	shared := session.RegisterFlags(fs)
 	var (
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file; the search phases are pprof-labeled, so `go tool pprof -tagfocus phase=score` isolates one stage")
-		memProfile = fs.String("memprofile", "", "write an allocation profile (live heap + cumulative allocs) to this file at exit")
-		workload   = fs.String("workload", "", "single op or subgraph key, e.g. GMM.s1, ConvLayer.s0")
-		network    = fs.String("network", "", "network name: resnet-50, mobilenet-v2, 3d-resnet-18, dcgan, bert")
-		batch      = fs.Int("batch", 1, "batch size")
-		target     = fs.String("target", "intel", "target: intel, intel-avx512, arm, gpu")
-		trials     = fs.Int("trials", 1000, "measurement trials (per task for networks)")
-		perRound   = fs.Int("per-round", 64, "measurements per search round")
-		seed       = fs.Int64("seed", 1, "random seed")
-		workers    = fs.Int("workers", 0, "worker goroutines for the tuning pipeline (0 = GOMAXPROCS); results are identical for any value")
-		logTo      = fs.String("log", "", "append measurement records to this tuning log (one JSON record per line)")
-		resume     = fs.String("resume", "", "resume from this tuning log: logged programs replay without re-measuring; with the same seed/options the run is bit-identical to an uninterrupted one (implies -log to the same file unless -log is set)")
-		warmStart  = fs.String("warm-start", "", "seed each task's cost model and best pool from tuning history before the first round; takes a log/registry file, a registry server URL (task-filtered fleet history), the literal 'registry' for the -registry-url server, or a comma-separated mix; only records measured on the tuned target are absorbed")
-		applyBest  = fs.String("apply-best", "", "skip searching: replay the best recorded schedule for the workload/network with zero trials; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
-		wsLimit    = fs.Int("warm-start-limit", 0, "cap the tuned target's records each warm-start source contributes per task, subsampled training-representatively (top-k fastest + slow tail); 0 = unbounded")
-		regURL     = fs.String("registry-url", "", "publish every fresh measurement to this ansor-registry server (e.g. http://127.0.0.1:8421) so concurrent tuning jobs accumulate one shared registry")
-		fleetURL   = fs.String("fleet-url", "", "measure on a distributed worker fleet via this broker (ansor-registry fleet) instead of in-process; output is bit-identical to a local run at any worker count")
-		events     = fs.String("events", "", "stream the structured tuning narration as JSONL to this file path or the literal 'stderr': task/round/phase boundaries, scheduler waves, model training, best improvements, warm-start summaries, and per-batch fleet timelines joined by trace IDs; non-blocking and drop-on-full, so tuning output is bit-identical with or without it")
-		list       = fs.Bool("list", false, "list available workloads and exit")
+		workload  = fs.String("workload", "", "single op or subgraph key, e.g. GMM.s1, ConvLayer.s0")
+		network   = fs.String("network", "", "network name: resnet-50, mobilenet-v2, 3d-resnet-18, dcgan, bert")
+		batch     = fs.Int("batch", 1, "batch size")
+		target    = fs.String("target", "intel", "target: intel, intel-avx512, arm, gpu, or a machine-model name like intel-20c-avx2")
+		trials    = fs.Int("trials", 1000, "measurement trials (per task for networks)")
+		perRound  = fs.Int("per-round", 64, "measurements per search round")
+		applyBest = fs.String("apply-best", "", "skip searching: replay the best recorded schedule for the workload/network with zero trials; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
+		list      = fs.Bool("list", false, "list available workloads and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(shared.CPUProfile, shared.MemProfile)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := stopProf(); err != nil && retErr == nil {
-			retErr = err
-		}
-	}()
+	defer func() { retErr = errors.Join(retErr, stopProf()) }()
 
 	if *list {
 		fmt.Fprintln(stdout, "single operators and subgraphs (use with -workload):")
@@ -96,42 +84,22 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return nil
 	}
 
-	var tgt ansor.Target
-	switch *target {
-	case "intel":
-		tgt = ansor.TargetIntelCPU(false)
-	case "intel-avx512":
-		tgt = ansor.TargetIntelCPU(true)
-	case "arm":
-		tgt = ansor.TargetARMCPU()
-	case "gpu":
-		tgt = ansor.TargetNVIDIAGPU()
-	default:
-		return fmt.Errorf("unknown target %q", *target)
+	tgt, err := ansor.TargetByName(*target)
+	if err != nil {
+		return err
 	}
-	if *resume != "" && *logTo == "" {
-		// A resumed run keeps extending the same durable log, so the
-		// next resume picks up where this one stops.
-		*logTo = *resume
-	}
-	if *applyBest == "registry" {
-		if *regURL == "" {
-			return fmt.Errorf("-apply-best registry needs -registry-url")
-		}
-		*applyBest = *regURL
-	}
+	spec := shared.Spec()
 	opts := ansor.TuningOptions{
-		Trials: *trials, MeasuresPerRound: *perRound, Seed: *seed, Workers: *workers,
-		RecordTo: *logTo, ResumeFrom: *resume,
-		WarmStartFrom: *warmStart, WarmStartLimit: *wsLimit, ApplyHistoryBest: *applyBest,
-		RegistryURL: *regURL, FleetURL: *fleetURL,
-		EventsTo: *events,
+		Trials: *trials, MeasuresPerRound: *perRound, Seed: shared.Seed, Workers: shared.Workers,
+		RecordTo: spec.RecordTo, ResumeFrom: spec.ResumeFrom, RegistryURL: spec.RegistryURL, FleetURL: spec.FleetURL,
+		WarmStartFrom: spec.WarmStartFrom, WarmStartLimit: spec.WarmStartLimit, EventsTo: spec.EventsTo,
+		ApplyHistoryBest: *applyBest,
 	}
-	if *logTo != "" {
+	if spec.RecordTo != "" {
 		// The scheduler checkpoint lives beside the log so a network
 		// resume can verify (not just trust) that options and workloads
 		// did not drift; single-task tuning ignores it.
-		opts.CheckpointPath = *logTo + ".ckpt"
+		opts.CheckpointPath = spec.RecordTo + ".ckpt"
 	}
 
 	switch {

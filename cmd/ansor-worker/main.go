@@ -46,11 +46,11 @@ import (
 	"os/signal"
 	"syscall"
 
+	"repro/ansor"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/regserver"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -60,25 +60,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ansor-worker: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// machineFor resolves a -target flag value: the CLI aliases ansor-tune
-// uses, or a machine-model name (sim.Machine.Name) directly.
-func machineFor(target string) (*sim.Machine, error) {
-	switch target {
-	case "intel":
-		return sim.IntelXeon(), nil
-	case "intel-avx512":
-		return sim.IntelXeonAVX512(), nil
-	case "arm":
-		return sim.ARMCortexA53(), nil
-	case "gpu":
-		return sim.NVIDIAV100(), nil
-	}
-	if m, ok := sim.ByName(target); ok {
-		return m, nil
-	}
-	return nil, fmt.Errorf("unknown target %q (want intel, intel-avx512, arm, gpu, or a machine-model name)", target)
 }
 
 // run is the whole CLI; main only maps its error to an exit code and
@@ -102,10 +83,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *capacity < 1 {
 		return fmt.Errorf("-capacity must be positive, got %d", *capacity)
 	}
-	m, err := machineFor(*target)
+	tgt, err := ansor.TargetByName(*target)
 	if err != nil {
 		return err
 	}
+	m := tgt.Machine
 	wid := *id
 	if wid == "" {
 		wid = m.Name + "-w1"

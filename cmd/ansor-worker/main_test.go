@@ -16,24 +16,6 @@ import (
 	"repro/internal/te"
 )
 
-func TestMachineFor(t *testing.T) {
-	for flagVal, want := range map[string]string{
-		"intel":            "intel-20c-avx2",
-		"intel-avx512":     "intel-20c-avx512",
-		"arm":              "arm-cortex-a53",
-		"gpu":              "nvidia-v100",
-		"intel-20c-avx512": "intel-20c-avx512", // model names pass through
-	} {
-		m, err := machineFor(flagVal)
-		if err != nil || m.Name != want {
-			t.Errorf("machineFor(%q) = %v, %v; want %s", flagVal, m, err, want)
-		}
-	}
-	if _, err := machineFor("abacus"); err == nil {
-		t.Error("unknown target should fail")
-	}
-}
-
 // TestWorkerCLIServesJobs runs the binary in-process against a live
 // broker and checks it measures a real job correctly and shuts down on
 // context cancellation.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 
+	"repro/ansor"
 	"repro/internal/baselines"
 	"repro/internal/measure"
 	"repro/internal/policy"
@@ -101,38 +102,25 @@ type Platform struct {
 // follows §7: true everywhere; searchAVX512 is false in §7.1/§7.2 and
 // true in §7.3.
 func IntelPlatform(searchAVX512 bool) Platform {
-	m := sim.IntelXeon()
-	if searchAVX512 {
-		m = sim.IntelXeonAVX512()
-	}
+	t := ansor.TargetIntelCPU(searchAVX512)
 	return Platform{
 		Name:          "Intel CPU",
-		Machine:       m,
-		VendorMachine: sim.IntelXeonAVX512(),
-		Target:        sketch.CPUTarget(),
+		Machine:       t.Machine,
+		VendorMachine: ansor.TargetIntelCPU(true).Machine,
+		Target:        t.Space,
 	}
 }
 
 // GPUPlatform returns the NVIDIA V100 platform.
 func GPUPlatform() Platform {
-	return Platform{
-		Name:          "NVIDIA GPU",
-		Machine:       sim.NVIDIAV100(),
-		VendorMachine: sim.NVIDIAV100(),
-		Target:        sketch.GPUTarget(),
-	}
+	t := ansor.TargetNVIDIAGPU()
+	return Platform{Name: "NVIDIA GPU", Machine: t.Machine, VendorMachine: t.Machine, Target: t.Space}
 }
 
 // ARMPlatform returns the 4-core Cortex-A53 platform.
 func ARMPlatform() Platform {
-	arm := sketch.CPUTarget()
-	arm.VectorLanes = 4
-	return Platform{
-		Name:          "ARM CPU",
-		Machine:       sim.ARMCortexA53(),
-		VendorMachine: sim.ARMCortexA53(),
-		Target:        arm,
-	}
+	t := ansor.TargetARMCPU()
+	return Platform{Name: "ARM CPU", Machine: t.Machine, VendorMachine: t.Machine, Target: t.Space}
 }
 
 // searchFramework runs one search framework on one DAG with the given

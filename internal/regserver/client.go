@@ -136,6 +136,21 @@ func IsURL(src string) bool {
 	return strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://")
 }
 
+// ResolveSource applies the one rule for the literal source "registry":
+// it names the registry server at registryURL (TuningOptions.RegistryURL,
+// the CLIs' -registry-url), so a run can apply best or warm-start from
+// the server it publishes to without spelling its URL twice. Every other
+// src is returned as is.
+func ResolveSource(src, registryURL string) (string, error) {
+	if src != "registry" {
+		return src, nil
+	}
+	if registryURL == "" {
+		return "", fmt.Errorf("source %q names the registry server, but no registry URL is set (RegistryURL, -registry-url)", src)
+	}
+	return registryURL, nil
+}
+
 // LoadRegistry builds a registry from src: a tuning-log/registry file
 // path, or — when src is an http(s) URL — a server's full snapshot. Both
 // yield the same per-key best set for the same records, so callers can

@@ -66,13 +66,6 @@ func (d *DNN) Latency(g []float64) float64 {
 
 // Options configures the gradient-descent scheduler (Appendix A).
 type Options struct {
-	// Alpha weighs the backward-difference estimate against the
-	// optimistic forward prediction.
-	Alpha float64
-	// Beta weighs the similarity-based prediction.
-	Beta float64
-	// BackwardWindow is Δt.
-	BackwardWindow int
 	// EpsGreedy is the probability of picking a random task (§6.2).
 	EpsGreedy float64
 	Seed      int64
@@ -92,7 +85,7 @@ type Options struct {
 
 // DefaultOptions matches the paper's setup.
 func DefaultOptions() Options {
-	return Options{Alpha: 0.2, Beta: 2, BackwardWindow: 3, EpsGreedy: 0.05, Seed: 1}
+	return Options{EpsGreedy: 0.05, Seed: 1}
 }
 
 // Scheduler allocates tuning units to tasks.
@@ -315,6 +308,17 @@ func (s *Scheduler) gradient(i int, g []float64) float64 {
 	return math.Abs(s.weight[i] * s.gradientT(i, g))
 }
 
+// The gradient's constants, the paper's setup (Appendix A).
+const (
+	// alpha weighs the backward-difference estimate against the
+	// optimistic forward prediction.
+	alpha = 0.2
+	// beta weighs the similarity-based prediction.
+	beta = 2
+	// backwardWindow is Δt.
+	backwardWindow = 3
+)
+
 // gradientT approximates ∂g_i/∂t_i per Appendix A.
 func (s *Scheduler) gradientT(i int, g []float64) float64 {
 	hist := s.history[i]
@@ -324,7 +328,7 @@ func (s *Scheduler) gradientT(i int, g []float64) float64 {
 	}
 	gi := hist[len(hist)-1]
 	// Backward difference over window Δt.
-	dt := s.Opts.BackwardWindow
+	dt := backwardWindow
 	if dt > len(hist) {
 		dt = len(hist)
 	}
@@ -353,7 +357,7 @@ func (s *Scheduler) gradientT(i int, g []float64) float64 {
 			continue
 		}
 		if v := t.TaskFlops() / gk; v > 0 {
-			pred := s.Opts.Beta*s.Tasks[i].TaskFlops()/v - gi
+			pred := beta*s.Tasks[i].TaskFlops()/v - gi
 			if pred < similar {
 				similar = pred
 			}
@@ -363,5 +367,5 @@ func (s *Scheduler) gradientT(i int, g []float64) float64 {
 	if !math.IsInf(similar, 1) && similar < forward {
 		forward = similar
 	}
-	return s.Opts.Alpha*backward + (1-s.Opts.Alpha)*forward
+	return alpha*backward + (1-alpha)*forward
 }

@@ -152,25 +152,6 @@ func NVIDIAV100() *Machine {
 	}
 }
 
-// ByName returns the built-in machine model with the given name
-// (sim.Machine.Name), or false. Measurement-fleet workers resolve the
-// model they host from the target name carried in leases, so a worker
-// and an in-process measurer configured for the same target are
-// guaranteed to time programs on identical models.
-func ByName(name string) (*Machine, bool) {
-	switch name {
-	case "intel-20c-avx2":
-		return IntelXeon(), true
-	case "intel-20c-avx512":
-		return IntelXeonAVX512(), true
-	case "arm-cortex-a53":
-		return ARMCortexA53(), true
-	case "nvidia-v100":
-		return NVIDIAV100(), true
-	}
-	return nil, false
-}
-
 // effectiveFlops weights expensive operations: divisions and transcendental
 // calls cost several FMA slots.
 func effectiveFlops(add, sub, mul, div, max, cmp, math_, intOps float64) float64 {

@@ -201,14 +201,7 @@ func TestSweepMatchesPerDepthOracle(t *testing.T) {
 			dags = append(dags, task.Build())
 		}
 	}
-	var machines []*Machine
-	for _, name := range []string{"intel-20c-avx2", "intel-20c-avx512", "arm-cortex-a53", "nvidia-v100"} {
-		m, ok := ByName(name)
-		if !ok {
-			t.Fatalf("no model %q", name)
-		}
-		machines = append(machines, m)
-	}
+	machines := []*Machine{IntelXeon(), IntelXeonAVX512(), ARMCortexA53(), NVIDIAV100()}
 	perDAG := 16
 	if testing.Short() {
 		perDAG = 4

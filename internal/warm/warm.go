@@ -43,11 +43,10 @@ type Source interface {
 
 // Open resolves a warm-start spec into a Source. A spec is one or more
 // comma-separated sources, each either a tuning-log/registry file path,
-// an http(s) registry-server URL, or the literal "registry" — which
-// resolves to registryURL, so CLIs can say `-warm-start registry` next
-// to `-registry-url` exactly like `-apply-best registry`. A server
-// source is pinged eagerly: a misspelled URL fails before any tuning
-// work.
+// an http(s) registry-server URL, or the literal "registry" for the
+// server at registryURL (regserver.ResolveSource, the rule
+// ApplyHistoryBest follows too). A server source is pinged eagerly: a
+// misspelled URL fails before any tuning work.
 //
 // limit, when > 0, bounds how many records each source contributes per
 // task (`-warm-start-limit`), counted after the target filter: server
@@ -61,25 +60,21 @@ func Open(spec, registryURL string, limit int) (Source, error) {
 	parts := strings.Split(spec, ",")
 	var srcs []Source
 	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+		src, err := regserver.ResolveSource(strings.TrimSpace(part), registryURL)
+		if err != nil {
+			return nil, fmt.Errorf("warm: %w", err)
 		}
-		if part == "registry" {
-			if registryURL == "" {
-				return nil, fmt.Errorf("warm: spec %q needs a registry URL (-registry-url)", spec)
-			}
-			part = registryURL
-		}
-		if regserver.IsURL(part) {
-			cl := regserver.NewClient(part)
+		switch {
+		case src == "": // a stray comma names no source
+		case regserver.IsURL(src):
+			cl := regserver.NewClient(src)
 			if err := cl.Ping(); err != nil {
 				return nil, fmt.Errorf("warm: %w", err)
 			}
-			srcs = append(srcs, &serverSource{cl: cl, url: part, limit: limit})
-			continue
+			srcs = append(srcs, &serverSource{cl: cl, url: src, limit: limit})
+		default:
+			srcs = append(srcs, &fileSource{path: src, limit: limit})
 		}
-		srcs = append(srcs, &fileSource{path: part, limit: limit})
 	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("warm: empty warm-start spec")
