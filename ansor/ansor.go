@@ -113,8 +113,6 @@ type TuningOptions struct {
 	MeasuresPerRound int
 	// Seed drives all randomness; equal seeds give identical searches.
 	Seed int64
-	// NoiseStd is the relative measurement jitter (default 0.02).
-	NoiseStd float64
 	// Workers bounds the goroutines used by each parallel stage of the
 	// tuning pipeline — batch measurement, candidate scoring,
 	// evolutionary search, cost-model training, and independent
@@ -132,6 +130,14 @@ type TuningOptions struct {
 	// ApplyHistoryBest consume. Recording is passive: it never changes
 	// search results. Call Close on the tuner (TuneNetwork closes
 	// internally) to release the file and surface write errors.
+	// TuneNetwork also writes the task scheduler's gradient state
+	// (sched.Checkpoint) beside the log, to <RecordTo>.ckpt; when
+	// ResumeFrom is set too and that file exists, the resumed run first
+	// checks that its seed, per-round batch, target and task list match
+	// the checkpoint's, then that its replay passed exactly through the
+	// checkpointed state (sched.VerifyReplay), so option or workload
+	// drift is an error instead of silent corruption. Single-task tuners
+	// have no scheduler state beyond the log and write no checkpoint.
 	RecordTo string
 	// ResumeFrom replays a tuning log written by RecordTo: the search
 	// re-runs deterministically from round one, but every program whose
@@ -215,15 +221,6 @@ type TuningOptions struct {
 	// injected clock; embedding applications use it to aggregate many
 	// runs into one metrics registry.
 	Observer *obs.Observer
-	// CheckpointPath persists the task scheduler's gradient state
-	// (sched.Checkpoint) for network tuning: TuneNetwork writes the
-	// checkpoint here after the run, and — when ResumeFrom is set and
-	// the file exists — verifies on resume that the replayed run passed
-	// exactly through the checkpointed state (sched.VerifyReplay), so
-	// option or workload drift is an error instead of silent
-	// corruption. Ignored by single-task tuners, which have no
-	// scheduler state beyond the log itself.
-	CheckpointPath string
 }
 
 func (o *TuningOptions) defaults() {
@@ -232,9 +229,6 @@ func (o *TuningOptions) defaults() {
 	}
 	if o.MeasuresPerRound == 0 {
 		o.MeasuresPerRound = 64
-	}
-	if o.NoiseStd == 0 {
-		o.NoiseStd = 0.02
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -286,7 +280,7 @@ func NewTuner(task Task, opts TuningOptions) (_ *Tuner, err error) {
 			sess.Close()
 		}
 	}()
-	ms := sess.Measurer(task.Target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
+	ms := sess.Measurer(task.Target.Machine, opts.Seed, opts.Workers)
 	popts := policy.DefaultOptions()
 	popts.Seed = opts.Seed
 	pol, err := policy.New(policy.Task{
@@ -480,7 +474,7 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	}
 	defer sess.Close() // for the error returns; the run's own Close is below
 	obsv := sess.Observer()
-	ms := sess.Measurer(target.Machine, opts.NoiseStd, opts.Seed, opts.Workers)
+	ms := sess.Measurer(target.Machine, opts.Seed, opts.Workers)
 	run, err := policy.NewNetwork([]Network{net}, opts.MeasuresPerRound, schedOptions(opts), obsv,
 		func(i int, task NetworkTask) (*policy.Policy, error) {
 			popts := policy.DefaultOptions()
@@ -509,29 +503,28 @@ func TuneNetwork(net Network, target Target, opts TuningOptions) (NetworkResult,
 	// replay passed through exactly the recorded state instead of
 	// trusting determinism blindly (drifted options, workloads, or logs
 	// become errors here).
-	var verifyAgainst *sched.Checkpoint
+	var prev *netCheckpoint
 	meta := checkpointMeta(net, target, opts)
-	if opts.CheckpointPath != "" && opts.ResumeFrom != "" {
-		prevMeta, prevSched, err := loadCheckpoint(opts.CheckpointPath)
-		if err != nil {
+	ckpt := opts.RecordTo + ".ckpt"
+	if opts.RecordTo != "" && opts.ResumeFrom != "" {
+		if prev, err = loadCheckpoint(ckpt); err != nil {
 			return NetworkResult{}, err
 		}
-		if prevMeta != nil {
-			if err := prevMeta.verifyMeta(meta); err != nil {
-				return NetworkResult{}, fmt.Errorf("ansor: resume %s: %w", opts.CheckpointPath, err)
+		if prev != nil {
+			if err := prev.verifyMeta(meta); err != nil {
+				return NetworkResult{}, fmt.Errorf("ansor: resume %s: %w", ckpt, err)
 			}
-			verifyAgainst = prevSched
 		}
 	}
 	run.Run(opts.Trials, nil)
-	if verifyAgainst != nil {
-		if err := run.Sched.VerifyReplay(verifyAgainst); err != nil {
+	if prev != nil {
+		if err := run.Sched.VerifyReplay(prev.Sched); err != nil {
 			return NetworkResult{}, fmt.Errorf("ansor: resume %s: replay diverged from checkpoint (options, workload, or log drift): %w",
-				opts.CheckpointPath, err)
+				ckpt, err)
 		}
 	}
-	if opts.CheckpointPath != "" {
-		if err := writeCheckpoint(opts.CheckpointPath, meta, run.Sched); err != nil {
+	if opts.RecordTo != "" {
+		if err := writeCheckpoint(ckpt, meta, run.Sched); err != nil {
 			return NetworkResult{}, err
 		}
 	}

@@ -9,21 +9,19 @@ import (
 )
 
 // netCheckpoint is the durable scheduler state of one network tuning
-// run, written beside the tuning log (TuningOptions.CheckpointPath).
+// run, written beside the tuning log as <RecordTo>.ckpt.
 // The meta fields pin what replay-resume silently assumes: a resumed
 // run whose options or workload drifted from the checkpointed run
 // fails fast on the meta mismatch, and one that drifted subtly (same
 // options, different code or log) fails the post-run VerifyReplay.
 type netCheckpoint struct {
-	Network  string   `json:"network"`
-	Target   string   `json:"target"`
-	Seed     int64    `json:"seed"`
-	PerRound int      `json:"per_round"`
-	Workers  int      `json:"workers,omitempty"` // informational: results are worker-independent
-	Tasks    []string `json:"tasks"`
-	// Sched is the scheduler checkpoint, inf-safe encoded by
-	// sched.Checkpoint.Marshal.
-	Sched json.RawMessage `json:"sched"`
+	Network  string            `json:"network"`
+	Target   string            `json:"target"`
+	Seed     int64             `json:"seed"`
+	PerRound int               `json:"per_round"`
+	Workers  int               `json:"workers,omitempty"` // informational: results are worker-independent
+	Tasks    []string          `json:"tasks"`
+	Sched    *sched.Checkpoint `json:"sched"`
 }
 
 // checkpointMeta builds the meta envelope for the current run.
@@ -69,38 +67,30 @@ func (c netCheckpoint) verifyMeta(want netCheckpoint) error {
 }
 
 // loadCheckpoint reads a checkpoint file; a missing file returns
-// (nil, nil) so first runs and fresh resumes need no special casing.
-func loadCheckpoint(path string) (*netCheckpoint, *sched.Checkpoint, error) {
+// nil so first runs and fresh resumes need no special casing.
+func loadCheckpoint(path string) (*netCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("ansor: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("ansor: checkpoint %s: %w", path, err)
 	}
 	var c netCheckpoint
 	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, nil, fmt.Errorf("ansor: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("ansor: checkpoint %s: %w", path, err)
 	}
-	if len(c.Sched) == 0 {
-		return nil, nil, fmt.Errorf("ansor: checkpoint %s: no scheduler state", path)
+	if c.Sched == nil {
+		return nil, fmt.Errorf("ansor: checkpoint %s: no scheduler state", path)
 	}
-	sc, err := sched.UnmarshalCheckpoint(c.Sched)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ansor: checkpoint %s: %w", path, err)
-	}
-	return &c, sc, nil
+	return &c, nil
 }
 
 // writeCheckpoint snapshots the scheduler beside the log, atomically
 // (temp file + rename), so a crash mid-write never corrupts the
 // previous checkpoint.
 func writeCheckpoint(path string, meta netCheckpoint, s *sched.Scheduler) error {
-	blob, err := s.Checkpoint().Marshal()
-	if err != nil {
-		return fmt.Errorf("ansor: checkpoint %s: %w", path, err)
-	}
-	meta.Sched = blob
+	meta.Sched = s.Checkpoint()
 	data, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("ansor: checkpoint %s: %w", path, err)

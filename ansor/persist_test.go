@@ -1,7 +1,10 @@
 package ansor
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -332,6 +335,71 @@ func TestTuneNetworkResume(t *testing.T) {
 	}
 	if served.Latency <= 0 || served.Latency > uninterrupted.Latency {
 		t.Errorf("served latency %g, want (0, %g]", served.Latency, uninterrupted.Latency)
+	}
+}
+
+// tuneTwoDCGANTasks tunes dcgan's first two tasks (Trials 8,
+// MeasuresPerRound 4) with the given seed, recording to record and
+// resuming from resume.
+func tuneTwoDCGANTasks(seed int64, record, resume string) error {
+	net, err := BuiltinNetwork("dcgan", 1)
+	if err != nil {
+		return err
+	}
+	net.Tasks = net.Tasks[:2]
+	_, err = TuneNetwork(net, TargetIntelCPU(true), TuningOptions{
+		Trials: 8, MeasuresPerRound: 4, Seed: seed, RecordTo: record, ResumeFrom: resume,
+	})
+	return err
+}
+
+// TestTuneNetworkWritesCheckpoint: a network run with RecordTo leaves
+// the scheduler checkpoint at <RecordTo>.ckpt, and a resume whose seed
+// drifted from it is refused before it tunes, naming the seed.
+func TestTuneNetworkWritesCheckpoint(t *testing.T) {
+	logFile := filepath.Join(t.TempDir(), "net.json")
+	if err := tuneTwoDCGANTasks(1, logFile, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(logFile + ".ckpt"); err != nil {
+		t.Fatalf("a network run with RecordTo should leave <RecordTo>.ckpt: %v", err)
+	}
+	err := tuneTwoDCGANTasks(2, logFile, logFile)
+	if err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Fatalf("a resume with another seed should fail naming the seed, got %v", err)
+	}
+}
+
+// TestGoldenCheckpoint: testdata/dcgan2.ckpt, written by an earlier
+// build for tuneTwoDCGANTasks(1, …), loads and rewrites byte for byte,
+// the same run writes exactly it again, and a resume of that run passes
+// its replay check against it.
+func TestGoldenCheckpoint(t *testing.T) {
+	const golden = "testdata/dcgan2.ckpt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := loadCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(c); err != nil || string(again)+"\n" != string(want) {
+		t.Errorf("the golden checkpoint rewrites as\n%s (%v)\nwant\n%s", again, err, want)
+	}
+
+	logFile := filepath.Join(t.TempDir(), "net.json")
+	if err := tuneTwoDCGANTasks(1, logFile, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(logFile + ".ckpt"); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the run wrote\n%s (%v)\nwant the golden\n%s", got, err, want)
+	}
+	if err := os.WriteFile(logFile+".ckpt", want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := tuneTwoDCGANTasks(1, logFile, logFile); err != nil {
+		t.Errorf("a resume of the golden's run fails its check: %v", err)
 	}
 }
 

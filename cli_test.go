@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -50,16 +51,30 @@ var (
 // TestCLIFlagSurface builds the four binaries and reads every flag and
 // its default from each one's -h output, so the list holds for the
 // FlagSet each binary really parses, however its flags are declared.
+// Each binary, and each ansor-registry verb, also keeps the one exit
+// rule: -h exits 0 and reports no error, and a bad flag exits 2 with the
+// flag package's message printed once.
 func TestCLIFlagSurface(t *testing.T) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/...").CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
+	exitCode := func(err error) int {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return ee.ExitCode()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 0
+	}
 	for cmdline, want := range cliFlags {
 		args := strings.Fields(cmdline)
-		// -h exits 0 or 1 depending on the binary; the help text is all
-		// that is read.
-		out, _ := exec.Command(filepath.Join(bin, args[0]), append(args[1:], "-h")...).CombinedOutput()
+		out, err := exec.Command(filepath.Join(bin, args[0]), append(args[1:], "-h")...).CombinedOutput()
+		if code := exitCode(err); code != 0 || strings.Contains(string(out), "help requested") {
+			t.Errorf("%s -h: exit %d, want 0 with no error line:\n%s", cmdline, code, out)
+		}
 		var got []string
 		for _, line := range strings.Split(string(out), "\n") {
 			if m := flagLine.FindStringSubmatch(line); m != nil {
@@ -70,6 +85,11 @@ func TestCLIFlagSurface(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: flags and defaults\n got %q\nwant %q\nhelp output:\n%s", cmdline, got, want, out)
+		}
+
+		out, err = exec.Command(filepath.Join(bin, args[0]), append(args[1:], "-bogus")...).CombinedOutput()
+		if code, n := exitCode(err), strings.Count(string(out), "flag provided but not defined: -bogus"); code != 2 || n != 1 {
+			t.Errorf("%s -bogus: exit %d with the error printed %d times, want exit 2 and once:\n%s", cmdline, code, n, out)
 		}
 	}
 }

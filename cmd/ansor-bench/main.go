@@ -29,22 +29,8 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "ansor-bench: %v\n", err)
-	if errors.As(err, new(usageError)) {
-		os.Exit(2)
-	}
-	os.Exit(1)
+	session.Exit("ansor-bench", run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// usageError is an error in what was asked for — a bad flag, an unknown
-// experiment — on which ansor-bench exits 2 instead of 1.
-type usageError struct{ error }
-
-func (e usageError) Unwrap() error { return e.error }
 
 // run is the whole CLI; main only maps its error to an exit code, so
 // tests drive the binary in-process.
@@ -62,8 +48,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		runs      = fs.Int("runs", 3, "fig7 median-of-N runs")
 		applyBest = fs.String("apply-best", "", "print the best recorded schedule per (workload, target) and exit; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
 	)
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+	if err := session.ParseFlags(fs, args); err != nil {
+		return err
 	}
 	stopProf, err := prof.Start(shared.CPUProfile, shared.MemProfile)
 	if err != nil {
@@ -75,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if *applyBest != "" {
 		src, err := regserver.ResolveSource(*applyBest, spec.RegistryURL)
 		if err != nil {
-			return usageError{err}
+			return session.Usage(err)
 		}
 		reg, err := regserver.LoadRegistry(src)
 		if err != nil {
@@ -142,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		exp.Fig9(cfg)
 		exp.Fig10(cfg, *batch, 2)
 	default:
-		return usageError{fmt.Errorf("unknown experiment %q", *which)}
+		return session.Usage(fmt.Errorf("unknown experiment %q", *which))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/regserver"
+	"repro/internal/session"
 )
 
 // TestApplyBestPrintsRows: -apply-best prints one row per (workload,
@@ -53,8 +54,8 @@ func TestApplyBestPrintsRows(t *testing.T) {
 }
 
 // TestUsageErrors: what ansor-bench exits 2 on (a bad flag, an unknown
-// experiment, "registry" without -registry-url) is a usageError; -h is
-// flag.ErrHelp, on which it exits 0.
+// experiment, "registry" without -registry-url) is a session.UsageError;
+// -h is flag.ErrHelp, on which it exits 0.
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	for _, args := range [][]string{
@@ -62,7 +63,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-apply-best", "registry"},
 		{"-not-a-flag"},
 	} {
-		if err := run(args, &out, &errb); !errors.As(err, new(usageError)) {
+		if err := run(args, &out, &errb); !errors.As(err, new(session.UsageError)) {
 			t.Errorf("run(%q) = %v, want a usage error", args, err)
 		}
 	}

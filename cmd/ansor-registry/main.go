@@ -53,15 +53,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/regserver"
+	"repro/internal/session"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-registry: %v\n", err)
-		os.Exit(1)
-	}
+	session.Exit("ansor-registry", run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
 // run is the whole CLI; main only maps its error to an exit code and
@@ -102,7 +100,7 @@ func runFleet(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for CPU/heap profiles; token-free, off when empty")
 		events      = fs.String("events", "", "stream the broker's fleet lifecycle events as JSONL to this file path or the literal 'stderr': batch_leased, batch_measured, fleet_requeue, fleet_quarantine, joined to submitters' timelines by trace IDs; non-blocking and drop-on-full, off when empty")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := session.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	prof.Serve(*pprofAddr, "ansor-registry", stderr)
@@ -164,7 +162,7 @@ func runCompact(args []string, stdout, stderr io.Writer) error {
 		store = fs.String("store", "registry.json", "store or tuning-log file to compact in place (OFFLINE only: stop any server using this file first — compacting under a live server loses its later appends)")
 		topK  = fs.Int("top-k", 10, "records kept per (workload, target, shape): the k fastest plus up to k training-representative samples of the tail")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := session.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	if *topK <= 0 {
@@ -206,7 +204,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer, onRe
 		tlsCert   = fs.String("tls-cert", "", "serve HTTPS with this PEM certificate (requires -tls-key); clients use https:// URLs")
 		tlsKey    = fs.String("tls-key", "", "PEM private key for -tls-cert")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := session.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	prof.Serve(*pprofAddr, "ansor-registry", stderr)

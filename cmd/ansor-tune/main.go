@@ -39,10 +39,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-tune: %v\n", err)
-		os.Exit(1)
-	}
+	session.Exit("ansor-tune", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the whole CLI; main only maps its error to an exit code, so
@@ -61,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		applyBest = fs.String("apply-best", "", "skip searching: replay the best recorded schedule for the workload/network with zero trials; takes a log/registry file, a registry server URL, or the literal 'registry' for the -registry-url server")
 		list      = fs.Bool("list", false, "list available workloads and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := session.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	stopProf, err := prof.Start(shared.CPUProfile, shared.MemProfile)
@@ -94,12 +91,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		RecordTo: spec.RecordTo, ResumeFrom: spec.ResumeFrom, RegistryURL: spec.RegistryURL, FleetURL: spec.FleetURL,
 		WarmStartFrom: spec.WarmStartFrom, WarmStartLimit: spec.WarmStartLimit, EventsTo: spec.EventsTo,
 		ApplyHistoryBest: *applyBest,
-	}
-	if spec.RecordTo != "" {
-		// The scheduler checkpoint lives beside the log so a network
-		// resume can verify (not just trust) that options and workloads
-		// did not drift; single-task tuning ignores it.
-		opts.CheckpointPath = spec.RecordTo + ".ckpt"
 	}
 
 	switch {

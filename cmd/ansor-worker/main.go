@@ -51,15 +51,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/regserver"
+	"repro/internal/session"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "ansor-worker: %v\n", err)
-		os.Exit(1)
-	}
+	session.Exit("ansor-worker", run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the whole CLI; main only maps its error to an exit code and
@@ -76,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve the worker's observability endpoints on this address (e.g. localhost:8531): /metrics (JSON: leases taken, programs measured, program errors, quarantine state), /metrics/prom (Prometheus text exposition), and /healthz; off when empty")
 		events      = fs.String("events", "", "stream structured JSONL lifecycle events (worker_lease, worker_result) to this file path or the literal \"stderr\"; non-blocking and drop-on-full, off when empty")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := session.ParseFlags(fs, args); err != nil {
 		return err
 	}
 	prof.Serve(*pprofAddr, "ansor-worker", stderr)

@@ -103,7 +103,7 @@ func TestTFLiteSupportGaps(t *testing.T) {
 func TestBeamSearchRuns(t *testing.T) {
 	task := conv2dTask()
 	ms := measure.New(sim.IntelXeon(), 0.02, 1)
-	b := NewBeam(task.DAG, 8, ms, 1)
+	b := NewBeam(task.DAG, ms, 1)
 	b.Tune(64, 16)
 	if b.BestTime >= 1e30 {
 		t.Fatal("beam search found no valid program")
@@ -121,7 +121,7 @@ func TestBeamBehindBackendMatchesInProcess(t *testing.T) {
 	task := conv2dTask()
 	machine := sim.IntelXeon()
 	run := func(ms *measure.Measurer) *Beam {
-		b := NewBeam(task.DAG, 8, ms, 3)
+		b := NewBeam(task.DAG, ms, 3)
 		b.Tune(32, 16)
 		if b.BestState == nil {
 			t.Fatal("beam search found no valid program")
@@ -233,7 +233,7 @@ func TestAnsorBeatsRestrictedBaselines(t *testing.T) {
 	if testing.Short() {
 		ansor := run(NewAnsor, 7)
 		msB := measure.New(sim.IntelXeon(), 0.02, 7)
-		beam := NewBeam(task.DAG, 8, msB, 7).Tune(trials, 16)
+		beam := NewBeam(task.DAG, msB, 7).Tune(trials, 16)
 		t.Logf("ansor %.4g beam %.4g", ansor, beam)
 		if ansor > beam {
 			t.Errorf("ansor (%.4g) slower than beam search (%.4g)", ansor, beam)
@@ -252,7 +252,7 @@ func TestAnsorBeatsRestrictedBaselines(t *testing.T) {
 		autotvm := run(NewAutoTVM, seed)
 		flex := run(NewFlexTensor, seed)
 		msB := measure.New(sim.IntelXeon(), 0.02, seed)
-		beam := NewBeam(task.DAG, 8, msB, seed).Tune(trials, 16)
+		beam := NewBeam(task.DAG, msB, seed).Tune(trials, 16)
 		t.Logf("seed %d: ansor %.4g autotvm %.4g flextensor %.4g beam %.4g", seed, ansor, autotvm, flex, beam)
 		if ansor <= autotvm && ansor <= flex && ansor <= beam {
 			wins++

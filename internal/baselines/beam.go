@@ -21,8 +21,7 @@ import (
 // adds cache stages or rfactor, and computes padding outside the
 // reduction loops.
 type Beam struct {
-	DAG   *te.DAG
-	Width int
+	DAG *te.DAG
 	// Task attributes measurements in tuning logs and resume caches;
 	// empty falls back to the DAG name. Callers tuning several shapes of
 	// one operator family must set distinct names, or their records
@@ -48,11 +47,13 @@ type Beam struct {
 	Trials int
 }
 
+// beamWidth is how many incomplete programs survive each node's pruning.
+const beamWidth = 8
+
 // NewBeam returns a beam searcher over the DAG.
-func NewBeam(dag *te.DAG, width int, ms *measure.Measurer, seed int64) *Beam {
+func NewBeam(dag *te.DAG, ms *measure.Measurer, seed int64) *Beam {
 	return &Beam{
 		DAG:      dag,
-		Width:    width,
 		Measurer: ms,
 		model:    xgb.NewCostModel(xgb.DefaultOpts()),
 		rng:      rand.New(rand.NewSource(seed)),
@@ -152,8 +153,8 @@ func (b *Beam) construct() []*ir.State {
 		sort.SliceStable(next, func(a, c int) bool {
 			return b.score(next[a]) > b.score(next[c])
 		})
-		if len(next) > b.Width {
-			next = next[:b.Width]
+		if len(next) > beamWidth {
+			next = next[:beamWidth]
 		}
 		beam = next
 	}

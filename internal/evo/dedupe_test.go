@@ -66,7 +66,7 @@ func TestScoreAllDedupesTwins(t *testing.T) {
 	defer sigs.Release()
 	tables := borrowTables(sigs)
 	defer tables.release()
-	got := tables.scoreAll(NewSearch(DefaultConfig()).pool, sc, pop)
+	got := tables.scoreAll(NewSearch(Config{}).pool, sc, pop)
 	if len(got) != len(pop) {
 		t.Fatalf("scoreAll returned %d scores for %d states", len(got), len(pop))
 	}

@@ -42,17 +42,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the configuration used in the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		PopulationSize: 128,
-		Generations:    4,
-		CrossoverProb:  0.15,
-		EliteCount:     16,
-		Seed:           1,
-	}
-}
-
 // Scorer predicts the fitness of programs (higher = better). It also
 // exposes per-node scores for crossover donor selection.
 //

@@ -57,7 +57,7 @@ func TestTablesReleasedTwicePanics(t *testing.T) {
 	sigs := ir.NewSigTable()
 	defer sigs.Release()
 	set := borrowTables(sigs)
-	set.record(pop, set.scoreAll(NewSearch(DefaultConfig()).pool, sigScorer{}, pop))
+	set.record(pop, set.scoreAll(NewSearch(Config{}).pool, sigScorer{}, pop))
 	if len(set.cut(4)) == 0 {
 		t.Fatal("the cut returned nothing")
 	}

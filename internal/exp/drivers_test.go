@@ -23,7 +23,7 @@ func TestLibraryAndFigureDriversAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Trials: 16, PerRound: 8, Seed: 1, Noise: 0.02, Workers: w}
+		cfg := Config{Trials: 16, PerRound: 8, Seed: 1, Workers: w}
 		fig := TuneNetworks([]workloads.Network{workloads.DCGAN(1)}, IntelPlatform(false), cfg, VariantAnsor, 16)
 		if len(fig.Latencies) != 1 {
 			t.Fatalf("workers %d: %d figure latencies, want 1", w, len(fig.Latencies))

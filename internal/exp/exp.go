@@ -30,8 +30,6 @@ type Config struct {
 	PerRound int
 	// Seed drives all randomness.
 	Seed int64
-	// Noise is the relative measurement jitter.
-	Noise float64
 	// Workers bounds the goroutines used by measurement, search and the
 	// task scheduler (0 = GOMAXPROCS). Results are bit-identical for any
 	// value.
@@ -49,7 +47,7 @@ type Config struct {
 
 // measurer builds a measurer for the machine through the config's run.
 func (c Config) measurer(m *sim.Machine, seed int64) *measure.Measurer {
-	return c.Session.Measurer(m, c.Noise, seed, c.Workers)
+	return c.Session.Measurer(m, seed, c.Workers)
 }
 
 // warmStart seeds an Ansor policy from the run's warm-start source, if
@@ -64,7 +62,7 @@ func (c Config) warmStart(p *policy.Policy, machine string) {
 
 // DefaultConfig is the reduced-scale configuration used by the benches.
 func DefaultConfig() Config {
-	return Config{Trials: 64, PerRound: 16, Seed: 1, Noise: 0.02}
+	return Config{Trials: 64, PerRound: 16, Seed: 1}
 }
 
 func (c Config) printf(format string, args ...interface{}) {
@@ -132,7 +130,7 @@ func searchFramework(fw Framework, name string, d *te.DAG, plat Platform, cfg Co
 	switch fw {
 	case FwHalide:
 		ms := cfg.measurer(plat.Machine, cfg.Seed)
-		bm := baselines.NewBeam(d, 8, ms, cfg.Seed)
+		bm := baselines.NewBeam(d, ms, cfg.Seed)
 		bm.Task = name
 		return bm.Tune(cfg.Trials, cfg.PerRound)
 	case FwFlexTensor:

@@ -11,7 +11,7 @@ import (
 )
 
 func tinyConfig() Config {
-	return Config{Trials: 32, PerRound: 16, Seed: 1, Noise: 0.02}
+	return Config{Trials: 32, PerRound: 16, Seed: 1}
 }
 
 func TestFig3Shape(t *testing.T) {

@@ -76,7 +76,7 @@ func Fig7(cfg Config, runs int) Fig7Result {
 			task := policy.Task{Name: d.Name, DAG: d, Target: plat.Target}
 			switch v {
 			case V7BeamSearch:
-				bm := baselines.NewBeam(d, 8, ms, seed)
+				bm := baselines.NewBeam(d, ms, seed)
 				// Budget on the searcher-local counter: with a resume
 				// cache attached the shared measurer counter stalls at
 				// the cached prefix and would never exhaust the budget.

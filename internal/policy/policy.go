@@ -58,15 +58,6 @@ type Options struct {
 	// DisableFineTuning reproduces the "No fine-tuning" ablation: the
 	// batch is picked from random samples only (§7.1).
 	DisableFineTuning bool
-	// DisableIncremental forces every round's retraining to refit the
-	// whole ensemble from scratch. Default (false) trains incrementally:
-	// rounds that did not move the per-DAG normalization boost the
-	// previous ensemble with residual trees over the round's new data,
-	// and full refits happen only at fingerprint-drift checkpoints (a
-	// new best time rescales every label) or when the ensemble hits its
-	// growth bound. Both modes are bit-deterministic; they just spend
-	// different training time (see xgb.CostModel.Boost).
-	DisableIncremental bool
 	// Space restrictions, used by the baseline frameworks and the
 	// "Limited space" ablation; all false for Ansor.
 	sketch.Restrictions
@@ -548,7 +539,7 @@ func (p *Policy) retrainModel() {
 	}
 	mode := "boost"
 	switch {
-	case p.Opts.DisableIncremental, !p.model.Trained(), minT != p.lastFitMin,
+	case !p.model.Trained(), minT != p.lastFitMin,
 		p.model.NumTrees()+p.model.Opts.BoostTrees > p.model.Opts.MaxTrees:
 		mode = "refit"
 		p.model.Fit(p.progFeats, y)

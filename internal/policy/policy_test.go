@@ -322,33 +322,6 @@ func prevBestMin(p *Policy) float64 {
 	return min
 }
 
-// TestDisableIncrementalMatchesOldBehavior: with the ablation flag the
-// ensemble never grows past a full fit, and training stays
-// deterministic.
-func TestDisableIncrementalMatchesOldBehavior(t *testing.T) {
-	task := Task{Name: "mm", DAG: matmulReLU(256, 256, 256), Target: sketch.CPUTarget()}
-	run := func() (int, uint64) {
-		ms := measure.New(sim.IntelXeon(), 0.02, 4)
-		opts := DefaultOptions()
-		opts.DisableIncremental = true
-		p, err := New(task, opts, ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Tune(64, 16)
-		return p.model.NumTrees(), p.ModelFingerprint()
-	}
-	n1, fp1 := run()
-	n2, fp2 := run()
-	if n1 != xgb.DefaultOpts().NumTrees {
-		t.Errorf("DisableIncremental ensemble holds %d trees, want exactly one full fit (%d)",
-			n1, xgb.DefaultOpts().NumTrees)
-	}
-	if n1 != n2 || fp1 != fp2 {
-		t.Error("full-refit training must be deterministic")
-	}
-}
-
 // TestFeatureCacheServesSearch: after a few rounds the shared feature
 // cache must be doing real work — evolution rescoring best-k reseeds
 // and re-derived programs hit instead of re-lowering.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -125,7 +126,7 @@ func TestPrepareAheadChangesNoDecision(t *testing.T) {
 		}
 		return u
 	}, nil)
-	refCkpt, err := ref.Checkpoint().Marshal()
+	refCkpt, err := json.Marshal(ref.Checkpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestPrepareAheadChangesNoDecision(t *testing.T) {
 		if !reflect.DeepEqual(s.CostCurve, ref.CostCurve) || s.Units != ref.Units {
 			t.Errorf("workers=%d: cost curve or units (%d vs %d) diverged", workers, s.Units, ref.Units)
 		}
-		ckpt, err := s.Checkpoint().Marshal()
+		ckpt, err := json.Marshal(s.Checkpoint())
 		if err != nil {
 			t.Fatal(err)
 		}

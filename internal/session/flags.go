@@ -1,6 +1,11 @@
 package session
 
-import "flag"
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+)
 
 // Flags are the run flags ansor-tune and ansor-bench share, declared on
 // the binary's FlagSet by RegisterFlags. Each binary declares its own
@@ -41,4 +46,48 @@ func (f *Flags) Spec() Spec {
 		s.RecordTo = s.ResumeFrom
 	}
 	return s
+}
+
+// UsageError is an error in what a command was asked for — a bad flag,
+// an unknown experiment — on which it exits 2 instead of 1.
+type UsageError struct {
+	err error
+	// printed: the flag package already printed it, with the usage.
+	printed bool
+}
+
+// Usage marks err as a usage error.
+func Usage(err error) error { return UsageError{err: err} }
+
+func (e UsageError) Error() string { return e.err.Error() }
+func (e UsageError) Unwrap() error { return e.err }
+
+// ParseFlags parses a command's arguments into fs, whose output is the
+// command's stderr: -h returns flag.ErrHelp, and a bad flag a UsageError
+// the flag package has already printed.
+func ParseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return UsageError{err: err, printed: true}
+}
+
+// Exit ends the named command's main on the error its run returned,
+// by one rule for every binary: nil and -h exit 0; a usage error exits
+// 2, printed as "<name>: <err>" unless the flag package printed it; any
+// other error is printed so and exits 1.
+func Exit(name string, err error) {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	var usage UsageError
+	isUsage := errors.As(err, &usage)
+	if !usage.printed {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+	}
+	if isUsage {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }

@@ -103,19 +103,24 @@ func (s *Session) Observer() *obs.Observer {
 	return s.obsv
 }
 
+// noiseStd is the relative standard deviation of every run's simulated
+// measurement noise.
+const noiseStd = 0.02
+
 // Measurer returns the run's measurer for the machine, wired to its
 // recorder and resume cache: it times programs on the machine model in
-// process or, with a FleetURL, through the broker. Close reports the
-// first broker failure any fleet measurer latched.
-func (s *Session) Measurer(m *sim.Machine, noise float64, seed int64, workers int) *measure.Measurer {
+// process or, with a FleetURL, through the broker, with noiseStd jitter
+// seeded by seed. Close reports the first broker failure any fleet
+// measurer latched.
+func (s *Session) Measurer(m *sim.Machine, seed int64, workers int) *measure.Measurer {
 	if s == nil {
 		s = &Session{}
 	}
 	var ms *measure.Measurer
 	if s.spec.FleetURL == "" {
-		ms = measure.New(m, noise, seed)
+		ms = measure.New(m, noiseStd, seed)
 	} else {
-		rm := fleet.NewRemoteMeasurer(s.spec.FleetURL, m.Name, noise, seed)
+		rm := fleet.NewRemoteMeasurer(s.spec.FleetURL, m.Name, noiseStd, seed)
 		rm.Obs = s.obsv
 		s.remotes = append(s.remotes, rm)
 		ms = rm.Measurer

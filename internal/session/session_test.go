@@ -208,7 +208,7 @@ func TestOpenFailsAllOrNothing(t *testing.T) {
 // process, narrates nowhere, warm-starts from nothing and closes clean.
 func TestNilSessionIsTheZeroRun(t *testing.T) {
 	var s *Session
-	ms := s.Measurer(sim.IntelXeon(), 0.02, 1, 2)
+	ms := s.Measurer(sim.IntelXeon(), 1, 2)
 	if ms.Backend != nil || ms.Workers != 2 || ms.Recorder != nil || ms.Cache != nil {
 		t.Errorf("Measurer = %#v, want a bare in-process measurer with 2 workers", ms)
 	}

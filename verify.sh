@@ -197,20 +197,32 @@ step "identity against HEAD (not a gate)"
 ./identity.sh HEAD || true
 
 # The numbers ROADMAP tracks for the design-quality leg — non-test Go
-# lines, and the CLI flag declarations: those in cmd/*/main.go plus,
+# lines; the CLI flag declarations: those in cmd/*/main.go plus,
 # counted once, the run flags ansor-tune and ansor-bench both register
 # from internal/session/flags.go, through a FlagSet or the flag
-# package's globals, in the X( and XVar( forms alike (the simplicity
-# guide asks a change to count what can be set before and after) — for
-# HEAD (unpacked with git archive, as ab.sh unpacks a parent) beside the
-# working tree, so a CHANGES.md entry quotes the gate's counts and a
-# simplicity change their difference. Not a gate.
+# package's globals, in the X( and XVar( forms alike; and the settable
+# values of the library's option structs: the exported fields go doc
+# lists for each, every name of a multi-name line counted (the
+# simplicity guide asks a change to count what can be set before and
+# after) — for HEAD (unpacked with git archive, as ab.sh unpacks a
+# parent) beside the working tree, so a CHANGES.md entry quotes the
+# gate's counts and a simplicity change their difference. Not a gate.
 count() {
 	(cd "$1" && find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 }
 flags() {
 	(cd "$1" && cat cmd/*/main.go $(ls internal/session/flags.go 2>/dev/null) |
 		grep -cE '(fs|flag)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(')
+}
+settable() {
+	for t in ansor.TuningOptions exp.Config session.Spec policy.Options sched.Options evo.Config xgb.Opts; do
+		dir=./internal/${t%.*}
+		[ "${t%.*}" != ansor ] || dir=./ansor
+		(cd "$1" && go doc "$dir" "${t#*.}")
+	done | awk '/^type .* struct \{$/ { f = 1; next }
+		/^}/ { f = 0 }
+		f && NF && $1 !~ /^\/\// { n++; for (i = 1; $i ~ /,$/; i++) n++ }
+		END { print n }'
 }
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/verify.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
@@ -221,3 +233,6 @@ printf 'non-test Go lines outside bench/: %s (HEAD %s, %+d)\n' "$tree" "$head" "
 head=$(flags "$tmp")
 tree=$(flags .)
 printf 'CLI flag declarations: %s (HEAD %s, %+d)\n' "$tree" "$head" "$((tree - head))"
+head=$(settable "$tmp")
+tree=$(settable .)
+printf 'settable option fields: %s (HEAD %s, %+d)\n' "$tree" "$head" "$((tree - head))"
