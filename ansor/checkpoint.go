@@ -3,8 +3,10 @@ package ansor
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/measure"
 	"repro/internal/sched"
 )
 
@@ -87,20 +89,14 @@ func loadCheckpoint(path string) (*netCheckpoint, error) {
 }
 
 // writeCheckpoint snapshots the scheduler beside the log, atomically
-// (temp file + rename), so a crash mid-write never corrupts the
+// (measure.WriteFileAtomic), so a crash mid-write never corrupts the
 // previous checkpoint.
 func writeCheckpoint(path string, meta netCheckpoint, s *sched.Scheduler) error {
 	meta.Sched = s.Checkpoint()
-	data, err := json.Marshal(meta)
+	err := measure.WriteFileAtomic(path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(meta)
+	})
 	if err != nil {
-		return fmt.Errorf("ansor: checkpoint %s: %w", path, err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("ansor: checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("ansor: checkpoint %s: %w", path, err)
 	}
 	return nil

@@ -178,13 +178,7 @@ func runCompact(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("compact %s: %w", *store, err)
 	}
 	c := l.Compact(*topK)
-	tmp := *store + ".tmp"
-	if err := c.SaveFile(tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("compact %s: %w", *store, err)
-	}
-	if err := os.Rename(tmp, *store); err != nil {
-		os.Remove(tmp)
+	if err := c.SaveFile(*store); err != nil {
 		return fmt.Errorf("compact %s: %w", *store, err)
 	}
 	fmt.Fprintf(stdout, "ansor-registry: compacted %s: %d -> %d records (top-%d per workload/target/shape)\n",

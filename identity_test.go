@@ -273,7 +273,7 @@ func identityCorpus(t *testing.T) string {
 			sampler := anno.NewSampler(tgt.space, 1)
 			fmt.Fprintf(&b, "%s %s %d sketches\n", w.Key, tgt.machine.Name, len(sketches))
 			for i := 0; i < 4; i++ {
-				s, err := sampler.Sample(sketches[rng.Intn(len(sketches))])
+				s, err := sampler.SampleIn(nil, sketches[rng.Intn(len(sketches))])
 				if err != nil {
 					fmt.Fprintf(&b, "  invalid: %v\n", err)
 					continue

@@ -91,14 +91,11 @@ func randomFactors(fs []int, rng *rand.Rand, extent int) []int {
 	return fs
 }
 
-// Sample draws one complete random program from a sketch. The result's
-// step list fully determines it (replayable); an error means this draw
-// produced an invalid program and the caller should redraw.
-func (sp *Sampler) Sample(sk *ir.State) (*ir.State, error) { return sp.SampleIn(nil, sk) }
-
-// SampleIn is Sample into the arena's memory (nil: the heap's), the
-// steps it makes and their step list included; an invalid draw gives back
-// everything it took.
+// SampleIn draws one complete random program from a sketch into the
+// arena's memory (nil: the heap's), the steps it makes and their step
+// list included. The result's step list fully determines it
+// (replayable); an error means this draw produced an invalid program,
+// which gives back everything it took, and the caller should redraw.
 func (sp *Sampler) SampleIn(a *ir.Arena, sk *ir.State) (*ir.State, error) {
 	m := a.Mark()
 	s, err := a.Replay(sk.DAG, sp.fillStructure(a, sk))
@@ -158,7 +155,7 @@ func (sp *Sampler) tilePlan(sk *ir.State) []*te.Node {
 				plan[i] = stage.Node
 			}
 		}
-		// A step that fails here fails in Sample's Replay too, which
+		// A step that fails here fails in SampleIn's Replay too, which
 		// reports it.
 		_ = state.Apply(st)
 	}

@@ -124,7 +124,7 @@ func TestSampleReplayable(t *testing.T) {
 	sk := sketchesFor(t, d, sketch.CPUTarget())
 	sp := NewSampler(sketch.CPUTarget(), 3)
 	for i := 0; i < 10; i++ {
-		s, err := sp.Sample(sk[0])
+		s, err := sp.SampleIn(nil, sk[0])
 		if err != nil {
 			continue
 		}

@@ -177,7 +177,7 @@ func TestProgramPathAllocationCeilings(t *testing.T) {
 		}},
 		{"ir.EncodeSteps", 200, 1, func() { _, _ = ir.EncodeSteps(next().Steps) }},
 		{"ir.DecodeSteps", 200, 32, func() { _, _ = ir.DecodeSteps(encoded[i%len(pop)]); i++ }},
-		{"anno.Sample", 200, 32, func() { _, _ = sampler.Sample(sketches[0]) }},
+		{"anno.SampleIn onto the heap", 200, 32, func() { _, _ = sampler.SampleIn(nil, sketches[0]) }},
 		{"anno.SampleIn into a warm arena", 200, 1, sampleIn},
 		{"mutation in an arena", 200, 2, mutate},
 		{"evo.Search.Run", 5, 1720, evoRun},

@@ -167,19 +167,14 @@ func (c *Client) submit(body []byte) (JobStatus, error) {
 // way; nil without error when none is available, ErrQuarantined when
 // the broker refuses this worker.
 func (c *Client) Lease(req LeaseRequest) (*LeaseGrant, error) {
-	return c.LeaseContext(context.Background(), req)
+	return c.lease(context.Background(), req, &buffer{})
 }
 
-// LeaseContext is Lease bounded by ctx — with long-poll leases a
-// shutting-down worker must be able to abort a request the broker is
-// deliberately holding open.
-func (c *Client) LeaseContext(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	return c.lease(ctx, req, &buffer{})
-}
-
-// lease is LeaseContext reading the grant into mem, whose bytes and
-// program list the grant's programs then share, and which keeps what
-// they grew to for the next lease.
+// lease is Lease bounded by ctx — with long-poll leases a shutting-down
+// worker must be able to abort a request the broker is deliberately
+// holding open — reading the grant into mem, whose bytes and program
+// list the grant's programs then share, and which keeps what they grew
+// to for the next lease.
 func (c *Client) lease(ctx context.Context, req LeaseRequest, mem *buffer) (*LeaseGrant, error) {
 	body, err := appendLease(nil, req)
 	if err != nil {

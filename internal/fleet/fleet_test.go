@@ -117,8 +117,8 @@ func startPoisoningWorker(t *testing.T, url string, poison []byte) {
 		cl := NewClient(url)
 		var done *ResultPost
 		for ctx.Err() == nil {
-			g, err := cl.LeaseContext(ctx, LeaseRequest{Worker: "poisoner", Target: sim.IntelXeon().Name,
-				Capacity: 3, WaitMS: 50, Done: done})
+			g, err := cl.lease(ctx, LeaseRequest{Worker: "poisoner", Target: sim.IntelXeon().Name,
+				Capacity: 3, WaitMS: 50, Done: done}, &buffer{})
 			done = nil
 			if err != nil || g == nil {
 				continue
@@ -187,7 +187,7 @@ func TestRemoteMeasurerBitIdenticalToLocal(t *testing.T) {
 	batch := append([]*ir.State{bad, served}, states[1:8]...)
 	batch = append(batch, states[1])
 	var history measure.Log
-	if _, err := history.AddAll("mm", machine.Name, local[:1]); err != nil {
+	if err := history.Add("mm", machine.Name, local[0]); err != nil {
 		t.Fatal(err)
 	}
 	poison, err := ir.EncodeSteps(poisoned.Steps)
@@ -307,8 +307,10 @@ func TestRemoteMeasurerServesCacheWithoutFleet(t *testing.T) {
 	local := measure.New(machine, 0.02, 9)
 	localRes := local.MeasureTask("mm", states)
 	log := measure.Log{}
-	if _, err := log.AddAll("mm", machine.Name, localRes); err != nil {
-		t.Fatal(err)
+	for _, r := range localRes {
+		if err := log.Add("mm", machine.Name, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cache := measure.NewMeasuredSet()
 	cache.AddLog(&log)

@@ -1,6 +1,7 @@
 // Package jsonx is the core of the hand JSON codecs: append primitives
-// that write encoding/json's bytes, a strict-layout Reader, and Decode,
-// which keeps what was read by hand, else reads with encoding/json.
+// that write encoding/json's bytes, a strict-layout Reader, Value, which
+// spans a strict-layout value of any shape, and Decode, which keeps what
+// was read by hand, else reads with encoding/json.
 //
 // Each codec writes exactly the bytes encoding/json writes for its
 // structs, and reads one strict layout by hand: its keys in its order,
@@ -148,21 +149,9 @@ func (r *Reader) List(elem func()) {
 // Raw reads a string of printable ASCII without `"` and `\` and returns
 // its bytes, a piece of the input.
 func (r *Reader) Raw() []byte {
-	if !r.Key(`"`) {
-		r.ok = false
-		return nil
+	if s := r.Span(str); s != nil {
+		return s[1 : len(s)-1]
 	}
-	for start := r.i; r.i < len(r.b); r.i++ {
-		switch c := r.b[r.i]; {
-		case c == '"':
-			r.i++
-			return r.b[start : r.i-1]
-		case c < ' ' || c >= 0x80 || c == '\\':
-			r.ok = false
-			return nil
-		}
-	}
-	r.ok = false
 	return nil
 }
 
@@ -228,6 +217,87 @@ func (r *Reader) Span(end func(b []byte, i int) int) []byte {
 	v := r.b[r.i:e]
 	r.i = e
 	return v
+}
+
+// maxDepth bounds the nesting Value follows; deeper values are left to
+// encoding/json (whose own bound is 10 000).
+const maxDepth = 64
+
+// Value returns the end of the JSON value that starts at b[i] in the
+// strict layout, or -1: no whitespace, strings as Raw reads them,
+// numbers as Number spans them, true, false and null, and arrays and
+// objects of these nested at most maxDepth deep.
+func Value(b []byte, i int) int { return value(b, i, 0) }
+
+func value(b []byte, i, depth int) int {
+	if i >= len(b) {
+		return -1
+	}
+	switch c := b[i]; c {
+	case '"':
+		return str(b, i)
+	case 't':
+		return lit(b, i, "true")
+	case 'f':
+		return lit(b, i, "false")
+	case 'n':
+		return lit(b, i, "null")
+	case '[', '{':
+		if depth == maxDepth {
+			return -1
+		}
+		end := byte(']')
+		if c == '{' {
+			end = '}'
+		}
+		if i++; i < len(b) && b[i] == end {
+			return i + 1
+		}
+		for {
+			if c == '{' {
+				if i = str(b, i); i < 0 || i >= len(b) || b[i] != ':' {
+					return -1
+				}
+				i++
+			}
+			if i = value(b, i, depth+1); i < 0 || i >= len(b) {
+				return -1
+			}
+			switch b[i] {
+			case end:
+				return i + 1
+			case ',':
+				i++
+			default:
+				return -1
+			}
+		}
+	}
+	return Number(b, i)
+}
+
+// str returns the end of the string of printable ASCII without `"` and
+// `\` that starts at b[i], or -1.
+func str(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < ' ' || c >= 0x80 || c == '\\':
+			return -1
+		}
+	}
+	return -1
+}
+
+func lit(b []byte, i int, word string) int {
+	if len(b)-i < len(word) || string(b[i:i+len(word)]) != word {
+		return -1
+	}
+	return i + len(word)
 }
 
 // Number returns the end of the JSON number literal that starts at b[i],

@@ -25,16 +25,17 @@ import (
 // AppendRecord writes exactly the bytes json.Encoder writes for a Record
 // (whose struct tags name the same keys for encoding/json's reader):
 // target, sig and dag only when not empty, noiseless only when not ±0,
-// strings and numbers as jsonx writes them. Steps is copied when it is
-// compact JSON of ASCII bytes without <>&; otherwise
+// strings and numbers as jsonx writes them. Steps is copied when
+// jsonx.Value spans it whole and it holds no <, > or &; otherwise
 // json.Marshal(json.RawMessage(steps)) compacts it, escapes <>& (and
 // U+2028/U+2029) and refuses what is not JSON. Nil steps is null.
 //
-// Reading follows jsonx's strict-read rule, with steps a JSON array
-// validated against the full grammar and kept verbatim. Load hands the
-// rest of the stream to json.Decoder from the first line outside the
-// layout on (an older peer's unknown key, "steps":null, two values on
-// one line, a torn tail). A string equal to the same field of the line
+// Reading follows jsonx's strict-read rule, steps included: an array in
+// jsonx's strict layout, kept verbatim. Load hands the rest of the
+// stream to json.Decoder from the first line outside the layout on (an
+// older peer's unknown key, "steps":null, steps with whitespace or
+// escapes, two values on one line, a torn tail); json.RawMessage keeps
+// those steps verbatim too. A string equal to the same field of the line
 // before shares that line's string, so a log's repeated task, target
 // and dag cost one copy.
 
@@ -70,8 +71,7 @@ func appendSteps(dst, steps []byte) ([]byte, error) {
 	if steps == nil {
 		return append(dst, "null"...), nil
 	}
-	s := jsonScan{b: steps}
-	if s.value(0, 0) == len(steps) && !s.rewrite {
+	if jsonx.Value(steps, 0) == len(steps) && !bytes.ContainsAny(steps, "<>&") {
 		return append(dst, steps...), nil
 	}
 	compact, err := json.Marshal(json.RawMessage(steps))
@@ -116,17 +116,30 @@ func (l *Log) Save(w io.Writer) error {
 	return flush(nil)
 }
 
-// SaveFile writes the log to path (truncating).
-func (l *Log) SaveFile(path string) error {
-	f, err := os.Create(path)
+// SaveFile replaces path with the log, atomically (WriteFileAtomic).
+func (l *Log) SaveFile(path string) error { return WriteFileAtomic(path, l.Save) }
+
+// WriteFileAtomic replaces path with what write writes, or leaves it as
+// it was: write fills path+".tmp", which is then renamed over path, and
+// on any failure the temp file is removed. A crash mid-write leaves the
+// old file whole.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := l.Save(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // readers recycles Load's read buffers: a POST of one record to the
@@ -248,153 +261,11 @@ func readRecord(r *jsonx.Reader, last *Record) (rec Record) {
 	return rec
 }
 
-// arrayEnd returns the end of the JSON array that starts at b[i], or -1.
+// arrayEnd returns the end of the array that starts at b[i] in jsonx's
+// strict layout, or -1.
 func arrayEnd(b []byte, i int) int {
 	if i >= len(b) || b[i] != '[' {
 		return -1
 	}
-	s := jsonScan{b: b}
-	return s.value(i, 0)
-}
-
-// jsonScan validates JSON values in place against the full grammar.
-// rewrite records whether json.Marshal of the bytes as a json.RawMessage
-// could change them: whitespace between tokens, or a string byte that it
-// escapes or might (<, >, &, anything non-ASCII).
-type jsonScan struct {
-	b       []byte
-	rewrite bool
-}
-
-// maxDepth bounds the nesting the scan follows; deeper values are left
-// to encoding/json (whose own bound is 10 000).
-const maxDepth = 64
-
-// value returns the end of the JSON value that starts at b[i], or -1 if
-// none does.
-func (s *jsonScan) value(i, depth int) int {
-	if i >= len(s.b) {
-		return -1
-	}
-	switch c := s.b[i]; c {
-	case '{', '[':
-		if depth == maxDepth {
-			return -1
-		}
-		end := byte(']')
-		if c == '{' {
-			end = '}'
-		}
-		if i = s.ws(i + 1); i < len(s.b) && s.b[i] == end {
-			return i + 1
-		}
-		for {
-			if c == '{' {
-				if i = s.str(i); i < 0 {
-					return -1
-				}
-				if i = s.ws(i); i >= len(s.b) || s.b[i] != ':' {
-					return -1
-				}
-				i = s.ws(i + 1)
-			}
-			if i = s.value(i, depth+1); i < 0 {
-				return -1
-			}
-			if i = s.ws(i); i >= len(s.b) {
-				return -1
-			}
-			if s.b[i] == end {
-				return i + 1
-			}
-			if s.b[i] != ',' {
-				return -1
-			}
-			i = s.ws(i + 1)
-		}
-	case '"':
-		return s.str(i)
-	case 't':
-		return s.lit(i, "true")
-	case 'f':
-		return s.lit(i, "false")
-	case 'n':
-		return s.lit(i, "null")
-	}
-	return jsonx.Number(s.b, i)
-}
-
-// ws skips whitespace.
-func (s *jsonScan) ws(i int) int {
-	start := i
-	for i < len(s.b) && (s.b[i] == ' ' || s.b[i] == '\t' || s.b[i] == '\n' || s.b[i] == '\r') {
-		i++
-	}
-	if i > start {
-		s.rewrite = true
-	}
-	return i
-}
-
-func (s *jsonScan) lit(i int, word string) int {
-	if len(s.b)-i < len(word) || string(s.b[i:i+len(word)]) != word {
-		return -1
-	}
-	return i + len(word)
-}
-
-// strByte classes the bytes of a JSON string: 0 plain, 1 the end, an
-// escape or not allowed ('"', '\\', control bytes), 2 plain but escaped or
-// possibly escaped by json.Marshal (<, >, &, non-ASCII).
-var strByte = func() (t [256]byte) {
-	for c := 0; c < 256; c++ {
-		switch {
-		case c < ' ' || c == '"' || c == '\\':
-			t[c] = 1
-		case c >= 0x80 || c == '<' || c == '>' || c == '&':
-			t[c] = 2
-		}
-	}
-	return t
-}()
-
-// str returns the end of the string that starts at b[i], or -1.
-func (s *jsonScan) str(i int) int {
-	if i >= len(s.b) || s.b[i] != '"' {
-		return -1
-	}
-	for i++; i < len(s.b); i++ {
-		c := s.b[i]
-		if strByte[c] == 0 {
-			continue
-		}
-		switch {
-		case c == '"':
-			return i + 1
-		case strByte[c] == 2:
-			s.rewrite = true
-		case c == '\\':
-			if i++; i >= len(s.b) {
-				return -1
-			}
-			switch s.b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if len(s.b)-i < 5 {
-					return -1
-				}
-				for _, h := range s.b[i+1 : i+5] {
-					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
-						return -1
-					}
-				}
-				i += 4
-			default:
-				return -1
-			}
-		default: // a control byte
-			return -1
-		}
-	}
-	return -1
+	return jsonx.Value(b, i)
 }

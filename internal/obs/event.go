@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // Version is the event-schema version carried in Event.V. Bump it when
 // a field changes meaning or disappears; adding omitempty fields at
@@ -65,17 +62,3 @@ const (
 
 // Encode serializes the event as one JSONL line (no trailing newline).
 func (e Event) Encode() ([]byte, error) { return json.Marshal(e) }
-
-// Decode parses one JSONL line back into an Event. Unknown fields are
-// ignored (newer emitters stay readable); a missing or zero version is
-// rejected.
-func Decode(line []byte) (Event, error) {
-	var e Event
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Event{}, err
-	}
-	if e.V == 0 {
-		return Event{}, fmt.Errorf("obs: event line missing version: %q", line)
-	}
-	return e, nil
-}

@@ -12,9 +12,6 @@ import (
 // Registry.Atomically / Registry.Snapshot.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (callers keep counters monotone; nothing enforces it).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
@@ -27,16 +24,6 @@ type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -81,9 +68,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // HistSnapshot is one histogram's state at snapshot time.
 type HistSnapshot struct {

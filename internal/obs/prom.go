@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // PromContentType is the Content-Type of the text exposition format.
@@ -77,129 +76,4 @@ func promFloat(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-var (
-	promTypeLine   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
-	promHelpLine   = regexp.MustCompile(`^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*$`)
-	promSampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+)$`)
-	promLabelPart  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$`)
-)
-
-// LintPrometheus checks that b parses as the text exposition format:
-// well-formed TYPE/HELP comments and sample lines, every sample's base
-// metric declared by a preceding TYPE, histogram buckets cumulative
-// with a "+Inf" bucket matching _count. It is the format lint the
-// endpoint tests run against /metrics/prom output.
-func LintPrometheus(b []byte) error {
-	types := map[string]string{}
-	buckets := map[string][]struct {
-		le  float64
-		cum int64
-	}{}
-	counts := map[string]int64{}
-	hasInf := map[string]bool{}
-
-	for ln, line := range strings.Split(string(b), "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if m := promTypeLine.FindStringSubmatch(line); m != nil {
-				if _, dup := types[m[1]]; dup {
-					return fmt.Errorf("line %d: duplicate TYPE for %s", ln+1, m[1])
-				}
-				types[m[1]] = m[2]
-				continue
-			}
-			if promHelpLine.MatchString(line) {
-				continue
-			}
-			return fmt.Errorf("line %d: malformed comment %q", ln+1, line)
-		}
-		m := promSampleLine.FindStringSubmatch(line)
-		if m == nil {
-			return fmt.Errorf("line %d: malformed sample %q", ln+1, line)
-		}
-		name, labels, value := m[1], m[2], m[3]
-		if labels != "" {
-			for _, part := range strings.Split(strings.Trim(labels, "{}"), ",") {
-				if !promLabelPart.MatchString(part) {
-					return fmt.Errorf("line %d: malformed label %q", ln+1, part)
-				}
-			}
-		}
-		v, err := parsePromValue(value)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", ln+1, err)
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		typ, declared := types[base]
-		if !declared {
-			if typ, declared = types[name]; !declared {
-				return fmt.Errorf("line %d: sample %s has no TYPE declaration", ln+1, name)
-			}
-			base = name
-		}
-		if typ == "histogram" {
-			switch {
-			case strings.HasSuffix(name, "_bucket"):
-				le, err := parsePromLE(labels)
-				if err != nil {
-					return fmt.Errorf("line %d: %v", ln+1, err)
-				}
-				bs := buckets[base]
-				if len(bs) > 0 && (le <= bs[len(bs)-1].le || int64(v) < bs[len(bs)-1].cum) {
-					return fmt.Errorf("line %d: histogram %s buckets not cumulative/ascending", ln+1, base)
-				}
-				buckets[base] = append(bs, struct {
-					le  float64
-					cum int64
-				}{le, int64(v)})
-				if math.IsInf(le, 1) {
-					hasInf[base] = true
-				}
-			case strings.HasSuffix(name, "_count"):
-				counts[base] = int64(v)
-			}
-		}
-	}
-	for name, typ := range types {
-		if typ != "histogram" {
-			continue
-		}
-		if !hasInf[name] {
-			return fmt.Errorf("histogram %s: missing le=\"+Inf\" bucket", name)
-		}
-		bs := buckets[name]
-		if inf := bs[len(bs)-1].cum; inf != counts[name] {
-			return fmt.Errorf("histogram %s: +Inf bucket %d != _count %d", name, inf, counts[name])
-		}
-	}
-	return nil
-}
-
-func parsePromValue(s string) (float64, error) {
-	switch s {
-	case "+Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
-	case "NaN":
-		return math.NaN(), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad sample value %q", s)
-	}
-	return v, nil
-}
-
-func parsePromLE(labels string) (float64, error) {
-	for _, part := range strings.Split(strings.Trim(labels, "{}"), ",") {
-		if le, ok := strings.CutPrefix(part, `le="`); ok {
-			return parsePromValue(strings.TrimSuffix(le, `"`))
-		}
-	}
-	return 0, fmt.Errorf("bucket sample without le label: %q", labels)
 }

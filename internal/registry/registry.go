@@ -268,8 +268,8 @@ func (r *Registry) Log() *measure.Log {
 	return r.Query("", "", 0)
 }
 
-// SaveFile writes the registry's best records to path (line-oriented,
-// the same format as tuning logs).
+// SaveFile replaces path with the registry's best records, atomically
+// (line-oriented, the same format as tuning logs).
 func (r *Registry) SaveFile(path string) error {
 	return r.Log().SaveFile(path)
 }

@@ -26,8 +26,10 @@ func measuredLog(t *testing.T, dag *te.DAG) *measure.Log {
 	s2.MustApply(&ir.AnnotateStep{Stage: "matmul", IterIdx: 0, Ann: ir.AnnParallel})
 	ms := measure.New(sim.IntelXeon(), 0, 1)
 	var l measure.Log
-	if _, err := l.AddAll("mm", ms.Machine.Name, ms.Measure([]*ir.State{s1, s2})); err != nil {
-		t.Fatal(err)
+	for _, r := range ms.Measure([]*ir.State{s1, s2}) {
+		if err := l.Add("mm", ms.Machine.Name, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return &l
 }

@@ -249,23 +249,16 @@ func (s *Server) addDurably(rec measure.Record) (bool, error) {
 	return true, nil
 }
 
-// Snapshot compacts the store file to the registry's current best set:
-// the snapshot is written to a temporary file and atomically renamed
-// over the store, so a crash mid-snapshot leaves the previous
-// append-durable file intact. No-op without a store.
+// Snapshot compacts the store file to the registry's current best set,
+// atomically (measure.WriteFileAtomic), so a crash mid-snapshot leaves
+// the previous append-durable file intact. No-op without a store.
 func (s *Server) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.storePath == "" {
 		return nil
 	}
-	tmp := s.storePath + ".tmp"
-	if err := s.reg.SaveFile(tmp); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("regserver: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, s.storePath); err != nil {
-		os.Remove(tmp)
+	if err := s.reg.SaveFile(s.storePath); err != nil {
 		return fmt.Errorf("regserver: snapshot: %w", err)
 	}
 	if s.appendF != nil {

@@ -196,7 +196,7 @@ func TestZeroGradientTaskIsNeverGuessed(t *testing.T) {
 		}
 	}
 	s := New(tuners, []DNN{d}, opts)
-	s.Run(40)
+	spend(s, 40)
 	if n := ts[stopped].prepares; n != 0 {
 		t.Errorf("the task in no DNN was prepared %d times", n)
 	}

@@ -112,7 +112,7 @@ type Scheduler struct {
 	nGuessed int
 	// Units counts total allocated units.
 	Units int
-	// warmed tracks round-robin warm-up progress across Run calls.
+	// warmed tracks round-robin warm-up progress across Step calls.
 	warmed int
 	// CostCurve records f1 after every allocation.
 	CostCurve []float64
@@ -263,10 +263,11 @@ func (s *Scheduler) prepare(picked, unitsLeft int) {
 	s.pool.Map(len(wave), func(k int) { s.Tasks[wave[k]].Prepare() })
 }
 
-// Step runs exactly one wave (bounded by the remaining budget) and
-// returns the units it spent; 0 once the budget is exhausted. Callers
-// sampling tuning curves step wave by wave, so independent rounds still
-// parallelize between observation points.
+// Step runs exactly one wave of the warm-up round-robin, then of the
+// gradient-descent allocation (§6.2), bounded by the remaining budget,
+// and returns the units it spent; 0 once the budget is exhausted.
+// Independent rounds within a wave run concurrently across Opts.Workers
+// goroutines, so callers sampling tuning curves step wave by wave.
 func (s *Scheduler) Step(totalUnits int) int {
 	if s.Units >= totalUnits {
 		return 0
@@ -277,14 +278,6 @@ func (s *Scheduler) Step(totalUnits int) int {
 	}
 	s.runWave(wave)
 	return len(wave)
-}
-
-// Run performs the warm-up round-robin then gradient-descent allocation
-// until totalUnits have been spent (§6.2). Independent rounds within a
-// wave run concurrently across Opts.Workers goroutines.
-func (s *Scheduler) Run(totalUnits int) {
-	for s.Step(totalUnits) > 0 {
-	}
 }
 
 // pick chooses the next task: argmax |∂f/∂t_i|, with ε-greedy random

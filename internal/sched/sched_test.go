@@ -30,6 +30,12 @@ func (f *fakeTuner) Prepare()              {}
 func (f *fakeTuner) TaskFlops() float64    { return f.flops }
 func (f *fakeTuner) SimilarityTag() string { return f.tag }
 
+// spend steps s until totalUnits are spent.
+func spend(s *Scheduler, totalUnits int) {
+	for s.Step(totalUnits) > 0 {
+	}
+}
+
 func twoDNNSetup() ([]Tuner, []DNN, []*fakeTuner) {
 	// Task 0: big bottleneck with lots of headroom. Task 1: small, already
 	// near optimal. Task 2: medium.
@@ -54,7 +60,7 @@ func TestGradientBeatsRoundRobin(t *testing.T) {
 		opts.RoundRobin = rr
 		opts.EpsGreedy = 0
 		s := New(tuners, dnns, opts)
-		s.Run(30)
+		spend(s, 30)
 		return s.cost(s.latencies())
 	}
 	grad := run(false)
@@ -70,7 +76,7 @@ func TestSchedulerPrioritizesBottleneck(t *testing.T) {
 	opts := DefaultOptions()
 	opts.EpsGreedy = 0
 	s := New(tuners, dnns, opts)
-	s.Run(30)
+	spend(s, 30)
 	if ts[0].t <= ts[1].t {
 		t.Errorf("bottleneck task got %d units, saturated task got %d", ts[0].t, ts[1].t)
 	}
@@ -79,7 +85,7 @@ func TestSchedulerPrioritizesBottleneck(t *testing.T) {
 func TestWarmupTouchesAllTasks(t *testing.T) {
 	tuners, dnns, ts := twoDNNSetup()
 	s := New(tuners, dnns, DefaultOptions())
-	s.Run(len(tuners))
+	spend(s, len(tuners))
 	for i, f := range ts {
 		if f.t != 1 {
 			t.Errorf("task %d got %d units in warm-up, want 1", i, f.t)
@@ -100,7 +106,7 @@ func TestObjectiveF1(t *testing.T) {
 		{Tasks: []int{1}, Weights: []float64{3}},
 	}
 	s := New([]Tuner{ts[0], ts[1]}, dnns, DefaultOptions())
-	s.Run(2)
+	spend(s, 2)
 	if got, want := s.CostCurve[1], 2*5+1*7+3*7.0; got != want {
 		t.Errorf("f1 cost = %g, want %g", got, want)
 	}
@@ -126,7 +132,7 @@ func TestSimilarityPrediction(t *testing.T) {
 	opts := DefaultOptions()
 	opts.EpsGreedy = 0
 	s := New([]Tuner{ts[0], ts[1], ts[2]}, dnns, opts)
-	s.Run(20)
+	spend(s, 20)
 	if ts[1].t <= ts[2].t {
 		t.Errorf("similar-to-fast task got %d units, saturated misc task got %d", ts[1].t, ts[2].t)
 	}
@@ -144,7 +150,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			opts.RoundRobin = rr
 			opts.Workers = workers
 			s := New(tuners, dnns, opts)
-			s.Run(30)
+			spend(s, 30)
 			units := make([]int, len(ts))
 			for i, f := range ts {
 				units[i] = f.t
@@ -172,7 +178,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestCostCurveMonotoneForF1(t *testing.T) {
 	tuners, dnns, _ := twoDNNSetup()
 	s := New(tuners, dnns, DefaultOptions())
-	s.Run(20)
+	spend(s, 20)
 	for i := 1; i < len(s.CostCurve); i++ {
 		if s.CostCurve[i] > s.CostCurve[i-1]+1e-9 {
 			t.Errorf("cost curve increased at %d: %g -> %g", i, s.CostCurve[i-1], s.CostCurve[i])
@@ -184,13 +190,13 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 	opts := DefaultOptions()
 	tunersA, dnnsA, _ := twoDNNSetup()
 	a := New(tunersA, dnnsA, opts)
-	a.Run(12)
+	spend(a, 12)
 	ckpt := a.Checkpoint()
 
 	// A replayed run (same everything) passes through the checkpoint.
 	tunersB, dnnsB, _ := twoDNNSetup()
 	b := New(tunersB, dnnsB, opts)
-	b.Run(30)
+	spend(b, 30)
 	if err := b.VerifyReplay(ckpt); err != nil {
 		t.Fatalf("faithful replay rejected: %v", err)
 	}
@@ -199,7 +205,7 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 	tunersC, dnnsC, fakesC := twoDNNSetup()
 	fakesC[0].decay = 0.5
 	c := New(tunersC, dnnsC, opts)
-	c.Run(30)
+	spend(c, 30)
 	if err := c.VerifyReplay(ckpt); err == nil {
 		t.Fatal("diverged replay must be rejected")
 	}
@@ -207,7 +213,7 @@ func TestCheckpointVerifyReplay(t *testing.T) {
 	// A replay that stopped short is caught.
 	tunersD, dnnsD, _ := twoDNNSetup()
 	d := New(tunersD, dnnsD, opts)
-	d.Run(6)
+	spend(d, 6)
 	if err := d.VerifyReplay(ckpt); err == nil {
 		t.Fatal("short replay must be rejected")
 	}
@@ -223,7 +229,7 @@ func TestCheckpointSurvivesJSON(t *testing.T) {
 	for _, units := range []int{1, 12} {
 		tuners, dnns, _ := twoDNNSetup()
 		s := New(tuners, dnns, DefaultOptions())
-		s.Run(units)
+		spend(s, units)
 		blob, err := json.Marshal(s.Checkpoint())
 		if err != nil {
 			t.Fatalf("%d units: marshal: %v", units, err)
@@ -259,14 +265,14 @@ func TestOldCheckpointStillVerifies(t *testing.T) {
 	}
 	tuners, dnns, _ := twoDNNSetup()
 	s := New(tuners, dnns, DefaultOptions())
-	s.Run(12)
+	spend(s, 12)
 	if err := s.VerifyReplay(old); err != nil {
 		t.Errorf("an equal run fails the old checkpoint: %v", err)
 	}
 	tuners, dnns, fakes := twoDNNSetup()
 	fakes[0].decay = 0.5
 	s = New(tuners, dnns, DefaultOptions())
-	s.Run(12)
+	spend(s, 12)
 	if err := s.VerifyReplay(old); err == nil {
 		t.Error("a diverged run passes the old checkpoint")
 	}

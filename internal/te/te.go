@@ -259,20 +259,6 @@ func (d *DAG) Producer(t *Tensor) *Node {
 	return nil
 }
 
-// Consumers returns the nodes that read the output of n.
-func (d *DAG) Consumers(n *Node) []*Node {
-	var out []*Node
-	for _, m := range d.Nodes {
-		for _, a := range m.Reads {
-			if a.Tensor == n.Out {
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // TotalFlops returns the total floating point work of the whole DAG.
 func (d *DAG) TotalFlops() float64 {
 	var f float64

@@ -54,10 +54,11 @@ gated FuzzDecodeSteps ./internal/ir/ -fuzz FuzzDecodeSteps -fuzztime 10s
 
 # The fleet's lease, results, grant, job and status bodies and the record
 # lines are written and read by hand on internal/jsonx's shared Reader and
-# append primitives, every other layout left to encoding/json; jsonx has
-# no fuzz target of its own, so the next three pin it through its two
-# callers. The bodies: both halves against the json.Marshal/json.Unmarshal
-# calls they replaced, error texts included.
+# append primitives, every other layout left to encoding/json; the next
+# three pin jsonx through its two callers, the record lines' steps
+# through jsonx.Value, the strict-layout value span (its own FuzzValue
+# runs only on its seeds here). The bodies: both halves against the
+# json.Marshal/json.Unmarshal calls they replaced, error texts included.
 step "fuzz: fleet body codec (10 s)"
 gated FuzzWireCodec ./internal/fleet/ -fuzz FuzzWireCodec -fuzztime 10s
 
